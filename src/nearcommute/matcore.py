@@ -21,7 +21,6 @@ __all__ = [
     "op_norm",
     "commutator",
     "spectral_projection",
-    "spectral_projection_normal",
     "apply_function",
     "pinch",
     "random_hermitian",
@@ -233,12 +232,6 @@ class NormalEig:
 
     eigenvalues: np.ndarray  # complex
     vectors: np.ndarray
-
-
-def spectral_projection_normal(eig: NormalEig, s: Callable[[complex], bool]) -> OrthoProjection:
-    """Spectral projection of a normal matrix onto a complex-plane predicate."""
-    mask = np.array([bool(s(complex(z))) for z in eig.eigenvalues])
-    return projection_from_basis(eig.vectors[:, mask], eig.vectors.shape[0])
 
 
 def apply_function(eig: HermitianEig, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

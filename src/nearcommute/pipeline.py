@@ -207,6 +207,90 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
     return cert.w_basis, log
 
 
+def _cut_and_pinch(h: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
+                   origin: float, n_cut: int, cell: float, min_sub: float,
+                   value, *, cyclic: bool, engine: str, oracle: LinOracle):
+    """Cut B's spectrum into cells, build W per cell, regroup and pinch H.
+
+    ``coords`` are B's eigen-coordinates (eigenvalues on the line, phases on
+    the circle) for the columns of ``vecs``; cell i is
+    [origin + i*cell, origin + (i+1)*cell).  Uniform sub-cells at least
+    ``min_sub`` wide fill each cell exactly: non-adjacent sub-cells are then
+    far apart even across cell boundaries, so H stays tridiagonal on the
+    global sub-cell list.  The regrouped space W_j^perp + W_{j+1} (W_1 again
+    after W_{n_cut} when ``cyclic``) carries the constant B-value value(j)
+    and the pinching of H.
+
+    Returns (A', B' before any symmetrisation, the pinching log, the
+    ||H-H'|| <= 2 max eps2 check unless some interval was degenerate).
+    """
+    n = h.shape[0]
+    ids = np.floor((coords - origin) / cell).astype(int)
+    ids = np.maximum(np.minimum(ids, n_cut - 1), 0)
+    n_sub = max(1, int(math.floor(cell / min_sub)))
+    sub_width = cell / n_sub
+    w_bases: dict[int, np.ndarray] = {}
+    wperp_bases: dict[int, np.ndarray] = {}
+    interval_log: list[dict] = []
+    eps2_max = 0.0
+    any_degenerate = False
+    for i in np.unique(ids).tolist():
+        sel = ids == i
+        cols = vecs[:, sel]
+        jb = cols.conj().T @ h @ cols
+        jb = (jb + jb.conj().T) / 2
+        sub = np.floor((coords[sel] - (origin + i * cell)) / sub_width).astype(int)
+        sub = np.maximum(np.minimum(sub, n_sub - 1), 0)
+        w_local, log = _interval_subspace_engine(jb, sub, n_sub, engine, oracle)
+        log["interval"] = i
+        interval_log.append(log)
+        if log.get("degenerate"):
+            any_degenerate = True
+        eps2_max = max(eps2_max, log.get("eps2", 0.0))
+        # W_j is indexed 1..n_cut: W_{i+1} lives over cell i
+        w_bases[i + 1] = cols @ w_local
+        if w_local.shape[1] < cols.shape[1]:
+            comp = np.eye(cols.shape[1]) - w_local @ w_local.conj().T
+            wperp_bases[i + 1] = cols @ orthonormal_columns(comp, tol=0.5)
+
+    tilde: list[tuple[complex, np.ndarray]] = []
+    for j in range(1 if cyclic else 0, n_cut + 1):
+        nxt = j % n_cut + 1 if cyclic else j + 1
+        pieces = [b for b in (wperp_bases.get(j), w_bases.get(nxt))
+                  if b is not None and b.shape[1]]
+        if pieces:
+            tilde.append((value(j), np.column_stack(pieces)))
+    t_all = (np.column_stack([basis for _, basis in tilde]) if tilde
+             else np.zeros((n, 0), dtype=np.complex128))
+    if t_all.shape[1] != n:
+        raise AssertionError("regrouped subspaces do not span the space")
+
+    hc = t_all.conj().T @ h @ t_all
+    b_blocks = np.zeros((n, n), dtype=np.complex128)
+    h_blocks = np.zeros((n, n), dtype=np.complex128)
+    off = 0
+    for val, basis in tilde:
+        k = basis.shape[1]
+        sl = slice(off, off + k)
+        h_blocks[sl, sl] = hc[sl, sl]
+        b_blocks[sl, sl] = val * np.eye(k)
+        off += k
+    a_prime = t_all @ h_blocks @ t_all.conj().T
+    a_prime = (a_prime + a_prime.conj().T) / 2
+    b_prime = t_all @ b_blocks @ t_all.conj().T
+
+    h_h_prime = op_norm(h - a_prime)
+    checks = [] if any_degenerate else [
+        BoundCheck(h_h_prime, 2.0 * eps2_max + 1e-10, "||H-H'|| <= 2 max eps2")]
+    log = {
+        "eps2_max": eps2_max,
+        "h_to_pinched": h_h_prime,
+        "degenerate_intervals": any_degenerate,
+        "intervals": interval_log,
+    }
+    return a_prime, b_prime, log, checks
+
+
 def commute_hermitian_pair(a, b, gamma2: float = 1.0,
                            oracle: LinOracle | None = None,
                            *, engine: str = "auto",
@@ -223,97 +307,26 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0,
     am = _require_hermitian_contraction(a, "A", defects)
     bm = _require_hermitian_contraction(b, "B", defects)
     oracle = oracle or LinOracle()
-    n = am.shape[0]
     delta = op_norm(commutator(am, bm))
     g0, g1, gamma = choose_exponents(float(gamma2), True)
-    delta_eff = max(delta, DELTA_FLOOR)
-    big_delta = delta_eff ** g0
+    big_delta = max(delta, DELTA_FLOOR) ** g0
     n_cut = int(math.ceil(1.0 / big_delta ** g1))
     width = 2.0 / n_cut
 
     fr = finite_range(am, bm, big_delta, profile)
-    h = fr.matrix
     checks = list(fr.checks)
-
     eb = eig_hermitian(bm)
-    lam = eb.eigenvalues
-    ids = np.minimum(np.floor((lam + 1.0) / width).astype(int), n_cut - 1)
-    ids = np.maximum(ids, 0)
-
-    occupied = sorted(set(int(i) for i in ids))
-    w_bases: dict[int, np.ndarray] = {}
-    wperp_bases: dict[int, np.ndarray] = {}
-    interval_log: list[dict] = []
-    eps2_max = 0.0
-    any_degenerate = False
-    for i in occupied:
-        cols = eb.vectors[:, ids == i]
-        d_i = cols.shape[1]
-        jb = cols.conj().T @ h @ cols
-        jb = (jb + jb.conj().T) / 2
-        lam_i = lam[ids == i]
-        lo = -1.0 + i * width
-        # uniform cells of width in [Delta, 2*Delta) filling the interval
-        # exactly: non-adjacent cells are then >= Delta apart even across
-        # interval boundaries, so H stays tridiagonal on the global cell list
-        n_sub = max(1, int(math.floor(width / big_delta)))
-        sub_width = width / n_sub
-        sub = np.minimum(np.floor((lam_i - lo) / sub_width).astype(int), n_sub - 1)
-        sub = np.maximum(sub, 0)
-        w_local, log = _interval_subspace_engine(jb, sub, n_sub, engine, oracle)
-        log["interval"] = i
-        interval_log.append(log)
-        if log.get("degenerate"):
-            any_degenerate = True
-        eps2_max = max(eps2_max, log.get("eps2", 0.0))
-        w_lift = cols @ w_local if w_local.shape[1] else np.zeros((n, 0), dtype=np.complex128)
-        if w_local.shape[1] < d_i:
-            comp = np.eye(d_i) - (w_local @ w_local.conj().T if w_local.shape[1] else 0.0)
-            wp_local = orthonormal_columns(comp, tol=0.5)
-            wp_lift = cols @ wp_local
-        else:
-            wp_lift = np.zeros((n, 0), dtype=np.complex128)
-        w_bases[i + 1] = w_lift          # W_i indexed 1..n_cut over B_i = E_{I_{i-1}}
-        wperp_bases[i + 1] = wp_lift
-
-    # new basis: Btilde_j = W_j^perp + W_{j+1}, value = left endpoint of I_j
-    tilde: list[tuple[float, np.ndarray]] = []
-    for jdx in range(0, n_cut + 1):
-        pieces = []
-        if jdx in wperp_bases and wperp_bases[jdx].shape[1]:
-            pieces.append(wperp_bases[jdx])
-        if (jdx + 1) in w_bases and w_bases[jdx + 1].shape[1]:
-            pieces.append(w_bases[jdx + 1])
-        if pieces:
-            value = 1.0 if jdx >= n_cut else -1.0 + jdx * width
-            tilde.append((value, np.column_stack(pieces)))
-    t_all = np.column_stack([basis for _, basis in tilde])
-    if t_all.shape[1] != n:
-        raise AssertionError("regrouped subspaces do not span the space")
-
-    hc = t_all.conj().T @ h @ t_all
-    b_prime = np.zeros((n, n), dtype=np.complex128)
-    h_blocks = np.zeros((n, n), dtype=np.complex128)
-    off = 0
-    for value, basis in tilde:
-        k = basis.shape[1]
-        sl = slice(off, off + k)
-        h_blocks[sl, sl] = hc[sl, sl]
-        b_prime[sl, sl] = value * np.eye(k)
-        off += k
-    a_prime = t_all @ h_blocks @ t_all.conj().T
-    a_prime = (a_prime + a_prime.conj().T) / 2
-    b_prime = t_all @ b_prime @ t_all.conj().T
+    a_prime, b_prime, pinch_log, pinch_checks = _cut_and_pinch(
+        fr.matrix, eb.vectors, eb.eigenvalues, -1.0, n_cut, width, big_delta,
+        lambda j: 1.0 if j >= n_cut else -1.0 + j * width,
+        cyclic=False, engine=engine, oracle=oracle)
     b_prime = (b_prime + b_prime.conj().T) / 2
 
     dist_a = op_norm(am - a_prime)
     dist_b = op_norm(bm - b_prime)
     res = op_norm(commutator(a_prime, b_prime))
     checks.append(BoundCheck(dist_b, 2.0 / n_cut + 1e-10, "||B-B'|| <= 2/n_cut"))
-    h_h_prime = op_norm(h - a_prime)
-    if not any_degenerate:
-        checks.append(BoundCheck(h_h_prime, 2.0 * eps2_max + 1e-10,
-                                 "||H-H'|| <= 2 max eps2"))
+    checks += pinch_checks
     log = {
         "delta": delta,
         "Delta": big_delta,
@@ -323,12 +336,21 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0,
         "gamma": gamma,
         "profile": fr.profile_name,
         "symmetrization_defects": defects,
-        "eps2_max": eps2_max,
-        "h_to_pinched": h_h_prime,
-        "degenerate_intervals": any_degenerate,
-        "intervals": interval_log,
+        **pinch_log,
     }
     return CommuteReport(a_prime, b_prime, dist_a, dist_b, res, log, checks)
+
+
+def _cluster(lam: np.ndarray, thresh: float) -> list[list[int]]:
+    """Indices of sorted eigenvalues, grouped into runs whose consecutive
+    gaps are at most thresh."""
+    groups: list[list[int]] = [[0]] if lam.size else []
+    for i in range(1, lam.size):
+        if lam[i] - lam[i - 1] <= thresh:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
 
 
 def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
@@ -345,17 +367,9 @@ def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
     lam = ea.eigenvalues
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     # distinct eigenvalues under the clustering tolerance
-    m_count = 1
-    for i in range(1, lam.size):
-        if lam[i] - lam[i - 1] > cluster_rtol * scale:
-            m_count += 1
+    m_count = max(1, len(_cluster(lam, cluster_rtol * scale)))
     thresh = math.sqrt(2.0) * math.sqrt(delta) if delta > 0 else cluster_rtol * scale
-    groups: list[list[int]] = [[0]] if lam.size else []
-    for i in range(1, lam.size):
-        if lam[i] - lam[i - 1] <= thresh:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    groups = _cluster(lam, thresh)
     n = am.shape[0]
     a_prime = np.zeros((n, n), dtype=np.complex128)
     b_prime = np.zeros((n, n), dtype=np.complex128)
@@ -398,12 +412,7 @@ def three_hermitian(a, b, c, oracle: LinOracle | None = None,
     ea = eig_hermitian(am)
     lam = ea.eigenvalues
     thresh = math.sqrt(2.0) * math.sqrt(delta_a) if delta_a > 0 else 1e-8
-    groups: list[list[int]] = [[0]] if lam.size else []
-    for i in range(1, lam.size):
-        if lam[i] - lam[i - 1] <= thresh:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    groups = _cluster(lam, thresh)
     n = am.shape[0]
     a_prime = np.zeros((n, n), dtype=np.complex128)
     b_prime = np.zeros((n, n), dtype=np.complex128)
@@ -465,105 +474,36 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0,
     am = _require_hermitian_contraction(a, "A")
     um = _require_unitary(u, "U")
     oracle = oracle or LinOracle()
-    n = am.shape[0]
     delta = op_norm(commutator(am, um))
     g0, g1, _ = choose_exponents(float(gamma2), True)
-    delta_eff = max(delta, DELTA_FLOOR)
-    big_delta = delta_eff ** g0
+    big_delta = max(delta, DELTA_FLOOR) ** g0
     n_cut = max(3, int(math.ceil(1.0 / big_delta ** g1)))
     arc = 2.0 * math.pi / n_cut
 
     fr = finite_range_normal(am, um, big_delta, profile)
-    h = fr.matrix
     checks = list(fr.checks)
-
     eu = normal_eig(um)
     phases = np.mod(np.angle(eu.eigenvalues), 2.0 * math.pi)
     order = np.argsort(phases)
-    phases = phases[order]
-    vecs = eu.vectors[:, order]
-    ids = np.minimum(np.floor(phases / arc).astype(int), n_cut - 1)
-
     # sub-arc width: chords at two sub-arcs' separation exceed sqrt(2)*Delta
     phi_sub = 2.0 * math.asin(min(1.0, math.sqrt(2.0) * big_delta / 2.0))
     phi_sub = max(phi_sub, 1e-12)
-    occupied = sorted(set(int(i) for i in ids))
-    w_bases: dict[int, np.ndarray] = {}
-    wperp_bases: dict[int, np.ndarray] = {}
-    interval_log = []
-    eps2_max = 0.0
-    any_degenerate = False
-    for i in occupied:
-        sel = ids == i
-        cols = vecs[:, sel]
-        jb = cols.conj().T @ h @ cols
-        jb = (jb + jb.conj().T) / 2
-        ph_i = phases[sel]
-        lo = i * arc
-        # uniform sub-arcs at least phi_sub wide filling the arc exactly,
-        # keeping H tridiagonal on the global sub-arc list (see the
-        # Hermitian pipeline)
-        n_sub = max(1, int(math.floor(arc / phi_sub)))
-        sub_arc = arc / n_sub
-        sub = np.minimum(np.floor((ph_i - lo) / sub_arc).astype(int), n_sub - 1)
-        sub = np.maximum(sub, 0)
-        w_local, log = _interval_subspace_engine(jb, sub, n_sub, engine, oracle)
-        log["arc"] = i
-        interval_log.append(log)
-        if log.get("degenerate"):
-            any_degenerate = True
-        eps2_max = max(eps2_max, log.get("eps2", 0.0))
-        d_i = cols.shape[1]
-        w_lift = cols @ w_local if w_local.shape[1] else np.zeros((n, 0), dtype=np.complex128)
-        if w_local.shape[1] < d_i:
-            comp = np.eye(d_i) - (w_local @ w_local.conj().T if w_local.shape[1] else 0.0)
-            wp_lift = cols @ orthonormal_columns(comp, tol=0.5)
-        else:
-            wp_lift = np.zeros((n, 0), dtype=np.complex128)
-        w_bases[i + 1] = w_lift
-        wperp_bases[i + 1] = wp_lift
-
-    tilde: list[tuple[complex, np.ndarray]] = []
-    for jdx in range(1, n_cut + 1):
-        pieces = []
-        if jdx in wperp_bases and wperp_bases[jdx].shape[1]:
-            pieces.append(wperp_bases[jdx])
-        nxt = jdx + 1 if jdx < n_cut else 1  # cyclic wrap
-        if nxt in w_bases and w_bases[nxt].shape[1]:
-            pieces.append(w_bases[nxt])
-        if pieces:
-            value = np.exp(1j * arc * jdx)
-            tilde.append((value, np.column_stack(pieces)))
-    t_all = np.column_stack([basis for _, basis in tilde])
-    if t_all.shape[1] != n:
-        raise AssertionError("regrouped arc subspaces do not span the space")
-    hc = t_all.conj().T @ h @ t_all
-    u_prime = np.zeros((n, n), dtype=np.complex128)
-    h_blocks = np.zeros((n, n), dtype=np.complex128)
-    off = 0
-    for value, basis in tilde:
-        k = basis.shape[1]
-        sl = slice(off, off + k)
-        h_blocks[sl, sl] = hc[sl, sl]
-        u_prime[sl, sl] = value * np.eye(k)
-        off += k
-    a_prime = t_all @ h_blocks @ t_all.conj().T
-    a_prime = (a_prime + a_prime.conj().T) / 2
-    u_prime = t_all @ u_prime @ t_all.conj().T
+    a_prime, u_prime, pinch_log, pinch_checks = _cut_and_pinch(
+        fr.matrix, eu.vectors[:, order], phases[order], 0.0, n_cut, arc, phi_sub,
+        lambda j: np.exp(1j * arc * j), cyclic=True, engine=engine, oracle=oracle)
 
     dist_a = op_norm(am - a_prime)
     dist_u = op_norm(um - u_prime)
     res = op_norm(commutator(a_prime, u_prime))
     checks.append(BoundCheck(dist_u, 2.0 * math.sin(min(arc / 2.0, math.pi / 2)) + 1e-10,
                              "||U-U'|| <= chord of one arc width"))
+    checks += pinch_checks
     log = {
         "delta": delta,
         "Delta": big_delta,
         "n_cut": n_cut,
         "arc_width": arc,
-        "eps2_max": eps2_max,
-        "degenerate_intervals": any_degenerate,
-        "intervals": interval_log,
+        **pinch_log,
     }
     return CommuteReport(a_prime, u_prime, dist_a, dist_u, res, log, checks)
 

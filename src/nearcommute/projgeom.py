@@ -40,12 +40,6 @@ def _require_projection(p, name: str) -> np.ndarray:
     return m
 
 
-def _range_basis(p: np.ndarray, tol: float = 0.5) -> np.ndarray:
-    """Orthonormal basis of the range of a projection (singular vectors with
-    singular value above ``tol``; exact projections have values in {0,1})."""
-    return orthonormal_columns(p, tol=tol)
-
-
 @dataclass(frozen=True)
 class JordanBlock:
     """One invariant block of a projection pair: 1 or 2 orthonormal columns
@@ -99,7 +93,7 @@ def jordan_blocks(p, q, *, tol: float = 1e-10) -> JordanDecomposition:
     blocks: list[JordanBlock] = []
     used: list[np.ndarray] = []
 
-    up = _range_basis(pm)
+    up = orthonormal_columns(pm, tol=0.5)
     if up.shape[1]:
         comp = up.conj().T @ qm @ up
         ec = eig_hermitian((comp + comp.conj().T) / 2, rtol=1e-6)
@@ -131,7 +125,8 @@ def jordan_blocks(p, q, *, tol: float = 1e-10) -> JordanDecomposition:
         rem_proj = np.eye(n) - um @ um.conj().T
     else:
         rem_proj = np.eye(n, dtype=np.complex128)
-    rem = _range_basis(rem_proj) if op_norm(rem_proj) > 0.5 else np.zeros((n, 0), dtype=np.complex128)
+    rem = (orthonormal_columns(rem_proj, tol=0.5) if op_norm(rem_proj) > 0.5
+           else np.zeros((n, 0), dtype=np.complex128))
     if rem.shape[1]:
         comp = rem.conj().T @ qm @ rem
         ec = eig_hermitian((comp + comp.conj().T) / 2, rtol=1e-6)
@@ -153,7 +148,7 @@ def jordan_basis(p, q) -> np.ndarray:
     """
     pm = _require_projection(p, "P")
     qm = _require_projection(q, "Q")
-    up = _range_basis(pm)
+    up = orthonormal_columns(pm, tol=0.5)
     if up.shape[1] == 0:
         return up
     comp = up.conj().T @ qm @ up
@@ -170,8 +165,9 @@ def nest_projection_core(e, g, f_prime) -> OrthoProjection:
     if op_norm(em - gm @ em) > PROJ_TOL:
         raise ValueError("E <= G fails")
     d = gm - em
-    ud = _range_basis(d) if op_norm(d) > 0.5 else np.zeros((em.shape[0], 0), dtype=np.complex128)
-    cols = [ _range_basis(em) ] if op_norm(em) > 0.5 else []
+    ud = (orthonormal_columns(d, tol=0.5) if op_norm(d) > 0.5
+          else np.zeros((em.shape[0], 0), dtype=np.complex128))
+    cols = [orthonormal_columns(em, tol=0.5)] if op_norm(em) > 0.5 else []
     if ud.shape[1]:
         comp = ud.conj().T @ fm @ ud
         ec = eig_hermitian((comp + comp.conj().T) / 2, rtol=1e-6)

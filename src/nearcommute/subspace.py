@@ -218,7 +218,7 @@ def certify_W(sys: TridiagonalSystem, w_basis: np.ndarray,
     n = sys.dim
     if w.shape[1] and op_norm(w.conj().T @ w - np.eye(w.shape[1])) > 1e-9:
         w = orthonormal_columns(w)
-    pw = w @ w.conj().T if w.shape[1] else np.zeros((n, n), dtype=np.complex128)
+    pw = w @ w.conj().T
     pperp = np.eye(n) - pw
     p1 = sys.block_proj(0)
     pl = sys.block_proj(sys.L - 1)
@@ -244,12 +244,8 @@ def trivial_reducing_basis(sys: TridiagonalSystem, *, tol: float = 1e-12
     block is empty or some consecutive coupling vanishes; None otherwise."""
     dims = sys.dims
     for k in range(sys.L):
-        if dims[k] == 0 and k < sys.L - 1:
+        if dims[k] == 0:
             cols = [sys.blocks[i] for i in range(k) if dims[i]]
-            return (np.column_stack(cols) if cols
-                    else np.zeros((sys.dim, 0), dtype=np.complex128))
-        if dims[k] == 0 and k == sys.L - 1:
-            cols = [sys.blocks[i] for i in range(sys.L - 1) if dims[i]]
             return (np.column_stack(cols) if cols
                     else np.zeros((sys.dim, 0), dtype=np.complex128))
     for k in range(sys.L - 1):
@@ -734,8 +730,7 @@ def _certify_repaired(sys: TridiagonalSystem, w_raw: np.ndarray,
     pl = sys.block_proj(sys.L - 1)
     e = p1
     g = np.eye(n) - pl
-    f_prime = (w_raw @ w_raw.conj().T if w_raw.shape[1]
-               else np.zeros((n, n), dtype=np.complex128))
+    f_prime = w_raw @ w_raw.conj().T
     eps_nest = max(op_norm(e @ (np.eye(n) - f_prime)), op_norm(f_prime @ pl))
     f = nest_projection_core(e, g, f_prime)
     basis = orthonormal_columns(f.matrix, tol=0.5)
@@ -924,6 +919,13 @@ class HastingsDiagnostics:
     stage_values: dict = field(default_factory=dict)
     decay_fit: dict | None = None
 
+    @classmethod
+    def empty(cls, cfg: HastingsConfig, a_map: np.ndarray,
+              r_dims: list[int] | None = None) -> "HastingsDiagnostics":
+        """Record of a run that short-circuited before the oracle stages."""
+        return cls(cfg, r_dims or [], a_map, np.zeros((0, 0)), [], {}, {}, {},
+                   np.zeros((0, 0)), np.zeros((0, 0)))
+
     def to_json_dict(self) -> dict:
         return {
             "r_dims": self.r_dims,
@@ -966,6 +968,23 @@ def _block_ranges(cfg: HastingsConfig) -> dict:
     return {"Y": y, "Yp": yp, "Ypp": ypp}
 
 
+def _coords(slices: Sequence[slice], block_range) -> np.ndarray:
+    """Coordinates of the representation space covered by a range of R-blocks."""
+    idx = []
+    for jb in block_range:
+        idx.extend(range(slices[jb].start, slices[jb].stop))
+    return np.asarray(idx, dtype=int)
+
+
+def _even_projection(n_bases: dict, n_b: int, total: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked basis of the even N_i and the projection N^e onto their sum."""
+    cols = [n_bases[i] for i in range(2, n_b + 1, 2) if n_bases[i].shape[1]]
+    n_even = (np.column_stack(cols) if cols
+              else np.zeros((total, 0), dtype=np.complex128))
+    return n_even, n_even @ n_even.conj().T
+
+
 def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
                ) -> tuple[WCertificate, HastingsDiagnostics]:
     """Smooth-partition W construction with measured stage postconditions.
@@ -980,10 +999,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
     triv = trivial_reducing_basis(sys)
     if triv is not None:
         cert = _certify_repaired(sys, triv, {"engine": "hastings", "trivial": True})
-        dummy = HastingsDiagnostics(cfg, [], np.zeros((sys.dim, 0)),
-                                    np.zeros((0, 0)), [], {}, {}, {},
-                                    np.zeros((0, 0)), np.zeros((0, 0)))
-        return cert, dummy
+        return cert, HastingsDiagnostics.empty(cfg, np.zeros((sys.dim, 0)))
 
     if cfg.lin_delta_proxy is not None:
         c11 = smooth_profile(1.0, 1.0).c0
@@ -998,9 +1014,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
     if d0 == 0:
         cert = _certify_repaired(sys, np.zeros((n, 0), dtype=np.complex128),
                                  {"engine": "hastings", "trivial": "empty V1"})
-        dummy = HastingsDiagnostics(cfg, [], np.zeros((n, 0)), np.zeros((0, 0)),
-                                    [], {}, {}, {}, np.zeros((0, 0)), np.zeros((0, 0)))
-        return cert, dummy
+        return cert, HastingsDiagnostics.empty(cfg, np.zeros((n, 0)))
 
     ej = eig_hermitian(sys.j)
     windows = partition_of_unity(cfg.n_win)
@@ -1031,9 +1045,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
     if total == 0:
         cert = _certify_repaired(sys, np.zeros((n, 0), dtype=np.complex128),
                                  {"engine": "hastings", "trivial": "all windows empty"})
-        dummy = HastingsDiagnostics(cfg, r_dims, a_map, np.zeros((0, 0)), [],
-                                    {}, {}, {}, np.zeros((0, 0)), np.zeros((0, 0)))
-        return cert, dummy
+        return cert, HastingsDiagnostics.empty(cfg, a_map, r_dims)
     rho = a_map.conj().T @ a_map
     slices = []
     off = 0
@@ -1063,13 +1075,6 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
     yp_sets = sets["Yp"]
     ypp_sets = sets["Ypp"]
 
-    def coords(block_range) -> np.ndarray:
-        idx = []
-        for jb in block_range:
-            s = slices[jb]
-            idx.extend(range(s.start, s.stop))
-        return np.asarray(idx, dtype=int)
-
     # ---- stage (c): N_i from the oracle, sandwiched exactly ----
     nb = cfg.n_b
     g_lb = float(cfg.G(cfg.l_b)) / cfg.l_b
@@ -1077,7 +1082,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
     n_bases: dict[int, np.ndarray] = {}
     comm_vals = {}
     for i in range(1, nb + 1):
-        idx = coords(yp_sets[i])
+        idx = _coords(slices, yp_sets[i])
         if idx.size == 0:
             n_bases[i] = np.zeros((total, 0), dtype=np.complex128)
             continue
@@ -1120,8 +1125,8 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
         bN = n_bases[i]
         if bN.shape[1] == 0:
             continue
-        left = coords(yp_sets.get(i - 1, []))
-        right = coords(yp_sets.get(i + 1, []))
+        left = _coords(slices, yp_sets.get(i - 1, []))
+        right = _coords(slices, yp_sets.get(i + 1, []))
         if left.size and right.size:
             pn = bN @ bN.conj().T
             semi = max(semi, op_norm(pn[np.ix_(right, left)]))
@@ -1131,11 +1136,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
                              "||Y'_{i+1} N_i Y'_{i-1}|| <= 1/2 - chi/2"))
 
     # ---- stage (d): prune odd N_i against N^e ----
-    even_cols = [n_bases[i] for i in range(2, nb + 1, 2) if n_bases[i].shape[1]]
-    n_even = (np.column_stack(even_cols) if even_cols
-              else np.zeros((total, 0), dtype=np.complex128))
-    p_even = (n_even @ n_even.conj().T if n_even.shape[1]
-              else np.zeros((total, total), dtype=np.complex128))
+    n_even, p_even = _even_projection(n_bases, nb, total)
     if n_even.shape[1]:
         if op_norm(p_even @ p_even - p_even) > 1e-9:
             raise StageError("d", "even N_i do not sum to a projection")
@@ -1157,13 +1158,11 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
                             else np.zeros((total, 0), dtype=np.complex128))
 
     # ---- stage (e): U = complement of the span; W = A(U) ----
-    span_cols = [n_bases[i] for i in range(2, nb + 1, 2) if n_bases[i].shape[1]]
-    span_cols += [n_prime_bases[i] for i in range(1, nb + 1, 2)
-                  if n_prime_bases[i].shape[1]]
+    span_cols = [b for b in [n_even] + [n_prime_bases[i] for i in range(1, nb + 1, 2)]
+                 if b.shape[1]]
     u_perp = (orthonormal_columns(np.column_stack(span_cols))
               if span_cols else np.zeros((total, 0), dtype=np.complex128))
-    pu_perp = (u_perp @ u_perp.conj().T if u_perp.shape[1]
-               else np.zeros((total, total), dtype=np.complex128))
+    pu_perp = u_perp @ u_perp.conj().T
     u_basis = orthonormal_columns(np.eye(total) - pu_perp, tol=0.5) \
         if u_perp.shape[1] < total else np.zeros((total, 0), dtype=np.complex128)
 
@@ -1264,22 +1263,10 @@ def proof_matrix_M(diagn: HastingsDiagnostics) -> tuple[np.ndarray, np.ndarray, 
     cfg = diagn.config
     x = cfg.chi / (2.0 - 2.0 * cfg.chi)
     total = diagn.rho.shape[0]
-    even_cols = [diagn.n_bases[i] for i in range(2, cfg.n_b + 1, 2)
-                 if diagn.n_bases[i].shape[1]]
-    n_even = (np.column_stack(even_cols) if even_cols
-              else np.zeros((total, 0), dtype=np.complex128))
-    p_even = (n_even @ n_even.conj().T if n_even.shape[1]
-              else np.zeros((total, total), dtype=np.complex128))
+    _, p_even = _even_projection(diagn.n_bases, cfg.n_b, total)
 
     reps, cs, ds, labels = [], [], [], []
     yp = diagn.y_sets["Yp"]
-
-    def coords(block_range):
-        idx = []
-        for jb in block_range:
-            s = diagn.block_slices[jb]
-            idx.extend(range(s.start, s.stop))
-        return np.asarray(idx, dtype=int)
 
     for i in sorted(diagn.n_prime_bases):
         b = diagn.n_prime_bases[i]
@@ -1288,8 +1275,8 @@ def proof_matrix_M(diagn: HastingsDiagnostics) -> tuple[np.ndarray, np.ndarray, 
         vec = b[:, 0]
         reps.append(vec)
         labels.append(i)
-        left = coords(yp.get(i - 1, []))
-        right = coords(yp.get(i + 1, []))
+        left = _coords(diagn.block_slices, yp.get(i - 1, []))
+        right = _coords(diagn.block_slices, yp.get(i + 1, []))
         cs.append(float(np.linalg.norm(vec[left])) if left.size else 0.0)
         ds.append(float(np.linalg.norm(vec[right])) if right.size else 0.0)
     if not reps:
@@ -1335,16 +1322,9 @@ def decay_check_U(diagn: HastingsDiagnostics, *, samples_per_block: int = 2,
     pu_perp = diagn.u_perp_basis @ diagn.u_perp_basis.conj().T \
         if diagn.u_perp_basis.shape[1] else np.zeros((total, total))
 
-    def coords(block_range):
-        idx = []
-        for jb in block_range:
-            s = diagn.block_slices[jb]
-            idx.extend(range(s.start, s.stop))
-        return np.asarray(idx, dtype=int)
-
     offsets: dict[int, float] = {}
     for i in range(1, cfg.n_b + 1):
-        idx = coords(diagn.y_sets["Y"][i])
+        idx = _coords(diagn.block_slices, diagn.y_sets["Y"][i])
         if idx.size == 0:
             continue
         for _ in range(samples_per_block):
@@ -1380,8 +1360,8 @@ def decay_check_U(diagn: HastingsDiagnostics, *, samples_per_block: int = 2,
     table_violations = []
     for i in range(1, cfg.n_b + 1):
         for j in range(1, cfg.n_b + 1):
-            a_idx = coords(diagn.y_sets["Y"][i])
-            b_idx = coords(diagn.y_sets["Y"][j])
+            a_idx = _coords(diagn.block_slices, diagn.y_sets["Y"][i])
+            b_idx = _coords(diagn.block_slices, diagn.y_sets["Y"][j])
             if a_idx.size and b_idx.size:
                 val = op_norm(pu[np.ix_(b_idx, a_idx)])
                 u_table[(i, j)] = val

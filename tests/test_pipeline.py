@@ -196,6 +196,18 @@ class TestThreeHermitian:
         assert max(op for op in (rep.dist_a,)) <= 0.1
 
 
+class TestEmptyInput:
+    @pytest.mark.parametrize("driver", [pl.commute_hermitian_pair,
+                                        pl.commute_hermitian_unitary])
+    def test_zero_dimensional_pair(self, driver):
+        empty = np.zeros((0, 0), dtype=complex)
+        rep = driver(empty, empty)
+        assert rep.a_prime.shape == rep.b_prime.shape == (0, 0)
+        assert rep.dist_a == rep.dist_b == rep.comm_residual == 0.0
+        assert rep.stage_log["intervals"] == []
+        assert rep.checks and all(c.passed for c in rep.checks)
+
+
 class TestHermitianUnitary:
     def test_scalar_unitary_trivial(self):
         rng = np.random.default_rng(8)
@@ -217,7 +229,8 @@ class TestHermitianUnitary:
         arc = rep.stage_log["arc_width"]
         assert rep.dist_b <= 2 * math.sin(min(arc / 2, math.pi / 2)) + 1e-9
 
-    def test_random_near_commuting(self):
+    @staticmethod
+    def near_commuting_pair():
         rng = np.random.default_rng(10)
         n = 32
         q = mc.random_unitary(rng, n)
@@ -226,10 +239,23 @@ class TestHermitianUnitary:
         a0 = q @ np.diag(np.cos(phases)) @ q.conj().T
         pert = mc.random_hermitian(rng, n, norm=0.02)
         a = ((a0 + a0.conj().T) / 2 + pert) / 1.02
+        return a, u
+
+    def test_random_near_commuting(self):
+        a, u = self.near_commuting_pair()
+        n = a.shape[0]
         rep = pl.commute_hermitian_unitary(a, u, 1.0)
         assert rep.comm_residual <= 1e-10 * n
         up = rep.b_prime
         assert mc.op_norm(up.conj().T @ up - np.eye(n)) <= 1e-10
+
+    def test_pinching_check_recorded(self):
+        a, u = self.near_commuting_pair()
+        rep = pl.commute_hermitian_unitary(a, u, 1.0)
+        assert not rep.stage_log["degenerate_intervals"]
+        pinch = [c for c in rep.checks if c.context == "||H-H'|| <= 2 max eps2"]
+        assert len(pinch) == 1 and pinch[0].passed
+        assert pinch[0].lhs == rep.stage_log["h_to_pinched"]
 
 
 class TestUnitaryPairGap:

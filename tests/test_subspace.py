@@ -65,6 +65,16 @@ class TestCertifyW:
         assert 0 <= cert.eps5 <= 1.0 + 1e-12
 
 
+class TestTrivialReducingBasis:
+    def test_empty_last_block(self):
+        rng = np.random.default_rng(5)
+        sys = sb.random_block_tridiagonal(rng, [1, 1, 1, 0])
+        w = sb.trivial_reducing_basis(sys)
+        assert w.shape == (3, 3)
+        first_three = sum(sys.block_proj(k) for k in range(3))
+        assert mc.op_norm(w @ w.conj().T - first_three) <= 1e-12
+
+
 class TestKrylovReduce:
     def test_zero_coupling_gives_trivial(self):
         rng = np.random.default_rng(4)
