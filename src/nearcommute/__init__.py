@@ -37,7 +37,6 @@ from .smoothing import (
 from .subspace import (
     HastingsConfig,
     LinOracle,
-    SzarekParams,
     WCertificate,
     certify_W,
     hastings_W,

@@ -44,16 +44,6 @@ __all__ = [
 # sandwich form, whose constant is 1/delta.
 DAVIS_KAHAN_GENERAL_C = math.pi / 2
 
-_MOLLIFIER: Profile | None = None
-
-
-def _mollifier() -> Profile:
-    global _MOLLIFIER
-    if _MOLLIFIER is None:
-        _MOLLIFIER = mollifier_profile()
-    return _MOLLIFIER
-
-
 def _mask(eig: HermitianEig, s) -> np.ndarray:
     if callable(s):
         return np.array([bool(s(float(x))) for x in eig.eigenvalues])
@@ -149,7 +139,7 @@ def check_spectral_gap(a, b, gap_lo: float, gap_hi: float,
     inside = (ea.eigenvalues > gap_lo) & (ea.eigenvalues < gap_hi)
     if np.any(inside):
         raise ValueError("spectrum intrudes into the declared gap")
-    rho = mollifier if mollifier is not None else _mollifier()
+    rho = mollifier if mollifier is not None else mollifier_profile()
     c2 = 4.0 * rho.c1
     p = spectral_projection(ea, ea.eigenvalues <= gap_lo).matrix
     lhs = op_norm(commutator(p, as_matrix(b)))

@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
     pc.add_argument("matrix_b")
     pc.add_argument("--gamma2", type=float, default=1.0)
     pc.add_argument("--engine", choices=["szarek", "hastings", "auto"], default="auto")
-    pc.add_argument("--oracle", choices=["heuristic", "brute", "given"], default="heuristic")
+    pc.add_argument("--oracle", choices=["heuristic", "brute"], default="heuristic")
     pc.add_argument("--rescale", action="store_true",
                     help="rescale inputs to contractions instead of rejecting")
     pc.add_argument("--out", default="report.json")
@@ -117,13 +117,9 @@ def cmd_commute(args) -> int:
         b = (b + b.conj().T) / 2
         a = a / max(1.0, op_norm(a))
         b = b / max(1.0, op_norm(b))
-    oracle = LinOracle(args.oracle) if args.oracle != "given" else None
-    if args.oracle == "given":
-        print("error: --oracle given requires an API caller supplying the pair",
-              file=sys.stderr)
-        return EXIT_USAGE
     try:
-        rep = commute_hermitian_pair(a, b, args.gamma2, oracle, engine=args.engine)
+        rep = commute_hermitian_pair(a, b, args.gamma2, LinOracle(args.oracle),
+                                     engine=args.engine)
     except (StageError,) as exc:
         print(f"engine failure: {exc}", file=sys.stderr)
         return EXIT_ENGINE

@@ -129,10 +129,11 @@ def choose_exponents(gamma2, finite_range_needed: bool = True):
 def _require_hermitian_contraction(m, name: str,
                                    defects: dict | None = None) -> np.ndarray:
     mm = as_matrix(m)
+    norm = op_norm(mm)
     defect = op_norm(mm - mm.conj().T) / 2
-    if defect > 1e-9 * max(1.0, op_norm(mm)):
+    if defect > 1e-9 * max(1.0, norm):
         raise ValueError(f"{name} must be Hermitian")
-    if op_norm(mm) > 1.0 + 1e-9:
+    if norm > 1.0 + 1e-9:
         raise ValueError(f"{name} must be a contraction")
     if defects is not None:
         defects[name] = defect
@@ -315,7 +316,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0,
 
     fr = finite_range(am, bm, big_delta, profile)
     checks = list(fr.checks)
-    eb = eig_hermitian(bm)
+    eb = fr.eig
     a_prime, b_prime, pinch_log, pinch_checks = _cut_and_pinch(
         fr.matrix, eb.vectors, eb.eigenvalues, -1.0, n_cut, width, big_delta,
         lambda j: 1.0 if j >= n_cut else -1.0 + j * width,
@@ -482,7 +483,7 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0,
 
     fr = finite_range_normal(am, um, big_delta, profile)
     checks = list(fr.checks)
-    eu = normal_eig(um)
+    eu = fr.eig
     phases = np.mod(np.angle(eu.eigenvalues), 2.0 * math.pi)
     order = np.argsort(phases)
     # sub-arc width: chords at two sub-arcs' separation exceed sqrt(2)*Delta

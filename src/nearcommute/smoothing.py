@@ -13,6 +13,7 @@ a refinement-halving error estimate.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -21,6 +22,7 @@ import numpy as np
 
 from .checks import BoundCheck
 from .matcore import (
+    HermitianEig,
     NormalEig,
     as_matrix,
     commutator,
@@ -255,6 +257,7 @@ def smooth_profile(r: float, w: float, omega0: float = 0.0) -> Profile:
     return Profile(fn, r, w, omega0, name=f"F[{r:g},{w:g}]", smooth=True)
 
 
+@functools.cache
 def poly_bump_profile() -> Profile:
     """f(x) = (1 - x^2)^3 on [-1, 1]: the default finite-range averaging profile."""
 
@@ -275,6 +278,7 @@ def indicator_profile(radius: float = 1.0) -> Profile:
     return Profile(fn, radius, 1e-12, 0.0, name=f"chi[{radius:g}]", smooth=False)
 
 
+@functools.cache
 def mollifier_profile() -> Profile:
     """Normalized bump exp(-1/(1-x^2)) on [-1,1] with unit integral."""
 
@@ -377,13 +381,15 @@ def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
 
 @dataclass
 class FiniteRangeResult:
-    """Output of a finite-range construction: the matrix H plus the asserted
-    distance/commutator bounds."""
+    """Output of a finite-range construction: the matrix H, the asserted
+    distance/commutator bounds, and the eigensystem of B the averaging used
+    (None for a commuting family)."""
 
     matrix: np.ndarray
     checks: list[BoundCheck]
     delta: float
     profile_name: str
+    eig: HermitianEig | NormalEig | None = None
 
     def require(self) -> "FiniteRangeResult":
         for c in self.checks:
@@ -391,13 +397,26 @@ class FiniteRangeResult:
         return self
 
 
-def _require_averaging_profile(profile: Profile | None) -> Profile:
+def _require_averaging(delta: float, profile: Profile | None) -> Profile:
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     p = profile if profile is not None else poly_bump_profile()
     if p.support_radius > 1.0 + 1e-12:
         raise ValueError("averaging profile must be supported in [-1, 1]")
     if abs(float(p(p.omega0)) - 1.0) > 1e-12:
         raise ValueError("averaging profile must satisfy f(0) = 1")
     return p
+
+
+def _average(a: np.ndarray, v: np.ndarray, lams: Sequence[np.ndarray],
+             delta: float, p: Profile) -> np.ndarray:
+    """V((V*AV) o prod_j f((lam_jl - lam_jm)/Delta))V*, symmetrised."""
+    at = v.conj().T @ a @ v
+    mult = np.ones_like(at, dtype=float)
+    for lam in lams:
+        mult = mult * p((lam[:, None] - lam[None, :]) / delta)
+    h = v @ (at * mult) @ v.conj().T
+    return (h + h.conj().T) / 2
 
 
 def finite_range(a, b, delta: float, profile: Profile | None = None) -> FiniteRangeResult:
@@ -407,16 +426,10 @@ def finite_range(a, b, delta: float, profile: Profile | None = None) -> FiniteRa
     E_{S1}(B) H E_{S2}(B) = 0 exactly whenever dist(S1, S2) >= Delta, and
     ||A - H|| <= (c0/Delta) ||[A,B]||, ||[H,B]|| <= c1 ||[A,B]||.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    p = _require_averaging_profile(profile)
+    p = _require_averaging(delta, profile)
     a = as_matrix(a)
     eb = eig_hermitian(b)
-    at = eb.vectors.conj().T @ a @ eb.vectors
-    lam = eb.eigenvalues
-    mult = p((lam[:, None] - lam[None, :]) / delta)
-    h = eb.vectors @ (at * mult) @ eb.vectors.conj().T
-    h = (h + h.conj().T) / 2
+    h = _average(a, eb.vectors, [eb.eigenvalues], delta, p)
     b = as_matrix(b)
     comm = op_norm(commutator(a, b))
     checks = [
@@ -424,25 +437,17 @@ def finite_range(a, b, delta: float, profile: Profile | None = None) -> FiniteRa
         BoundCheck(op_norm(commutator(h, b)), p.c1 * comm,
                    "finite_range ||[H,B]|| <= c1||[A,B]||"),
     ]
-    return FiniteRangeResult(h, checks, delta, p.name)
+    return FiniteRangeResult(h, checks, delta, p.name, eb)
 
 
 def finite_range_multi(a, bs: Sequence[np.ndarray], delta: float,
                        profile: Profile | None = None) -> FiniteRangeResult:
     """Finite-range construction against a commuting Hermitian family, using
     the product multiplier in the joint eigenbasis."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    p = _require_averaging_profile(profile)
+    p = _require_averaging(delta, profile)
     a = as_matrix(a)
     v, lams = joint_eigh(bs)
-    at = v.conj().T @ a @ v
-    mult = np.ones_like(at, dtype=float)
-    for j in range(lams.shape[0]):
-        lam = lams[j]
-        mult = mult * p((lam[:, None] - lam[None, :]) / delta)
-    h = v @ (at * mult) @ v.conj().T
-    h = (h + h.conj().T) / 2
+    h = _average(a, v, lams, delta, p)
     m = lams.shape[0]
     comms = [op_norm(commutator(a, as_matrix(b))) for b in bs]
     checks = [
@@ -458,25 +463,22 @@ def finite_range_multi(a, bs: Sequence[np.ndarray], delta: float,
 
 def finite_range_normal(a, n_mat, delta: float,
                         profile: Profile | None = None) -> FiniteRangeResult:
-    """Finite-range construction against a normal matrix N, via its commuting
-    real/imaginary parts.  The spectral cut-off in the complex plane is
-    sqrt(2) * Delta."""
-    p = _require_averaging_profile(profile)
+    """Finite-range construction against a normal matrix N, averaging in the
+    joint eigenbasis of its commuting real/imaginary parts.  The spectral
+    cut-off in the complex plane is sqrt(2) * Delta."""
+    p = _require_averaging(delta, profile)
+    a = as_matrix(a)
     m = as_matrix(n_mat)
-    scale = max(op_norm(m), 1.0)
-    if op_norm(commutator(m, m.conj().T)) > 1e-10 * scale ** 2:
-        raise ValueError("N is not normal to tolerance")
-    re = (m + m.conj().T) / 2
-    im = (m - m.conj().T) / 2j
-    res = finite_range_multi(a, [re, im], delta, p)
-    comm = op_norm(commutator(as_matrix(a), m))
+    en = normal_eig(m)
+    h = _average(a, en.vectors, [en.eigenvalues.real, en.eigenvalues.imag], delta, p)
+    comm = op_norm(commutator(a, m))
     checks = [
-        BoundCheck(op_norm(as_matrix(a) - res.matrix), (2 * p.c0 * p.c1 / delta) * comm,
+        BoundCheck(op_norm(a - h), (2 * p.c0 * p.c1 / delta) * comm,
                    "finite_range_normal ||A-H||"),
-        BoundCheck(op_norm(commutator(res.matrix, m)), 2 * p.c1 ** 2 * comm,
+        BoundCheck(op_norm(commutator(h, m)), 2 * p.c1 ** 2 * comm,
                    "finite_range_normal ||[H,N]||"),
     ]
-    return FiniteRangeResult(res.matrix, checks, delta, p.name)
+    return FiniteRangeResult(h, checks, delta, p.name, en)
 
 
 # ---------------------------------------------------------------------------

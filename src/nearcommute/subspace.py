@@ -50,7 +50,6 @@ __all__ = [
     "lin_oracle_projection",
     "brute_projection_search",
     "joint_jacobi",
-    "SzarekParams",
     "szarek_W",
     "HastingsConfig",
     "hastings_W",
@@ -703,23 +702,12 @@ def brute_projection_search(a, b, eps: float, resolution: int | None = None,
 # Szarek engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SzarekParams:
-    """Exponent family and constants for the interval construction.
-
-    x, y, z, l are the exponents eta ~ eps^x, kappa ~ eps^y, a ~ eps^z,
-    L0 ~ eps^l; M is the (uncited) polynomial-approximation constant used
-    only in the reference epsilon_1 line.
-    """
-
-    x: float = 6.0
-    y: float = 1.0
-    z: float = 1.5
-    l: float = -9.0
-    c_y: float = 2.0 / 11.0
-    c_z: float = 1.0
-    m_const: float = 1.0
-    clamp: bool = True
+# Interval construction: kappa = (2/11) eps, eta = eps^6 / m and a = eps^1.5,
+# with the polynomial-approximation constant M = 1 in the reference
+# epsilon_1 line.
+SZAREK_KAPPA_C = 2.0 / 11.0
+SZAREK_ETA_EXP = 6.0
+SZAREK_A_EXP = 1.5
 
 
 def _certify_repaired(sys: TridiagonalSystem, w_raw: np.ndarray,
@@ -743,8 +731,7 @@ def _certify_repaired(sys: TridiagonalSystem, w_raw: np.ndarray,
     return cert
 
 
-def szarek_W(sys: TridiagonalSystem, params: SzarekParams | None = None
-             ) -> WCertificate:
+def szarek_W(sys: TridiagonalSystem) -> WCertificate:
     """Constructive W via spectral intervals, polar truncation, and repair.
 
     Degenerate inputs (empty blocks, vanishing couplings, early Krylov
@@ -752,7 +739,6 @@ def szarek_W(sys: TridiagonalSystem, params: SzarekParams | None = None
     epsilon_1 formula is attached as a reference line in the diagnostics; the
     certificate's eps values are always measured.
     """
-    params = params or SzarekParams()
     if sys.L < 2:
         raise DegenerateSystemError("need at least two blocks for V_1 <= W perp V_L")
     diag: dict = {"engine": "szarek"}
@@ -779,20 +765,17 @@ def szarek_W(sys: TridiagonalSystem, params: SzarekParams | None = None
     m = sys.dims[0]
     v1 = sys.blocks[0]
     ll = sys.L
-    eps = min(1.0, (params.m_const * max(m, 1) * math.sqrt(2.0) / max(ll - 2, 1)) ** (1.0 / 9.0))
-    kappa_nom = params.c_y * eps ** params.y
-    eta_nom = eps ** params.x / max(m, 1)
-    a_nom = params.c_z * eps ** params.z
-    kappa, eta, a_cut = kappa_nom, eta_nom, a_nom
-    if params.clamp:
-        kappa = min(kappa, 0.999)
-        if not kappa > 8 * eta:
-            eta = kappa / 8.0000001
+    eps = min(1.0, (max(m, 1) * math.sqrt(2.0) / max(ll - 2, 1)) ** (1.0 / 9.0))
+    kappa_nom = SZAREK_KAPPA_C * eps
+    eta_nom = eps ** SZAREK_ETA_EXP / max(m, 1)
+    a_nom = a_cut = eps ** SZAREK_A_EXP
+    kappa = min(kappa_nom, 0.999)
+    eta = eta_nom if kappa > 8 * eta_nom else kappa / 8.0000001
     diag.update({"eps": eps, "kappa_nominal": kappa_nom, "eta_nominal": eta_nom,
                  "a_nominal": a_nom, "kappa": kappa, "eta": eta})
     if ll > 2:
         # asymptotic reference line, attached for comparison with measured eps2
-        diag["eps1_reference"] = 83.4 * (m * params.m_const / (ll - 2)) ** (1.0 / 9.0)
+        diag["eps1_reference"] = 83.4 * (m / (ll - 2)) ** (1.0 / 9.0)
 
     ej = eig_hermitian(sys.j)
     lam_pos = np.clip((ej.eigenvalues + 1.0) / 2.0, 0.0, 1.0)
@@ -812,7 +795,7 @@ def szarek_W(sys: TridiagonalSystem, params: SzarekParams | None = None
         sig = np.sqrt(np.maximum(w_g, 0.0))
         sing_max = max(sing_max, float(sig[-1]) if sig.size else 0.0)
         pieces.append((a_j, sig, v_g))
-    if params.clamp and sing_max > 0 and a_cut >= sing_max:
+    if sing_max > 0 and a_cut >= sing_max:
         a_cut = 0.5 * sing_max
     diag["a"] = a_cut
 

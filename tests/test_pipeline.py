@@ -2,6 +2,7 @@
 and triple repairs, and the unitary variants."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from nearcommute import matcore as mc
 from nearcommute import pipeline as pl
 from nearcommute import gallery as gl
+from nearcommute import smoothing as sm
 
 
 def commuting_pair(rng, n, b_scale=0.9):
@@ -18,6 +20,23 @@ def commuting_pair(rng, n, b_scale=0.9):
     a = q @ np.diag(lam) @ q.conj().T
     b = q @ np.diag(b_scale * np.cos(3 * lam)) @ q.conj().T
     return (a + a.conj().T) / 2, (b + b.conj().T) / 2
+
+
+def count_calls(monkeypatch, module, name, square_of=None):
+    """Count calls of module.name through every nearcommute namespace that
+    binds it; with square_of=n, only calls on an n x n first argument."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        if square_of is None or np.shape(args[0]) == (square_of, square_of):
+            calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("nearcommute") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 class TestChooseExponents:
@@ -107,6 +126,14 @@ class TestCommuteHermitianPair:
         d2 = max(rep2.dist_a, rep2.dist_b)
         assert d1 <= 2 * d2 + 1e-12
         assert d2 <= 2 * d1 + 1e-12
+
+    def test_b_decomposed_once(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        a, b = commuting_pair(rng, 16)
+        a = (a + mc.random_hermitian(rng, 16, norm=0.01)) / 1.01
+        calls = count_calls(monkeypatch, mc, "eig_hermitian", square_of=16)
+        pl.commute_hermitian_pair(a, b, 1.0)
+        assert len(calls) == 1
 
     def test_rejects_noncontraction(self):
         with pytest.raises(ValueError):
@@ -256,6 +283,12 @@ class TestHermitianUnitary:
         pinch = [c for c in rep.checks if c.context == "||H-H'|| <= 2 max eps2"]
         assert len(pinch) == 1 and pinch[0].passed
         assert pinch[0].lhs == rep.stage_log["h_to_pinched"]
+
+    def test_u_decomposed_once(self, monkeypatch):
+        a, u = self.near_commuting_pair()
+        calls = count_calls(monkeypatch, sm, "joint_eigh")
+        pl.commute_hermitian_unitary(a, u, 1.0)
+        assert len(calls) == 1
 
 
 class TestUnitaryPairGap:

@@ -36,6 +36,10 @@ class TestProfileConstants:
         assert c1 > 1.0
         assert c0 > 0.0
 
+    def test_argument_free_profiles_built_once(self):
+        assert sm.poly_bump_profile() is sm.poly_bump_profile()
+        assert sm.mollifier_profile() is sm.mollifier_profile()
+
     def test_c0_scales_inversely_with_width(self):
         p1 = sm.smooth_profile(1.0, 1.0)
         p2 = sm.smooth_profile(2.0, 2.0)
@@ -138,6 +142,13 @@ class TestFiniteRange:
             res = sm.finite_range(a, b, float(rng.uniform(0.2, 1.0)))
             res.require()
 
+    def test_eig_reconstructs_b(self):
+        rng = np.random.default_rng(6)
+        a = mc.random_hermitian(rng, 12, norm=1.0)
+        b = mc.random_hermitian(rng, 12, norm=1.0)
+        eig = sm.finite_range(a, b, 0.5).eig
+        assert mc.op_norm(eig.reconstruct() - b) <= 1e-12
+
     def test_output_hermitian(self):
         rng = np.random.default_rng(4)
         a = mc.random_hermitian(rng, 12, norm=1.0)
@@ -235,6 +246,17 @@ class TestFiniteRangeNormal:
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             sm.finite_range_normal(np.eye(2), m, 0.5)
+        with pytest.raises(ValueError, match="delta"):
+            sm.finite_range_normal(np.eye(2), np.eye(2), 0.0)
+
+    def test_eig_reconstructs_n(self):
+        rng = np.random.default_rng(11)
+        q = mc.random_unitary(rng, 10)
+        u = q @ np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, 10))) @ q.conj().T
+        a = mc.random_hermitian(rng, 10, norm=1.0)
+        eig = sm.finite_range_normal(a, u, 0.3).eig
+        rebuilt = (eig.vectors * eig.eigenvalues) @ eig.vectors.conj().T
+        assert mc.op_norm(rebuilt - u) <= 1e-12
 
 
 class TestTailTables:
