@@ -173,7 +173,7 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
     js = j_block / scale
     log["rescale"] = scale
     eye = np.eye(d, dtype=np.complex128)
-    if n_sub < 2 or np.all(sub_ids == sub_ids[0]):
+    if n_sub < 2:
         # no room for a V_1 <= W perp V_L sandwich: keep the whole block
         log["degenerate"] = True
         log["eps2"] = 0.0
@@ -185,12 +185,10 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
         log["trivial_gap"] = gap
         log["eps2"] = op_norm((np.eye(d) - pw) @ js @ pw) * scale
         return w, log
-    blocks = [eye[:, sub_ids == k] for k in range(n_sub)]
-    dims = [b.shape[1] for b in blocks]
-    sys = verify_tridiagonal(js, blocks)
+    sys = verify_tridiagonal(js, [np.flatnonzero(sub_ids == k) for k in range(n_sub)])
     use = engine
     if engine == "auto":
-        use = "szarek" if min(dims) <= SZAREK_BLOCK_THRESHOLD else "hastings"
+        use = "szarek" if min(sys.dims) <= SZAREK_BLOCK_THRESHOLD else "hastings"
     try:
         if use == "hastings":
             cfg = HastingsConfig.from_system_size(sys.L)

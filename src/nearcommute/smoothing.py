@@ -236,13 +236,6 @@ class Profile:
     def tail(self, c: float) -> float:
         return self.fourier.tail(c)
 
-    @property
-    def samples(self) -> np.ndarray:
-        """Uniform grid samples of f over its (centered) support."""
-        rad = self.support_radius
-        x = np.linspace(-rad, rad, 4097)
-        return np.asarray(self._fn(x), dtype=float)
-
 
 def smooth_profile(r: float, w: float, omega0: float = 0.0) -> Profile:
     """The standard window: 1 on the radius-r core, SmoothStep ramp of width w."""
@@ -516,9 +509,6 @@ class TailTable:
         d = np.diff(self.tails)
         bad = np.where(d > 0)[0]
         return int(bad[-1] + 1) if bad.size else 0
-
-    def lookup(self, c: float) -> float:
-        return float(np.interp(c, self.thresholds, self.tails))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

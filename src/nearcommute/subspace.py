@@ -61,6 +61,9 @@ __all__ = [
 
 EXACT_TOL = 1e-10
 
+# grid resolution handed to brute_projection_search by the brute oracle
+BRUTE_RESOLUTION = 24
+
 
 class DegenerateSystemError(ValueError):
     """The system is too small for a V_1 <= W perp V_L sandwich."""
@@ -80,12 +83,18 @@ class StageError(RuntimeError):
 
 @dataclass
 class TridiagonalSystem:
-    """A Hermitian contraction with a verified block-tridiagonal structure."""
+    """A Hermitian contraction with a verified block-tridiagonal structure.
+
+    Each block V_k is a set of coordinates: a 1-D integer index array.  The
+    blocks are disjoint and together cover range(dim).  coupling_svals[k]
+    holds the singular values of the coupling J[V_{k+1}, V_k] (empty when
+    either block is empty).
+    """
 
     j: np.ndarray
     blocks: list[np.ndarray]
     max_offtridiag: float
-    coupling_norms: np.ndarray
+    coupling_svals: list[np.ndarray]
 
     @property
     def dim(self) -> int:
@@ -97,78 +106,93 @@ class TridiagonalSystem:
 
     @property
     def dims(self) -> list[int]:
-        return [b.shape[1] for b in self.blocks]
+        return [b.size for b in self.blocks]
+
+    @property
+    def coupling_norms(self) -> np.ndarray:
+        return np.array([s[0] if s.size else 0.0 for s in self.coupling_svals])
+
+    def coupling_rank(self, k: int, tol: float = 1e-10) -> int:
+        """Rank of J[V_{k+1}, V_k]: singular values above tol * max(1, norm)."""
+        s = self.coupling_svals[k]
+        return int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
 
     def block_proj(self, i: int) -> np.ndarray:
+        p = np.zeros((self.dim, self.dim), dtype=np.complex128)
         b = self.blocks[i]
-        return b @ b.conj().T
+        p[b, b] = 1.0
+        return p
+
+
+def _coordinates(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The coordinates of the given blocks, concatenated in block order."""
+    return np.concatenate([np.zeros(0, dtype=np.intp), *blocks])
+
+
+def _identity_columns(n: int, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Identity columns spanning the given coordinate blocks, in order."""
+    return np.eye(n, dtype=np.complex128)[:, _coordinates(blocks)]
 
 
 def verify_tridiagonal(j, blocks: Sequence[np.ndarray], *, tol: float = 1e-8
                        ) -> TridiagonalSystem:
     """Check the block-tridiagonal invariants and package the system.
 
-    Raises with the offending block pair when an off-tridiagonal coupling
+    ``blocks`` are coordinate sets: 1-D integer index arrays that are
+    disjoint and together cover range(n).  Raises ValueError when they do
+    not, and with the offending block pair when an off-tridiagonal coupling
     exceeds ``tol``.
     """
     jm = as_matrix(j)
     n = jm.shape[0]
     bl = []
-    for b in blocks:
-        b = np.asarray(b, dtype=np.complex128)
-        if b.ndim == 1:
-            b = b[:, None]
+    for i, b in enumerate(blocks):
+        b = np.asarray(b)
+        if b.ndim != 1 or not np.issubdtype(b.dtype, np.integer):
+            raise ValueError(f"block {i} is not a 1-D integer index array")
+        if b.size and (b.min() < 0 or b.max() >= n):
+            raise ValueError(f"block {i} has an index outside range({n})")
         bl.append(b)
-    if sum(b.shape[1] for b in bl) != n:
+    counts = np.bincount(_coordinates(bl), minlength=n)
+    if np.any(counts > 1):
+        raise ValueError(f"coordinate {int(np.argmax(counts > 1))} lies in "
+                         "more than one block")
+    if np.any(counts == 0):
         raise ValueError("blocks do not jointly span the space")
-    for i, b in enumerate(bl):
-        if b.shape[1] and op_norm(b.conj().T @ b - np.eye(b.shape[1])) > EXACT_TOL:
-            raise ValueError(f"block {i} basis is not orthonormal")
-    for i in range(len(bl)):
-        for k in range(i + 1, len(bl)):
-            if bl[i].shape[1] and bl[k].shape[1]:
-                if op_norm(bl[i].conj().T @ bl[k]) > EXACT_TOL:
-                    raise ValueError(f"blocks {i} and {k} are not orthogonal")
-    if op_norm(jm - jm.conj().T) > 1e-9 * max(1.0, op_norm(jm)):
+    nrm = op_norm(jm)
+    if op_norm(jm - jm.conj().T) > 1e-9 * max(1.0, nrm):
         raise ValueError("J must be Hermitian")
-    if op_norm(jm) > 1.0 + 1e-9:
+    if nrm > 1.0 + 1e-9:
         raise ValueError("J must be a contraction")
     worst = 0.0
     for i in range(len(bl)):
         for k in range(len(bl)):
-            if abs(i - k) >= 2 and bl[i].shape[1] and bl[k].shape[1]:
-                c = op_norm(bl[i].conj().T @ jm @ bl[k])
+            if abs(i - k) >= 2 and bl[i].size and bl[k].size:
+                c = op_norm(jm[np.ix_(bl[i], bl[k])])
                 if c > tol:
                     raise ValueError(
                         f"off-tridiagonal coupling {c:.3e} between blocks {i} and {k}")
                 worst = max(worst, c)
-    couplings = np.zeros(max(len(bl) - 1, 0))
-    for i in range(len(bl) - 1):
-        if bl[i].shape[1] and bl[i + 1].shape[1]:
-            couplings[i] = op_norm(bl[i + 1].conj().T @ jm @ bl[i])
-    return TridiagonalSystem(jm, bl, worst, couplings)
+    svals = [np.linalg.svd(jm[np.ix_(bl[i + 1], bl[i])], compute_uv=False)
+             if bl[i].size and bl[i + 1].size else np.zeros(0)
+             for i in range(len(bl) - 1)]
+    return TridiagonalSystem(jm, bl, worst, svals)
 
 
 def random_block_tridiagonal(rng: np.random.Generator, dims: Sequence[int],
                              *, scale: float = 1.0) -> TridiagonalSystem:
-    """Random Hermitian contraction, block tridiagonal w.r.t. standard-basis
-    blocks of the given dimensions."""
+    """Random Hermitian contraction, block tridiagonal w.r.t. consecutive
+    coordinate blocks of the given dimensions."""
     n = int(sum(dims))
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (g + g.conj().T) / 2
-    starts = np.cumsum([0] + list(dims))
-    mask = np.zeros((n, n))
-    for i in range(len(dims)):
-        for k in range(len(dims)):
-            if abs(i - k) <= 1:
-                mask[starts[i]:starts[i + 1], starts[k]:starts[k + 1]] = 1.0
-    h = h * mask
+    labels = np.repeat(np.arange(len(dims)), dims)
+    h = h * (np.abs(labels[:, None] - labels[None, :]) <= 1)
     nrm = op_norm(h)
     if nrm > 0:
         h *= scale / nrm
-    eye = np.eye(n, dtype=np.complex128)
-    blocks = [eye[:, starts[i]:starts[i + 1]] for i in range(len(dims))]
-    return verify_tridiagonal(h, blocks)
+    return verify_tridiagonal(h, [np.flatnonzero(labels == i)
+                                  for i in range(len(dims))])
 
 
 @dataclass
@@ -244,14 +268,10 @@ def trivial_reducing_basis(sys: TridiagonalSystem, *, tol: float = 1e-12
     dims = sys.dims
     for k in range(sys.L):
         if dims[k] == 0:
-            cols = [sys.blocks[i] for i in range(k) if dims[i]]
-            return (np.column_stack(cols) if cols
-                    else np.zeros((sys.dim, 0), dtype=np.complex128))
+            return _identity_columns(sys.dim, sys.blocks[:k])
     for k in range(sys.L - 1):
         if sys.coupling_norms[k] <= tol:
-            cols = [sys.blocks[i] for i in range(k + 1) if dims[i]]
-            return (np.column_stack(cols) if cols
-                    else np.zeros((sys.dim, 0), dtype=np.complex128))
+            return _identity_columns(sys.dim, sys.blocks[:k + 1])
     return None
 
 
@@ -290,16 +310,10 @@ def krylov_reduce(sys: TridiagonalSystem, i: int, *, tol: float = 1e-10
     blocks = list(reversed(sys.blocks)) if rev else sys.blocks
     oi = sys.L - i if rev else i
 
-    c = blocks[oi].conj().T @ sys.j @ blocks[oi - 1]
-    if c.size:
-        s = np.linalg.svd(c, compute_uv=False)
-        m_rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
-    else:
-        m_rank = 0
+    # in either orientation the coupling at oi is J[V_{i+1}, V_i] (or its adjoint)
+    m_rank = sys.coupling_rank(i - 1, tol)
 
-    head_cols = [b for b in blocks[:oi] if b.shape[1]]
-    head = (np.column_stack(head_cols) if head_cols
-            else np.zeros((sys.dim, 0), dtype=np.complex128))
+    head = _identity_columns(sys.dim, blocks[:oi])
     accumulated = head
     chain: list[np.ndarray] = []
     current = head
@@ -326,13 +340,9 @@ def krylov_reduce(sys: TridiagonalSystem, i: int, *, tol: float = 1e-10
         emb = np.column_stack(chain)
         j_red = emb.conj().T @ sys.j @ emb
         j_red = (j_red + j_red.conj().T) / 2
-        eye = np.eye(emb.shape[1], dtype=np.complex128)
-        off = 0
-        red_blocks = []
-        for blk in chain:
-            red_blocks.append(eye[:, off:off + blk.shape[1]])
-            off += blk.shape[1]
-        reduced = verify_tridiagonal(j_red, red_blocks)
+        red_dims = [blk.shape[1] for blk in chain]
+        reduced = verify_tridiagonal(
+            j_red, np.split(np.arange(emb.shape[1]), np.cumsum(red_dims)[:-1]))
     return KrylovReduction(rev, m_rank, head, chain, trivial, sys.L, reduced, emb)
 
 
@@ -541,9 +551,6 @@ class LinOracle:
 
     mode: str = "heuristic"
     given_pair: tuple[np.ndarray, np.ndarray] | None = None
-    sweeps: int = 60
-    brute_resolution: int = 24
-    delta_proxy: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("heuristic", "brute", "given"):
@@ -558,7 +565,7 @@ class LinOracle:
                 raise ValueError("given pair does not commute")
             return as_matrix(ap), as_matrix(bp)
         if self.mode == "heuristic":
-            u, rot = joint_jacobi([a, b], sweeps=self.sweeps)
+            u, rot = joint_jacobi([a, b])
             ap = u @ np.diag(np.real(np.diag(rot[0]))) @ u.conj().T
             bp = u @ np.diag(np.real(np.diag(rot[1]))) @ u.conj().T
             return ap, bp
@@ -601,7 +608,7 @@ def lin_oracle_projection(a, b, eps: float, oracle: LinOracle) -> LinProjection:
     if op_norm(am) > 1 + 1e-9 or op_norm(bm) > 1 + 1e-9:
         raise ValueError("need contractions")
     if oracle.mode == "brute":
-        proj, value, radius = brute_projection_search(am, bm, eps, oracle.brute_resolution)
+        proj, value, radius = brute_projection_search(am, bm, eps, BRUTE_RESOLUTION)
         return LinProjection(proj, value, None, certified_radius=radius)
     ap, bp = oracle.commuting_pair(am, bm)
     dist_a = op_norm(am - ap)
@@ -748,11 +755,7 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
         diag["trivial"] = "empty block or zero coupling"
         return _certify_repaired(sys, triv, diag)
 
-    ranks = []
-    for k in range(sys.L - 1):
-        c = sys.blocks[k + 1].conj().T @ sys.j @ sys.blocks[k]
-        s = np.linalg.svd(c, compute_uv=False) if c.size else np.zeros(0)
-        ranks.append(int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0))))
+    ranks = [sys.coupling_rank(k) for k in range(sys.L - 1)]
     i_star = int(np.argmin(ranks)) + 1
     red = krylov_reduce(sys, i_star)
     if red.trivial_w is not None:
@@ -779,7 +782,7 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
 
     ej = eig_hermitian(sys.j)
     lam_pos = np.clip((ej.eigenvalues + 1.0) / 2.0, 0.0, 1.0)
-    phi_sq = np.sum(np.abs(ej.vectors.conj().T @ v1) ** 2, axis=1)
+    phi_sq = np.sum(np.abs(ej.vectors[v1, :]) ** 2, axis=0)
     sel = select_intervals(lam_pos, phi_sq, kappa, eta)
     diag["intervals"] = sel.intervals
     diag["excluded_mass"] = sel.excluded_mass
@@ -789,7 +792,7 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
     for (lo, hi) in sel.intervals:
         mask = (lam_pos >= lo) & (lam_pos <= hi)
         chi_cols = ej.vectors[:, mask]
-        a_j = chi_cols @ (chi_cols.conj().T @ v1)
+        a_j = chi_cols @ chi_cols[v1, :].conj().T
         gram = a_j.conj().T @ a_j
         w_g, v_g = np.linalg.eigh((gram + gram.conj().T) / 2)
         sig = np.sqrt(np.maximum(w_g, 0.0))
@@ -870,18 +873,15 @@ class HastingsConfig:
         return k_b if k_b % 2 == 1 else k_b - 1
 
     @classmethod
-    def from_system_size(cls, L: int, *, chi: float = 0.5, eta: float = 0.1,
-                         beta0: float = 0.5, beta1: float = 1.0,
-                         beta2: float = 0.5, F: Callable = default_F,
-                         G: Callable = default_G) -> "HastingsConfig":
+    def from_system_size(cls, L: int) -> "HastingsConfig":
         """Defaults following the exponent schedule n_win ~ L^beta1 / F(L),
-        n_b ~ L^beta0, lambda_min ~ 1/(L^beta2 (n_win+1))."""
-        n_win = max(8, math.ceil(L ** beta1 / float(F(L))))
-        n_b_target = max(3, round(L ** beta0))
+        n_b ~ L^beta0, lambda_min ~ 1/(L^beta2 (n_win+1)), with the default
+        exponents and F."""
+        n_win = max(8, math.ceil(L ** cls.beta1 / float(default_F(L))))
+        n_b_target = max(3, round(L ** cls.beta0))
         l_b = max(4, 4 * round((n_win + 1) / (n_b_target + 1) / 4))
-        lam = 1.0 / (L ** beta2 * (n_win + 1))
-        return cls(n_win=n_win, l_b=l_b, lambda_min=lam, chi=chi, eta=eta,
-                   beta0=beta0, beta1=beta1, beta2=beta2, F=F, G=G)
+        lam = 1.0 / (L ** cls.beta2 * (n_win + 1))
+        return cls(n_win=n_win, l_b=l_b, lambda_min=lam)
 
 
 @dataclass
@@ -993,12 +993,6 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
 
     n = sys.dim
     v1 = sys.blocks[0]
-    d0 = v1.shape[1]
-    if d0 == 0:
-        cert = _certify_repaired(sys, np.zeros((n, 0), dtype=np.complex128),
-                                 {"engine": "hastings", "trivial": "empty V1"})
-        return cert, HastingsDiagnostics.empty(cfg, np.zeros((n, 0)))
-
     ej = eig_hermitian(sys.j)
     windows = partition_of_unity(cfg.n_win)
 
@@ -1007,7 +1001,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
     min_kept = math.inf
     for prof in windows:
         wvals = np.asarray(prof(ej.eigenvalues), dtype=float)
-        tau = (ej.vectors * wvals) @ (ej.vectors.conj().T @ v1)
+        tau = (ej.vectors * wvals) @ ej.vectors[v1, :].conj().T
         gram = tau.conj().T @ tau
         w_g, v_g = np.linalg.eigh((gram + gram.conj().T) / 2)
         keep = w_g > cfg.lambda_min

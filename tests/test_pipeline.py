@@ -85,6 +85,22 @@ class TestCommuteHermitianPair:
         assert mc.op_norm(rep.a_prime - rep.a_prime.conj().T) <= 1e-10
         assert mc.op_norm(rep.b_prime - rep.b_prime.conj().T) <= 1e-10
 
+    def test_single_eigenvalue_cells_keep_pinching_check(self):
+        # delta ~ 1e-6 gives about 100 cells of about 200 sub-cells each, so
+        # most of the 16 eigenvalues sit alone in their cell: one occupied
+        # sub-cell, which the empty-sub-cell route reduces exactly
+        rng = np.random.default_rng(3)
+        a0, b0 = commuting_pair(rng, 16)
+        g = mc.random_hermitian(rng, 16, norm=1.0)
+        t = 1e-6 / mc.op_norm(mc.commutator(g, b0))
+        rep = pl.commute_hermitian_pair((a0 + t * g) / (1 + t), b0, 1.0)
+        assert rep.stage_log["n_cut"] > 16
+        assert not rep.stage_log["degenerate_intervals"]
+        pinch = [c for c in rep.checks if c.context == "||H-H'|| <= 2 max eps2"]
+        assert len(pinch) == 1 and pinch[0].passed
+        assert all(c.passed for c in rep.checks)
+        assert rep.comm_residual <= 1e-12 * 16
+
     def test_perturbation_sweep_monotone(self):
         rng = np.random.default_rng(0)
         a0, b0 = commuting_pair(rng, 24)

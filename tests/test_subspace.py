@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearcommute import matcore as mc
 from nearcommute import projgeom as pg
@@ -14,28 +15,57 @@ from nearcommute import subspace as sb
 class TestVerifyTridiagonal:
     def test_block_diagonal_passes(self):
         j = np.diag([0.1, 0.2, 0.3, 0.4])
-        eye = np.eye(4)
-        sys = sb.verify_tridiagonal(j, [eye[:, :2], eye[:, 2:]])
+        sys = sb.verify_tridiagonal(j, [np.arange(2), np.arange(2, 4)])
         assert sys.max_offtridiag == 0.0
 
     def test_banded_scalar_singletons(self):
         n = 8
         j = (np.diag(np.full(n - 1, 0.3), 1) + np.diag(np.full(n - 1, 0.3), -1))
-        eye = np.eye(n)
-        sys = sb.verify_tridiagonal(j, [eye[:, i:i + 1] for i in range(n)])
+        sys = sb.verify_tridiagonal(j, [np.array([i]) for i in range(n)])
         assert sys.L == n
 
     def test_dense_rejected_with_location(self):
         rng = np.random.default_rng(0)
         j = mc.random_hermitian(rng, 6, norm=1.0)
-        eye = np.eye(6)
-        blocks = [eye[:, i:i + 2] for i in (0, 2, 4)]
+        blocks = [np.arange(i, i + 2) for i in (0, 2, 4)]
         with pytest.raises(ValueError, match="blocks 0 and 2"):
             sb.verify_tridiagonal(j, blocks)
 
     def test_non_spanning_rejected(self):
         with pytest.raises(ValueError, match="span"):
-            sb.verify_tridiagonal(np.eye(3) * 0.1, [np.eye(3)[:, :2]])
+            sb.verify_tridiagonal(np.eye(3) * 0.1, [np.arange(2)])
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([np.array([0, 1]), np.array([1, 2])], "more than one block"),
+        ([np.array([0, 1]), np.array([2, 3])], "outside range"),
+        ([np.array([0, 1]), np.array([-1])], "outside range"),
+        ([np.array([0.0, 1.0]), np.array([2.0])], "integer"),
+        ([np.array([True, True, False]), np.array([2])], "integer"),
+        ([np.eye(3)[:, :2], np.eye(3)[:, 2:]], "1-D"),
+    ], ids=["overlap", "too-large", "negative", "float", "bool", "basis-matrix"])
+    def test_bad_partition_rejected(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            sb.verify_tridiagonal(np.eye(3) * 0.1, blocks)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.lists(st.integers(0, 3), min_size=1, max_size=7),
+           seed=st.integers(0, 2**32 - 1))
+    def test_coordinate_blocks_property(self, dims, seed):
+        sys = sb.random_block_tridiagonal(np.random.default_rng(seed), dims)
+        n = sys.dim
+        total = sum(sys.block_proj(k) for k in range(sys.L))
+        assert np.array_equal(total, np.eye(n))
+        for k in range(sys.L - 1):
+            c = sys.j[np.ix_(sys.blocks[k + 1], sys.blocks[k])]
+            nrm = mc.op_norm(c)
+            assert sys.coupling_norms[k] == pytest.approx(nrm, abs=1e-14)
+            rank = (np.linalg.matrix_rank(c, tol=1e-10 * max(1.0, nrm))
+                    if c.size else 0)
+            assert sys.coupling_rank(k) == rank
+        rev = sb.verify_tridiagonal(sys.j, list(reversed(sys.blocks)))
+        assert rev.max_offtridiag == sys.max_offtridiag
+        assert np.allclose(rev.coupling_norms[::-1], sys.coupling_norms,
+                           rtol=0, atol=1e-14)
 
 
 class TestCertifyW:
