@@ -61,6 +61,9 @@ __all__ = [
 
 EXACT_TOL = 1e-10
 
+# relative singular-value threshold for the rank of a coupling J[V_{k+1}, V_k]
+RANK_TOL = 1e-10
+
 # grid resolution handed to brute_projection_search by the brute oracle
 BRUTE_RESOLUTION = 24
 
@@ -112,10 +115,10 @@ class TridiagonalSystem:
     def coupling_norms(self) -> np.ndarray:
         return np.array([s[0] if s.size else 0.0 for s in self.coupling_svals])
 
-    def coupling_rank(self, k: int, tol: float = 1e-10) -> int:
-        """Rank of J[V_{k+1}, V_k]: singular values above tol * max(1, norm)."""
+    def coupling_rank(self, k: int) -> int:
+        """Rank of J[V_{k+1}, V_k]: singular values above RANK_TOL * max(1, norm)."""
         s = self.coupling_svals[k]
-        return int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+        return int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
 
     def block_proj(self, i: int) -> np.ndarray:
         p = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -269,8 +272,9 @@ def trivial_reducing_basis(sys: TridiagonalSystem, *, tol: float = 1e-12
     for k in range(sys.L):
         if dims[k] == 0:
             return _identity_columns(sys.dim, sys.blocks[:k])
+    norms = sys.coupling_norms
     for k in range(sys.L - 1):
-        if sys.coupling_norms[k] <= tol:
+        if norms[k] <= tol:
             return _identity_columns(sys.dim, sys.blocks[:k + 1])
     return None
 
@@ -293,8 +297,7 @@ class KrylovReduction:
         return len(self.chain)
 
 
-def krylov_reduce(sys: TridiagonalSystem, i: int, *, tol: float = 1e-10
-                  ) -> KrylovReduction:
+def krylov_reduce(sys: TridiagonalSystem, i: int) -> KrylovReduction:
     """Reduce to a chain whose blocks have dimension at most
     m = rank P_{V_{i+1}} J P_{V_i}.
 
@@ -311,7 +314,7 @@ def krylov_reduce(sys: TridiagonalSystem, i: int, *, tol: float = 1e-10
     oi = sys.L - i if rev else i
 
     # in either orientation the coupling at oi is J[V_{i+1}, V_i] (or its adjoint)
-    m_rank = sys.coupling_rank(i - 1, tol)
+    m_rank = sys.coupling_rank(i - 1)
 
     head = _identity_columns(sys.dim, blocks[:oi])
     accumulated = head
