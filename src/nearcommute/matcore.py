@@ -54,7 +54,17 @@ def as_matrix(a) -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Operator norm (largest singular value); accepts rectangular blocks."""
+    """Operator norm (largest singular value); accepts rectangular blocks.
+
+    The kernel follows the exact structure of the argument.  An all-zero
+    matrix gives 0.0 without a decomposition.  A square matrix equal to its
+    conjugate transpose, or to minus it, entry for entry, gives the largest
+    eigenvalue modulus from ``eigvalsh`` (of ``1j*m`` in the second case).
+    Everything else, rectangular blocks included, takes the SVD.  The
+    structure test has no tolerance: a matrix that is Hermitian only up to
+    roundoff has a different norm from its Hermitian part.  A general matrix
+    is told apart by one corner entry pair before any full comparison.
+    """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim == 1:
         m = m[:, None]
@@ -64,6 +74,15 @@ def op_norm(a) -> float:
         return 0.0
     if not np.all(np.isfinite(m)):
         raise MatrixShapeError("matrix has non-finite entries")
+    if not m.any():
+        return 0.0
+    n = m.shape[0]
+    if n == m.shape[1]:
+        corner, mirror = m.item(n - 1, 0), m.item(0, n - 1).conjugate()
+        if corner == mirror and np.array_equal(m, m.conj().T):
+            return float(np.abs(np.linalg.eigvalsh(m)).max())
+        if corner == -mirror and np.array_equal(m, -m.conj().T):
+            return float(np.abs(np.linalg.eigvalsh(1j * m)).max())
     return float(np.linalg.norm(m, 2))
 
 

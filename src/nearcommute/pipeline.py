@@ -312,7 +312,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0,
     n_cut = int(math.ceil(1.0 / big_delta ** g1))
     width = 2.0 / n_cut
 
-    fr = finite_range(am, bm, big_delta, profile)
+    fr = finite_range(am, bm, big_delta, profile, comm=delta)
     checks = list(fr.checks)
     eb = fr.eig
     a_prime, b_prime, pinch_log, pinch_checks = _cut_and_pinch(
@@ -479,7 +479,7 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0,
     n_cut = max(3, int(math.ceil(1.0 / big_delta ** g1)))
     arc = 2.0 * math.pi / n_cut
 
-    fr = finite_range_normal(am, um, big_delta, profile)
+    fr = finite_range_normal(am, um, big_delta, profile, comm=delta)
     checks = list(fr.checks)
     eu = fr.eig
     phases = np.mod(np.angle(eu.eigenvalues), 2.0 * math.pi)

@@ -412,19 +412,23 @@ def _average(a: np.ndarray, v: np.ndarray, lams: Sequence[np.ndarray],
     return (h + h.conj().T) / 2
 
 
-def finite_range(a, b, delta: float, profile: Profile | None = None) -> FiniteRangeResult:
+def finite_range(a, b, delta: float, profile: Profile | None = None, *,
+                 comm: float | None = None) -> FiniteRangeResult:
     """Replace A by an H that is finite range Delta with respect to B.
 
     In B's eigenbasis H has entries A_{lm} * f((l - m)/Delta); consequently
     E_{S1}(B) H E_{S2}(B) = 0 exactly whenever dist(S1, S2) >= Delta, and
-    ||A - H|| <= (c0/Delta) ||[A,B]||, ||[H,B]|| <= c1 ||[A,B]||.
+    ||A - H|| <= (c0/Delta) ||[A,B]||, ||[H,B]|| <= c1 ||[A,B]||.  ``comm``
+    is ||[A,B]|| when the caller has already measured it; it is measured
+    here otherwise.
     """
     p = _require_averaging(delta, profile)
     a = as_matrix(a)
     eb = eig_hermitian(b)
     h = _average(a, eb.vectors, [eb.eigenvalues], delta, p)
     b = as_matrix(b)
-    comm = op_norm(commutator(a, b))
+    if comm is None:
+        comm = op_norm(commutator(a, b))
     checks = [
         BoundCheck(op_norm(a - h), (p.c0 / delta) * comm, "finite_range ||A-H|| <= (c0/Delta)||[A,B]||"),
         BoundCheck(op_norm(commutator(h, b)), p.c1 * comm,
@@ -455,16 +459,19 @@ def finite_range_multi(a, bs: Sequence[np.ndarray], delta: float,
 
 
 def finite_range_normal(a, n_mat, delta: float,
-                        profile: Profile | None = None) -> FiniteRangeResult:
+                        profile: Profile | None = None, *,
+                        comm: float | None = None) -> FiniteRangeResult:
     """Finite-range construction against a normal matrix N, averaging in the
     joint eigenbasis of its commuting real/imaginary parts.  The spectral
-    cut-off in the complex plane is sqrt(2) * Delta."""
+    cut-off in the complex plane is sqrt(2) * Delta.  ``comm`` is ||[A,N]||
+    when the caller has already measured it; it is measured here otherwise."""
     p = _require_averaging(delta, profile)
     a = as_matrix(a)
     m = as_matrix(n_mat)
     en = normal_eig(m)
     h = _average(a, en.vectors, [en.eigenvalues.real, en.eigenvalues.imag], delta, p)
-    comm = op_norm(commutator(a, m))
+    if comm is None:
+        comm = op_norm(commutator(a, m))
     checks = [
         BoundCheck(op_norm(a - h), (2 * p.c0 * p.c1 / delta) * comm,
                    "finite_range_normal ||A-H||"),

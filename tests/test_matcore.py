@@ -1,6 +1,8 @@
 """Matrix kernel tests: examples with independently computed expectations,
 plus property tests for the algebraic invariants."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,65 @@ def power_iteration_norm(a, iters=2000, tol=1e-13):
             break
         lam = new
     return float(np.sqrt(lam))
+
+
+STRUCTURES = ["hermitian", "anti-hermitian", "zero", "general", "rectangular"]
+
+
+def _structured(rng, kind, n, cols):
+    """An n x n matrix of the given exact structure (n x cols if rectangular)."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "hermitian":
+        return (g + g.conj().T) / 2
+    if kind == "anti-hermitian":
+        return (g - g.conj().T) / 2
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "rectangular":
+        return rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+    return g
+
+
+def _op_norm_cases():
+    rng = np.random.default_rng(21)
+    cases = {kind: _structured(rng, kind, 9, 5) for kind in STRUCTURES}
+    herm, anti = cases["hermitian"], cases["anti-hermitian"]
+    # corner pair (8, 0)/(0, 8) mirrors, the rest does not
+    near_herm = cases["general"].copy()
+    near_herm[8, 0] = np.conj(near_herm[0, 8])
+    near_anti = cases["general"].copy()
+    near_anti[8, 0] = -np.conj(near_anti[0, 8])
+    # Hermitian up to roundoff, not entry for entry
+    rounded = herm.copy()
+    rounded[2, 5] = complex(np.nextafter(herm[2, 5].real, np.inf), herm[2, 5].imag)
+    return {**cases,
+            "corner-matches-hermitian": near_herm,
+            "corner-matches-anti-hermitian": near_anti,
+            "rounded-hermitian": rounded,
+            "defect-hermitian": herm + 1e-6 * cases["general"],
+            "defect-anti-hermitian": anti + 1e-6 * cases["general"],
+            "rectangular-zero": np.zeros((3, 7)),
+            "column": cases["rectangular"][:, 0],
+            "1x1-real": np.array([[-3.0]]),
+            "1x1-imaginary": np.array([[2.5j]]),
+            "1x1-complex": np.array([[3.0 + 4.0j]])}
+
+
+OP_NORM_CASES = _op_norm_cases()
+
+
+@pytest.fixture
+def refuse_svd(monkeypatch):
+    """Make numpy's SVD raise wherever numpy.linalg binds it (np.linalg.norm
+    reaches it through its implementation module)."""
+    real = np.linalg.svd
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD reached")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("numpy.linalg") and getattr(mod, "svd", None) is real:
+            monkeypatch.setattr(mod, "svd", refuse)
 
 
 class TestEigHermitian:
@@ -85,6 +146,35 @@ class TestOpNorm:
         rng = np.random.default_rng(5)
         m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         assert mc.op_norm(m) == pytest.approx(power_iteration_norm(m), abs=1e-8)
+
+    @pytest.mark.parametrize("kind", sorted(OP_NORM_CASES))
+    def test_every_structure_matches_largest_singular_value(self, kind):
+        m = OP_NORM_CASES[kind]
+        expected = float(np.linalg.norm(m, 2))
+        assert abs(mc.op_norm(m) - expected) <= 1e-12 * max(1.0, expected)
+
+    @pytest.mark.parametrize("kind", ["hermitian", "anti-hermitian", "zero"])
+    def test_exact_structure_takes_no_svd(self, kind, refuse_svd):
+        rng = np.random.default_rng(31)
+        m = _structured(rng, kind, 64, 64)
+        expected = {"hermitian": np.abs(np.linalg.eigvalsh(m)).max(),
+                    "anti-hermitian": np.abs(np.linalg.eigvals(m)).max(),
+                    "zero": 0.0}[kind]
+        assert mc.op_norm(m) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["general", "rounded-hermitian", "rectangular"])
+    def test_inexact_structure_takes_the_svd(self, kind, refuse_svd):
+        m = OP_NORM_CASES[kind]
+        with pytest.raises(AssertionError, match="SVD reached"):
+            mc.op_norm(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(STRUCTURES), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 10 ** 6))
+    def test_structure_property(self, kind, n, cols, seed):
+        m = _structured(np.random.default_rng(seed), kind, n, cols)
+        expected = float(np.linalg.norm(m, 2))
+        assert abs(mc.op_norm(m) - expected) <= 1e-12 * max(1.0, expected)
 
 
 class TestCommutator:

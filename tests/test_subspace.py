@@ -31,6 +31,18 @@ class TestVerifyTridiagonal:
         with pytest.raises(ValueError, match="blocks 0 and 2"):
             sb.verify_tridiagonal(j, blocks)
 
+    def test_small_pairs_with_large_off_band_norm_pass(self):
+        # Every off-tridiagonal pair is a scalar 0.9*tol, but together they
+        # exceed tol, so the screen cannot decide and the pairs are checked.
+        n, tol = 10, 1e-8
+        dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        far = dist >= 2
+        j = 0.3 * (dist == 1) + 0.9 * tol * far
+        sys = sb.verify_tridiagonal(j, [np.array([i]) for i in range(n)], tol=tol)
+        assert sys.max_offtridiag == pytest.approx(mc.op_norm(j * far), rel=1e-12)
+        assert sys.max_offtridiag > tol
+        assert sys.L == n
+
     def test_non_spanning_rejected(self):
         with pytest.raises(ValueError, match="span"):
             sb.verify_tridiagonal(np.eye(3) * 0.1, [np.arange(2)])
