@@ -460,18 +460,16 @@ def finite_range_multi(a, bs: Sequence[np.ndarray], delta: float,
 
 def finite_range_normal(a, n_mat, delta: float,
                         profile: Profile | None = None, *,
-                        comm: float | None = None) -> FiniteRangeResult:
+                        comm: float) -> FiniteRangeResult:
     """Finite-range construction against a normal matrix N, averaging in the
     joint eigenbasis of its commuting real/imaginary parts.  The spectral
-    cut-off in the complex plane is sqrt(2) * Delta.  ``comm`` is ||[A,N]||
-    when the caller has already measured it; it is measured here otherwise."""
+    cut-off in the complex plane is sqrt(2) * Delta.  ``comm`` is the
+    caller's measured ||[A,N]||, the right-hand side of both checks."""
     p = _require_averaging(delta, profile)
     a = as_matrix(a)
     m = as_matrix(n_mat)
     en = normal_eig(m)
     h = _average(a, en.vectors, [en.eigenvalues.real, en.eigenvalues.imag], delta, p)
-    if comm is None:
-        comm = op_norm(commutator(a, m))
     checks = [
         BoundCheck(op_norm(a - h), (2 * p.c0 * p.c1 / delta) * comm,
                    "finite_range_normal ||A-H||"),

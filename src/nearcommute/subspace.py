@@ -93,6 +93,8 @@ class TridiagonalSystem:
     holds the singular values of the coupling J[V_{k+1}, V_k] (empty when
     either block is empty).  max_offtridiag is the norm of J outside its
     tridiagonal band, which bounds every coupling J[V_i, V_k] with |i-k| >= 2.
+    It is a bound, not the largest of those couplings: a system whose every
+    coupling is within tol can still report max_offtridiag > tol.
     """
 
     j: np.ndarray

@@ -216,7 +216,8 @@ class TestFiniteRangeNormal:
         rng = np.random.default_rng(8)
         a = mc.random_hermitian(rng, 8, norm=1.0)
         n_mat = mc.random_hermitian(rng, 8, norm=1.0)
-        res = sm.finite_range_normal(a, n_mat, 0.4)
+        res = sm.finite_range_normal(a, n_mat, 0.4,
+                                       comm=mc.op_norm(mc.commutator(a, n_mat)))
         res.require()
 
     def test_unitary_diagonal_arc_projections(self):
@@ -226,7 +227,8 @@ class TestFiniteRangeNormal:
         u = np.diag(np.exp(1j * phases))
         a = mc.random_hermitian(rng, n, norm=1.0)
         delta = 0.3
-        res = sm.finite_range_normal(a, u, delta)
+        res = sm.finite_range_normal(a, u, delta,
+                                       comm=mc.op_norm(mc.commutator(a, u)))
         # eigenvectors are the standard basis; complex distance >= sqrt(2)*Delta
         # must kill the coupling
         vals = np.exp(1j * phases)
@@ -239,22 +241,25 @@ class TestFiniteRangeNormal:
         phases = np.linspace(0, 2 * math.pi, 6, endpoint=False)
         u = np.diag(np.exp(1j * phases))
         a = np.diag(np.linspace(-1, 1, 6)).astype(complex)
-        res = sm.finite_range_normal(a, u, 0.2)
+        res = sm.finite_range_normal(a, u, 0.2,
+                                       comm=mc.op_norm(mc.commutator(a, u)))
         assert mc.op_norm(res.matrix - a) <= 1e-12
 
     def test_rejects_nonnormal(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            sm.finite_range_normal(np.eye(2), m, 0.5)
+            sm.finite_range_normal(np.eye(2), m, 0.5,
+                                   comm=mc.op_norm(mc.commutator(np.eye(2), m)))
         with pytest.raises(ValueError, match="delta"):
-            sm.finite_range_normal(np.eye(2), np.eye(2), 0.0)
+            sm.finite_range_normal(np.eye(2), np.eye(2), 0.0, comm=0.0)
 
     def test_eig_reconstructs_n(self):
         rng = np.random.default_rng(11)
         q = mc.random_unitary(rng, 10)
         u = q @ np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, 10))) @ q.conj().T
         a = mc.random_hermitian(rng, 10, norm=1.0)
-        eig = sm.finite_range_normal(a, u, 0.3).eig
+        eig = sm.finite_range_normal(a, u, 0.3,
+                                     comm=mc.op_norm(mc.commutator(a, u))).eig
         rebuilt = (eig.vectors * eig.eigenvalues) @ eig.vectors.conj().T
         assert mc.op_norm(rebuilt - u) <= 1e-12
 
