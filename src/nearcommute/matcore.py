@@ -152,15 +152,6 @@ def projection_from_basis(basis: np.ndarray, dim: int | None = None) -> OrthoPro
     return OrthoProjection(b @ b.conj().T, b.shape[1])
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector so its largest-magnitude entry is real positive."""
-    i = int(np.argmax(np.abs(v)))
-    a = v[i]
-    if abs(a) == 0.0:
-        return v
-    return v * (abs(a) / a)
-
-
 def _gram_schmidt_span(columns: np.ndarray, target_rank: int, tol: float) -> np.ndarray:
     """Deterministic modified Gram-Schmidt over ``columns``, keeping
     ``target_rank`` directions.
@@ -191,6 +182,13 @@ def eig_hermitian(a, *, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
     phase, and degenerate clusters are re-orthonormalized by Gram-Schmidt over
     the cluster projector's columns in input order, which removes any
     dependence on LAPACK's arbitrary in-cluster basis choice.
+
+    Clusters are the runs of eigenvalues whose consecutive gaps are at most
+    ``1e-12 * n * max(||A||, 1)``; their boundaries come from one ``np.diff``,
+    and only clusters of two or more eigenvalues are re-orthonormalized.  The
+    phases are fixed for all columns at once: each column is scaled so that
+    its first largest-modulus entry is real and positive (a zero column is
+    left as it is).
     """
     m = as_matrix(a)
     n = m.shape[0]
@@ -207,16 +205,16 @@ def eig_hermitian(a, *, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
 
     # Degenerate-cluster canonicalization.
     cluster_tol = 1e-12 * n * max(scale, 1.0)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and w[j] - w[j - 1] <= cluster_tol:
-            j += 1
-        if j - i > 1:
-            p = v[:, i:j] @ v[:, i:j].conj().T
-            v[:, i:j] = _gram_schmidt_span(p, j - i, 1e-8)
-        v[:, i:j] = np.apply_along_axis(_canonical_phase, 0, v[:, i:j])
-        i = j
+    edges = np.flatnonzero(np.diff(w) > cluster_tol) + 1
+    starts = np.concatenate(([0], edges))
+    stops = np.concatenate((edges, [n]))
+    multiple = stops - starts > 1
+    for i, j in zip(starts[multiple].tolist(), stops[multiple].tolist()):
+        p = v[:, i:j] @ v[:, i:j].conj().T
+        v[:, i:j] = _gram_schmidt_span(p, j - i, 1e-8)
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    mag = np.abs(top)
+    v *= np.divide(mag, top, out=np.ones_like(top), where=mag != 0.0)
     return HermitianEig(w.copy(), v, float(defect))
 
 

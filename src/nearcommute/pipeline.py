@@ -454,8 +454,9 @@ def three_hermitian(a, b, c, oracle: LinOracle | None = None,
 
 def _require_unitary(m, name: str) -> np.ndarray:
     mm = as_matrix(m)
-    n = mm.shape[0]
-    if op_norm(mm.conj().T @ mm - np.eye(n)) > 1e-9:
+    defect = mm.conj().T @ mm - np.eye(mm.shape[0])
+    # ||X||_2 <= ||X||_F screens the operator norm; a NaN fails the screen
+    if not np.linalg.norm(defect) <= 1e-9 and op_norm(defect) > 1e-9:
         raise ValueError(f"{name} must be unitary")
     return mm
 

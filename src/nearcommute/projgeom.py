@@ -35,7 +35,10 @@ PROJ_TOL = 1e-8
 
 def _require_projection(p, name: str) -> np.ndarray:
     m = p.matrix if isinstance(p, OrthoProjection) else as_matrix(p)
-    if op_norm(m @ m - m) > PROJ_TOL or op_norm(m - m.conj().T) > PROJ_TOL:
+    # ||X||_2 <= ||X||_F screens the operator norms; a NaN fails the screen
+    idem, herm = m @ m - m, m - m.conj().T
+    if ((not np.linalg.norm(idem) <= PROJ_TOL and op_norm(idem) > PROJ_TOL)
+            or (not np.linalg.norm(herm) <= PROJ_TOL and op_norm(herm) > PROJ_TOL)):
         raise ValueError(f"{name} is not an orthogonal projection to tolerance")
     return m
 

@@ -340,6 +340,10 @@ def joint_eigh(mats: Sequence[np.ndarray], *, comm_tol: float = 1e-10
         for idx in clusters:
             sub = v[:, idx]
             comp = sub.conj().T @ m @ sub
+            if len(idx) == 1:  # a 1x1 block is its own eigenvalue; v stays
+                lams[j, idx] = comp.real[0]
+                new_clusters.append(idx)
+                continue
             eig = eig_hermitian((comp + comp.conj().T) / 2, rtol=1e-6)
             v[:, idx] = sub @ eig.vectors
             lams[j, idx] = eig.eigenvalues

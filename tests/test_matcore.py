@@ -1,8 +1,6 @@
 """Matrix kernel tests: examples with independently computed expectations,
 plus property tests for the algebraic invariants."""
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,20 +72,6 @@ def _op_norm_cases():
 OP_NORM_CASES = _op_norm_cases()
 
 
-@pytest.fixture
-def refuse_svd(monkeypatch):
-    """Make numpy's SVD raise wherever numpy.linalg binds it (np.linalg.norm
-    reaches it through its implementation module)."""
-    real = np.linalg.svd
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("SVD reached")
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("numpy.linalg") and getattr(mod, "svd", None) is real:
-            monkeypatch.setattr(mod, "svd", refuse)
-
-
 class TestEigHermitian:
     def test_diagonal_case(self):
         e = mc.eig_hermitian(np.diag([3.0, 1.0, 2.0]))
@@ -133,6 +117,105 @@ class TestEigHermitian:
             e = mc.eig_hermitian(a)
             bound = 1e-10 * n * max(1.0, mc.op_norm(a))
             assert mc.op_norm(e.reconstruct() - a) <= bound
+
+
+def reference_eig_hermitian(a):
+    """Per-cluster reference for eig_hermitian's canonicalisation: a while
+    loop over the eigenvalues, Gram-Schmidt on each cluster, then one phase
+    rotation per column."""
+    m = mc.as_matrix(a)
+    n = m.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0), dtype=complex)
+    scale = max(mc.op_norm(m), np.finfo(float).tiny)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    cluster_tol = 1e-12 * n * max(scale, 1.0)
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and w[j] - w[j - 1] <= cluster_tol:
+            j += 1
+        if j - i > 1:
+            p = v[:, i:j] @ v[:, i:j].conj().T
+            v[:, i:j] = mc._gram_schmidt_span(p, j - i, 1e-8)
+        for k in range(i, j):
+            top = v[int(np.argmax(np.abs(v[:, k]))), k]
+            if abs(top) != 0.0:
+                v[:, k] = v[:, k] * (abs(top) / top)
+        i = j
+    return w, v
+
+
+def conjugated_spectrum(rng, values):
+    """Q diag(values) Q* for a random unitary Q, symmetrised."""
+    q = mc.random_unitary(rng, len(values))
+    a = q @ np.diag(np.asarray(values, dtype=float)) @ q.conj().T
+    return (a + a.conj().T) / 2
+
+
+def _canonicalisation_cases():
+    rng = np.random.default_rng(41)
+    n, top = 3, 2.0
+    tol_apart = 1e-12 * n * max(top, 1.0)  # eig_hermitian's cluster_tol here
+    return {
+        "distinct": mc.random_hermitian(rng, 9),
+        "one-repeated": conjugated_spectrum(rng, [-1.0, 0.5, 0.5, 2.0]),
+        "multiplicities-5-3-1": conjugated_spectrum(rng, [1.0] * 5 + [-2.0] * 3 + [3.0]),
+        "n0": np.zeros((0, 0)),
+        "n1": np.array([[0.25 + 0j]]),
+        # sigma_y: both entries of each eigenvector tie in modulus exactly
+        "modulus-ties": np.array([[0.0, -1j], [1j, 0.0]]),
+        "cluster-tol-apart": np.diag([0.0, tol_apart, top]),
+        "just-past-cluster-tol": np.diag([0.0, np.nextafter(tol_apart, 1.0), top]),
+    }
+
+
+CANONICALISATION_CASES = _canonicalisation_cases()
+
+
+class TestEigHermitianCanonicalisation:
+    @pytest.mark.parametrize("kind", sorted(CANONICALISATION_CASES))
+    def test_matches_per_cluster_reference(self, kind):
+        a = CANONICALISATION_CASES[kind]
+        w, v = reference_eig_hermitian(a)
+        e = mc.eig_hermitian(a)
+        assert np.array_equal(e.eigenvalues, w)
+        assert e.vectors.shape == v.shape
+        assert np.all(np.abs(e.vectors - v) <= 1e-14)
+
+    @pytest.mark.parametrize("kind", ["cluster-tol-apart", "just-past-cluster-tol"])
+    def test_gap_cases_are_exact(self, kind):
+        a = CANONICALISATION_CASES[kind]
+        assert np.array_equal(mc.eig_hermitian(a).eigenvalues, np.diag(a).real)
+
+    @pytest.mark.parametrize("kind, ranks", [("distinct", []),
+                                             ("n0", []),
+                                             ("n1", []),
+                                             ("one-repeated", [2]),
+                                             ("multiplicities-5-3-1", [3, 5]),
+                                             ("cluster-tol-apart", [2]),
+                                             ("just-past-cluster-tol", [])])
+    def test_gram_schmidt_once_per_multiple_cluster(self, kind, ranks, monkeypatch):
+        seen = []
+        real = mc._gram_schmidt_span
+
+        def counting(columns, target_rank, tol):
+            seen.append(target_rank)
+            return real(columns, target_rank, tol)
+
+        monkeypatch.setattr(mc, "_gram_schmidt_span", counting)
+        mc.eig_hermitian(CANONICALISATION_CASES[kind])
+        assert seen == ranks
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=16),
+           st.integers(0, 10 ** 6))
+    def test_largest_entry_real_positive_property(self, values, seed):
+        a = conjugated_spectrum(np.random.default_rng(seed), values)
+        v = mc.eig_hermitian(a).vectors
+        top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        assert np.all(top.real > 0)
+        assert np.all(np.abs(top.imag) <= 1e-15 * np.abs(top))
 
 
 class TestOpNorm:

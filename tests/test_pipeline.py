@@ -307,6 +307,27 @@ class TestHermitianUnitary:
         assert len(calls) == 1
 
 
+class TestRequireUnitary:
+    def test_unitary_takes_no_operator_norm(self, refuse_svd, monkeypatch):
+        u = mc.random_unitary(np.random.default_rng(13), 12)
+
+        def refuse(x):
+            raise AssertionError("op_norm reached")
+
+        monkeypatch.setattr(pl, "op_norm", refuse)
+        assert np.array_equal(pl._require_unitary(u, "U"), u)
+
+    @pytest.mark.parametrize("m, match", [
+        (np.diag([1.0, 1.0 + 1e-6]), "U must be unitary"),
+        # U*U overflows to inf - inf = NaN, which must not pass the screen
+        (np.array([[1e200, 1e200], [1e200, -1e200]]), "non-finite"),
+    ])
+    def test_non_unitary_rejected(self, m, match):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=match):
+            pl._require_unitary(m, "U")
+
+
 class TestUnitaryPairGap:
     def test_cayley_round_trip_on_reals(self):
         x = np.linspace(-50, 50, 1001)

@@ -15,6 +15,42 @@ def rand_proj(rng, n, r):
     return q[:, :r] @ q[:, :r].conj().T
 
 
+class TestRequireProjection:
+    def test_valid_projection_takes_no_operator_norm(self, refuse_svd, monkeypatch):
+        q = mc.random_unitary(np.random.default_rng(12), 12)[:, :5]
+        p = q @ np.ascontiguousarray(q.conj().T)  # general product: not bitwise Hermitian
+
+        def refuse(x):
+            raise AssertionError("op_norm reached")
+
+        monkeypatch.setattr(pg, "op_norm", refuse)
+        assert np.array_equal(pg._require_projection(p, "P"), p)
+
+    def test_frobenius_over_tol_takes_exact_path(self, monkeypatch):
+        # m = diag(1 + ie, ..., ie, ...): ||m^2 - m||_2 ~ e and ||m - m*||_2 = 2e
+        # stay <= tol, while both Frobenius norms exceed it
+        n, e = 16, 0.4 * pg.PROJ_TOL
+        m = np.diag(np.r_[np.ones(n // 2), np.zeros(n // 2)] + 1j * e)
+        for x in (m @ m - m, m - m.conj().T):
+            assert np.linalg.norm(x) > pg.PROJ_TOL >= mc.op_norm(x)
+        calls = []
+        real = pg.op_norm
+
+        def counting(x):
+            calls.append(1)
+            return real(x)
+
+        monkeypatch.setattr(pg, "op_norm", counting)
+        assert np.array_equal(pg._require_projection(m, "P"), m)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("m", [0.5 * np.eye(3),                       # not idempotent
+                                   np.array([[1.0, 1.0], [0.0, 0.0]])])  # not Hermitian
+    def test_non_projection_rejected(self, m):
+        with pytest.raises(ValueError, match="P is not an orthogonal projection to tolerance"):
+            pg._require_projection(m, "P")
+
+
 class TestJordanBlocks:
     def test_equal_projections_all_one_dimensional(self):
         rng = np.random.default_rng(0)

@@ -318,6 +318,30 @@ class TestJointEig:
             rebuilt = (v * lams[j]) @ v.conj().T
             assert mc.op_norm(rebuilt - m) <= 1e-9
 
+    def test_conjugate_pair_splits_on_imaginary_part(self, monkeypatch):
+        # e^{+-i theta} share a real part: one 2-cluster after the real step,
+        # split by the imaginary step; singletons take no decomposition
+        rng = np.random.default_rng(12)
+        phases = np.array([0.4, -0.4, 1.3, 2.2, -2.9, 3.0])
+        vals = np.exp(1j * phases)
+        q = mc.random_unitary(rng, len(vals))
+        u = q @ np.diag(vals) @ q.conj().T
+        shapes = []
+        real = sm.eig_hermitian
+
+        def counting(a, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(sm, "eig_hermitian", counting)
+        eig = sm.normal_eig(u)
+        assert shapes == [(6, 6), (2, 2)]
+        assert np.allclose(np.sort_complex(eig.eigenvalues), np.sort_complex(vals),
+                           atol=1e-12)
+        for k in range(len(vals)):
+            vec = eig.vectors[:, k]
+            assert np.linalg.norm(u @ vec - eig.eigenvalues[k] * vec) <= 1e-12
+
     def test_rejects_noncommuting(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sz = np.diag([1.0, -1.0])
