@@ -6,7 +6,6 @@ from .checks import BoundCheck
 from .matcore import (
     HermitianEig,
     OrthoProjection,
-    apply_function,
     commutator,
     eig_hermitian,
     op_norm,

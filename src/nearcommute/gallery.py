@@ -16,7 +16,6 @@ from .matcore import (
     eig_hermitian,
     op_norm,
 )
-from .subspace import joint_jacobi
 
 __all__ = [
     "voiculescu",
@@ -26,8 +25,6 @@ __all__ = [
     "tn_lift",
     "tn_identities",
     "adjacent_transposition_rep",
-    "joint_diag_objective",
-    "minimize_joint_diag",
 ]
 
 DIMENSION_BUDGET = 4096
@@ -212,29 +209,3 @@ def tn_identities(a, b, big_n: int, *, budget: int = DIMENSION_BUDGET) -> dict:
         "norm_sandwich_ok": (norm_a / 2 - 1e-12 <= norm_ta <= norm_a + 1e-12),
         "permutation_residual": perm_res,
     }
-
-
-def joint_diag_objective(a, b, u) -> float:
-    """max over the pair of the off-diagonal operator norm after conjugating
-    by a unitary."""
-    am, bm, um = as_matrix(a), as_matrix(b), as_matrix(u)
-    n = am.shape[0]
-    if op_norm(um.conj().T @ um - np.eye(n)) > 1e-8:
-        raise ValueError("U must be unitary")
-    vals = []
-    for m in (am, bm):
-        r = um @ m @ um.conj().T
-        vals.append(op_norm(r - np.diag(np.diag(r))))
-    return max(vals)
-
-
-def minimize_joint_diag(a, b, *, sweeps: int = 100) -> tuple[np.ndarray, float]:
-    """Jacobi-sweep descent of the joint near-diagonality objective.
-
-    Returns (U, value) with value = joint_diag_objective(a, b, U); the
-    objective is exactly 0 for commuting pairs.
-    """
-    am, bm = as_matrix(a), as_matrix(b)
-    u, _ = joint_jacobi([am, bm], sweeps=sweeps)
-    u_conj = u.conj().T
-    return u_conj, joint_diag_objective(am, bm, u_conj)

@@ -21,7 +21,6 @@ __all__ = [
     "op_norm",
     "commutator",
     "spectral_projection",
-    "apply_function",
     "pinch",
     "random_hermitian",
     "random_unitary",
@@ -249,12 +248,6 @@ class NormalEig:
 
     eigenvalues: np.ndarray  # complex
     vectors: np.ndarray
-
-
-def apply_function(eig: HermitianEig, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """f(A) = V diag(f(lambda)) V* by eigenvalue substitution (exact for the
-    sampled eigenvalues)."""
-    return eig.matrix_function(f)
 
 
 def pinch(a, parts: Sequence[OrthoProjection | np.ndarray], *, tol: float = 1e-10) -> np.ndarray:

@@ -1,12 +1,9 @@
-"""Matrix file formats: JSON (diffable, round-trip exact for finite doubles)
-and an optional raw little-endian binary sidecar for large outputs.
-"""
+"""Matrix file format: JSON, diffable and round-trip exact for finite doubles."""
 
 from __future__ import annotations
 
 import json
 import os
-import struct
 import tempfile
 from pathlib import Path
 
@@ -14,7 +11,7 @@ import numpy as np
 
 from .matcore import as_matrix, op_norm
 
-__all__ = ["save_matrix", "load_matrix", "save_cbin", "load_cbin", "atomic_write_text"]
+__all__ = ["save_matrix", "load_matrix", "atomic_write_text"]
 
 FORMAT_VERSION = 1
 TAG_TOL = 1e-8
@@ -83,38 +80,3 @@ def load_matrix(path) -> np.ndarray:
     if doc.get("unitary") and op_norm(m.conj().T @ m - np.eye(n)) > TAG_TOL:
         raise MatrixFileError(f"{path}: tagged unitary but is not")
     return m
-
-
-def save_cbin(path, m) -> None:
-    """Raw sidecar: dim as little-endian u64, then 2*dim^2 little-endian
-    doubles (re, im interleaved, row-major)."""
-    mm = as_matrix(m)
-    n = mm.shape[0]
-    buf = bytearray(struct.pack("<Q", n))
-    flat = np.empty(2 * n * n)
-    flat[0::2] = mm.real.ravel()
-    flat[1::2] = mm.imag.ravel()
-    buf += flat.astype("<f8").tobytes()
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(bytes(buf))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_cbin(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8:
-        raise MatrixFileError(f"{path}: truncated header")
-    n = struct.unpack("<Q", raw[:8])[0]
-    need = 8 + 16 * n * n
-    if len(raw) != need:
-        raise MatrixFileError(f"{path}: expected {need} bytes, found {len(raw)}")
-    flat = np.frombuffer(raw[8:], dtype="<f8")
-    return (flat[0::2] + 1j * flat[1::2]).reshape(n, n)

@@ -1,6 +1,5 @@
 """Geometry of projection pairs: two-projection block decomposition,
-nested-projection repair, tridiagonal positivity certificates, and
-inverse-decay profiling.
+nested-projection repair, and tridiagonal positivity certificates.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "nest_projection",
     "nest_projection_core",
     "tridiag_positive_test",
-    "inverse_decay_profile",
 ]
 
 PROJ_TOL = 1e-8
@@ -273,49 +271,3 @@ def tridiag_positive_test(m, c, d) -> TridiagPositivity:
     min_eig = float(np.min(np.linalg.eigvalsh((mm + mm.conj().T) / 2)))
     positive = min_eig >= -1e-10 * max(1.0, op_norm(mm))
     return TridiagPositivity(positive, dd, gmat, min_eig)
-
-
-@dataclass
-class InverseDecayProfile:
-    """Fitted envelope |(A^{-1})_{ij}| <= C alpha^{|i-j|} for a positive
-    definite tridiagonal A."""
-
-    c: float
-    alpha: float
-    spectrum_lo: float
-    spectrum_hi: float
-    offset_maxima: np.ndarray
-
-    def residual_table(self) -> np.ndarray:
-        """Per-offset slack C alpha^m - max_{|i-j|=m} |(A^{-1})_{ij}| (>= 0)."""
-        m = np.arange(self.offset_maxima.size)
-        return self.c * self.alpha ** m - self.offset_maxima
-
-
-def inverse_decay_profile(a) -> InverseDecayProfile:
-    """Fit the smallest (C, alpha) with |(A^{-1})_{ij}| <= C alpha^{|i-j|}
-    holding exactly on this instance.
-
-    C is pinned by the diagonal maximum; alpha is the smallest rate consistent
-    with every off-diagonal band given that C.
-    """
-    am = as_matrix(a)
-    n = am.shape[0]
-    band = np.triu(np.abs(am), 2)
-    if band.size and np.max(band) > 1e-12 * max(1.0, op_norm(am)):
-        raise ValueError("A must be tridiagonal")
-    w = np.linalg.eigvalsh((am + am.conj().T) / 2)
-    if w[0] <= 0:
-        raise ValueError("A must be positive definite")
-    inv = np.linalg.inv(am)
-    offs = np.zeros(n)
-    for m in range(n):
-        offs[m] = float(np.max(np.abs(np.diag(inv, m))))
-    c = offs[0]
-    ratios = [
-        (offs[m] / c) ** (1.0 / m)
-        for m in range(1, n)
-        if offs[m] > 0 and c > 0
-    ]
-    alpha = max(ratios) if ratios else 0.0
-    return InverseDecayProfile(c, float(alpha), float(w[0]), float(w[-1]), offs)

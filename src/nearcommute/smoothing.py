@@ -527,27 +527,24 @@ class TailTable:
                 wr.writerow([repr(float(c)), repr(float(t)), repr(float(e))])
 
 
-def tail_tables(l_grid: Sequence[float], L_grid: Sequence[float],
-                G: Callable = default_G, F: Callable = default_F,
-                beta1: float = 1.0) -> dict[str, TailTable]:
+def tail_tables(l_grid: Sequence[float], L_grid: Sequence[float]
+                ) -> dict[str, TailTable]:
     """Build the S(L) and T(l) decay tables.
 
     S(L) = tail_{F[0,1]}((L-1)/(e^2 n_win)) + ||F[0,1]^||_1 e^{-(L-1)/2} with
-    n_win = ceil(L^beta1 / F(L)); T(l) = 2 tail_{F[1,1]}(G(l)/(10 e^2)) +
-    3 ||F[1,1]^||_1 e^{-l/5}.  Requires G >= 2 on the grid.
+    n_win = ceil(L / F(L)); T(l) = 2 tail_{F[1,1]}(G(l)/(10 e^2)) +
+    3 ||F[1,1]^||_1 e^{-l/5}, for G = default_G and F = default_F.
     """
     l_grid = np.asarray(l_grid, dtype=float)
     L_grid = np.asarray(L_grid, dtype=float)
-    gv = np.asarray(G(l_grid), dtype=float)
-    if np.any(gv < 2.0):
-        raise ValueError("G must be >= 2 everywhere")
+    gv = np.asarray(default_G(l_grid), dtype=float)
     p01 = smooth_profile(0.0, 1.0)
     p11 = smooth_profile(1.0, 1.0)
     e2 = math.e ** 2
 
     s_vals, s_err = [], []
     for L in L_grid:
-        n_win = math.ceil(L ** beta1 / float(F(L)))
+        n_win = math.ceil(L / float(default_F(L)))
         c = (L - 1.0) / (e2 * max(n_win, 1))
         s_vals.append(p01.tail(c) + p01.c1 * math.exp(-(L - 1.0) / 2.0))
         s_err.append(p01.fourier.c1_err)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "krylov_reduce",
     "trivial_reducing_basis",
     "select_intervals",
-    "poly_partition",
     "LinOracle",
     "LinProjection",
     "lin_oracle_projection",
@@ -66,6 +65,10 @@ RANK_TOL = 1e-10
 
 # grid resolution handed to brute_projection_search by the brute oracle
 BRUTE_RESOLUTION = 24
+
+# joint_jacobi: sweep cap, and the rotation size below which a pair is left alone
+JACOBI_SWEEPS = 60
+JACOBI_TOL = 1e-12
 
 
 class DegenerateSystemError(ValueError):
@@ -450,79 +453,22 @@ def select_intervals(positions, masses, kappa: float, eta: float
     return IntervalSelection(kept, excluded, total)
 
 
-def poly_partition(intervals: Sequence[tuple[float, float]], degree: int,
-                   *, margin: float | None = None,
-                   gamma_target: float | None = None):
-    """Degree-capped polynomial partition of unity adapted to the intervals.
-
-    Mollified indicators are least-squares fit in the Chebyshev basis on
-    [0,1]; the fit deficiency 1 - sum(q_j) is distributed equally so that
-    sum(p_j) == 1 holds at coefficient level.  gamma (max deviation from 1 on
-    the own interval / from 0 on the others) is measured, never assumed.
-    """
-    from numpy.polynomial import chebyshev as cheb
-
-    ivs = list(intervals)
-    if not ivs:
-        raise ValueError("need at least one interval")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if margin is None:
-        gaps = [y[0] - x[1] for x, y in zip(ivs, ivs[1:])]
-        margin = min(gaps) / 2 if gaps else 0.05
-    margin = max(margin, 1e-6)
-    from .smoothing import make_smooth_step
-    step = make_smooth_step()
-
-    def mollified(a, b):
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            left = np.clip((x - (a - margin)) / margin, 0.0, 1.0)
-            right = np.clip(((b + margin) - x) / margin, 0.0, 1.0)
-            return (1.0 - step(left)) * (1.0 - step(right))
-        return g
-
-    xs = np.linspace(0.0, 1.0, 2001)
-    qs = []
-    for (a, b) in ivs:
-        vals = mollified(a, b)(xs)
-        qs.append(cheb.Chebyshev.fit(xs, vals, degree, domain=[0.0, 1.0]))
-    total = qs[0]
-    for q in qs[1:]:
-        total = total + q
-    unit = cheb.Chebyshev([1.0], domain=[0.0, 1.0])
-    correction = (unit - total) / len(qs)
-    ps = [q + correction for q in qs]
-
-    gamma = 0.0
-    for j, (a, b) in enumerate(ivs):
-        own = np.linspace(a, b, 301)
-        gamma = max(gamma, float(np.max(np.abs(1.0 - ps[j](own)))))
-        for k, (a2, b2) in enumerate(ivs):
-            if k != j:
-                other = np.linspace(a2, b2, 301)
-                gamma = max(gamma, float(np.max(np.abs(ps[j](other)))))
-    if gamma_target is not None and gamma > gamma_target:
-        raise ValueError(f"degree {degree} too small: gamma = {gamma:.3e} > {gamma_target}")
-    return ps, gamma
-
-
 # ---------------------------------------------------------------------------
 # Oracles: joint diagonalization, Lin-oracle projection, brute search
 # ---------------------------------------------------------------------------
 
-def joint_jacobi(mats: Sequence[np.ndarray], *, sweeps: int = 60,
-                 tol: float = 1e-12) -> tuple[np.ndarray, list[np.ndarray]]:
+def joint_jacobi(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Jacobi sweeps minimizing the joint off-diagonal weight of a Hermitian
     family under a shared unitary.
 
     Returns (U, rotated) with rotated[k] = U* mats[k] U as nearly diagonal as
-    the sweeps achieve.  Deterministic under the fixed (p, q) sweep order.
+    JACOBI_SWEEPS sweeps achieve.  Deterministic under the fixed (p, q) sweep
+    order.
     """
     ms = [as_matrix(m).copy() for m in mats]
     n = ms[0].shape[0]
     u = np.eye(n, dtype=np.complex128)
-    for _ in range(sweeps):
+    for _ in range(JACOBI_SWEEPS):
         changed = False
         for p in range(n):
             for q in range(p + 1, n):
@@ -540,7 +486,7 @@ def joint_jacobi(mats: Sequence[np.ndarray], *, sweeps: int = 60,
                 r = math.sqrt(max(x * x + y * y + z * z, 1e-300))
                 c = math.sqrt((x + r) / (2 * r))
                 s = (y - 1j * z) / math.sqrt(2 * r * (x + r)) if (x + r) > 0 else 0.0
-                if abs(s) <= tol:
+                if abs(s) <= JACOBI_TOL:
                     continue
                 changed = True
                 rot = np.array([[c, np.conj(s)], [-s, c]], dtype=np.complex128)
@@ -558,25 +504,16 @@ class LinOracle:
     """Pluggable source of commuting pairs near an almost-commuting pair.
 
     heuristic: Jacobi joint-diagonalization, then diagonal parts conjugated
-    back; given: a caller-supplied commuting pair; brute: exhaustive
-    projection search (dimension <= 3 only).
+    back; brute: exhaustive projection search (dimension <= 3 only).
     """
 
     mode: str = "heuristic"
-    given_pair: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.mode not in ("heuristic", "brute", "given"):
+        if self.mode not in ("heuristic", "brute"):
             raise ValueError(f"unknown oracle mode {self.mode!r}")
-        if self.mode == "given" and self.given_pair is None:
-            raise ValueError("given mode requires a commuting pair")
 
     def commuting_pair(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        if self.mode == "given":
-            ap, bp = self.given_pair
-            if op_norm(commutator(ap, bp)) > 1e-8 * max(1.0, op_norm(ap) * op_norm(bp)):
-                raise ValueError("given pair does not commute")
-            return as_matrix(ap), as_matrix(bp)
         if self.mode == "heuristic":
             u, rot = joint_jacobi([a, b])
             ap = u @ np.diag(np.real(np.diag(rot[0]))) @ u.conj().T
@@ -614,7 +551,7 @@ def lin_oracle_projection(a, b, eps: float, oracle: LinOracle) -> LinProjection:
     """Projection P with E_{[-1,-1/2]}(A) <= P <= 1 - E_{[1/2,1]}(A) and small
     ||[P, B]||.
 
-    Pair-based modes build P from the oracle's commuting pair and assert
+    Heuristic mode builds P from the oracle's commuting pair and asserts
     ||[P,B]|| <= 20||A-A'|| + 2||B-B'||; brute mode searches exhaustively.
     """
     am, bm = as_matrix(a), as_matrix(b)
@@ -843,36 +780,32 @@ def _complement_basis(basis: np.ndarray, n: int) -> np.ndarray:
 # Hastings engine
 # ---------------------------------------------------------------------------
 
+# Pruning constants chi in (0,1) and eta in (0, chi/4), and the exponent
+# schedule n_b ~ L^beta0, n_win ~ L^beta1 / F(L), lambda_min ~ 1/(L^beta2 (n_win+1)).
+# The slow-growth functions G and F are smoothing.default_G and default_F.
+HASTINGS_CHI = 0.5
+HASTINGS_ETA = 0.1
+HASTINGS_BETA0 = 0.5
+HASTINGS_BETA1 = 1.0
+HASTINGS_BETA2 = 0.5
+
+
 @dataclass
 class HastingsConfig:
     """Parameters of the smooth-partition construction.
 
     n_win windows of width kappa = 2/n_win; superblocks of l_b windows
     (l_b a multiple of 4); n_b superblocks (odd, derived from n_win and l_b);
-    lambda_min is the small-singular-value cutoff; chi in (0,1) and
-    eta in (0, chi/4) control the pruning; G and F are the slow-growth
-    functions of the tail tables.
+    lambda_min is the small-singular-value cutoff.
     """
 
     n_win: int
     l_b: int
     lambda_min: float
-    chi: float = 0.5
-    eta: float = 0.1
-    beta0: float = 0.5
-    beta1: float = 1.0
-    beta2: float = 0.5
-    G: Callable = default_G
-    F: Callable = default_F
-    lin_delta_proxy: float | None = None
 
     def __post_init__(self):
         if self.l_b % 4 != 0 or self.l_b <= 0:
             raise ValueError("l_b must be a positive multiple of 4")
-        if not (0 < self.chi < 1):
-            raise ValueError("chi must lie in (0,1)")
-        if not (0 < self.eta < self.chi / 4):
-            raise ValueError("eta must lie in (0, chi/4)")
         if self.n_b < 1:
             raise ValueError("n_win too small for the superblock structure")
 
@@ -888,12 +821,11 @@ class HastingsConfig:
     @classmethod
     def from_system_size(cls, L: int) -> "HastingsConfig":
         """Defaults following the exponent schedule n_win ~ L^beta1 / F(L),
-        n_b ~ L^beta0, lambda_min ~ 1/(L^beta2 (n_win+1)), with the default
-        exponents and F."""
-        n_win = max(8, math.ceil(L ** cls.beta1 / float(default_F(L))))
-        n_b_target = max(3, round(L ** cls.beta0))
+        n_b ~ L^beta0, lambda_min ~ 1/(L^beta2 (n_win+1))."""
+        n_win = max(8, math.ceil(L ** HASTINGS_BETA1 / float(default_F(L))))
+        n_b_target = max(3, round(L ** HASTINGS_BETA0))
         l_b = max(4, 4 * round((n_win + 1) / (n_b_target + 1) / 4))
-        lam = 1.0 / (L ** cls.beta2 * (n_win + 1))
+        lam = 1.0 / (L ** HASTINGS_BETA2 * (n_win + 1))
         return cls(n_win=n_win, l_b=l_b, lambda_min=lam)
 
 
@@ -933,8 +865,8 @@ class HastingsDiagnostics:
                 "l_b": self.config.l_b,
                 "n_b": self.config.n_b,
                 "lambda_min": self.config.lambda_min,
-                "chi": self.config.chi,
-                "eta": self.config.eta,
+                "chi": HASTINGS_CHI,
+                "eta": HASTINGS_ETA,
             },
         }
 
@@ -996,13 +928,6 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
     if triv is not None:
         cert = _certify_repaired(sys, triv, {"engine": "hastings", "trivial": True})
         return cert, HastingsDiagnostics.empty(cfg, np.zeros((sys.dim, 0)))
-
-    if cfg.lin_delta_proxy is not None:
-        c11 = smooth_profile(1.0, 1.0).c0
-        if float(cfg.G(cfg.l_b)) <= 16.0 * c11 / cfg.lin_delta_proxy:
-            raise DegenerateSystemError(
-                "l_b too small for the configured oracle delta proxy; "
-                "downgrade to szarek_W")
 
     n = sys.dim
     v1 = sys.blocks[0]
@@ -1067,7 +992,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
 
     # ---- stage (c): N_i from the oracle, sandwiched exactly ----
     nb = cfg.n_b
-    g_lb = float(cfg.G(cfg.l_b)) / cfg.l_b
+    g_lb = float(default_G(cfg.l_b)) / cfg.l_b
     f_prof = smooth_profile(g_lb, g_lb)
     n_bases: dict[int, np.ndarray] = {}
     comm_vals = {}
@@ -1087,11 +1012,11 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
         b_hat = np.diag(bvec)
         f_rho = eig_hermitian(rho_i, rtol=1e-8).matrix_function(
             lambda x: 1.0 - 2.0 * np.asarray(f_prof(x), dtype=np.complex128))
-        res = lin_oracle_projection(f_rho, b_hat, 1.0 - cfg.chi, oracle)
+        res = lin_oracle_projection(f_rho, b_hat, 1.0 - HASTINGS_CHI, oracle)
         comm_vals[i] = res.commutator_norm
-        if res.commutator_norm > 1.0 - cfg.chi + 1e-9:
+        if res.commutator_norm > 1.0 - HASTINGS_CHI + 1e-9:
             raise StageError("c", f"||[N_{i}, B^_{i}]|| = {res.commutator_norm:.4f} "
-                                  f"exceeds 1 - chi = {1 - cfg.chi}")
+                                  f"exceeds 1 - chi = {1 - HASTINGS_CHI}")
         # exact sandwich against rho_i's spectral projections
         er = eig_hermitian(rho_i, rtol=1e-8)
         low = er.vectors[:, er.eigenvalues <= g_lb]
@@ -1106,7 +1031,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
         emb = np.zeros((total, local.shape[1]), dtype=np.complex128)
         emb[idx, :] = local
         n_bases[i] = emb
-    checks.append(BoundCheck(max(comm_vals.values(), default=0.0), 1.0 - cfg.chi,
+    checks.append(BoundCheck(max(comm_vals.values(), default=0.0), 1.0 - HASTINGS_CHI,
                              "max_i ||[N_i, B^_i]|| <= 1 - chi"))
 
     # semi-orthogonality ||Y'_{i+1} N_i Y'_{i-1}|| <= 1/2 - chi/2
@@ -1120,9 +1045,9 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
         if left.size and right.size:
             pn = bN @ bN.conj().T
             semi = max(semi, op_norm(pn[np.ix_(right, left)]))
-    if semi > 0.5 - cfg.chi / 2 + 1e-9:
+    if semi > 0.5 - HASTINGS_CHI / 2 + 1e-9:
         raise StageError("d", f"semi-orthogonality {semi:.4f} exceeds 1/2 - chi/2")
-    checks.append(BoundCheck(semi, 0.5 - cfg.chi / 2,
+    checks.append(BoundCheck(semi, 0.5 - HASTINGS_CHI / 2,
                              "||Y'_{i+1} N_i Y'_{i-1}|| <= 1/2 - chi/2"))
 
     # ---- stage (d): prune odd N_i against N^e ----
@@ -1142,7 +1067,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
         keep = []
         for sdx in range(basis.shape[1]):
             vec = basis[:, sdx]
-            if float(np.linalg.norm(p_even @ vec) ** 2) <= 0.5 + cfg.eta:
+            if float(np.linalg.norm(p_even @ vec) ** 2) <= 0.5 + HASTINGS_ETA:
                 keep.append(vec)
         n_prime_bases[i] = (np.column_stack(keep) if keep
                             else np.zeros((total, 0), dtype=np.complex128))
@@ -1156,7 +1081,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
     u_basis = orthonormal_columns(np.eye(total) - pu_perp, tol=0.5) \
         if u_perp.shape[1] < total else np.zeros((total, 0), dtype=np.complex128)
 
-    c3 = _c3_constant(cfg.eta)
+    c3 = _c3_constant(HASTINGS_ETA)
     if u_basis.shape[1]:
         au = a_map @ u_basis
         sigma_min = float(np.linalg.svd(au, compute_uv=False)[-1])
@@ -1170,14 +1095,13 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
 
     # ---- stage (f): repair + certificate + reference bounds ----
     cert = _certify_repaired(sys, w_raw, {"engine": "hastings"})
-    tables = tail_tables([cfg.l_b], [sys.L], G=cfg.G, F=cfg.F, beta1=cfg.beta1)
     refs = hastings_reference_bounds(cfg, sys.L)
     stage_values = {
         "commutators": comm_vals,
         "semi_orthogonality": semi,
         "sigma_min_AU": sigma_min,
-        "T(l_b)": float(tables["T"].tails[0]),
-        "G(l_b)": float(cfg.G(cfg.l_b)),
+        "T(l_b)": refs["T(l_b)"],
+        "G(l_b)": float(default_G(cfg.l_b)),
         "r_dims": r_dims,
     }
     stage_values.update(refs)
@@ -1205,9 +1129,10 @@ def hastings_reference_bounds(cfg: HastingsConfig, L: int) -> dict:
     The decay constants come from the banded-inverse bound applied to the
     Gram matrix whose eigenvalues are at least x = chi/(2-2chi) and at most
     7(1+x)/(1-2 eta); they are enormously loose at desk scale and serve as
-    comparison lines, never as substitutes for the measured values.
+    comparison lines, never as substitutes for the measured values.  The
+    tail-table values S(L) and T(l_b) they use are returned with them.
     """
-    chi, eta = cfg.chi, cfg.eta
+    chi, eta = HASTINGS_CHI, HASTINGS_ETA
     x = chi / (2.0 - 2.0 * chi)
     b_m = 7.0 * (1.0 + x) / (1.0 - 2.0 * eta)
     kappa_cond = b_m / x
@@ -1220,8 +1145,8 @@ def hastings_reference_bounds(cfg: HastingsConfig, L: int) -> dict:
     c2 = c_alpha_sum * c1
     c4 = c1 * math.sqrt(2.0 * c_alpha_sum) * (1.0 + alpha) / (1.0 - alpha)
     c3 = _c3_constant(eta)
-    g_lb = float(cfg.G(cfg.l_b))
-    tables = tail_tables([cfg.l_b], [L], G=cfg.G, F=cfg.F, beta1=cfg.beta1)
+    g_lb = float(default_G(cfg.l_b))
+    tables = tail_tables([cfg.l_b], [L])
     s_l = float(tables["S"].tails[0])
     c_alpha_peak = max((m + 3.0) * alpha ** (m / 2.0) for m in range(200))
     k_const = 2.0 * math.sqrt(3.0) * cfg.kappa * cfg.l_b
@@ -1237,6 +1162,7 @@ def hastings_reference_bounds(cfg: HastingsConfig, L: int) -> dict:
         "C3": c3,
         "C4_ref": c4,
         "S(L)": s_l,
+        "T(l_b)": float(tables["T"].tails[0]),
         "eps3_ref": eps3_ref,
         "eps4_ref": eps4_ref,
         "eps5_ref": eps5_ref,
@@ -1251,7 +1177,7 @@ def proof_matrix_M(diagn: HastingsDiagnostics) -> tuple[np.ndarray, np.ndarray, 
     above x certifies the invertibility driving the exponential decay fit.
     """
     cfg = diagn.config
-    x = cfg.chi / (2.0 - 2.0 * cfg.chi)
+    x = HASTINGS_CHI / (2.0 - 2.0 * HASTINGS_CHI)
     total = diagn.rho.shape[0]
     _, p_even = _even_projection(diagn.n_bases, cfg.n_b, total)
 
@@ -1272,7 +1198,7 @@ def proof_matrix_M(diagn: HastingsDiagnostics) -> tuple[np.ndarray, np.ndarray, 
     if not reps:
         return np.zeros((0, 0)), np.zeros(0), np.zeros(0), x
     k = len(reps)
-    scale = 2.0 * (1.0 + x) / (1.0 - 2.0 * cfg.eta)
+    scale = 2.0 * (1.0 + x) / (1.0 - 2.0 * HASTINGS_ETA)
     m = np.zeros((k, k), dtype=np.complex128)
     resid = [ (np.eye(total) - p_even) @ v for v in reps ]
     for a in range(k):

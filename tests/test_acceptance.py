@@ -237,7 +237,8 @@ def test_szarek_engine():
 def test_hastings_engine_desk_scale():
     rng = np.random.default_rng(7)
     sys = sb.random_block_tridiagonal(rng, [2] * 60)
-    cfg = sb.HastingsConfig(n_win=24, l_b=4, lambda_min=1e-4, chi=0.5, eta=0.1)
+    cfg = sb.HastingsConfig(n_win=24, l_b=4, lambda_min=1e-4)
+    chi = sb.HASTINGS_CHI
     oracle = sb.LinOracle("heuristic")
     cert, diag = sb.hastings_W(sys, cfg, oracle)  # stage gates raise on failure
     comm_max = max(diag.stage_values["commutators"].values())
@@ -249,11 +250,11 @@ def test_hastings_engine_desk_scale():
         res = pg.tridiag_positive_test(m - x * np.eye(m.shape[0]), cs, ds)
         m_ok = res.positive
     ok = (cert.contains_V1 and cert.perp_VL
-          and comm_max <= 1 - cfg.chi + 1e-9
-          and semi <= 0.5 - cfg.chi / 2 + 1e-9
+          and comm_max <= 1 - chi + 1e-9
+          and semi <= 0.5 - chi / 2 + 1e-9
           and m_ok and fit["alpha"] < 1.0)
     _report("hastings-engine", ok,
-            f"comm_max={comm_max:.3f}<=({1 - cfg.chi}) semi={semi:.2e} "
+            f"comm_max={comm_max:.3f}<=({1 - chi}) semi={semi:.2e} "
             f"M_positive_at_x={m_ok} alpha={fit['alpha']:.4f}")
 
 

@@ -48,14 +48,6 @@ class TestMatrixIO:
         with pytest.raises(matio.MatrixFileError):
             matio.load_matrix(path)
 
-    def test_cbin_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        path = tmp_path / "m.cbin"
-        matio.save_cbin(path, m)
-        assert np.array_equal(matio.load_cbin(path), m)
-        assert path.stat().st_size == 8 + 16 * 81
-
 
 class TestCommuteCommand:
     def test_commuting_inputs_succeed(self, commuting_files, tmp_path, capsys):

@@ -168,41 +168,3 @@ class TestTnIdentities:
         b = mc.random_hermitian(rng, 2, norm=1.0)
         out = gl.tn_identities(a, b, big_n)
         assert out["recursion_residual"] <= 1e-13 * out["dim"] * 2
-
-
-class TestJointDiagObjective:
-    def test_commuting_pair_minimum_zero(self):
-        rng = np.random.default_rng(3)
-        q = mc.random_unitary(rng, 6)
-        a = q @ np.diag(rng.uniform(-1, 1, 6)) @ q.conj().T
-        b = q @ np.diag(rng.uniform(-1, 1, 6)) @ q.conj().T
-        a, b = (a + a.conj().T) / 2, (b + b.conj().T) / 2
-        u, val = gl.minimize_joint_diag(a, b)
-        assert val <= 1e-9
-
-    def test_two_dim_matches_grid_oracle(self):
-        rng = np.random.default_rng(4)
-        a = mc.random_hermitian(rng, 2, norm=1.0)
-        b = mc.random_hermitian(rng, 2, norm=1.0)
-        _, val = gl.minimize_joint_diag(a, b)
-        # independent oracle: dense closed-form sweep over U(2) rotations
-        best = np.inf
-        for theta in np.linspace(0, math.pi / 2, 180):
-            for phi in np.linspace(0, 2 * math.pi, 360, endpoint=False):
-                c, s = math.cos(theta), math.sin(theta) * np.exp(1j * phi)
-                u = np.array([[c, -np.conj(s)], [s, c]])
-                best = min(best, gl.joint_diag_objective(a, b, u))
-        assert val <= best + 1e-3
-
-    def test_lipschitz_sample_check(self):
-        rng = np.random.default_rng(5)
-        n = 3
-        a = mc.random_hermitian(rng, n, norm=1.0)
-        b = mc.random_hermitian(rng, n, norm=1.0)
-        for _ in range(100):
-            u1 = mc.random_unitary(rng, n)
-            h = mc.random_hermitian(rng, n, norm=float(rng.uniform(0, 0.3)))
-            u2 = u1 @ mc.eig_hermitian(h).matrix_function(lambda x: np.exp(1j * x))
-            lhs = abs(gl.joint_diag_objective(a, b, u1) - gl.joint_diag_objective(a, b, u2))
-            rhs = 2 * (1 + n) * mc.op_norm(u1 - u2)
-            assert lhs <= rhs + 1e-10

@@ -313,13 +313,13 @@ class TestApplyFunction:
         rng = np.random.default_rng(3)
         a = mc.random_hermitian(rng, 6)
         e = mc.eig_hermitian(a)
-        assert mc.op_norm(mc.apply_function(e, lambda x: x) - a) <= 1e-12
+        assert mc.op_norm(e.matrix_function(lambda x: x) - a) <= 1e-12
 
     def test_indicator_matches_projection(self):
         rng = np.random.default_rng(4)
         e = mc.eig_hermitian(mc.random_hermitian(rng, 6))
         cut = float(np.median(e.eigenvalues))
-        f = mc.apply_function(e, lambda x: (x > cut).astype(float))
+        f = e.matrix_function(lambda x: (x > cut).astype(float))
         p = mc.spectral_projection(e, lambda x: x > cut)
         assert mc.op_norm(f - p.matrix) <= 1e-12
 
@@ -327,7 +327,7 @@ class TestApplyFunction:
         rng = np.random.default_rng(5)
         a = mc.random_hermitian(rng, 7)
         e = mc.eig_hermitian(a)
-        assert mc.op_norm(mc.apply_function(e, lambda x: x ** 2) - a @ a) <= 1e-10
+        assert mc.op_norm(e.matrix_function(lambda x: x ** 2) - a @ a) <= 1e-10
 
 
 class TestPinch:

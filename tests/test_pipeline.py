@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from nearcommute import matcore as mc
+from nearcommute import matio
 from nearcommute import pipeline as pl
+from nearcommute import subspace as sb
+from nearcommute.cli import main
 from nearcommute import gallery as gl
 from nearcommute import smoothing as sm
 
@@ -20,6 +23,24 @@ def commuting_pair(rng, n, b_scale=0.9):
     a = q @ np.diag(lam) @ q.conj().T
     b = q @ np.diag(b_scale * np.cos(3 * lam)) @ q.conj().T
     return (a + a.conj().T) / 2, (b + b.conj().T) / 2
+
+
+def planted_pair(rng, n, delta):
+    """(A0 + tG)/(1 + t) against a Hermitian B0 commuting with A0, with t
+    chosen so that ||[A, B0]|| = delta; the spectra come from a fixed stream."""
+    spectra = np.random.default_rng([n, 0])
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    a0 = (q * spectra.uniform(-0.9, 0.9, n)) @ q.conj().T
+    b0 = (q * spectra.uniform(-0.9, 0.9, n)) @ q.conj().T
+    b0 = (b0 + b0.conj().T) / 2
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = (g + g.conj().T) / 2
+    g /= np.linalg.norm(g, 2)
+    t = delta / (np.linalg.norm(g @ b0 - b0 @ g, 2) - delta)
+    a = (a0 + t * g) / (1.0 + t)
+    return (a + a.conj().T) / 2, b0
 
 
 def count_calls(monkeypatch, module, name, square_of=None):
@@ -193,6 +214,14 @@ class TestCheapCommute:
         assert rep.stage_log["pearcy_shields_reference"] == pytest.approx(
             math.sqrt((m - 1) / 2 * delta))
 
+    def test_zero_dimensional_pair(self):
+        empty = np.zeros((0, 0), dtype=complex)
+        rep = pl.cheap_commute(empty, empty)
+        assert rep.a_prime.shape == rep.b_prime.shape == (0, 0)
+        assert rep.dist_a == rep.dist_b == rep.comm_residual == 0.0
+        assert rep.stage_log["groups"] == 0
+        assert all(c.passed for c in rep.checks)
+
 
 class TestThreeHermitian:
     def test_all_diagonal(self):
@@ -249,6 +278,24 @@ class TestEmptyInput:
         assert rep.dist_a == rep.dist_b == rep.comm_residual == 0.0
         assert rep.stage_log["intervals"] == []
         assert rep.checks and all(c.passed for c in rep.checks)
+
+
+class TestEngineErrorsPropagate:
+    """An engine error is not turned into a kept block: the brute oracle on a
+    Hastings-stage compression of dimension > 3 fails the call."""
+
+    def test_brute_oracle_beyond_dimension_three(self, tmp_path):
+        a, b = planted_pair(np.random.default_rng(0), 128, 1e-2)
+        with pytest.raises(ValueError, match="dimension <= 3"):
+            pl.commute_hermitian_pair(a, b, 1.0, sb.LinOracle("brute"),
+                                      engine="hastings")
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        matio.save_matrix(pa, a)
+        matio.save_matrix(pb, b)
+        argv = ["commute", str(pa), str(pb), "--engine", "hastings",
+                "--oracle", "brute", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestHermitianUnitary:
@@ -331,8 +378,10 @@ class TestRequireUnitary:
 class TestUnitaryPairGap:
     def test_cayley_round_trip_on_reals(self):
         x = np.linspace(-50, 50, 1001)
-        back = pl.cayley_to_line(pl.cayley_to_circle(x))
-        assert float(np.max(np.abs(back - x))) <= 1e-12 * 50
+        v = pl.cayley_matrix_to_circle(np.diag(x).astype(complex))
+        assert mc.op_norm(v.conj().T @ v - np.eye(x.size)) <= 1e-12
+        back = pl.cayley_matrix_to_line(v)
+        assert float(np.max(np.abs(back - np.diag(x)))) <= 1e-12 * 50
 
     def test_commuting_gapped_pair(self):
         rng = np.random.default_rng(11)

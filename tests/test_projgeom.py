@@ -259,37 +259,3 @@ class TestTridiagPositive:
         # D matches M's off-diagonal and is dominated on the diagonal
         assert mc.op_norm(np.triu(res.witness, 1) - np.triu(m, 1)) <= 1e-12
         assert np.all(np.real(np.diag(m) - np.diag(res.witness)) >= -1e-12)
-
-
-class TestInverseDecay:
-    def test_diagonal_matrix(self):
-        a = np.diag([2.0, 4.0, 0.5])
-        prof = pg.inverse_decay_profile(a)
-        assert prof.alpha == 0.0
-        assert prof.c == pytest.approx(2.0, abs=1e-12)  # 1/min diag = 1/0.5
-
-    def test_two_by_two_closed_form(self):
-        # oracle: closed-form inverse of [[a, b], [b, c]]
-        a, b, c = 2.0, 0.5, 1.5
-        m = np.array([[a, b], [b, c]])
-        det = a * c - b * b
-        inv = np.array([[c, -b], [-b, a]]) / det
-        prof = pg.inverse_decay_profile(m)
-        assert prof.c == pytest.approx(max(abs(inv[0, 0]), abs(inv[1, 1])), abs=1e-12)
-        expected_alpha = abs(inv[0, 1]) / prof.c
-        assert prof.alpha == pytest.approx(expected_alpha, abs=1e-12)
-
-    def test_toeplitz_fifty(self):
-        n = 50
-        a = np.eye(n) + np.diag(np.full(n - 1, -0.25), 1) + np.diag(np.full(n - 1, -0.25), -1)
-        prof = pg.inverse_decay_profile(a)
-        assert 0 < prof.alpha < 1
-        assert np.all(prof.residual_table() >= -1e-12)
-        # measured decay is genuinely geometric: offsets drop by a stable ratio
-        offs = prof.offset_maxima
-        ratios = offs[2:10] / offs[1:9]
-        assert float(np.std(ratios)) <= 0.02
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            pg.inverse_decay_profile(np.diag([1.0, -1.0]))

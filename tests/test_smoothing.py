@@ -279,8 +279,10 @@ class TestTailTables:
         assert t.tails[1] < t.tails[0]
 
     def test_g_floor_enforced(self):
-        with pytest.raises(ValueError):
-            sm.tail_tables([1.0], [8.0], G=lambda l: np.asarray(l) * 0 + 1.0)
+        # the T(l) table needs G >= 2 on its grid; default_G clamps to it
+        ls = np.concatenate([np.linspace(0.0, 10.0, 101), [1e3, 1e6]])
+        assert np.all(sm.default_G(ls) >= 2.0)
+        assert float(sm.default_G(0.0)) == 2.0
 
     def test_scaling_identity_quadrature(self):
         for (j, w, c) in [(0.0, 1.0, 0.5), (1.0, 0.5, 1.0), (1.0, 2.0, 0.25)]:

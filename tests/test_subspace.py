@@ -202,28 +202,6 @@ class TestSelectIntervals:
             assert res.r >= 1
 
 
-class TestPolyPartition:
-    def test_single_interval_is_constant_one(self):
-        ps, gamma = sb.poly_partition([(0.2, 0.6)], degree=12)
-        xs = np.linspace(0, 1, 500)
-        assert float(np.max(np.abs(ps[0](xs) - 1.0))) <= 1e-9
-        assert gamma <= 1e-9
-
-    def test_two_separated_intervals_good_gamma(self):
-        ps, gamma = sb.poly_partition([(0.05, 0.3), (0.7, 0.95)], degree=30)
-        assert gamma < 0.1
-        xs = np.linspace(0, 1, 800)
-        total = sum(p(xs) for p in ps)
-        assert float(np.max(np.abs(total - 1.0))) <= 1e-8
-
-    def test_low_degree_close_intervals_flagged(self):
-        ps, gamma = sb.poly_partition([(0.30, 0.45), (0.55, 0.70)], degree=1)
-        assert gamma > 0.2
-        with pytest.raises(ValueError):
-            sb.poly_partition([(0.30, 0.45), (0.55, 0.70)], degree=1,
-                              gamma_target=0.1)
-
-
 class TestJacobiOracle:
     def test_commuting_pair_joint_diagonalized(self):
         rng = np.random.default_rng(8)
@@ -246,10 +224,9 @@ class TestJacobiOracle:
         assert mc.op_norm(mc.commutator(ap, bp)) <= 1e-10
 
     def test_given_mode_validates(self):
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sz = np.diag([1.0, -1.0])
-        with pytest.raises(ValueError):
-            sb.LinOracle("given", given_pair=(sx, sz)).commuting_pair(sx, sz)
+        # only the heuristic and brute modes exist; any other name is refused
+        with pytest.raises(ValueError, match="unknown oracle mode"):
+            sb.LinOracle("given")
 
 
 class TestLinOracleProjection:
@@ -261,7 +238,7 @@ class TestLinOracleProjection:
         a = (a + a.conj().T) / 2
         b = q @ np.diag(np.sin(3 * lam)) @ q.conj().T
         b = (b + b.conj().T) / 2
-        res = sb.lin_oracle_projection(a, b, 0.5, sb.LinOracle("given", given_pair=(a, b)))
+        res = sb.lin_oracle_projection(a, b, 0.5, sb.LinOracle("heuristic"))
         assert res.commutator_norm <= 1e-10
         assert res.check.passed
 
@@ -374,7 +351,7 @@ class TestHastings:
 
     @staticmethod
     def desk_config():
-        return sb.HastingsConfig(n_win=24, l_b=4, lambda_min=1e-4, chi=0.5, eta=0.1)
+        return sb.HastingsConfig(n_win=24, l_b=4, lambda_min=1e-4)
 
     def test_config_invariants(self):
         cfg = self.desk_config()
@@ -382,8 +359,6 @@ class TestHastings:
         assert cfg.kappa == pytest.approx(2 / cfg.n_win)
         with pytest.raises(ValueError):
             sb.HastingsConfig(n_win=24, l_b=6, lambda_min=1e-4)
-        with pytest.raises(ValueError):
-            sb.HastingsConfig(n_win=24, l_b=4, lambda_min=1e-4, chi=0.5, eta=0.2)
 
     def test_empty_block_short_circuits(self):
         rng = np.random.default_rng(17)
@@ -396,13 +371,14 @@ class TestHastings:
         cfg = self.desk_config()
         cert, diag = sb.hastings_W(sys, cfg, sb.LinOracle("heuristic"))
         assert cert.contains_V1 and cert.perp_VL
-        assert max(diag.stage_values["commutators"].values()) <= 1 - cfg.chi + 1e-9
-        assert diag.stage_values["semi_orthogonality"] <= 0.5 - cfg.chi / 2 + 1e-9
+        chi = sb.HASTINGS_CHI
+        assert max(diag.stage_values["commutators"].values()) <= 1 - chi + 1e-9
+        assert diag.stage_values["semi_orthogonality"] <= 0.5 - chi / 2 + 1e-9
         fit = sb.decay_check_U(diag, rng=np.random.default_rng(11))
         assert fit["alpha"] < 1.0
         assert not fit["table_violations"]
         m, cs, ds, x = sb.proof_matrix_M(diag)
-        assert x == pytest.approx(cfg.chi / (2 - 2 * cfg.chi))
+        assert x == pytest.approx(chi / (2 - 2 * chi))
         if m.shape[0]:
             res = pg.tridiag_positive_test(m - x * np.eye(m.shape[0]), cs, ds)
             assert res.positive
@@ -430,12 +406,22 @@ class TestHastings:
             c3 = diag.stage_values["C3"]
             assert sigma_min >= math.sqrt(1.0 / (c3 * cfg.l_b))
 
-    def test_delta_proxy_gate_downgrades(self):
-        sys = self.desk_system(L=20)
-        cfg = sb.HastingsConfig(n_win=24, l_b=4, lambda_min=1e-4,
-                                lin_delta_proxy=0.05)
-        with pytest.raises(sb.DegenerateSystemError, match="downgrade"):
-            sb.hastings_W(sys, cfg, sb.LinOracle())
+    def test_one_tail_table_build(self, monkeypatch):
+        sys = self.desk_system()
+        cfg = self.desk_config()
+        real = sb.tail_tables
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sb, "tail_tables", counting)
+        _, diag = sb.hastings_W(sys, cfg, sb.LinOracle("heuristic"))
+        assert len(calls) == 1
+        tables = real([cfg.l_b], [sys.L])
+        assert diag.stage_values["T(l_b)"] == float(tables["T"].tails[0])
+        assert diag.stage_values["S(L)"] == float(tables["S"].tails[0])
 
     def test_diagnostics_json_serializable(self):
         import json
