@@ -130,10 +130,6 @@ class OrthoProjection:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def complement(self) -> "OrthoProjection":
-        return OrthoProjection(np.eye(self.dim) - self.matrix, self.dim - self.rank)
-
     def defects(self) -> tuple[float, float]:
         """(||P^2 - P||, ||P - P*||) self-consistency residuals."""
         p = self.matrix
@@ -172,6 +168,15 @@ def _gram_schmidt_span(columns: np.ndarray, target_rank: int, tol: float) -> np.
     return np.column_stack(kept)
 
 
+def cluster_bounds(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop indices of the runs of ascending values ``w`` whose
+    consecutive gaps are at most ``tol`` (empty arrays for an empty ``w``)."""
+    if w.size == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    edges = np.flatnonzero(np.diff(w) > tol) + 1
+    return np.concatenate(([0], edges)), np.concatenate((edges, [w.size]))
+
+
 def eig_hermitian(a, *, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
     """Eigendecomposition of a (numerically) Hermitian matrix.
 
@@ -183,11 +188,11 @@ def eig_hermitian(a, *, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
     dependence on LAPACK's arbitrary in-cluster basis choice.
 
     Clusters are the runs of eigenvalues whose consecutive gaps are at most
-    ``1e-12 * n * max(||A||, 1)``; their boundaries come from one ``np.diff``,
-    and only clusters of two or more eigenvalues are re-orthonormalized.  The
-    phases are fixed for all columns at once: each column is scaled so that
-    its first largest-modulus entry is real and positive (a zero column is
-    left as it is).
+    ``1e-12 * n * max(||A||, 1)`` (``cluster_bounds``), and only clusters of
+    two or more eigenvalues are re-orthonormalized.  The phases are fixed for
+    all columns at once: each column is scaled so that its first
+    largest-modulus entry is real and positive (a zero column is left as it
+    is).
     """
     m = as_matrix(a)
     n = m.shape[0]
@@ -203,10 +208,7 @@ def eig_hermitian(a, *, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
     w, v = np.linalg.eigh(sym)
 
     # Degenerate-cluster canonicalization.
-    cluster_tol = 1e-12 * n * max(scale, 1.0)
-    edges = np.flatnonzero(np.diff(w) > cluster_tol) + 1
-    starts = np.concatenate(([0], edges))
-    stops = np.concatenate((edges, [n]))
+    starts, stops = cluster_bounds(w, 1e-12 * n * max(scale, 1.0))
     multiple = stops - starts > 1
     for i, j in zip(starts[multiple].tolist(), stops[multiple].tolist()):
         p = v[:, i:j] @ v[:, i:j].conj().T
@@ -302,3 +304,10 @@ def orthonormal_columns(cols: np.ndarray, *, tol: float = 1e-10) -> np.ndarray:
     u, s, _ = np.linalg.svd(c, full_matrices=False)
     rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
     return u[:, :rank]
+
+
+def orthonormal_complement(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the span of the
+    orthonormal columns ``basis`` (n x k); n x 0 when they span C^n."""
+    b = np.asarray(basis, dtype=np.complex128)
+    return orthonormal_columns(np.eye(b.shape[0]) - b @ b.conj().T, tol=0.5)

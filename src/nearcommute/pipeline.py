@@ -19,10 +19,11 @@ import numpy as np
 from .checks import BoundCheck
 from .matcore import (
     as_matrix,
+    cluster_bounds,
     commutator,
     eig_hermitian,
     op_norm,
-    orthonormal_columns,
+    orthonormal_complement,
 )
 from .smoothing import (
     Profile,
@@ -177,11 +178,11 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
         return eye, log
     gap = _first_empty_subinterval(sub_ids, n_sub)
     if gap is not None:
-        w = eye[:, sub_ids < gap]
-        pw = w @ w.conj().T
+        below = sub_ids < gap
         log["trivial_gap"] = gap
-        log["eps2"] = op_norm((np.eye(d) - pw) @ js @ pw) * scale
-        return w, log
+        # ||(1 - P_W) J P_W|| for W the coordinates below the gap
+        log["eps2"] = op_norm(js[np.ix_(~below, below)]) * scale
+        return eye[:, below], log
     sys = verify_tridiagonal(js, [np.flatnonzero(sub_ids == k) for k in range(n_sub)])
     use = engine
     if engine == "auto":
@@ -238,9 +239,7 @@ def _cut_and_pinch(h: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
         eps2_max = max(eps2_max, log.get("eps2", 0.0))
         # W_j is indexed 1..n_cut: W_{i+1} lives over cell i
         w_bases[i + 1] = cols @ w_local
-        if w_local.shape[1] < cols.shape[1]:
-            comp = np.eye(cols.shape[1]) - w_local @ w_local.conj().T
-            wperp_bases[i + 1] = cols @ orthonormal_columns(comp, tol=0.5)
+        wperp_bases[i + 1] = cols @ orthonormal_complement(w_local)
 
     tilde: list[tuple[complex, np.ndarray]] = []
     for j in range(1 if cyclic else 0, n_cut + 1):
@@ -330,14 +329,6 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0,
     return CommuteReport(a_prime, b_prime, dist_a, dist_b, res, log, checks)
 
 
-def _cluster(lam: np.ndarray, thresh: float) -> list[np.ndarray]:
-    """Indices of sorted eigenvalues, grouped into runs whose consecutive
-    gaps are at most thresh."""
-    if not lam.size:
-        return []
-    return np.split(np.arange(lam.size), np.flatnonzero(np.diff(lam) > thresh) + 1)
-
-
 def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
     """Few-eigenvalue construction: merge near-collisions of A's spectrum,
     project B onto the merged blocks.
@@ -352,9 +343,9 @@ def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
     lam = ea.eigenvalues
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     # distinct eigenvalues under the clustering tolerance
-    m_count = max(1, len(_cluster(lam, cluster_rtol * scale)))
+    m_count = max(1, len(cluster_bounds(lam, cluster_rtol * scale)[0]))
     thresh = math.sqrt(2.0) * math.sqrt(delta) if delta > 0 else cluster_rtol * scale
-    groups = _cluster(lam, thresh)
+    groups = [np.arange(i, j) for i, j in zip(*cluster_bounds(lam, thresh))]
     n = am.shape[0]
     a_prime = np.zeros((n, n), dtype=np.complex128)
     b_prime = np.zeros((n, n), dtype=np.complex128)
@@ -397,7 +388,7 @@ def three_hermitian(a, b, c, oracle: LinOracle | None = None,
     ea = eig_hermitian(am)
     lam = ea.eigenvalues
     thresh = math.sqrt(2.0) * math.sqrt(delta_a) if delta_a > 0 else 1e-8
-    groups = _cluster(lam, thresh)
+    groups = [np.arange(i, j) for i, j in zip(*cluster_bounds(lam, thresh))]
     n = am.shape[0]
     a_prime = np.zeros((n, n), dtype=np.complex128)
     b_prime = np.zeros((n, n), dtype=np.complex128)

@@ -15,6 +15,7 @@ from .matcore import (
     eig_hermitian,
     op_norm,
     orthonormal_columns,
+    orthonormal_complement,
     projection_from_basis,
 )
 
@@ -121,13 +122,7 @@ def jordan_blocks(p, q, *, tol: float = 1e-10) -> JordanDecomposition:
                     basis.conj().T @ qm @ basis,
                 ))
     # Remainder lives in ker(P); Q restricts to it.
-    if used:
-        um = np.column_stack(used)
-        rem_proj = np.eye(n) - um @ um.conj().T
-    else:
-        rem_proj = np.eye(n, dtype=np.complex128)
-    rem = (orthonormal_columns(rem_proj, tol=0.5) if op_norm(rem_proj) > 0.5
-           else np.zeros((n, 0), dtype=np.complex128))
+    rem = orthonormal_complement(np.column_stack(used) if used else np.zeros((n, 0)))
     if rem.shape[1]:
         comp = rem.conj().T @ qm @ rem
         ec = eig_hermitian((comp + comp.conj().T) / 2, rtol=1e-6)
@@ -157,29 +152,22 @@ def jordan_basis(p, q) -> np.ndarray:
     return up @ ec.vectors
 
 
-def nest_projection_core(e, g, f_prime) -> OrthoProjection:
-    """Structural construction of F with E <= F <= G: F = E plus the
-    above-half spectral part of F' compressed to Ran(G - E)."""
-    em = _require_projection(e, "E")
-    gm = _require_projection(g, "G")
-    fm = _require_projection(f_prime, "F'")
-    if op_norm(em - gm @ em) > PROJ_TOL:
-        raise ValueError("E <= G fails")
-    d = gm - em
-    ud = (orthonormal_columns(d, tol=0.5) if op_norm(d) > 0.5
-          else np.zeros((em.shape[0], 0), dtype=np.complex128))
-    cols = [orthonormal_columns(em, tol=0.5)] if op_norm(em) > 0.5 else []
-    if ud.shape[1]:
-        comp = ud.conj().T @ fm @ ud
-        ec = eig_hermitian((comp + comp.conj().T) / 2, rtol=1e-6)
-        keep = ec.eigenvalues > 0.5
-        if np.any(keep):
-            cols.append(ud @ ec.vectors[:, keep])
-    if not cols:
-        n = em.shape[0]
-        return OrthoProjection(np.zeros((n, n), dtype=np.complex128), 0)
-    basis = np.column_stack(cols)
-    return projection_from_basis(basis, em.shape[0])
+def nest_projection_core(e_basis, mid_basis, f_basis) -> np.ndarray:
+    """Structural construction of F with E <= F <= G, from orthonormal bases
+    of Ran E, Ran(G - E) and Ran F'.
+
+    Returns an orthonormal basis of F: the columns of ``e_basis`` followed by
+    the above-half eigenvectors of F' compressed to Ran(G - E).  Raises
+    ValueError when the Gram matrix of [e_basis | mid_basis] or of
+    ``f_basis`` is not the identity to PROJ_TOL.
+    """
+    g_basis = np.column_stack([e_basis, mid_basis])
+    for basis, name in ((g_basis, "[E | G - E]"), (f_basis, "F'")):
+        if op_norm(basis.conj().T @ basis - np.eye(basis.shape[1])) > PROJ_TOL:
+            raise ValueError(f"the {name} columns are not orthonormal")
+    c = mid_basis.conj().T @ f_basis
+    ec = eig_hermitian(c @ c.conj().T, rtol=1e-6)
+    return np.column_stack([e_basis, mid_basis @ ec.vectors[:, ec.eigenvalues > 0.5]])
 
 
 def nest_projection(e, g, f_prime, *, max_eps: float = 0.1
@@ -197,7 +185,11 @@ def nest_projection(e, g, f_prime, *, max_eps: float = 0.1
     eps = max(op_norm(em @ (np.eye(n) - fm)), op_norm(fm @ (np.eye(n) - gm)))
     if eps >= max_eps:
         raise ValueError(f"eps = {eps:.3e} too large for nest_projection (>= {max_eps})")
-    f = nest_projection_core(em, gm, fm)
+    if op_norm(em - gm @ em) > PROJ_TOL:
+        raise ValueError("E <= G fails")
+    basis = nest_projection_core(*(orthonormal_columns(m, tol=0.5)
+                                   for m in (em, gm - em, fm)))
+    f = projection_from_basis(basis, n)
     check = BoundCheck(op_norm(f.matrix - fm), 5.0 * eps, "nest_projection ||F-F'|| <= 5eps")
     return f, check
 

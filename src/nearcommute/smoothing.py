@@ -25,6 +25,7 @@ from .matcore import (
     HermitianEig,
     NormalEig,
     as_matrix,
+    cluster_bounds,
     commutator,
     eig_hermitian,
     op_norm,
@@ -172,13 +173,12 @@ class Profile:
     """
 
     def __init__(self, fn: Callable, r: float, w: float, omega0: float = 0.0,
-                 name: str = "", smooth: bool = True):
+                 name: str = ""):
         self._fn = fn   # centered at 0
         self.r = float(r)
         self.w = float(w)
         self.omega0 = float(omega0)
         self.name = name or f"profile(r={r},w={w})"
-        self.smooth = smooth
         self._fourier: _FourierData | None = None
 
     # -- evaluation ---------------------------------------------------------
@@ -195,7 +195,7 @@ class Profile:
 
     def shifted(self, omega0: float) -> "Profile":
         return Profile(self._fn, self.r, self.w, omega0,
-                       name=f"{self.name}@{omega0:g}", smooth=self.smooth)
+                       name=f"{self.name}@{omega0:g}")
 
     # -- Fourier data -------------------------------------------------------
     @property
@@ -247,7 +247,7 @@ def smooth_profile(r: float, w: float, omega0: float = 0.0) -> Profile:
         ramp = _BASE_STEP(np.clip((a - _r) / _w, 0.0, 1.0))
         return np.where(a <= _r, 1.0, np.where(a >= _r + _w, 0.0, ramp))
 
-    return Profile(fn, r, w, omega0, name=f"F[{r:g},{w:g}]", smooth=True)
+    return Profile(fn, r, w, omega0, name=f"F[{r:g},{w:g}]")
 
 
 @functools.cache
@@ -258,7 +258,7 @@ def poly_bump_profile() -> Profile:
         a = np.asarray(t, dtype=float)
         return np.where(np.abs(a) >= 1.0, 0.0, (1.0 - a ** 2) ** 3)
 
-    return Profile(fn, 0.0, 1.0, 0.0, name="(1-x^2)^3", smooth=False)
+    return Profile(fn, 0.0, 1.0, 0.0, name="(1-x^2)^3")
 
 
 def indicator_profile(radius: float = 1.0) -> Profile:
@@ -268,7 +268,7 @@ def indicator_profile(radius: float = 1.0) -> Profile:
     def fn(t, _r=radius):
         return np.where(np.abs(np.asarray(t, dtype=float)) <= _r, 1.0, 0.0)
 
-    return Profile(fn, radius, 1e-12, 0.0, name=f"chi[{radius:g}]", smooth=False)
+    return Profile(fn, radius, 1e-12, 0.0, name=f"chi[{radius:g}]")
 
 
 @functools.cache
@@ -289,7 +289,7 @@ def mollifier_profile() -> Profile:
     def fn(t, _m=mass):
         return raw(t) / _m
 
-    return Profile(fn, 0.0, 1.0, 0.0, name="bump-mollifier", smooth=True)
+    return Profile(fn, 0.0, 1.0, 0.0, name="bump-mollifier")
 
 
 def profile_constants(profile: Profile) -> tuple[float, float]:
@@ -348,12 +348,8 @@ def joint_eigh(mats: Sequence[np.ndarray], *, comm_tol: float = 1e-10
             v[:, idx] = sub @ eig.vectors
             lams[j, idx] = eig.eigenvalues
             # split the cluster by the new eigenvalues
-            w = eig.eigenvalues
-            start = 0
-            for t in range(1, len(idx) + 1):
-                if t == len(idx) or w[t] - w[t - 1] > 1e-8 * max(1.0, scale):
-                    new_clusters.append(idx[start:t])
-                    start = t
+            starts, stops = cluster_bounds(eig.eigenvalues, 1e-8 * max(1.0, scale))
+            new_clusters += [idx[i:k] for i, k in zip(starts.tolist(), stops.tolist())]
         clusters = new_clusters
     return v, lams
 
@@ -527,6 +523,20 @@ class TailTable:
                 wr.writerow([repr(float(c)), repr(float(t)), repr(float(e))])
 
 
+@functools.cache
+def _unit_ramp() -> Profile:
+    """F[0,1], the window of the S(L) tails."""
+    return smooth_profile(0.0, 1.0)
+
+
+def _s_tail(L: float, n_win: int) -> float:
+    """S(L) = tail_{F[0,1]}((L-1)/(e^2 n_win)) + ||F[0,1]^||_1 e^{-(L-1)/2}
+    for n_win windows."""
+    p01 = _unit_ramp()
+    c = (L - 1.0) / (math.e ** 2 * max(n_win, 1))
+    return float(p01.tail(c) + p01.c1 * math.exp(-(L - 1.0) / 2.0))
+
+
 def tail_tables(l_grid: Sequence[float], L_grid: Sequence[float]
                 ) -> dict[str, TailTable]:
     """Build the S(L) and T(l) decay tables.
@@ -538,16 +548,12 @@ def tail_tables(l_grid: Sequence[float], L_grid: Sequence[float]
     l_grid = np.asarray(l_grid, dtype=float)
     L_grid = np.asarray(L_grid, dtype=float)
     gv = np.asarray(default_G(l_grid), dtype=float)
-    p01 = smooth_profile(0.0, 1.0)
+    p01 = _unit_ramp()
     p11 = smooth_profile(1.0, 1.0)
     e2 = math.e ** 2
 
-    s_vals, s_err = [], []
-    for L in L_grid:
-        n_win = math.ceil(L / float(default_F(L)))
-        c = (L - 1.0) / (e2 * max(n_win, 1))
-        s_vals.append(p01.tail(c) + p01.c1 * math.exp(-(L - 1.0) / 2.0))
-        s_err.append(p01.fourier.c1_err)
+    s_vals = [_s_tail(L, math.ceil(L / float(default_F(L)))) for L in L_grid]
+    s_err = [p01.fourier.c1_err for _ in s_vals]
     t_vals, t_err = [], []
     for l, g in zip(l_grid, gv):
         c = g / (10.0 * e2)

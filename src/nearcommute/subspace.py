@@ -24,9 +24,12 @@ from .matcore import (
     eig_hermitian,
     op_norm,
     orthonormal_columns,
+    orthonormal_complement,
+    projection_from_basis,
 )
 from .projgeom import jordan_basis, nest_projection_core
 from .smoothing import (
+    _s_tail,
     default_F,
     default_G,
     partition_of_unity,
@@ -125,12 +128,6 @@ class TridiagonalSystem:
         """Rank of J[V_{k+1}, V_k]: singular values above RANK_TOL * max(1, norm)."""
         s = self.coupling_svals[k]
         return int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
-
-    def block_proj(self, i: int) -> np.ndarray:
-        p = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        b = self.blocks[i]
-        p[b, b] = 1.0
-        return p
 
 
 def _coordinates(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -248,29 +245,27 @@ def certify_W(sys: TridiagonalSystem, w_basis: np.ndarray,
               diagnostics: dict | None = None) -> WCertificate:
     """Measure eps3/eps4/eps5 of a subspace and the exact containment flags.
 
-    The primal and dual forms of the V_L statement (||P_VL P_W|| versus
-    ||P_W P_VL||) are both evaluated and must agree to 1e-10.
+    With W the orthonormal columns of the subspace, eps3 = ||(1 - P_W) P_V1||
+    is the norm of the n x |V_1| matrix (1 - W W*)[:, V_1], eps4 =
+    ||(1 - P_W) J P_W|| that of the n x k matrix (1 - W W*) J W, and eps5 =
+    ||P_VL P_W|| that of the |V_L| x k rows W[V_L].  The dual form of the
+    V_L statement, ||P_W P_VL|| = ||W W[V_L]*||, must agree with eps5 to
+    1e-10.
     """
     w = np.asarray(w_basis, dtype=np.complex128)
     if w.ndim == 1:
         w = w[:, None]
-    n = sys.dim
     if w.shape[1] and op_norm(w.conj().T @ w - np.eye(w.shape[1])) > 1e-9:
         w = orthonormal_columns(w)
-    pw = w @ w.conj().T
-    pperp = np.eye(n) - pw
-    p1 = sys.block_proj(0)
-    pl = sys.block_proj(sys.L - 1)
-    eps3 = op_norm(pperp @ p1)
-    eps4 = op_norm(pperp @ sys.j @ pw)
-    eps5 = op_norm(pl @ pw)
-    eps5_dual = op_norm(pw @ pl)
-    if abs(eps5 - eps5_dual) > EXACT_TOL:
+    v1, vl = sys.blocks[0], sys.blocks[-1]
+    eps3 = op_norm(_identity_columns(sys.dim, [v1]) - w @ w[v1].conj().T)
+    jw = sys.j @ w
+    eps4 = op_norm(jw - w @ (w.conj().T @ jw))
+    eps5 = op_norm(w[vl])
+    if abs(eps5 - op_norm(w @ w[vl].conj().T)) > EXACT_TOL:
         raise AssertionError("primal/dual eps5 disagree beyond 1e-10")
-    contains = op_norm(p1 - pw @ p1) <= EXACT_TOL
-    perp = eps5 <= EXACT_TOL
-    return WCertificate(w, eps3, eps4, eps5, eps4, contains, perp,
-                        dict(diagnostics or {}))
+    return WCertificate(w, eps3, eps4, eps5, eps4, eps3 <= EXACT_TOL,
+                        eps5 <= EXACT_TOL, dict(diagnostics or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +531,14 @@ class LinProjection:
     certified_radius: float | None = None
 
 
-def _sandwich_projections(a) -> tuple[np.ndarray, np.ndarray]:
+def _sandwich_bases(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvectors of A for its spectrum in [-1, -1/2], (-1/2, 1/2) and
+    [1/2, 1]: bases of Ran E, Ran(G - E) and Ran(1 - G) for the sandwich
+    E = E_{[-1,-1/2]}(A) <= P <= G = 1 - E_{[1/2,1]}(A)."""
     ea = eig_hermitian(a)
-    low = ea.eigenvalues <= -0.5
-    high = ea.eigenvalues >= 0.5
-    e = (ea.vectors[:, low] @ ea.vectors[:, low].conj().T
-         if np.any(low) else np.zeros((ea.dim, ea.dim), dtype=np.complex128))
-    g = np.eye(ea.dim) - (ea.vectors[:, high] @ ea.vectors[:, high].conj().T
-                          if np.any(high) else np.zeros((ea.dim, ea.dim), dtype=np.complex128))
-    return e, g
+    lam = ea.eigenvalues
+    return (ea.vectors[:, lam <= -0.5], ea.vectors[:, (lam > -0.5) & (lam < 0.5)],
+            ea.vectors[:, lam >= 0.5])
 
 
 def lin_oracle_projection(a, b, eps: float, oracle: LinOracle) -> LinProjection:
@@ -563,15 +557,13 @@ def lin_oracle_projection(a, b, eps: float, oracle: LinOracle) -> LinProjection:
     ap, bp = oracle.commuting_pair(am, bm)
     dist_a = op_norm(am - ap)
     dist_b = op_norm(bm - bp)
-    e, g = _sandwich_projections(am)
+    low, mid, high = _sandwich_bases(am)
     eap = eig_hermitian(ap)
-    p_prime = (eap.vectors[:, eap.eigenvalues < 0]
-               @ eap.vectors[:, eap.eigenvalues < 0].conj().T)
-    f = nest_projection_core(e, g, p_prime)
-    n = am.shape[0]
-    if op_norm(e @ (np.eye(n) - f.matrix)) > EXACT_TOL or \
-       op_norm(f.matrix @ (np.eye(n) - g)) > EXACT_TOL:
+    basis = nest_projection_core(low, mid, eap.vectors[:, eap.eigenvalues < 0])
+    if op_norm(low - basis @ (basis.conj().T @ low)) > EXACT_TOL or \
+       op_norm(high.conj().T @ basis) > EXACT_TOL:
         raise AssertionError("sandwich E <= P <= G failed structurally")
+    f = projection_from_basis(basis, am.shape[0])
     measured = op_norm(commutator(f.matrix, bm))
     check = BoundCheck(measured, 20 * dist_a + 2 * dist_b,
                        "lin-oracle ||[P,B]|| <= 20||A-A'|| + 2||B-B'||")
@@ -614,9 +606,10 @@ def brute_projection_search(a, b, eps: float, resolution: int | None = None,
         raise ValueError("brute search restricted to dimension <= 3")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    e, g = _sandwich_projections(am)
-    d = g - e
-    mid = eig_hermitian(d, rtol=1e-6)
+    low, mid_a, _ = _sandwich_bases(am)
+    e = low @ low.conj().T
+    # the grid is laid out in the canonical eigenbasis of G - E
+    mid = eig_hermitian(mid_a @ mid_a.conj().T, rtol=1e-6)
     mid_basis = mid.vectors[:, mid.eigenvalues > 0.5]
     n_prime = mid_basis.shape[1]
     n_params = {0: 0, 1: 1, 2: 2, 3: 4}[n_prime]
@@ -669,19 +662,17 @@ SZAREK_A_EXP = 1.5
 
 def _certify_repaired(sys: TridiagonalSystem, w_raw: np.ndarray,
                       diagnostics: dict) -> WCertificate:
-    """Repair a raw subspace against (V_1, V_L) and certify it."""
-    n = sys.dim
-    p1 = sys.block_proj(0)
-    pl = sys.block_proj(sys.L - 1)
-    e = p1
-    g = np.eye(n) - pl
-    f_prime = w_raw @ w_raw.conj().T
-    eps_nest = max(op_norm(e @ (np.eye(n) - f_prime)), op_norm(f_prime @ pl))
-    f = nest_projection_core(e, g, f_prime)
-    basis = orthonormal_columns(f.matrix, tol=0.5)
+    """Repair a raw subspace against (V_1, V_L) and certify it: E = P_V1,
+    G = 1 - P_VL, and F' the span of the orthonormal columns ``w_raw``."""
+    n, v1 = sys.dim, sys.blocks[0]
+    e_basis = _identity_columns(n, [v1])
+    basis = nest_projection_core(e_basis, _identity_columns(n, sys.blocks[1:-1]), w_raw)
     diagnostics = dict(diagnostics)
-    diagnostics["nest_eps"] = eps_nest
-    diagnostics["nest_distance"] = op_norm(f.matrix - f_prime)
+    # eps = max(||E F'perp||, ||F' Gperp||)
+    diagnostics["nest_eps"] = max(op_norm(e_basis - w_raw @ w_raw[v1].conj().T),
+                                  op_norm(w_raw[sys.blocks[-1]]))
+    diagnostics["nest_distance"] = op_norm(basis @ basis.conj().T
+                                           - w_raw @ w_raw.conj().T)
     cert = certify_W(sys, basis, diagnostics)
     if not (cert.contains_V1 and cert.perp_VL):
         raise AssertionError("projection repair failed to enforce the exact sandwich")
@@ -712,7 +703,7 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
         diag["trivial"] = f"krylov chain ended after {red.n_plus} steps at i={i_star}"
         w = red.trivial_w
         if red.reversed:
-            w = _complement_basis(w, sys.dim)
+            w = orthonormal_complement(w)
         return _certify_repaired(sys, w, diag)
 
     m = sys.dims[0]
@@ -767,13 +758,6 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
         cert.diagnostics["eps2_vs_reference_slack"] = \
             cert.diagnostics["eps1_reference"] - cert.eps2
     return cert
-
-
-def _complement_basis(basis: np.ndarray, n: int) -> np.ndarray:
-    if basis.shape[1] == 0:
-        return np.eye(n, dtype=np.complex128)
-    p = np.eye(n) - basis @ basis.conj().T
-    return orthonormal_columns(p, tol=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +821,7 @@ class HastingsDiagnostics:
     r_dims: list[int]
     a_map: np.ndarray
     rho: np.ndarray
-    block_slices: list[slice]
+    r_blocks: list[np.ndarray]
     y_sets: dict
     n_bases: dict
     n_prime_bases: dict
@@ -896,12 +880,9 @@ def _block_ranges(cfg: HastingsConfig) -> dict:
     return {"Y": y, "Yp": yp, "Ypp": ypp}
 
 
-def _coords(slices: Sequence[slice], block_range) -> np.ndarray:
+def _coords(r_blocks: Sequence[np.ndarray], block_range) -> np.ndarray:
     """Coordinates of the representation space covered by a range of R-blocks."""
-    idx = []
-    for jb in block_range:
-        idx.extend(range(slices[jb].start, slices[jb].stop))
-    return np.asarray(idx, dtype=int)
+    return _coordinates([r_blocks[jb] for jb in block_range])
 
 
 def _even_projection(n_bases: dict, n_b: int, total: int
@@ -962,25 +943,16 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
                                  {"engine": "hastings", "trivial": "all windows empty"})
         return cert, HastingsDiagnostics.empty(cfg, a_map, r_dims)
     rho = a_map.conj().T @ a_map
-    slices = []
-    off = 0
-    for dsz in r_dims:
-        slices.append(slice(off, off + dsz))
-        off += dsz
+    labels = np.repeat(np.arange(len(r_dims)), r_dims)
+    r_blocks = np.split(np.arange(total), np.cumsum(r_dims)[:-1])
     checks: list[BoundCheck] = []
-    diag_defect = 0.0
-    for s in slices:
-        dsz = s.stop - s.start
-        if dsz:
-            diag_defect = max(diag_defect, op_norm(rho[s, s] - np.eye(dsz)))
+    diag_defect = max(op_norm(rho[np.ix_(b, b)] - np.eye(b.size))
+                      for b in r_blocks if b.size)
     if diag_defect > EXACT_TOL:
         raise StageError("b", f"rho diagonal blocks deviate from identity by {diag_defect:.3e}")
     checks.append(BoundCheck(diag_defect, EXACT_TOL, "rho diagonal blocks = identity"))
-    offtri = 0.0
-    for i1, s1 in enumerate(slices):
-        for i2, s2 in enumerate(slices):
-            if abs(i1 - i2) >= 2 and (s1.stop > s1.start) and (s2.stop > s2.start):
-                offtri = max(offtri, float(np.max(np.abs(rho[s1, s2]))))
+    off_band = np.abs(labels[:, None] - labels[None, :]) >= 2
+    offtri = float(np.max(np.abs(rho[off_band]), initial=0.0))
     if offtri > EXACT_TOL:
         raise StageError("b", f"rho has off-tridiagonal coupling {offtri:.3e}")
     checks.append(BoundCheck(offtri, EXACT_TOL, "rho off-tridiagonal blocks vanish"))
@@ -997,20 +969,15 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
     n_bases: dict[int, np.ndarray] = {}
     comm_vals = {}
     for i in range(1, nb + 1):
-        idx = _coords(slices, yp_sets[i])
+        idx = _coords(r_blocks, yp_sets[i])
         if idx.size == 0:
             n_bases[i] = np.zeros((total, 0), dtype=np.complex128)
             continue
         rho_i = rho[np.ix_(idx, idx)]
-        bvec = np.zeros(idx.size)
-        pos = 0
-        for jb in yp_sets[i]:
-            dsz = slices[jb].stop - slices[jb].start
-            ramp = (2.0 / (cfg.l_b / 2 + 1)) * (jb - (i + 0.25) * cfg.l_b) + 1.0
-            bvec[pos:pos + dsz] = min(1.0, max(-1.0, ramp))
-            pos += dsz
-        b_hat = np.diag(bvec)
-        f_rho = eig_hermitian(rho_i, rtol=1e-8).matrix_function(
+        ramp = (2.0 / (cfg.l_b / 2 + 1)) * (labels[idx] - (i + 0.25) * cfg.l_b) + 1.0
+        b_hat = np.diag(np.clip(ramp, -1.0, 1.0))
+        er = eig_hermitian(rho_i, rtol=1e-8)
+        f_rho = er.matrix_function(
             lambda x: 1.0 - 2.0 * np.asarray(f_prof(x), dtype=np.complex128))
         res = lin_oracle_projection(f_rho, b_hat, 1.0 - HASTINGS_CHI, oracle)
         comm_vals[i] = res.commutator_norm
@@ -1018,7 +985,6 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
             raise StageError("c", f"||[N_{i}, B^_{i}]|| = {res.commutator_norm:.4f} "
                                   f"exceeds 1 - chi = {1 - HASTINGS_CHI}")
         # exact sandwich against rho_i's spectral projections
-        er = eig_hermitian(rho_i, rtol=1e-8)
         low = er.vectors[:, er.eigenvalues <= g_lb]
         high = er.vectors[:, er.eigenvalues >= 2 * g_lb]
         pm = res.projection.matrix
@@ -1026,8 +992,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
             raise StageError("c", f"lower sandwich E_[0,G/l_b](rho_{i}) <= N_{i} fails")
         if high.size and op_norm(high.conj().T @ pm @ high) > EXACT_TOL:
             raise StageError("c", f"upper sandwich N_{i} <= Y' - E_[2G/l_b,inf) fails")
-        local = orthonormal_columns(pm, tol=0.5) if res.projection.rank else \
-            np.zeros((idx.size, 0), dtype=np.complex128)
+        local = orthonormal_columns(pm, tol=0.5)
         emb = np.zeros((total, local.shape[1]), dtype=np.complex128)
         emb[idx, :] = local
         n_bases[i] = emb
@@ -1040,8 +1005,8 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
         bN = n_bases[i]
         if bN.shape[1] == 0:
             continue
-        left = _coords(slices, yp_sets.get(i - 1, []))
-        right = _coords(slices, yp_sets.get(i + 1, []))
+        left = _coords(r_blocks, yp_sets.get(i - 1, []))
+        right = _coords(r_blocks, yp_sets.get(i + 1, []))
         if left.size and right.size:
             pn = bN @ bN.conj().T
             semi = max(semi, op_norm(pn[np.ix_(right, left)]))
@@ -1077,9 +1042,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
                  if b.shape[1]]
     u_perp = (orthonormal_columns(np.column_stack(span_cols))
               if span_cols else np.zeros((total, 0), dtype=np.complex128))
-    pu_perp = u_perp @ u_perp.conj().T
-    u_basis = orthonormal_columns(np.eye(total) - pu_perp, tol=0.5) \
-        if u_perp.shape[1] < total else np.zeros((total, 0), dtype=np.complex128)
+    u_basis = orthonormal_complement(u_perp)
 
     c3 = _c3_constant(HASTINGS_ETA)
     if u_basis.shape[1]:
@@ -1109,7 +1072,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
     checks.append(BoundCheck(cert.eps4, refs["eps4_ref"], "eps4 <= reference"))
     checks.append(BoundCheck(cert.eps5, refs["eps5_ref"], "eps5 <= reference"))
     cert.diagnostics.update(stage_values)
-    diagn = HastingsDiagnostics(cfg, r_dims, a_map, rho, slices, sets,
+    diagn = HastingsDiagnostics(cfg, r_dims, a_map, rho, r_blocks, sets,
                                 n_bases, n_prime_bases, u_basis, u_perp,
                                 checks, stage_values)
     return cert, diagn
@@ -1130,7 +1093,9 @@ def hastings_reference_bounds(cfg: HastingsConfig, L: int) -> dict:
     Gram matrix whose eigenvalues are at least x = chi/(2-2chi) and at most
     7(1+x)/(1-2 eta); they are enormously loose at desk scale and serve as
     comparison lines, never as substitutes for the measured values.  The
-    tail-table values S(L) and T(l_b) they use are returned with them.
+    tail values they use are returned with them: T(l_b) from tail_tables,
+    and S(L) for the cfg.n_win windows the engine runs (tail_tables' own S
+    column assumes ceil(L / F(L)) windows).
     """
     chi, eta = HASTINGS_CHI, HASTINGS_ETA
     x = chi / (2.0 - 2.0 * chi)
@@ -1146,8 +1111,7 @@ def hastings_reference_bounds(cfg: HastingsConfig, L: int) -> dict:
     c4 = c1 * math.sqrt(2.0 * c_alpha_sum) * (1.0 + alpha) / (1.0 - alpha)
     c3 = _c3_constant(eta)
     g_lb = float(default_G(cfg.l_b))
-    tables = tail_tables([cfg.l_b], [L])
-    s_l = float(tables["S"].tails[0])
+    s_l = _s_tail(L, cfg.n_win)
     c_alpha_peak = max((m + 3.0) * alpha ** (m / 2.0) for m in range(200))
     k_const = 2.0 * math.sqrt(3.0) * cfg.kappa * cfg.l_b
     eps3_ref = c4 * math.sqrt(2.0 * g_lb / cfg.l_b) \
@@ -1162,7 +1126,7 @@ def hastings_reference_bounds(cfg: HastingsConfig, L: int) -> dict:
         "C3": c3,
         "C4_ref": c4,
         "S(L)": s_l,
-        "T(l_b)": float(tables["T"].tails[0]),
+        "T(l_b)": float(tail_tables([cfg.l_b], [])["T"].tails[0]),
         "eps3_ref": eps3_ref,
         "eps4_ref": eps4_ref,
         "eps5_ref": eps5_ref,
@@ -1191,8 +1155,8 @@ def proof_matrix_M(diagn: HastingsDiagnostics) -> tuple[np.ndarray, np.ndarray, 
         vec = b[:, 0]
         reps.append(vec)
         labels.append(i)
-        left = _coords(diagn.block_slices, yp.get(i - 1, []))
-        right = _coords(diagn.block_slices, yp.get(i + 1, []))
+        left = _coords(diagn.r_blocks, yp.get(i - 1, []))
+        right = _coords(diagn.r_blocks, yp.get(i + 1, []))
         cs.append(float(np.linalg.norm(vec[left])) if left.size else 0.0)
         ds.append(float(np.linalg.norm(vec[right])) if right.size else 0.0)
     if not reps:
@@ -1240,7 +1204,7 @@ def decay_check_U(diagn: HastingsDiagnostics, *, samples_per_block: int = 2,
 
     offsets: dict[int, float] = {}
     for i in range(1, cfg.n_b + 1):
-        idx = _coords(diagn.block_slices, diagn.y_sets["Y"][i])
+        idx = _coords(diagn.r_blocks, diagn.y_sets["Y"][i])
         if idx.size == 0:
             continue
         for _ in range(samples_per_block):
@@ -1276,8 +1240,8 @@ def decay_check_U(diagn: HastingsDiagnostics, *, samples_per_block: int = 2,
     table_violations = []
     for i in range(1, cfg.n_b + 1):
         for j in range(1, cfg.n_b + 1):
-            a_idx = _coords(diagn.block_slices, diagn.y_sets["Y"][i])
-            b_idx = _coords(diagn.block_slices, diagn.y_sets["Y"][j])
+            a_idx = _coords(diagn.r_blocks, diagn.y_sets["Y"][i])
+            b_idx = _coords(diagn.r_blocks, diagn.y_sets["Y"][j])
             if a_idx.size and b_idx.size:
                 val = op_norm(pu[np.ix_(b_idx, a_idx)])
                 u_table[(i, j)] = val

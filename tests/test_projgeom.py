@@ -178,6 +178,36 @@ class TestNestProjection:
             assert mc.op_norm(e @ (np.eye(12) - f.matrix)) <= 1e-10
             assert mc.op_norm(f.matrix @ (np.eye(12) - g)) <= 1e-10
 
+    def test_basis_core_matches_projection_form(self):
+        rng = np.random.default_rng(13)
+        eye = np.eye(12)
+        done = 0
+        while done < 30:
+            e, g, cols = self._sandwich(rng)
+            mid = cols[:, :5] @ cols[:, :5].conj().T
+            h = mc.random_hermitian(rng, 12, norm=float(rng.uniform(0.005, 0.04)))
+            w, v = np.linalg.eigh(mid + h)
+            f_basis = v[:, w > 0.5]
+            try:
+                f, _ = pg.nest_projection(e, g, f_basis @ f_basis.conj().T)
+            except ValueError:
+                continue
+            done += 1
+            basis = pg.nest_projection_core(cols[:, :3], cols[:, 3:8], f_basis)
+            assert mc.op_norm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-10
+            pf = basis @ basis.conj().T
+            assert mc.op_norm(e @ (eye - pf)) <= 1e-10
+            assert mc.op_norm(pf @ (eye - g)) <= 1e-10
+            assert mc.op_norm(pf - f.matrix) <= 1e-10
+
+    def test_basis_core_rejects_overlapping_bases(self):
+        rng = np.random.default_rng(14)
+        q = mc.random_unitary(rng, 6)
+        with pytest.raises(ValueError, match="orthonormal"):
+            pg.nest_projection_core(q[:, :2], q[:, 1:4], q[:, :3])
+        with pytest.raises(ValueError, match="orthonormal"):
+            pg.nest_projection_core(q[:, :2], q[:, 2:4], 2 * q[:, :3])
+
     def test_rejects_bad_sandwich(self):
         rng = np.random.default_rng(8)
         e = rand_proj(rng, 6, 3)

@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from nearcommute import matcore as mc
 from nearcommute import projgeom as pg
+from nearcommute import smoothing as sm
 from nearcommute import subspace as sb
+
+
+def block_proj(n, block):
+    """Projection onto the coordinates of one block."""
+    cols = np.eye(n)[:, block]
+    return cols @ cols.T
 
 
 class TestVerifyTridiagonal:
@@ -65,7 +72,7 @@ class TestVerifyTridiagonal:
     def test_coordinate_blocks_property(self, dims, seed):
         sys = sb.random_block_tridiagonal(np.random.default_rng(seed), dims)
         n = sys.dim
-        total = sum(sys.block_proj(k) for k in range(sys.L))
+        total = sum(block_proj(n, b) for b in sys.blocks)
         assert np.array_equal(total, np.eye(n))
         for k in range(sys.L - 1):
             c = sys.j[np.ix_(sys.blocks[k + 1], sys.blocks[k])]
@@ -106,6 +113,38 @@ class TestCertifyW:
         cert = sb.certify_W(sys, q[:, :3])  # no exception means agreement held
         assert 0 <= cert.eps5 <= 1.0 + 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_dense_definitions(self, dims, seed, data):
+        rng = np.random.default_rng(seed)
+        sys = sb.random_block_tridiagonal(rng, dims)
+        n = sys.dim
+        if data.draw(st.booleans(), label="leading blocks"):
+            # a rotated basis of the first m blocks: the exact flags can hold
+            m = data.draw(st.integers(0, sys.L), label="m")
+            coords = np.concatenate([np.zeros(0, dtype=int), *sys.blocks[:m]])
+            w = np.eye(n)[:, coords]
+            if coords.size:
+                w = w @ mc.random_unitary(rng, coords.size)
+        else:
+            k = data.draw(st.integers(0, n), label="rank")
+            w = mc.random_unitary(rng, n)[:, :k] if n else np.zeros((0, 0))
+        pw = w @ w.conj().T
+        pperp = np.eye(n) - pw
+        p1 = block_proj(n, sys.blocks[0])
+        pl = block_proj(n, sys.blocks[-1])
+        eps3 = mc.op_norm(pperp @ p1)
+        eps4 = mc.op_norm(pperp @ sys.j @ pw)
+        eps5 = mc.op_norm(pl @ pw)
+        cert = sb.certify_W(sys, w)
+        assert cert.eps3 == pytest.approx(eps3, abs=1e-12)
+        assert cert.eps4 == pytest.approx(eps4, abs=1e-12)
+        assert cert.eps2 == cert.eps4
+        assert cert.eps5 == pytest.approx(eps5, abs=1e-12)
+        assert cert.contains_V1 == (eps3 <= sb.EXACT_TOL)
+        assert cert.perp_VL == (eps5 <= sb.EXACT_TOL)
+
 
 class TestTrivialReducingBasis:
     def test_empty_last_block(self):
@@ -113,7 +152,7 @@ class TestTrivialReducingBasis:
         sys = sb.random_block_tridiagonal(rng, [1, 1, 1, 0])
         w = sb.trivial_reducing_basis(sys)
         assert w.shape == (3, 3)
-        first_three = sum(sys.block_proj(k) for k in range(3))
+        first_three = sum(block_proj(sys.dim, b) for b in sys.blocks[:3])
         assert mc.op_norm(w @ w.conj().T - first_three) <= 1e-12
 
 
@@ -255,7 +294,9 @@ class TestLinOracleProjection:
         assert res.check.passed
         # exact sandwich enforced structurally
         p = res.projection.matrix
-        e, g = sb._sandwich_projections(a)
+        low, _, high = sb._sandwich_bases(a)
+        e = low @ low.conj().T
+        g = np.eye(12) - high @ high.conj().T
         assert mc.op_norm(e @ (np.eye(12) - p)) <= 1e-10
         assert mc.op_norm(p @ (np.eye(12) - g)) <= 1e-10
 
@@ -421,7 +462,25 @@ class TestHastings:
         assert len(calls) == 1
         tables = real([cfg.l_b], [sys.L])
         assert diag.stage_values["T(l_b)"] == float(tables["T"].tails[0])
-        assert diag.stage_values["S(L)"] == float(tables["S"].tails[0])
+        assert diag.stage_values["S(L)"] == self.s_at(sys.L, cfg.n_win)
+
+    @staticmethod
+    def s_at(L, n_win):
+        """S(L) = tail_{F[0,1]}((L-1)/(e^2 n_win)) + ||F[0,1]^||_1 e^{-(L-1)/2}."""
+        p01 = sm.smooth_profile(0.0, 1.0)
+        return (p01.tail((L - 1.0) / (math.e ** 2 * n_win))
+                + p01.c1 * math.exp(-(L - 1.0) / 2.0))
+
+    def test_reference_s_at_config_windows(self):
+        # the desk engine runs 24 windows; tail_tables sizes its own as
+        # ceil(L / F(L)) = 4 at L = 60
+        sys = self.desk_system()
+        cfg = self.desk_config()
+        assert (cfg.n_win, math.ceil(sys.L / float(sm.default_F(sys.L)))) == (24, 4)
+        s_l = sb.hastings_reference_bounds(cfg, sys.L)["S(L)"]
+        assert s_l == self.s_at(sys.L, 24)
+        assert s_l != self.s_at(sys.L, 4)
+        assert self.s_at(sys.L, 4) == float(sm.tail_tables([cfg.l_b], [sys.L])["S"].tails[0])
 
     def test_diagnostics_json_serializable(self):
         import json
