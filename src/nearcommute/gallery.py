@@ -129,7 +129,12 @@ def quarter_tridiag(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def tn_lift(a, big_n: int, *, budget: int = DIMENSION_BUDGET) -> np.ndarray:
     """Macroscopic observable: the normalized sum of A acting on each tensor
-    factor of an N-fold product."""
+    factor of an N-fold product.
+
+    The k-th term I_p (x) A (x) I_q (p = n^(N-1-k), q = n^k) is added in
+    place: A goes on the diagonal of both identity factors of the
+    (p, n, q, p, n, q) view of the output, one term after the other, so no
+    Kronecker product is formed."""
     am = as_matrix(a)
     n = am.shape[0]
     if big_n < 1:
@@ -139,10 +144,9 @@ def tn_lift(a, big_n: int, *, budget: int = DIMENSION_BUDGET) -> np.ndarray:
     dim = n ** big_n
     out = np.zeros((dim, dim), dtype=np.complex128)
     for k in range(big_n):
-        term = np.eye(n ** (big_n - 1 - k), dtype=np.complex128)
-        term = np.kron(term, am)
-        term = np.kron(term, np.eye(n ** k, dtype=np.complex128))
-        out += term
+        p, q = n ** (big_n - 1 - k), n ** k
+        diagonal = np.einsum("iajibj->ijab", out.reshape(p, n, q, p, n, q))
+        diagonal += am  # a writeable view of out
     return out / big_n
 
 

@@ -59,10 +59,11 @@ def op_norm(a) -> float:
     matrix gives 0.0 without a decomposition.  A square matrix equal to its
     conjugate transpose, or to minus it, entry for entry, gives the largest
     eigenvalue modulus from ``eigvalsh`` (of ``1j*m`` in the second case).
-    Everything else, rectangular blocks included, takes the SVD.  The
-    structure test has no tolerance: a matrix that is Hermitian only up to
-    roundoff has a different norm from its Hermitian part.  A general matrix
-    is told apart by one corner entry pair before any full comparison.
+    Everything else, rectangular blocks included, takes the first (largest)
+    singular value from ``np.linalg.svd``.  The structure test has no
+    tolerance: a matrix that is Hermitian only up to roundoff has a different
+    norm from its Hermitian part.  A general matrix is told apart by one
+    corner entry pair before any full comparison.
     """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim == 1:
@@ -82,7 +83,7 @@ def op_norm(a) -> float:
             return float(np.abs(np.linalg.eigvalsh(m)).max())
         if corner == -mirror and np.array_equal(m, -m.conj().T):
             return float(np.abs(np.linalg.eigvalsh(1j * m)).max())
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def commutator(a, b) -> np.ndarray:

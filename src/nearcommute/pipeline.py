@@ -124,15 +124,25 @@ def choose_exponents(gamma2, finite_range_needed: bool = True):
     return gamma0, gamma1, gamma
 
 
-def _require_hermitian_contraction(m, name: str,
-                                   defects: dict | None = None) -> np.ndarray:
-    mm = as_matrix(m)
-    norm = op_norm(mm)
-    defect = op_norm(mm - mm.conj().T) / 2
-    if defect > 1e-9 * max(1.0, norm):
-        raise ValueError(f"{name} must be Hermitian")
+def _require_contraction(norm: float, name: str) -> None:
     if norm > 1.0 + 1e-9:
         raise ValueError(f"{name} must be a contraction")
+
+
+def _require_hermitian_contraction(m, name: str, defects: dict | None = None, *,
+                                   contraction: bool = True) -> np.ndarray:
+    """The Hermitian part of m, after checking that its Hermiticity defect is
+    at most 1e-9 * max(1, ||m||) and, with ``contraction``, that ||m|| <= 1.
+    Without ``contraction`` the caller checks the norm, and ||m|| is taken
+    here only for a defect above 1e-9: below it the Hermiticity test passes
+    whatever the norm."""
+    mm = as_matrix(m)
+    defect = op_norm(mm - mm.conj().T) / 2
+    norm = op_norm(mm) if contraction or defect > 1e-9 else 0.0
+    if defect > 1e-9 * max(1.0, norm):
+        raise ValueError(f"{name} must be Hermitian")
+    if contraction:
+        _require_contraction(norm, name)
     if defects is not None:
         defects[name] = defect
     return (mm + mm.conj().T) / 2
@@ -293,7 +303,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0,
     """
     defects: dict = {}
     am = _require_hermitian_contraction(a, "A", defects)
-    bm = _require_hermitian_contraction(b, "B", defects)
+    bm = _require_hermitian_contraction(b, "B", defects, contraction=False)
     oracle = oracle or LinOracle()
     delta = op_norm(commutator(am, bm))
     g0, g1, gamma = choose_exponents(float(gamma2), True)
@@ -302,8 +312,10 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0,
     width = 2.0 / n_cut
 
     fr = finite_range(am, bm, big_delta, profile, comm=delta)
-    checks = list(fr.checks)
     eb = fr.eig
+    # B's norm, read off the eigenvalues finite_range decomposed it into
+    _require_contraction(np.abs(eb.eigenvalues).max(initial=0.0), "B")
+    checks = list(fr.checks)
     a_prime, b_prime, pinch_log, pinch_checks = _cut_and_pinch(
         fr.matrix, eb.vectors, eb.eigenvalues, -1.0, n_cut, width, big_delta,
         lambda j: 1.0 if j >= n_cut else -1.0 + j * width,

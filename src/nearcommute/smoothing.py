@@ -91,36 +91,26 @@ def make_smooth_step() -> SmoothStep:
 _BASE_STEP = make_smooth_step()
 
 
-@dataclass
+@dataclass(frozen=True)
 class _FourierData:
-    k: np.ndarray            # ascending angular frequency grid
-    fhat_abs: np.ndarray     # |f^(k)| on the grid
+    """What callers read of a profile's Fourier transform: the constants, their
+    error estimates and the k >= 0 table behind tail(c)."""
+
     c0: float
     c1: float
     c0_err: float
     c1_err: float
     tail_beyond_grid: float  # Sobolev-style estimate of int_{|k|>kmax}|f^|
-    _cum_from_top: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def kmax(self) -> float:
-        return float(self.k[-1])
+    tail_k: np.ndarray = field(repr=False)    # the k >= 0 grid, ascending
+    tail_cum: np.ndarray = field(repr=False)  # int_{|k| >= tail_k[i]} |f^| on the grid
 
     def tail(self, c: float) -> float:
         """int_{|k| >= c} |f^(k)| dk (symmetric grid; adds the off-grid estimate)."""
-        if self._cum_from_top is None:
-            half = self.k >= 0
-            kk = self.k[half]
-            vv = self.fhat_abs[half]
-            seg = 0.5 * (vv[1:] + vv[:-1]) * np.diff(kk)
-            cum = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-            self._cum_from_top = (kk, 2.0 * cum)
-        kk, cum = self._cum_from_top
         if c <= 0:
             return self.c1
-        if c >= kk[-1]:
+        if c >= self.tail_k[-1]:
             return self.tail_beyond_grid
-        return float(np.interp(c, kk, cum)) + self.tail_beyond_grid
+        return float(np.interp(c, self.tail_k, self.tail_cum)) + self.tail_beyond_grid
 
 
 def _dft_abs(fn: Callable, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,12 +118,27 @@ def _dft_abs(fn: Callable, radius: float, n: int) -> tuple[np.ndarray, np.ndarra
     span = SPAN_FACTOR * radius
     dx = span / n
     x = -span / 2.0 + dx * np.arange(n)
-    fx = np.asarray(fn(x), dtype=float)
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    fhat = (dx / (2.0 * math.pi)) * sign * np.fft.fft(fx)
+    fhat = np.fft.fft(np.asarray(fn(x), dtype=float))
+    fhat[1::2] *= -1.0  # (-1)^j: the grid starts at -span/2
+    fhat *= dx / (2.0 * math.pi)
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    order = np.argsort(k)
-    return k[order], np.abs(fhat[order])
+    return np.fft.fftshift(k), np.abs(np.fft.fftshift(fhat))
+
+
+def _tail_table(k: np.ndarray, fa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k >= 0 part of the grid and int_{|k'| >= k} |f^| on it (trapezoid
+    rule over both signs).  The steps run in place, and the profile builds
+    the table before its half-size grid, to keep the compute's memory peak
+    near what the two grids alone need."""
+    half = k >= 0
+    kk, vv = k[half], fa[half]
+    seg = vv[1:] + vv[:-1]
+    seg *= 0.5
+    seg *= np.diff(kk)
+    cum = np.zeros(kk.size)
+    np.cumsum(seg[::-1], out=cum[-2::-1])
+    cum *= 2.0
+    return kk, cum
 
 
 def _sobolev_tail(k: np.ndarray, fa: np.ndarray, cutoff: float) -> float:
@@ -169,7 +174,8 @@ class Profile:
 
     f is identically 1 on [omega0-r, omega0+r], even about omega0, supported in
     [omega0-r-w, omega0+r+w], with 0 <= f <= 1.  Fourier data (which does not
-    depend on omega0) is computed on demand and cached.
+    depend on omega0) is computed on demand, once for a profile and all of
+    its shifted copies.
     """
 
     def __init__(self, fn: Callable, r: float, w: float, omega0: float = 0.0,
@@ -180,6 +186,8 @@ class Profile:
         self.omega0 = float(omega0)
         self.name = name or f"profile(r={r},w={w})"
         self._fourier: _FourierData | None = None
+        # on a shifted copy, the profile whose Fourier data it shares
+        self._shape: Profile | None = None
 
     # -- evaluation ---------------------------------------------------------
     @property
@@ -194,19 +202,22 @@ class Profile:
         return float(out[0]) if scalar else out
 
     def shifted(self, omega0: float) -> "Profile":
-        return Profile(self._fn, self.r, self.w, omega0,
-                       name=f"{self.name}@{omega0:g}")
+        p = Profile(self._fn, self.r, self.w, omega0, name=f"{self.name}@{omega0:g}")
+        p._shape = self._shape or self
+        return p
 
     # -- Fourier data -------------------------------------------------------
     @property
     def fourier(self) -> _FourierData:
-        if self._fourier is None:
-            self._fourier = self._compute_fourier()
-        return self._fourier
+        shape = self._shape or self
+        if shape._fourier is None:
+            shape._fourier = shape._compute_fourier()
+        return shape._fourier
 
     def _compute_fourier(self) -> _FourierData:
         rad = self.support_radius
         k1, fa1 = _dft_abs(self._fn, rad, FOURIER_GRID)
+        tail_k, tail_cum = _tail_table(k1, fa1)
         k2, fa2 = _dft_abs(self._fn, rad, FOURIER_GRID // 2)
         c1 = float(np.trapezoid(fa1, k1))
         c0 = float(np.trapezoid(np.abs(k1) * fa1, k1))
@@ -222,8 +233,8 @@ class Profile:
             raise QuadratureDivergence(
                 f"c0 integral for {self.name} is not converging (discontinuous profile?)"
             )
-        return _FourierData(k1, fa1, c0, c1, c0_err + tail_est * k1[-1],
-                            c1_err + tail_est, tail_est)
+        return _FourierData(c0, c1, c0_err + tail_est * k1[-1], c1_err + tail_est,
+                            tail_est, tail_k, tail_cum)
 
     @property
     def c0(self) -> float:
@@ -238,16 +249,24 @@ class Profile:
 
 
 def smooth_profile(r: float, w: float, omega0: float = 0.0) -> Profile:
-    """The standard window: 1 on the radius-r core, SmoothStep ramp of width w."""
+    """The standard window: 1 on the radius-r core, SmoothStep ramp of width w.
+
+    The centred window of each (r, w) is built once per process; windows of
+    one shape share its Fourier data whatever their omega0."""
     if w <= 0 or r < 0:
         raise ValueError("need w > 0 and r >= 0")
+    base = _centred_window(r, w)
+    return base if omega0 == 0.0 else base.shifted(omega0)
 
+
+@functools.cache
+def _centred_window(r: float, w: float) -> Profile:
     def fn(t, _r=r, _w=w):
         a = np.abs(np.asarray(t, dtype=float))
         ramp = _BASE_STEP(np.clip((a - _r) / _w, 0.0, 1.0))
         return np.where(a <= _r, 1.0, np.where(a >= _r + _w, 0.0, ramp))
 
-    return Profile(fn, r, w, omega0, name=f"F[{r:g},{w:g}]")
+    return Profile(fn, r, w, 0.0, name=f"F[{r:g},{w:g}]")
 
 
 @functools.cache
@@ -523,16 +542,10 @@ class TailTable:
                 wr.writerow([repr(float(c)), repr(float(t)), repr(float(e))])
 
 
-@functools.cache
-def _unit_ramp() -> Profile:
-    """F[0,1], the window of the S(L) tails."""
-    return smooth_profile(0.0, 1.0)
-
-
 def _s_tail(L: float, n_win: int) -> float:
     """S(L) = tail_{F[0,1]}((L-1)/(e^2 n_win)) + ||F[0,1]^||_1 e^{-(L-1)/2}
     for n_win windows."""
-    p01 = _unit_ramp()
+    p01 = smooth_profile(0.0, 1.0)
     c = (L - 1.0) / (math.e ** 2 * max(n_win, 1))
     return float(p01.tail(c) + p01.c1 * math.exp(-(L - 1.0) / 2.0))
 
@@ -548,7 +561,7 @@ def tail_tables(l_grid: Sequence[float], L_grid: Sequence[float]
     l_grid = np.asarray(l_grid, dtype=float)
     L_grid = np.asarray(L_grid, dtype=float)
     gv = np.asarray(default_G(l_grid), dtype=float)
-    p01 = _unit_ramp()
+    p01 = smooth_profile(0.0, 1.0)
     p11 = smooth_profile(1.0, 1.0)
     e2 = math.e ** 2
 

@@ -133,6 +133,26 @@ class TestTensorLift:
         with pytest.raises(ValueError):
             gl.tn_lift(np.eye(4), 7)
 
+    def test_budget_message(self):
+        with pytest.raises(ValueError, match=r"dimension 2\^13 exceeds the budget 4096"):
+            gl.tn_lift(np.eye(2), 13)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            gl.tn_lift(np.eye(2), 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_kronecker_sum_bytewise(self, n):
+        # every N up to dimension 1024 (a 4096-dim reference needs 256 MB a term)
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for big_n in range(1, 9):
+            if n ** big_n > min(1024, gl.DIMENSION_BUDGET):
+                break
+            ref = np.zeros((n ** big_n, n ** big_n), dtype=np.complex128)
+            for k in range(big_n):
+                ref += np.kron(np.kron(np.eye(n ** (big_n - 1 - k), dtype=np.complex128), a),
+                               np.eye(n ** k, dtype=np.complex128))
+            assert gl.tn_lift(a, big_n).tobytes() == (ref / big_n).tobytes()
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(2, 4))
     def test_norm_sandwich_non_normal(self, seed, big_n):

@@ -251,6 +251,19 @@ class TestOpNorm:
         with pytest.raises(AssertionError, match="SVD reached"):
             mc.op_norm(m)
 
+    @pytest.mark.parametrize("kind", ["general", "rectangular", "column",
+                                      "corner-matches-hermitian", "defect-anti-hermitian"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    def test_general_kernel_equals_matrix_two_norm(self, kind, scale):
+        m = scale * OP_NORM_CASES[kind]
+        assert mc.op_norm(m) == float(np.linalg.norm(m.reshape(m.shape[0], -1), 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 10 ** 6))
+    def test_general_kernel_property(self, n, cols, seed):
+        m = _structured(np.random.default_rng(seed), "rectangular", n, cols)
+        assert mc.op_norm(m) == float(np.linalg.norm(m, 2))
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(STRUCTURES), st.integers(1, 12), st.integers(1, 12),
            st.integers(0, 10 ** 6))

@@ -43,14 +43,16 @@ def planted_pair(rng, n, delta):
     return (a + a.conj().T) / 2, b0
 
 
-def count_calls(monkeypatch, module, name, square_of=None):
+def count_calls(monkeypatch, module, name, square_of=None, equal_to=None):
     """Count calls of module.name through every nearcommute namespace that
-    binds it; with square_of=n, only calls on an n x n first argument."""
+    binds it; with square_of=n, only calls on an n x n first argument, and
+    with equal_to=m, only calls whose first argument equals m."""
     original = getattr(module, name)
     calls = []
 
     def counting(*args, **kwargs):
-        if square_of is None or np.shape(args[0]) == (square_of, square_of):
+        if ((square_of is None or np.shape(args[0]) == (square_of, square_of))
+                and (equal_to is None or np.array_equal(args[0], equal_to))):
             calls.append(1)
         return original(*args, **kwargs)
 
@@ -175,6 +177,33 @@ class TestCommuteHermitianPair:
     def test_rejects_noncontraction(self):
         with pytest.raises(ValueError):
             pl.commute_hermitian_pair(2 * np.eye(3), np.eye(3))
+
+    def test_b_normed_once(self, monkeypatch):
+        # B's contraction is read off the eigenvalues finite_range computes,
+        # so only eig_hermitian's scale takes B's n x n norm
+        a, b = planted_pair(np.random.default_rng(17), 64, 1e-3)
+        b_norms = count_calls(monkeypatch, mc, "op_norm", equal_to=b)
+        pl.commute_hermitian_pair(a, b)
+        assert len(b_norms) == 1
+
+    def test_b_contraction_from_eigenvalues(self):
+        rng = np.random.default_rng(18)
+        a = mc.random_hermitian(rng, 8, norm=0.5)
+        with pytest.raises(ValueError, match="B must be a contraction"):
+            pl.commute_hermitian_pair(a, mc.random_hermitian(rng, 8, norm=1.01))
+
+    def test_non_hermitian_b_rejected_before_eigh(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        a = mc.random_hermitian(rng, 8, norm=0.5)
+        b = mc.random_hermitian(rng, 8, norm=0.5)
+        b[0, 1] += 1e-6
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        with pytest.raises(ValueError, match="B must be Hermitian"):
+            pl.commute_hermitian_pair(a, b)
 
 
 class TestCheapCommute:

@@ -1,5 +1,6 @@
 """Profiles, Fourier constants, finite-range averaging, and tail tables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -305,6 +306,156 @@ class TestTailTables:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "threshold,tail,error_estimate"
         assert len(lines) == 3
+
+
+# Exact binary points: c < 0, c = 0, and m * 2^e up past every grid's kmax.
+TAIL_POINTS = [-1.0, 0.0] + [m * 2.0 ** e for e in range(-11, 14) for m in (1.0, 1.5)]
+
+# c0, c1, c0_err, c1_err and tail(c) at TAIL_POINTS, as float.hex
+FOURIER_PINS = {
+    "F[0,1]": (
+        ("0x1.89d2e6ac17e18p+1", "0x1.2a392be6db86ep+0",
+         "0x1.9ba03090d3ab9p-14", "0x1.060e9d1fe5b26p-25"),
+        (
+            "0x1.2a392be6db86ep+0", "0x1.2a392be6db86ep+0", "0x1.2a2efd82f9da3p+0",
+            "0x1.2a29e60f855cbp+0", "0x1.2a24ce9c10df2p+0", "0x1.2a1a9fb527e40p+0",
+            "0x1.2a1070ce3ee8fp+0", "0x1.29fc13006cf2bp+0", "0x1.29e7b5329afc8p+0",
+            "0x1.29bef996f7102p+0", "0x1.29963dfb5323bp+0", "0x1.2944c6c40b4aep+0",
+            "0x1.28f34f8cc3722p+0", "0x1.2850611e33c08p+0", "0x1.27ad72afa40eep+0",
+            "0x1.266795d284abbp+0", "0x1.2521b8f565487p+0", "0x1.2295ff3b26821p+0",
+            "0x1.200add9c81c80p+0", "0x1.1af4cc8d3efb5p+0", "0x1.15e11b31146d8p+0",
+            "0x1.0bbfd58885275p+0", "0x1.01abf63b0f46fp+0", "0x1.db7ec973c206bp-1",
+            "0x1.b474cec4e8dc7p-1", "0x1.69db4fbc3c534p-1", "0x1.255aeee21f9ccp-1",
+            "0x1.67fecff2a555ep-2", "0x1.9a1dbf3041bccp-3", "0x1.653ac7c5a56cep-4",
+            "0x1.ebe902ba4595ap-5", "0x1.205cf16aa2db3p-6", "0x1.3c6fe36cc9a1ap-7",
+            "0x1.148ef9f6bca7ap-9", "0x1.55233b4a7c488p-11", "0x1.490f69ed1434bp-14",
+            "0x1.2c98185aea38cp-16", "0x1.69a95db7d558ep-20", "0x1.34ce19b4dedb4p-23",
+            "0x1.1fcdc3e4dba68p-25", "0x1.073b282d5c9e6p-25", "0x1.061023a8f6325p-25",
+            "0x1.060ea42f2bfb3p-25", "0x1.060e9eddbd65bp-25", "0x1.060e9ea6bd932p-25",
+            "0x1.060e9e3fb9129p-25", "0x1.060e9dd40b562p-25", "0x1.060e9d04c67cep-25",
+            "0x1.060e9cdfe5b26p-25", "0x1.060e9cdfe5b26p-25", "0x1.060e9cdfe5b26p-25",
+            "0x1.060e9cdfe5b26p-25",
+        ),
+    ),
+    "F[1,1]": (
+        ("0x1.876fb2bb40f10p+1", "0x1.9cc916c85d188p+0",
+         "0x1.263eebfbadcb2p-12", "0x1.76a8247fb743ep-23"),
+        (
+            "0x1.9cc916c85d188p+0", "0x1.9cc916c85d188p+0", "0x1.9caa8e9602fd8p+0",
+            "0x1.9c9b49062dcb8p+0", "0x1.9c8c037658999p+0", "0x1.9c6d7856ae35bp+0",
+            "0x1.9c4eed3703d1cp+0", "0x1.9c11d6f7af09fp+0", "0x1.9bd4c0b85a423p+0",
+            "0x1.9b5a9439b0b29p+0", "0x1.9ae067bb0722fp+0", "0x1.99ec0ebdb403cp+0",
+            "0x1.98f7b5c060e48p+0", "0x1.970f03c5baa62p+0", "0x1.952651cb1467bp+0",
+            "0x1.9154edd5c7eadp+0", "0x1.8d851bad65dbbp+0", "0x1.85e5fbea0e27ep+0",
+            "0x1.7e4d20868ab13p+0", "0x1.6f2b8a48631fdp+0", "0x1.602d41b024f0cp+0",
+            "0x1.42cc184a968d3p+0", "0x1.267970b9be76ap+0", "0x1.e4a0190588fdcp-1",
+            "0x1.8baacb64e11fap-1", "0x1.12156c997fb96p-1", "0x1.ca3fd66ae0638p-2",
+            "0x1.52f3efd07769fp-2", "0x1.a73031fb03197p-3", "0x1.882419980994bp-4",
+            "0x1.62a437fd6e37ep-5", "0x1.179e3e4bbc1fap-6", "0x1.41c33c3ca221dp-7",
+            "0x1.27955f9f801a3p-9", "0x1.44400b06122c4p-11", "0x1.5751377d346e8p-14",
+            "0x1.19363d03f6a64p-16", "0x1.58a94a3c0aa7ep-20", "0x1.38ee66498b176p-22",
+            "0x1.7cfab7e686fb4p-23", "0x1.76f50a6ecbf20p-23", "0x1.76a88ce3e83eap-23",
+            "0x1.76a826506d317p-23", "0x1.76a824ee59a47p-23", "0x1.76a824cc2fe6fp-23",
+            "0x1.76a8248b81304p-23", "0x1.76a8247fb743ep-23", "0x1.76a8247fb743ep-23",
+            "0x1.76a8247fb743ep-23", "0x1.76a8247fb743ep-23", "0x1.76a8247fb743ep-23",
+            "0x1.76a8247fb743ep-23",
+        ),
+    ),
+    "F[0.5,0.25]": (
+        ("0x1.8743605d1df50p+3", "0x1.d1d633815e696p+0",
+         "0x1.08182477209fbp-9", "0x1.f865fb550087ep-22"),
+        (
+            "0x1.d1d633815e696p+0", "0x1.d1d633815e696p+0", "0x1.d1c981bbf7711p+0",
+            "0x1.d1c324e877febp+0", "0x1.d1bcc814f88c5p+0", "0x1.d1b00e6df9a79p+0",
+            "0x1.d1a354c6fac2dp+0", "0x1.d189e178fcf95p+0", "0x1.d1706e2aff2fdp+0",
+            "0x1.d13d878f039ccp+0", "0x1.d10aa0f30809cp+0", "0x1.d0a4d3bb10e3cp+0",
+            "0x1.d03f068319bdbp+0", "0x1.cf736c132b71ap+0", "0x1.cea7d1a33d25ap+0",
+            "0x1.cd109cc3608d8p+0", "0x1.cb7967e383f56p+0", "0x1.c84afe23cac53p+0",
+            "0x1.c51c94641194fp+0", "0x1.bec315957d737p+0", "0x1.b869efa819e47p+0",
+            "0x1.abc4ef8443342p+0", "0x1.9f3428f955f77p+0", "0x1.866934d07ffebp+0",
+            "0x1.6e3bc6b04965ap+0", "0x1.4077e0932c847p+0", "0x1.1743027fec53bp+0",
+            "0x1.ad324c41660a4p-1", "0x1.61f95f8bf11eap-1", "0x1.3a0ab0dc5c67ap-1",
+            "0x1.d72eb93cc979ap-2", "0x1.507b140a06a53p-2", "0x1.d7380d2bfa8e6p-3",
+            "0x1.93852a734d9f1p-4", "0x1.920427f4890f8p-5", "0x1.173128eab63dep-6",
+            "0x1.4412c87dc21f1p-7", "0x1.298b210e01b23p-9", "0x1.40050f9971768p-11",
+            "0x1.5c131fa22ed8bp-14", "0x1.20dbf3e0113f6p-16", "0x1.b18c4a5276c1ep-20",
+            "0x1.3a7ffd5b53030p-21", "0x1.fb8beadff67b9p-22", "0x1.f88be71b28735p-22",
+            "0x1.f8662f0eea951p-22", "0x1.f865fbfa9a6d5p-22", "0x1.f865fb450f19ep-22",
+            "0x1.f865fb2b11fa3p-22", "0x1.f865fb250087ep-22", "0x1.f865fb250087ep-22",
+            "0x1.f865fb250087ep-22",
+        ),
+    ),
+    "poly": (
+        ("0x1.29085bb9ec05ep+1", "0x1.07846941ccc46p+0",
+         "0x1.410770a18489dp-15", "0x1.bacf036fef069p-27"),
+        (
+            "0x1.07846941ccc46p+0", "0x1.07846941ccc46p+0", "0x1.077b19ffea1ecp+0",
+            "0x1.07767246874e6p+0", "0x1.0771ca8d247dfp+0", "0x1.07687b1a5edd1p+0",
+            "0x1.075f2ba7993c4p+0", "0x1.074c8cc20dfa8p+0", "0x1.0739eddc82b8dp+0",
+            "0x1.0714b0116c357p+0", "0x1.06ef724655b20p+0", "0x1.06a4f6b028ab3p+0",
+            "0x1.065a7b19fba46p+0", "0x1.05c583eda196cp+0", "0x1.05308cc147893p+0",
+            "0x1.04069e68936dfp+0", "0x1.02dcb00fdf52bp+0", "0x1.0088d35e771c4p+0",
+            "0x1.fc6b05a3755d8p-1", "0x1.f31e1fe7aafeep-1", "0x1.e9d599d845d35p-1",
+            "0x1.d74fd0da1214dp-1", "0x1.c4e2b59d00dbbp-1", "0x1.a07569ccce64bp-1",
+            "0x1.7cc68d2756660p-1", "0x1.3899608b3f331p-1", "0x1.f3fb3217fe5d7p-2",
+            "0x1.244eb2c7529e8p-2", "0x1.28f20ec942ae8p-3", "0x1.ba975fc8f02a7p-6",
+            "0x1.e16307a3bc41ep-7", "0x1.fe0bf130030adp-9", "0x1.8af49aaa09f41p-10",
+            "0x1.00c1c3d6b8041p-11", "0x1.9340e91fa75fep-13", "0x1.e24164a0c23f3p-15",
+            "0x1.9aace7452ac6fp-16", "0x1.efc9003dee62bp-18", "0x1.a3cfd385934fdp-19",
+            "0x1.f0722efe82acfp-21", "0x1.ab1b777b49276p-22", "0x1.0daccef09cb87p-23",
+            "0x1.004d1e7806b48p-24", "0x1.b8e97e18cdfe4p-26", "0x1.2acb8730778eap-26",
+            "0x1.c2fdfb269d3f1p-27", "0x1.9e9a74243b760p-27", "0x1.88f149cb6e079p-27",
+            "0x1.871819efef069p-27", "0x1.871819efef069p-27", "0x1.871819efef069p-27",
+            "0x1.871819efef069p-27",
+        ),
+    ),
+}
+
+
+PINNED_PROFILES = {
+    "F[0,1]": lambda: sm.smooth_profile(0.0, 1.0),
+    "F[1,1]": lambda: sm.smooth_profile(1.0, 1.0),
+    "F[0.5,0.25]": lambda: sm.smooth_profile(0.5, 0.25),
+    "poly": sm.poly_bump_profile,
+}
+
+
+class TestFourierRecord:
+    def test_computed_once_per_shape(self, monkeypatch):
+        sm._centred_window.cache_clear()
+        real = sm.Profile._compute_fourier
+        shapes = []
+
+        def counting(self):
+            shapes.append((self.r, self.w))
+            return real(self)
+
+        monkeypatch.setattr(sm.Profile, "_compute_fourier", counting)
+        p = sm.smooth_profile(0.0, 1.0)
+        assert sm.smooth_profile(0.0, 1.0) is p
+        assert p.tail(0.5) < p.c1
+        sm._s_tail(20.0, 8)
+        assert shapes == [(0.0, 1.0)]
+        sm.tail_tables([10.0], [16.0])
+        assert shapes == [(0.0, 1.0), (1.0, 1.0)]
+        # shifted copies share their shape's record
+        assert sm.smooth_profile(0.0, 1.0, omega0=0.3).c0 == p.c0
+        assert all(q.c1 == p.c1 for q in sm.partition_of_unity(2))
+        assert shapes == [(0.0, 1.0), (1.0, 1.0)]
+
+    @pytest.mark.parametrize("key", sorted(PINNED_PROFILES))
+    def test_record_keeps_no_full_grid(self, key):
+        record = PINNED_PROFILES[key]().fourier
+        sizes = [np.size(getattr(record, f.name)) for f in dataclasses.fields(record)]
+        assert max(sizes) <= sm.FOURIER_GRID // 2 + 1
+
+    @pytest.mark.parametrize("key", sorted(PINNED_PROFILES))
+    def test_constants_and_tails_pinned(self, key):
+        p = PINNED_PROFILES[key]()
+        f = p.fourier
+        consts, tails = FOURIER_PINS[key]
+        assert [x.hex() for x in (f.c0, f.c1, f.c0_err, f.c1_err)] == list(consts)
+        assert [p.tail(c).hex() for c in TAIL_POINTS] == list(tails)
 
 
 class TestJointEig:
