@@ -24,7 +24,6 @@ from .pipeline import (
 from .smoothing import (
     Profile,
     finite_range,
-    finite_range_multi,
     finite_range_normal,
     make_smooth_step,
     partition_of_unity,

@@ -150,21 +150,19 @@ def tn_lift(a, big_n: int, *, budget: int = DIMENSION_BUDGET) -> np.ndarray:
     return out / big_n
 
 
-def adjacent_transposition_rep(n: int, big_n: int, k: int) -> np.ndarray:
-    """Permutation matrix swapping tensor factors k and k+1 of (C^n)^{x N}."""
+def _transposition(n: int, big_n: int, k: int) -> np.ndarray:
+    """Basis permutation of (C^n)^{x N} swapping tensor factors k and k+1."""
     if not (0 <= k < big_n - 1):
         raise ValueError("need 0 <= k < N-1")
-    dim = n ** big_n
-    perm = np.zeros((dim, dim))
-    for idx in range(dim):
-        digits = []
-        rest = idx
-        for _ in range(big_n):
-            digits.append(rest % n)
-            rest //= n
-        digits[k], digits[k + 1] = digits[k + 1], digits[k]
-        jdx = sum(d * n ** p for p, d in enumerate(digits))
-        perm[jdx, idx] = 1.0
+    digits = np.arange(n ** big_n).reshape((n,) * big_n)
+    return digits.swapaxes(big_n - 1 - k, big_n - 2 - k).reshape(-1)
+
+
+def adjacent_transposition_rep(n: int, big_n: int, k: int) -> np.ndarray:
+    """Permutation matrix swapping tensor factors k and k+1 of (C^n)^{x N}."""
+    sigma = _transposition(n, big_n, k)
+    perm = np.zeros((sigma.size, sigma.size))
+    perm[sigma, np.arange(sigma.size)] = 1.0
     return perm
 
 
@@ -183,26 +181,32 @@ def tn_identities(a, b, big_n: int, *, budget: int = DIMENSION_BUDGET) -> dict:
     comm_res = op_norm(commutator(ta, tb) - tn_lift(commutator(am, bm), big_n, budget=budget) / big_n)
     rec_res = None
     if n ** (big_n + 1) <= budget:
-        # exact append-site recursion carrying the N/(N+1) prefactor
-        lhs = tn_lift(am, big_n + 1, budget=budget)
-        rhs = (big_n / (big_n + 1)) * np.kron(ta, np.eye(n)) \
-            + np.kron(np.eye(n ** big_n, dtype=np.complex128), am) / (big_n + 1)
-        rec_res = op_norm(lhs - rhs)
+        # exact append-site recursion carrying the N/(N+1) prefactor:
+        # T_{N+1}(A) = N/(N+1) T_N(A) (x) I_n + I_{n^N} (x) A/(N+1), each
+        # term added on the (writeable) diagonal view of its identity factor
+        d = ta.shape[0]
+        rhs = np.zeros((d, n, d, n), dtype=np.complex128)
+        np.einsum("iaja->aij", rhs)[...] += (big_n / (big_n + 1)) * ta
+        np.einsum("iaib->iab", rhs)[...] += am / (big_n + 1)
+        rec_res = op_norm(tn_lift(am, big_n + 1, budget=budget) - rhs.reshape(d * n, d * n))
     rng = np.random.default_rng(721)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     u_small = q * (np.diag(r) / np.abs(np.diag(r)))
-    u_big = np.eye(1, dtype=np.complex128)
-    for _ in range(big_n):
-        u_big = np.kron(u_big, u_small)
+    # U^{xN} T_N(A) (U*)^{xN}, one tensor axis at a time: each step contracts
+    # the leading axis and appends the result, so 2N steps restore the order
+    conj = ta.reshape((n,) * (2 * big_n))
+    for factor in [u_small.T] * big_n + [u_small.conj().T] * big_n:
+        conj = np.tensordot(conj, factor, axes=(0, 0))
     cov_res = op_norm(tn_lift(u_small @ am @ u_small.conj().T, big_n, budget=budget)
-                      - u_big @ ta @ u_big.conj().T)
+                      - conj.reshape(ta.shape))
     norm_a = op_norm(am)
     norm_ta = op_norm(ta)
     perm_res = 0.0
     for k in range(big_n - 1):
-        p = adjacent_transposition_rep(n, big_n, k)
-        perm_res = max(perm_res, op_norm(commutator(ta, p)))
+        # [T_N(A), P] = T_N(A)[:, sigma] - T_N(A)[sigma, :]: sigma is an involution
+        sigma = _transposition(n, big_n, k)
+        perm_res = max(perm_res, op_norm(ta[:, sigma] - ta[sigma, :]))
     return {
         "dim": n ** big_n,
         "commutator_residual": comm_res,

@@ -86,6 +86,13 @@ def op_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def op_norm_exceeds(x, tol: float) -> bool:
+    """op_norm(x) > tol, for a pass/fail gate that reports no value: op_norm
+    is taken only when ||x||_F, an upper bound, exceeds tol.  A NaN fails
+    that screen and reaches op_norm, which rejects it."""
+    return not np.linalg.norm(x) <= tol and op_norm(x) > tol
+
+
 def commutator(a, b) -> np.ndarray:
     """[A, B] = AB - BA."""
     a = as_matrix(a)

@@ -23,6 +23,7 @@ from .matcore import (
     commutator,
     eig_hermitian,
     op_norm,
+    op_norm_exceeds,
     orthonormal_complement,
 )
 from .smoothing import (
@@ -443,9 +444,7 @@ def three_hermitian(a, b, c, oracle: LinOracle | None = None,
 
 def _require_unitary(m, name: str) -> np.ndarray:
     mm = as_matrix(m)
-    defect = mm.conj().T @ mm - np.eye(mm.shape[0])
-    # ||X||_2 <= ||X||_F screens the operator norm; a NaN fails the screen
-    if not np.linalg.norm(defect) <= 1e-9 and op_norm(defect) > 1e-9:
+    if op_norm_exceeds(mm.conj().T @ mm - np.eye(mm.shape[0]), 1e-9):
         raise ValueError(f"{name} must be unitary")
     return mm
 

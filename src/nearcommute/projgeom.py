@@ -14,6 +14,7 @@ from .matcore import (
     as_matrix,
     eig_hermitian,
     op_norm,
+    op_norm_exceeds,
     orthonormal_columns,
     orthonormal_complement,
     projection_from_basis,
@@ -34,10 +35,7 @@ PROJ_TOL = 1e-8
 
 def _require_projection(p, name: str) -> np.ndarray:
     m = p.matrix if isinstance(p, OrthoProjection) else as_matrix(p)
-    # ||X||_2 <= ||X||_F screens the operator norms; a NaN fails the screen
-    idem, herm = m @ m - m, m - m.conj().T
-    if ((not np.linalg.norm(idem) <= PROJ_TOL and op_norm(idem) > PROJ_TOL)
-            or (not np.linalg.norm(herm) <= PROJ_TOL and op_norm(herm) > PROJ_TOL)):
+    if op_norm_exceeds(m @ m - m, PROJ_TOL) or op_norm_exceeds(m - m.conj().T, PROJ_TOL):
         raise ValueError(f"{name} is not an orthogonal projection to tolerance")
     return m
 
@@ -163,7 +161,7 @@ def nest_projection_core(e_basis, mid_basis, f_basis) -> np.ndarray:
     """
     g_basis = np.column_stack([e_basis, mid_basis])
     for basis, name in ((g_basis, "[E | G - E]"), (f_basis, "F'")):
-        if op_norm(basis.conj().T @ basis - np.eye(basis.shape[1])) > PROJ_TOL:
+        if op_norm_exceeds(basis.conj().T @ basis - np.eye(basis.shape[1]), PROJ_TOL):
             raise ValueError(f"the {name} columns are not orthonormal")
     c = mid_basis.conj().T @ f_basis
     ec = eig_hermitian(c @ c.conj().T, rtol=1e-6)
@@ -185,7 +183,7 @@ def nest_projection(e, g, f_prime, *, max_eps: float = 0.1
     eps = max(op_norm(em @ (np.eye(n) - fm)), op_norm(fm @ (np.eye(n) - gm)))
     if eps >= max_eps:
         raise ValueError(f"eps = {eps:.3e} too large for nest_projection (>= {max_eps})")
-    if op_norm(em - gm @ em) > PROJ_TOL:
+    if op_norm_exceeds(em - gm @ em, PROJ_TOL):
         raise ValueError("E <= G fails")
     basis = nest_projection_core(*(orthonormal_columns(m, tol=0.5)
                                    for m in (em, gm - em, fm)))
@@ -224,10 +222,11 @@ def tridiag_positive_test(m, c, d) -> TridiagPositivity:
         raise ValueError("c, d must have one entry per row")
     if np.any(cv < 0) or np.any(dv < 0):
         raise ValueError("c, d must be nonnegative")
-    if op_norm(mm - mm.conj().T) > 1e-10 * max(1.0, op_norm(mm)):
+    scale = max(1.0, op_norm(mm))
+    if op_norm_exceeds(mm - mm.conj().T, 1e-10 * scale):
         raise ValueError("M must be Hermitian")
     band_max = float(np.max(np.triu(np.abs(mm), 2))) if n > 2 else 0.0
-    if band_max > 1e-12 * max(1.0, op_norm(mm)):
+    if band_max > 1e-12 * scale:
         raise ValueError("M must be tridiagonal")
     diag = np.real(np.diag(mm))
     tol = 1e-12 * max(1.0, float(np.max(np.abs(mm))))
@@ -240,26 +239,17 @@ def tridiag_positive_test(m, c, d) -> TridiagPositivity:
     # comparison matrix: a_i = c_i; b_i matched to M's off-diagonal phases
     a = cv.astype(np.complex128)
     b = np.zeros(n, dtype=np.complex128)
-    for i in range(n - 1):
-        if dv[i] * cv[i + 1] > 0 and cv[i + 1] > 0:
-            b[i] = np.conj(off[i]) / cv[i + 1]
+    coupled = dv[:-1] * cv[1:] > 0
+    b[:-1][coupled] = np.conj(off[coupled]) / cv[1:][coupled]
     b[n - 1] = dv[n - 1]
-    dd = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        dd[i, i] = np.abs(a[i]) ** 2 + np.abs(b[i]) ** 2
-    for i in range(n - 1):
-        dd[i, i + 1] = np.conj(b[i]) * a[i + 1]
-        dd[i + 1, i] = np.conj(dd[i, i + 1])
-    gmat = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        gmat[k, k] = a[k]
-        if k + 1 < n:
-            gmat[k + 1, k] = b[k]
+    upper = np.conj(b[:-1]) * a[1:]
+    dd = np.diag(np.abs(a) ** 2 + np.abs(b) ** 2) + np.diag(upper, 1) + np.diag(np.conj(upper), -1)
+    gmat = np.diag(a) + np.diag(b[:-1], -1)
     ident = gmat.conj().T @ gmat
     ident[n - 1, n - 1] += np.abs(b[n - 1]) ** 2
-    if op_norm(ident - dd) > 1e-10 * max(1.0, op_norm(dd)):
+    if op_norm_exceeds(ident - dd, 1e-10 * max(1.0, op_norm(dd))):
         raise AssertionError("witness identity G*G + b_n^2 e_nn = D failed")
 
     min_eig = float(np.min(np.linalg.eigvalsh((mm + mm.conj().T) / 2)))
-    positive = min_eig >= -1e-10 * max(1.0, op_norm(mm))
+    positive = min_eig >= -1e-10 * scale
     return TridiagPositivity(positive, dd, gmat, min_eig)

@@ -23,6 +23,7 @@ from .matcore import (
     commutator,
     eig_hermitian,
     op_norm,
+    op_norm_exceeds,
     orthonormal_columns,
     orthonormal_complement,
     projection_from_basis,
@@ -168,7 +169,7 @@ def verify_tridiagonal(j, blocks: Sequence[np.ndarray], *, tol: float = 1e-8
     if np.any(counts == 0):
         raise ValueError("blocks do not jointly span the space")
     nrm = op_norm(jm)
-    if op_norm(jm - jm.conj().T) > 1e-9 * max(1.0, nrm):
+    if op_norm_exceeds(jm - jm.conj().T, 1e-9 * max(1.0, nrm)):
         raise ValueError("J must be Hermitian")
     if nrm > 1.0 + 1e-9:
         raise ValueError("J must be a contraction")
@@ -255,7 +256,7 @@ def certify_W(sys: TridiagonalSystem, w_basis: np.ndarray,
     w = np.asarray(w_basis, dtype=np.complex128)
     if w.ndim == 1:
         w = w[:, None]
-    if w.shape[1] and op_norm(w.conj().T @ w - np.eye(w.shape[1])) > 1e-9:
+    if w.shape[1] and op_norm_exceeds(w.conj().T @ w - np.eye(w.shape[1]), 1e-9):
         w = orthonormal_columns(w)
     v1, vl = sys.blocks[0], sys.blocks[-1]
     eps3 = op_norm(_identity_columns(sys.dim, [v1]) - w @ w[v1].conj().T)
@@ -458,15 +459,21 @@ def joint_jacobi(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
 
     Returns (U, rotated) with rotated[k] = U* mats[k] U as nearly diagonal as
     JACOBI_SWEEPS sweeps achieve.  Deterministic under the fixed (p, q) sweep
-    order.
+    order.  A pair with |m[p, q]| <= JACOBI_TOL * max(1, max|m|) in every
+    matrix is skipped: a rotation of the pair changes the off-diagonal weight
+    only through that entry, so such a pair (a jointly degenerate one
+    included) is left unrotated.
     """
     ms = [as_matrix(m).copy() for m in mats]
     n = ms[0].shape[0]
+    tols = [JACOBI_TOL * max(1.0, float(np.abs(m).max(initial=0.0))) for m in ms]
     u = np.eye(n, dtype=np.complex128)
     for _ in range(JACOBI_SWEEPS):
         changed = False
         for p in range(n):
             for q in range(p + 1, n):
+                if all(abs(m[p, q]) <= t for m, t in zip(ms, tols)):
+                    continue
                 g = np.zeros((3, 3))
                 for m in ms:
                     h = np.array([m[p, p] - m[q, q],
@@ -521,9 +528,10 @@ class LinOracle:
 @dataclass
 class LinProjection:
     """A projection sandwiched between spectral projections of A, nearly
-    commuting with B."""
+    commuting with B, with an orthonormal basis of its range."""
 
     projection: OrthoProjection
+    basis: np.ndarray
     commutator_norm: float
     check: BoundCheck | None
     oracle_dist_a: float | None = None
@@ -553,21 +561,22 @@ def lin_oracle_projection(a, b, eps: float, oracle: LinOracle) -> LinProjection:
         raise ValueError("need contractions")
     if oracle.mode == "brute":
         proj, value, radius = brute_projection_search(am, bm, eps, BRUTE_RESOLUTION)
-        return LinProjection(proj, value, None, certified_radius=radius)
+        return LinProjection(proj, orthonormal_columns(proj.matrix, tol=0.5), value, None,
+                             certified_radius=radius)
     ap, bp = oracle.commuting_pair(am, bm)
     dist_a = op_norm(am - ap)
     dist_b = op_norm(bm - bp)
     low, mid, high = _sandwich_bases(am)
     eap = eig_hermitian(ap)
     basis = nest_projection_core(low, mid, eap.vectors[:, eap.eigenvalues < 0])
-    if op_norm(low - basis @ (basis.conj().T @ low)) > EXACT_TOL or \
-       op_norm(high.conj().T @ basis) > EXACT_TOL:
+    if op_norm_exceeds(low - basis @ (basis.conj().T @ low), EXACT_TOL) or \
+       op_norm_exceeds(high.conj().T @ basis, EXACT_TOL):
         raise AssertionError("sandwich E <= P <= G failed structurally")
     f = projection_from_basis(basis, am.shape[0])
     measured = op_norm(commutator(f.matrix, bm))
     check = BoundCheck(measured, 20 * dist_a + 2 * dist_b,
                        "lin-oracle ||[P,B]|| <= 20||A-A'|| + 2||B-B'||")
-    return LinProjection(f, measured, check, dist_a, dist_b)
+    return LinProjection(f, basis, measured, check, dist_a, dist_b)
 
 
 def _vector_grid(n_prime: int, resolution: int) -> np.ndarray:
@@ -988,13 +997,12 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
         low = er.vectors[:, er.eigenvalues <= g_lb]
         high = er.vectors[:, er.eigenvalues >= 2 * g_lb]
         pm = res.projection.matrix
-        if low.size and op_norm(low.conj().T @ (np.eye(idx.size) - pm) @ low) > EXACT_TOL:
+        if low.size and op_norm_exceeds(low.conj().T @ (np.eye(idx.size) - pm) @ low, EXACT_TOL):
             raise StageError("c", f"lower sandwich E_[0,G/l_b](rho_{i}) <= N_{i} fails")
-        if high.size and op_norm(high.conj().T @ pm @ high) > EXACT_TOL:
+        if high.size and op_norm_exceeds(high.conj().T @ pm @ high, EXACT_TOL):
             raise StageError("c", f"upper sandwich N_{i} <= Y' - E_[2G/l_b,inf) fails")
-        local = orthonormal_columns(pm, tol=0.5)
-        emb = np.zeros((total, local.shape[1]), dtype=np.complex128)
-        emb[idx, :] = local
+        emb = np.zeros((total, res.basis.shape[1]), dtype=np.complex128)
+        emb[idx, :] = res.basis
         n_bases[i] = emb
     checks.append(BoundCheck(max(comm_vals.values(), default=0.0), 1.0 - HASTINGS_CHI,
                              "max_i ||[N_i, B^_i]|| <= 1 - chi"))

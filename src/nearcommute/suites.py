@@ -180,7 +180,7 @@ def suite_smoothing(seed: int, trials: int) -> dict:
             _record(failures, chk)
         if op_norm(res.matrix - res.matrix.conj().T) > 1e-12 * n:
             failures.append(f"finite-range output not Hermitian at trial {t}")
-        eb = eig_hermitian(b)
+        eb = res.eig  # the decomposition of B the averaging used
         lam = eb.eigenvalues
         mid = float(np.median(lam))
         p1 = interval_projection(eb, -np.inf, mid).matrix

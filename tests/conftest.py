@@ -25,3 +25,33 @@ def refuse_svd(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("numpy.linalg") and getattr(mod, "svd", None) is real:
             monkeypatch.setattr(mod, "svd", refuse)
+
+
+@pytest.fixture
+def screened_gates(monkeypatch):
+    """Make op_norm raise while any ``op_norm_exceeds`` gate runs, in every
+    nearcommute namespace that binds the gate; returns the names of the
+    functions whose gates ran, one entry a gate."""
+    from nearcommute import matcore
+
+    gate, norm = matcore.op_norm_exceeds, matcore.op_norm
+    seen, open_gates = [], []
+
+    def screened(x, tol):
+        seen.append(sys._getframe(1).f_code.co_name)
+        open_gates.append(tol)
+        try:
+            return gate(x, tol)
+        finally:
+            open_gates.pop()
+
+    def refusing(x):
+        if open_gates:
+            raise AssertionError("op_norm reached from a screened gate")
+        return norm(x)
+
+    monkeypatch.setattr(matcore, "op_norm", refusing)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("nearcommute") and getattr(mod, "op_norm_exceeds", None) is gate:
+            monkeypatch.setattr(mod, "op_norm_exceeds", screened)
+    return seen

@@ -188,3 +188,35 @@ class TestTnIdentities:
         b = mc.random_hermitian(rng, 2, norm=1.0)
         out = gl.tn_identities(a, b, big_n)
         assert out["recursion_residual"] <= 1e-13 * out["dim"] * 2
+
+    @staticmethod
+    def loop_transposition(n, big_n, k):
+        # one basis state at a time: swap digits k and k+1 of each index
+        dim = n ** big_n
+        perm = np.zeros((dim, dim))
+        for idx in range(dim):
+            digits = [(idx // n ** p) % n for p in range(big_n)]
+            digits[k], digits[k + 1] = digits[k + 1], digits[k]
+            perm[sum(d * n ** p for p, d in enumerate(digits)), idx] = 1.0
+        return perm
+
+    @pytest.mark.parametrize("n, big_ns", [(2, range(2, 7)), (3, range(2, 5))])
+    def test_matches_kronecker_and_loop_references(self, n, big_ns):
+        rng = np.random.default_rng(n)
+        for big_n in big_ns:
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for a in ((g + g.conj().T) / 2, g):
+                out = gl.tn_identities(a, np.eye(n), big_n)
+                ta = gl.tn_lift(a, big_n)
+                if out["recursion_residual"] is not None:
+                    rhs = (big_n / (big_n + 1)) * np.kron(ta, np.eye(n)) \
+                        + np.kron(np.eye(n ** big_n, dtype=np.complex128), a) / (big_n + 1)
+                    ref = mc.op_norm(gl.tn_lift(a, big_n + 1) - rhs)
+                    assert out["recursion_residual"].hex() == ref.hex()
+                perm_ref = 0.0
+                for k in range(big_n - 1):
+                    p = self.loop_transposition(n, big_n, k)
+                    assert np.array_equal(gl.adjacent_transposition_rep(n, big_n, k), p)
+                    perm_ref = max(perm_ref, mc.op_norm(mc.commutator(ta, p)))
+                assert out["permutation_residual"].hex() == perm_ref.hex()
+                assert out["covariance_residual"] <= 1e-12 * out["dim"]

@@ -378,7 +378,7 @@ class TestHermitianUnitary:
 
     def test_u_decomposed_once(self, monkeypatch):
         a, u = self.near_commuting_pair()
-        calls = count_calls(monkeypatch, sm, "joint_eigh")
+        calls = count_calls(monkeypatch, sm, "normal_eig")
         pl.commute_hermitian_unitary(a, u, 1.0)
         assert len(calls) == 1
 
@@ -390,7 +390,7 @@ class TestRequireUnitary:
         def refuse(x):
             raise AssertionError("op_norm reached")
 
-        monkeypatch.setattr(pl, "op_norm", refuse)
+        monkeypatch.setattr(mc, "op_norm", refuse)
         assert np.array_equal(pl._require_unitary(u, "U"), u)
 
     @pytest.mark.parametrize("m, match", [

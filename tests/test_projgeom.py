@@ -23,7 +23,7 @@ class TestRequireProjection:
         def refuse(x):
             raise AssertionError("op_norm reached")
 
-        monkeypatch.setattr(pg, "op_norm", refuse)
+        monkeypatch.setattr(mc, "op_norm", refuse)
         assert np.array_equal(pg._require_projection(p, "P"), p)
 
     def test_frobenius_over_tol_takes_exact_path(self, monkeypatch):
@@ -34,13 +34,13 @@ class TestRequireProjection:
         for x in (m @ m - m, m - m.conj().T):
             assert np.linalg.norm(x) > pg.PROJ_TOL >= mc.op_norm(x)
         calls = []
-        real = pg.op_norm
+        real = mc.op_norm
 
         def counting(x):
             calls.append(1)
             return real(x)
 
-        monkeypatch.setattr(pg, "op_norm", counting)
+        monkeypatch.setattr(mc, "op_norm", counting)
         assert np.array_equal(pg._require_projection(m, "P"), m)
         assert len(calls) == 2
 
@@ -208,6 +208,28 @@ class TestNestProjection:
         with pytest.raises(ValueError, match="orthonormal"):
             pg.nest_projection_core(q[:, :2], q[:, 2:4], 2 * q[:, :3])
 
+    def test_gates_screened(self, screened_gates):
+        # valid bases and projections: no gate takes an operator norm
+        rng = np.random.default_rng(15)
+        e, g, cols = self._sandwich(rng)
+        f_basis = mc.random_unitary(rng, 12)[:, :4]
+        basis = pg.nest_projection_core(cols[:, :3], cols[:, 3:8], f_basis)
+        assert screened_gates == ["nest_projection_core"] * 2 and basis.shape[1] >= 3
+        mid = cols[:, 3:5] @ cols[:, 3:5].conj().T
+        f, chk = pg.nest_projection(e, g, e + mid)
+        assert chk.passed and mc.op_norm(f.matrix - e - mid) <= 1e-10
+        # three input projections (2 gates each), E <= G, and the core's 2
+        assert screened_gates[2:] == (["_require_projection"] * 6 + ["nest_projection"]
+                                      + ["nest_projection_core"] * 2)
+
+    def test_rejects_e_not_below_g(self):
+        # E tilted 1e-6 out of Ran G: eps stays small, E <= G fails
+        e_vec = np.array([1.0, 0.0, 1e-6, 0.0]) / math.hypot(1.0, 1e-6)
+        e = np.outer(e_vec, e_vec)
+        g = np.diag([1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="E <= G fails"):
+            pg.nest_projection(e, g, np.diag([1.0, 0.0, 0.0, 0.0]))
+
     def test_rejects_bad_sandwich(self):
         rng = np.random.default_rng(8)
         e = rand_proj(rng, 6, 3)
@@ -264,6 +286,22 @@ class TestTridiagPositive:
             res = pg.tridiag_positive_test(m, c, d)
             assert res.positive
             assert res.min_eigenvalue >= -1e-10 * max(1.0, mc.op_norm(m))
+
+    HERMITIAN_TO_ROUNDOFF = np.array([[1.0, 0.3 + 0.1j], [0.3 - (0.1 + 2e-17) * 1j, 1.0]])
+
+    def test_hermiticity_gate_screened(self, screened_gates):
+        m = self.HERMITIAN_TO_ROUNDOFF
+        assert not np.array_equal(m, m.conj().T)
+        c = np.full(2, 0.6)
+        assert pg.tridiag_positive_test(m, c, c).positive
+        # the Hermiticity gate and the witness identity G*G + b_n^2 e_nn = D
+        assert screened_gates == ["tridiag_positive_test"] * 2
+
+    def test_non_hermitian_rejected(self):
+        m = self.HERMITIAN_TO_ROUNDOFF + np.triu(np.full((2, 2), 1e-6), 1)
+        c = np.full(2, 0.6)
+        with pytest.raises(ValueError, match="M must be Hermitian"):
+            pg.tridiag_positive_test(m, c, c)
 
     def test_hypothesis_violation_is_distinct_error(self):
         m = np.diag([1.0, 1.0])

@@ -8,6 +8,7 @@ import pytest
 
 from nearcommute import matcore as mc
 from nearcommute import smoothing as sm
+from nearcommute import suites
 
 
 class TestSmoothStep:
@@ -171,45 +172,6 @@ class TestFiniteRange:
             res = sm.finite_range(a, b, delta, prof)
             comm = mc.op_norm(mc.commutator(a, b))
             assert mc.op_norm(a - res.matrix) <= (prof.c0 / delta) * comm + 1e-15
-
-
-class TestFiniteRangeMulti:
-    def test_single_matrix_matches_plain(self):
-        rng = np.random.default_rng(6)
-        a = mc.random_hermitian(rng, 8, norm=1.0)
-        b = mc.random_hermitian(rng, 8, norm=1.0)
-        h1 = sm.finite_range(a, b, 0.5).matrix
-        h2 = sm.finite_range_multi(a, [b], 0.5).matrix
-        assert mc.op_norm(h1 - h2) <= 1e-10
-
-    def test_commuting_diagonal_family(self):
-        rng = np.random.default_rng(7)
-        a = mc.random_hermitian(rng, 8, norm=1.0)
-        b1 = np.diag(np.linspace(-1, 1, 8))
-        b2 = np.diag(np.linspace(-1, 1, 8) ** 2)
-        delta = 0.3
-        res = sm.finite_range_multi(a, [b1, b2], delta)
-        res.require()
-        for bj in (b1, b2):
-            eb = mc.eig_hermitian(bj)
-            lam = eb.eigenvalues
-            mid = float(np.median(lam))
-            p1 = mc.spectral_projection(eb, lam <= mid).matrix
-            p2 = mc.spectral_projection(eb, lam >= mid + delta).matrix
-            assert mc.op_norm(p1 @ res.matrix @ p2) <= 1e-10
-
-    def test_commuting_a_fixed_point(self):
-        b1 = np.diag([0.0, 0.5, 1.0])
-        b2 = np.diag([1.0, 0.25, 0.0])
-        a = np.diag([2.0, 3.0, 4.0]).astype(complex)
-        res = sm.finite_range_multi(a, [b1, b2], 0.2)
-        assert mc.op_norm(res.matrix - a) <= 1e-12
-
-    def test_rejects_noncommuting_family(self):
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sz = np.diag([1.0, -1.0])
-        with pytest.raises(ValueError):
-            sm.finite_range_multi(np.eye(2), [sx, sz], 0.5)
 
 
 class TestFiniteRangeNormal:
@@ -460,15 +422,18 @@ class TestFourierRecord:
 
 class TestJointEig:
     def test_joint_diagonalization(self):
+        # N = D1 + i D2 for a commuting Hermitian pair: one basis
+        # diagonalises both parts
         rng = np.random.default_rng(10)
         q = mc.random_unitary(rng, 10)
         d1 = q @ np.diag(rng.uniform(-1, 1, 10)) @ q.conj().T
         d2 = q @ np.diag(rng.uniform(-1, 1, 10)) @ q.conj().T
         d1 = (d1 + d1.conj().T) / 2
         d2 = (d2 + d2.conj().T) / 2
-        v, lams = sm.joint_eigh([d1, d2])
-        for j, m in enumerate((d1, d2)):
-            rebuilt = (v * lams[j]) @ v.conj().T
+        eig = sm.normal_eig(d1 + 1j * d2)
+        v = eig.vectors
+        for lam, m in ((eig.eigenvalues.real, d1), (eig.eigenvalues.imag, d2)):
+            rebuilt = (v * lam) @ v.conj().T
             assert mc.op_norm(rebuilt - m) <= 1e-9
 
     def test_conjugate_pair_splits_on_imaginary_part(self, monkeypatch):
@@ -496,7 +461,45 @@ class TestJointEig:
             assert np.linalg.norm(u @ vec - eig.eigenvalues[k] * vec) <= 1e-12
 
     def test_rejects_noncommuting(self):
+        # Re N and Im N do not commute exactly when N is not normal
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sz = np.diag([1.0, -1.0])
-        with pytest.raises(ValueError):
-            sm.joint_eigh([sx, sz])
+        with pytest.raises(ValueError, match=r"matrix is not normal: \|\|\[N,N\*\]\|\| = 4\.000e\+00"):
+            sm.normal_eig(sx + 1j * sz)
+
+    def test_unitary_takes_no_operator_norm_of_n_or_its_commutator(self, monkeypatch):
+        u = mc.random_unitary(np.random.default_rng(1), 16)
+        refused = (u, mc.commutator(u, u.conj().T))
+        real = sm.op_norm
+
+        def guarded(x):
+            if any(np.array_equal(x, r) for r in refused):
+                raise AssertionError("op_norm of N or [N,N*] reached")
+            return real(x)
+
+        monkeypatch.setattr(sm, "op_norm", guarded)
+        eig = sm.normal_eig(u)
+        rebuilt = (eig.vectors * eig.eigenvalues) @ eig.vectors.conj().T
+        assert mc.op_norm(rebuilt - u) <= 1e-12
+
+    def test_nan_commutator_reaches_operator_norm(self):
+        # N N* overflows to inf - inf = NaN, which must not pass the screen
+        with pytest.raises(mc.MatrixShapeError, match="non-finite"):
+            sm.normal_eig(np.array([[1e200, 1e200], [1e200, -1e200]]))
+
+
+class TestSmoothingSuite:
+    def test_b_decomposed_once_per_trial(self, monkeypatch):
+        # the zero-pattern check reads the eigensystem finite_range averaged in
+        real = mc.eig_hermitian
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        for mod in (sm, suites):
+            monkeypatch.setattr(mod, "eig_hermitian", counting)
+        tally = suites.run_suite("smoothing", 1, 3)
+        assert tally["violations"] == 0
+        assert len(calls) == 3

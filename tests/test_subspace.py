@@ -50,6 +50,26 @@ class TestVerifyTridiagonal:
         assert sys.max_offtridiag > tol
         assert sys.L == n
 
+    @staticmethod
+    def hermitian_to_roundoff():
+        sys = sb.random_block_tridiagonal(np.random.default_rng(4), [2, 3, 2])
+        j = sys.j.copy()
+        j[0, 1] += 1e-17j
+        assert not np.array_equal(j, j.conj().T)
+        return j, sys.blocks
+
+    def test_hermiticity_gate_screened(self, screened_gates):
+        j, blocks = self.hermitian_to_roundoff()
+        screened_gates.clear()
+        assert sb.verify_tridiagonal(j, blocks).L == 3
+        assert screened_gates == ["verify_tridiagonal"]
+
+    def test_non_hermitian_rejected(self):
+        j, blocks = self.hermitian_to_roundoff()
+        j[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="J must be Hermitian"):
+            sb.verify_tridiagonal(j, blocks)
+
     def test_non_spanning_rejected(self):
         with pytest.raises(ValueError, match="span"):
             sb.verify_tridiagonal(np.eye(3) * 0.1, [np.arange(2)])
@@ -105,6 +125,27 @@ class TestCertifyW:
         cert = sb.certify_W(sys2, w)
         assert cert.eps3 <= 1e-12 and cert.eps4 <= 1e-12 and cert.eps5 <= 1e-12
         assert cert.contains_V1 and cert.perp_VL
+
+    def test_orthonormal_basis_kept(self, screened_gates, monkeypatch):
+        rng = np.random.default_rng(5)
+        sys = sb.random_block_tridiagonal(rng, [2, 3, 2, 1])
+        w = mc.random_unitary(rng, 8)[:, :3]
+        real, calls = sb.orthonormal_columns, []
+        monkeypatch.setattr(sb, "orthonormal_columns",
+                            lambda c, **kw: calls.append(1) or real(c, **kw))
+        screened_gates.clear()
+        cert = sb.certify_W(sys, w)
+        assert screened_gates == ["certify_W"] and calls == []
+        assert np.array_equal(cert.w_basis, w)
+
+    def test_non_orthonormal_basis_orthonormalized(self):
+        rng = np.random.default_rng(5)
+        sys = sb.random_block_tridiagonal(rng, [2, 3, 2, 1])
+        w = 2.0 * mc.random_unitary(rng, 8)[:, :3]
+        cert = sb.certify_W(sys, w)
+        wb = cert.w_basis
+        assert mc.op_norm(wb.conj().T @ wb - np.eye(3)) <= 1e-12
+        assert mc.op_norm(wb @ wb.conj().T - w @ w.conj().T / 4.0) <= 1e-12
 
     def test_primal_dual_agreement_random(self):
         rng = np.random.default_rng(3)
@@ -254,6 +295,44 @@ class TestJacobiOracle:
             off = m - np.diag(np.diag(m))
             assert mc.op_norm(off) <= 1e-9
 
+    def test_jointly_degenerate_pair_is_not_rotated(self, monkeypatch):
+        # (0, 1) is degenerate in both matrices and every off-diagonal entry
+        # is zero: no pair needs a rotation, so no 3x3 eigh runs
+        a = np.diag([0.5, 0.5, -0.25]).astype(complex)
+        b = np.diag([0.1, 0.1, 0.7]).astype(complex)
+        real = np.linalg.eigh
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        u, rot = sb.joint_jacobi([a, b])
+        assert calls == []
+        assert np.array_equal(u, np.eye(3))
+        assert np.array_equal(rot[0], a) and np.array_equal(rot[1], b)
+
+    def test_degenerate_block_skipped_coupled_pair_rotated(self, monkeypatch):
+        # a degenerate pair (0, 1) next to a coupled pair (1, 2) of a
+        # commuting pair: only (1, 2) takes the 3x3 eigh, and e_0 stays put
+        a = np.array([[0.5, 0, 0], [0, 0.5, 0.2], [0, 0.2, -0.3]], dtype=complex)
+        b = np.diag([0.1, 0.1, 0.1]).astype(complex)
+        real = np.linalg.eigh
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        u, rot = sb.joint_jacobi([a, b])
+        assert calls == [(3, 3)]
+        assert np.array_equal(u[:, 0], np.eye(3)[:, 0])
+        for m in rot:
+            assert mc.op_norm(m - np.diag(np.diag(m))) <= 1e-12
+        assert mc.op_norm(u.conj().T @ u - np.eye(3)) <= 1e-14
+
     def test_heuristic_oracle_produces_commuting_pair(self):
         rng = np.random.default_rng(9)
         a = mc.random_hermitian(rng, 6, norm=1.0)
@@ -299,6 +378,39 @@ class TestLinOracleProjection:
         g = np.eye(12) - high @ high.conj().T
         assert mc.op_norm(e @ (np.eye(12) - p)) <= 1e-10
         assert mc.op_norm(p @ (np.eye(12) - g)) <= 1e-10
+
+    @pytest.mark.parametrize("mode, n", [("heuristic", 12), ("brute", 3)])
+    def test_basis_spans_projection(self, mode, n):
+        rng = np.random.default_rng(19)
+        a = mc.random_hermitian(rng, n, norm=1.0)
+        b = mc.random_hermitian(rng, n, norm=1.0)
+        res = sb.lin_oracle_projection(a, b, 0.5, sb.LinOracle(mode))
+        basis = res.basis
+        assert basis.shape == (n, res.projection.rank)
+        assert mc.op_norm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-10
+        assert mc.op_norm(basis @ basis.conj().T - res.projection.matrix) <= 1e-10
+
+    @staticmethod
+    def spread_pair():
+        # A's spectrum meets all three sandwich ranges
+        rng = np.random.default_rng(20)
+        q = mc.random_unitary(rng, 8)
+        a = (q * np.array([-0.9, -0.7, -0.6, -0.2, 0.1, 0.3, 0.6, 0.95])) @ q.conj().T
+        return (a + a.conj().T) / 2, mc.random_hermitian(rng, 8, norm=1.0)
+
+    def test_sandwich_gate_screened(self, screened_gates):
+        a, b = self.spread_pair()
+        res = sb.lin_oracle_projection(a, b, 0.5, sb.LinOracle("heuristic"))
+        assert res.check.passed
+        assert screened_gates == ["nest_projection_core"] * 2 + ["lin_oracle_projection"] * 2
+
+    def test_broken_sandwich_rejected(self, monkeypatch):
+        a, b = self.spread_pair()
+        real = sb.nest_projection_core
+        # drop the first column of Ran E from the nested basis
+        monkeypatch.setattr(sb, "nest_projection_core", lambda *bases: real(*bases)[:, 1:])
+        with pytest.raises(AssertionError, match="sandwich E <= P <= G failed structurally"):
+            sb.lin_oracle_projection(a, b, 0.5, sb.LinOracle("heuristic"))
 
     def test_brute_mode_diagonal(self):
         a = np.diag([-0.9, 0.0, 0.9]).astype(complex)
@@ -446,6 +558,49 @@ class TestHastings:
             sigma_min = float(np.linalg.svd(au, compute_uv=False)[-1])
             c3 = diag.stage_values["C3"]
             assert sigma_min >= math.sqrt(1.0 / (c3 * cfg.l_b))
+
+    def test_oracle_bases_taken_as_given(self, monkeypatch):
+        # stage (c) embeds the basis the oracle built; no N_i goes back
+        # through a rank-revealing SVD of its projection
+        sys = self.desk_system()
+        cfg = self.desk_config()
+        real = sb.orthonormal_columns
+        calls = []
+
+        def counting(cols, **kwargs):
+            if kwargs.get("tol") == 0.5:
+                calls.append(np.shape(cols))
+            return real(cols, **kwargs)
+
+        monkeypatch.setattr(sb, "orthonormal_columns", counting)
+        cert, diag = sb.hastings_W(sys, cfg, sb.LinOracle("heuristic"))
+        assert calls == []
+        assert cert.contains_V1 and cert.perp_VL
+        assert diag.stage_checks and all(chk.passed for chk in diag.stage_checks)
+        for i, basis in diag.n_bases.items():
+            assert mc.op_norm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-10
+
+    def test_stage_c_gates_screened(self, screened_gates):
+        sys = self.desk_system()
+        cert, diag = sb.hastings_W(sys, self.desk_config(), sb.LinOracle("heuristic"))
+        assert "hastings_W" in screened_gates
+        assert all(chk.passed for chk in diag.stage_checks)
+
+    @pytest.mark.parametrize("full, message", [
+        (False, r"\[c\] lower sandwich E_\[0,G/l_b\]\(rho_(\d+)\) <= N_\1 fails"),
+        (True, r"\[c\] upper sandwich N_\d+ <= Y' - E_\[2G/l_b,inf\) fails"),
+    ])
+    def test_stage_c_sandwich_rejected(self, monkeypatch, full, message):
+        # an oracle answering 0 (or 1) breaks the lower (or upper) sandwich
+        def oracle(a, b, eps, orc):
+            k = a.shape[0]
+            basis = np.eye(k, dtype=complex)[:, :k if full else 0]
+            proj = mc.OrthoProjection(basis @ basis.conj().T, basis.shape[1])
+            return sb.LinProjection(proj, basis, 0.0, None)
+
+        monkeypatch.setattr(sb, "lin_oracle_projection", oracle)
+        with pytest.raises(sb.StageError, match=message):
+            sb.hastings_W(self.desk_system(), self.desk_config(), sb.LinOracle())
 
     def test_one_tail_table_build(self, monkeypatch):
         sys = self.desk_system()
