@@ -9,7 +9,6 @@ from .matcore import (
     commutator,
     eig_hermitian,
     op_norm,
-    pinch,
     spectral_projection,
 )
 from .pipeline import (
@@ -28,13 +27,11 @@ from .smoothing import (
     make_smooth_step,
     partition_of_unity,
     poly_bump_profile,
-    profile_constants,
     smooth_profile,
     tail_tables,
 )
 from .subspace import (
     HastingsConfig,
-    LinOracle,
     WCertificate,
     certify_W,
     hastings_W,

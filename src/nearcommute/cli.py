@@ -24,7 +24,7 @@ from .gallery import quarter_tridiag, voiculescu, winding_number
 from .matcore import commutator, op_norm, random_hermitian
 from .matio import MatrixFileError, atomic_write_text, load_matrix, save_matrix
 from .pipeline import commute_hermitian_pair, delta_sweep
-from .subspace import LinOracle, StageError
+from .subspace import StageError
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -75,7 +75,6 @@ def _build_parser() -> _Parser:
     pc.add_argument("matrix_b")
     pc.add_argument("--gamma2", type=float, default=1.0)
     pc.add_argument("--engine", choices=["szarek", "hastings", "auto"], default="auto")
-    pc.add_argument("--oracle", choices=["heuristic", "brute"], default="heuristic")
     pc.add_argument("--rescale", action="store_true",
                     help="rescale inputs to contractions instead of rejecting")
     pc.add_argument("--out", default="report.json")
@@ -118,8 +117,7 @@ def cmd_commute(args) -> int:
         a = a / max(1.0, op_norm(a))
         b = b / max(1.0, op_norm(b))
     try:
-        rep = commute_hermitian_pair(a, b, args.gamma2, LinOracle(args.oracle),
-                                     engine=args.engine)
+        rep = commute_hermitian_pair(a, b, args.gamma2, engine=args.engine)
     except (StageError,) as exc:
         print(f"engine failure: {exc}", file=sys.stderr)
         return EXIT_ENGINE
@@ -129,7 +127,7 @@ def cmd_commute(args) -> int:
     doc = rep.to_json_dict(include_matrices=True)
     doc["inputs"] = hashes
     doc["config"] = {"gamma2": args.gamma2, "engine": args.engine,
-                     "oracle": args.oracle, "rescale": bool(args.rescale)}
+                     "rescale": bool(args.rescale)}
     atomic_write_text(args.out, json.dumps(doc))
     print(json.dumps({"dist_a": rep.dist_a, "dist_b": rep.dist_b,
                       "comm_residual": rep.comm_residual, "out": args.out}))

@@ -24,7 +24,6 @@ __all__ = [
     "quarter_tridiag",
     "tn_lift",
     "tn_identities",
-    "adjacent_transposition_rep",
 ]
 
 DIMENSION_BUDGET = 4096
@@ -156,14 +155,6 @@ def _transposition(n: int, big_n: int, k: int) -> np.ndarray:
         raise ValueError("need 0 <= k < N-1")
     digits = np.arange(n ** big_n).reshape((n,) * big_n)
     return digits.swapaxes(big_n - 1 - k, big_n - 2 - k).reshape(-1)
-
-
-def adjacent_transposition_rep(n: int, big_n: int, k: int) -> np.ndarray:
-    """Permutation matrix swapping tensor factors k and k+1 of (C^n)^{x N}."""
-    sigma = _transposition(n, big_n, k)
-    perm = np.zeros((sigma.size, sigma.size))
-    perm[sigma, np.arange(sigma.size)] = 1.0
-    return perm
 
 
 def tn_identities(a, b, big_n: int, *, budget: int = DIMENSION_BUDGET) -> dict:

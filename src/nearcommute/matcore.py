@@ -1,5 +1,5 @@
 """Dense complex matrix kernel: Hermitian eigendecomposition, operator norm,
-functional calculus, spectral projections, pinching.
+functional calculus, spectral projections.
 
 Everything downstream (bound checkers, subspace engines, the commuting-pair
 pipeline) is built on the functions here.  All operations are pure: inputs are
@@ -9,7 +9,7 @@ never mutated and outputs are freshly allocated arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "op_norm",
     "commutator",
     "spectral_projection",
-    "pinch",
     "random_hermitian",
     "random_unitary",
 ]
@@ -36,10 +35,6 @@ class MatrixShapeError(ValueError):
 
 class NotHermitianError(ValueError):
     """Raised when an input exceeds the Hermiticity tolerance."""
-
-
-class NotResolutionError(ValueError):
-    """Raised when a projection family is not a resolution of identity."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -258,30 +253,6 @@ class NormalEig:
 
     eigenvalues: np.ndarray  # complex
     vectors: np.ndarray
-
-
-def pinch(a, parts: Sequence[OrthoProjection | np.ndarray], *, tol: float = 1e-10) -> np.ndarray:
-    """Pinching sum P_i A P_i for a resolution of identity {P_i}.
-
-    Kills all off-diagonal blocks with respect to the family; never increases
-    the operator norm.
-    """
-    m = as_matrix(a)
-    mats = [p.matrix if isinstance(p, OrthoProjection) else as_matrix(p) for p in parts]
-    if not mats:
-        raise NotResolutionError("empty projection family")
-    total = sum(mats)
-    n = m.shape[0]
-    if op_norm(total - np.eye(n)) > tol:
-        raise NotResolutionError("projections do not sum to the identity")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if op_norm(mats[i] @ mats[j]) > tol:
-                raise NotResolutionError(f"projections {i} and {j} are not orthogonal")
-    out = np.zeros_like(m)
-    for p in mats:
-        out += p @ m @ p
-    return out
 
 
 def random_hermitian(rng: np.random.Generator, n: int, *, norm: float | None = None) -> np.ndarray:

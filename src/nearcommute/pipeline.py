@@ -34,7 +34,6 @@ from .smoothing import (
 )
 from .subspace import (
     HastingsConfig,
-    LinOracle,
     hastings_W,
     szarek_W,
     verify_tridiagonal,
@@ -165,8 +164,7 @@ def _first_empty_subinterval(sub_ids: np.ndarray, n_sub: int) -> int | None:
 
 
 def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
-                              n_sub: int, engine: str, oracle: LinOracle
-                              ) -> tuple[np.ndarray, dict]:
+                              n_sub: int, engine: str) -> tuple[np.ndarray, dict]:
     """Run the W-engine on one interval's compressed block.
 
     j_block acts on the eigenvectors of B inside the interval, grouped by
@@ -199,7 +197,7 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
     if engine == "auto":
         use = "szarek" if min(sys.dims) <= SZAREK_BLOCK_THRESHOLD else "hastings"
     if use == "hastings":
-        cert, _ = hastings_W(sys, HastingsConfig.from_system_size(sys.L), oracle)
+        cert, _ = hastings_W(sys, HastingsConfig.from_system_size(sys.L))
     else:
         cert = szarek_W(sys)
     log["engine"] = use
@@ -210,7 +208,7 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
 
 def _cut_and_pinch(h: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
                    origin: float, n_cut: int, cell: float, min_sub: float,
-                   value, *, cyclic: bool, engine: str, oracle: LinOracle):
+                   value, *, cyclic: bool, engine: str):
     """Cut B's spectrum into cells, build W per cell, regroup and pinch H.
 
     ``coords`` are B's eigen-coordinates (eigenvalues on the line, phases on
@@ -242,7 +240,7 @@ def _cut_and_pinch(h: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
         jb = (jb + jb.conj().T) / 2
         sub = np.floor((coords[sel] - (origin + i * cell)) / sub_width).astype(int)
         sub = np.maximum(np.minimum(sub, n_sub - 1), 0)
-        w_local, log = _interval_subspace_engine(jb, sub, n_sub, engine, oracle)
+        w_local, log = _interval_subspace_engine(jb, sub, n_sub, engine)
         log["interval"] = i
         interval_log.append(log)
         if log.get("degenerate"):
@@ -290,9 +288,7 @@ def _cut_and_pinch(h: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
     return a_prime, b_prime, log, checks
 
 
-def commute_hermitian_pair(a, b, gamma2: float = 1.0,
-                           oracle: LinOracle | None = None,
-                           *, engine: str = "auto",
+def commute_hermitian_pair(a, b, gamma2: float = 1.0, *, engine: str = "auto",
                            profile: Profile | None = None) -> CommuteReport:
     """Construct commuting Hermitian (A', B') near almost-commuting (A, B).
 
@@ -305,7 +301,6 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0,
     defects: dict = {}
     am = _require_hermitian_contraction(a, "A", defects)
     bm = _require_hermitian_contraction(b, "B", defects, contraction=False)
-    oracle = oracle or LinOracle()
     delta = op_norm(commutator(am, bm))
     g0, g1, gamma = choose_exponents(float(gamma2), True)
     big_delta = max(delta, DELTA_FLOOR) ** g0
@@ -320,7 +315,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0,
     a_prime, b_prime, pinch_log, pinch_checks = _cut_and_pinch(
         fr.matrix, eb.vectors, eb.eigenvalues, -1.0, n_cut, width, big_delta,
         lambda j: 1.0 if j >= n_cut else -1.0 + j * width,
-        cyclic=False, engine=engine, oracle=oracle)
+        cyclic=False, engine=engine)
     b_prime = (b_prime + b_prime.conj().T) / 2
 
     dist_a = op_norm(am - a_prime)
@@ -387,14 +382,12 @@ def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
     return CommuteReport(a_prime, b_prime, dist_a, dist_b, res, log, checks)
 
 
-def three_hermitian(a, b, c, oracle: LinOracle | None = None,
-                    *, gamma2: float = 1.0) -> CommuteReport:
+def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
     """Triple repair: cluster A's spectrum, pinch B and C onto the blocks,
     then repair (B, C) inside each block with the pair pipeline."""
     am = _require_hermitian_contraction(a, "A")
     bm = _require_hermitian_contraction(b, "B")
     cm = _require_hermitian_contraction(c, "C")
-    oracle = oracle or LinOracle()
     delta_ab = op_norm(commutator(am, bm))
     delta_ac = op_norm(commutator(am, cm))
     delta_a = max(delta_ab, delta_ac)
@@ -421,7 +414,7 @@ def three_hermitian(a, b, c, oracle: LinOracle | None = None,
             block_logs.append({"size": len(g), "dist_b": 0.0, "dist_c": 0.0,
                                "residual": op_norm(commutator(b_blk, c_blk))})
         else:
-            rep = commute_hermitian_pair(b_blk, c_blk, gamma2, oracle)
+            rep = commute_hermitian_pair(b_blk, c_blk, gamma2)
             blk_b, blk_c = rep.a_prime, rep.b_prime
             block_logs.append({"size": len(g), "dist_b": rep.dist_a,
                                "dist_c": rep.dist_b, "residual": rep.comm_residual})
@@ -449,9 +442,7 @@ def _require_unitary(m, name: str) -> np.ndarray:
     return mm
 
 
-def commute_hermitian_unitary(a, u, gamma2: float = 1.0,
-                              oracle: LinOracle | None = None,
-                              *, engine: str = "auto",
+def commute_hermitian_unitary(a, u, gamma2: float = 1.0, *, engine: str = "auto",
                               profile: Profile | None = None) -> CommuteReport:
     """Commuting (A', U') near an almost-commuting Hermitian/unitary pair.
 
@@ -461,7 +452,6 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0,
     """
     am = _require_hermitian_contraction(a, "A")
     um = _require_unitary(u, "U")
-    oracle = oracle or LinOracle()
     delta = op_norm(commutator(am, um))
     g0, g1, _ = choose_exponents(float(gamma2), True)
     big_delta = max(delta, DELTA_FLOOR) ** g0
@@ -478,7 +468,7 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0,
     phi_sub = max(phi_sub, 1e-12)
     a_prime, u_prime, pinch_log, pinch_checks = _cut_and_pinch(
         fr.matrix, eu.vectors[:, order], phases[order], 0.0, n_cut, arc, phi_sub,
-        lambda j: np.exp(1j * arc * j), cyclic=True, engine=engine, oracle=oracle)
+        lambda j: np.exp(1j * arc * j), cyclic=True, engine=engine)
 
     dist_a = op_norm(am - a_prime)
     dist_u = op_norm(um - u_prime)
@@ -496,9 +486,8 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0,
     return CommuteReport(a_prime, u_prime, dist_a, dist_u, res, log, checks)
 
 
-def unitary_pair_gap(u, v, theta: float | None = None,
-                     oracle: LinOracle | None = None,
-                     *, gamma2: float = 1.0) -> CommuteReport:
+def unitary_pair_gap(u, v, theta: float | None = None, *,
+                     gamma2: float = 1.0) -> CommuteReport:
     """Commuting unitaries near (U, V) when V has a spectral arc gap.
 
     V is rotated so the largest gap sits at 1, mapped to a Hermitian W by the
@@ -506,7 +495,6 @@ def unitary_pair_gap(u, v, theta: float | None = None,
     """
     um = _require_unitary(u, "U")
     vm = _require_unitary(v, "V")
-    oracle = oracle or LinOracle()
     ev = normal_eig(vm)
     phases = np.sort(np.mod(np.angle(ev.eigenvalues), 2.0 * math.pi))
     gaps = np.diff(np.concatenate([phases, [phases[0] + 2.0 * math.pi]]))
@@ -532,7 +520,7 @@ def unitary_pair_gap(u, v, theta: float | None = None,
                             delta_uv / (1.0 - math.cos(theta)) + 1e-12,
                             "||[U,W]|| <= ||[U,V]||/(1-cos theta)")
     scale = max(1.0, op_norm(w))
-    rep = commute_hermitian_unitary(w / scale, um, gamma2, oracle)
+    rep = commute_hermitian_unitary(w / scale, um, gamma2)
     w_prime = scale * rep.a_prime
     u_prime = rep.b_prime
     v_prime = cayley_matrix_to_circle(w_prime) / rot
@@ -568,7 +556,7 @@ def cayley_matrix_to_circle(w: np.ndarray) -> np.ndarray:
 
 
 def delta_sweep(a0, b0, perturbation, deltas: Sequence[float],
-                gamma2: float = 1.0, oracle: LinOracle | None = None) -> list[dict]:
+                gamma2: float = 1.0) -> list[dict]:
     """Run the pair pipeline on (A0 + t G)/(1+t) for a scaled perturbation G,
     one row per requested commutator size.
 
@@ -591,7 +579,7 @@ def delta_sweep(a0, b0, perturbation, deltas: Sequence[float],
     for want in deltas:
         t = want / base
         a = (a0 + t * g) / (1.0 + t)
-        rep = commute_hermitian_pair(a, b0, gamma2, oracle)
+        rep = commute_hermitian_pair(a, b0, gamma2)
         rows.append({
             "delta": rep.stage_log["delta"],
             "requested_delta": want,

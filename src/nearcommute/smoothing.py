@@ -37,9 +37,7 @@ __all__ = [
     "make_smooth_step",
     "smooth_profile",
     "poly_bump_profile",
-    "indicator_profile",
     "mollifier_profile",
-    "profile_constants",
     "partition_of_unity",
     "FiniteRangeResult",
     "finite_range",
@@ -278,16 +276,6 @@ def poly_bump_profile() -> Profile:
     return Profile(fn, 0.0, 1.0, 0.0, name="(1-x^2)^3")
 
 
-def indicator_profile(radius: float = 1.0) -> Profile:
-    """Sharp indicator window; its c0 integral diverges (used to exercise the
-    divergence flag)."""
-
-    def fn(t, _r=radius):
-        return np.where(np.abs(np.asarray(t, dtype=float)) <= _r, 1.0, 0.0)
-
-    return Profile(fn, radius, 1e-12, 0.0, name=f"chi[{radius:g}]")
-
-
 @functools.cache
 def mollifier_profile() -> Profile:
     """Normalized bump exp(-1/(1-x^2)) on [-1,1] with unit integral."""
@@ -307,13 +295,6 @@ def mollifier_profile() -> Profile:
         return raw(t) / _m
 
     return Profile(fn, 0.0, 1.0, 0.0, name="bump-mollifier")
-
-
-def profile_constants(profile: Profile) -> tuple[float, float]:
-    """(c0, c1) for a profile, by quadrature with refinement-halving error
-    certification.  Raises QuadratureDivergence when c0 does not converge."""
-    f = profile.fourier
-    return f.c0, f.c1
 
 
 def partition_of_unity(n_win: int) -> list[Profile]:

@@ -4,8 +4,9 @@ Given a Hermitian contraction J that is block tridiagonal with respect to
 ordered orthogonal blocks V_1..V_L, both engines produce a subspace W with
 V_1 <= W perp V_L exactly (after projection repair) and measure how nearly
 J-invariant W is.  szarek_W is the fully constructive spectral-interval
-route; hastings_W is the smooth-partition construction with a pluggable
-oracle supplying commuting pairs where the argument is nonconstructive.
+route; hastings_W is the smooth-partition construction, with Jacobi joint
+diagonalization supplying the commuting pairs where the argument calls a
+nonconstructive oracle.
 """
 
 from __future__ import annotations
@@ -48,10 +49,9 @@ __all__ = [
     "krylov_reduce",
     "trivial_reducing_basis",
     "select_intervals",
-    "LinOracle",
+    "jacobi_commuting_pair",
     "LinProjection",
     "lin_oracle_projection",
-    "brute_projection_search",
     "joint_jacobi",
     "szarek_W",
     "HastingsConfig",
@@ -66,9 +66,6 @@ EXACT_TOL = 1e-10
 
 # relative singular-value threshold for the rank of a coupling J[V_{k+1}, V_k]
 RANK_TOL = 1e-10
-
-# grid resolution handed to brute_projection_search by the brute oracle
-BRUTE_RESOLUTION = 24
 
 # joint_jacobi: sweep cap, and the rotation size below which a pair is left alone
 JACOBI_SWEEPS = 60
@@ -450,7 +447,7 @@ def select_intervals(positions, masses, kappa: float, eta: float
 
 
 # ---------------------------------------------------------------------------
-# Oracles: joint diagonalization, Lin-oracle projection, brute search
+# Oracle: joint diagonalization and the Lin-oracle projection
 # ---------------------------------------------------------------------------
 
 def joint_jacobi(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -501,28 +498,13 @@ def joint_jacobi(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
     return u, ms
 
 
-@dataclass
-class LinOracle:
-    """Pluggable source of commuting pairs near an almost-commuting pair.
-
-    heuristic: Jacobi joint-diagonalization, then diagonal parts conjugated
-    back; brute: exhaustive projection search (dimension <= 3 only).
-    """
-
-    mode: str = "heuristic"
-
-    def __post_init__(self):
-        if self.mode not in ("heuristic", "brute"):
-            raise ValueError(f"unknown oracle mode {self.mode!r}")
-
-    def commuting_pair(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        if self.mode == "heuristic":
-            u, rot = joint_jacobi([a, b])
-            ap = u @ np.diag(np.real(np.diag(rot[0]))) @ u.conj().T
-            bp = u @ np.diag(np.real(np.diag(rot[1]))) @ u.conj().T
-            return ap, bp
-        raise ValueError("brute mode does not produce commuting pairs; "
-                         "use brute_projection_search")
+def jacobi_commuting_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Commuting pair near (A, B): Jacobi joint diagonalization, then the
+    diagonal parts conjugated back."""
+    u, rot = joint_jacobi([a, b])
+    ap = u @ np.diag(np.real(np.diag(rot[0]))) @ u.conj().T
+    bp = u @ np.diag(np.real(np.diag(rot[1]))) @ u.conj().T
+    return ap, bp
 
 
 @dataclass
@@ -533,10 +515,7 @@ class LinProjection:
     projection: OrthoProjection
     basis: np.ndarray
     commutator_norm: float
-    check: BoundCheck | None
-    oracle_dist_a: float | None = None
-    oracle_dist_b: float | None = None
-    certified_radius: float | None = None
+    check: BoundCheck
 
 
 def _sandwich_bases(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -549,21 +528,17 @@ def _sandwich_bases(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             ea.vectors[:, lam >= 0.5])
 
 
-def lin_oracle_projection(a, b, eps: float, oracle: LinOracle) -> LinProjection:
+def lin_oracle_projection(a, b) -> LinProjection:
     """Projection P with E_{[-1,-1/2]}(A) <= P <= 1 - E_{[1/2,1]}(A) and small
     ||[P, B]||.
 
-    Heuristic mode builds P from the oracle's commuting pair and asserts
-    ||[P,B]|| <= 20||A-A'|| + 2||B-B'||; brute mode searches exhaustively.
+    P is built from the commuting pair (A', B') of jacobi_commuting_pair; the
+    returned check measures ||[P,B]|| <= 20||A-A'|| + 2||B-B'||.
     """
     am, bm = as_matrix(a), as_matrix(b)
     if op_norm(am) > 1 + 1e-9 or op_norm(bm) > 1 + 1e-9:
         raise ValueError("need contractions")
-    if oracle.mode == "brute":
-        proj, value, radius = brute_projection_search(am, bm, eps, BRUTE_RESOLUTION)
-        return LinProjection(proj, orthonormal_columns(proj.matrix, tol=0.5), value, None,
-                             certified_radius=radius)
-    ap, bp = oracle.commuting_pair(am, bm)
+    ap, bp = jacobi_commuting_pair(am, bm)
     dist_a = op_norm(am - ap)
     dist_b = op_norm(bm - bp)
     low, mid, high = _sandwich_bases(am)
@@ -576,85 +551,7 @@ def lin_oracle_projection(a, b, eps: float, oracle: LinOracle) -> LinProjection:
     measured = op_norm(commutator(f.matrix, bm))
     check = BoundCheck(measured, 20 * dist_a + 2 * dist_b,
                        "lin-oracle ||[P,B]|| <= 20||A-A'|| + 2||B-B'||")
-    return LinProjection(f, basis, measured, check, dist_a, dist_b)
-
-
-def _vector_grid(n_prime: int, resolution: int) -> np.ndarray:
-    """Grid over unit vectors in C^{n_prime} (rank-1 projection parameters)."""
-    if n_prime == 1:
-        return np.array([[1.0 + 0j]])
-    thetas = np.linspace(0, math.pi / 2, resolution)
-    phis = np.linspace(0, 2 * math.pi, 2 * resolution, endpoint=False)
-    if n_prime == 2:
-        t, p = np.meshgrid(thetas, phis, indexing="ij")
-        v = np.stack([np.cos(t), np.sin(t) * np.exp(1j * p)], axis=-1)
-        return v.reshape(-1, 2)
-    if n_prime == 3:
-        t1, t2, p1, p2 = np.meshgrid(thetas, thetas, phis, phis, indexing="ij")
-        v = np.stack([np.cos(t1),
-                      np.sin(t1) * np.cos(t2) * np.exp(1j * p1),
-                      np.sin(t1) * np.sin(t2) * np.exp(1j * p2)], axis=-1)
-        return v.reshape(-1, 3)
-    raise ValueError("vector grids only generated for n' <= 3")
-
-
-def brute_projection_search(a, b, eps: float, resolution: int | None = None,
-                            *, budget: int = 3_000_000
-                            ) -> tuple[OrthoProjection, float, float]:
-    """Exhaustive search over sandwich-respecting projections (dim <= 3).
-
-    Returns the grid minimizer of ||[P, B]||, its value, and the grid's
-    covering radius in operator norm.  The resolution is chosen so the
-    covering radius is at most eps/4 (raising when that exceeds the budget);
-    then whenever some sandwich projection has commutator <= eps/2, the
-    returned value is <= eps.
-    """
-    am, bm = as_matrix(a), as_matrix(b)
-    n = am.shape[0]
-    if n > 3:
-        raise ValueError("brute search restricted to dimension <= 3")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    low, mid_a, _ = _sandwich_bases(am)
-    e = low @ low.conj().T
-    # the grid is laid out in the canonical eigenbasis of G - E
-    mid = eig_hermitian(mid_a @ mid_a.conj().T, rtol=1e-6)
-    mid_basis = mid.vectors[:, mid.eigenvalues > 0.5]
-    n_prime = mid_basis.shape[1]
-    n_params = {0: 0, 1: 1, 2: 2, 3: 4}[n_prime]
-
-    # covering radius (operator norm) of the grid is n_params * step with
-    # step = pi / (resolution - 1); pick the resolution to reach eps/4
-    needed = int(math.ceil(4.0 * n_params * math.pi / eps)) + 1 if n_params else 1
-    res_eff = max(resolution or 1, needed)
-    grid_points = (2 * res_eff ** 2 if n_prime == 2
-                   else 4 * res_eff ** 4 if n_prime == 3 else 1)
-    if grid_points > budget:
-        raise ValueError(
-            f"brute search budget exceeded: {grid_points} grid points needed "
-            f"for eps = {eps}")
-
-    candidates: list[np.ndarray] = [np.zeros((n_prime, n_prime), dtype=np.complex128)]
-    if n_prime:
-        candidates.append(np.eye(n_prime, dtype=np.complex128))
-        for v in _vector_grid(n_prime, res_eff):
-            p1 = np.outer(v, v.conj())
-            candidates.append(p1)
-            if n_prime >= 2:
-                candidates.append(np.eye(n_prime) - p1)
-
-    best_val = math.inf
-    best_p = None
-    for c in candidates:
-        p = e + (mid_basis @ c @ mid_basis.conj().T if n_prime else 0.0)
-        val = op_norm(commutator(p, bm))
-        if val < best_val - 1e-15:
-            best_val = val
-            best_p = p
-    step = (math.pi / max(res_eff - 1, 1)) if n_prime >= 1 else 0.0
-    radius = n_params * step
-    rank = int(round(np.real(np.trace(best_p))))
-    return OrthoProjection(best_p, rank), best_val, radius
+    return LinProjection(f, basis, measured, check)
 
 
 # ---------------------------------------------------------------------------
@@ -903,7 +800,7 @@ def _even_projection(n_bases: dict, n_b: int, total: int
     return n_even, n_even @ n_even.conj().T
 
 
-def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
+def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
                ) -> tuple[WCertificate, HastingsDiagnostics]:
     """Smooth-partition W construction with measured stage postconditions.
 
@@ -988,8 +885,9 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
         er = eig_hermitian(rho_i, rtol=1e-8)
         f_rho = er.matrix_function(
             lambda x: 1.0 - 2.0 * np.asarray(f_prof(x), dtype=np.complex128))
-        res = lin_oracle_projection(f_rho, b_hat, 1.0 - HASTINGS_CHI, oracle)
+        res = lin_oracle_projection(f_rho, b_hat)
         comm_vals[i] = res.commutator_norm
+        checks.append(res.check)
         if res.commutator_norm > 1.0 - HASTINGS_CHI + 1e-9:
             raise StageError("c", f"||[N_{i}, B^_{i}]|| = {res.commutator_norm:.4f} "
                                   f"exceeds 1 - chi = {1 - HASTINGS_CHI}")
@@ -1025,9 +923,8 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig, oracle: LinOracle
 
     # ---- stage (d): prune odd N_i against N^e ----
     n_even, p_even = _even_projection(n_bases, nb, total)
-    if n_even.shape[1]:
-        if op_norm(p_even @ p_even - p_even) > 1e-9:
-            raise StageError("d", "even N_i do not sum to a projection")
+    if n_even.shape[1] and op_norm_exceeds(p_even @ p_even - p_even, 1e-9):
+        raise StageError("d", "even N_i do not sum to a projection")
     n_prime_bases: dict[int, np.ndarray] = {}
     for i in range(1, nb + 1, 2):
         bN = n_bases[i]

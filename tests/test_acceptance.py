@@ -239,8 +239,7 @@ def test_hastings_engine_desk_scale():
     sys = sb.random_block_tridiagonal(rng, [2] * 60)
     cfg = sb.HastingsConfig(n_win=24, l_b=4, lambda_min=1e-4)
     chi = sb.HASTINGS_CHI
-    oracle = sb.LinOracle("heuristic")
-    cert, diag = sb.hastings_W(sys, cfg, oracle)  # stage gates raise on failure
+    cert, diag = sb.hastings_W(sys, cfg)  # stage gates raise on failure
     comm_max = max(diag.stage_values["commutators"].values())
     semi = diag.stage_values["semi_orthogonality"]
     fit = sb.decay_check_U(diag, rng=np.random.default_rng(11))

@@ -190,6 +190,7 @@ class TestParser:
     def test_bad_flag_usage_error(self):
         assert main(["verify", "tn", "--bogus"]) == 64
 
-    def test_given_oracle_usage_error(self, commuting_files):
+    @pytest.mark.parametrize("mode", ["given", "heuristic", "brute"])
+    def test_given_oracle_usage_error(self, commuting_files, mode):
         pa, pb, _, _ = commuting_files
-        assert main(["commute", str(pa), str(pb), "--oracle", "given"]) == 64
+        assert main(["commute", str(pa), str(pb), "--oracle", mode]) == 64

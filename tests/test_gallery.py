@@ -216,7 +216,7 @@ class TestTnIdentities:
                 perm_ref = 0.0
                 for k in range(big_n - 1):
                     p = self.loop_transposition(n, big_n, k)
-                    assert np.array_equal(gl.adjacent_transposition_rep(n, big_n, k), p)
+                    assert np.array_equal(p.argmax(axis=0), gl._transposition(n, big_n, k))
                     perm_ref = max(perm_ref, mc.op_norm(mc.commutator(ta, p)))
                 assert out["permutation_residual"].hex() == perm_ref.hex()
                 assert out["covariance_residual"] <= 1e-12 * out["dim"]

@@ -343,43 +343,6 @@ class TestApplyFunction:
         assert mc.op_norm(e.matrix_function(lambda x: x ** 2) - a @ a) <= 1e-10
 
 
-class TestPinch:
-    def test_identity_partition(self):
-        rng = np.random.default_rng(6)
-        a = mc.random_hermitian(rng, 5)
-        out = mc.pinch(a, [np.eye(5)])
-        assert mc.op_norm(out - a) <= 1e-14
-
-    def test_rank_one_partition_diagonal(self):
-        rng = np.random.default_rng(7)
-        a = mc.random_hermitian(rng, 4)
-        parts = [np.outer(np.eye(4)[:, i], np.eye(4)[:, i]) for i in range(4)]
-        out = mc.pinch(a, parts)
-        assert mc.op_norm(out - np.diag(np.diag(a))) <= 1e-14
-
-    def test_pauli_x_pinches_to_zero(self):
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        parts = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-        assert mc.op_norm(mc.pinch(sx, parts)) <= 1e-15
-
-    def test_rejects_non_resolution(self):
-        with pytest.raises(mc.NotResolutionError):
-            mc.pinch(np.eye(3), [np.diag([1.0, 0, 0])])
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(3, 12), st.integers(0, 10 ** 6))
-    def test_idempotent_and_contractive(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = mc.random_hermitian(rng, n)
-        q = mc.random_unitary(rng, n)
-        cut = int(rng.integers(1, n))
-        parts = [q[:, :cut] @ q[:, :cut].conj().T, q[:, cut:] @ q[:, cut:].conj().T]
-        once = mc.pinch(a, parts)
-        twice = mc.pinch(once, parts)
-        assert mc.op_norm(twice - once) <= 1e-12
-        assert mc.op_norm(once) <= mc.op_norm(a) + 1e-8
-
-
 class TestEnergyBounds:
     """Nonconsecutive-orthogonality estimates on constructed vector chains."""
 

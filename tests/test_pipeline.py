@@ -310,19 +310,26 @@ class TestEmptyInput:
 
 
 class TestEngineErrorsPropagate:
-    """An engine error is not turned into a kept block: the brute oracle on a
-    Hastings-stage compression of dimension > 3 fails the call."""
+    """An engine error is not turned into a kept block: an oracle that raises
+    inside a Hastings interval fails the call."""
 
-    def test_brute_oracle_beyond_dimension_three(self, tmp_path):
+    def test_oracle_error_fails_the_call(self, monkeypatch, tmp_path):
+        calls = []
+
+        def failing(a, b):
+            calls.append(a.shape)
+            raise ValueError("oracle failure")
+
+        monkeypatch.setattr(sb, "jacobi_commuting_pair", failing)
         a, b = planted_pair(np.random.default_rng(0), 128, 1e-2)
-        with pytest.raises(ValueError, match="dimension <= 3"):
-            pl.commute_hermitian_pair(a, b, 1.0, sb.LinOracle("brute"),
-                                      engine="hastings")
+        with pytest.raises(ValueError, match="oracle failure"):
+            pl.commute_hermitian_pair(a, b, 1.0, engine="hastings")
+        assert len(calls) == 1
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         matio.save_matrix(pa, a)
         matio.save_matrix(pb, b)
         argv = ["commute", str(pa), str(pb), "--engine", "hastings",
-                "--oracle", "brute", "--out", str(tmp_path / "r.json")]
+                "--out", str(tmp_path / "r.json")]
         assert main(argv) == 2
         assert not (tmp_path / "r.json").exists()
 

@@ -1,5 +1,5 @@
 """Subspace engines: tridiagonal systems, certificates, interval selection,
-oracles, and the two W constructions."""
+the commuting-pair oracle, and the two W constructions."""
 
 import math
 
@@ -11,6 +11,7 @@ from nearcommute import matcore as mc
 from nearcommute import projgeom as pg
 from nearcommute import smoothing as sm
 from nearcommute import subspace as sb
+from nearcommute.checks import BoundCheck
 
 
 def block_proj(n, block):
@@ -337,14 +338,8 @@ class TestJacobiOracle:
         rng = np.random.default_rng(9)
         a = mc.random_hermitian(rng, 6, norm=1.0)
         b = mc.random_hermitian(rng, 6, norm=1.0)
-        oracle = sb.LinOracle("heuristic")
-        ap, bp = oracle.commuting_pair(a, b)
+        ap, bp = sb.jacobi_commuting_pair(a, b)
         assert mc.op_norm(mc.commutator(ap, bp)) <= 1e-10
-
-    def test_given_mode_validates(self):
-        # only the heuristic and brute modes exist; any other name is refused
-        with pytest.raises(ValueError, match="unknown oracle mode"):
-            sb.LinOracle("given")
 
 
 class TestLinOracleProjection:
@@ -356,7 +351,7 @@ class TestLinOracleProjection:
         a = (a + a.conj().T) / 2
         b = q @ np.diag(np.sin(3 * lam)) @ q.conj().T
         b = (b + b.conj().T) / 2
-        res = sb.lin_oracle_projection(a, b, 0.5, sb.LinOracle("heuristic"))
+        res = sb.lin_oracle_projection(a, b)
         assert res.commutator_norm <= 1e-10
         assert res.check.passed
 
@@ -369,7 +364,7 @@ class TestLinOracleProjection:
         pert = mc.random_hermitian(rng, 12, norm=0.05)
         a = ((a0 + pert) / 1.05 + (a0 + pert).conj().T / 1.05) / 2
         b = (b0 + b0.conj().T) / 2
-        res = sb.lin_oracle_projection(a, b, 0.5, sb.LinOracle("heuristic"))
+        res = sb.lin_oracle_projection(a, b)
         assert res.check.passed
         # exact sandwich enforced structurally
         p = res.projection.matrix
@@ -379,12 +374,12 @@ class TestLinOracleProjection:
         assert mc.op_norm(e @ (np.eye(12) - p)) <= 1e-10
         assert mc.op_norm(p @ (np.eye(12) - g)) <= 1e-10
 
-    @pytest.mark.parametrize("mode, n", [("heuristic", 12), ("brute", 3)])
-    def test_basis_spans_projection(self, mode, n):
+    def test_basis_spans_projection(self):
+        n = 12
         rng = np.random.default_rng(19)
         a = mc.random_hermitian(rng, n, norm=1.0)
         b = mc.random_hermitian(rng, n, norm=1.0)
-        res = sb.lin_oracle_projection(a, b, 0.5, sb.LinOracle(mode))
+        res = sb.lin_oracle_projection(a, b)
         basis = res.basis
         assert basis.shape == (n, res.projection.rank)
         assert mc.op_norm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-10
@@ -400,7 +395,7 @@ class TestLinOracleProjection:
 
     def test_sandwich_gate_screened(self, screened_gates):
         a, b = self.spread_pair()
-        res = sb.lin_oracle_projection(a, b, 0.5, sb.LinOracle("heuristic"))
+        res = sb.lin_oracle_projection(a, b)
         assert res.check.passed
         assert screened_gates == ["nest_projection_core"] * 2 + ["lin_oracle_projection"] * 2
 
@@ -410,56 +405,7 @@ class TestLinOracleProjection:
         # drop the first column of Ran E from the nested basis
         monkeypatch.setattr(sb, "nest_projection_core", lambda *bases: real(*bases)[:, 1:])
         with pytest.raises(AssertionError, match="sandwich E <= P <= G failed structurally"):
-            sb.lin_oracle_projection(a, b, 0.5, sb.LinOracle("heuristic"))
-
-    def test_brute_mode_diagonal(self):
-        a = np.diag([-0.9, 0.0, 0.9]).astype(complex)
-        b = np.diag([0.3, 0.6, 0.9]).astype(complex)
-        res = sb.lin_oracle_projection(a, b, 0.4, sb.LinOracle("brute"))
-        assert res.commutator_norm <= 1e-12
-
-    def test_brute_mode_near_commuting_two_dim(self):
-        rng = np.random.default_rng(22)
-        q = mc.random_unitary(rng, 2)
-        a0 = q @ np.diag([-0.8, 0.0]) @ q.conj().T
-        b0 = q @ np.diag([0.2, 0.7]) @ q.conj().T
-        pert = mc.random_hermitian(rng, 2, norm=0.02)
-        a = ((a0 + pert) + (a0 + pert).conj().T) / 2 / 1.02
-        b = (b0 + b0.conj().T) / 2
-        res = sb.lin_oracle_projection(a, b, 0.3, sb.LinOracle("brute"))
-        # the returned value is within the grid-certified radius of optimal:
-        # a denser independent grid cannot beat it by more than 2*radius
-        _, fine_val, _ = sb.brute_projection_search(a, b, 0.3, resolution=70)
-        assert res.commutator_norm <= fine_val + 2 * res.certified_radius + 1e-9
-
-
-class TestBruteSearch:
-    def test_diagonal_pair_exact_zero(self):
-        a = np.diag([-0.8, 0.1, 0.8]).astype(complex)
-        b = np.diag([0.2, 0.5, 0.7]).astype(complex)
-        proj, val, radius = sb.brute_projection_search(a, b, 0.5)
-        assert val <= 1e-12
-
-    def test_two_dim_matches_fine_sweep_oracle(self):
-        # A with one middle eigenvector: the sandwich family is
-        # {E, E + vv*} over unit v in the 1-dim middle space = two points;
-        # with a 2-dim middle space, sweep a fine closed-form grid as oracle
-        rng = np.random.default_rng(12)
-        a = np.diag([-0.9, 0.0, 0.0]).astype(complex)
-        b = mc.random_hermitian(rng, 3, norm=1.0)
-        proj, val, radius = sb.brute_projection_search(a, b, 0.2, resolution=40)
-        # fine oracle: independent dense grid
-        _, val_fine, _ = sb.brute_projection_search(a, b, 0.2, resolution=90)
-        assert val <= val_fine + 2 * radius + 1e-9
-
-    def test_budget_guard(self):
-        a = np.diag([-0.9, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            sb.brute_projection_search(a, np.eye(3), 0.01, resolution=4000)
-
-    def test_dimension_gate(self):
-        with pytest.raises(ValueError):
-            sb.brute_projection_search(np.eye(4) * 0.1, np.eye(4), 0.5)
+            sb.lin_oracle_projection(a, b)
 
 
 class TestSzarek:
@@ -516,17 +462,21 @@ class TestHastings:
     def test_empty_block_short_circuits(self):
         rng = np.random.default_rng(17)
         sys = sb.random_block_tridiagonal(rng, [1, 1, 0, 1, 1, 1])
-        cert, diag = sb.hastings_W(sys, self.desk_config(), sb.LinOracle())
+        cert, diag = sb.hastings_W(sys, self.desk_config())
         assert cert.eps4 <= 1e-10
 
     def test_desk_scale_stage_postconditions(self):
         sys = self.desk_system()
         cfg = self.desk_config()
-        cert, diag = sb.hastings_W(sys, cfg, sb.LinOracle("heuristic"))
+        cert, diag = sb.hastings_W(sys, cfg)
         assert cert.contains_V1 and cert.perp_VL
         chi = sb.HASTINGS_CHI
         assert max(diag.stage_values["commutators"].values()) <= 1 - chi + 1e-9
         assert diag.stage_values["semi_orthogonality"] <= 0.5 - chi / 2 + 1e-9
+        # every oracle call's ||[P,B]|| <= 20||A-A'|| + 2||B-B'|| is reported
+        lin = [c for c in diag.stage_checks if c.context.startswith("lin-oracle")]
+        assert len(lin) == sum(1 for b in diag.n_bases.values() if b.shape[1]) == 5
+        assert all(c.passed for c in lin)
         fit = sb.decay_check_U(diag, rng=np.random.default_rng(11))
         assert fit["alpha"] < 1.0
         assert not fit["table_violations"]
@@ -539,7 +489,7 @@ class TestHastings:
     def test_desk_scale_reference_comparisons(self):
         sys = self.desk_system()
         cfg = self.desk_config()
-        cert, diag = sb.hastings_W(sys, cfg, sb.LinOracle("heuristic"))
+        cert, diag = sb.hastings_W(sys, cfg)
         refs = sb.hastings_reference_bounds(cfg, sys.L)
         assert cert.eps3 <= refs["eps3_ref"]
         assert cert.eps4 <= refs["eps4_ref"]
@@ -552,7 +502,7 @@ class TestHastings:
         # any w in W pulls back to u with |u| <= sqrt(C3 l_b) |w|
         sys = self.desk_system()
         cfg = self.desk_config()
-        cert, diag = sb.hastings_W(sys, cfg, sb.LinOracle("heuristic"))
+        cert, diag = sb.hastings_W(sys, cfg)
         if diag.u_basis.shape[1]:
             au = diag.a_map @ diag.u_basis
             sigma_min = float(np.linalg.svd(au, compute_uv=False)[-1])
@@ -573,7 +523,7 @@ class TestHastings:
             return real(cols, **kwargs)
 
         monkeypatch.setattr(sb, "orthonormal_columns", counting)
-        cert, diag = sb.hastings_W(sys, cfg, sb.LinOracle("heuristic"))
+        cert, diag = sb.hastings_W(sys, cfg)
         assert calls == []
         assert cert.contains_V1 and cert.perp_VL
         assert diag.stage_checks and all(chk.passed for chk in diag.stage_checks)
@@ -582,8 +532,9 @@ class TestHastings:
 
     def test_stage_c_gates_screened(self, screened_gates):
         sys = self.desk_system()
-        cert, diag = sb.hastings_W(sys, self.desk_config(), sb.LinOracle("heuristic"))
-        assert "hastings_W" in screened_gates
+        cert, diag = sb.hastings_W(sys, self.desk_config())
+        # five stage (c) sandwich gates and the stage (d) p_even gate
+        assert screened_gates.count("hastings_W") == 6
         assert all(chk.passed for chk in diag.stage_checks)
 
     @pytest.mark.parametrize("full, message", [
@@ -592,15 +543,15 @@ class TestHastings:
     ])
     def test_stage_c_sandwich_rejected(self, monkeypatch, full, message):
         # an oracle answering 0 (or 1) breaks the lower (or upper) sandwich
-        def oracle(a, b, eps, orc):
+        def oracle(a, b):
             k = a.shape[0]
             basis = np.eye(k, dtype=complex)[:, :k if full else 0]
             proj = mc.OrthoProjection(basis @ basis.conj().T, basis.shape[1])
-            return sb.LinProjection(proj, basis, 0.0, None)
+            return sb.LinProjection(proj, basis, 0.0, BoundCheck(0.0, 0.0, "fake oracle"))
 
         monkeypatch.setattr(sb, "lin_oracle_projection", oracle)
         with pytest.raises(sb.StageError, match=message):
-            sb.hastings_W(self.desk_system(), self.desk_config(), sb.LinOracle())
+            sb.hastings_W(self.desk_system(), self.desk_config())
 
     def test_one_tail_table_build(self, monkeypatch):
         sys = self.desk_system()
@@ -613,7 +564,7 @@ class TestHastings:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sb, "tail_tables", counting)
-        _, diag = sb.hastings_W(sys, cfg, sb.LinOracle("heuristic"))
+        _, diag = sb.hastings_W(sys, cfg)
         assert len(calls) == 1
         tables = real([cfg.l_b], [sys.L])
         assert diag.stage_values["T(l_b)"] == float(tables["T"].tails[0])
@@ -641,7 +592,7 @@ class TestHastings:
         import json
         sys = self.desk_system(seed=21, L=40)
         cfg = sb.HastingsConfig(n_win=16, l_b=4, lambda_min=1e-4)
-        cert, diag = sb.hastings_W(sys, cfg, sb.LinOracle())
+        cert, diag = sb.hastings_W(sys, cfg)
         sb.decay_check_U(diag, rng=np.random.default_rng(0))
         text = json.dumps(diag.to_json_dict(), default=float)
         assert "stage_values" in text
