@@ -5,11 +5,9 @@ and numerical verification of the quantitative bounds behind the construction.
 from .checks import BoundCheck
 from .matcore import (
     HermitianEig,
-    OrthoProjection,
     commutator,
     eig_hermitian,
     op_norm,
-    spectral_projection,
 )
 from .pipeline import (
     CommuteReport,

@@ -4,7 +4,10 @@ Lieb-Robinson inequalities.
 Each checker computes both sides of its inequality and returns a BoundCheck,
 so callers assert ``lhs <= rhs`` explicitly.  Set arguments are predicates on
 the real line (or precomputed masks); distances between sets are evaluated on
-the realized eigenvalues, which is exactly what the projections see.
+the realized eigenvalues, which is exactly what the projections see.  A
+spectral projection E_S(B) enters through V_S, the eigenvector columns of B
+over S: ||E_{S1}(B) X E_{S2}(B)|| = ||V_{S1}* X V_{S2}||, so no n x n
+projection is formed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .matcore import (
     commutator,
     eig_hermitian,
     op_norm,
-    spectral_projection,
 )
 from .smoothing import Profile, mollifier_profile
 
@@ -45,6 +47,8 @@ __all__ = [
 DAVIS_KAHAN_GENERAL_C = math.pi / 2
 
 def _mask(eig: HermitianEig, s) -> np.ndarray:
+    """Boolean selection over the eigenvalues of ``eig``, from a predicate on
+    the reals or a precomputed mask of matching length."""
     if callable(s):
         return np.array([bool(s(float(x))) for x in eig.eigenvalues])
     m = np.asarray(s, dtype=bool)
@@ -74,9 +78,7 @@ def check_davis_kahan(a, b, s1, s2, delta_gap: float | None = None,
     dist = _set_distance(v1, v2)
     if dist <= 0:
         raise ValueError("S1 and S2 are not disjoint on the realized spectra")
-    p1 = spectral_projection(ea, m1).matrix
-    p2 = spectral_projection(eb, m2).matrix
-    lhs = op_norm(p1 @ p2)
+    lhs = op_norm(ea.vectors[:, m1].conj().T @ eb.vectors[:, m2])
     diff = op_norm(as_matrix(a) - as_matrix(b))
     if delta_gap is not None:
         if delta_gap <= 0:
@@ -96,9 +98,7 @@ def check_comm_proj(c, d, s1, s2) -> BoundCheck:
     dist = _set_distance(ed.eigenvalues[m1], ed.eigenvalues[m2])
     if not (dist > 0):
         raise ValueError("dist(S1, S2) must be positive")
-    p1 = spectral_projection(ed, m1).matrix
-    p2 = spectral_projection(ed, m2).matrix
-    lhs = op_norm(p1 @ as_matrix(c) @ p2)
+    lhs = op_norm(ed.vectors[:, m1].conj().T @ as_matrix(c) @ ed.vectors[:, m2])
     if math.isinf(dist):
         return BoundCheck(lhs, 0.0 if lhs <= 0 else lhs, "comm-proj (one side empty)")
     rhs = op_norm(commutator(c, d)) / dist
@@ -141,8 +141,11 @@ def check_spectral_gap(a, b, gap_lo: float, gap_hi: float,
         raise ValueError("spectrum intrudes into the declared gap")
     rho = mollifier if mollifier is not None else mollifier_profile()
     c2 = 4.0 * rho.c1
-    p = spectral_projection(ea, ea.eigenvalues <= gap_lo).matrix
-    lhs = op_norm(commutator(p, as_matrix(b)))
+    # [P, B] = P B (1-P) - (1-P) B P has the norm of its larger corner
+    low = ea.eigenvalues <= gap_lo
+    v_in, v_out = ea.vectors[:, low], ea.vectors[:, ~low]
+    bm = as_matrix(b)
+    lhs = max(op_norm(v_in.conj().T @ bm @ v_out), op_norm(v_out.conj().T @ bm @ v_in))
     rhs = c2 * op_norm(commutator(a, b)) / (gap_hi - gap_lo)
     return BoundCheck(lhs, rhs, f"spectral-gap (c2={c2:.6f})")
 
@@ -171,15 +174,22 @@ def verify_finite_range(h, eig_b: HermitianEig, delta: float,
     return worst
 
 
-def lieb_robinson_decay(h, b, delta: float, s1, s2, t: float) -> BoundCheck:
-    """||E_{S1}(B) e^{itH} E_{S2}(B)|| <= e^{-dist(S1,S2)/Delta} for |t| up to
-    dist/(e^2 Delta), given ||H|| <= 1 and verified finite range Delta."""
+def _lieb_robinson_setup(h, b, delta: float, s1, s2
+                         ) -> tuple[np.ndarray, HermitianEig, np.ndarray, np.ndarray]:
+    """(H, eig(B), mask of S1, mask of S2) after checking ||H|| <= 1 and
+    verifying H's finite range Delta in B's eigenbasis."""
     hm = as_matrix(h)
     if op_norm(hm) > 1.0 + 1e-9:
         raise ValueError("need ||H|| <= 1")
     eb = eig_hermitian(b)
     verify_finite_range(hm, eb, delta)
-    m1, m2 = _mask(eb, s1), _mask(eb, s2)
+    return hm, eb, _mask(eb, s1), _mask(eb, s2)
+
+
+def lieb_robinson_decay(h, b, delta: float, s1, s2, t: float) -> BoundCheck:
+    """||E_{S1}(B) e^{itH} E_{S2}(B)|| <= e^{-dist(S1,S2)/Delta} for |t| up to
+    dist/(e^2 Delta), given ||H|| <= 1 and verified finite range Delta."""
+    hm, eb, m1, m2 = _lieb_robinson_setup(h, b, delta, s1, s2)
     dist = _set_distance(eb.eigenvalues[m1], eb.eigenvalues[m2])
     if not (dist > 0):
         raise ValueError("S1, S2 must be separated")
@@ -188,9 +198,7 @@ def lieb_robinson_decay(h, b, delta: float, s1, s2, t: float) -> BoundCheck:
         raise ValueError(f"|t| = {abs(t)} exceeds dist/v_LR = {dist / v_lr}")
     eh = eig_hermitian(hm)
     u_t = eh.matrix_function(lambda x: np.exp(1j * t * x))
-    p1 = spectral_projection(eb, m1).matrix
-    p2 = spectral_projection(eb, m2).matrix
-    lhs = op_norm(p1 @ u_t @ p2)
+    lhs = op_norm(eb.vectors[:, m1].conj().T @ u_t @ eb.vectors[:, m2])
     rhs = math.exp(-dist / delta) if math.isfinite(dist) else 0.0
     return BoundCheck(lhs, rhs, "lieb-robinson evolution")
 
@@ -198,20 +206,13 @@ def lieb_robinson_decay(h, b, delta: float, s1, s2, t: float) -> BoundCheck:
 def lieb_robinson_function(h, b, delta: float, s1, s2, profile: Profile) -> BoundCheck:
     """||E_{S1}(B) f(H) E_{S2}(B)|| <= tail(f, dist/(e^2 Delta)) +
     ||f^||_1 e^{-dist/Delta}."""
-    hm = as_matrix(h)
-    if op_norm(hm) > 1.0 + 1e-9:
-        raise ValueError("need ||H|| <= 1")
-    eb = eig_hermitian(b)
-    verify_finite_range(hm, eb, delta)
-    m1, m2 = _mask(eb, s1), _mask(eb, s2)
+    hm, eb, m1, m2 = _lieb_robinson_setup(h, b, delta, s1, s2)
     dist = _set_distance(eb.eigenvalues[m1], eb.eigenvalues[m2])
     if not (dist > 0 and math.isfinite(dist)):
         raise ValueError("S1, S2 must be separated and nonempty")
     eh = eig_hermitian(hm)
     fh = eh.matrix_function(lambda x: np.asarray(profile(x), dtype=np.complex128))
-    p1 = spectral_projection(eb, m1).matrix
-    p2 = spectral_projection(eb, m2).matrix
-    lhs = op_norm(p1 @ fh @ p2)
+    lhs = op_norm(eb.vectors[:, m1].conj().T @ fh @ eb.vectors[:, m2])
     rhs = profile.tail(dist / (math.e ** 2 * delta)) + profile.c1 * math.exp(-dist / delta)
     return BoundCheck(lhs, rhs, "lieb-robinson function")
 
@@ -221,24 +222,18 @@ def lieb_robinson_nested(h, b, delta: float, s_inner, s_outer,
     """||[f(H) - f(H')] E_{S''}(B)|| <= 2 tail(f, d/(e^2 Delta)) +
     3 ||f^||_1 e^{-d/Delta}, where H' = E_{S'}(B) H E_{S'}(B) and d is the
     distance from S'' to the complement of S'."""
-    hm = as_matrix(h)
-    if op_norm(hm) > 1.0 + 1e-9:
-        raise ValueError("need ||H|| <= 1")
-    eb = eig_hermitian(b)
-    verify_finite_range(hm, eb, delta)
-    m_in, m_out = _mask(eb, s_inner), _mask(eb, s_outer)
+    hm, eb, m_in, m_out = _lieb_robinson_setup(h, b, delta, s_inner, s_outer)
     if np.any(m_in & ~m_out):
         raise ValueError("S'' must be contained in S'")
     dist = _set_distance(eb.eigenvalues[m_in], eb.eigenvalues[~m_out])
     if not (dist > 0):
         raise ValueError("S'' must be separated from the complement of S'")
-    p_in = spectral_projection(eb, m_in).matrix
-    p_out = spectral_projection(eb, m_out).matrix
-    h_prime = p_out @ hm @ p_out
+    v_out = eb.vectors[:, m_out]
+    h_prime = v_out @ (v_out.conj().T @ hm @ v_out) @ v_out.conj().T
     f = lambda x: np.asarray(profile(x), dtype=np.complex128)
     fh = eig_hermitian(hm).matrix_function(f)
     fhp = eig_hermitian(h_prime).matrix_function(f)
-    lhs = op_norm((fh - fhp) @ p_in)
+    lhs = op_norm((fh - fhp) @ eb.vectors[:, m_in])
     if math.isinf(dist):
         rhs = max(lhs, 0.0)
     else:

@@ -1,5 +1,5 @@
 """Dense complex matrix kernel: Hermitian eigendecomposition, operator norm,
-functional calculus, spectral projections.
+functional calculus, orthonormal bases.
 
 Everything downstream (bound checkers, subspace engines, the commuting-pair
 pipeline) is built on the functions here.  All operations are pure: inputs are
@@ -15,12 +15,10 @@ import numpy as np
 
 __all__ = [
     "HermitianEig",
-    "OrthoProjection",
     "as_matrix",
     "eig_hermitian",
     "op_norm",
     "commutator",
-    "spectral_projection",
     "random_hermitian",
     "random_unitary",
 ]
@@ -122,34 +120,6 @@ class HermitianEig:
         return (self.vectors * vals) @ self.vectors.conj().T
 
 
-@dataclass(frozen=True)
-class OrthoProjection:
-    """An orthogonal projection together with its rank."""
-
-    matrix: np.ndarray
-    rank: int
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def defects(self) -> tuple[float, float]:
-        """(||P^2 - P||, ||P - P*||) self-consistency residuals."""
-        p = self.matrix
-        return (op_norm(p @ p - p), op_norm(p - p.conj().T))
-
-
-def projection_from_basis(basis: np.ndarray, dim: int | None = None) -> OrthoProjection:
-    """Projection onto the column span of an orthonormal ``basis`` (n x k)."""
-    b = np.asarray(basis, dtype=np.complex128)
-    if b.ndim == 1:
-        b = b[:, None]
-    n = b.shape[0] if dim is None else dim
-    if b.shape[1] == 0:
-        return OrthoProjection(np.zeros((n, n), dtype=np.complex128), 0)
-    return OrthoProjection(b @ b.conj().T, b.shape[1])
-
-
 def _gram_schmidt_span(columns: np.ndarray, target_rank: int, tol: float) -> np.ndarray:
     """Deterministic modified Gram-Schmidt over ``columns``, keeping
     ``target_rank`` directions.
@@ -220,31 +190,6 @@ def eig_hermitian(a, *, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
     mag = np.abs(top)
     v *= np.divide(mag, top, out=np.ones_like(top), where=mag != 0.0)
     return HermitianEig(w.copy(), v, float(defect))
-
-
-def spectral_projection(eig: HermitianEig, s: Callable[[float], bool] | np.ndarray) -> OrthoProjection:
-    """Spectral projection onto the eigenvalues selected by predicate ``s``.
-
-    ``s`` may be a callable on reals or a precomputed boolean mask over the
-    eigenvalue array.
-    """
-    if callable(s):
-        mask = np.array([bool(s(float(x))) for x in eig.eigenvalues])
-    else:
-        mask = np.asarray(s, dtype=bool)
-        if mask.shape != eig.eigenvalues.shape:
-            raise MatrixShapeError("selection mask does not match eigenvalue count")
-    cols = eig.vectors[:, mask]
-    return projection_from_basis(cols, eig.dim)
-
-
-def interval_projection(eig: HermitianEig, lo: float, hi: float,
-                        closed_left: bool = True, closed_right: bool = True) -> OrthoProjection:
-    """Spectral projection onto an interval of the real line."""
-    w = eig.eigenvalues
-    mask = (w >= lo) if closed_left else (w > lo)
-    mask &= (w <= hi) if closed_right else (w < hi)
-    return spectral_projection(eig, mask)
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,29 @@ def _require_hermitian_contraction(m, name: str, defects: dict | None = None, *,
     return (mm + mm.conj().T) / 2
 
 
+def _unmoved(a: np.ndarray, b: np.ndarray, residual: float) -> CommuteReport:
+    """An exactly commuting pair, returned as it came: no cut, no interval."""
+    log = {"delta": residual, "n_cut": 0, "eps2_max": 0.0, "intervals": [],
+           "degenerate_intervals": False}
+    return CommuteReport(a, b, 0.0, 0.0, residual, log,
+                         [BoundCheck(residual, 0.0, "||[A,B]|| = 0: inputs returned unmoved")])
+
+
+def _cluster_step(ea, delta: float, floor: float
+                  ) -> tuple[float, list[np.ndarray], np.ndarray]:
+    """Merge the eigenvalue runs of A at gaps <= sqrt(2) delta^(1/2) (``floor``
+    for delta = 0).  Returns the threshold, the eigenvector columns of each
+    run, and A' = sum over runs of the run's midpoint times V_g V_g*."""
+    lam = ea.eigenvalues
+    thresh = math.sqrt(2.0) * math.sqrt(delta) if delta > 0 else floor
+    blocks, a_prime = [], np.zeros((lam.size, lam.size), dtype=np.complex128)
+    for i, j in zip(*cluster_bounds(lam, thresh)):
+        cols = ea.vectors[:, i:j]
+        a_prime += (lam[i] + lam[j - 1]) / 2.0 * (cols @ cols.conj().T)
+        blocks.append(cols)
+    return thresh, blocks, a_prime
+
+
 def _first_empty_subinterval(sub_ids: np.ndarray, n_sub: int) -> int | None:
     """Smallest subinterval index with no eigenvalue, or None if all occupied."""
     present = np.unique(sub_ids)
@@ -302,6 +325,9 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0, *, engine: str = "auto",
     am = _require_hermitian_contraction(a, "A", defects)
     bm = _require_hermitian_contraction(b, "B", defects, contraction=False)
     delta = op_norm(commutator(am, bm))
+    if delta == 0.0:
+        _require_contraction(op_norm(bm), "B")
+        return _unmoved(am, bm, delta)
     g0, g1, gamma = choose_exponents(float(gamma2), True)
     big_delta = max(delta, DELTA_FLOOR) ** g0
     n_cut = int(math.ceil(1.0 / big_delta ** g1))
@@ -352,16 +378,10 @@ def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     # distinct eigenvalues under the clustering tolerance
     m_count = max(1, len(cluster_bounds(lam, cluster_rtol * scale)[0]))
-    thresh = math.sqrt(2.0) * math.sqrt(delta) if delta > 0 else cluster_rtol * scale
-    groups = [np.arange(i, j) for i, j in zip(*cluster_bounds(lam, thresh))]
-    n = am.shape[0]
-    a_prime = np.zeros((n, n), dtype=np.complex128)
-    b_prime = np.zeros((n, n), dtype=np.complex128)
-    for g in groups:
-        cols = ea.vectors[:, g]
-        mid = (lam[g[0]] + lam[g[-1]]) / 2.0
+    thresh, groups, a_prime = _cluster_step(ea, delta, cluster_rtol * scale)
+    b_prime = np.zeros_like(a_prime)
+    for cols in groups:
         p = cols @ cols.conj().T
-        a_prime += mid * p
         b_prime += p @ bm @ p
     dist_a = op_norm(am - a_prime)
     dist_b = op_norm(bm - b_prime)
@@ -391,32 +411,25 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
     delta_ab = op_norm(commutator(am, bm))
     delta_ac = op_norm(commutator(am, cm))
     delta_a = max(delta_ab, delta_ac)
-    ea = eig_hermitian(am)
-    lam = ea.eigenvalues
-    thresh = math.sqrt(2.0) * math.sqrt(delta_a) if delta_a > 0 else 1e-8
-    groups = [np.arange(i, j) for i, j in zip(*cluster_bounds(lam, thresh))]
-    n = am.shape[0]
-    a_prime = np.zeros((n, n), dtype=np.complex128)
-    b_prime = np.zeros((n, n), dtype=np.complex128)
-    c_prime = np.zeros((n, n), dtype=np.complex128)
+    _, groups, a_prime = _cluster_step(eig_hermitian(am), delta_a, 1e-8)
+    b_prime = np.zeros_like(a_prime)
+    c_prime = np.zeros_like(a_prime)
     block_logs = []
-    for g in groups:
-        cols = ea.vectors[:, g]
-        mid = (lam[g[0]] + lam[g[-1]]) / 2.0
-        a_prime += mid * (cols @ cols.conj().T)
+    for cols in groups:
+        size = cols.shape[1]
         b_blk = cols.conj().T @ bm @ cols
         c_blk = cols.conj().T @ cm @ cols
         b_blk = (b_blk + b_blk.conj().T) / 2
         c_blk = (c_blk + c_blk.conj().T) / 2
-        if op_norm(commutator(b_blk, c_blk)) <= 1e-13 * len(g):
+        if op_norm(commutator(b_blk, c_blk)) <= 1e-13 * size:
             # the compressed pair already commutes: keep it unchanged
             blk_b, blk_c = b_blk, c_blk
-            block_logs.append({"size": len(g), "dist_b": 0.0, "dist_c": 0.0,
+            block_logs.append({"size": size, "dist_b": 0.0, "dist_c": 0.0,
                                "residual": op_norm(commutator(b_blk, c_blk))})
         else:
             rep = commute_hermitian_pair(b_blk, c_blk, gamma2)
             blk_b, blk_c = rep.a_prime, rep.b_prime
-            block_logs.append({"size": len(g), "dist_b": rep.dist_a,
+            block_logs.append({"size": size, "dist_b": rep.dist_a,
                                "dist_c": rep.dist_b, "residual": rep.comm_residual})
         b_prime += cols @ blk_b @ cols.conj().T
         c_prime += cols @ blk_c @ cols.conj().T
@@ -453,6 +466,8 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0, *, engine: str = "auto"
     am = _require_hermitian_contraction(a, "A")
     um = _require_unitary(u, "U")
     delta = op_norm(commutator(am, um))
+    if delta == 0.0:
+        return _unmoved(am, um, delta)
     g0, g1, _ = choose_exponents(float(gamma2), True)
     big_delta = max(delta, DELTA_FLOOR) ** g0
     n_cut = max(3, int(math.ceil(1.0 / big_delta ** g1)))

@@ -10,14 +10,12 @@ import numpy as np
 
 from .checks import BoundCheck
 from .matcore import (
-    OrthoProjection,
     as_matrix,
     eig_hermitian,
     op_norm,
     op_norm_exceeds,
     orthonormal_columns,
     orthonormal_complement,
-    projection_from_basis,
 )
 
 __all__ = [
@@ -34,10 +32,17 @@ PROJ_TOL = 1e-8
 
 
 def _require_projection(p, name: str) -> np.ndarray:
-    m = p.matrix if isinstance(p, OrthoProjection) else as_matrix(p)
+    m = as_matrix(p)
     if op_norm_exceeds(m @ m - m, PROJ_TOL) or op_norm_exceeds(m - m.conj().T, PROJ_TOL):
         raise ValueError(f"{name} is not an orthogonal projection to tolerance")
     return m
+
+
+def _require_orthonormal(basis: np.ndarray, name: str) -> None:
+    """Raise ValueError unless the k x k Gram matrix of ``basis`` is the
+    identity to PROJ_TOL."""
+    if op_norm_exceeds(basis.conj().T @ basis - np.eye(basis.shape[1]), PROJ_TOL):
+        raise ValueError(f"the {name} columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -135,19 +140,19 @@ def jordan_blocks(p, q, *, tol: float = 1e-10) -> JordanDecomposition:
     return JordanDecomposition(blocks)
 
 
-def jordan_basis(p, q) -> np.ndarray:
-    """Orthonormal basis {p_i} of Ran(P) with (p_i, Q p_j) = 0 for i != j.
+def jordan_basis(p_basis: np.ndarray, q_basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis {p_i} of Ran(P) with (p_i, Q p_j) = 0 for i != j,
+    from orthonormal bases of Ran(P) and Ran(Q).
 
     Columns are the eigenvectors of Q compressed to Ran(P), lifted back.
+    Raises ValueError when either basis is not orthonormal to PROJ_TOL.
     """
-    pm = _require_projection(p, "P")
-    qm = _require_projection(q, "Q")
-    up = orthonormal_columns(pm, tol=0.5)
-    if up.shape[1] == 0:
-        return up
-    comp = up.conj().T @ qm @ up
-    ec = eig_hermitian((comp + comp.conj().T) / 2, rtol=1e-6)
-    return up @ ec.vectors
+    _require_orthonormal(p_basis, "P")
+    _require_orthonormal(q_basis, "Q")
+    if p_basis.shape[1] == 0:
+        return p_basis
+    c = q_basis.conj().T @ p_basis
+    return p_basis @ eig_hermitian(c.conj().T @ c, rtol=1e-6).vectors
 
 
 def nest_projection_core(e_basis, mid_basis, f_basis) -> np.ndarray:
@@ -159,22 +164,21 @@ def nest_projection_core(e_basis, mid_basis, f_basis) -> np.ndarray:
     ValueError when the Gram matrix of [e_basis | mid_basis] or of
     ``f_basis`` is not the identity to PROJ_TOL.
     """
-    g_basis = np.column_stack([e_basis, mid_basis])
-    for basis, name in ((g_basis, "[E | G - E]"), (f_basis, "F'")):
-        if op_norm_exceeds(basis.conj().T @ basis - np.eye(basis.shape[1]), PROJ_TOL):
-            raise ValueError(f"the {name} columns are not orthonormal")
+    _require_orthonormal(np.column_stack([e_basis, mid_basis]), "[E | G - E]")
+    _require_orthonormal(f_basis, "F'")
     c = mid_basis.conj().T @ f_basis
     ec = eig_hermitian(c @ c.conj().T, rtol=1e-6)
     return np.column_stack([e_basis, mid_basis @ ec.vectors[:, ec.eigenvalues > 0.5]])
 
 
 def nest_projection(e, g, f_prime, *, max_eps: float = 0.1
-                    ) -> tuple[OrthoProjection, BoundCheck]:
+                    ) -> tuple[np.ndarray, BoundCheck]:
     """Repair F' into F with E <= F <= G exactly, keeping ||F - F'|| <= 5 eps
     where eps = max(||E F'perp||, ||F' Gperp||).
 
-    The sandwich holds by construction; the 5-eps distance is returned as a
-    BoundCheck.  Requires eps < max_eps (the bound is vacuous otherwise).
+    Returns an orthonormal basis of F.  The sandwich holds by construction;
+    the 5-eps distance is returned as a BoundCheck.  Requires eps < max_eps
+    (the bound is vacuous otherwise).
     """
     em = _require_projection(e, "E")
     gm = _require_projection(g, "G")
@@ -187,9 +191,9 @@ def nest_projection(e, g, f_prime, *, max_eps: float = 0.1
         raise ValueError("E <= G fails")
     basis = nest_projection_core(*(orthonormal_columns(m, tol=0.5)
                                    for m in (em, gm - em, fm)))
-    f = projection_from_basis(basis, n)
-    check = BoundCheck(op_norm(f.matrix - fm), 5.0 * eps, "nest_projection ||F-F'|| <= 5eps")
-    return f, check
+    check = BoundCheck(op_norm(basis @ basis.conj().T - fm), 5.0 * eps,
+                       "nest_projection ||F-F'|| <= 5eps")
+    return basis, check
 
 
 @dataclass

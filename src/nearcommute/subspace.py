@@ -19,15 +19,12 @@ import numpy as np
 
 from .checks import BoundCheck
 from .matcore import (
-    OrthoProjection,
     as_matrix,
-    commutator,
     eig_hermitian,
     op_norm,
     op_norm_exceeds,
     orthonormal_columns,
     orthonormal_complement,
-    projection_from_basis,
 )
 from .projgeom import jordan_basis, nest_projection_core
 from .smoothing import (
@@ -509,10 +506,9 @@ def jacobi_commuting_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class LinProjection:
-    """A projection sandwiched between spectral projections of A, nearly
-    commuting with B, with an orthonormal basis of its range."""
+    """A projection sandwiched between spectral projections of A and nearly
+    commuting with B, held as an orthonormal basis of its range."""
 
-    projection: OrthoProjection
     basis: np.ndarray
     commutator_norm: float
     check: BoundCheck
@@ -533,7 +529,9 @@ def lin_oracle_projection(a, b) -> LinProjection:
     ||[P, B]||.
 
     P is built from the commuting pair (A', B') of jacobi_commuting_pair; the
-    returned check measures ||[P,B]|| <= 20||A-A'|| + 2||B-B'||.
+    returned check measures ||[P,B]|| <= 20||A-A'|| + 2||B-B'||.  For
+    Hermitian B and Q an orthonormal basis of Ran P, ||[P,B]|| equals
+    ||(1 - QQ*) B Q||, which is the form measured.
     """
     am, bm = as_matrix(a), as_matrix(b)
     if op_norm(am) > 1 + 1e-9 or op_norm(bm) > 1 + 1e-9:
@@ -547,11 +545,11 @@ def lin_oracle_projection(a, b) -> LinProjection:
     if op_norm_exceeds(low - basis @ (basis.conj().T @ low), EXACT_TOL) or \
        op_norm_exceeds(high.conj().T @ basis, EXACT_TOL):
         raise AssertionError("sandwich E <= P <= G failed structurally")
-    f = projection_from_basis(basis, am.shape[0])
-    measured = op_norm(commutator(f.matrix, bm))
+    bq = bm @ basis
+    measured = op_norm(bq - basis @ (basis.conj().T @ bq))
     check = BoundCheck(measured, 20 * dist_a + 2 * dist_b,
                        "lin-oracle ||[P,B]|| <= 20||A-A'|| + 2||B-B'||")
-    return LinProjection(f, basis, measured, check)
+    return LinProjection(basis, measured, check)
 
 
 # ---------------------------------------------------------------------------
@@ -791,13 +789,12 @@ def _coords(r_blocks: Sequence[np.ndarray], block_range) -> np.ndarray:
     return _coordinates([r_blocks[jb] for jb in block_range])
 
 
-def _even_projection(n_bases: dict, n_b: int, total: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked basis of the even N_i and the projection N^e onto their sum."""
+def _even_basis(n_bases: dict, n_b: int, total: int) -> np.ndarray:
+    """Stacked bases of the even N_i: a basis of Ran N^e when they are
+    orthonormal together."""
     cols = [n_bases[i] for i in range(2, n_b + 1, 2) if n_bases[i].shape[1]]
-    n_even = (np.column_stack(cols) if cols
-              else np.zeros((total, 0), dtype=np.complex128))
-    return n_even, n_even @ n_even.conj().T
+    return (np.column_stack(cols) if cols
+            else np.zeros((total, 0), dtype=np.complex128))
 
 
 def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
@@ -894,10 +891,11 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
         # exact sandwich against rho_i's spectral projections
         low = er.vectors[:, er.eigenvalues <= g_lb]
         high = er.vectors[:, er.eigenvalues >= 2 * g_lb]
-        pm = res.projection.matrix
-        if low.size and op_norm_exceeds(low.conj().T @ (np.eye(idx.size) - pm) @ low, EXACT_TOL):
+        # with Q = res.basis: E*(1 - N)E = 1 - (Q*E)*(Q*E), F* N F = (Q*F)*(Q*F)
+        q_low, q_high = res.basis.conj().T @ low, res.basis.conj().T @ high
+        if low.size and op_norm_exceeds(np.eye(low.shape[1]) - q_low.conj().T @ q_low, EXACT_TOL):
             raise StageError("c", f"lower sandwich E_[0,G/l_b](rho_{i}) <= N_{i} fails")
-        if high.size and op_norm_exceeds(high.conj().T @ pm @ high, EXACT_TOL):
+        if high.size and op_norm_exceeds(q_high.conj().T @ q_high, EXACT_TOL):
             raise StageError("c", f"upper sandwich N_{i} <= Y' - E_[2G/l_b,inf) fails")
         emb = np.zeros((total, res.basis.shape[1]), dtype=np.complex128)
         emb[idx, :] = res.basis
@@ -914,33 +912,23 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
         left = _coords(r_blocks, yp_sets.get(i - 1, []))
         right = _coords(r_blocks, yp_sets.get(i + 1, []))
         if left.size and right.size:
-            pn = bN @ bN.conj().T
-            semi = max(semi, op_norm(pn[np.ix_(right, left)]))
+            semi = max(semi, op_norm(bN[right] @ bN[left].conj().T))
     if semi > 0.5 - HASTINGS_CHI / 2 + 1e-9:
         raise StageError("d", f"semi-orthogonality {semi:.4f} exceeds 1/2 - chi/2")
     checks.append(BoundCheck(semi, 0.5 - HASTINGS_CHI / 2,
                              "||Y'_{i+1} N_i Y'_{i-1}|| <= 1/2 - chi/2"))
 
     # ---- stage (d): prune odd N_i against N^e ----
-    n_even, p_even = _even_projection(n_bases, nb, total)
-    if n_even.shape[1] and op_norm_exceeds(p_even @ p_even - p_even, 1e-9):
+    n_even = _even_basis(n_bases, nb, total)
+    if n_even.shape[1] and op_norm_exceeds(n_even.conj().T @ n_even - np.eye(n_even.shape[1]),
+                                           1e-9):
         raise StageError("d", "even N_i do not sum to a projection")
     n_prime_bases: dict[int, np.ndarray] = {}
     for i in range(1, nb + 1, 2):
-        bN = n_bases[i]
-        if bN.shape[1] == 0:
-            n_prime_bases[i] = bN
-            continue
-        pn = bN @ bN.conj().T
-        basis = jordan_basis(OrthoProjection(pn, bN.shape[1]),
-                             OrthoProjection(p_even, n_even.shape[1]))
-        keep = []
-        for sdx in range(basis.shape[1]):
-            vec = basis[:, sdx]
-            if float(np.linalg.norm(p_even @ vec) ** 2) <= 0.5 + HASTINGS_ETA:
-                keep.append(vec)
-        n_prime_bases[i] = (np.column_stack(keep) if keep
-                            else np.zeros((total, 0), dtype=np.complex128))
+        basis = jordan_basis(n_bases[i], n_even)
+        # ||N^e v||^2 = ||n_even* v||^2 for each column v
+        weight = np.linalg.norm(n_even.conj().T @ basis, axis=0) ** 2
+        n_prime_bases[i] = basis[:, weight <= 0.5 + HASTINGS_ETA]
 
     # ---- stage (e): U = complement of the span; W = A(U) ----
     span_cols = [b for b in [n_even] + [n_prime_bases[i] for i in range(1, nb + 1, 2)]
@@ -1047,8 +1035,7 @@ def proof_matrix_M(diagn: HastingsDiagnostics) -> tuple[np.ndarray, np.ndarray, 
     """
     cfg = diagn.config
     x = HASTINGS_CHI / (2.0 - 2.0 * HASTINGS_CHI)
-    total = diagn.rho.shape[0]
-    _, p_even = _even_projection(diagn.n_bases, cfg.n_b, total)
+    n_even = _even_basis(diagn.n_bases, cfg.n_b, diagn.rho.shape[0])
 
     reps, cs, ds, labels = [], [], [], []
     yp = diagn.y_sets["Yp"]
@@ -1069,7 +1056,7 @@ def proof_matrix_M(diagn: HastingsDiagnostics) -> tuple[np.ndarray, np.ndarray, 
     k = len(reps)
     scale = 2.0 * (1.0 + x) / (1.0 - 2.0 * HASTINGS_ETA)
     m = np.zeros((k, k), dtype=np.complex128)
-    resid = [ (np.eye(total) - p_even) @ v for v in reps ]
+    resid = [v - n_even @ (n_even.conj().T @ v) for v in reps]
     for a in range(k):
         for b in range(k):
             if abs(labels[a] - labels[b]) <= 2:

@@ -256,3 +256,101 @@ class TestLiebRobinson:
     def test_sampling_suite(self):
         out = run_suite("lieb-robinson", seed=5, trials=40)
         assert out["violations"] == 0, out["failures"]
+
+
+def _dense_projection(eig, mask):
+    v = eig.vectors[:, mask]
+    return v @ v.conj().T
+
+
+class TestDenseProjectionReference:
+    """Each checker's lhs against its inequality written with dense spectral
+    projections E_S = V_S V_S*, the form the checkers no longer build."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_davis_kahan_comm_proj_spectral_gap(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 17))
+        a = mc.random_hermitian(rng, n, norm=1.0)
+        b = a + mc.random_hermitian(rng, n, norm=0.1)
+        ea, eb = mc.eig_hermitian(a), mc.eig_hermitian(b)
+        cut = float(np.median(ea.eigenvalues))
+        chk = bd.check_davis_kahan(a, b, lambda x: x <= cut, lambda x: x > cut + 0.2)
+        ref = mc.op_norm(_dense_projection(ea, ea.eigenvalues <= cut)
+                         @ _dense_projection(eb, eb.eigenvalues > cut + 0.2))
+        assert abs(chk.lhs - ref) <= 1e-12
+
+        c = mc.random_hermitian(rng, n, norm=1.0)
+        chk = bd.check_comm_proj(c, a, lambda x: x <= cut, lambda x: x > cut + 0.1)
+        ref = mc.op_norm(_dense_projection(ea, ea.eigenvalues <= cut) @ c
+                         @ _dense_projection(ea, ea.eigenvalues > cut + 0.1))
+        assert abs(chk.lhs - ref) <= 1e-12
+
+        # a gap (-0.1, 0.1) in A's spectrum, against a general (non-Hermitian) B
+        q = mc.random_unitary(rng, n)
+        lam = np.where(ea.eigenvalues < cut, -0.5, 0.5) + 0.3 * ea.eigenvalues
+        gapped = (q * lam) @ q.conj().T
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        chk = bd.check_spectral_gap(gapped, g, -0.1, 0.1)
+        eg = mc.eig_hermitian(gapped)
+        ref = mc.op_norm(mc.commutator(_dense_projection(eg, eg.eigenvalues <= -0.1), g))
+        assert abs(chk.lhs - ref) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lieb_robinson(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        h, b, delta = _banded_system(rng, int(rng.integers(12, 25)), int(rng.integers(1, 3)))
+        prof = sm.smooth_profile(0.0, 1.0)
+        cut, sep = 5, int(delta) + 2
+        s1, s2 = (lambda x: x <= cut), (lambda x: x >= cut + sep)
+        eb, eh = mc.eig_hermitian(b), mc.eig_hermitian(h)
+        p1 = _dense_projection(eb, eb.eigenvalues <= cut)
+        p2 = _dense_projection(eb, eb.eigenvalues >= cut + sep)
+        t = sep / (math.e ** 2 * delta)
+        chk = bd.lieb_robinson_decay(h, b, delta, s1, s2, t)
+        u_t = eh.matrix_function(lambda x: np.exp(1j * t * x))
+        assert abs(chk.lhs - mc.op_norm(p1 @ u_t @ p2)) <= 1e-12
+
+        f = lambda x: np.asarray(prof(x), dtype=np.complex128)
+        fh = eh.matrix_function(f)
+        chk = bd.lieb_robinson_function(h, b, delta, s1, s2, prof)
+        assert abs(chk.lhs - mc.op_norm(p1 @ fh @ p2)) <= 1e-12
+
+        inner = lambda x: cut + 2 <= x <= cut + 2 * sep - 2
+        outer = lambda x: cut <= x <= cut + 2 * sep
+        chk = bd.lieb_robinson_nested(h, b, delta, inner, outer, prof)
+        p_in = _dense_projection(eb, np.array([inner(x) for x in eb.eigenvalues]))
+        p_out = _dense_projection(eb, np.array([outer(x) for x in eb.eigenvalues]))
+        fhp = mc.eig_hermitian(p_out @ h @ p_out).matrix_function(f)
+        assert abs(chk.lhs - mc.op_norm((fh - fhp) @ p_in)) <= 1e-12
+
+
+class TestMask:
+    """The one selection helper: predicates and masks over the eigenvalues."""
+
+    def test_predicate_selects_eigenvalues(self):
+        e = mc.eig_hermitian(np.diag([2.0, 5.0]))
+        mask = bd._mask(e, lambda x: abs(x - 2.0) < 1e-9)
+        assert mask.tolist() == [True, False]
+        assert np.array_equal(e.vectors[:, mask], np.array([[1.0], [0.0]]))
+        e = mc.eig_hermitian(mc.random_hermitian(np.random.default_rng(2), 8))
+        assert int(bd._mask(e, lambda x: x >= 0).sum()) == int(np.sum(e.eigenvalues >= 0))
+
+    def test_mask_length_must_match_eigenvalue_count(self):
+        e = mc.eig_hermitian(np.diag([1.0, 2.0, 3.0]))
+        assert bd._mask(e, np.array([True, False, True])).tolist() == [True, False, True]
+        with pytest.raises(ValueError, match="mask length"):
+            bd._mask(e, np.array([True, False]))
+
+
+@pytest.mark.parametrize("name, trials, checks", [
+    ("bounds", 100, 385),
+    ("lieb-robinson", 50, 150),
+    ("projections", 100, 100),
+    ("smoothing", 100, 200),
+    ("tn", 50, 0),
+])
+def test_suite_checks_at_seed_one(name, trials, checks):
+    # every trial evaluates its checks: none is dropped by a swallowed error
+    out = run_suite(name, seed=1, trials=trials)
+    assert (out["trials"], out["checks"], out["violations"]) == (trials, checks, 0)

@@ -291,36 +291,6 @@ class TestCommutator:
             mc.commutator(np.eye(2), np.eye(3))
 
 
-class TestSpectralProjection:
-    def test_single_eigenvalue(self):
-        e = mc.eig_hermitian(np.diag([2.0, 5.0]))
-        p = mc.spectral_projection(e, lambda x: abs(x - 2.0) < 1e-9)
-        assert np.allclose(p.matrix, np.diag([1.0, 0.0]))
-        assert p.rank == 1
-
-    def test_whole_line_gives_identity(self):
-        rng = np.random.default_rng(1)
-        e = mc.eig_hermitian(mc.random_hermitian(rng, 6))
-        p = mc.spectral_projection(e, lambda x: True)
-        assert mc.op_norm(p.matrix - np.eye(6)) <= 1e-12
-
-    def test_rank_counts_eigenvalues(self):
-        rng = np.random.default_rng(2)
-        e = mc.eig_hermitian(mc.random_hermitian(rng, 8))
-        p = mc.spectral_projection(e, lambda x: x >= 0)
-        assert p.rank == int(np.sum(e.eigenvalues >= 0))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 16), st.integers(0, 10 ** 6))
-    def test_complement_sums_to_identity(self, n, seed):
-        rng = np.random.default_rng(seed)
-        e = mc.eig_hermitian(mc.random_hermitian(rng, n))
-        cut = float(rng.uniform(-1, 1))
-        p1 = mc.spectral_projection(e, lambda x: x < cut)
-        p2 = mc.spectral_projection(e, lambda x: x >= cut)
-        assert mc.op_norm(p1.matrix + p2.matrix - np.eye(n)) <= 1e-10
-
-
 class TestApplyFunction:
     def test_identity_function(self):
         rng = np.random.default_rng(3)
@@ -333,8 +303,8 @@ class TestApplyFunction:
         e = mc.eig_hermitian(mc.random_hermitian(rng, 6))
         cut = float(np.median(e.eigenvalues))
         f = e.matrix_function(lambda x: (x > cut).astype(float))
-        p = mc.spectral_projection(e, lambda x: x > cut)
-        assert mc.op_norm(f - p.matrix) <= 1e-12
+        v = e.vectors[:, e.eigenvalues > cut]
+        assert mc.op_norm(f - v @ v.conj().T) <= 1e-12
 
     def test_square_function(self):
         rng = np.random.default_rng(5)

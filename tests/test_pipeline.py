@@ -309,6 +309,34 @@ class TestEmptyInput:
         assert rep.checks and all(c.passed for c in rep.checks)
 
 
+class TestExactlyCommutingInput:
+    """A pair with ||[A,B]|| exactly 0 comes back unmoved, with the log keys
+    the benchmark and the sweep read."""
+
+    @staticmethod
+    def assert_unmoved(rep, a, b):
+        assert np.array_equal(rep.a_prime, a) and np.array_equal(rep.b_prime, b)
+        assert rep.dist_a == rep.dist_b == rep.comm_residual == 0.0
+        log = rep.stage_log
+        assert (log["delta"], log["n_cut"], log["eps2_max"], log["intervals"],
+                log["degenerate_intervals"]) == (0.0, 0, 0.0, [], False)
+        assert rep.checks and all(c.passed for c in rep.checks)
+
+    def test_hermitian_pair(self):
+        d = np.diag(np.linspace(-0.9, 0.9, 6)).astype(complex)
+        self.assert_unmoved(pl.commute_hermitian_pair(d, d), d, d)
+
+    def test_hermitian_unitary(self):
+        a = np.diag(np.linspace(-0.9, 0.9, 6)).astype(complex)
+        u = np.diag(np.exp(1j * np.linspace(0.0, 5.0, 6)))
+        self.assert_unmoved(pl.commute_hermitian_unitary(a, u), a, u)
+
+    def test_b_must_still_be_a_contraction(self):
+        d = np.diag(np.linspace(-0.9, 0.9, 6)).astype(complex)
+        with pytest.raises(ValueError, match="B must be a contraction"):
+            pl.commute_hermitian_pair(d, 2 * d)
+
+
 class TestEngineErrorsPropagate:
     """An engine error is not turned into a kept block: an oracle that raises
     inside a Hastings interval fails the call."""

@@ -10,9 +10,13 @@ from nearcommute import matcore as mc
 from nearcommute import projgeom as pg
 
 
+def rand_basis(rng, n, r):
+    return mc.random_unitary(rng, n)[:, :r]
+
+
 def rand_proj(rng, n, r):
-    q = mc.random_unitary(rng, n)
-    return q[:, :r] @ q[:, :r].conj().T
+    q = rand_basis(rng, n, r)
+    return q @ q.conj().T
 
 
 class TestRequireProjection:
@@ -102,8 +106,7 @@ class TestJordanBasis:
         q_big = mc.random_unitary(rng, 6)
         g = q_big[:, :4]
         q = g @ g.conj().T
-        p = g[:, :2] @ g[:, :2].conj().T  # P <= Q
-        basis = pg.jordan_basis(p, q)
+        basis = pg.jordan_basis(g[:, :2], g)  # P <= Q
         gram = basis.conj().T @ q @ basis
         assert mc.op_norm(gram - np.diag(np.diag(gram))) <= 1e-10
         assert basis.shape[1] == 2
@@ -111,11 +114,10 @@ class TestJordanBasis:
     def test_c3_crossing_example(self):
         # ran P = span(e1, e2), ran Q = span(e3, e1+e2): the canonical basis
         # has one vector fixed by Q and one annihilated
-        p = np.diag([1.0, 1.0, 0.0]).astype(complex)
         e3 = np.eye(3)[:, 2]
         v12 = (np.eye(3)[:, 0] + np.eye(3)[:, 1]) / math.sqrt(2)
         q = np.outer(e3, e3) + np.outer(v12, v12)
-        basis = pg.jordan_basis(p, q)
+        basis = pg.jordan_basis(np.eye(3)[:, :2], np.column_stack([e3, v12]))
         norms = sorted(float(np.linalg.norm(q @ basis[:, i])) for i in range(2))
         assert norms[0] == pytest.approx(0.0, abs=1e-12)
         assert norms[1] == pytest.approx(1.0, abs=1e-12)
@@ -124,12 +126,19 @@ class TestJordanBasis:
         rng = np.random.default_rng(4)
         for _ in range(20):
             n = int(rng.integers(3, 12))
-            p = rand_proj(rng, n, int(rng.integers(1, n)))
-            q = rand_proj(rng, n, int(rng.integers(1, n)))
+            p = rand_basis(rng, n, int(rng.integers(1, n)))
+            q = rand_basis(rng, n, int(rng.integers(1, n)))
             basis = pg.jordan_basis(p, q)
-            img = q @ basis
+            img = q @ q.conj().T @ basis
             gram = img.conj().T @ img
             assert mc.op_norm(gram - np.diag(np.diag(gram))) <= 1e-10
+
+    def test_rejects_non_orthonormal_bases(self):
+        q = mc.random_unitary(np.random.default_rng(16), 6)
+        with pytest.raises(ValueError, match="the P columns are not orthonormal"):
+            pg.jordan_basis(q[:, :2] * 1.001, q[:, 2:5])
+        with pytest.raises(ValueError, match="the Q columns are not orthonormal"):
+            pg.jordan_basis(q[:, :2], np.column_stack([q[:, 2:4], q[:, 2]]))
 
 
 class TestNestProjection:
@@ -144,7 +153,7 @@ class TestNestProjection:
         rng = np.random.default_rng(5)
         e, g, _ = self._sandwich(rng)
         f, chk = pg.nest_projection(e, g, e)
-        assert mc.op_norm(f.matrix - e) <= 1e-10
+        assert mc.op_norm(f @ f.conj().T - e) <= 1e-10
         assert chk.passed
 
     def test_g_identity_bound(self):
@@ -173,10 +182,10 @@ class TestNestProjection:
                 continue
             done += 1
             assert chk.passed
-            p2, herm = f.defects()
-            assert p2 <= 1e-10 and herm <= 1e-10
-            assert mc.op_norm(e @ (np.eye(12) - f.matrix)) <= 1e-10
-            assert mc.op_norm(f.matrix @ (np.eye(12) - g)) <= 1e-10
+            pf = f @ f.conj().T
+            assert mc.op_norm(pf @ pf - pf) <= 1e-10 and mc.op_norm(pf - pf.conj().T) <= 1e-10
+            assert mc.op_norm(e @ (np.eye(12) - pf)) <= 1e-10
+            assert mc.op_norm(pf @ (np.eye(12) - g)) <= 1e-10
 
     def test_basis_core_matches_projection_form(self):
         rng = np.random.default_rng(13)
@@ -198,7 +207,7 @@ class TestNestProjection:
             pf = basis @ basis.conj().T
             assert mc.op_norm(e @ (eye - pf)) <= 1e-10
             assert mc.op_norm(pf @ (eye - g)) <= 1e-10
-            assert mc.op_norm(pf - f.matrix) <= 1e-10
+            assert mc.op_norm(pf - f @ f.conj().T) <= 1e-10
 
     def test_basis_core_rejects_overlapping_bases(self):
         rng = np.random.default_rng(14)
@@ -214,13 +223,13 @@ class TestNestProjection:
         e, g, cols = self._sandwich(rng)
         f_basis = mc.random_unitary(rng, 12)[:, :4]
         basis = pg.nest_projection_core(cols[:, :3], cols[:, 3:8], f_basis)
-        assert screened_gates == ["nest_projection_core"] * 2 and basis.shape[1] >= 3
+        assert screened_gates == ["_require_orthonormal"] * 2 and basis.shape[1] >= 3
         mid = cols[:, 3:5] @ cols[:, 3:5].conj().T
         f, chk = pg.nest_projection(e, g, e + mid)
-        assert chk.passed and mc.op_norm(f.matrix - e - mid) <= 1e-10
+        assert chk.passed and mc.op_norm(f @ f.conj().T - e - mid) <= 1e-10
         # three input projections (2 gates each), E <= G, and the core's 2
         assert screened_gates[2:] == (["_require_projection"] * 6 + ["nest_projection"]
-                                      + ["nest_projection_core"] * 2)
+                                      + ["_require_orthonormal"] * 2)
 
     def test_rejects_e_not_below_g(self):
         # E tilted 1e-6 out of Ran G: eps stays small, E <= G fails
