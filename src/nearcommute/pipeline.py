@@ -229,77 +229,103 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
     return cert.w_basis, log
 
 
-def _cut_and_pinch(h: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
-                   origin: float, n_cut: int, cell: float, min_sub: float,
-                   value, *, cyclic: bool, engine: str):
-    """Cut B's spectrum into cells, build W per cell, regroup and pinch H.
+def _interval_b_distance(lam: np.ndarray, w: np.ndarray, on_w: complex,
+                         off_w: complex, coordinate: bool) -> float:
+    """||B - B'|| on one interval, in B's eigen-coordinates there: B' is
+    ``on_w`` on the span of W and ``off_w`` on its complement, so the block
+    is diag(lam) - off_w - (on_w - off_w) W W*.  A ``coordinate`` W is
+    spanned by coordinate vectors, and the block is diagonal."""
+    if coordinate:
+        return float(np.abs(lam - np.where(w.any(axis=1), on_w, off_w)).max())
+    return op_norm(np.diag(lam - off_w) - (on_w - off_w) * (w @ w.conj().T))
 
-    ``coords`` are B's eigen-coordinates (eigenvalues on the line, phases on
-    the circle) for the columns of ``vecs``; cell i is
-    [origin + i*cell, origin + (i+1)*cell).  Uniform sub-cells at least
-    ``min_sub`` wide fill each cell exactly: non-adjacent sub-cells are then
-    far apart even across cell boundaries, so H stays tridiagonal on the
-    global sub-cell list.  The regrouped space W_j^perp + W_{j+1} (W_1 again
-    after W_{n_cut} when ``cyclic``) carries the constant B-value value(j)
-    and the pinching of H.
 
-    Returns (A', B' before any symmetrisation, the pinching log, the
-    ||H-H'|| <= 2 max eps2 check unless some interval was degenerate).
+def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
+                   spectrum: np.ndarray, origin: float, n_cut: int, cell: float,
+                   min_sub: float, value, *, cyclic: bool, engine: str):
+    """Cut B's spectrum into cells, build W per cell, regroup and pinch H,
+    all in B's eigen-coordinates.
+
+    ``ht`` is H there (V*HV, Hermitian, for the columns V of ``vecs``),
+    ``spectrum`` B's eigenvalues and ``coords`` their positions (eigenvalues
+    on the line, phases on the circle), ascending, so each cell is a
+    contiguous index range; cell i is [origin + i*cell, origin + (i+1)*cell).
+    Uniform sub-cells at least ``min_sub`` wide fill each cell exactly:
+    non-adjacent sub-cells are then far apart even across cell boundaries,
+    so H stays tridiagonal on the global sub-cell list.  The regrouped space
+    W_j^perp + W_{j+1} (W_1 again after W_{n_cut} when ``cyclic``) lies on
+    at most two cells' ranges and carries the constant B-value value(j) and
+    the pinching of H.  B - B' is block diagonal over the cells, so
+    ||B - B'|| is the largest of the cells' norms.
+
+    Returns (A', B' before any symmetrisation, ||B-B'||, the pinching log,
+    the ||H-H'|| <= 2 max eps2 check unless some interval was degenerate).
     """
-    n = h.shape[0]
+    n = ht.shape[0]
     ids = np.floor((coords - origin) / cell).astype(int)
     ids = np.maximum(np.minimum(ids, n_cut - 1), 0)
     n_sub = max(1, int(math.floor(cell / min_sub)))
     sub_width = cell / n_sub
-    w_bases: dict[int, np.ndarray] = {}
-    wperp_bases: dict[int, np.ndarray] = {}
+    # W_j is indexed 1..n_cut: W_{i+1} lives over cell i; each entry is the
+    # cell's index range and a basis in the cell's coordinates
+    w_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    wperp_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     interval_log: list[dict] = []
-    eps2_max = 0.0
+    eps2_max = dist_b = 0.0
     any_degenerate = False
-    for i in np.unique(ids).tolist():
-        sel = ids == i
-        cols = vecs[:, sel]
-        jb = cols.conj().T @ h @ cols
-        jb = (jb + jb.conj().T) / 2
-        sub = np.floor((coords[sel] - (origin + i * cell)) / sub_width).astype(int)
+    for s, e in zip(*cluster_bounds(ids, 0.5)):
+        i = int(ids[s])
+        sub = np.floor((coords[s:e] - (origin + i * cell)) / sub_width).astype(int)
         sub = np.maximum(np.minimum(sub, n_sub - 1), 0)
-        w_local, log = _interval_subspace_engine(jb, sub, n_sub, engine)
+        w_local, log = _interval_subspace_engine(ht[s:e, s:e], sub, n_sub, engine)
         log["interval"] = i
         interval_log.append(log)
         if log.get("degenerate"):
             any_degenerate = True
         eps2_max = max(eps2_max, log.get("eps2", 0.0))
-        # W_j is indexed 1..n_cut: W_{i+1} lives over cell i
-        w_bases[i + 1] = cols @ w_local
-        wperp_bases[i + 1] = cols @ orthonormal_complement(w_local)
+        rows = np.arange(s, e)
+        w_parts[i + 1] = (rows, w_local)
+        wperp_parts[i + 1] = (rows, orthonormal_complement(w_local))
+        # W_{i+1} joins the space regrouped under index i (W_1 under n_cut on
+        # the circle), its complement the one under i + 1
+        dist_b = max(dist_b, _interval_b_distance(
+            spectrum[s:e], w_local, value(i if i or not cyclic else n_cut),
+            value(i + 1), log.get("degenerate", False) or "trivial_gap" in log))
 
-    tilde: list[tuple[complex, np.ndarray]] = []
+    a_coords = np.zeros_like(ht)
+    q_blocks, qc_blocks, values, dims = [], [], [], []
     for j in range(1 if cyclic else 0, n_cut + 1):
         nxt = j % n_cut + 1 if cyclic else j + 1
-        pieces = [b for b in (wperp_bases.get(j), w_bases.get(nxt))
-                  if b is not None and b.shape[1]]
-        if pieces:
-            tilde.append((value(j), np.column_stack(pieces)))
-    t_all = (np.column_stack([basis for _, basis in tilde]) if tilde
-             else np.zeros((n, 0), dtype=np.complex128))
-    if t_all.shape[1] != n:
+        pieces = [p for p in (wperp_parts.get(j), w_parts.get(nxt))
+                  if p is not None and p[1].shape[1]]
+        if not pieces:
+            continue
+        idx = np.concatenate([rows for rows, _ in pieces])
+        basis = np.zeros((idx.size, sum(b.shape[1] for _, b in pieces)),
+                         dtype=np.complex128)
+        r = c = 0
+        for rows, b in pieces:
+            basis[r:r + rows.size, c:c + b.shape[1]] = b
+            r, c = r + rows.size, c + b.shape[1]
+        block = np.ix_(idx, idx)
+        compressed = basis.conj().T @ ht[block] @ basis
+        a_coords[block] += basis @ compressed @ basis.conj().T
+        # the regrouped basis in the original coordinates
+        q = vecs[:, idx] @ basis
+        q_blocks.append(q)
+        qc_blocks.append(q @ compressed)
+        values.append(value(j))
+        dims.append(c)
+    if sum(dims) != n:
         raise AssertionError("regrouped subspaces do not span the space")
 
-    hc = t_all.conj().T @ h @ t_all
-    b_blocks = np.zeros((n, n), dtype=np.complex128)
-    h_blocks = np.zeros((n, n), dtype=np.complex128)
-    off = 0
-    for val, basis in tilde:
-        k = basis.shape[1]
-        sl = slice(off, off + k)
-        h_blocks[sl, sl] = hc[sl, sl]
-        b_blocks[sl, sl] = val * np.eye(k)
-        off += k
-    a_prime = t_all @ h_blocks @ t_all.conj().T
+    q_all = np.column_stack(q_blocks)
+    a_prime = np.column_stack(qc_blocks) @ q_all.conj().T
     a_prime = (a_prime + a_prime.conj().T) / 2
-    b_prime = t_all @ b_blocks @ t_all.conj().T
+    b_prime = (q_all * np.repeat(values, dims)) @ q_all.conj().T
 
-    h_h_prime = op_norm(h - a_prime)
+    a_coords = (a_coords + a_coords.conj().T) / 2
+    h_h_prime = op_norm(ht - a_coords)
     checks = [] if any_degenerate else [
         BoundCheck(h_h_prime, 2.0 * eps2_max + 1e-10, "||H-H'|| <= 2 max eps2")]
     log = {
@@ -308,7 +334,7 @@ def _cut_and_pinch(h: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
         "degenerate_intervals": any_degenerate,
         "intervals": interval_log,
     }
-    return a_prime, b_prime, log, checks
+    return a_prime, b_prime, dist_b, log, checks
 
 
 def commute_hermitian_pair(a, b, gamma2: float = 1.0, *, engine: str = "auto",
@@ -338,14 +364,13 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0, *, engine: str = "auto",
     # B's norm, read off the eigenvalues finite_range decomposed it into
     _require_contraction(np.abs(eb.eigenvalues).max(initial=0.0), "B")
     checks = list(fr.checks)
-    a_prime, b_prime, pinch_log, pinch_checks = _cut_and_pinch(
-        fr.matrix, eb.vectors, eb.eigenvalues, -1.0, n_cut, width, big_delta,
-        lambda j: 1.0 if j >= n_cut else -1.0 + j * width,
+    a_prime, b_prime, dist_b, pinch_log, pinch_checks = _cut_and_pinch(
+        fr.coords, eb.vectors, eb.eigenvalues, eb.eigenvalues, -1.0, n_cut, width,
+        big_delta, lambda j: 1.0 if j >= n_cut else -1.0 + j * width,
         cyclic=False, engine=engine)
     b_prime = (b_prime + b_prime.conj().T) / 2
 
     dist_a = op_norm(am - a_prime)
-    dist_b = op_norm(bm - b_prime)
     res = op_norm(commutator(a_prime, b_prime))
     checks.append(BoundCheck(dist_b, 2.0 / n_cut + 1e-10, "||B-B'|| <= 2/n_cut"))
     checks += pinch_checks
@@ -381,8 +406,7 @@ def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
     thresh, groups, a_prime = _cluster_step(ea, delta, cluster_rtol * scale)
     b_prime = np.zeros_like(a_prime)
     for cols in groups:
-        p = cols @ cols.conj().T
-        b_prime += p @ bm @ p
+        b_prime += cols @ (cols.conj().T @ bm @ cols) @ cols.conj().T
     dist_a = op_norm(am - a_prime)
     dist_b = op_norm(bm - b_prime)
     bound = m_count / math.sqrt(2.0) * math.sqrt(delta)
@@ -481,12 +505,12 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0, *, engine: str = "auto"
     # sub-arc width: chords at two sub-arcs' separation exceed sqrt(2)*Delta
     phi_sub = 2.0 * math.asin(min(1.0, math.sqrt(2.0) * big_delta / 2.0))
     phi_sub = max(phi_sub, 1e-12)
-    a_prime, u_prime, pinch_log, pinch_checks = _cut_and_pinch(
-        fr.matrix, eu.vectors[:, order], phases[order], 0.0, n_cut, arc, phi_sub,
+    a_prime, u_prime, dist_u, pinch_log, pinch_checks = _cut_and_pinch(
+        fr.coords[np.ix_(order, order)], eu.vectors[:, order], phases[order],
+        eu.eigenvalues[order], 0.0, n_cut, arc, phi_sub,
         lambda j: np.exp(1j * arc * j), cyclic=True, engine=engine)
 
     dist_a = op_norm(am - a_prime)
-    dist_u = op_norm(um - u_prime)
     res = op_norm(commutator(a_prime, u_prime))
     checks.append(BoundCheck(dist_u, 2.0 * math.sin(min(arc / 2.0, math.pi / 2)) + 1e-10,
                              "||U-U'|| <= chord of one arc width"))

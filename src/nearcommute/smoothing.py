@@ -358,14 +358,22 @@ def finite_range_multi(*args, **kwargs):
 
 @dataclass
 class FiniteRangeResult:
-    """Output of a finite-range construction: the matrix H, the asserted
-    distance/commutator bounds, and the eigensystem of B the averaging used."""
+    """Output of a finite-range construction: H in the eigen-coordinates of B
+    (``coords`` = V*HV for the eigenvectors V of ``eig``), the asserted
+    distance/commutator bounds, and the eigensystem of B the averaging used.
+    ``matrix`` is H itself, V (coords) V*, formed on first use."""
 
-    matrix: np.ndarray
+    coords: np.ndarray
     checks: list[BoundCheck]
     delta: float
     profile_name: str
     eig: HermitianEig | NormalEig
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        v = self.eig.vectors
+        h = v @ self.coords @ v.conj().T
+        return (h + h.conj().T) / 2
 
     def require(self) -> "FiniteRangeResult":
         for c in self.checks:
@@ -385,60 +393,73 @@ def _require_averaging(delta: float, profile: Profile | None) -> Profile:
 
 
 def _average(a: np.ndarray, v: np.ndarray, lams: Sequence[np.ndarray],
-             delta: float, p: Profile) -> np.ndarray:
-    """V((V*AV) o prod_j f((lam_jl - lam_jm)/Delta))V*, symmetrised."""
+             delta: float, p: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """(V*AV - H~, H~) in the eigen-coordinates V, where H~ = A~ o
+    prod_j f((lam_jl - lam_jm)/Delta), symmetrised, for A~ = V*AV
+    symmetrised.  For an exactly Hermitian A, V*AV is taken as A~, so the
+    difference, whose norm is ||A - H||, is Hermitian too."""
     at = v.conj().T @ a @ v
+    sym = (at + at.conj().T) / 2
     mult = np.ones_like(at, dtype=float)
     for lam in lams:
         mult = mult * p((lam[:, None] - lam[None, :]) / delta)
-    h = v @ (at * mult) @ v.conj().T
-    return (h + h.conj().T) / 2
+    ht = sym * mult
+    ht = (ht + ht.conj().T) / 2
+    return (sym if np.array_equal(a, a.conj().T) else at) - ht, ht
+
+
+def _commutator_norm(ht: np.ndarray, lam: np.ndarray) -> float:
+    """||[H, B]|| for H~ = V*HV and B = V diag(lam) V*: the norm of
+    H~_lm (lam_m - lam_l), which is anti-Hermitian for real lam."""
+    return op_norm(ht * (lam[None, :] - lam[:, None]))
 
 
 def finite_range(a, b, delta: float, profile: Profile | None = None, *,
                  comm: float | None = None) -> FiniteRangeResult:
-    """Replace A by an H that is finite range Delta with respect to B.
+    """Replace a Hermitian A by an H that is finite range Delta with respect
+    to B (H averages the Hermitian part of any other A).
 
     In B's eigenbasis H has entries A_{lm} * f((l - m)/Delta); consequently
     E_{S1}(B) H E_{S2}(B) = 0 exactly whenever dist(S1, S2) >= Delta, and
-    ||A - H|| <= (c0/Delta) ||[A,B]||, ||[H,B]|| <= c1 ||[A,B]||.  ``comm``
-    is ||[A,B]|| when the caller has already measured it; it is measured
-    here otherwise.
+    ||A - H|| <= (c0/Delta) ||[A,B]||, ||[H,B]|| <= c1 ||[A,B]||.  Both
+    left-hand sides are measured in B's eigen-coordinates, where [H,B] is an
+    entrywise product.  ``comm`` is ||[A,B]|| when the caller has already
+    measured it; it is measured here otherwise.
     """
     p = _require_averaging(delta, profile)
     a = as_matrix(a)
     eb = eig_hermitian(b)
-    h = _average(a, eb.vectors, [eb.eigenvalues], delta, p)
-    b = as_matrix(b)
+    a_minus_h, ht = _average(a, eb.vectors, [eb.eigenvalues], delta, p)
     if comm is None:
-        comm = op_norm(commutator(a, b))
+        comm = op_norm(commutator(a, as_matrix(b)))
     checks = [
-        BoundCheck(op_norm(a - h), (p.c0 / delta) * comm, "finite_range ||A-H|| <= (c0/Delta)||[A,B]||"),
-        BoundCheck(op_norm(commutator(h, b)), p.c1 * comm,
+        BoundCheck(op_norm(a_minus_h), (p.c0 / delta) * comm, "finite_range ||A-H|| <= (c0/Delta)||[A,B]||"),
+        BoundCheck(_commutator_norm(ht, eb.eigenvalues), p.c1 * comm,
                    "finite_range ||[H,B]|| <= c1||[A,B]||"),
     ]
-    return FiniteRangeResult(h, checks, delta, p.name, eb)
+    return FiniteRangeResult(ht, checks, delta, p.name, eb)
 
 
 def finite_range_normal(a, n_mat, delta: float,
                         profile: Profile | None = None, *,
                         comm: float) -> FiniteRangeResult:
-    """Finite-range construction against a normal matrix N, averaging in the
-    joint eigenbasis of its commuting real/imaginary parts.  The spectral
-    cut-off in the complex plane is sqrt(2) * Delta.  ``comm`` is the
-    caller's measured ||[A,N]||, the right-hand side of both checks."""
+    """Finite-range construction of a Hermitian A against a normal matrix N,
+    averaging in the joint eigenbasis of its commuting real/imaginary parts.
+    The spectral cut-off in the complex plane is sqrt(2) * Delta.  Both
+    left-hand sides are measured in N's eigen-coordinates; ``comm`` is the
+    caller's measured ||[A,N]||, the right-hand side of both."""
     p = _require_averaging(delta, profile)
     a = as_matrix(a)
-    m = as_matrix(n_mat)
-    en = normal_eig(m)
-    h = _average(a, en.vectors, [en.eigenvalues.real, en.eigenvalues.imag], delta, p)
+    en = normal_eig(as_matrix(n_mat))
+    mu = en.eigenvalues
+    a_minus_h, ht = _average(a, en.vectors, [mu.real, mu.imag], delta, p)
     checks = [
-        BoundCheck(op_norm(a - h), (2 * p.c0 * p.c1 / delta) * comm,
+        BoundCheck(op_norm(a_minus_h), (2 * p.c0 * p.c1 / delta) * comm,
                    "finite_range_normal ||A-H||"),
-        BoundCheck(op_norm(commutator(h, m)), 2 * p.c1 ** 2 * comm,
+        BoundCheck(_commutator_norm(ht, mu), 2 * p.c1 ** 2 * comm,
                    "finite_range_normal ||[H,N]||"),
     ]
-    return FiniteRangeResult(h, checks, delta, p.name, en)
+    return FiniteRangeResult(ht, checks, delta, p.name, en)
 
 
 # ---------------------------------------------------------------------------

@@ -1075,7 +1075,6 @@ def decay_check_U(diagn: HastingsDiagnostics, *, samples_per_block: int = 2,
     """
     cfg = diagn.config
     rng = rng or np.random.default_rng(0)
-    total = diagn.rho.shape[0]
     cols, owners = [], []
     for i in range(2, cfg.n_b + 1, 2):
         b = diagn.n_bases[i]
@@ -1091,8 +1090,7 @@ def decay_check_U(diagn: HastingsDiagnostics, *, samples_per_block: int = 2,
         return {"C1": 0.0, "alpha": 0.0, "offsets": {}, "u_table": {}}
     phi = np.column_stack(cols)
     owners = np.asarray(owners)
-    pu_perp = diagn.u_perp_basis @ diagn.u_perp_basis.conj().T \
-        if diagn.u_perp_basis.shape[1] else np.zeros((total, total))
+    u_perp = diagn.u_perp_basis
 
     offsets: dict[int, float] = {}
     for i in range(1, cfg.n_b + 1):
@@ -1100,10 +1098,9 @@ def decay_check_U(diagn: HastingsDiagnostics, *, samples_per_block: int = 2,
         if idx.size == 0:
             continue
         for _ in range(samples_per_block):
-            y = np.zeros(total, dtype=np.complex128)
             raw = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-            y[idx] = raw / np.linalg.norm(raw)
-            target = pu_perp @ y
+            # U^perp y for the unit y supported on Y_i
+            target = u_perp @ (u_perp[idx].conj().T @ (raw / np.linalg.norm(raw)))
             coef, *_ = np.linalg.lstsq(phi, target, rcond=None)
             for j in range(1, cfg.n_b + 1):
                 sel = owners == j
@@ -1124,8 +1121,8 @@ def decay_check_U(diagn: HastingsDiagnostics, *, samples_per_block: int = 2,
         raise StageError("decay", f"fitted alpha = {alpha:.4f} >= 1")
 
     # ||Y_j U Y_i|| table against C2 alpha^{|i-j|} (trivial for |i-j| <= 1
-    # since C2 >= 1/alpha)
-    pu = np.eye(total) - pu_perp
+    # since C2 >= 1/alpha); the (b, a) block of U = 1 - U^perp U^perp* is
+    # delta_ab - U^perp[b] U^perp[a]*
     c_alpha = 1.0 + alpha + (1.0 / alpha if alpha > 0 else 1.0)
     c2 = c_alpha * c1
     u_table: dict[tuple[int, int], float] = {}
@@ -1135,7 +1132,8 @@ def decay_check_U(diagn: HastingsDiagnostics, *, samples_per_block: int = 2,
             a_idx = _coords(diagn.r_blocks, diagn.y_sets["Y"][i])
             b_idx = _coords(diagn.r_blocks, diagn.y_sets["Y"][j])
             if a_idx.size and b_idx.size:
-                val = op_norm(pu[np.ix_(b_idx, a_idx)])
+                val = op_norm(np.equal.outer(b_idx, a_idx)
+                              - u_perp[b_idx] @ u_perp[a_idx].conj().T)
                 u_table[(i, j)] = val
                 if val > c2 * alpha ** abs(i - j) + 1e-9:
                     table_violations.append((i, j, val))

@@ -4,9 +4,11 @@ and triple repairs, and the unitary variants."""
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nearcommute import matcore as mc
 from nearcommute import matio
@@ -25,16 +27,20 @@ def commuting_pair(rng, n, b_scale=0.9):
     return (a + a.conj().T) / 2, (b + b.conj().T) / 2
 
 
-def planted_pair(rng, n, delta):
-    """(A0 + tG)/(1 + t) against a Hermitian B0 commuting with A0, with t
-    chosen so that ||[A, B0]|| = delta; the spectra come from a fixed stream."""
-    spectra = np.random.default_rng([n, 0])
+def planted_pair(rng, n, delta, unitary=False):
+    """(A0 + tG)/(1 + t) against a Hermitian B0 (a unitary U0 with
+    ``unitary``) commuting with A0, with t chosen so that ||[A, B0]|| = delta;
+    the spectra come from a fixed stream."""
+    spectra = np.random.default_rng([n, int(unitary)])
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     a0 = (q * spectra.uniform(-0.9, 0.9, n)) @ q.conj().T
-    b0 = (q * spectra.uniform(-0.9, 0.9, n)) @ q.conj().T
-    b0 = (b0 + b0.conj().T) / 2
+    if unitary:
+        b0 = (q * np.exp(1j * spectra.uniform(0.0, 2 * math.pi, n))) @ q.conj().T
+    else:
+        b0 = (q * spectra.uniform(-0.9, 0.9, n)) @ q.conj().T
+        b0 = (b0 + b0.conj().T) / 2
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g = (g + g.conj().T) / 2
     g /= np.linalg.norm(g, 2)
@@ -232,6 +238,9 @@ class TestCheapCommute:
         assert rep.dist_a <= bound + 1e-12
         assert rep.dist_b <= bound + 1e-12
         assert rep.comm_residual <= 1e-10 * 8
+        # B is pinched onto A's two eigenspaces
+        low, high = q[:, :4] @ q[:, :4].conj().T, q[:, 4:] @ q[:, 4:].conj().T
+        assert mc.op_norm(rep.b_prime - low @ b @ low - high @ b @ high) <= 1e-12
 
     def test_reference_line_reported(self):
         rng = np.random.default_rng(5)
@@ -480,3 +489,160 @@ class TestUnitaryPairGap:
         v = np.diag(np.exp(2j * math.pi * np.arange(n) / n))
         with pytest.raises(ValueError, match="gap"):
             pl.unitary_pair_gap(np.eye(n), v)
+
+
+DRIVERS = {False: pl.commute_hermitian_pair, True: pl.commute_hermitian_unitary}
+
+
+class TestCoordinateMeasures:
+    """The drivers measure ||B-B'||, the finite-range checks and ||H-H'|| in
+    B's eigen-coordinates; each equals its n x n definition."""
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_match_dense_definitions(self, monkeypatch, n, delta, unitary):
+        name = "finite_range_normal" if unitary else "finite_range"
+        averaging, results = getattr(pl, name), []
+
+        def recording(*args, **kwargs):
+            results.append(averaging(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(pl, name, recording)
+        a, b = planted_pair(np.random.default_rng(n), n, delta, unitary)
+        rep = DRIVERS[unitary](a, b)
+        (fr,) = results
+        h = fr.matrix
+        tol = 1e-13 * n
+        assert abs(rep.dist_b - mc.op_norm(b - rep.b_prime)) <= tol
+        assert abs(fr.checks[0].lhs - mc.op_norm(a - h)) <= tol
+        assert abs(fr.checks[1].lhs - mc.op_norm(mc.commutator(h, b))) <= tol
+        assert abs(rep.stage_log["h_to_pinched"] - mc.op_norm(h - rep.a_prime)) <= tol
+
+
+# Quality columns of the benchmark's planted workload at seed 1: label,
+# n_cut, routes, dist_a, dist_b, comm_residual.
+PLANTED_SEED_1 = [
+    ('herm n=128 delta=0.01', 5, {'gap': 2, 'szarek': 3},
+     0.012920031304839326, 0.33599860239857965, 1.625968235552042e-15),
+    ('herm n=128 delta=0.0001', 22, {'gap': 20},
+     0.0001234838112990769, 0.0881192791974935, 1.903049764730336e-15),
+    ('herm n=128 delta=1e-06', 101, {'gap': 69},
+     1.239180847436548e-06, 0.01966045862674652, 1.8358038028890714e-15),
+    ('herm n=256 delta=0.01', 5, {'gap': 2, 'szarek': 3},
+     0.01166258158278138, 0.34294882526762227, 2.2354794847782448e-15),
+    ('herm n=256 delta=0.0001', 22, {'gap': 20},
+     0.00011943410947017878, 0.08856125883544279, 2.681784768003333e-15),
+    ('herm n=256 delta=1e-06', 100, {'gap': 85},
+     1.1504423005061087e-06, 0.019873192914912557, 2.587290816476243e-15),
+    ('unitary n=128 delta=0.001', 10, {'gap': 10},
+     0.00069365083701229, 0.598956400184721, 3.049571365849372e-15),
+    ('unitary n=256 delta=0.001', 11, {'gap': 11},
+     0.0007151214336973401, 0.5466902676423047, 4.135254768412541e-15),
+]
+
+
+def test_planted_quality_columns_pinned():
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench import workloads
+
+    instances = workloads.planted(1)
+    assert [inst.label for inst in instances] == [row[0] for row in PLANTED_SEED_1]
+    for inst, (label, n_cut, routes, dist_a, dist_b, residual) in zip(instances,
+                                                                      PLANTED_SEED_1):
+        row = inst.gate(inst.call())
+        assert row["ok"], (label, row["why"])
+        assert (row["n_cut"], row["routes"]) == (n_cut, routes), label
+        for got, want in ((row["dist_a"], dist_a), (row["dist_b"], dist_b),
+                          (row["comm_residual"], residual)):
+            assert abs(got - want) <= 1e-12, label
+
+
+def cut_count(n_cut_wanted: int) -> tuple[float, int]:
+    """A commutator size delta at which the drivers cut into n_cut_wanted
+    cells (gamma2 = 1: n_cut = ceil(delta^(-1/3))), away from the next
+    count."""
+    delta = (n_cut_wanted - 0.5) ** -3.0
+    g0, g1, _ = pl.choose_exponents(1.0, True)
+    assert math.ceil(1.0 / (delta ** g0) ** g1) == n_cut_wanted
+    return delta, n_cut_wanted
+
+
+@st.composite
+def driver_inputs(draw, unitary):
+    """A pair planted at ||[A,B]|| = delta whose B has n <= 48 eigenvalues
+    drawn from the cut points of the drivers' cells at that delta, from a
+    few repeated values, from tight clusters, or uniformly."""
+    n = draw(st.integers(0, 48))
+    # few cells leave every sub-cell occupied, which sends cells to Szarek
+    delta, n_cut = cut_count(draw(st.one_of(st.integers(2, 6), st.integers(7, 60))))
+    if unitary:  # the circle is cut into at least three arcs
+        delta, n_cut = cut_count(max(n_cut, 3))
+    kind = draw(st.sampled_from(["cut points", "repeated", "clustered", "uniform"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "cut points":
+        # cell edges: -1 + 2k/n_cut on the line, 2 pi k/n_cut on the circle
+        spec = rng.integers(0, n_cut + 1, n) / n_cut
+    elif kind == "repeated":
+        spec = rng.choice(rng.uniform(0.0, 1.0, 3), n)
+    elif kind == "clustered":
+        spec = rng.choice(rng.uniform(0.0, 1.0, 4), n) + rng.uniform(-1e-9, 1e-9, n)
+        spec = np.clip(spec, 0.0, 1.0)
+    else:
+        spec = rng.uniform(0.0, 1.0, n)
+    q = mc.random_unitary(rng, n)
+    if unitary:
+        b = (q * np.exp(2j * math.pi * spec)) @ q.conj().T
+    else:
+        b = (q * (2.0 * spec - 1.0)) @ q.conj().T
+        b = (b + b.conj().T) / 2
+    a0 = (q * rng.uniform(-0.9, 0.9, n)) @ q.conj().T
+    g = mc.random_hermitian(rng, n, norm=1.0) if n else np.zeros((0, 0), complex)
+    base = mc.op_norm(mc.commutator(g, b))
+    # plant ||[A,B]|| = delta where B's spectrum leaves room for it
+    planted = base > 2 * delta
+    t = delta / (base - delta) if planted else 0.1
+    a = (a0 + t * g) / (1.0 + t)
+    return (a + a.conj().T) / 2, b, n_cut if planted else None
+
+
+class TestDriversOnEdgeSpectra:
+    """Both drivers on n = 0..48 with eigenvalues on cut points, repeated and
+    clustered: the outputs commute to roundoff and every check recorded ran
+    and passed."""
+
+    @staticmethod
+    def assert_repaired(rep, n, n_cut):
+        assert rep.comm_residual <= 1e-12 * max(n, 1)
+        if n_cut is not None:
+            # the cells are the ones the spectrum was drawn for
+            assert rep.stage_log["n_cut"] == n_cut
+        assert rep.checks and all(c.passed for c in rep.checks)
+        log = rep.stage_log
+        if n <= 1:
+            # nothing to cut: a pair of scalars already commutes
+            assert log["n_cut"] == 0 and log["intervals"] == []
+            assert rep.dist_a == rep.dist_b == 0.0
+        elif log["n_cut"]:
+            # the two finite-range checks, ||B-B'|| and, unless an interval
+            # was too narrow to split, ||H-H'||
+            assert len(rep.checks) == 4 - log["degenerate_intervals"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(driver_inputs(unitary=False))
+    @example((np.zeros((0, 0)), np.zeros((0, 0)), None))
+    @example((np.array([[0.5]]), np.array([[-1.0]]), None))
+    def test_hermitian_pair(self, inputs):
+        a, b, n_cut = inputs
+        self.assert_repaired(pl.commute_hermitian_pair(a, b), a.shape[0], n_cut)
+
+    @settings(max_examples=40, deadline=None)
+    @given(driver_inputs(unitary=True))
+    @example((np.zeros((0, 0)), np.zeros((0, 0)), None))
+    @example((np.array([[0.5]]), np.array([[1j]]), None))
+    def test_hermitian_unitary(self, inputs):
+        a, u, n_cut = inputs
+        self.assert_repaired(pl.commute_hermitian_unitary(a, u), a.shape[0], n_cut)

@@ -145,6 +145,18 @@ class TestFiniteRange:
             res = sm.finite_range(a, b, float(rng.uniform(0.2, 1.0)))
             res.require()
 
+    def test_distance_check_measured_from_a(self):
+        # H averages the Hermitian part of a non-Hermitian A, and the
+        # ||A - H|| check is still measured from A itself
+        rng = np.random.default_rng(12)
+        a = mc.random_hermitian(rng, 10, norm=1.0) + 0.1j * mc.random_hermitian(rng, 10, norm=1.0)
+        b = mc.random_hermitian(rng, 10, norm=1.0)
+        res = sm.finite_range(a, b, 0.5)
+        assert res.checks[0].lhs == pytest.approx(mc.op_norm(a - res.matrix), abs=1e-13)
+        part = sm.finite_range((a + a.conj().T) / 2, b, 0.5)
+        assert mc.op_norm(res.matrix - part.matrix) <= 1e-14
+        assert part.checks[0].lhs < res.checks[0].lhs
+
     def test_eig_reconstructs_b(self):
         rng = np.random.default_rng(6)
         a = mc.random_hermitian(rng, 12, norm=1.0)

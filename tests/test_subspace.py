@@ -482,6 +482,14 @@ class TestHastings:
         fit = sb.decay_check_U(diag, rng=np.random.default_rng(11))
         assert fit["alpha"] < 1.0
         assert not fit["table_violations"]
+        # the table's blocks are those of the dense U = 1 - U^perp U^perp*
+        u_perp = diag.u_perp_basis
+        pu = np.eye(u_perp.shape[0]) - u_perp @ u_perp.conj().T
+        assert fit["u_table"]
+        for (i, j), val in fit["u_table"].items():
+            a_idx = sb._coords(diag.r_blocks, diag.y_sets["Y"][i])
+            b_idx = sb._coords(diag.r_blocks, diag.y_sets["Y"][j])
+            assert val == pytest.approx(mc.op_norm(pu[np.ix_(b_idx, a_idx)]), abs=1e-12)
         m, cs, ds, x = sb.proof_matrix_M(diag)
         assert x == pytest.approx(chi / (2 - 2 * chi))
         if m.shape[0]:
