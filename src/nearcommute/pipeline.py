@@ -199,9 +199,6 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
     log: dict = {"dim": d, "L": n_sub}
     if d == 0:
         return np.zeros((0, 0), dtype=np.complex128), log
-    scale = max(1.0, op_norm(j_block))
-    js = j_block / scale
-    log["rescale"] = scale
     eye = np.eye(d, dtype=np.complex128)
     if n_sub < 2:
         # no room for a V_1 <= W perp V_L sandwich: keep the whole block
@@ -213,8 +210,12 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
         below = sub_ids < gap
         log["trivial_gap"] = gap
         # ||(1 - P_W) J P_W|| for W the coordinates below the gap
-        log["eps2"] = op_norm(js[np.ix_(~below, below)]) * scale
+        log["eps2"] = op_norm(j_block[np.ix_(~below, below)])
         return eye[:, below], log
+    # the engines take a contraction
+    scale = max(1.0, op_norm(j_block))
+    js = j_block / scale
+    log["rescale"] = scale
     sys = verify_tridiagonal(js, [np.flatnonzero(sub_ids == k) for k in range(n_sub)])
     use = engine
     if engine == "auto":
@@ -229,34 +230,35 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
     return cert.w_basis, log
 
 
-def _interval_b_distance(lam: np.ndarray, w: np.ndarray, on_w: complex,
-                         off_w: complex, coordinate: bool) -> float:
+def _interval_b_distance(lam: np.ndarray, w: np.ndarray, on_w: float,
+                         off_w: float) -> float:
     """||B - B'|| on one interval, in B's eigen-coordinates there: B' is
     ``on_w`` on the span of W and ``off_w`` on its complement, so the block
-    is diag(lam) - off_w - (on_w - off_w) W W*.  A ``coordinate`` W is
-    spanned by coordinate vectors, and the block is diagonal."""
-    if coordinate:
-        return float(np.abs(lam - np.where(w.any(axis=1), on_w, off_w)).max())
+    is diag(lam) - off_w - (on_w - off_w) W W*."""
     return op_norm(np.diag(lam - off_w) - (on_w - off_w) * (w @ w.conj().T))
 
 
 def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
-                   spectrum: np.ndarray, origin: float, n_cut: int, cell: float,
-                   min_sub: float, value, *, cyclic: bool, engine: str):
+                   origin: float, n_cut: int, cell: float, min_sub: float,
+                   value, *, cyclic: bool, engine: str):
     """Cut B's spectrum into cells, build W per cell, regroup and pinch H,
     all in B's eigen-coordinates.
 
-    ``ht`` is H there (V*HV, Hermitian, for the columns V of ``vecs``),
-    ``spectrum`` B's eigenvalues and ``coords`` their positions (eigenvalues
-    on the line, phases on the circle), ascending, so each cell is a
-    contiguous index range; cell i is [origin + i*cell, origin + (i+1)*cell).
+    ``ht`` is H there (V*HV, Hermitian, for the columns V of ``vecs``) and
+    ``coords`` the positions of B's eigenvalues (the eigenvalues on the line,
+    their phases on the circle), ascending, so each cell is a contiguous
+    index range; cell i is [origin + i*cell, origin + (i+1)*cell).
     Uniform sub-cells at least ``min_sub`` wide fill each cell exactly:
     non-adjacent sub-cells are then far apart even across cell boundaries,
     so H stays tridiagonal on the global sub-cell list.  The regrouped space
     W_j^perp + W_{j+1} (W_1 again after W_{n_cut} when ``cyclic``) lies on
     at most two cells' ranges and carries the constant B-value value(j) and
-    the pinching of H.  B - B' is block diagonal over the cells, so
-    ||B - B'|| is the largest of the cells' norms.
+    the pinching of H.
+
+    On the line B - B' is block diagonal over the cells, so ||B - B'|| is
+    the largest of the cells' norms.  On the circle it is left to the
+    caller (None here): the phases are not B's eigenvalues, and the
+    V diag(mu) V* of ``normal_eig`` need not reproduce B to roundoff.
 
     Returns (A', B' before any symmetrisation, ||B-B'||, the pinching log,
     the ||H-H'|| <= 2 max eps2 check unless some interval was degenerate).
@@ -271,7 +273,8 @@ def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
     w_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     wperp_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     interval_log: list[dict] = []
-    eps2_max = dist_b = 0.0
+    eps2_max = 0.0
+    dist_b = None if cyclic else 0.0
     any_degenerate = False
     for s, e in zip(*cluster_bounds(ids, 0.5)):
         i = int(ids[s])
@@ -286,11 +289,11 @@ def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
         rows = np.arange(s, e)
         w_parts[i + 1] = (rows, w_local)
         wperp_parts[i + 1] = (rows, orthonormal_complement(w_local))
-        # W_{i+1} joins the space regrouped under index i (W_1 under n_cut on
-        # the circle), its complement the one under i + 1
-        dist_b = max(dist_b, _interval_b_distance(
-            spectrum[s:e], w_local, value(i if i or not cyclic else n_cut),
-            value(i + 1), log.get("degenerate", False) or "trivial_gap" in log))
+        if not cyclic:
+            # W_{i+1} joins the space regrouped under index i, its
+            # complement the one under i + 1
+            dist_b = max(dist_b, _interval_b_distance(
+                coords[s:e], w_local, value(i), value(i + 1)))
 
     a_coords = np.zeros_like(ht)
     q_blocks, qc_blocks, values, dims = [], [], [], []
@@ -365,7 +368,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0, *, engine: str = "auto",
     _require_contraction(np.abs(eb.eigenvalues).max(initial=0.0), "B")
     checks = list(fr.checks)
     a_prime, b_prime, dist_b, pinch_log, pinch_checks = _cut_and_pinch(
-        fr.coords, eb.vectors, eb.eigenvalues, eb.eigenvalues, -1.0, n_cut, width,
+        fr.coords, eb.vectors, eb.eigenvalues, -1.0, n_cut, width,
         big_delta, lambda j: 1.0 if j >= n_cut else -1.0 + j * width,
         cyclic=False, engine=engine)
     b_prime = (b_prime + b_prime.conj().T) / 2
@@ -505,12 +508,13 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0, *, engine: str = "auto"
     # sub-arc width: chords at two sub-arcs' separation exceed sqrt(2)*Delta
     phi_sub = 2.0 * math.asin(min(1.0, math.sqrt(2.0) * big_delta / 2.0))
     phi_sub = max(phi_sub, 1e-12)
-    a_prime, u_prime, dist_u, pinch_log, pinch_checks = _cut_and_pinch(
+    a_prime, u_prime, _, pinch_log, pinch_checks = _cut_and_pinch(
         fr.coords[np.ix_(order, order)], eu.vectors[:, order], phases[order],
-        eu.eigenvalues[order], 0.0, n_cut, arc, phi_sub,
-        lambda j: np.exp(1j * arc * j), cyclic=True, engine=engine)
+        0.0, n_cut, arc, phi_sub, lambda j: np.exp(1j * arc * j),
+        cyclic=True, engine=engine)
 
     dist_a = op_norm(am - a_prime)
+    dist_u = op_norm(um - u_prime)
     res = op_norm(commutator(a_prime, u_prime))
     checks.append(BoundCheck(dist_u, 2.0 * math.sin(min(arc / 2.0, math.pi / 2)) + 1e-10,
                              "||U-U'|| <= chord of one arc width"))

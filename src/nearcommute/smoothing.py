@@ -446,17 +446,21 @@ def finite_range_normal(a, n_mat, delta: float,
     """Finite-range construction of a Hermitian A against a normal matrix N,
     averaging in the joint eigenbasis of its commuting real/imaginary parts.
     The spectral cut-off in the complex plane is sqrt(2) * Delta.  Both
-    left-hand sides are measured in N's eigen-coordinates; ``comm`` is the
-    caller's measured ||[A,N]||, the right-hand side of both."""
+    left-hand sides are measured in N's eigen-coordinates V, ||[H,N]|| as
+    ||[H~, V*NV]||: V*NV is N itself there, while diag(mu) differs from it
+    by the error of ``normal_eig``, which is not held to roundoff.
+    ``comm`` is the caller's measured ||[A,N]||, the right-hand side of
+    both."""
     p = _require_averaging(delta, profile)
     a = as_matrix(a)
-    en = normal_eig(as_matrix(n_mat))
-    mu = en.eigenvalues
-    a_minus_h, ht = _average(a, en.vectors, [mu.real, mu.imag], delta, p)
+    m = as_matrix(n_mat)
+    en = normal_eig(m)
+    v, mu = en.vectors, en.eigenvalues
+    a_minus_h, ht = _average(a, v, [mu.real, mu.imag], delta, p)
     checks = [
         BoundCheck(op_norm(a_minus_h), (2 * p.c0 * p.c1 / delta) * comm,
                    "finite_range_normal ||A-H||"),
-        BoundCheck(_commutator_norm(ht, mu), 2 * p.c1 ** 2 * comm,
+        BoundCheck(op_norm(commutator(ht, v.conj().T @ m @ v)), 2 * p.c1 ** 2 * comm,
                    "finite_range_normal ||[H,N]||"),
     ]
     return FiniteRangeResult(ht, checks, delta, p.name, en)

@@ -520,6 +520,39 @@ class TestCoordinateMeasures:
         assert abs(fr.checks[1].lhs - mc.op_norm(mc.commutator(h, b))) <= tol
         assert abs(rep.stage_log["h_to_pinched"] - mc.op_norm(h - rep.a_prime)) <= tol
 
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_circle_measured_against_u(self, monkeypatch, moved):
+        # normal_eig reconstructs this U only to about 3e-11; with ``moved``
+        # its eigenvalues are also pushed off the spectrum by up to 1e-7.
+        # ||U-U'|| and ||[H,U]|| must still be measured against U itself.
+        n = 16
+        u = mc.random_unitary(np.random.default_rng(14), n)
+        rng = np.random.default_rng(15)
+        a = 0.9 * (u + u.conj().T) / 2 + 1e-3 * mc.random_hermitian(rng, n, norm=1.0)
+        a = (a + a.conj().T) / 2
+        decompose, results = sm.normal_eig, []
+
+        def recording(m):
+            en = decompose(m)
+            if moved:
+                en = mc.NormalEig(en.eigenvalues * np.exp(1e-7j * rng.uniform(-1, 1, n)),
+                                  en.vectors)
+            results.append(en)
+            return en
+
+        monkeypatch.setattr(sm, "normal_eig", recording)
+        averaging, frs = pl.finite_range_normal, []
+        monkeypatch.setattr(pl, "finite_range_normal",
+                            lambda *args, **kw: frs.append(averaging(*args, **kw)) or frs[-1])
+        rep = pl.commute_hermitian_unitary(a, u)
+        (en,), (fr,) = results, frs
+        assert fr.eig is en
+        tol = 1e-13 * n
+        assert abs(rep.dist_b - mc.op_norm(u - rep.b_prime)) <= tol
+        assert abs(fr.checks[1].lhs - mc.op_norm(mc.commutator(fr.matrix, u))) <= tol
+        assert abs(fr.checks[0].lhs - mc.op_norm(a - fr.matrix)) <= tol
+        assert abs(rep.stage_log["h_to_pinched"] - mc.op_norm(fr.matrix - rep.a_prime)) <= tol
+
 
 # Quality columns of the benchmark's planted workload at seed 1: label,
 # n_cut, routes, dist_a, dist_b, comm_residual.
