@@ -74,7 +74,6 @@ def _build_parser() -> _Parser:
     pc.add_argument("matrix_a")
     pc.add_argument("matrix_b")
     pc.add_argument("--gamma2", type=float, default=1.0)
-    pc.add_argument("--engine", choices=["szarek", "hastings", "auto"], default="auto")
     pc.add_argument("--rescale", action="store_true",
                     help="rescale inputs to contractions instead of rejecting")
     pc.add_argument("--out", default="report.json")
@@ -117,7 +116,7 @@ def cmd_commute(args) -> int:
         a = a / max(1.0, op_norm(a))
         b = b / max(1.0, op_norm(b))
     try:
-        rep = commute_hermitian_pair(a, b, args.gamma2, engine=args.engine)
+        rep = commute_hermitian_pair(a, b, args.gamma2)
     except (StageError,) as exc:
         print(f"engine failure: {exc}", file=sys.stderr)
         return EXIT_ENGINE
@@ -126,8 +125,7 @@ def cmd_commute(args) -> int:
         return EXIT_ENGINE
     doc = rep.to_json_dict(include_matrices=True)
     doc["inputs"] = hashes
-    doc["config"] = {"gamma2": args.gamma2, "engine": args.engine,
-                     "rescale": bool(args.rescale)}
+    doc["config"] = {"gamma2": args.gamma2, "rescale": bool(args.rescale)}
     atomic_write_text(args.out, json.dumps(doc))
     print(json.dumps({"dist_a": rep.dist_a, "dist_b": rep.dist_b,
                       "comm_residual": rep.comm_residual, "out": args.out}))

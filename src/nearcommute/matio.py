@@ -11,7 +11,7 @@ import numpy as np
 
 from .matcore import as_matrix, op_norm
 
-__all__ = ["save_matrix", "load_matrix", "atomic_write_text"]
+__all__ = ["encode_entries", "save_matrix", "load_matrix", "atomic_write_text"]
 
 FORMAT_VERSION = 1
 TAG_TOL = 1e-8
@@ -36,6 +36,11 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def encode_entries(m) -> list:
+    """A matrix's entries as nested lists of [re, im] pairs, row-major."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
 def save_matrix(path, m, *, hermitian: bool | None = None,
                 unitary: bool | None = None) -> None:
     """Write a matrix as JSON with entries [re, im] row-major.
@@ -47,7 +52,7 @@ def save_matrix(path, m, *, hermitian: bool | None = None,
     doc = {
         "format": FORMAT_VERSION,
         "dim": n,
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in mm],
+        "entries": encode_entries(mm),
     }
     if hermitian is not None:
         doc["hermitian"] = bool(hermitian)

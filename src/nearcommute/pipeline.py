@@ -26,12 +26,8 @@ from .matcore import (
     op_norm_exceeds,
     orthonormal_complement,
 )
-from .smoothing import (
-    Profile,
-    finite_range,
-    finite_range_normal,
-    normal_eig,
-)
+from .matio import encode_entries
+from .smoothing import finite_range, finite_range_normal, normal_eig
 from .subspace import (
     HastingsConfig,
     hastings_W,
@@ -79,15 +75,11 @@ class CommuteReport:
         if self.dist_c is not None:
             out["dist_c"] = self.dist_c
         if include_matrices:
-            out["a_prime"] = _encode_matrix(self.a_prime)
-            out["b_prime"] = _encode_matrix(self.b_prime)
+            out["a_prime"] = encode_entries(self.a_prime)
+            out["b_prime"] = encode_entries(self.b_prime)
             if self.c_prime is not None:
-                out["c_prime"] = _encode_matrix(self.c_prime)
+                out["c_prime"] = encode_entries(self.c_prime)
         return out
-
-
-def _encode_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
 def _jsonable(obj):
@@ -187,13 +179,15 @@ def _first_empty_subinterval(sub_ids: np.ndarray, n_sub: int) -> int | None:
 
 
 def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
-                              n_sub: int, engine: str) -> tuple[np.ndarray, dict]:
+                              n_sub: int) -> tuple[np.ndarray, dict]:
     """Run the W-engine on one interval's compressed block.
 
     j_block acts on the eigenvectors of B inside the interval, grouped by
     Delta-subinterval ids; returns (W basis in block coordinates, log entry).
     An empty subinterval yields the exact reducing subspace directly, without
-    materializing the (possibly enormous) block list.
+    materializing the (possibly enormous) block list.  Otherwise the engine
+    is Szarek's when some subinterval holds at most SZAREK_BLOCK_THRESHOLD
+    eigenvalues, Hastings' when every one holds more.
     """
     d = j_block.shape[0]
     log: dict = {"dim": d, "L": n_sub}
@@ -217,15 +211,13 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
     js = j_block / scale
     log["rescale"] = scale
     sys = verify_tridiagonal(js, [np.flatnonzero(sub_ids == k) for k in range(n_sub)])
-    use = engine
-    if engine == "auto":
-        use = "szarek" if min(sys.dims) <= SZAREK_BLOCK_THRESHOLD else "hastings"
-    if use == "hastings":
-        cert, _ = hastings_W(sys, HastingsConfig.from_system_size(sys.L))
-    else:
+    if min(sys.dims) <= SZAREK_BLOCK_THRESHOLD:
+        log["engine"] = "szarek"
         cert = szarek_W(sys)
-    log["engine"] = use
-    log["eps2"] = cert.eps2 * scale
+    else:
+        log["engine"] = "hastings"
+        cert, _ = hastings_W(sys, HastingsConfig.from_system_size(sys.L))
+    log["eps2"] = cert.eps4 * scale
     log["certificate"] = cert.summary()
     return cert.w_basis, log
 
@@ -240,7 +232,7 @@ def _interval_b_distance(lam: np.ndarray, w: np.ndarray, on_w: float,
 
 def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
                    origin: float, n_cut: int, cell: float, min_sub: float,
-                   value, *, cyclic: bool, engine: str):
+                   value, *, cyclic: bool):
     """Cut B's spectrum into cells, build W per cell, regroup and pinch H,
     all in B's eigen-coordinates.
 
@@ -280,7 +272,7 @@ def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
         i = int(ids[s])
         sub = np.floor((coords[s:e] - (origin + i * cell)) / sub_width).astype(int)
         sub = np.maximum(np.minimum(sub, n_sub - 1), 0)
-        w_local, log = _interval_subspace_engine(ht[s:e, s:e], sub, n_sub, engine)
+        w_local, log = _interval_subspace_engine(ht[s:e, s:e], sub, n_sub)
         log["interval"] = i
         interval_log.append(log)
         if log.get("degenerate"):
@@ -340,15 +332,14 @@ def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
     return a_prime, b_prime, dist_b, log, checks
 
 
-def commute_hermitian_pair(a, b, gamma2: float = 1.0, *, engine: str = "auto",
-                           profile: Profile | None = None) -> CommuteReport:
+def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
     """Construct commuting Hermitian (A', B') near almost-commuting (A, B).
 
     Steps: finite-range averaging of A against B at range Delta = delta^g0;
     partition of [-1,1] into n_cut = ceil(1/Delta^g1) intervals; per interval,
     a block-tridiagonal system over Delta-subintervals and a W-subspace from
-    the configured engine; regrouped spaces W_i^perp + W_{i+1} carry constant
-    B-values (left interval endpoints) and the pinching of H.
+    the engine its block sizes select; regrouped spaces W_i^perp + W_{i+1}
+    carry constant B-values (left interval endpoints) and the pinching of H.
     """
     defects: dict = {}
     am = _require_hermitian_contraction(a, "A", defects)
@@ -362,7 +353,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0, *, engine: str = "auto",
     n_cut = int(math.ceil(1.0 / big_delta ** g1))
     width = 2.0 / n_cut
 
-    fr = finite_range(am, bm, big_delta, profile, comm=delta)
+    fr = finite_range(am, bm, big_delta, comm=delta)
     eb = fr.eig
     # B's norm, read off the eigenvalues finite_range decomposed it into
     _require_contraction(np.abs(eb.eigenvalues).max(initial=0.0), "B")
@@ -370,7 +361,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0, *, engine: str = "auto",
     a_prime, b_prime, dist_b, pinch_log, pinch_checks = _cut_and_pinch(
         fr.coords, eb.vectors, eb.eigenvalues, -1.0, n_cut, width,
         big_delta, lambda j: 1.0 if j >= n_cut else -1.0 + j * width,
-        cyclic=False, engine=engine)
+        cyclic=False)
     b_prime = (b_prime + b_prime.conj().T) / 2
 
     dist_a = op_norm(am - a_prime)
@@ -482,8 +473,7 @@ def _require_unitary(m, name: str) -> np.ndarray:
     return mm
 
 
-def commute_hermitian_unitary(a, u, gamma2: float = 1.0, *, engine: str = "auto",
-                              profile: Profile | None = None) -> CommuteReport:
+def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
     """Commuting (A', U') near an almost-commuting Hermitian/unitary pair.
 
     The circle is cut into arcs indexed cyclically; the finite-range step uses
@@ -500,7 +490,7 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0, *, engine: str = "auto"
     n_cut = max(3, int(math.ceil(1.0 / big_delta ** g1)))
     arc = 2.0 * math.pi / n_cut
 
-    fr = finite_range_normal(am, um, big_delta, profile, comm=delta)
+    fr = finite_range_normal(am, um, big_delta, comm=delta)
     checks = list(fr.checks)
     eu = fr.eig
     phases = np.mod(np.angle(eu.eigenvalues), 2.0 * math.pi)
@@ -511,7 +501,7 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0, *, engine: str = "auto"
     a_prime, u_prime, _, pinch_log, pinch_checks = _cut_and_pinch(
         fr.coords[np.ix_(order, order)], eu.vectors[:, order], phases[order],
         0.0, n_cut, arc, phi_sub, lambda j: np.exp(1j * arc * j),
-        cyclic=True, engine=engine)
+        cyclic=True)
 
     dist_a = op_norm(am - a_prime)
     dist_u = op_norm(um - u_prime)

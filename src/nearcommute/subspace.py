@@ -207,18 +207,16 @@ def random_block_tridiagonal(rng: np.random.Generator, dims: Sequence[int],
 class WCertificate:
     """Measured quality of a candidate subspace W for a tridiagonal system.
 
-    eps3: how much of V_1 escapes W; eps4: how much J leaks out of W;
-    eps5: overlap with V_L; eps2: ||P_W^perp J P_W|| for the (nested) W.
+    eps3: how much of V_1 escapes W; eps4 = ||P_W^perp J P_W||, how much J
+    leaks out of W; eps5: overlap with V_L.
     """
 
     w_basis: np.ndarray
     eps3: float
     eps4: float
     eps5: float
-    eps2: float
     contains_V1: bool
     perp_VL: bool
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def rank(self) -> int:
@@ -227,7 +225,6 @@ class WCertificate:
     def summary(self) -> dict:
         return {
             "rank": self.rank,
-            "eps2": self.eps2,
             "eps3": self.eps3,
             "eps4": self.eps4,
             "eps5": self.eps5,
@@ -236,8 +233,7 @@ class WCertificate:
         }
 
 
-def certify_W(sys: TridiagonalSystem, w_basis: np.ndarray,
-              diagnostics: dict | None = None) -> WCertificate:
+def certify_W(sys: TridiagonalSystem, w_basis: np.ndarray) -> WCertificate:
     """Measure eps3/eps4/eps5 of a subspace and the exact containment flags.
 
     With W the orthonormal columns of the subspace, eps3 = ||(1 - P_W) P_V1||
@@ -259,8 +255,7 @@ def certify_W(sys: TridiagonalSystem, w_basis: np.ndarray,
     eps5 = op_norm(w[vl])
     if abs(eps5 - op_norm(w @ w[vl].conj().T)) > EXACT_TOL:
         raise AssertionError("primal/dual eps5 disagree beyond 1e-10")
-    return WCertificate(w, eps3, eps4, eps5, eps4, eps3 <= EXACT_TOL,
-                        eps5 <= EXACT_TOL, dict(diagnostics or {}))
+    return WCertificate(w, eps3, eps4, eps5, eps3 <= EXACT_TOL, eps5 <= EXACT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +282,8 @@ class KrylovReduction:
     """Result of the block-Krylov reduction at a chosen coupling index."""
 
     reversed: bool
-    coupling_rank: int
-    head_basis: np.ndarray          # H_0 = leading blocks in the oriented order
-    chain: list[np.ndarray]         # H_1..H_{n+}, each of dim <= coupling_rank
+    chain: list[np.ndarray]         # H_1..H_{n+}, each of dim <= the coupling's rank
     trivial_w: np.ndarray | None    # exact reducing subspace (oriented) if found
-    oriented_L: int
-    reduced_system: "TridiagonalSystem | None" = None
-    embedding: np.ndarray | None = None  # columns map reduced coords into the space
-
-    @property
-    def n_plus(self) -> int:
-        return len(self.chain)
 
 
 def krylov_reduce(sys: TridiagonalSystem, i: int) -> KrylovReduction:
@@ -316,13 +302,8 @@ def krylov_reduce(sys: TridiagonalSystem, i: int) -> KrylovReduction:
     blocks = list(reversed(sys.blocks)) if rev else sys.blocks
     oi = sys.L - i if rev else i
 
-    # in either orientation the coupling at oi is J[V_{i+1}, V_i] (or its adjoint)
-    m_rank = sys.coupling_rank(i - 1)
-
-    head = _identity_columns(sys.dim, blocks[:oi])
-    accumulated = head
+    accumulated = current = _identity_columns(sys.dim, blocks[:oi])
     chain: list[np.ndarray] = []
-    current = head
     while True:
         if current.shape[1] == 0:
             break
@@ -336,20 +317,8 @@ def krylov_reduce(sys: TridiagonalSystem, i: int) -> KrylovReduction:
         chain.append(new)
         accumulated = np.column_stack([accumulated, new])
         current = new
-    n_plus = len(chain)
-    trivial = None
-    if oi + n_plus < sys.L:
-        trivial = accumulated
-    reduced = None
-    emb = None
-    if chain:
-        emb = np.column_stack(chain)
-        j_red = emb.conj().T @ sys.j @ emb
-        j_red = (j_red + j_red.conj().T) / 2
-        red_dims = [blk.shape[1] for blk in chain]
-        reduced = verify_tridiagonal(
-            j_red, np.split(np.arange(emb.shape[1]), np.cumsum(red_dims)[:-1]))
-    return KrylovReduction(rev, m_rank, head, chain, trivial, sys.L, reduced, emb)
+    trivial = accumulated if oi + len(chain) < sys.L else None
+    return KrylovReduction(rev, chain, trivial)
 
 
 # ---------------------------------------------------------------------------
@@ -556,28 +525,19 @@ def lin_oracle_projection(a, b) -> LinProjection:
 # Szarek engine
 # ---------------------------------------------------------------------------
 
-# Interval construction: kappa = (2/11) eps, eta = eps^6 / m and a = eps^1.5,
-# with the polynomial-approximation constant M = 1 in the reference
-# epsilon_1 line.
+# Interval construction: kappa = (2/11) eps, eta = eps^6 / m and a = eps^1.5.
 SZAREK_KAPPA_C = 2.0 / 11.0
 SZAREK_ETA_EXP = 6.0
 SZAREK_A_EXP = 1.5
 
 
-def _certify_repaired(sys: TridiagonalSystem, w_raw: np.ndarray,
-                      diagnostics: dict) -> WCertificate:
+def _certify_repaired(sys: TridiagonalSystem, w_raw: np.ndarray) -> WCertificate:
     """Repair a raw subspace against (V_1, V_L) and certify it: E = P_V1,
     G = 1 - P_VL, and F' the span of the orthonormal columns ``w_raw``."""
-    n, v1 = sys.dim, sys.blocks[0]
-    e_basis = _identity_columns(n, [v1])
-    basis = nest_projection_core(e_basis, _identity_columns(n, sys.blocks[1:-1]), w_raw)
-    diagnostics = dict(diagnostics)
-    # eps = max(||E F'perp||, ||F' Gperp||)
-    diagnostics["nest_eps"] = max(op_norm(e_basis - w_raw @ w_raw[v1].conj().T),
-                                  op_norm(w_raw[sys.blocks[-1]]))
-    diagnostics["nest_distance"] = op_norm(basis @ basis.conj().T
-                                           - w_raw @ w_raw.conj().T)
-    cert = certify_W(sys, basis, diagnostics)
+    n = sys.dim
+    basis = nest_projection_core(_identity_columns(n, sys.blocks[:1]),
+                                 _identity_columns(n, sys.blocks[1:-1]), w_raw)
+    cert = certify_W(sys, basis)
     if not (cert.contains_V1 and cert.perp_VL):
         raise AssertionError("projection repair failed to enforce the exact sandwich")
     return cert
@@ -587,50 +547,36 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
     """Constructive W via spectral intervals, polar truncation, and repair.
 
     Degenerate inputs (empty blocks, vanishing couplings, early Krylov
-    termination) short-circuit to exact reducing subspaces.  The asymptotic
-    epsilon_1 formula is attached as a reference line in the diagnostics; the
+    termination) short-circuit to exact reducing subspaces.  The
     certificate's eps values are always measured.
     """
     if sys.L < 2:
         raise DegenerateSystemError("need at least two blocks for V_1 <= W perp V_L")
-    diag: dict = {"engine": "szarek"}
 
     triv = trivial_reducing_basis(sys)
     if triv is not None:
-        diag["trivial"] = "empty block or zero coupling"
-        return _certify_repaired(sys, triv, diag)
+        return _certify_repaired(sys, triv)
 
     ranks = [sys.coupling_rank(k) for k in range(sys.L - 1)]
-    i_star = int(np.argmin(ranks)) + 1
-    red = krylov_reduce(sys, i_star)
+    red = krylov_reduce(sys, int(np.argmin(ranks)) + 1)
     if red.trivial_w is not None:
-        diag["trivial"] = f"krylov chain ended after {red.n_plus} steps at i={i_star}"
         w = red.trivial_w
         if red.reversed:
             w = orthonormal_complement(w)
-        return _certify_repaired(sys, w, diag)
+        return _certify_repaired(sys, w)
 
     m = sys.dims[0]
     v1 = sys.blocks[0]
-    ll = sys.L
-    eps = min(1.0, (max(m, 1) * math.sqrt(2.0) / max(ll - 2, 1)) ** (1.0 / 9.0))
-    kappa_nom = SZAREK_KAPPA_C * eps
+    eps = min(1.0, (max(m, 1) * math.sqrt(2.0) / max(sys.L - 2, 1)) ** (1.0 / 9.0))
     eta_nom = eps ** SZAREK_ETA_EXP / max(m, 1)
-    a_nom = a_cut = eps ** SZAREK_A_EXP
-    kappa = min(kappa_nom, 0.999)
+    a_cut = eps ** SZAREK_A_EXP
+    kappa = min(SZAREK_KAPPA_C * eps, 0.999)
     eta = eta_nom if kappa > 8 * eta_nom else kappa / 8.0000001
-    diag.update({"eps": eps, "kappa_nominal": kappa_nom, "eta_nominal": eta_nom,
-                 "a_nominal": a_nom, "kappa": kappa, "eta": eta})
-    if ll > 2:
-        # asymptotic reference line, attached for comparison with measured eps2
-        diag["eps1_reference"] = 83.4 * (m / (ll - 2)) ** (1.0 / 9.0)
 
     ej = eig_hermitian(sys.j)
     lam_pos = np.clip((ej.eigenvalues + 1.0) / 2.0, 0.0, 1.0)
     phi_sq = np.sum(np.abs(ej.vectors[v1, :]) ** 2, axis=0)
     sel = select_intervals(lam_pos, phi_sq, kappa, eta)
-    diag["intervals"] = sel.intervals
-    diag["excluded_mass"] = sel.excluded_mass
 
     sing_max = 0.0
     pieces = []
@@ -645,7 +591,6 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
         pieces.append((a_j, sig, v_g))
     if sing_max > 0 and a_cut >= sing_max:
         a_cut = 0.5 * sing_max
-    diag["a"] = a_cut
 
     kept_cols = []
     for a_j, sig, v_g in pieces:
@@ -656,12 +601,7 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
     w_raw = (np.column_stack(kept_cols) if kept_cols
              else np.zeros((sys.dim, 0), dtype=np.complex128))
     w_raw = orthonormal_columns(w_raw) if w_raw.shape[1] else w_raw
-    diag["raw_rank"] = w_raw.shape[1]
-    cert = _certify_repaired(sys, w_raw, diag)
-    if "eps1_reference" in cert.diagnostics:
-        cert.diagnostics["eps2_vs_reference_slack"] = \
-            cert.diagnostics["eps1_reference"] - cert.eps2
-    return cert
+    return _certify_repaired(sys, w_raw)
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +678,12 @@ class HastingsDiagnostics:
     @classmethod
     def empty(cls, cfg: HastingsConfig, a_map: np.ndarray,
               r_dims: list[int] | None = None) -> "HastingsDiagnostics":
-        """Record of a run that short-circuited before the oracle stages."""
-        return cls(cfg, r_dims or [], a_map, np.zeros((0, 0)), [], {}, {}, {},
-                   np.zeros((0, 0)), np.zeros((0, 0)))
+        """Record of a run that short-circuited before the oracle stages:
+        every N_i and odd N'_i has a zero-width basis."""
+        zero = np.zeros((0, 0), dtype=np.complex128)
+        return cls(cfg, r_dims or [], a_map, zero, [], _block_ranges(cfg),
+                   {i: zero for i in range(1, cfg.n_b + 1)},
+                   {i: zero for i in range(1, cfg.n_b + 1, 2)}, zero, zero)
 
     def to_json_dict(self) -> dict:
         return {
@@ -810,8 +753,8 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
     """
     triv = trivial_reducing_basis(sys)
     if triv is not None:
-        cert = _certify_repaired(sys, triv, {"engine": "hastings", "trivial": True})
-        return cert, HastingsDiagnostics.empty(cfg, np.zeros((sys.dim, 0)))
+        return _certify_repaired(sys, triv), HastingsDiagnostics.empty(
+            cfg, np.zeros((sys.dim, 0)))
 
     n = sys.dim
     v1 = sys.blocks[0]
@@ -842,8 +785,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
              if any(r_dims) else np.zeros((n, 0), dtype=np.complex128))
     total = a_map.shape[1]
     if total == 0:
-        cert = _certify_repaired(sys, np.zeros((n, 0), dtype=np.complex128),
-                                 {"engine": "hastings", "trivial": "all windows empty"})
+        cert = _certify_repaired(sys, np.zeros((n, 0), dtype=np.complex128))
         return cert, HastingsDiagnostics.empty(cfg, a_map, r_dims)
     rho = a_map.conj().T @ a_map
     labels = np.repeat(np.arange(len(r_dims)), r_dims)
@@ -950,7 +892,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
         w_raw = np.zeros((n, 0), dtype=np.complex128)
 
     # ---- stage (f): repair + certificate + reference bounds ----
-    cert = _certify_repaired(sys, w_raw, {"engine": "hastings"})
+    cert = _certify_repaired(sys, w_raw)
     refs = hastings_reference_bounds(cfg, sys.L)
     stage_values = {
         "commutators": comm_vals,
@@ -964,7 +906,6 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
     checks.append(BoundCheck(cert.eps3, refs["eps3_ref"], "eps3 <= reference"))
     checks.append(BoundCheck(cert.eps4, refs["eps4_ref"], "eps4 <= reference"))
     checks.append(BoundCheck(cert.eps5, refs["eps5_ref"], "eps5 <= reference"))
-    cert.diagnostics.update(stage_values)
     diagn = HastingsDiagnostics(cfg, r_dims, a_map, rho, r_blocks, sets,
                                 n_bases, n_prime_bases, u_basis, u_perp,
                                 checks, stage_values)

@@ -55,3 +55,21 @@ def screened_gates(monkeypatch):
         if name.startswith("nearcommute") and getattr(mod, "op_norm_exceeds", None) is gate:
             monkeypatch.setattr(mod, "op_norm_exceeds", screened)
     return seen
+
+
+@pytest.fixture
+def tensor_lift_pair():
+    """The Hermitian pair (dim 64) of the benchmark's first tensor-lift
+    instance, taken from the driver call the instance makes; the pipeline
+    selects the Hastings engine for both of its engine intervals."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench import workloads
+    from nearcommute import pipeline
+
+    pairs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "commute_hermitian_pair", lambda a, b: pairs.append((a, b)))
+        workloads.tensor_lift(1)[0].call()
+    return pairs[0]

@@ -216,22 +216,22 @@ def test_projection_geometry():
 def test_szarek_engine():
     rng = np.random.default_rng(41)
     all_ok = True
-    worst_eps2 = 0.0
+    worst_eps4 = 0.0
     for trial in range(50):
         sys = sb.random_block_tridiagonal(rng, [1] * 40)
         cert = sb.szarek_W(sys)
-        all_ok = all_ok and cert.contains_V1 and cert.perp_VL and np.isfinite(cert.eps2)
-        worst_eps2 = max(worst_eps2, cert.eps2)
+        all_ok = all_ok and cert.contains_V1 and cert.perp_VL and np.isfinite(cert.eps4)
+        worst_eps4 = max(worst_eps4, cert.eps4)
     # decoupled system: exact reducing subspace
     sys = sb.random_block_tridiagonal(rng, [1] * 40)
     j = sys.j.copy()
     j[20, 19] = j[19, 20] = 0.0
     sys2 = sb.verify_tridiagonal(j / max(1.0, mc.op_norm(j)), sys.blocks)
     cert2 = sb.szarek_W(sys2)
-    decoupled_ok = cert2.eps2 <= 1e-10
+    decoupled_ok = cert2.eps4 <= 1e-10
     _report("szarek-engine", all_ok and decoupled_ok,
-            f"structural_flags={all_ok} max_eps2={worst_eps2:.3f} "
-            f"decoupled_eps2={cert2.eps2:.2e}")
+            f"structural_flags={all_ok} max_eps4={worst_eps4:.3f} "
+            f"decoupled_eps4={cert2.eps4:.2e}")
 
 
 def test_hastings_engine_desk_scale():

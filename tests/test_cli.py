@@ -86,14 +86,19 @@ class TestCommuteCommand:
         code = main(["commute", str(tmp_path / "none.json"), str(tmp_path / "none.json")])
         assert code == 1
 
-    def test_forced_hastings_engine(self, commuting_files, tmp_path):
-        pa, pb, _, _ = commuting_files
+    def test_hastings_route_end_to_end(self, tensor_lift_pair, tmp_path):
+        a, b = tensor_lift_pair
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        matio.save_matrix(pa, a, hermitian=True)
+        matio.save_matrix(pb, b, hermitian=True)
         out = tmp_path / "rep_h.json"
-        code = main(["commute", str(pa), str(pb), "--engine", "hastings",
-                     "--out", str(out)])
+        code = main(["commute", str(pa), str(pb), "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["comm_residual"] <= 1e-10 * 12
+        assert doc["comm_residual"] <= 1e-10 * 64
+        engines = [e.get("engine") for e in doc["stage_log"]["intervals"]]
+        assert engines.count("hastings") >= 1
+        assert doc["config"] == {"gamma2": 1.0, "rescale": False}
 
 
 class TestVerifyCommand:
@@ -194,3 +199,8 @@ class TestParser:
     def test_given_oracle_usage_error(self, commuting_files, mode):
         pa, pb, _, _ = commuting_files
         assert main(["commute", str(pa), str(pb), "--oracle", mode]) == 64
+
+    @pytest.mark.parametrize("engine", ["szarek", "hastings", "auto"])
+    def test_engine_flag_usage_error(self, commuting_files, engine):
+        pa, pb, _, _ = commuting_files
+        assert main(["commute", str(pa), str(pb), "--engine", engine]) == 64

@@ -348,9 +348,9 @@ class TestExactlyCommutingInput:
 
 class TestEngineErrorsPropagate:
     """An engine error is not turned into a kept block: an oracle that raises
-    inside a Hastings interval fails the call."""
+    inside a Hastings interval (selected by the block sizes) fails the call."""
 
-    def test_oracle_error_fails_the_call(self, monkeypatch, tmp_path):
+    def test_oracle_error_fails_the_call(self, monkeypatch, tmp_path, tensor_lift_pair):
         calls = []
 
         def failing(a, b):
@@ -358,15 +358,14 @@ class TestEngineErrorsPropagate:
             raise ValueError("oracle failure")
 
         monkeypatch.setattr(sb, "jacobi_commuting_pair", failing)
-        a, b = planted_pair(np.random.default_rng(0), 128, 1e-2)
+        a, b = tensor_lift_pair
         with pytest.raises(ValueError, match="oracle failure"):
-            pl.commute_hermitian_pair(a, b, 1.0, engine="hastings")
+            pl.commute_hermitian_pair(a, b, 1.0)
         assert len(calls) == 1
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         matio.save_matrix(pa, a)
         matio.save_matrix(pb, b)
-        argv = ["commute", str(pa), str(pb), "--engine", "hastings",
-                "--out", str(tmp_path / "r.json")]
+        argv = ["commute", str(pa), str(pb), "--out", str(tmp_path / "r.json")]
         assert main(argv) == 2
         assert not (tmp_path / "r.json").exists()
 
