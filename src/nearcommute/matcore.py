@@ -45,15 +45,45 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+# Smallest Hermitian matrix whose nonzero pattern is scanned for diagonal
+# blocks: below it one eigvalsh costs about as much as the scan.
+BLOCK_SCAN_MIN = 64
+
+
+def _hermitian_norm(h: np.ndarray) -> float:
+    """Largest eigenvalue modulus of an exactly Hermitian h.
+
+    When n >= BLOCK_SCAN_MIN, the corner entry h[n-1, 0] is 0 and the first
+    superdiagonal has a zero (each is necessary for a split), the contiguous
+    diagonal blocks of h's nonzero pattern are found by one scan, and the
+    norm is the largest block norm: |h_ii| for a 1x1 block, ``eigvalsh`` of
+    the block otherwise.  Any other h takes one ``eigvalsh``."""
+    n = h.shape[0]
+    if n >= BLOCK_SCAN_MIN and h.item(n - 1, 0) == 0 and not np.diagonal(h, 1).all():
+        # reach[i]: the last column of row i's pattern, the diagonal counted;
+        # a block ends at i when no row up to i reaches past it
+        nz = h != 0
+        np.fill_diagonal(nz, True)
+        reach = n - 1 - np.argmax(nz[:, ::-1], axis=1)
+        ends = np.flatnonzero(np.maximum.accumulate(reach) == np.arange(n)) + 1
+        if ends.size > 1:
+            return max(abs(h.item(i, i)) if j - i == 1
+                       else float(np.abs(np.linalg.eigvalsh(h[i:j, i:j])).max())
+                       for i, j in zip([0, *ends[:-1].tolist()], ends.tolist()))
+    return float(np.abs(np.linalg.eigvalsh(h)).max())
+
+
 def op_norm(a) -> float:
     """Operator norm (largest singular value); accepts rectangular blocks.
 
     The kernel follows the exact structure of the argument.  An all-zero
     matrix gives 0.0 without a decomposition.  A square matrix equal to its
     conjugate transpose, or to minus it, entry for entry, gives the largest
-    eigenvalue modulus from ``eigvalsh`` (of ``1j*m`` in the second case).
-    Everything else, rectangular blocks included, takes the first (largest)
-    singular value from ``np.linalg.svd``.  The structure test has no
+    eigenvalue modulus of m (of ``1j*m`` in the second case), split over the
+    diagonal blocks of its nonzero pattern when it is large and may have
+    several (``_hermitian_norm``).  Everything else, rectangular blocks
+    included, takes the first (largest) singular value from
+    ``np.linalg.svd`` of the whole matrix.  The structure test has no
     tolerance: a matrix that is Hermitian only up to roundoff has a different
     norm from its Hermitian part.  A general matrix is told apart by one
     corner entry pair before any full comparison.
@@ -73,9 +103,9 @@ def op_norm(a) -> float:
     if n == m.shape[1]:
         corner, mirror = m.item(n - 1, 0), m.item(0, n - 1).conjugate()
         if corner == mirror and np.array_equal(m, m.conj().T):
-            return float(np.abs(np.linalg.eigvalsh(m)).max())
+            return _hermitian_norm(m)
         if corner == -mirror and np.array_equal(m, -m.conj().T):
-            return float(np.abs(np.linalg.eigvalsh(1j * m)).max())
+            return _hermitian_norm(1j * m)
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 

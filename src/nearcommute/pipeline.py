@@ -121,23 +121,36 @@ def _require_contraction(norm: float, name: str) -> None:
         raise ValueError(f"{name} must be a contraction")
 
 
+def _require_contraction_cholesky(h: np.ndarray, name: str) -> None:
+    """The contraction gate on an exactly Hermitian h: ||h|| <= 1 + 1e-9
+    when (1 + 1e-9)I - h and (1 + 1e-9)I + h both have a Cholesky
+    factorization, which reads one triangle and reports no norm."""
+    shift = (1.0 + 1e-9) * np.eye(h.shape[0])
+    try:
+        np.linalg.cholesky(shift - h)
+        np.linalg.cholesky(shift + h)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{name} must be a contraction") from None
+
+
 def _require_hermitian_contraction(m, name: str, defects: dict | None = None, *,
                                    contraction: bool = True) -> np.ndarray:
-    """The Hermitian part of m, after checking that its Hermiticity defect is
-    at most 1e-9 * max(1, ||m||) and, with ``contraction``, that ||m|| <= 1.
-    Without ``contraction`` the caller checks the norm, and ||m|| is taken
-    here only for a defect above 1e-9: below it the Hermiticity test passes
-    whatever the norm."""
+    """The Hermitian part h = (m + m*)/2 of m, after checking that m's
+    Hermiticity defect is at most 1e-9 * max(1, ||m||) and, with
+    ``contraction``, that ||h|| <= 1 (``_require_contraction_cholesky``).
+    ||m|| is taken only for a defect above 1e-9: below it the Hermiticity
+    test passes whatever the norm.  Without ``contraction`` the caller checks
+    the norm."""
     mm = as_matrix(m)
     defect = op_norm(mm - mm.conj().T) / 2
-    norm = op_norm(mm) if contraction or defect > 1e-9 else 0.0
-    if defect > 1e-9 * max(1.0, norm):
+    if defect > 1e-9 and defect > 1e-9 * op_norm(mm):
         raise ValueError(f"{name} must be Hermitian")
+    h = (mm + mm.conj().T) / 2
     if contraction:
-        _require_contraction(norm, name)
+        _require_contraction_cholesky(h, name)
     if defects is not None:
         defects[name] = defect
-    return (mm + mm.conj().T) / 2
+    return h
 
 
 def _unmoved(a: np.ndarray, b: np.ndarray, residual: float) -> CommuteReport:
@@ -346,7 +359,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
     bm = _require_hermitian_contraction(b, "B", defects, contraction=False)
     delta = op_norm(commutator(am, bm))
     if delta == 0.0:
-        _require_contraction(op_norm(bm), "B")
+        _require_contraction_cholesky(bm, "B")
         return _unmoved(am, bm, delta)
     g0, g1, gamma = choose_exponents(float(gamma2), True)
     big_delta = max(delta, DELTA_FLOOR) ** g0

@@ -191,10 +191,15 @@ class Profile:
         return self.r + self.w
 
     def __call__(self, x) -> np.ndarray | float:
+        """f at the points x: 0.0 where |x - omega0| >= support_radius, the
+        window function elsewhere, which is evaluated only at those points
+        (a NaN argument is among them, so it propagates)."""
         t = np.asarray(x, dtype=float) - self.omega0
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = np.where(np.abs(t) >= self.support_radius, 0.0, self._fn(t))
+        out = np.zeros_like(t)
+        inside = ~(np.abs(t) >= self.support_radius)
+        out[inside] = self._fn(t[inside])
         return float(out[0]) if scalar else out
 
     def shifted(self, omega0: float) -> "Profile":

@@ -348,7 +348,7 @@ class TestMask:
     ("lieb-robinson", 50, 150),
     ("projections", 100, 100),
     ("smoothing", 100, 200),
-    ("tn", 50, 0),
+    ("tn", 50, 400),
 ])
 def test_suite_checks_at_seed_one(name, trials, checks):
     # every trial evaluates its checks: none is dropped by a swallowed error

@@ -27,12 +27,33 @@ def power_iteration_norm(a, iters=2000, tol=1e-13):
     return float(np.sqrt(lam))
 
 
-STRUCTURES = ["hermitian", "anti-hermitian", "zero", "general", "rectangular"]
+STRUCTURES = ["hermitian", "anti-hermitian", "zero", "general", "rectangular",
+              "block-diagonal", "banded"]
+
+
+def _block_labels(rng, n):
+    """Contiguous diagonal blocks of sizes 1..n//3+1, as one label per row."""
+    sizes = rng.integers(1, n // 3 + 2, n)
+    return np.repeat(np.arange(n), sizes)[:n]
 
 
 def _structured(rng, kind, n, cols):
-    """An n x n matrix of the given exact structure (n x cols if rectangular)."""
+    """An n x n matrix of the given exact structure (n x cols if rectangular).
+
+    "block-diagonal" is Hermitian and zero off contiguous diagonal blocks
+    (1x1 blocks among them); "banded" is Hermitian with bandwidth 2 and one
+    first-superdiagonal pair zeroed, so its pattern has one block that a
+    scan for several must look at."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "block-diagonal":
+        labels = _block_labels(rng, n)
+        return (g + g.conj().T) / 2 * (labels[:, None] == labels[None, :])
+    if kind == "banded":
+        h = (g + g.conj().T) / 2 * (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 2)
+        k = int(rng.integers(0, max(n - 1, 1)))
+        h[k, k + 1:k + 2] = 0
+        h[k + 1:k + 2, k] = 0
+        return h
     if kind == "hermitian":
         return (g + g.conj().T) / 2
     if kind == "anti-hermitian":
@@ -56,7 +77,15 @@ def _op_norm_cases():
     # Hermitian up to roundoff, not entry for entry
     rounded = herm.copy()
     rounded[2, 5] = complex(np.nextafter(herm[2, 5].real, np.inf), herm[2, 5].imag)
+    # large enough for the diagonal-block scan
+    big = _structured(rng, "block-diagonal", 96, 0)
+    big_general = rng.standard_normal((96, 96)) + 1j * rng.standard_normal((96, 96))
+    big_general *= big != 0
     return {**cases,
+            "block-diagonal-96": big,
+            "anti-block-diagonal-96": 1j * big,
+            "banded-96": _structured(rng, "banded", 96, 0),
+            "block-diagonal-general-96": big_general,
             "corner-matches-hermitian": near_herm,
             "corner-matches-anti-hermitian": near_anti,
             "rounded-hermitian": rounded,
@@ -236,14 +265,44 @@ class TestOpNorm:
         expected = float(np.linalg.norm(m, 2))
         assert abs(mc.op_norm(m) - expected) <= 1e-12 * max(1.0, expected)
 
-    @pytest.mark.parametrize("kind", ["hermitian", "anti-hermitian", "zero"])
+    @pytest.mark.parametrize("kind", ["hermitian", "anti-hermitian", "zero",
+                                      "block-diagonal", "banded"])
     def test_exact_structure_takes_no_svd(self, kind, refuse_svd):
         rng = np.random.default_rng(31)
         m = _structured(rng, kind, 64, 64)
-        expected = {"hermitian": np.abs(np.linalg.eigvalsh(m)).max(),
+        herm = np.abs(np.linalg.eigvalsh(m)).max()
+        expected = {"hermitian": herm,
                     "anti-hermitian": np.abs(np.linalg.eigvals(m)).max(),
-                    "zero": 0.0}[kind]
+                    "zero": 0.0, "block-diagonal": herm, "banded": herm}[kind]
         assert mc.op_norm(m) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sign", [1, 1j])
+    def test_block_diagonal_takes_no_full_size_eigvalsh(self, sign, monkeypatch):
+        rng = np.random.default_rng(32)
+        m = sign * _structured(rng, "block-diagonal", 128, 0)
+        expected = float(np.linalg.norm(m, 2))
+        sizes = []
+        real = np.linalg.eigvalsh
+
+        def counting(h, *args, **kwargs):
+            sizes.append(h.shape[0])
+            return real(h, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        got = mc.op_norm(m)
+        assert sizes and max(sizes) < 128
+        assert abs(got - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_block_scan_floor(self, n, monkeypatch):
+        # below BLOCK_SCAN_MIN a splittable matrix still takes one eigvalsh
+        m = np.diag(np.arange(1.0, n + 1.0))
+        sizes = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda h: sizes.append(h.shape[0]) or real(h))
+        assert mc.op_norm(m) == float(n)
+        assert sizes == ([n] if n < mc.BLOCK_SCAN_MIN else [])
 
     @pytest.mark.parametrize("kind", ["general", "rounded-hermitian", "rectangular"])
     def test_inexact_structure_takes_the_svd(self, kind, refuse_svd):
@@ -252,7 +311,8 @@ class TestOpNorm:
             mc.op_norm(m)
 
     @pytest.mark.parametrize("kind", ["general", "rectangular", "column",
-                                      "corner-matches-hermitian", "defect-anti-hermitian"])
+                                      "corner-matches-hermitian", "defect-anti-hermitian",
+                                      "block-diagonal-general-96"])
     @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
     def test_general_kernel_equals_matrix_two_norm(self, kind, scale):
         m = scale * OP_NORM_CASES[kind]
@@ -269,6 +329,14 @@ class TestOpNorm:
            st.integers(0, 10 ** 6))
     def test_structure_property(self, kind, n, cols, seed):
         m = _structured(np.random.default_rng(seed), kind, n, cols)
+        expected = float(np.linalg.norm(m, 2))
+        assert abs(mc.op_norm(m) - expected) <= 1e-12 * max(1.0, expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["block-diagonal", "banded"]), st.sampled_from([1, -1, 1j]),
+           st.integers(64, 96), st.integers(0, 10 ** 6))
+    def test_block_scan_property(self, kind, sign, n, seed):
+        m = sign * _structured(np.random.default_rng(seed), kind, n, n)
         expected = float(np.linalg.norm(m, 2))
         assert abs(mc.op_norm(m) - expected) <= 1e-12 * max(1.0, expected)
 

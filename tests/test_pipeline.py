@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nearcommute import matcore as mc
 from nearcommute import matio
@@ -678,3 +678,88 @@ class TestDriversOnEdgeSpectra:
     def test_hermitian_unitary(self, inputs):
         a, u, n_cut = inputs
         self.assert_repaired(pl.commute_hermitian_unitary(a, u), a.shape[0], n_cut)
+
+
+def _distance_to_cut(lam: np.ndarray, log: dict) -> float:
+    """Distance from the values lam in [-1, 1] to the nearest cell or
+    sub-cell edge of the line driver's cut, read from its log."""
+    cell = 2.0 / log["n_cut"]
+    sub = cell / max(1, int(math.floor(cell / log["Delta"])))
+    off = np.mod(lam + 1.0, cell)  # sub-cells fill each cell exactly
+    r = np.mod(off, sub)
+    return float(np.minimum(r, sub - r).min())
+
+
+@st.composite
+def covariance_inputs(draw):
+    """A planted pair whose B has n <= 40 eigenvalues, uniform or drawn
+    from a few repeated values, and a Haar-ish unitary Q."""
+    n = draw(st.integers(2, 40))
+    delta, _ = cut_count(draw(st.one_of(st.integers(2, 6), st.integers(7, 30))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        spec = rng.uniform(-1.0, 1.0, n)
+    else:
+        spec = rng.choice(rng.uniform(-1.0, 1.0, 3), n)
+    q = mc.random_unitary(rng, n)
+    b = (q * spec) @ q.conj().T
+    a0 = (q * rng.uniform(-0.9, 0.9, n)) @ q.conj().T
+    g = mc.random_hermitian(rng, n, norm=1.0)
+    base = mc.op_norm(mc.commutator(g, b))
+    assume(base > 2 * delta)  # room to plant ||[A,B]|| = delta
+    t = delta / (base - delta)
+    a = (a0 + t * g) / (1.0 + t)
+    return (a + a.conj().T) / 2, (b + b.conj().T) / 2, mc.random_unitary(rng, n)
+
+
+class TestUnitaryCovariance:
+    """A'(QAQ*, QBQ*) = Q A'(A, B) Q* to 1e-9 max(n, 1) when B's spectrum is
+    at least 1e-8 from every cell and sub-cell edge and no interval goes to
+    Hastings, whose Jacobi oracle depends on the basis."""
+
+    @staticmethod
+    def conj(q, m):
+        m = q @ m @ q.conj().T
+        return (m + m.conj().T) / 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(covariance_inputs())
+    def test_hermitian_pair(self, inputs):
+        a, b, q = inputs
+        rep = pl.commute_hermitian_pair(a, b)
+        log = rep.stage_log
+        assume(log["n_cut"] > 0)
+        assume(all(iv.get("engine") != "hastings" for iv in log["intervals"]))
+        assume(_distance_to_cut(np.linalg.eigvalsh(b), log) >= 1e-8)
+        moved = pl.commute_hermitian_pair(self.conj(q, a), self.conj(q, b))
+        assert moved.stage_log["n_cut"] == log["n_cut"]
+        n = a.shape[0]
+        assert mc.op_norm(q @ rep.a_prime @ q.conj().T - moved.a_prime) <= 1e-9 * max(n, 1)
+
+
+class TestContractionGate:
+    """The ||A|| <= 1 gate by two Cholesky factorizations of the Hermitian
+    part, (1 + 1e-9)I -+ A."""
+
+    @pytest.mark.parametrize("m", [np.eye(5), np.zeros((0, 0)), np.array([[1.0]]),
+                                   np.array([[-1.0]]), -np.eye(3)],
+                             ids=["I", "n=0", "1x1", "-1x1", "-I"])
+    def test_accepts(self, m):
+        assert np.array_equal(pl._require_hermitian_contraction(m, "A"), m)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rejects_past_the_tolerance(self, sign):
+        with pytest.raises(ValueError, match="A must be a contraction"):
+            pl._require_hermitian_contraction(sign * (1.0 + 2e-9) * np.eye(4), "A")
+
+    def test_rotated_contraction_accepted_and_rejected(self):
+        rng = np.random.default_rng(41)
+        h = mc.random_hermitian(rng, 40, norm=1.0)
+        assert np.array_equal(pl._require_hermitian_contraction(h, "A"), h)
+        with pytest.raises(ValueError, match="A must be a contraction"):
+            pl._require_hermitian_contraction(1.001 * h, "A")
+
+    def test_non_hermitian_reported_as_such(self):
+        m = np.array([[0.0, 0.5], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="A must be Hermitian"):
+            pl._require_hermitian_contraction(m, "A")

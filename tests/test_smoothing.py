@@ -71,6 +71,48 @@ class TestProfileConstants:
         # even about the center
         assert float(np.max(np.abs(np.asarray(p(0.2 + x)) - np.asarray(p(0.2 - x))))) <= 1e-14
 
+    @staticmethod
+    def profiles():
+        return [sm.smooth_profile(0.3, 0.5, omega0=0.2), sm.smooth_profile(0.0, 1.0),
+                sm.poly_bump_profile(), sm.mollifier_profile()]
+
+    @staticmethod
+    def edge_grid(p):
+        """Interior points, the exact support edges, |t| = 1e4 and a NaN,
+        as an n x n grid of differences like the averaging's."""
+        rad = p.support_radius
+        t = np.array([0.0, 0.5 * rad, -0.999 * rad, rad, -rad,
+                      np.nextafter(rad, 0.0), np.nextafter(-rad, 0.0), 1e4, -1e4, np.nan])
+        return p.omega0 + np.subtract.outer(t, np.linspace(0.0, 2 * rad, 7)), t
+
+    @pytest.mark.parametrize("which", range(4))
+    def test_call_equals_full_grid_formula(self, which):
+        p = self.profiles()[which]
+        grid, points = self.edge_grid(p)
+        for x in (grid, points):
+            t = np.atleast_1d(np.asarray(x, dtype=float) - p.omega0)
+            with np.errstate(invalid="ignore"):
+                old = np.where(np.abs(t) >= p.support_radius, 0.0, p._fn(t))
+                got = p(x)
+            assert got.shape == old.shape and got.tobytes() == old.tobytes()
+        assert p(p.omega0 + p.support_radius) == 0.0
+
+    def test_window_evaluated_only_on_its_support(self):
+        seen = []
+        base = sm.poly_bump_profile()
+
+        def recording(t):
+            seen.append(np.array(t, copy=True))
+            return base._fn(t)
+
+        p = sm.Profile(recording, base.r, base.w, omega0=0.25)
+        grid, _ = self.edge_grid(p)
+        p(grid)
+        args = np.concatenate([a.ravel() for a in seen])
+        assert args.size == np.count_nonzero(~(np.abs(grid - 0.25) >= p.support_radius))
+        assert np.all((np.abs(args) < p.support_radius) | np.isnan(args))
+        assert np.isnan(args).any()  # a NaN argument reaches the window
+
     def test_tail_monotone_and_tail_zero_is_l1(self):
         p = sm.smooth_profile(1.0, 1.0)
         assert p.tail(0.0) == pytest.approx(p.c1, rel=1e-9)
