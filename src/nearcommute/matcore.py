@@ -116,6 +116,20 @@ def op_norm_exceeds(x, tol: float) -> bool:
     return not np.linalg.norm(x) <= tol and op_norm(x) > tol
 
 
+def hermitian_norm_within(h: np.ndarray, c: float) -> bool:
+    """Whether ||h|| < c for an exactly Hermitian h, by a test that reports
+    no norm: cI - h and cI + h both have a Cholesky factorization, which
+    reads one triangle of each.  An h whose norm is c, or within roundoff of
+    it, may go either way."""
+    shift = c * np.eye(h.shape[0])
+    try:
+        np.linalg.cholesky(shift - h)
+        np.linalg.cholesky(shift + h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def commutator(a, b) -> np.ndarray:
     """[A, B] = AB - BA."""
     a = as_matrix(a)
@@ -130,13 +144,11 @@ class HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
     eigenvalues are ascending; columns of ``vectors`` are the matching
-    orthonormal eigenvectors.  ``defect`` records the Hermiticity defect
-    ||A - A*||/2 that was symmetrized away before decomposing.
+    orthonormal eigenvectors.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    defect: float = 0.0
 
     @property
     def dim(self) -> int:
@@ -181,37 +193,49 @@ def cluster_bounds(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eig_hermitian(a, *, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
-    """Eigendecomposition of a (numerically) Hermitian matrix.
+    """Eigendecomposition of a (numerically) Hermitian matrix given by a
+    caller: the checked entry to ``eig_hermitian_part``.
 
-    The input is symmetrized as (A + A*)/2 before decomposition; inputs whose
-    Hermiticity defect exceeds ``rtol * ||A||`` are rejected.  Output is made
-    deterministic: eigenvalues ascend, every eigenvector carries a canonical
-    phase, and degenerate clusters are re-orthonormalized by Gram-Schmidt over
-    the cluster projector's columns in input order, which removes any
-    dependence on LAPACK's arbitrary in-cluster basis choice.
-
-    Clusters are the runs of eigenvalues whose consecutive gaps are at most
-    ``1e-12 * n * max(||A||, 1)`` (``cluster_bounds``), and only clusters of
-    two or more eigenvalues are re-orthonormalized.  The phases are fixed for
-    all columns at once: each column is scaled so that its first
-    largest-modulus entry is real and positive (a zero column is left as it
-    is).
+    ``a`` must be a finite square matrix (``as_matrix``) whose Hermiticity
+    defect ||A - A*||/2 is at most ``rtol * ||A||``; the decomposition is
+    that of the Hermitian part (A + A*)/2.  Library code whose matrix is
+    Hermitian by construction, or was validated where it entered, calls
+    ``eig_hermitian_part`` and pays for neither norm.
     """
     m = as_matrix(a)
-    n = m.shape[0]
-    if n == 0:
-        return HermitianEig(np.zeros(0), np.zeros((0, 0), dtype=np.complex128), 0.0)
     scale = max(op_norm(m), np.finfo(float).tiny)
     defect = op_norm(m - m.conj().T) / 2.0
     if defect > rtol * scale:
         raise NotHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds {rtol:.1e} * ||A|| = {rtol * scale:.3e}"
         )
-    sym = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(sym)
+    return eig_hermitian_part(m)
+
+
+def eig_hermitian_part(m: np.ndarray) -> HermitianEig:
+    """Deterministic eigendecomposition of the Hermitian part (m + m*)/2 of a
+    square complex128 array m, with no check: the caller has validated m or
+    built it Hermitian (``eig_hermitian`` checks a caller's input first).
+
+    Eigenvalues ascend, every eigenvector carries a canonical phase, and
+    degenerate clusters are re-orthonormalized by Gram-Schmidt over the
+    cluster projector's columns in input order, which removes any dependence
+    on LAPACK's arbitrary in-cluster basis choice.  Clusters are the runs of
+    eigenvalues whose consecutive gaps are at most ``1e-12 * n * max(||h||,
+    1)`` (``cluster_bounds``), ||h|| read off the computed eigenvalues, and
+    only clusters of two or more eigenvalues are re-orthonormalized.  The
+    phases are fixed for all columns at once: each column is scaled so that
+    its first largest-modulus entry is real and positive (a zero column is
+    left as it is).
+    """
+    n = m.shape[0]
+    if n == 0:
+        return HermitianEig(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
 
     # Degenerate-cluster canonicalization.
-    starts, stops = cluster_bounds(w, 1e-12 * n * max(scale, 1.0))
+    scale = max(abs(w.item(0)), abs(w.item(-1)), 1.0)
+    starts, stops = cluster_bounds(w, 1e-12 * n * scale)
     multiple = stops - starts > 1
     for i, j in zip(starts[multiple].tolist(), stops[multiple].tolist()):
         p = v[:, i:j] @ v[:, i:j].conj().T
@@ -219,7 +243,7 @@ def eig_hermitian(a, *, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
     top = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
     mag = np.abs(top)
     v *= np.divide(mag, top, out=np.ones_like(top), where=mag != 0.0)
-    return HermitianEig(w.copy(), v, float(defect))
+    return HermitianEig(w, v)
 
 
 @dataclass(frozen=True)

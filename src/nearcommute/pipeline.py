@@ -22,6 +22,8 @@ from .matcore import (
     cluster_bounds,
     commutator,
     eig_hermitian,
+    eig_hermitian_part,
+    hermitian_norm_within,
     op_norm,
     op_norm_exceeds,
     orthonormal_complement,
@@ -122,15 +124,10 @@ def _require_contraction(norm: float, name: str) -> None:
 
 
 def _require_contraction_cholesky(h: np.ndarray, name: str) -> None:
-    """The contraction gate on an exactly Hermitian h: ||h|| <= 1 + 1e-9
-    when (1 + 1e-9)I - h and (1 + 1e-9)I + h both have a Cholesky
-    factorization, which reads one triangle and reports no norm."""
-    shift = (1.0 + 1e-9) * np.eye(h.shape[0])
-    try:
-        np.linalg.cholesky(shift - h)
-        np.linalg.cholesky(shift + h)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{name} must be a contraction") from None
+    """The contraction gate on an exactly Hermitian h, ||h|| <= 1 + 1e-9, by
+    Cholesky factorizations (``hermitian_norm_within``): no norm is taken."""
+    if not hermitian_norm_within(h, 1.0 + 1e-9):
+        raise ValueError(f"{name} must be a contraction")
 
 
 def _require_hermitian_contraction(m, name: str, defects: dict | None = None, *,
@@ -366,10 +363,11 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
     n_cut = int(math.ceil(1.0 / big_delta ** g1))
     width = 2.0 / n_cut
 
-    fr = finite_range(am, bm, big_delta, comm=delta)
-    eb = fr.eig
-    # B's norm, read off the eigenvalues finite_range decomposed it into
+    # bm was validated above: decomposed once, with no norm taken; B's
+    # contraction is read off its eigenvalues
+    eb = eig_hermitian_part(bm)
     _require_contraction(np.abs(eb.eigenvalues).max(initial=0.0), "B")
+    fr = finite_range(am, eb, big_delta, comm=delta)
     checks = list(fr.checks)
     a_prime, b_prime, dist_b, pinch_log, pinch_checks = _cut_and_pinch(
         fr.coords, eb.vectors, eb.eigenvalues, -1.0, n_cut, width,
@@ -404,7 +402,7 @@ def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
     """
     am = _require_hermitian_contraction(a, "A")
     bm = as_matrix(b)
-    ea = eig_hermitian(am)
+    ea = eig_hermitian_part(am)
     delta = op_norm(commutator(am, bm))
     lam = ea.eigenvalues
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
@@ -442,7 +440,7 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
     delta_ab = op_norm(commutator(am, bm))
     delta_ac = op_norm(commutator(am, cm))
     delta_a = max(delta_ab, delta_ac)
-    _, groups, a_prime = _cluster_step(eig_hermitian(am), delta_a, 1e-8)
+    _, groups, a_prime = _cluster_step(eig_hermitian_part(am), delta_a, 1e-8)
     b_prime = np.zeros_like(a_prime)
     c_prime = np.zeros_like(a_prime)
     block_logs = []

@@ -11,7 +11,7 @@ import numpy as np
 from .checks import BoundCheck
 from .matcore import (
     as_matrix,
-    eig_hermitian,
+    eig_hermitian_part,
     op_norm,
     op_norm_exceeds,
     orthonormal_columns,
@@ -101,7 +101,7 @@ def jordan_blocks(p, q, *, tol: float = 1e-10) -> JordanDecomposition:
     up = orthonormal_columns(pm, tol=0.5)
     if up.shape[1]:
         comp = up.conj().T @ qm @ up
-        ec = eig_hermitian((comp + comp.conj().T) / 2, rtol=1e-6)
+        ec = eig_hermitian_part(comp)
         for idx in range(ec.dim):
             lam = float(ec.eigenvalues[idx])
             pvec = up @ ec.vectors[:, idx]
@@ -128,7 +128,7 @@ def jordan_blocks(p, q, *, tol: float = 1e-10) -> JordanDecomposition:
     rem = orthonormal_complement(np.column_stack(used) if used else np.zeros((n, 0)))
     if rem.shape[1]:
         comp = rem.conj().T @ qm @ rem
-        ec = eig_hermitian((comp + comp.conj().T) / 2, rtol=1e-6)
+        ec = eig_hermitian_part(comp)
         for idx in range(ec.dim):
             lam = float(ec.eigenvalues[idx])
             vec = rem @ ec.vectors[:, idx]
@@ -152,7 +152,7 @@ def jordan_basis(p_basis: np.ndarray, q_basis: np.ndarray) -> np.ndarray:
     if p_basis.shape[1] == 0:
         return p_basis
     c = q_basis.conj().T @ p_basis
-    return p_basis @ eig_hermitian(c.conj().T @ c, rtol=1e-6).vectors
+    return p_basis @ eig_hermitian_part(c.conj().T @ c).vectors
 
 
 def nest_projection_core(e_basis, mid_basis, f_basis) -> np.ndarray:
@@ -167,7 +167,7 @@ def nest_projection_core(e_basis, mid_basis, f_basis) -> np.ndarray:
     _require_orthonormal(np.column_stack([e_basis, mid_basis]), "[E | G - E]")
     _require_orthonormal(f_basis, "F'")
     c = mid_basis.conj().T @ f_basis
-    ec = eig_hermitian(c @ c.conj().T, rtol=1e-6)
+    ec = eig_hermitian_part(c @ c.conj().T)
     return np.column_stack([e_basis, mid_basis @ ec.vectors[:, ec.eigenvalues > 0.5]])
 
 

@@ -28,6 +28,8 @@ from .matcore import (
     cluster_bounds,
     commutator,
     eig_hermitian,
+    eig_hermitian_part,
+    hermitian_norm_within,
     op_norm,
 )
 
@@ -326,7 +328,12 @@ def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
     Re N is decomposed once.  Each run of two or more of its eigenvalues with
     gaps at most 1e-8 * max(1, ||Re N||, ||Im N||) (``cluster_bounds``) is
     rediagonalised by the compression of Im N; every other eigenvector takes
-    its Im N value as a Rayleigh quotient.
+    its Im N value as a Rayleigh quotient.  Only N is checked (finite, square,
+    normal): Re N, Im N and their compressions are Hermitian by construction
+    and go to ``eig_hermitian_part`` unchecked.  ||Re N|| is read off its
+    eigenvalues, and ||Im N|| is taken only when a Cholesky test
+    (``hermitian_norm_within``) does not place it at most 1, where it cannot
+    raise the scale.
     """
     m = as_matrix(n_mat)
     c = commutator(m, m.conj().T)
@@ -336,9 +343,10 @@ def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
         if defect > tol * max(op_norm(m), 1.0) ** 2:
             raise ValueError(f"matrix is not normal: ||[N,N*]|| = {defect:.3e}")
     im = (m - m.conj().T) / 2j
-    er = eig_hermitian((m + m.conj().T) / 2, rtol=1e-6)
+    er = eig_hermitian_part(m)
     v, lam_re = er.vectors, er.eigenvalues
-    scale = max(1.0, float(np.abs(lam_re).max(initial=0.0)), op_norm(im))
+    im_norm = 0.0 if hermitian_norm_within(im, 1.0) else op_norm(im)
+    scale = max(1.0, float(np.abs(lam_re).max(initial=0.0)), im_norm)
     starts, stops = cluster_bounds(lam_re, 1e-8 * scale)
     lam_im = np.empty_like(lam_re)
     single = starts[stops - starts == 1]
@@ -346,7 +354,7 @@ def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
     for i, j in zip(starts.tolist(), stops.tolist()):
         if j - i > 1:
             comp = v[:, i:j].conj().T @ im @ v[:, i:j]
-            ei = eig_hermitian((comp + comp.conj().T) / 2, rtol=1e-6)
+            ei = eig_hermitian_part(comp)
             v[:, i:j] = v[:, i:j] @ ei.vectors
             lam_im[i:j] = ei.eigenvalues
     return NormalEig(lam_re + 1j * lam_im, v)
@@ -428,15 +436,25 @@ def finite_range(a, b, delta: float, profile: Profile | None = None, *,
     E_{S1}(B) H E_{S2}(B) = 0 exactly whenever dist(S1, S2) >= Delta, and
     ||A - H|| <= (c0/Delta) ||[A,B]||, ||[H,B]|| <= c1 ||[A,B]||.  Both
     left-hand sides are measured in B's eigen-coordinates, where [H,B] is an
-    entrywise product.  ``comm`` is ||[A,B]|| when the caller has already
-    measured it; it is measured here otherwise.
+    entrywise product.
+
+    ``b`` is either B itself, which ``eig_hermitian`` checks and decomposes,
+    or the ``HermitianEig`` of a B its caller has validated and decomposed
+    (``eig_hermitian_part``).  ``comm`` is ||[A,B]|| when the caller has
+    already measured it; it is measured here from B otherwise, so it is
+    required with an eigensystem.
     """
     p = _require_averaging(delta, profile)
     a = as_matrix(a)
-    eb = eig_hermitian(b)
+    if isinstance(b, HermitianEig):
+        if comm is None:
+            raise ValueError("finite_range on B's eigensystem needs comm = ||[A,B]||")
+        eb = b
+    else:
+        eb = eig_hermitian(b)
+        if comm is None:
+            comm = op_norm(commutator(a, as_matrix(b)))
     a_minus_h, ht = _average(a, eb.vectors, [eb.eigenvalues], delta, p)
-    if comm is None:
-        comm = op_norm(commutator(a, as_matrix(b)))
     checks = [
         BoundCheck(op_norm(a_minus_h), (p.c0 / delta) * comm, "finite_range ||A-H|| <= (c0/Delta)||[A,B]||"),
         BoundCheck(_commutator_norm(ht, eb.eigenvalues), p.c1 * comm,

@@ -21,6 +21,7 @@ from .checks import BoundCheck
 from .matcore import (
     as_matrix,
     eig_hermitian,
+    eig_hermitian_part,
     op_norm,
     op_norm_exceeds,
     orthonormal_columns,
@@ -573,7 +574,7 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
     kappa = min(SZAREK_KAPPA_C * eps, 0.999)
     eta = eta_nom if kappa > 8 * eta_nom else kappa / 8.0000001
 
-    ej = eig_hermitian(sys.j)
+    ej = eig_hermitian_part(sys.j)  # checked by verify_tridiagonal
     lam_pos = np.clip((ej.eigenvalues + 1.0) / 2.0, 0.0, 1.0)
     phi_sq = np.sum(np.abs(ej.vectors[v1, :]) ** 2, axis=0)
     sel = select_intervals(lam_pos, phi_sq, kappa, eta)
@@ -758,7 +759,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
 
     n = sys.dim
     v1 = sys.blocks[0]
-    ej = eig_hermitian(sys.j)
+    ej = eig_hermitian_part(sys.j)  # checked by verify_tridiagonal
     windows = partition_of_unity(cfg.n_win)
 
     # ---- stage (a): X_i = range of tau_i with small singular values cut ----

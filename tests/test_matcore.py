@@ -138,6 +138,38 @@ class TestEigHermitian:
         assert mc.op_norm(e.reconstruct() - a) <= 1e-10 * n * max(1.0, mc.op_norm(a))
         assert mc.op_norm(e.vectors.conj().T @ e.vectors - np.eye(n)) <= 1e-12 * n
 
+    @pytest.mark.parametrize("m", [np.zeros((0, 0), complex), np.array([[-0.5 + 0j]])],
+                             ids=["n=0", "n=1"])
+    def test_part_small_dims(self, m):
+        e = mc.eig_hermitian_part(m)
+        assert np.array_equal(e.eigenvalues, m.diagonal().real)
+        assert np.array_equal(e.vectors, np.eye(m.shape[0]))
+
+    @pytest.mark.parametrize("spectrum", [[0.3, 0.3, 0.3, -0.7, 0.9, 0.1],
+                                          [2.0, -0.5, 0.25, 1.5, -1.5, 3.0]],
+                             ids=["cluster", "simple"])
+    def test_part_equals_checked_decomposition_of_hermitian_part(self, spectrum):
+        # a defect of 1e-12 passes eig_hermitian's check; the unchecked
+        # decomposition of m must give the same bits as the checked one of h
+        rng = np.random.default_rng(31)
+        q = mc.random_unitary(rng, len(spectrum))
+        m = (q * np.asarray(spectrum)) @ q.conj().T
+        m = m + 1e-12 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+        assert not np.array_equal(m, m.conj().T)
+        h = (m + m.conj().T) / 2
+        part, checked = mc.eig_hermitian_part(m), mc.eig_hermitian(h)
+        assert np.array_equal(part.eigenvalues, checked.eigenvalues)
+        assert np.array_equal(part.vectors, checked.vectors)
+        assert np.array_equal(mc.eig_hermitian(m).vectors, part.vectors)
+
+    def test_part_takes_no_norm(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("op_norm reached")
+
+        monkeypatch.setattr(mc, "op_norm", refuse)
+        e = mc.eig_hermitian_part(mc.random_hermitian(np.random.default_rng(8), 12))
+        assert e.dim == 12
+
     def test_round_trip_bulk_dims_up_to_64(self):
         rng = np.random.default_rng(123)
         for _ in range(1000):
@@ -339,6 +371,26 @@ class TestOpNorm:
         m = sign * _structured(np.random.default_rng(seed), kind, n, n)
         expected = float(np.linalg.norm(m, 2))
         assert abs(mc.op_norm(m) - expected) <= 1e-12 * max(1.0, expected)
+
+
+class TestHermitianNormWithin:
+    @pytest.mark.parametrize("m, c, want", [
+        (np.zeros((0, 0)), 1.0, True),
+        (np.diag([0.5, -0.5]), 1.0, True),
+        (np.diag([0.5, -1.5]), 1.0, False),
+        (np.diag([1.5, 0.5]), 1.0, False),
+        (np.diag([1.5, 0.5]), 2.0, True),
+        (np.eye(3), 1.0 + 1e-9, True),
+        (np.eye(3), 1.0, False),  # exactly on c: cI - h is singular
+    ])
+    def test_examples(self, m, c, want):
+        assert mc.hermitian_norm_within(m.astype(complex), c) is want
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 10 ** 6), st.sampled_from([0.9, 1.1]))
+    def test_agrees_with_op_norm_away_from_c(self, n, seed, ratio):
+        h = mc.random_hermitian(np.random.default_rng(seed), n, norm=1.0)
+        assert mc.hermitian_norm_within(h, ratio) is (ratio > 1.0)
 
 
 class TestCommutator:

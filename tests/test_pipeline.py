@@ -176,7 +176,7 @@ class TestCommuteHermitianPair:
         rng = np.random.default_rng(13)
         a, b = commuting_pair(rng, 16)
         a = (a + mc.random_hermitian(rng, 16, norm=0.01)) / 1.01
-        calls = count_calls(monkeypatch, mc, "eig_hermitian", square_of=16)
+        calls = count_calls(monkeypatch, mc, "eig_hermitian_part", square_of=16)
         pl.commute_hermitian_pair(a, b, 1.0)
         assert len(calls) == 1
 
@@ -185,12 +185,12 @@ class TestCommuteHermitianPair:
             pl.commute_hermitian_pair(2 * np.eye(3), np.eye(3))
 
     def test_b_normed_once(self, monkeypatch):
-        # B's contraction is read off the eigenvalues finite_range computes,
-        # so only eig_hermitian's scale takes B's n x n norm
+        # B is validated once and decomposed unchecked; its contraction is
+        # read off the eigenvalues, so no n x n norm of B is taken
         a, b = planted_pair(np.random.default_rng(17), 64, 1e-3)
         b_norms = count_calls(monkeypatch, mc, "op_norm", equal_to=b)
         pl.commute_hermitian_pair(a, b)
-        assert len(b_norms) == 1
+        assert len(b_norms) == 0
 
     def test_b_contraction_from_eigenvalues(self):
         rng = np.random.default_rng(18)
@@ -593,6 +593,39 @@ def test_planted_quality_columns_pinned():
             assert abs(got - want) <= 1e-12, label
 
 
+# Full-size decompositions of one driver call on the planted workload's
+# n = 128 instances: B (U) once by eigh; Hermitian norms by eigvalsh (delta,
+# ||A-H||, dist_a and the residual on the line; on the circle only ||A-H||
+# and dist_a are Hermitian, the rest take SVDs); contraction gates by
+# Cholesky (A's, and on the circle the ||Im U|| <= 1 test).
+DECOMPOSITION_BUDGET = {
+    False: {"eigh": 1, "eigvalsh": 4, "svd": 0, "cholesky": 2},
+    True: {"eigh": 1, "eigvalsh": 2, "svd": 4, "cholesky": 4},
+}
+
+
+def test_planted_full_size_decomposition_budget(monkeypatch):
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench import workloads
+
+    counts = {}
+    for name in DECOMPOSITION_BUDGET[False]:
+        def counting(x, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            if np.shape(x) == (128, 128):
+                counts[_name] += 1
+            return _real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    instances = [inst for inst in workloads.planted(1) if " n=128 " in inst.label]
+    assert len(instances) == 4
+    for inst in instances:
+        counts.update(dict.fromkeys(DECOMPOSITION_BUDGET[False], 0))
+        inst.call()
+        assert counts == DECOMPOSITION_BUDGET[inst.label.startswith("unitary")], inst.label
+
+
 def cut_count(n_cut_wanted: int) -> tuple[float, int]:
     """A commutator size delta at which the drivers cut into n_cut_wanted
     cells (gamma2 = 1: n_cut = ceil(delta^(-1/3))), away from the next
@@ -758,6 +791,21 @@ class TestContractionGate:
         assert np.array_equal(pl._require_hermitian_contraction(h, "A"), h)
         with pytest.raises(ValueError, match="A must be a contraction"):
             pl._require_hermitian_contraction(1.001 * h, "A")
+
+    def test_gate_is_the_shared_cholesky_test(self, monkeypatch):
+        # the gate is matcore's one Cholesky test of ||h|| <= c, at
+        # c = 1 + 1e-9
+        real, seen = mc.hermitian_norm_within, []
+
+        def recording(h, c):
+            seen.append(c)
+            return real(h, c)
+
+        monkeypatch.setattr(pl, "hermitian_norm_within", recording)
+        pl._require_hermitian_contraction(np.eye(5), "A")
+        with pytest.raises(ValueError, match="A must be a contraction"):
+            pl._require_hermitian_contraction(-(1.0 + 2e-9) * np.eye(4), "A")
+        assert seen == [1.0 + 1e-9] * 2
 
     def test_non_hermitian_reported_as_such(self):
         m = np.array([[0.0, 0.5], [0.0, 0.0]])

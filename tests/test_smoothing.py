@@ -199,6 +199,22 @@ class TestFiniteRange:
         assert mc.op_norm(res.matrix - part.matrix) <= 1e-14
         assert part.checks[0].lhs < res.checks[0].lhs
 
+    def test_eigensystem_in_place_of_b(self):
+        # a caller that validated and decomposed B hands over its eigensystem
+        # and ||[A,B]||: same bits as passing B, and no decomposition of B
+        rng = np.random.default_rng(7)
+        a = mc.random_hermitian(rng, 12, norm=1.0)
+        b = mc.random_hermitian(rng, 12, norm=1.0)
+        comm = mc.op_norm(mc.commutator(a, b))
+        eb = mc.eig_hermitian_part(b)
+        from_b = sm.finite_range(a, b, 0.5, comm=comm)
+        from_eig = sm.finite_range(a, eb, 0.5, comm=comm)
+        assert from_eig.eig is eb
+        assert np.array_equal(from_eig.coords, from_b.coords)
+        assert [c.lhs for c in from_eig.checks] == [c.lhs for c in from_b.checks]
+        with pytest.raises(ValueError, match="needs comm"):
+            sm.finite_range(a, eb, 0.5)
+
     def test_eig_reconstructs_b(self):
         rng = np.random.default_rng(6)
         a = mc.random_hermitian(rng, 12, norm=1.0)
@@ -500,13 +516,13 @@ class TestJointEig:
         q = mc.random_unitary(rng, len(vals))
         u = q @ np.diag(vals) @ q.conj().T
         shapes = []
-        real = sm.eig_hermitian
+        real = sm.eig_hermitian_part
 
-        def counting(a, **kwargs):
+        def counting(a):
             shapes.append(np.shape(a))
-            return real(a, **kwargs)
+            return real(a)
 
-        monkeypatch.setattr(sm, "eig_hermitian", counting)
+        monkeypatch.setattr(sm, "eig_hermitian_part", counting)
         eig = sm.normal_eig(u)
         assert shapes == [(6, 6), (2, 2)]
         assert np.allclose(np.sort_complex(eig.eigenvalues), np.sort_complex(vals),
@@ -514,6 +530,42 @@ class TestJointEig:
         for k in range(len(vals)):
             vec = eig.vectors[:, k]
             assert np.linalg.norm(u @ vec - eig.eigenvalues[k] * vec) <= 1e-12
+
+    def test_imaginary_part_sets_cluster_scale(self, monkeypatch):
+        # ||Im N|| = 3 fails the Cholesky test, so its norm is taken and the
+        # cluster tolerance is 3e-8: Re parts 2e-8 apart form one cluster,
+        # rediagonalised by Im N
+        rng = np.random.default_rng(21)
+        vals = np.array([0.1 + 3j, 0.1 + 2e-8 - 1j, -0.5 + 0.5j, 0.7 - 0.2j, -0.9j])
+        q = mc.random_unitary(rng, len(vals))
+        n_mat = (q * vals) @ q.conj().T
+        shapes = []
+        real = sm.eig_hermitian_part
+
+        def counting(a):
+            shapes.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(sm, "eig_hermitian_part", counting)
+        eig = sm.normal_eig(n_mat)
+        assert shapes == [(5, 5), (2, 2)]
+        # a cluster's real parts are equal to within its tolerance
+        assert np.allclose(np.sort(eig.eigenvalues.imag), np.sort(vals.imag), atol=1e-12)
+        assert np.allclose(np.sort(eig.eigenvalues.real), np.sort(vals.real), atol=3e-8)
+
+    @pytest.mark.parametrize("phase", [math.pi / 2, -math.pi / 2])
+    def test_eigenvalue_at_plus_minus_i_same_as_with_the_norm(self, monkeypatch, phase):
+        # ||Im U|| = 1 is the Cholesky test's boundary: whichever way it
+        # goes, the output equals the one that takes op_norm(Im U)
+        rng = np.random.default_rng(22)
+        vals = np.exp(1j * np.array([phase, 0.3, 0.3 + 5e-9, 2.0, -2.5, 3.1]))
+        q = mc.random_unitary(rng, len(vals))
+        u = (q * vals) @ q.conj().T
+        got = sm.normal_eig(u)
+        monkeypatch.setattr(sm, "hermitian_norm_within", lambda h, c: False)
+        want = sm.normal_eig(u)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.vectors, want.vectors)
 
     def test_rejects_noncommuting(self):
         # Re N and Im N do not commute exactly when N is not normal
