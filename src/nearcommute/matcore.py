@@ -8,6 +8,7 @@ never mutated and outputs are freshly allocated arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +19,9 @@ __all__ = [
     "as_matrix",
     "eig_hermitian",
     "op_norm",
+    "gram_norm",
     "commutator",
+    "hermitian_commutator",
     "random_hermitian",
     "random_unitary",
 ]
@@ -109,6 +112,40 @@ def op_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def gram_norm(x) -> float:
+    """Operator norm of a square matrix X with no SVD: s * sqrt(lambda_max(G))
+    for s = max |x_ij| and G the Gram matrix Y*Y of Y = X/s, symmetrised.
+
+    The scaling keeps every entry of Y at most 1 and its largest at 1, so
+    no scale of X overflows or underflows G.  lambda_max is G's largest
+    eigenvalue modulus by op_norm's Hermitian path (``_hermitian_norm``).  A
+    zero or empty matrix gives 0.0; a non-finite one raises
+    MatrixShapeError, as op_norm does.
+
+    Error bound: relative O(n*eps) times the stable rank r = ||X||_F^2 /
+    ||X||^2, which is at most n.  The rounded G is off Y*Y by at most about
+    n*u*||Y||_F^2 (u the unit roundoff) and eigvalsh adds O(n*u*||G||); the
+    square root halves the relative error, so the result is within about
+    (n*u/2)*(1 + r) of ||X||, relative.  The roundoff terms have mixed
+    signs, and on general, normal, rank-one, U - U' and [A, U] inputs up to
+    n = 40 the error stayed below 1e-15*n.  No structure of X (unitarity,
+    normality) is assumed.
+    """
+    m = np.asarray(x, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise MatrixShapeError(f"expected a square matrix, got shape {m.shape}")
+    if m.size == 0:
+        return 0.0
+    s = float(np.abs(m).max())
+    if not math.isfinite(s):
+        raise MatrixShapeError("matrix has non-finite entries")
+    if s == 0.0:
+        return 0.0
+    y = m / s
+    g = y.conj().T @ y
+    return s * math.sqrt(_hermitian_norm((g + g.conj().T) / 2))
+
+
 def op_norm_exceeds(x, tol: float) -> bool:
     """op_norm(x) > tol, for a pass/fail gate that reports no value: op_norm
     is taken only when ||x||_F, an upper bound, exceeds tol.  A NaN fails
@@ -137,6 +174,14 @@ def commutator(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise MatrixShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
+
+
+def hermitian_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A, B] for exactly Hermitian A and B that the caller validated or
+    built: K - K* with K = AB, since BA = (AB)*.  One product instead of two,
+    and the result is anti-Hermitian entry for entry."""
+    k = a @ b
+    return k - k.conj().T
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from .matcore import (
     commutator,
     eig_hermitian,
     eig_hermitian_part,
+    gram_norm,
+    hermitian_commutator,
     hermitian_norm_within,
     op_norm,
     op_norm_exceeds,
@@ -354,7 +356,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
     defects: dict = {}
     am = _require_hermitian_contraction(a, "A", defects)
     bm = _require_hermitian_contraction(b, "B", defects, contraction=False)
-    delta = op_norm(commutator(am, bm))
+    delta = op_norm(hermitian_commutator(am, bm))
     if delta == 0.0:
         _require_contraction_cholesky(bm, "B")
         return _unmoved(am, bm, delta)
@@ -376,7 +378,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
     b_prime = (b_prime + b_prime.conj().T) / 2
 
     dist_a = op_norm(am - a_prime)
-    res = op_norm(commutator(a_prime, b_prime))
+    res = op_norm(hermitian_commutator(a_prime, b_prime))
     checks.append(BoundCheck(dist_b, 2.0 / n_cut + 1e-10, "||B-B'|| <= 2/n_cut"))
     checks += pinch_checks
     log = {
@@ -437,8 +439,8 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
     am = _require_hermitian_contraction(a, "A")
     bm = _require_hermitian_contraction(b, "B")
     cm = _require_hermitian_contraction(c, "C")
-    delta_ab = op_norm(commutator(am, bm))
-    delta_ac = op_norm(commutator(am, cm))
+    delta_ab = op_norm(hermitian_commutator(am, bm))
+    delta_ac = op_norm(hermitian_commutator(am, cm))
     delta_a = max(delta_ab, delta_ac)
     _, groups, a_prime = _cluster_step(eig_hermitian_part(am), delta_a, 1e-8)
     b_prime = np.zeros_like(a_prime)
@@ -450,11 +452,12 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
         c_blk = cols.conj().T @ cm @ cols
         b_blk = (b_blk + b_blk.conj().T) / 2
         c_blk = (c_blk + c_blk.conj().T) / 2
-        if op_norm(commutator(b_blk, c_blk)) <= 1e-13 * size:
+        blk_residual = op_norm(hermitian_commutator(b_blk, c_blk))
+        if blk_residual <= 1e-13 * size:
             # the compressed pair already commutes: keep it unchanged
             blk_b, blk_c = b_blk, c_blk
             block_logs.append({"size": size, "dist_b": 0.0, "dist_c": 0.0,
-                               "residual": op_norm(commutator(b_blk, c_blk))})
+                               "residual": blk_residual})
         else:
             rep = commute_hermitian_pair(b_blk, c_blk, gamma2)
             blk_b, blk_c = rep.a_prime, rep.b_prime
@@ -468,7 +471,7 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
     log = {
         "delta_ab": delta_ab,
         "delta_ac": delta_ac,
-        "delta_bc": op_norm(commutator(bm, cm)),
+        "delta_bc": op_norm(hermitian_commutator(bm, cm)),
         "clusters": len(groups),
         "blocks": block_logs,
     }
@@ -493,7 +496,7 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
     """
     am = _require_hermitian_contraction(a, "A")
     um = _require_unitary(u, "U")
-    delta = op_norm(commutator(am, um))
+    delta = gram_norm(commutator(am, um))
     if delta == 0.0:
         return _unmoved(am, um, delta)
     g0, g1, _ = choose_exponents(float(gamma2), True)
@@ -515,8 +518,8 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
         cyclic=True)
 
     dist_a = op_norm(am - a_prime)
-    dist_u = op_norm(um - u_prime)
-    res = op_norm(commutator(a_prime, u_prime))
+    dist_u = gram_norm(um - u_prime)
+    res = gram_norm(commutator(a_prime, u_prime))
     checks.append(BoundCheck(dist_u, 2.0 * math.sin(min(arc / 2.0, math.pi / 2)) + 1e-10,
                              "||U-U'|| <= chord of one arc width"))
     checks += pinch_checks
@@ -614,9 +617,9 @@ def delta_sweep(a0, b0, perturbation, deltas: Sequence[float],
     gn = op_norm(g)
     if gn > 0:
         g = g / gn
-    if op_norm(commutator(a0, b0)) > 1e-10:
+    if op_norm(hermitian_commutator(a0, b0)) > 1e-10:
         raise ValueError("base pair must commute")
-    base = op_norm(commutator(g, b0))
+    base = op_norm(hermitian_commutator(g, b0))
     if base <= 0:
         raise ValueError("perturbation commutes with B0; sweep is empty")
     rows = []

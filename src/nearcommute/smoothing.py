@@ -29,6 +29,7 @@ from .matcore import (
     commutator,
     eig_hermitian,
     eig_hermitian_part,
+    gram_norm,
     hermitian_norm_within,
     op_norm,
 )
@@ -327,10 +328,11 @@ def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
 
     Re N is decomposed once.  Each run of two or more of its eigenvalues with
     gaps at most 1e-8 * max(1, ||Re N||, ||Im N||) (``cluster_bounds``) is
-    rediagonalised by the compression of Im N; every other eigenvector takes
-    its Im N value as a Rayleigh quotient.  Only N is checked (finite, square,
-    normal): Re N, Im N and their compressions are Hermitian by construction
-    and go to ``eig_hermitian_part`` unchecked.  ||Re N|| is read off its
+    rediagonalised by the compression of Im N, and each rotated vector takes
+    its Re N value as a Rayleigh quotient; every other eigenvector takes its
+    Im N value as one.  Only N is checked (finite, square, normal): Re N,
+    Im N and their compressions are Hermitian by construction and go to
+    ``eig_hermitian_part`` unchecked.  ||Re N|| is read off its
     eigenvalues, and ||Im N|| is taken only when a Cholesky test
     (``hermitian_norm_within``) does not place it at most 1, where it cannot
     raise the scale.
@@ -350,14 +352,21 @@ def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
     starts, stops = cluster_bounds(lam_re, 1e-8 * scale)
     lam_im = np.empty_like(lam_re)
     single = starts[stops - starts == 1]
-    lam_im[single] = np.einsum("ij,ij->j", v[:, single].conj(), im @ v[:, single]).real
-    for i, j in zip(starts.tolist(), stops.tolist()):
-        if j - i > 1:
-            comp = v[:, i:j].conj().T @ im @ v[:, i:j]
-            ei = eig_hermitian_part(comp)
-            v[:, i:j] = v[:, i:j] @ ei.vectors
-            lam_im[i:j] = ei.eigenvalues
+    lam_im[single] = _rayleigh(im, v[:, single])
+    multiple = stops - starts > 1
+    for i, j in zip(starts[multiple].tolist(), stops[multiple].tolist()):
+        ei = eig_hermitian_part(v[:, i:j].conj().T @ im @ v[:, i:j])
+        v[:, i:j] = v[:, i:j] @ ei.vectors
+        lam_im[i:j] = ei.eigenvalues
+        # the rotated vectors need not keep Re N's values in ascending order
+        lam_re[i:j] = _rayleigh(m, v[:, i:j])
     return NormalEig(lam_re + 1j * lam_im, v)
+
+
+def _rayleigh(h: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Re(v*hv) for each unit column v of ``cols``: the Rayleigh quotient of
+    the Hermitian part (h + h*)/2 on v."""
+    return np.einsum("ij,ij->j", cols.conj(), h @ cols).real
 
 
 def finite_range_multi(*args, **kwargs):
@@ -483,7 +492,7 @@ def finite_range_normal(a, n_mat, delta: float,
     checks = [
         BoundCheck(op_norm(a_minus_h), (2 * p.c0 * p.c1 / delta) * comm,
                    "finite_range_normal ||A-H||"),
-        BoundCheck(op_norm(commutator(ht, v.conj().T @ m @ v)), 2 * p.c1 ** 2 * comm,
+        BoundCheck(gram_norm(commutator(ht, v.conj().T @ m @ v)), 2 * p.c1 ** 2 * comm,
                    "finite_range_normal ||[H,N]||"),
     ]
     return FiniteRangeResult(ht, checks, delta, p.name, en)

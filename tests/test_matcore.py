@@ -1,6 +1,8 @@
 """Matrix kernel tests: examples with independently computed expectations,
 plus property tests for the algebraic invariants."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -409,6 +411,73 @@ class TestCommutator:
     def test_dim_mismatch(self):
         with pytest.raises(mc.MatrixShapeError):
             mc.commutator(np.eye(2), np.eye(3))
+
+
+GRAM_KINDS = ["general", "normal", "unitary difference", "commutator", "rank-one", "zero"]
+
+
+def _gram_case(rng, kind, n):
+    """An n x n matrix of a shape whose norm commute_hermitian_unitary
+    takes: general, normal, U - U' for a nearby unitary U', [A, U],
+    rank-one or zero."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "general":
+        return g
+    if kind == "zero" or n == 0:
+        return np.zeros((n, n), dtype=complex)
+    if kind == "rank-one":
+        return np.outer(g[:, 0], g[0].conj())
+    u = mc.random_unitary(rng, n)
+    if kind == "normal":
+        return (u * g[0]) @ u.conj().T
+    if kind == "unitary difference":
+        step = mc.eig_hermitian(mc.random_hermitian(rng, n, norm=1e-3))
+        return u - u @ step.matrix_function(lambda x: np.exp(1j * x))
+    return mc.commutator(mc.random_hermitian(rng, n, norm=1.0), u)
+
+
+class TestGramNorm:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(GRAM_KINDS), st.integers(0, 40),
+           st.sampled_from([1.0, 1e-200, 1e200]), st.integers(0, 10 ** 6))
+    def test_matches_two_norm_without_svd(self, kind, n, scale, seed):
+        x = scale * _gram_case(np.random.default_rng(seed), kind, n)
+        expected = float(np.linalg.norm(x, 2)) if n else 0.0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD reached")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("numpy.linalg") and hasattr(mod, "svd"):
+                    mp.setattr(mod, "svd", refuse)
+            got = mc.gram_norm(x)
+        assert abs(got - expected) <= 1e-13 * max(n, 1) * expected
+        if kind == "zero":
+            assert got == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        x = np.eye(3, dtype=complex)
+        x[1, 2] = bad
+        with pytest.raises(mc.MatrixShapeError, match="non-finite"):
+            mc.gram_norm(x)
+
+    def test_rectangular_rejected(self):
+        with pytest.raises(mc.MatrixShapeError):
+            mc.gram_norm(np.ones((2, 3)))
+
+
+class TestHermitianCommutator:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 10 ** 6))
+    def test_equals_ab_minus_ba_and_is_anti_hermitian(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = mc.random_hermitian(rng, n, norm=1.0)
+        b = mc.random_hermitian(rng, n, norm=1.0)
+        k = mc.hermitian_commutator(a, b)
+        assert np.array_equal(k, -k.conj().T)
+        assert mc.op_norm(k - (a @ b - b @ a)) <= 1e-15 * n
 
 
 class TestApplyFunction:

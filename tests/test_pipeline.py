@@ -595,12 +595,13 @@ def test_planted_quality_columns_pinned():
 
 # Full-size decompositions of one driver call on the planted workload's
 # n = 128 instances: B (U) once by eigh; Hermitian norms by eigvalsh (delta,
-# ||A-H||, dist_a and the residual on the line; on the circle only ||A-H||
-# and dist_a are Hermitian, the rest take SVDs); contraction gates by
+# ||A-H||, dist_a and the residual on the line; on the circle ||A-H|| and
+# dist_a, and the four general norms delta, ||[H,N]||, ||U-U'|| and the
+# residual by eigvalsh of a Gram matrix, so no SVD); contraction gates by
 # Cholesky (A's, and on the circle the ||Im U|| <= 1 test).
 DECOMPOSITION_BUDGET = {
     False: {"eigh": 1, "eigvalsh": 4, "svd": 0, "cholesky": 2},
-    True: {"eigh": 1, "eigvalsh": 2, "svd": 4, "cholesky": 4},
+    True: {"eigh": 1, "eigvalsh": 6, "svd": 0, "cholesky": 4},
 }
 
 
@@ -636,19 +637,42 @@ def cut_count(n_cut_wanted: int) -> tuple[float, int]:
     return delta, n_cut_wanted
 
 
+def sub_arc_count(delta: float, n_cut: int) -> int:
+    """The number of sub-arcs per arc when commute_hermitian_unitary cuts
+    the circle into n_cut arcs at ||[A,U]|| = delta (gamma2 = 1)."""
+    big_delta = delta ** pl.choose_exponents(1.0, True)[0]
+    phi_sub = 2.0 * math.asin(min(1.0, math.sqrt(2.0) * big_delta / 2.0))
+    return int(math.floor(2.0 * math.pi / n_cut / phi_sub))
+
+
 @st.composite
 def driver_inputs(draw, unitary):
     """A pair planted at ||[A,B]|| = delta whose B has n <= 48 eigenvalues
     drawn from the cut points of the drivers' cells at that delta, from a
-    few repeated values, from tight clusters, or uniformly."""
-    n = draw(st.integers(0, 48))
-    # few cells leave every sub-cell occupied, which sends cells to Szarek
-    delta, n_cut = cut_count(draw(st.one_of(st.integers(2, 6), st.integers(7, 60))))
-    if unitary:  # the circle is cut into at least three arcs
-        delta, n_cut = cut_count(max(n_cut, 3))
-    kind = draw(st.sampled_from(["cut points", "repeated", "clustered", "uniform"]))
+    few repeated values, from tight clusters, or uniformly.  On the circle
+    B may also fill one arc (the wrap-around arc among the choices) with
+    one eigenvalue mid each sub-arc, the rest drawn uniformly: every
+    sub-arc of that arc is occupied and some holds at most 4 eigenvalues,
+    so the arc goes to an engine."""
+    kinds = ["cut points", "repeated", "clustered", "uniform"]
+    kind = draw(st.sampled_from(kinds + ["filled arc"] if unitary else kinds))
+    if kind == "filled arc":
+        # at most 12 arcs leave at most 48 sub-arcs
+        delta, n_cut = cut_count(draw(st.integers(3, 12)))
+        n = draw(st.integers(sub_arc_count(delta, n_cut), 48))
+    else:
+        n = draw(st.integers(0, 48))
+        # few cells leave every sub-cell occupied, which sends cells to Szarek
+        delta, n_cut = cut_count(draw(st.one_of(st.integers(2, 6), st.integers(7, 60))))
+        if unitary:  # the circle is cut into at least three arcs
+            delta, n_cut = cut_count(max(n_cut, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "cut points":
+    if kind == "filled arc":
+        n_sub = sub_arc_count(delta, n_cut)
+        arc = rng.integers(0, n_cut)
+        filled = (arc + (np.arange(n_sub) + 0.5) / n_sub) / n_cut
+        spec = np.concatenate([filled, rng.uniform(0.0, 1.0, n - n_sub)])
+    elif kind == "cut points":
         # cell edges: -1 + 2k/n_cut on the line, 2 pi k/n_cut on the circle
         spec = rng.integers(0, n_cut + 1, n) / n_cut
     elif kind == "repeated":
@@ -711,6 +735,29 @@ class TestDriversOnEdgeSpectra:
     def test_hermitian_unitary(self, inputs):
         a, u, n_cut = inputs
         self.assert_repaired(pl.commute_hermitian_unitary(a, u), a.shape[0], n_cut)
+
+
+class TestCircleEngineRoutes:
+    """Planted unitary pairs whose arcs go to the W-engines: the circle's
+    norms run on the Szarek and Hastings routes, the wrap-around arc
+    included."""
+
+    @pytest.mark.parametrize("n, routes", [
+        (64, ["szarek", "szarek", "szarek"]),
+        (128, ["szarek", "hastings", "hastings"]),
+    ])
+    def test_routes_and_checks(self, n, routes):
+        a, u = planted_pair(np.random.default_rng(n), n, 0.1, unitary=True)
+        rep = pl.commute_hermitian_unitary(a, u)
+        log = rep.stage_log
+        assert log["n_cut"] == 3
+        # arc 2 is the wrap-around arc: its regrouped space joins W_1
+        assert [(e["interval"], e.get("engine")) for e in log["intervals"]] == \
+            list(enumerate(routes))
+        assert rep.checks and all(c.passed for c in rep.checks)
+        assert rep.comm_residual <= 1e-12 * n
+        (pinch,) = [c for c in rep.checks if c.context == "||H-H'|| <= 2 max eps2"]
+        assert pinch.lhs == log["h_to_pinched"] and log["eps2_max"] > 0.0
 
 
 def _distance_to_cut(lam: np.ndarray, log: dict) -> float:
