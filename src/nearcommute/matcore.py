@@ -293,10 +293,13 @@ def eig_hermitian_part(m: np.ndarray) -> HermitianEig:
 
 @dataclass(frozen=True)
 class NormalEig:
-    """Joint spectral data of a normal matrix: complex eigenvalues + unitary basis."""
+    """Joint spectral data of a normal matrix: complex eigenvalues + unitary
+    basis.  ``exact`` says whether V diag(eigenvalues) V* reproduces the
+    matrix to roundoff, so that norms of it may be taken in V's coordinates."""
 
     eigenvalues: np.ndarray  # complex
     vectors: np.ndarray
+    exact: bool
 
 
 def random_hermitian(rng: np.random.Generator, n: int, *, norm: float | None = None) -> np.ndarray:

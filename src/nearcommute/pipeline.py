@@ -191,33 +191,35 @@ def _first_empty_subinterval(sub_ids: np.ndarray, n_sub: int) -> int | None:
 
 
 def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
-                              n_sub: int) -> tuple[np.ndarray, dict]:
+                              n_sub: int) -> tuple[int, np.ndarray | None, dict]:
     """Run the W-engine on one interval's compressed block.
 
     j_block acts on the eigenvectors of B inside the interval, grouped by
-    Delta-subinterval ids; returns (W basis in block coordinates, log entry).
-    An empty subinterval yields the exact reducing subspace directly, without
-    materializing the (possibly enormous) block list.  Otherwise the engine
-    is Szarek's when some subinterval holds at most SZAREK_BLOCK_THRESHOLD
-    eigenvalues, Hastings' when every one holds more.
+    Delta-subinterval ids (ascending); returns (dim W, T, log entry).  T is
+    None when W is a coordinate set, the first dim W coordinates: below the
+    first empty subinterval, which is the exact reducing subspace and needs
+    no block list, or the whole block when there is no room for a sandwich.
+    Otherwise the engine is Szarek's when some subinterval holds at most
+    SZAREK_BLOCK_THRESHOLD eigenvalues, Hastings' when every one holds more,
+    and T = [W | W^perp] is the unitary that turns the block's coordinates
+    into a basis of W followed by one of its complement.
     """
     d = j_block.shape[0]
     log: dict = {"dim": d, "L": n_sub}
     if d == 0:
-        return np.zeros((0, 0), dtype=np.complex128), log
-    eye = np.eye(d, dtype=np.complex128)
+        return 0, None, log
     if n_sub < 2:
         # no room for a V_1 <= W perp V_L sandwich: keep the whole block
         log["degenerate"] = True
         log["eps2"] = 0.0
-        return eye, log
+        return d, None, log
     gap = _first_empty_subinterval(sub_ids, n_sub)
     if gap is not None:
-        below = sub_ids < gap
+        k = int(np.count_nonzero(sub_ids < gap))
         log["trivial_gap"] = gap
         # ||(1 - P_W) J P_W|| for W the coordinates below the gap
-        log["eps2"] = op_norm(j_block[np.ix_(~below, below)])
-        return eye[:, below], log
+        log["eps2"] = op_norm(j_block[k:, :k])
+        return k, None, log
     # the engines take a contraction
     scale = max(1.0, op_norm(j_block))
     js = j_block / scale
@@ -231,38 +233,57 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
         cert, _ = hastings_W(sys, HastingsConfig.from_system_size(sys.L))
     log["eps2"] = cert.eps4 * scale
     log["certificate"] = cert.summary()
-    return cert.w_basis, log
+    w = cert.w_basis
+    t = np.column_stack([w, orthonormal_complement(w)])
+    if t.shape[1] != d:
+        raise AssertionError("W and its complement do not span the interval")
+    return w.shape[1], t, log
 
 
-def _interval_b_distance(lam: np.ndarray, w: np.ndarray, on_w: float,
-                         off_w: float) -> float:
-    """||B - B'|| on one interval, in B's eigen-coordinates there: B' is
-    ``on_w`` on the span of W and ``off_w`` on its complement, so the block
-    is diag(lam) - off_w - (on_w - off_w) W W*."""
-    return op_norm(np.diag(lam - off_w) - (on_w - off_w) * (w @ w.conj().T))
+def _cell_b_distance(c: np.ndarray, on: complex, off: complex, k: int,
+                     t: np.ndarray | None) -> float:
+    """||B - B'|| on one cell, in B's eigen-coordinates there: B is diag(c)
+    and B' is ``on`` on W, the first k columns of the cell's basis T, and
+    ``off`` on W^perp, the rest.  A coordinate cell (T None) gives the
+    largest |c_k - B'_kk|; a turned one the norm of its block,
+    diag(c - off) - (on - off) W W*."""
+    if t is None:
+        return float(max(np.abs(c[:k] - on).max(initial=0.0),
+                         np.abs(c[k:] - off).max(initial=0.0)))
+    w = t[:, :k]
+    return op_norm(np.diag(c - off) - (on - off) * (w @ w.conj().T))
 
 
-def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
-                   origin: float, n_cut: int, cell: float, min_sub: float,
-                   value, *, cyclic: bool):
+def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, spectrum: np.ndarray | None,
+                   coords: np.ndarray, origin: float, n_cut: int, cell: float,
+                   min_sub: float, value, *, cyclic: bool):
     """Cut B's spectrum into cells, build W per cell, regroup and pinch H,
     all in B's eigen-coordinates.
 
-    ``ht`` is H there (V*HV, Hermitian, for the columns V of ``vecs``) and
-    ``coords`` the positions of B's eigenvalues (the eigenvalues on the line,
-    their phases on the circle), ascending, so each cell is a contiguous
-    index range; cell i is [origin + i*cell, origin + (i+1)*cell).
+    ``ht`` is H there (V*HV, Hermitian, for the columns V of ``vecs``),
+    ``spectrum`` B's eigenvalues in the same order, and ``coords`` their
+    positions (the eigenvalues on the line, their phases on the circle),
+    ascending, so each cell is a contiguous index range; cell i is
+    [origin + i*cell, origin + (i+1)*cell).
     Uniform sub-cells at least ``min_sub`` wide fill each cell exactly:
     non-adjacent sub-cells are then far apart even across cell boundaries,
-    so H stays tridiagonal on the global sub-cell list.  The regrouped space
-    W_j^perp + W_{j+1} (W_1 again after W_{n_cut} when ``cyclic``) lies on
-    at most two cells' ranges and carries the constant B-value value(j) and
-    the pinching of H.
+    so H stays tridiagonal on the global sub-cell list.
 
-    On the line B - B' is block diagonal over the cells, so ||B - B'|| is
-    the largest of the cells' norms.  On the circle it is left to the
-    caller (None here): the phases are not B's eigenvalues, and the
-    V diag(mu) V* of ``normal_eig`` need not reproduce B to roundoff.
+    Each cell contributes a square basis T_c = [W | W^perp] in its own
+    coordinates and one label per column: i for W's columns (n_cut for cell
+    0 on the circle, whose W joins the last regrouped space), i + 1 for
+    W^perp's.  The regrouped space W_j^perp + W_{j+1} is the span of the
+    columns labelled j, with the constant B-value value(j).  A gap or
+    degenerate cell's W is a coordinate set, so its T_c is the identity and
+    only its labels are kept; an engine cell's T_c turns its block.  With T
+    the block-diagonal of the T_c and Y = T*H~T, A' = (VT)(Y o [label_l =
+    label_m])(VT)* and B' = (VT diag(value(label)))(VT)*.
+
+    B is diag(spectrum) in V's coordinates, so B - B' is block diagonal
+    over the cells and ||B - B'|| is the largest cell norm
+    (``_cell_b_distance``).  On the circle that holds only where
+    ``normal_eig`` reproduces B to roundoff; ``spectrum`` is None otherwise,
+    and ||B - B'|| is left to the caller (None here).
 
     Returns (A', B' before any symmetrisation, ||B-B'||, the pinching log,
     the ||H-H'|| <= 2 max eps2 check unless some interval was degenerate).
@@ -272,67 +293,60 @@ def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, coords: np.ndarray,
     ids = np.maximum(np.minimum(ids, n_cut - 1), 0)
     n_sub = max(1, int(math.floor(cell / min_sub)))
     sub_width = cell / n_sub
-    # W_j is indexed 1..n_cut: W_{i+1} lives over cell i; each entry is the
-    # cell's index range and a basis in the cell's coordinates
-    w_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    wperp_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    values = np.array([value(j) for j in range(n_cut + 1)])
+    labels = np.empty(n, dtype=np.intp)
+    turned: list[tuple[int, int, np.ndarray]] = []
     interval_log: list[dict] = []
     eps2_max = 0.0
-    dist_b = None if cyclic else 0.0
+    dist_b = None if spectrum is None else 0.0
     any_degenerate = False
     for s, e in zip(*cluster_bounds(ids, 0.5)):
         i = int(ids[s])
         sub = np.floor((coords[s:e] - (origin + i * cell)) / sub_width).astype(int)
         sub = np.maximum(np.minimum(sub, n_sub - 1), 0)
-        w_local, log = _interval_subspace_engine(ht[s:e, s:e], sub, n_sub)
+        k, t, log = _interval_subspace_engine(ht[s:e, s:e], sub, n_sub)
         log["interval"] = i
         interval_log.append(log)
         if log.get("degenerate"):
             any_degenerate = True
         eps2_max = max(eps2_max, log.get("eps2", 0.0))
-        rows = np.arange(s, e)
-        w_parts[i + 1] = (rows, w_local)
-        wperp_parts[i + 1] = (rows, orthonormal_complement(w_local))
-        if not cyclic:
-            # W_{i+1} joins the space regrouped under index i, its
-            # complement the one under i + 1
-            dist_b = max(dist_b, _interval_b_distance(
-                coords[s:e], w_local, value(i), value(i + 1)))
+        on = n_cut if cyclic and i == 0 else i
+        labels[s:s + k] = on
+        labels[s + k:e] = i + 1
+        if t is not None:
+            turned.append((s, e, t))
+        if spectrum is not None:
+            dist_b = max(dist_b, _cell_b_distance(spectrum[s:e], values[on],
+                                                  values[i + 1], k, t))
 
-    a_coords = np.zeros_like(ht)
-    q_blocks, qc_blocks, values, dims = [], [], [], []
-    for j in range(1 if cyclic else 0, n_cut + 1):
-        nxt = j % n_cut + 1 if cyclic else j + 1
-        pieces = [p for p in (wperp_parts.get(j), w_parts.get(nxt))
-                  if p is not None and p[1].shape[1]]
-        if not pieces:
-            continue
-        idx = np.concatenate([rows for rows, _ in pieces])
-        basis = np.zeros((idx.size, sum(b.shape[1] for _, b in pieces)),
-                         dtype=np.complex128)
-        r = c = 0
-        for rows, b in pieces:
-            basis[r:r + rows.size, c:c + b.shape[1]] = b
-            r, c = r + rows.size, c + b.shape[1]
+    # Y = T*H~T and VT, turned only on the engine cells; H~ and V
+    # themselves when no cell turns
+    y, vt = ht, vecs
+    if turned:
+        y, vt = ht.copy(), vecs.copy()
+        for s, e, t in turned:
+            y[:, s:e] = y[:, s:e] @ t
+            y[s:e, :] = t.conj().T @ y[s:e, :]
+            vt[:, s:e] = vecs[:, s:e] @ t
+        y += y.conj().T
+        y *= 0.5
+    # per regrouped space: its share of (VT)(Y o [label_l = label_m]); its
+    # block of Y is then zeroed, which leaves the part of H that H' drops.
+    # When Y is this function's own copy that is done in place: the label
+    # blocks are disjoint, and each is read before it is zeroed.
+    dropped = y if turned else y.copy()
+    order = np.argsort(labels, kind="stable")
+    vty = np.empty_like(vt)
+    for s, e in zip(*cluster_bounds(labels[order], 0.5)):
+        idx = order[s:e]
         block = np.ix_(idx, idx)
-        compressed = basis.conj().T @ ht[block] @ basis
-        a_coords[block] += basis @ compressed @ basis.conj().T
-        # the regrouped basis in the original coordinates
-        q = vecs[:, idx] @ basis
-        q_blocks.append(q)
-        qc_blocks.append(q @ compressed)
-        values.append(value(j))
-        dims.append(c)
-    if sum(dims) != n:
-        raise AssertionError("regrouped subspaces do not span the space")
-
-    q_all = np.column_stack(q_blocks)
-    a_prime = np.column_stack(qc_blocks) @ q_all.conj().T
+        vty[:, idx] = vt[:, idx] @ y[block]
+        dropped[block] = 0.0
+    a_prime = vty @ vt.conj().T
     a_prime = (a_prime + a_prime.conj().T) / 2
-    b_prime = (q_all * np.repeat(values, dims)) @ q_all.conj().T
+    b_prime = (vt * values[labels]) @ vt.conj().T
 
-    a_coords = (a_coords + a_coords.conj().T) / 2
-    h_h_prime = op_norm(ht - a_coords)
+    h_h_prime = op_norm(dropped)
     checks = [] if any_degenerate else [
         BoundCheck(h_h_prime, 2.0 * eps2_max + 1e-10, "||H-H'|| <= 2 max eps2")]
     log = {
@@ -372,8 +386,8 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
     fr = finite_range(am, eb, big_delta, comm=delta)
     checks = list(fr.checks)
     a_prime, b_prime, dist_b, pinch_log, pinch_checks = _cut_and_pinch(
-        fr.coords, eb.vectors, eb.eigenvalues, -1.0, n_cut, width,
-        big_delta, lambda j: 1.0 if j >= n_cut else -1.0 + j * width,
+        fr.coords, eb.vectors, eb.eigenvalues, eb.eigenvalues, -1.0, n_cut,
+        width, big_delta, lambda j: 1.0 if j >= n_cut else -1.0 + j * width,
         cyclic=False)
     b_prime = (b_prime + b_prime.conj().T) / 2
 
@@ -465,9 +479,13 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
                                "dist_c": rep.dist_b, "residual": rep.comm_residual})
         b_prime += cols @ blk_b @ cols.conj().T
         c_prime += cols @ blk_c @ cols.conj().T
-    res = max(op_norm(commutator(a_prime, b_prime)),
-              op_norm(commutator(a_prime, c_prime)),
-              op_norm(commutator(b_prime, c_prime)))
+    # exactly Hermitian outputs: the residuals and distances below then take
+    # op_norm's Hermitian path
+    a_prime, b_prime, c_prime = ((m + m.conj().T) / 2
+                                 for m in (a_prime, b_prime, c_prime))
+    res = max(op_norm(hermitian_commutator(a_prime, b_prime)),
+              op_norm(hermitian_commutator(a_prime, c_prime)),
+              op_norm(hermitian_commutator(b_prime, c_prime)))
     log = {
         "delta_ab": delta_ab,
         "delta_ac": delta_ac,
@@ -512,13 +530,15 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
     # sub-arc width: chords at two sub-arcs' separation exceed sqrt(2)*Delta
     phi_sub = 2.0 * math.asin(min(1.0, math.sqrt(2.0) * big_delta / 2.0))
     phi_sub = max(phi_sub, 1e-12)
-    a_prime, u_prime, _, pinch_log, pinch_checks = _cut_and_pinch(
-        fr.coords[np.ix_(order, order)], eu.vectors[:, order], phases[order],
-        0.0, n_cut, arc, phi_sub, lambda j: np.exp(1j * arc * j),
-        cyclic=True)
+    a_prime, u_prime, dist_u, pinch_log, pinch_checks = _cut_and_pinch(
+        fr.coords[np.ix_(order, order)], eu.vectors[:, order],
+        eu.eigenvalues[order] if eu.exact else None, phases[order], 0.0,
+        n_cut, arc, phi_sub, lambda j: np.exp(1j * arc * j), cyclic=True)
+    if dist_u is None:
+        # V diag(mu) V* misses U by more than roundoff: measure against U
+        dist_u = gram_norm(um - u_prime)
 
     dist_a = op_norm(am - a_prime)
-    dist_u = gram_norm(um - u_prime)
     res = gram_norm(commutator(a_prime, u_prime))
     checks.append(BoundCheck(dist_u, 2.0 * math.sin(min(arc / 2.0, math.pi / 2)) + 1e-10,
                              "||U-U'|| <= chord of one arc width"))

@@ -327,15 +327,25 @@ def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
     from its commuting parts Re N = (N + N*)/2 and Im N = (N - N*)/2i.
 
     Re N is decomposed once.  Each run of two or more of its eigenvalues with
-    gaps at most 1e-8 * max(1, ||Re N||, ||Im N||) (``cluster_bounds``) is
-    rediagonalised by the compression of Im N, and each rotated vector takes
-    its Re N value as a Rayleigh quotient; every other eigenvector takes its
-    Im N value as one.  Only N is checked (finite, square, normal): Re N,
-    Im N and their compressions are Hermitian by construction and go to
-    ``eig_hermitian_part`` unchecked.  ||Re N|| is read off its
-    eigenvalues, and ||Im N|| is taken only when a Cholesky test
+    gaps at most tau = 1e-8 * max(1, ||Re N||, ||Im N||) (``cluster_bounds``)
+    is rediagonalised by the compression of Im N.  Only N is checked (finite,
+    square, normal): Re N, Im N and their compressions are Hermitian by
+    construction and go to ``eig_hermitian_part`` unchecked.  ||Re N|| is
+    read off its eigenvalues, and ||Im N|| is taken only when a Cholesky test
     (``hermitian_norm_within``) does not place it at most 1, where it cannot
     raise the scale.
+
+    The basis V so found is off N's eigenvectors by about eps ||Im N|| over
+    the gap of Re N.  One first-order step in N's own eigenvalues corrects
+    it: with T = V*NV and mu = diag(T), C_ij = T_ij / (mu_j - mu_i) where
+    |mu_j - mu_i| > tau and |T_ij| <= 1e-3 |mu_j - mu_i| (0 elsewhere: the
+    step is valid only where it is small), X = V(I + C), and one
+    Newton-Schulz step X(3I - X*X)/2 restores orthonormality.  X is kept
+    only if ||X*X - I||_F <= 1e-12: on a matrix that the normality test
+    accepts but that is not normal to roundoff, the step can take X off
+    orthonormality, and V is kept then.  The eigenvalues returned are the
+    Rayleigh quotients of the basis kept, and ``exact`` records whether it
+    reproduces N to roundoff, ||NX - X diag(mu)||_F <= 1e-12 scale.
     """
     m = as_matrix(n_mat)
     c = commutator(m, m.conj().T)
@@ -349,24 +359,29 @@ def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
     v, lam_re = er.vectors, er.eigenvalues
     im_norm = 0.0 if hermitian_norm_within(im, 1.0) else op_norm(im)
     scale = max(1.0, float(np.abs(lam_re).max(initial=0.0)), im_norm)
-    starts, stops = cluster_bounds(lam_re, 1e-8 * scale)
-    lam_im = np.empty_like(lam_re)
-    single = starts[stops - starts == 1]
-    lam_im[single] = _rayleigh(im, v[:, single])
+    tau = 1e-8 * scale
+    starts, stops = cluster_bounds(lam_re, tau)
     multiple = stops - starts > 1
     for i, j in zip(starts[multiple].tolist(), stops[multiple].tolist()):
         ei = eig_hermitian_part(v[:, i:j].conj().T @ im @ v[:, i:j])
         v[:, i:j] = v[:, i:j] @ ei.vectors
-        lam_im[i:j] = ei.eigenvalues
-        # the rotated vectors need not keep Re N's values in ascending order
-        lam_re[i:j] = _rayleigh(m, v[:, i:j])
-    return NormalEig(lam_re + 1j * lam_im, v)
-
-
-def _rayleigh(h: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Re(v*hv) for each unit column v of ``cols``: the Rayleigh quotient of
-    the Hermitian part (h + h*)/2 on v."""
-    return np.einsum("ij,ij->j", cols.conj(), h @ cols).real
+    t = v.conj().T @ (m @ v)
+    mu = np.diagonal(t)
+    # the first-order step, taken only where it is small
+    gaps = mu[None, :] - mu[:, None]
+    dist = np.abs(gaps)
+    step = (dist > tau) & (np.abs(t) <= 1e-3 * dist)
+    c = np.divide(t, gaps, out=np.zeros_like(t), where=step)
+    x = v + v @ c
+    eye = np.eye(x.shape[0])
+    x = x @ (1.5 * eye - 0.5 * (x.conj().T @ x))
+    if np.linalg.norm(x.conj().T @ x - eye) <= 1e-12:
+        v = x
+    # Rayleigh quotients of the basis kept, and its residual
+    nv = m @ v
+    mu = np.einsum("ij,ij->j", v.conj(), nv)
+    nv -= v * mu
+    return NormalEig(mu, v, bool(np.linalg.norm(nv) <= 1e-12 * scale))
 
 
 def finite_range_multi(*args, **kwargs):
@@ -478,9 +493,10 @@ def finite_range_normal(a, n_mat, delta: float,
     """Finite-range construction of a Hermitian A against a normal matrix N,
     averaging in the joint eigenbasis of its commuting real/imaginary parts.
     The spectral cut-off in the complex plane is sqrt(2) * Delta.  Both
-    left-hand sides are measured in N's eigen-coordinates V, ||[H,N]|| as
-    ||[H~, V*NV]||: V*NV is N itself there, while diag(mu) differs from it
-    by the error of ``normal_eig``, which is not held to roundoff.
+    left-hand sides are measured in N's eigen-coordinates V.  Where
+    ``normal_eig`` reproduces N there as diag(mu) to roundoff (``exact``),
+    ||[H,N]|| is the norm of H~_lm (mu_m - mu_l) (``gram_norm``, as the
+    product is not Hermitian for complex mu); otherwise it is ||[H~, V*NV]||.
     ``comm`` is the caller's measured ||[A,N]||, the right-hand side of
     both."""
     p = _require_averaging(delta, profile)
@@ -489,11 +505,14 @@ def finite_range_normal(a, n_mat, delta: float,
     en = normal_eig(m)
     v, mu = en.vectors, en.eigenvalues
     a_minus_h, ht = _average(a, v, [mu.real, mu.imag], delta, p)
+    if en.exact:
+        comm_hn = gram_norm(ht * (mu[None, :] - mu[:, None]))
+    else:
+        comm_hn = gram_norm(commutator(ht, v.conj().T @ m @ v))
     checks = [
         BoundCheck(op_norm(a_minus_h), (2 * p.c0 * p.c1 / delta) * comm,
                    "finite_range_normal ||A-H||"),
-        BoundCheck(gram_norm(commutator(ht, v.conj().T @ m @ v)), 2 * p.c1 ** 2 * comm,
-                   "finite_range_normal ||[H,N]||"),
+        BoundCheck(comm_hn, 2 * p.c1 ** 2 * comm, "finite_range_normal ||[H,N]||"),
     ]
     return FiniteRangeResult(ht, checks, delta, p.name, en)
 

@@ -184,6 +184,32 @@ class TestCommuteHermitianPair:
         with pytest.raises(ValueError):
             pl.commute_hermitian_pair(2 * np.eye(3), np.eye(3))
 
+    def test_gap_cells_take_no_svd(self):
+        # the planted n = 128, delta = 1e-6 pair cuts B's spectrum into 69
+        # occupied cells, all gaps: each W is a coordinate set, kept as
+        # labels, so no cell takes a complement basis and no norm needs an
+        # SVD of any size
+        root = str(Path(__file__).resolve().parents[1])
+        if root not in sys.path:
+            sys.path.insert(0, root)
+        from bench import workloads
+
+        (inst,) = [inst for inst in workloads.planted(1)
+                   if inst.label == "herm n=128 delta=1e-06"]
+        real, shapes = np.linalg.svd, []
+
+        def recording(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return real(x, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "svd", recording)
+            rep = inst.call()
+        assert shapes == []
+        row = inst.gate(rep)
+        assert row["ok"], row["why"]
+        assert row["routes"] == {"gap": 69}
+
     def test_b_normed_once(self, monkeypatch):
         # B is validated once and decomposed unchecked; its contraction is
         # read off the eigenvalues, so no n x n norm of B is taken
@@ -304,6 +330,39 @@ class TestThreeHermitian:
         rep = pl.three_hermitian(a, b, c)
         assert rep.comm_residual <= 1e-10 * 8
         assert max(op for op in (rep.dist_a,)) <= 0.1
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_outputs_exactly_hermitian_without_full_svd(self, monkeypatch, seed):
+        # A with two 12-fold eigenvalues, B and C block diagonal with it up
+        # to a 1e-4 perturbation: the three outputs equal their conjugate
+        # transposes entry for entry, so the residuals and distances take
+        # op_norm's Hermitian path and no 24 x 24 SVD runs
+        n, h = 24, 12
+        rng = np.random.default_rng(seed)
+        q = mc.random_unitary(rng, n)
+        a = (q * np.r_[np.full(h, -0.5), np.full(h, 0.5)]) @ q.conj().T
+
+        def near_block_diagonal():
+            m = np.zeros((n, n), complex)
+            m[:h, :h] = mc.random_hermitian(rng, h, norm=0.9)
+            m[h:, h:] = mc.random_hermitian(rng, h, norm=0.9)
+            m = q @ m @ q.conj().T + mc.random_hermitian(rng, n, norm=1e-4)
+            return (m + m.conj().T) / 2 / (1 + 1e-4)
+
+        b, c = near_block_diagonal(), near_block_diagonal()
+        real, shapes = np.linalg.svd, []
+
+        def recording(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        rep = pl.three_hermitian((a + a.conj().T) / 2, b, c)
+        assert rep.stage_log["clusters"] == 2
+        for m in (rep.a_prime, rep.b_prime, rep.c_prime):
+            assert np.array_equal(m, m.conj().T)
+        assert (n, n) not in shapes
+        assert rep.comm_residual <= 1e-12 * n
 
 
 class TestEmptyInput:
@@ -519,11 +578,10 @@ class TestCoordinateMeasures:
         assert abs(fr.checks[1].lhs - mc.op_norm(mc.commutator(h, b))) <= tol
         assert abs(rep.stage_log["h_to_pinched"] - mc.op_norm(h - rep.a_prime)) <= tol
 
-    @pytest.mark.parametrize("moved", [False, True])
-    def test_circle_measured_against_u(self, monkeypatch, moved):
-        # normal_eig reconstructs this U only to about 3e-11; with ``moved``
-        # its eigenvalues are also pushed off the spectrum by up to 1e-7.
-        # ||U-U'|| and ||[H,U]|| must still be measured against U itself.
+    def test_circle_measured_against_u(self, monkeypatch):
+        # Re U has two eigenvalues 7.4e-6 apart, where its eigenvectors
+        # alone reproduce U only to about 3e-11; ||U-U'|| and ||[H,U]||,
+        # measured in normal_eig's coordinates, must agree with U itself.
         n = 16
         u = mc.random_unitary(np.random.default_rng(14), n)
         rng = np.random.default_rng(15)
@@ -533,9 +591,6 @@ class TestCoordinateMeasures:
 
         def recording(m):
             en = decompose(m)
-            if moved:
-                en = mc.NormalEig(en.eigenvalues * np.exp(1e-7j * rng.uniform(-1, 1, n)),
-                                  en.vectors)
             results.append(en)
             return en
 
@@ -551,6 +606,29 @@ class TestCoordinateMeasures:
         assert abs(fr.checks[1].lhs - mc.op_norm(mc.commutator(fr.matrix, u))) <= tol
         assert abs(fr.checks[0].lhs - mc.op_norm(a - fr.matrix)) <= tol
         assert abs(rep.stage_log["h_to_pinched"] - mc.op_norm(fr.matrix - rep.a_prime)) <= tol
+
+    def test_circle_near_normal_u_measured_against_u(self):
+        # U = Q(D + 5e-10 E_12)Q* passes the unitarity gate, but its
+        # eigenvalues are 1.5e-8 apart, where its eigenvectors lie 0.03 rad
+        # from orthogonal: no orthonormal basis reproduces U to roundoff,
+        # and ||U-U'|| taken in one is about 2e-12 off
+        n = 2
+        rng = np.random.default_rng(18)
+        phases = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+        phases[1] = phases[0] + 1.5e-8
+        t = np.diag(np.exp(1j * phases))
+        t[0, 1] = 5e-10
+        q = mc.random_unitary(rng, n)
+        u = q @ t @ q.conj().T
+        a = 0.9 * (u + u.conj().T) / 2 + 1e-3 * mc.random_hermitian(rng, n, norm=1.0)
+        a = (a + a.conj().T) / 2
+        en = sm.normal_eig(u)
+        assert not en.exact
+        tol = 1e-13 * n
+        assert mc.op_norm(en.vectors.conj().T @ en.vectors - np.eye(n)) <= tol
+        rep = pl.commute_hermitian_unitary(a, u)
+        assert abs(rep.dist_b - mc.op_norm(u - rep.b_prime)) <= tol
+        assert mc.op_norm(rep.b_prime.conj().T @ rep.b_prime - np.eye(n)) <= tol
 
 
 # Quality columns of the benchmark's planted workload at seed 1: label,
@@ -596,12 +674,14 @@ def test_planted_quality_columns_pinned():
 # Full-size decompositions of one driver call on the planted workload's
 # n = 128 instances: B (U) once by eigh; Hermitian norms by eigvalsh (delta,
 # ||A-H||, dist_a and the residual on the line; on the circle ||A-H|| and
-# dist_a, and the four general norms delta, ||[H,N]||, ||U-U'|| and the
-# residual by eigvalsh of a Gram matrix, so no SVD); contraction gates by
-# Cholesky (A's, and on the circle the ||Im U|| <= 1 test).
+# dist_a, and two general norms, delta and the residual, by eigvalsh of a
+# Gram matrix, so no SVD; in U's eigen-coordinates ||U-U'|| is taken per
+# arc and the Gram matrix of [H,N], finite range there, splits into diagonal
+# blocks); contraction gates by Cholesky (A's, and on the circle the
+# ||Im U|| <= 1 test).
 DECOMPOSITION_BUDGET = {
     False: {"eigh": 1, "eigvalsh": 4, "svd": 0, "cholesky": 2},
-    True: {"eigh": 1, "eigvalsh": 6, "svd": 0, "cholesky": 4},
+    True: {"eigh": 1, "eigvalsh": 4, "svd": 0, "cholesky": 4},
 }
 
 
@@ -758,30 +838,45 @@ class TestCircleEngineRoutes:
         assert rep.comm_residual <= 1e-12 * n
         (pinch,) = [c for c in rep.checks if c.context == "||H-H'|| <= 2 max eps2"]
         assert pinch.lhs == log["h_to_pinched"] and log["eps2_max"] > 0.0
+        # ||U-U'||, taken per arc in U's eigen-coordinates (on the engine
+        # arcs the norm of the turned block), is the n x n norm
+        assert abs(rep.dist_b - mc.op_norm(u - rep.b_prime)) <= 1e-13 * n
 
 
-def _distance_to_cut(lam: np.ndarray, log: dict) -> float:
-    """Distance from the values lam in [-1, 1] to the nearest cell or
-    sub-cell edge of the line driver's cut, read from its log."""
-    cell = 2.0 / log["n_cut"]
-    sub = cell / max(1, int(math.floor(cell / log["Delta"])))
-    off = np.mod(lam + 1.0, cell)  # sub-cells fill each cell exactly
+def _distance_to_cut(b: np.ndarray, log: dict, unitary: bool) -> float:
+    """Distance from B's eigenvalues (in [-1, 1]) or, for a unitary B, their
+    phases (in [0, 2 pi)) to the nearest cell or sub-cell edge of the
+    driver's cut, read from its log."""
+    if unitary:
+        coords = np.mod(np.angle(np.linalg.eigvals(b)), 2.0 * math.pi)
+        cell = log["arc_width"]
+        phi_sub = 2.0 * math.asin(min(1.0, math.sqrt(2.0) * log["Delta"] / 2.0))
+        sub = cell / max(1, int(math.floor(cell / phi_sub)))
+    else:
+        coords = np.linalg.eigvalsh(b) + 1.0
+        cell = 2.0 / log["n_cut"]
+        sub = cell / max(1, int(math.floor(cell / log["Delta"])))
+    off = np.mod(coords, cell)  # sub-cells fill each cell exactly
     r = np.mod(off, sub)
     return float(np.minimum(r, sub - r).min())
 
 
 @st.composite
-def covariance_inputs(draw):
+def covariance_inputs(draw, unitary=False):
     """A planted pair whose B has n <= 40 eigenvalues, uniform or drawn
-    from a few repeated values, and a Haar-ish unitary Q."""
+    from a few repeated values (on the circle e^{i pi (x + 1)} for those
+    values x), and a Haar-ish unitary Q."""
     n = draw(st.integers(2, 40))
-    delta, _ = cut_count(draw(st.one_of(st.integers(2, 6), st.integers(7, 30))))
+    delta, _ = cut_count(draw(st.one_of(st.integers(3 if unitary else 2, 6),
+                                        st.integers(7, 30))))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         spec = rng.uniform(-1.0, 1.0, n)
     else:
         spec = rng.choice(rng.uniform(-1.0, 1.0, 3), n)
     q = mc.random_unitary(rng, n)
+    if unitary:
+        spec = np.exp(1j * math.pi * (spec + 1.0))
     b = (q * spec) @ q.conj().T
     a0 = (q * rng.uniform(-0.9, 0.9, n)) @ q.conj().T
     g = mc.random_hermitian(rng, n, norm=1.0)
@@ -789,32 +884,63 @@ def covariance_inputs(draw):
     assume(base > 2 * delta)  # room to plant ||[A,B]|| = delta
     t = delta / (base - delta)
     a = (a0 + t * g) / (1.0 + t)
-    return (a + a.conj().T) / 2, (b + b.conj().T) / 2, mc.random_unitary(rng, n)
+    if not unitary:
+        b = (b + b.conj().T) / 2
+    return (a + a.conj().T) / 2, b, mc.random_unitary(rng, n)
 
 
 class TestUnitaryCovariance:
     """A'(QAQ*, QBQ*) = Q A'(A, B) Q* to 1e-9 max(n, 1) when B's spectrum is
     at least 1e-8 from every cell and sub-cell edge and no interval goes to
-    Hastings, whose Jacobi oracle depends on the basis."""
+    Hastings, whose Jacobi oracle depends on the basis.  On the circle B'
+    (U') moves with Q as well, and the arcs take gaps and Szarek only."""
 
     @staticmethod
-    def conj(q, m):
+    def conj(q, m, hermitian=True):
         m = q @ m @ q.conj().T
-        return (m + m.conj().T) / 2
+        return (m + m.conj().T) / 2 if hermitian else m
+
+    @staticmethod
+    def covered(rep, b, unitary) -> bool:
+        """Whether the claim covers this run: cells cut, no Hastings
+        interval, B's spectrum 1e-8 clear of every edge."""
+        log = rep.stage_log
+        return (log["n_cut"] > 0
+                and all(iv.get("engine") != "hastings" for iv in log["intervals"])
+                and _distance_to_cut(b, log, unitary) >= 1e-8)
+
+    def assert_covariant(self, rep, inputs, unitary):
+        a, b, q = inputs
+        moved = DRIVERS[unitary](self.conj(q, a), self.conj(q, b, not unitary))
+        assert moved.stage_log["n_cut"] == rep.stage_log["n_cut"]
+        n = a.shape[0]
+        assert mc.op_norm(q @ rep.a_prime @ q.conj().T - moved.a_prime) <= 1e-9 * max(n, 1)
+        if unitary:
+            assert mc.op_norm(q @ rep.b_prime @ q.conj().T - moved.b_prime) <= 1e-9 * max(n, 1)
 
     @settings(max_examples=30, deadline=None)
     @given(covariance_inputs())
     def test_hermitian_pair(self, inputs):
-        a, b, q = inputs
-        rep = pl.commute_hermitian_pair(a, b)
-        log = rep.stage_log
-        assume(log["n_cut"] > 0)
-        assume(all(iv.get("engine") != "hastings" for iv in log["intervals"]))
-        assume(_distance_to_cut(np.linalg.eigvalsh(b), log) >= 1e-8)
-        moved = pl.commute_hermitian_pair(self.conj(q, a), self.conj(q, b))
-        assert moved.stage_log["n_cut"] == log["n_cut"]
-        n = a.shape[0]
-        assert mc.op_norm(q @ rep.a_prime @ q.conj().T - moved.a_prime) <= 1e-9 * max(n, 1)
+        rep = pl.commute_hermitian_pair(*inputs[:2])
+        assume(self.covered(rep, inputs[1], False))
+        self.assert_covariant(rep, inputs, False)
+
+    @settings(max_examples=30, deadline=None)
+    @given(covariance_inputs(unitary=True))
+    def test_hermitian_unitary(self, inputs):
+        rep = pl.commute_hermitian_unitary(*inputs[:2])
+        assume(self.covered(rep, inputs[1], True))
+        self.assert_covariant(rep, inputs, True)
+
+    def test_szarek_arcs(self):
+        # TestCircleEngineRoutes' n = 64 pair: three Szarek arcs, the
+        # wrap-around arc among them, which drawn inputs seldom reach
+        a, u = planted_pair(np.random.default_rng(64), 64, 0.1, unitary=True)
+        inputs = (a, u, mc.random_unitary(np.random.default_rng(65), 64))
+        rep = pl.commute_hermitian_unitary(a, u)
+        assert [iv.get("engine") for iv in rep.stage_log["intervals"]] == ["szarek"] * 3
+        assert self.covered(rep, u, True)
+        self.assert_covariant(rep, inputs, True)
 
 
 class TestContractionGate:

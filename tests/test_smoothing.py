@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearcommute import matcore as mc
 from nearcommute import smoothing as sm
@@ -297,6 +298,21 @@ class TestFiniteRangeNormal:
         rebuilt = (eig.vectors * eig.eigenvalues) @ eig.vectors.conj().T
         assert mc.op_norm(rebuilt - u) <= 1e-12
 
+    def test_near_normal_n_measured_against_n(self):
+        # the normality test accepts N, but its eigenvectors lie 63 degrees
+        # apart: no orthonormal basis reproduces it as diag(mu)
+        n_mat = np.array([[0.0, 5e-6], [0.0, 1e-5]])
+        a = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.5]])
+        res = sm.finite_range_normal(a, n_mat, 0.3,
+                                     comm=mc.op_norm(mc.commutator(a, n_mat)))
+        v = res.eig.vectors
+        assert not res.eig.exact
+        assert mc.op_norm(v.conj().T @ v - np.eye(2)) <= 1e-15
+        tol = 2e-13
+        assert abs(res.checks[0].lhs - mc.op_norm(a - res.matrix)) <= tol
+        assert abs(res.checks[1].lhs
+                   - mc.op_norm(mc.commutator(res.matrix, n_mat))) <= tol
+
 
 class TestTailTables:
     def test_tables_built_and_monotone_past_threshold(self):
@@ -580,6 +596,47 @@ class TestJointEig:
         want = sm.normal_eig(u)
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.vectors, want.vectors)
+
+    @staticmethod
+    def assert_accurate(n_mat, eig):
+        """V diag(mu) V* reproduces N and V is orthonormal, both to
+        1e-13 max(1, ||N||)."""
+        n = n_mat.shape[0]
+        v, mu = eig.vectors, eig.eigenvalues
+        tol = 1e-13 * max(1.0, np.linalg.norm(n_mat, 2))
+        assert np.linalg.norm((v * mu) @ v.conj().T - n_mat, 2) <= tol
+        assert np.linalg.norm(v.conj().T @ v - np.eye(n), 2) <= tol
+        assert eig.exact
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 48), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_reconstructs_to_roundoff(self, n, seed, planted):
+        # a random unitary, or a normal N whose Re parts run in chains
+        # 1e-6..1e-3 apart: eigh of Re N alone is off by about eps/gap there
+        rng = np.random.default_rng(seed)
+        q = mc.random_unitary(rng, n)
+        if planted:
+            steps = np.where(rng.random(n) < 0.5, 10.0 ** rng.uniform(-6, -3, n),
+                             rng.uniform(0.0, 0.2, n))
+            re = -0.9 + np.cumsum(steps)
+            n_mat = (q * (re + 1j * rng.uniform(-1.0, 1.0, n))) @ q.conj().T
+        else:
+            n_mat = q
+        self.assert_accurate(n_mat, sm.normal_eig(n_mat))
+
+    def test_close_real_parts_of_a_unitary(self):
+        # Re U has two eigenvalues 7.4e-6 apart
+        u = mc.random_unitary(np.random.default_rng(14), 16)
+        self.assert_accurate(u, sm.normal_eig(u))
+
+    def test_near_normal_keeps_an_orthonormal_basis(self):
+        # ||[N,N*]||_F = 7.9e-11 passes the normality test; the first-order
+        # step would mix the two eigenvectors, 63 degrees apart, by about 0.5
+        n_mat = np.array([[0.0, 5e-6], [0.0, 1e-5]])
+        eig = sm.normal_eig(n_mat)
+        v = eig.vectors
+        assert mc.op_norm(v.conj().T @ v - np.eye(2)) <= 1e-15
+        assert not eig.exact
 
     def test_rejects_noncommuting(self):
         # Re N and Im N do not commute exactly when N is not normal
