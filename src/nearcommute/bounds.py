@@ -23,6 +23,7 @@ from .matcore import (
     as_matrix,
     commutator,
     eig_hermitian,
+    eig_hermitian_part,
     op_norm,
 )
 from .smoothing import Profile, mollifier_profile
@@ -175,28 +176,29 @@ def verify_finite_range(h, eig_b: HermitianEig, delta: float,
 
 
 def _lieb_robinson_setup(h, b, delta: float, s1, s2
-                         ) -> tuple[np.ndarray, HermitianEig, np.ndarray, np.ndarray]:
-    """(H, eig(B), mask of S1, mask of S2) after checking ||H|| <= 1 and
-    verifying H's finite range Delta in B's eigenbasis."""
+                         ) -> tuple[np.ndarray, HermitianEig, HermitianEig, np.ndarray, np.ndarray]:
+    """(H, eig(H), eig(B), mask of S1, mask of S2) after checking ||H|| <= 1
+    on H's eigenvalues and verifying H's finite range Delta in B's
+    eigenbasis."""
     hm = as_matrix(h)
-    if op_norm(hm) > 1.0 + 1e-9:
+    eh = eig_hermitian(hm)
+    if np.abs(eh.eigenvalues).max(initial=0.0) > 1.0 + 1e-9:
         raise ValueError("need ||H|| <= 1")
     eb = eig_hermitian(b)
     verify_finite_range(hm, eb, delta)
-    return hm, eb, _mask(eb, s1), _mask(eb, s2)
+    return hm, eh, eb, _mask(eb, s1), _mask(eb, s2)
 
 
 def lieb_robinson_decay(h, b, delta: float, s1, s2, t: float) -> BoundCheck:
     """||E_{S1}(B) e^{itH} E_{S2}(B)|| <= e^{-dist(S1,S2)/Delta} for |t| up to
     dist/(e^2 Delta), given ||H|| <= 1 and verified finite range Delta."""
-    hm, eb, m1, m2 = _lieb_robinson_setup(h, b, delta, s1, s2)
+    _, eh, eb, m1, m2 = _lieb_robinson_setup(h, b, delta, s1, s2)
     dist = _set_distance(eb.eigenvalues[m1], eb.eigenvalues[m2])
     if not (dist > 0):
         raise ValueError("S1, S2 must be separated")
     v_lr = math.e ** 2 * delta
     if math.isfinite(dist) and abs(t) > dist / v_lr + 1e-12:
         raise ValueError(f"|t| = {abs(t)} exceeds dist/v_LR = {dist / v_lr}")
-    eh = eig_hermitian(hm)
     u_t = eh.matrix_function(lambda x: np.exp(1j * t * x))
     lhs = op_norm(eb.vectors[:, m1].conj().T @ u_t @ eb.vectors[:, m2])
     rhs = math.exp(-dist / delta) if math.isfinite(dist) else 0.0
@@ -206,11 +208,10 @@ def lieb_robinson_decay(h, b, delta: float, s1, s2, t: float) -> BoundCheck:
 def lieb_robinson_function(h, b, delta: float, s1, s2, profile: Profile) -> BoundCheck:
     """||E_{S1}(B) f(H) E_{S2}(B)|| <= tail(f, dist/(e^2 Delta)) +
     ||f^||_1 e^{-dist/Delta}."""
-    hm, eb, m1, m2 = _lieb_robinson_setup(h, b, delta, s1, s2)
+    _, eh, eb, m1, m2 = _lieb_robinson_setup(h, b, delta, s1, s2)
     dist = _set_distance(eb.eigenvalues[m1], eb.eigenvalues[m2])
     if not (dist > 0 and math.isfinite(dist)):
         raise ValueError("S1, S2 must be separated and nonempty")
-    eh = eig_hermitian(hm)
     fh = eh.matrix_function(lambda x: np.asarray(profile(x), dtype=np.complex128))
     lhs = op_norm(eb.vectors[:, m1].conj().T @ fh @ eb.vectors[:, m2])
     rhs = profile.tail(dist / (math.e ** 2 * delta)) + profile.c1 * math.exp(-dist / delta)
@@ -221,8 +222,9 @@ def lieb_robinson_nested(h, b, delta: float, s_inner, s_outer,
                          profile: Profile) -> BoundCheck:
     """||[f(H) - f(H')] E_{S''}(B)|| <= 2 tail(f, d/(e^2 Delta)) +
     3 ||f^||_1 e^{-d/Delta}, where H' = E_{S'}(B) H E_{S'}(B) and d is the
-    distance from S'' to the complement of S'."""
-    hm, eb, m_in, m_out = _lieb_robinson_setup(h, b, delta, s_inner, s_outer)
+    distance from S'' to the complement of S'.  H' is built from the checked
+    H, so it is decomposed unchecked."""
+    hm, eh, eb, m_in, m_out = _lieb_robinson_setup(h, b, delta, s_inner, s_outer)
     if np.any(m_in & ~m_out):
         raise ValueError("S'' must be contained in S'")
     dist = _set_distance(eb.eigenvalues[m_in], eb.eigenvalues[~m_out])
@@ -231,8 +233,8 @@ def lieb_robinson_nested(h, b, delta: float, s_inner, s_outer,
     v_out = eb.vectors[:, m_out]
     h_prime = v_out @ (v_out.conj().T @ hm @ v_out) @ v_out.conj().T
     f = lambda x: np.asarray(profile(x), dtype=np.complex128)
-    fh = eig_hermitian(hm).matrix_function(f)
-    fhp = eig_hermitian(h_prime).matrix_function(f)
+    fh = eh.matrix_function(f)
+    fhp = eig_hermitian_part(h_prime).matrix_function(f)
     lhs = op_norm((fh - fhp) @ eb.vectors[:, m_in])
     if math.isinf(dist):
         rhs = max(lhs, 0.0)

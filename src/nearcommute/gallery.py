@@ -14,6 +14,7 @@ from .matcore import (
     as_matrix,
     commutator,
     eig_hermitian,
+    gram_norm,
     op_norm,
 )
 
@@ -163,13 +164,15 @@ def tn_identities(a, b, big_n: int, *, budget: int = DIMENSION_BUDGET) -> dict:
     commutator: [T_N(A), T_N(B)] = (1/N) T_N([A,B]); recursion: T_{N+1} from
     T_N; covariance: T_N(UAU*) = U^{xN} T_N(A) (U*)^{xN}; the norm sandwich
     ||A||/2 <= ||T_N(A)|| <= ||A||; and commutation with the symmetric-group
-    representation (adjacent transpositions generate it).
+    representation (adjacent transpositions generate it).  The commutator
+    and covariance residuals are general matrices, so their norms are taken
+    by ``gram_norm``, with no SVD.
     """
     am, bm = as_matrix(a), as_matrix(b)
     n = am.shape[0]
     ta = tn_lift(am, big_n, budget=budget)
     tb = tn_lift(bm, big_n, budget=budget)
-    comm_res = op_norm(commutator(ta, tb) - tn_lift(commutator(am, bm), big_n, budget=budget) / big_n)
+    comm_res = gram_norm(commutator(ta, tb) - tn_lift(commutator(am, bm), big_n, budget=budget) / big_n)
     rec_res = None
     if n ** (big_n + 1) <= budget:
         # exact append-site recursion carrying the N/(N+1) prefactor:
@@ -189,8 +192,8 @@ def tn_identities(a, b, big_n: int, *, budget: int = DIMENSION_BUDGET) -> dict:
     conj = ta.reshape((n,) * (2 * big_n))
     for factor in [u_small.T] * big_n + [u_small.conj().T] * big_n:
         conj = np.tensordot(conj, factor, axes=(0, 0))
-    cov_res = op_norm(tn_lift(u_small @ am @ u_small.conj().T, big_n, budget=budget)
-                      - conj.reshape(ta.shape))
+    cov_res = gram_norm(tn_lift(u_small @ am @ u_small.conj().T, big_n, budget=budget)
+                        - conj.reshape(ta.shape))
     norm_a = op_norm(am)
     norm_ta = op_norm(ta)
     perm_res = 0.0

@@ -43,7 +43,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise MatrixShapeError(f"expected a square matrix, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise MatrixShapeError("matrix has non-finite entries")
     return m
 
@@ -98,16 +98,16 @@ def op_norm(a) -> float:
         raise MatrixShapeError(f"expected a matrix, got shape {m.shape}")
     if 0 in m.shape:
         return 0.0
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise MatrixShapeError("matrix has non-finite entries")
     if not m.any():
         return 0.0
     n = m.shape[0]
     if n == m.shape[1]:
         corner, mirror = m.item(n - 1, 0), m.item(0, n - 1).conjugate()
-        if corner == mirror and np.array_equal(m, m.conj().T):
+        if corner == mirror and (m == m.conj().T).all():
             return _hermitian_norm(m)
-        if corner == -mirror and np.array_equal(m, -m.conj().T):
+        if corner == -mirror and (m == -m.conj().T).all():
             return _hermitian_norm(1j * m)
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
@@ -214,7 +214,9 @@ def _gram_schmidt_span(columns: np.ndarray, target_rank: int, tol: float) -> np.
     Columns are consumed largest-residual-first (ties broken by input order),
     which keeps the basis numerically orthonormal even when the input columns
     are strongly dependent; the selection is still a pure function of the
-    input."""
+    input.  Only inner products of the columns enter, so running it on the
+    coordinates Y of columns V Y in an orthonormal V gives the coordinates of
+    the result on V Y."""
     work = columns.astype(np.complex128).copy()
     kept: list[np.ndarray] = []
     for _ in range(target_rank):
@@ -268,7 +270,11 @@ def eig_hermitian_part(m: np.ndarray) -> HermitianEig:
     on LAPACK's arbitrary in-cluster basis choice.  Clusters are the runs of
     eigenvalues whose consecutive gaps are at most ``1e-12 * n * max(||h||,
     1)`` (``cluster_bounds``), ||h|| read off the computed eigenvalues, and
-    only clusters of two or more eigenvalues are re-orthonormalized.  The
+    only clusters of two or more eigenvalues are re-orthonormalized; no run
+    is looked for when no gap is that small.  The projector P = V_c V_c* of
+    a cluster's k columns V_c is never formed: its columns are V_c times
+    those of V_c*, so the Gram-Schmidt runs on the k x n coordinates V_c*,
+    at O(k^2 n), and V_c is replaced by V_c U for the k x k result U.  The
     phases are fixed for all columns at once: each column is scaled so that
     its first largest-modulus entry is real and positive (a zero column is
     left as it is).
@@ -279,14 +285,16 @@ def eig_hermitian_part(m: np.ndarray) -> HermitianEig:
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
 
     # Degenerate-cluster canonicalization.
-    scale = max(abs(w.item(0)), abs(w.item(-1)), 1.0)
-    starts, stops = cluster_bounds(w, 1e-12 * n * scale)
-    multiple = stops - starts > 1
-    for i, j in zip(starts[multiple].tolist(), stops[multiple].tolist()):
-        p = v[:, i:j] @ v[:, i:j].conj().T
-        v[:, i:j] = _gram_schmidt_span(p, j - i, 1e-8)
-    top = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
-    mag = np.abs(top)
+    tol = 1e-12 * n * max(abs(w.item(0)), abs(w.item(-1)), 1.0)
+    if n > 1 and np.diff(w).min() <= tol:
+        starts, stops = cluster_bounds(w, tol)
+        multiple = stops - starts > 1
+        for i, j in zip(starts[multiple].tolist(), stops[multiple].tolist()):
+            vc = v[:, i:j]
+            v[:, i:j] = vc @ _gram_schmidt_span(vc.conj().T, j - i, 1e-8)
+    mag = np.abs(v)
+    rows, cols = np.argmax(mag, axis=0), np.arange(n)
+    top, mag = v[rows, cols], mag[rows, cols]
     v *= np.divide(mag, top, out=np.ones_like(top), where=mag != 0.0)
     return HermitianEig(w, v)
 
@@ -306,8 +314,9 @@ def random_hermitian(rng: np.random.Generator, n: int, *, norm: float | None = N
     """Random Hermitian matrix; if ``norm`` is given, rescaled to that operator norm."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (g + g.conj().T) / 2.0
-    if norm is not None:
-        cur = op_norm(h)
+    if norm is not None and n:
+        # h is Hermitian entry for entry: op_norm's structure test is not needed
+        cur = _hermitian_norm(h)
         if cur > 0:
             h *= norm / cur
     return h

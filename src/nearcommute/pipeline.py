@@ -31,7 +31,7 @@ from .matcore import (
     orthonormal_complement,
 )
 from .matio import encode_entries
-from .smoothing import finite_range, finite_range_normal, normal_eig
+from .smoothing import _normal_basis, finite_range, finite_range_normal
 from .subspace import (
     HastingsConfig,
     hastings_W,
@@ -562,8 +562,11 @@ def unitary_pair_gap(u, v, theta: float | None = None, *,
     """
     um = _require_unitary(u, "U")
     vm = _require_unitary(v, "V")
-    ev = normal_eig(vm)
-    phases = np.sort(np.mod(np.angle(ev.eigenvalues), 2.0 * math.pi))
+    # V's eigenvalues only locate the gap: the Rayleigh quotients of
+    # normal_eig's uncorrected basis are accurate to second order
+    _, basis, _ = _normal_basis(vm)
+    spectrum = np.einsum("ij,ij->j", basis.conj(), vm @ basis)
+    phases = np.sort(np.mod(np.angle(spectrum), 2.0 * math.pi))
     gaps = np.diff(np.concatenate([phases, [phases[0] + 2.0 * math.pi]]))
     k = int(np.argmax(gaps))
     gap_width = float(gaps[k])

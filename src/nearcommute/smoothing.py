@@ -322,30 +322,22 @@ def partition_of_unity(n_win: int) -> list[Profile]:
 # Normal matrices
 # ---------------------------------------------------------------------------
 
-def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
-    """Eigendecomposition of a normal N (||[N,N*]|| <= tol * max(1, ||N||)^2)
-    from its commuting parts Re N = (N + N*)/2 and Im N = (N - N*)/2i.
+def _normal_basis(n_mat: np.ndarray, tol: float = 1e-10
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(N, V, scale): N checked finite, square and normal (||[N,N*]|| <= tol
+    * max(1, ||N||)^2), and a unitary basis V of eigenvectors of its
+    commuting parts Re N = (N + N*)/2 and Im N = (N - N*)/2i, the first
+    stage of ``normal_eig``.
 
     Re N is decomposed once.  Each run of two or more of its eigenvalues with
-    gaps at most tau = 1e-8 * max(1, ||Re N||, ||Im N||) (``cluster_bounds``)
-    is rediagonalised by the compression of Im N.  Only N is checked (finite,
-    square, normal): Re N, Im N and their compressions are Hermitian by
-    construction and go to ``eig_hermitian_part`` unchecked.  ||Re N|| is
-    read off its eigenvalues, and ||Im N|| is taken only when a Cholesky test
-    (``hermitian_norm_within``) does not place it at most 1, where it cannot
-    raise the scale.
-
-    The basis V so found is off N's eigenvectors by about eps ||Im N|| over
-    the gap of Re N.  One first-order step in N's own eigenvalues corrects
-    it: with T = V*NV and mu = diag(T), C_ij = T_ij / (mu_j - mu_i) where
-    |mu_j - mu_i| > tau and |T_ij| <= 1e-3 |mu_j - mu_i| (0 elsewhere: the
-    step is valid only where it is small), X = V(I + C), and one
-    Newton-Schulz step X(3I - X*X)/2 restores orthonormality.  X is kept
-    only if ||X*X - I||_F <= 1e-12: on a matrix that the normality test
-    accepts but that is not normal to roundoff, the step can take X off
-    orthonormality, and V is kept then.  The eigenvalues returned are the
-    Rayleigh quotients of the basis kept, and ``exact`` records whether it
-    reproduces N to roundoff, ||NX - X diag(mu)||_F <= 1e-12 scale.
+    gaps at most tau = 1e-8 * scale, scale = max(1, ||Re N||, ||Im N||)
+    (``cluster_bounds``), is rediagonalised by the compression of Im N.  Re
+    N, Im N and their compressions are Hermitian by construction and go to
+    ``eig_hermitian_part`` unchecked.  ||Re N|| is read off its eigenvalues,
+    and ||Im N|| is taken only when a Cholesky test (``hermitian_norm_within``)
+    does not place it at most 1, where it cannot raise the scale.  V is off
+    N's eigenvectors by about eps ||Im N|| over the gap of Re N, so its
+    Rayleigh quotients are off N's eigenvalues by about the square of that.
     """
     m = as_matrix(n_mat)
     c = commutator(m, m.conj().T)
@@ -359,12 +351,31 @@ def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
     v, lam_re = er.vectors, er.eigenvalues
     im_norm = 0.0 if hermitian_norm_within(im, 1.0) else op_norm(im)
     scale = max(1.0, float(np.abs(lam_re).max(initial=0.0)), im_norm)
-    tau = 1e-8 * scale
-    starts, stops = cluster_bounds(lam_re, tau)
+    starts, stops = cluster_bounds(lam_re, 1e-8 * scale)
     multiple = stops - starts > 1
     for i, j in zip(starts[multiple].tolist(), stops[multiple].tolist()):
         ei = eig_hermitian_part(v[:, i:j].conj().T @ im @ v[:, i:j])
         v[:, i:j] = v[:, i:j] @ ei.vectors
+    return m, v, scale
+
+
+def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
+    """Eigendecomposition of a normal N (||[N,N*]|| <= tol * max(1, ||N||)^2):
+    the basis V of ``_normal_basis``, corrected.
+
+    One first-order step in N's own eigenvalues corrects V: with T = V*NV
+    and mu = diag(T), C_ij = T_ij / (mu_j - mu_i) where |mu_j - mu_i| > tau
+    and |T_ij| <= 1e-3 |mu_j - mu_i| (0 elsewhere: the step is valid only
+    where it is small), X = V(I + C), and one Newton-Schulz step
+    X(3I - X*X)/2 restores orthonormality.  X is kept only if ||X*X - I||_F
+    <= 1e-12: on a matrix that the normality test accepts but that is not
+    normal to roundoff, the step can take X off orthonormality, and V is
+    kept then.  The eigenvalues returned are the Rayleigh quotients of the
+    basis kept, and ``exact`` records whether it reproduces N to roundoff,
+    ||NX - X diag(mu)||_F <= 1e-12 scale.
+    """
+    m, v, scale = _normal_basis(n_mat, tol)
+    tau = 1e-8 * scale
     t = v.conj().T @ (m @ v)
     mu = np.diagonal(t)
     # the first-order step, taken only where it is small

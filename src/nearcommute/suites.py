@@ -13,7 +13,8 @@ import numpy as np
 
 from . import bounds as bd
 from .checks import BoundCheck
-from .matcore import eig_hermitian, op_norm, random_hermitian, random_unitary
+from .matcore import (eig_hermitian, gram_norm, op_norm, op_norm_exceeds, random_hermitian,
+                      random_unitary)
 from .projgeom import jordan_blocks, nest_projection
 from .smoothing import (
     finite_range,
@@ -128,7 +129,7 @@ def suite_projections(seed: int, trials: int) -> dict:
         q = q2[:, :r2] @ q2[:, :r2].conj().T
         dec = jordan_blocks(p, q)
         pr, qr = dec.reconstruct()
-        if op_norm(pr - p) > 1e-10 or op_norm(qr - q) > 1e-10:
+        if op_norm_exceeds(pr - p, 1e-10) or op_norm_exceeds(qr - q, 1e-10):
             tally.failures.append(f"jordan reconstruction failed at trial {t}")
         if any(d not in (1, 2) for d in dec.dims):
             tally.failures.append(f"jordan block of bad dimension at trial {t}")
@@ -145,7 +146,7 @@ def suite_projections(seed: int, trials: int) -> dict:
         tally.record(chk)
         # E <= F <= G: E (1 - FF*) = 0 and F* (1 - G) = 0
         fh = f.conj().T
-        if op_norm(e - (e @ f) @ fh) > 1e-10 or op_norm(fh - fh @ g) > 1e-10:
+        if op_norm_exceeds(e - (e @ f) @ fh, 1e-10) or op_norm_exceeds(fh - fh @ g, 1e-10):
             tally.failures.append(f"nest sandwich failed at trial {t}")
     return tally.result("projections", trials)
 
@@ -170,13 +171,13 @@ def suite_smoothing(seed: int, trials: int) -> dict:
         res = finite_range(a, b, delta, prof)
         for chk in res.checks:
             tally.record(chk)
-        if op_norm(res.matrix - res.matrix.conj().T) > 1e-12 * n:
+        if op_norm_exceeds(res.matrix - res.matrix.conj().T, 1e-12 * n):
             tally.failures.append(f"finite-range output not Hermitian at trial {t}")
         eb = res.eig  # the decomposition of B the averaging used
         lam = eb.eigenvalues
         mid = float(np.median(lam))
         v1, v2 = eb.vectors[:, lam <= mid], eb.vectors[:, lam >= mid + delta]
-        if op_norm(v1.conj().T @ res.matrix @ v2) > 1e-10:
+        if op_norm_exceeds(v1.conj().T @ res.matrix @ v2, 1e-10):
             tally.failures.append(f"finite-range zero pattern fails at trial {t}")
     return tally.result("smoothing", trials)
 
@@ -197,7 +198,7 @@ def suite_tn(seed: int, trials: int) -> dict:
             tally.record(BoundCheck(out["recursion_residual"], 1e-12 * dim * n,
                                     f"tn recursion_residual (trial {t})"), exact=True)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        norm_g, norm_tg = op_norm(g), op_norm(tn_lift(g, big_n))
+        norm_g, norm_tg = op_norm(g), gram_norm(tn_lift(g, big_n))
         for norm, lifted, tol, kind in ((out["norm_A"], out["norm_TN"], 1e-12, "Hermitian"),
                                         (norm_g, norm_tg, 1e-10, "non-normal")):
             tally.record(BoundCheck(norm / 2 - tol, lifted,

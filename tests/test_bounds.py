@@ -258,6 +258,62 @@ class TestLiebRobinson:
         assert out["violations"] == 0, out["failures"]
 
 
+# Each Lieb-Robinson checker on B = diag(1..12) and a band-1 H (Delta = 2),
+# with sets that satisfy its hypotheses.
+LIEB_ROBINSON_CHECKERS = {
+    "decay": lambda h, b, delta: bd.lieb_robinson_decay(
+        h, b, delta, lambda x: x <= 3, lambda x: x >= 7, 0.1),
+    "function": lambda h, b, delta: bd.lieb_robinson_function(
+        h, b, delta, lambda x: x <= 3, lambda x: x >= 7, sm.smooth_profile(0.0, 1.0)),
+    "nested": lambda h, b, delta: bd.lieb_robinson_nested(
+        h, b, delta, lambda x: 5 <= x <= 8, lambda x: 4 <= x <= 9,
+        sm.smooth_profile(0.0, 1.0)),
+}
+
+# Decompositions of one checker call: H and B each by one eigh, their norms
+# inside eig_hermitian by one eigvalsh each (H's ||H|| <= 1 test reads H's
+# eigenvalues, so no third), one SVD for the rectangular lhs block; nested
+# also decomposes the H' it builds by one eigh and takes no norm of it.
+LIEB_ROBINSON_BUDGET = {
+    "decay": {"eigh": 2, "eigvalsh": 2, "svd": 1},
+    "function": {"eigh": 2, "eigvalsh": 2, "svd": 1},
+    "nested": {"eigh": 3, "eigvalsh": 2, "svd": 1},
+}
+
+
+def _unit_band_system():
+    """(H, B, Delta) with H band-1 finite range and ||H|| = 1 to roundoff."""
+    h, b, delta = _banded_system(np.random.default_rng(83), 12, 1)
+    assert abs(mc.op_norm(h) - 1.0) <= 1e-15
+    return h, b, delta
+
+
+class TestLiebRobinsonGate:
+    @pytest.mark.parametrize("kind", sorted(LIEB_ROBINSON_CHECKERS))
+    def test_unit_norm_accepted(self, kind):
+        h, b, delta = _unit_band_system()
+        assert LIEB_ROBINSON_CHECKERS[kind](h, b, delta).passed
+
+    @pytest.mark.parametrize("kind", sorted(LIEB_ROBINSON_CHECKERS))
+    def test_norm_above_one_rejected(self, kind):
+        h, b, delta = _unit_band_system()
+        with pytest.raises(ValueError, match=r"need \|\|H\|\| <= 1"):
+            LIEB_ROBINSON_CHECKERS[kind]((1.0 + 1e-6) * h, b, delta)
+
+    @pytest.mark.parametrize("kind", sorted(LIEB_ROBINSON_CHECKERS))
+    def test_decomposition_budget(self, kind, monkeypatch):
+        h, b, delta = _unit_band_system()
+        counts = dict.fromkeys(LIEB_ROBINSON_BUDGET[kind], 0)
+        for name in counts:
+            def counting(x, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(x, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        LIEB_ROBINSON_CHECKERS[kind](h, b, delta)
+        assert counts == LIEB_ROBINSON_BUDGET[kind]
+
+
 def _dense_projection(eig, mask):
     v = eig.vectors[:, mask]
     return v @ v.conj().T

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearcommute import matcore as mc
+from nearcommute.gallery import tn_lift
 
 
 def power_iteration_norm(a, iters=2000, tol=1e-13):
@@ -230,6 +231,9 @@ def _canonicalisation_cases():
         "modulus-ties": np.array([[0.0, -1j], [1j, 0.0]]),
         "cluster-tol-apart": np.diag([0.0, tol_apart, top]),
         "just-past-cluster-tol": np.diag([0.0, np.nextafter(tol_apart, 1.0), top]),
+        # n = 96 with one 40-fold eigenvalue: the cluster's Gram-Schmidt runs
+        # on 40 x 96 coordinates, against the reference's 96 x 96 projector
+        "large-cluster": conjugated_spectrum(rng, [0.5] * 40 + list(np.linspace(-3.0, 3.0, 56))),
     }
 
 
@@ -257,12 +261,16 @@ class TestEigHermitianCanonicalisation:
                                              ("one-repeated", [2]),
                                              ("multiplicities-5-3-1", [3, 5]),
                                              ("cluster-tol-apart", [2]),
-                                             ("just-past-cluster-tol", [])])
+                                             ("just-past-cluster-tol", []),
+                                             ("large-cluster", [40])])
     def test_gram_schmidt_once_per_multiple_cluster(self, kind, ranks, monkeypatch):
         seen = []
         real = mc._gram_schmidt_span
+        n = CANONICALISATION_CASES[kind].shape[0]
 
         def counting(columns, target_rank, tol):
+            # a cluster's k x n coordinates, never the n x n projector
+            assert columns.shape == (target_rank, n)
             seen.append(target_rank)
             return real(columns, target_rank, tol)
 
@@ -455,6 +463,23 @@ class TestGramNorm:
         assert abs(got - expected) <= 1e-13 * max(n, 1) * expected
         if kind == "zero":
             assert got == 0.0
+
+    def test_tensor_lifts_of_non_normal_matrices(self):
+        # the lifts T_N(G) whose norms suite_tn takes, replayed from its
+        # seed-1 draws (n, N, A, B, then G per trial): dimensions 4 to 81
+        rng = np.random.default_rng(1)
+        dims = set()
+        for _ in range(50):
+            n = int(rng.integers(2, 4))
+            big_n = int(rng.integers(2, 5 if n == 3 else 6))
+            mc.random_hermitian(rng, n, norm=1.0)
+            mc.random_hermitian(rng, n, norm=1.0)
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x = tn_lift(g, big_n)
+            dims.add(x.shape[0])
+            expected = mc.op_norm(x)
+            assert abs(mc.gram_norm(x) - expected) <= 1e-14 * expected, (n, big_n)
+        assert max(dims) == 81
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_rejected(self, bad):
