@@ -2,7 +2,10 @@
 
 Every suite draws hypothesis-satisfying random instances, evaluates the
 corresponding checkers, and counts slack violations; the inequalities are
-theorems, so any violation is a bug.
+theorems, so any violation is a bug.  The suites build their matrices
+Hermitian, so each matrix is decomposed once (``eig_hermitian_part``) and its
+eigensystem is handed to every checker that needs it, together with the
+norms of the matrices themselves, which the suite measures.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import numpy as np
 
 from . import bounds as bd
 from .checks import BoundCheck
-from .matcore import (eig_hermitian, gram_norm, op_norm, op_norm_exceeds, random_hermitian,
-                      random_unitary)
+from .matcore import (HermitianEig, eig_hermitian_part, gram_norm, hermitian_commutator,
+                      op_norm, op_norm_exceeds, random_hermitian, random_unitary)
 from .projgeom import jordan_blocks, nest_projection
 from .smoothing import (
     finite_range,
@@ -63,21 +66,23 @@ def suite_bounds(seed: int, trials: int) -> dict:
         a = random_hermitian(rng, n, norm=1.0)
         b = a + random_hermitian(rng, n, norm=float(rng.uniform(0.01, 0.3)))
         # davis-kahan sandwich around a random spectral window of a
-        ea = eig_hermitian(a)
+        ea = eig_hermitian_part(a)
         lo, hi = np.sort(rng.uniform(-1, 1, 2))
         gap = float(rng.uniform(0.05, 0.5))
         picked = (ea.eigenvalues >= lo) & (ea.eigenvalues <= hi)
         if np.any(picked):
             tally.record(bd.check_davis_kahan(
-                a, b,
+                ea, eig_hermitian_part(b),
                 lambda x: lo <= x <= hi,
                 lambda x: x < lo - gap or x > hi + gap,
-                delta_gap=gap))
+                delta_gap=gap, diff=op_norm(a - b)))
         # comm-proj
         c = random_hermitian(rng, n, norm=1.0)
         d = random_hermitian(rng, n, norm=1.0)
-        med = float(np.median(np.linalg.eigvalsh(d)))
-        tally.record(bd.check_comm_proj(c, d, lambda x: x <= med, lambda x: x > med + 0.1))
+        ed = eig_hermitian_part(d)
+        med = float(np.median(ed.eigenvalues))
+        tally.record(bd.check_comm_proj(c, ed, lambda x: x <= med, lambda x: x > med + 0.1,
+                                        comm=op_norm(hermitian_commutator(c, d))))
         # schur divide
         rows, cols = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         t_mat = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
@@ -86,7 +91,8 @@ def suite_bounds(seed: int, trials: int) -> dict:
         bv = -rng.uniform(0, 3, cols)
         tally.record(bd.schur_divide(t_mat, av, bv, dsep))
         # fourier commutator
-        tally.record(bd.fourier_commutator_bound(prof, a, b))
+        tally.record(bd.fourier_commutator_bound(prof, ea, b,
+                                                 comm=op_norm(hermitian_commutator(a, b))))
     return tally.result("bounds", trials)
 
 
@@ -96,12 +102,14 @@ def suite_lieb_robinson(seed: int, trials: int) -> dict:
     prof = smooth_profile(0.0, 1.0)
     for t in range(trials):
         n = int(rng.integers(10, 30))
-        b = np.diag(np.arange(1.0, n + 1.0))
+        eb = eig_hermitian_part(np.diag(np.arange(1.0, n + 1.0) + 0j))
         band = int(rng.integers(1, 4))
         h = random_hermitian(rng, n)
         mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= band
-        h = h * mask
-        h = h / max(1.0, op_norm(h))
+        # H scaled to ||H|| <= 1 by its own eigenvalues: one decomposition
+        eh = eig_hermitian_part(h * mask)
+        eh = HermitianEig(eh.eigenvalues / max(1.0, float(np.abs(eh.eigenvalues).max())),
+                          eh.vectors)
         delta = band + 1.0
         # sep first, so that S2 = [cut + sep, n] is never empty
         sep = int(rng.integers(int(delta) + 1, int(delta) + 5))
@@ -109,11 +117,11 @@ def suite_lieb_robinson(seed: int, trials: int) -> dict:
         s1 = lambda x, c=cut: x <= c
         s2 = lambda x, c=cut, s=sep: x >= c + s
         tval = float(rng.uniform(0, sep / (math.e ** 2 * delta)))
-        tally.record(bd.lieb_robinson_decay(h, b, delta, s1, s2, tval))
-        tally.record(bd.lieb_robinson_function(h, b, delta, s1, s2, prof))
+        tally.record(bd.lieb_robinson_decay(eh, eb, delta, s1, s2, tval))
+        tally.record(bd.lieb_robinson_function(eh, eb, delta, s1, s2, prof))
         inner = lambda x, c=cut, s=sep: c + 2 <= x <= c + s - 2
         outer = lambda x, c=cut, s=sep: c + 1 <= x <= c + s - 1
-        tally.record(bd.lieb_robinson_nested(h, b, delta, inner, outer, prof))
+        tally.record(bd.lieb_robinson_nested(eh, eb, delta, inner, outer, prof))
     return tally.result("lieb-robinson", trials)
 
 
@@ -168,12 +176,12 @@ def suite_smoothing(seed: int, trials: int) -> dict:
         a = random_hermitian(rng, n, norm=1.0)
         b = random_hermitian(rng, n, norm=1.0)
         delta = float(rng.uniform(0.2, 1.0))
-        res = finite_range(a, b, delta, prof)
+        eb = eig_hermitian_part(b)
+        res = finite_range(a, eb, delta, prof, comm=op_norm(hermitian_commutator(a, b)))
         for chk in res.checks:
             tally.record(chk)
         if op_norm_exceeds(res.matrix - res.matrix.conj().T, 1e-12 * n):
             tally.failures.append(f"finite-range output not Hermitian at trial {t}")
-        eb = res.eig  # the decomposition of B the averaging used
         lam = eb.eigenvalues
         mid = float(np.median(lam))
         v1, v2 = eb.vectors[:, lam <= mid], eb.vectors[:, lam >= mid + delta]

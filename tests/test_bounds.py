@@ -2,6 +2,7 @@
 seeded sampling runs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -301,6 +302,25 @@ class TestLiebRobinsonGate:
             LIEB_ROBINSON_CHECKERS[kind]((1.0 + 1e-6) * h, b, delta)
 
     @pytest.mark.parametrize("kind", sorted(LIEB_ROBINSON_CHECKERS))
+    def test_norm_above_one_rejected_on_eigensystems(self, kind):
+        h, b, delta = _unit_band_system()
+        eh = mc.eig_hermitian_part((1.0 + 1e-6) * h)
+        eb = mc.eig_hermitian_part(mc.as_matrix(b))
+        with pytest.raises(ValueError, match=r"need \|\|H\|\| <= 1"):
+            LIEB_ROBINSON_CHECKERS[kind](eh, eb, delta)
+
+    @pytest.mark.parametrize("kind", sorted(LIEB_ROBINSON_CHECKERS))
+    def test_finite_range_verified_on_eigensystems(self, kind):
+        # a coupling between B's eigenvalues 1 and 12 breaks range Delta = 2
+        h, b, delta = _unit_band_system()
+        far = np.zeros_like(h)
+        far[0, -1] = far[-1, 0] = 1e-3
+        eh = mc.eig_hermitian_part((h + far) / 2)
+        eb = mc.eig_hermitian_part(mc.as_matrix(b))
+        with pytest.raises(ValueError, match="finite-range hypothesis fails"):
+            LIEB_ROBINSON_CHECKERS[kind](eh, eb, delta)
+
+    @pytest.mark.parametrize("kind", sorted(LIEB_ROBINSON_CHECKERS))
     def test_decomposition_budget(self, kind, monkeypatch):
         h, b, delta = _unit_band_system()
         counts = dict.fromkeys(LIEB_ROBINSON_BUDGET[kind], 0)
@@ -391,12 +411,195 @@ class TestMask:
         assert np.array_equal(e.vectors[:, mask], np.array([[1.0], [0.0]]))
         e = mc.eig_hermitian(mc.random_hermitian(np.random.default_rng(2), 8))
         assert int(bd._mask(e, lambda x: x >= 0).sum()) == int(np.sum(e.eigenvalues >= 0))
+        # boolean on an empty spectrum too, so it can index empty vectors
+        e = mc.eig_hermitian(np.zeros((0, 0)))
+        assert bd._mask(e, lambda x: True).dtype == bool
 
     def test_mask_length_must_match_eigenvalue_count(self):
         e = mc.eig_hermitian(np.diag([1.0, 2.0, 3.0]))
         assert bd._mask(e, np.array([True, False, True])).tolist() == [True, False, True]
         with pytest.raises(ValueError, match="mask length"):
             bd._mask(e, np.array([True, False]))
+
+
+def _eigs(*mats):
+    return [mc.eig_hermitian_part(mc.as_matrix(m)) for m in mats]
+
+
+def _same_check(got, want):
+    assert got.context == want.context
+    tol = 1e-14 * max(1.0, want.rhs)
+    assert abs(got.lhs - want.lhs) <= tol and abs(got.rhs - want.rhs) <= tol
+
+
+class TestEigensystemForm:
+    """Each checker given eigensystems and the norm keyword the matrices
+    would have given matches its matrix form; without the keyword it
+    raises."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_matrix_form(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(4, 17))
+        a = mc.random_hermitian(rng, n, norm=1.0)
+        b = a + mc.random_hermitian(rng, n, norm=0.1)
+        c = mc.random_hermitian(rng, n, norm=1.0)
+        ea, eb = _eigs(a, b)
+        cut = float(np.median(ea.eigenvalues))
+        s1, s2 = (lambda x: x <= cut), (lambda x: x > cut + 0.2)
+        comm_ab = mc.op_norm(mc.hermitian_commutator(a, b))
+        _same_check(bd.check_davis_kahan(ea, eb, s1, s2, diff=mc.op_norm(a - b)),
+                    bd.check_davis_kahan(a, b, s1, s2))
+        _same_check(bd.check_davis_kahan(ea, b, s1, s2, delta_gap=0.01, diff=mc.op_norm(a - b)),
+                    bd.check_davis_kahan(a, b, s1, s2, delta_gap=0.01))
+        _same_check(bd.check_comm_proj(c, ea, s1, s2, comm=mc.op_norm(mc.hermitian_commutator(c, a))),
+                    bd.check_comm_proj(c, a, s1, s2))
+        prof = sm.smooth_profile(0.0, 1.0)
+        _same_check(bd.fourier_commutator_bound(prof, ea, b, comm=comm_ab),
+                    bd.fourier_commutator_bound(prof, a, b))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lieb_robinson_matches_matrix_form(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        h, b, delta = _banded_system(rng, int(rng.integers(12, 25)), int(rng.integers(1, 3)))
+        eh, eb = _eigs(h, b)
+        cut, sep = 5, int(delta) + 2
+        s1, s2 = (lambda x: x <= cut), (lambda x: x >= cut + sep)
+        inner = lambda x: cut + 2 <= x <= cut + 2 * sep - 2
+        outer = lambda x: cut <= x <= cut + 2 * sep
+        prof = sm.smooth_profile(0.0, 1.0)
+        t = sep / (math.e ** 2 * delta)
+        for hh, bb in ((eh, eb), (h, eb), (eh, b)):
+            _same_check(bd.lieb_robinson_decay(hh, bb, delta, s1, s2, t),
+                        bd.lieb_robinson_decay(h, b, delta, s1, s2, t))
+            _same_check(bd.lieb_robinson_function(hh, bb, delta, s1, s2, prof),
+                        bd.lieb_robinson_function(h, b, delta, s1, s2, prof))
+            _same_check(bd.lieb_robinson_nested(hh, bb, delta, inner, outer, prof),
+                        bd.lieb_robinson_nested(h, b, delta, inner, outer, prof))
+        ht, worst = bd.verify_finite_range(eh, eb, delta)
+        ht_matrix, worst_matrix = bd.verify_finite_range(h, eb, delta)
+        assert np.abs(ht - ht_matrix).max() <= 1e-14 and worst <= 1e-14 and worst_matrix == 0.0
+
+    def test_missing_norm_keyword_raises(self):
+        rng = np.random.default_rng(7)
+        a = mc.random_hermitian(rng, 6, norm=1.0)
+        b = mc.random_hermitian(rng, 6, norm=1.0)
+        ea, eb = _eigs(a, b)
+        s1, s2 = (lambda x: x <= -0.5), (lambda x: x > 0.5)
+        prof = sm.smooth_profile(0.0, 1.0)
+        calls = {
+            "diff = ||A-B||": [lambda: bd.check_davis_kahan(ea, eb, s1, s2),
+                               lambda: bd.check_davis_kahan(a, eb, s1, s2),
+                               lambda: bd.check_davis_kahan(ea, b, s1, s2, delta_gap=0.1)],
+            "comm = ||[C,D]||": [lambda: bd.check_comm_proj(a, eb, s1, s2)],
+            "comm = ||[A,B]||": [lambda: bd.fourier_commutator_bound(prof, ea, b)],
+        }
+        for name, fns in calls.items():
+            for fn in fns:
+                with pytest.raises(ValueError, match=re.escape(f"needs {name}")):
+                    fn()
+
+
+# Each checker's answer at n = 0 and n = 1, for the matrix and the
+# eigensystem form.  At n = 0 every set is empty: lhs and rhs are 0.  At n = 1
+# Davis-Kahan's sandwich is sharp (A = 0, B = 1: both projections are the
+# identity, ||A-B|| = 1 = delta_gap) and every other lhs vanishes, since two
+# separated sets cannot both hold the one eigenvalue and 1x1 matrices commute;
+# the Lieb-Robinson function bound needs both sets nonempty, so it raises.
+PROF = sm.smooth_profile(0.0, 1.0)
+EDGE_CHECKERS = {
+    "davis-kahan": (lambda a, b: bd.check_davis_kahan(
+        a, b, lambda x: x < 0.5, lambda x: x > 0.5, delta_gap=1.0, **_given("diff", a, b))),
+    "comm-proj": (lambda a, b: bd.check_comm_proj(
+        _mat(b), a, lambda x: x < 1.5, lambda x: x > 1.5, **_given("comm", b, a))),
+    "fourier": (lambda a, b: bd.fourier_commutator_bound(PROF, a, _mat(b), **_given("comm", a, b))),
+    "lieb-robinson decay": (lambda h, b: bd.lieb_robinson_decay(
+        h, b, 1.0, lambda x: x <= 1, lambda x: x >= 3, 0.1)),
+    "lieb-robinson function": (lambda h, b: bd.lieb_robinson_function(
+        h, b, 1.0, lambda x: x <= 1, lambda x: x >= 3, PROF)),
+    "lieb-robinson nested": (lambda h, b: bd.lieb_robinson_nested(
+        h, b, 1.0, lambda x: x <= 1, lambda x: True, PROF)),
+}
+EDGE_ANSWERS = {(kind, n): (0.0, 0.0) for kind in EDGE_CHECKERS for n in (0, 1)}
+EDGE_ANSWERS["davis-kahan", 1] = (1.0, 1.0)
+EDGE_ANSWERS["lieb-robinson function", 1] = "separated and nonempty"
+
+
+def _mat(x):
+    return x.reconstruct() if isinstance(x, mc.HermitianEig) else x
+
+
+def _given(name, x, y):
+    """The norm keyword a caller passes with eigensystems: ||X-Y|| for
+    ``diff``, ||[X,Y]|| for ``comm``; nothing for matrices."""
+    if not any(isinstance(z, mc.HermitianEig) for z in (x, y)):
+        return {}
+    xm, ym = _mat(x), _mat(y)
+    return {name: mc.op_norm(xm - ym if name == "diff" else mc.commutator(xm, ym))}
+
+
+class TestEdgeSizes:
+    """n = 0 and n = 1: every checker answers 0 <= 0 on an empty spectrum."""
+
+    @pytest.mark.parametrize("eigensystems", [False, True])
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("kind", sorted(EDGE_CHECKERS))
+    def test_answer(self, kind, n, eigensystems):
+        # A (or H) = 0, B = 1 at n = 1; both empty at n = 0
+        a = np.zeros((n, n), dtype=complex)
+        b = np.eye(n, dtype=complex)
+        if eigensystems:
+            a, b = _eigs(a, b)
+        want = EDGE_ANSWERS[kind, n]
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=want):
+                EDGE_CHECKERS[kind](a, b)
+            return
+        chk = EDGE_CHECKERS[kind](a, b)
+        assert (chk.lhs, chk.rhs) == want
+        assert chk.passed
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_matrix_only_checkers(self, n):
+        chk = bd.schur_divide(np.full((n, n), 2.0), [3.0] * n, [1.0] * n, 2.0)
+        assert (chk.lhs, chk.rhs) == ((1.0, 1.0) if n else (0.0, 0.0))
+        chk = bd.check_spectral_gap(np.zeros((n, n)), np.eye(n), 0.1, 0.2)
+        assert (chk.lhs, chk.rhs) == (0.0, 0.0)
+        eb, = _eigs(np.eye(n))
+        ht, worst = bd.verify_finite_range(np.zeros((n, n)), eb, 1.0)
+        assert ht.shape == (n, n) and worst == 0.0
+
+
+# Decompositions of one seeded suite run (seed 1), each matrix decomposed
+# once by eig_hermitian_part:
+# - bounds, 10 trials: eigh of every A and D and of the 6 B whose A-window
+#   picked an eigenvalue (26); eigvalsh for the four random_hermitian norms
+#   per trial, ||A-B|| of the 6 Davis-Kahan checks and the 20 commutator
+#   norms (66); an SVD for each non-Hermitian lhs (26);
+# - lieb-robinson, 5 trials: eigh of H, B and H' (15), with H scaled to
+#   ||H|| <= 1 by its eigh eigenvalues (no eigvalsh); an SVD for each lhs but
+#   one exact zero (14);
+# - smoothing, 10 trials: eigh of B (10); eigvalsh for the two
+#   random_hermitian norms, ||[A,B]|| and the two finite-range lhs per
+#   trial, one of them an exact zero (49); no SVD.
+SUITE_BUDGET = {
+    ("bounds", 10): {"eigh": 26, "eigvalsh": 66, "svd": 26},
+    ("lieb-robinson", 5): {"eigh": 15, "eigvalsh": 0, "svd": 14},
+    ("smoothing", 10): {"eigh": 10, "eigvalsh": 49, "svd": 0},
+}
+
+
+@pytest.mark.parametrize("name, trials", sorted(SUITE_BUDGET))
+def test_suite_decomposition_budget(name, trials, monkeypatch):
+    counts = dict.fromkeys(SUITE_BUDGET[name, trials], 0)
+    for fn in counts:
+        def counting(x, *args, _real=getattr(np.linalg, fn), _name=fn, **kwargs):
+            counts[_name] += 1
+            return _real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fn, counting)
+    run_suite(name, seed=1, trials=trials)
+    assert counts == SUITE_BUDGET[name, trials]
 
 
 @pytest.mark.parametrize("name, trials, checks", [

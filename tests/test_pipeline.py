@@ -548,6 +548,19 @@ class TestUnitaryPairGap:
         with pytest.raises(ValueError, match="gap"):
             pl.unitary_pair_gap(np.eye(n), v)
 
+    def test_requested_theta_within_detected_gap(self):
+        # V's phases avoid (-0.9, 0.9), so the detected radius is at least 0.9:
+        # a smaller requested radius is used, a larger one is rejected
+        rng = np.random.default_rng(11)
+        n = 16
+        q = mc.random_unitary(rng, n)
+        v = q @ np.diag(np.exp(1j * np.sort(rng.uniform(0.9, 2 * math.pi - 0.9, n)))) @ q.conj().T
+        u = q @ np.diag(np.exp(1j * np.sort(rng.uniform(0, 2 * math.pi, n)))) @ q.conj().T
+        rep = pl.unitary_pair_gap(u, v, theta=0.5)
+        assert all(c.passed for c in rep.checks)
+        with pytest.raises(ValueError, match="requested gap radius 3.0 exceeds detected"):
+            pl.unitary_pair_gap(u, v, theta=3.0)
+
 
 DRIVERS = {False: pl.commute_hermitian_pair, True: pl.commute_hermitian_unitary}
 

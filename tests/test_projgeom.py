@@ -262,6 +262,14 @@ class TestTridiagPositive:
         res = pg.tridiag_positive_test(np.eye(4), c, c)
         assert res.positive
 
+    def test_truthiness_is_positivity(self):
+        c = np.full(4, 1 / math.sqrt(2))
+        res = pg.tridiag_positive_test(np.eye(4), c, c)
+        assert bool(res) is res.positive is True
+        # a certificate that reports a negative eigenvalue is falsy
+        neg = pg.TridiagPositivity(False, res.witness, res.witness_factor, -0.5)
+        assert bool(neg) is neg.positive is False
+
     def test_comparison_pattern_random_weights(self):
         # build D itself from random a_i, b_i and check it certifies
         rng = np.random.default_rng(10)

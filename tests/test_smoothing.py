@@ -668,16 +668,15 @@ class TestJointEig:
 
 class TestSmoothingSuite:
     def test_b_decomposed_once_per_trial(self, monkeypatch):
-        # the zero-pattern check reads the eigensystem finite_range averaged in
-        real = mc.eig_hermitian
+        # the suite decomposes B once, unchecked, and hands the eigensystem to
+        # finite_range and to the zero-pattern check
         calls = []
+        for mod, name in ((sm, "eig_hermitian"), (suites, "eig_hermitian_part")):
+            def counting(*args, _real=getattr(mod, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return real(*args, **kwargs)
-
-        for mod in (sm, suites):
-            monkeypatch.setattr(mod, "eig_hermitian", counting)
+            monkeypatch.setattr(mod, name, counting)
         tally = suites.run_suite("smoothing", 1, 3)
         assert tally["violations"] == 0
-        assert len(calls) == 3
+        assert calls == ["eig_hermitian_part"] * 3
