@@ -38,6 +38,7 @@ from .matcore import (
     eig_hermitian,
     eig_hermitian_part,
     op_norm,
+    require_contraction,
 )
 from .smoothing import Profile, mollifier_profile
 
@@ -228,9 +229,7 @@ def _lieb_robinson_setup(h, b, delta: float, s1, s2
     after checking ||H|| <= 1 on H's eigenvalues and verifying H's finite
     range Delta in B's eigen-coordinates.  H and B are matrices or their
     eigensystems."""
-    eh = _eig(h)
-    if np.abs(eh.eigenvalues).max(initial=0.0) > 1.0 + 1e-9:
-        raise ValueError("need ||H|| <= 1")
+    eh = require_contraction(_eig(h), "H")
     eb = _eig(b)
     ht, _ = verify_finite_range(h, eb, delta)
     return eh, eb, ht, _mask(eb, s1), _mask(eb, s2)
@@ -272,20 +271,19 @@ def lieb_robinson_nested(h, b, delta: float, s_inner, s_outer,
                          profile: Profile) -> BoundCheck:
     """||[f(H) - f(H')] E_{S''}(B)|| <= 2 tail(f, d/(e^2 Delta)) +
     3 ||f^||_1 e^{-d/Delta}, where H' = E_{S'}(B) H E_{S'}(B) and d is the
-    distance from S'' to the complement of S'.  H' is built from H's
-    checked coordinates in B's eigenbasis, so it is decomposed unchecked."""
+    distance from S'' to the complement of S'.  S'' lies in S', so f(H')V'' =
+    V' f(T) V'*V'' for the eigenvectors V' (V'') of B over S' (S'') and T, H's
+    checked coordinates over V': one k x k eigensystem, decomposed unchecked."""
     eh, eb, ht, m_in, m_out = _lieb_robinson_setup(h, b, delta, s_inner, s_outer)
     if np.any(m_in & ~m_out):
         raise ValueError("S'' must be contained in S'")
     dist = _set_distance(eb.eigenvalues[m_in], eb.eigenvalues[~m_out])
     if not (dist > 0):
         raise ValueError("S'' must be separated from the complement of S'")
-    v_out = eb.vectors[:, m_out]
-    h_prime = v_out @ ht[np.ix_(m_out, m_out)] @ v_out.conj().T
     f = lambda x: np.asarray(profile(x), dtype=np.complex128)
-    fh = eh.matrix_function(f)
-    fhp = eig_hermitian_part(h_prime).matrix_function(f)
-    lhs = op_norm((fh - fhp) @ eb.vectors[:, m_in])
+    ft = eig_hermitian_part(ht[np.ix_(m_out, m_out)]).matrix_function(f)
+    lhs = op_norm(eh.matrix_function(f) @ eb.vectors[:, m_in]
+                  - eb.vectors[:, m_out] @ ft[:, m_in[m_out]])
     if math.isinf(dist):
         rhs = max(lhs, 0.0)
     else:

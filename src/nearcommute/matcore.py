@@ -1,5 +1,5 @@
 """Dense complex matrix kernel: Hermitian eigendecomposition, operator norm,
-functional calculus, orthonormal bases.
+functional calculus, orthonormal bases, and the library's input gates.
 
 Everything downstream (bound checkers, subspace engines, the commuting-pair
 pipeline) is built on the functions here.  All operations are pure: inputs are
@@ -26,7 +26,7 @@ __all__ = [
     "random_unitary",
 ]
 
-# Relative tolerance for accepting an input as Hermitian.
+# eig_hermitian's relative tolerance on a caller's Hermiticity defect.
 HERMITICITY_RTOL = 1e-10
 
 
@@ -165,6 +165,62 @@ def hermitian_norm_within(h: np.ndarray, c: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+# Input gates: one test, with one tolerance, per property of a caller's matrix.
+HERMITIAN_TOL = 1e-9    # ||m - m*||/2 <= HERMITIAN_TOL * max(1, ||m||)
+CONTRACTION_TOL = 1e-9  # ||h|| <= 1 + CONTRACTION_TOL
+UNITARY_TOL = 1e-9      # ||U*U - I|| <= UNITARY_TOL
+NORMAL_TOL = 1e-10      # ||[N, N*]|| <= NORMAL_TOL * max(1, ||N||)^2
+
+
+def require_hermitian(m, name: str) -> tuple[np.ndarray, float]:
+    """(h, defect) = ((m + m*)/2, ||m - m*||/2) for a finite square m within
+    HERMITIAN_TOL, else NotHermitianError "{name} must be Hermitian".  As in
+    ``op_norm_exceeds``, ||m - m*||_F/2 screens the norm: within the tolerance
+    it is the defect reported, and ||m|| is taken only for a defect above it."""
+    mm = as_matrix(m)
+    skew = mm - mm.conj().T
+    defect = float(np.linalg.norm(skew)) / 2
+    if defect > HERMITIAN_TOL:
+        defect = op_norm(skew) / 2
+        if defect > HERMITIAN_TOL and defect > HERMITIAN_TOL * op_norm(mm):
+            raise NotHermitianError(f"{name} must be Hermitian")
+    return (mm + mm.conj().T) / 2, defect
+
+
+def require_contraction(h, name: str) -> np.ndarray | HermitianEig:
+    """h, an exactly Hermitian matrix (by Cholesky: ``hermitian_norm_within``)
+    or a ``HermitianEig`` (by its eigenvalues), within CONTRACTION_TOL, else
+    ValueError "{name} must be a contraction"."""
+    bound = 1.0 + CONTRACTION_TOL
+    within = (np.abs(h.eigenvalues).max(initial=0.0) <= bound if isinstance(h, HermitianEig)
+              else hermitian_norm_within(h, bound))
+    if not within:
+        raise ValueError(f"{name} must be a contraction")
+    return h
+
+
+def require_unitary(m, name: str) -> np.ndarray:
+    """A finite square m within UNITARY_TOL (by ``op_norm_exceeds``), else
+    ValueError "{name} must be unitary"."""
+    mm = as_matrix(m)
+    if op_norm_exceeds(mm.conj().T @ mm - np.eye(mm.shape[0]), UNITARY_TOL):
+        raise ValueError(f"{name} must be unitary")
+    return mm
+
+
+def require_normal(m) -> np.ndarray:
+    """A finite square m within NORMAL_TOL, else ValueError with the measured
+    ||[m, m*]||.  ||[m, m*]||_F screens both norms; a NaN fails the screen and
+    reaches op_norm, which rejects it."""
+    mm = as_matrix(m)
+    c = commutator(mm, mm.conj().T)
+    if not np.linalg.norm(c) <= NORMAL_TOL:
+        defect = op_norm(c)
+        if defect > NORMAL_TOL * max(op_norm(mm), 1.0) ** 2:
+            raise ValueError(f"matrix is not normal: ||[N,N*]|| = {defect:.3e}")
+    return mm
 
 
 def commutator(a, b) -> np.ndarray:

@@ -9,12 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .matcore import as_matrix, op_norm
+from .matcore import as_matrix, require_hermitian, require_unitary
 
 __all__ = ["encode_entries", "save_matrix", "load_matrix", "atomic_write_text"]
 
 FORMAT_VERSION = 1
-TAG_TOL = 1e-8
 
 
 class MatrixFileError(ValueError):
@@ -62,7 +61,7 @@ def save_matrix(path, m, *, hermitian: bool | None = None,
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a JSON matrix file, verifying declared tags to 1e-8."""
+    """Read a JSON matrix file, checking its declared tags by matcore's gates."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -75,13 +74,16 @@ def load_matrix(path) -> np.ndarray:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise MatrixFileError(f"{path}: entries do not form a {n}x{n} matrix")
     try:
-        m = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
+        m = np.array([[complex(c[0], c[1]) for c in row] for row in rows],
+                     dtype=np.complex128).reshape(n, n)
     except (TypeError, IndexError) as exc:
         raise MatrixFileError(f"{path}: bad entry encoding") from exc
     if not np.all(np.isfinite(m)):
         raise MatrixFileError(f"{path}: non-finite entries")
-    if doc.get("hermitian") and op_norm(m - m.conj().T) > TAG_TOL * max(1.0, op_norm(m)):
-        raise MatrixFileError(f"{path}: tagged hermitian but is not")
-    if doc.get("unitary") and op_norm(m.conj().T @ m - np.eye(n)) > TAG_TOL:
-        raise MatrixFileError(f"{path}: tagged unitary but is not")
+    for tag, gate in (("hermitian", require_hermitian), ("unitary", require_unitary)):
+        if doc.get(tag):
+            try:
+                gate(m, f"a matrix tagged {tag}")
+            except ValueError as exc:
+                raise MatrixFileError(f"{path}: {exc}") from exc
     return m

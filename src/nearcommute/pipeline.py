@@ -25,10 +25,11 @@ from .matcore import (
     eig_hermitian_part,
     gram_norm,
     hermitian_commutator,
-    hermitian_norm_within,
     op_norm,
-    op_norm_exceeds,
     orthonormal_complement,
+    require_contraction,
+    require_hermitian,
+    require_unitary,
 )
 from .matio import encode_entries
 from .smoothing import _normal_basis, finite_range, finite_range_normal
@@ -120,38 +121,6 @@ def choose_exponents(gamma2, finite_range_needed: bool = True):
     return gamma0, gamma1, gamma
 
 
-def _require_contraction(norm: float, name: str) -> None:
-    if norm > 1.0 + 1e-9:
-        raise ValueError(f"{name} must be a contraction")
-
-
-def _require_contraction_cholesky(h: np.ndarray, name: str) -> None:
-    """The contraction gate on an exactly Hermitian h, ||h|| <= 1 + 1e-9, by
-    Cholesky factorizations (``hermitian_norm_within``): no norm is taken."""
-    if not hermitian_norm_within(h, 1.0 + 1e-9):
-        raise ValueError(f"{name} must be a contraction")
-
-
-def _require_hermitian_contraction(m, name: str, defects: dict | None = None, *,
-                                   contraction: bool = True) -> np.ndarray:
-    """The Hermitian part h = (m + m*)/2 of m, after checking that m's
-    Hermiticity defect is at most 1e-9 * max(1, ||m||) and, with
-    ``contraction``, that ||h|| <= 1 (``_require_contraction_cholesky``).
-    ||m|| is taken only for a defect above 1e-9: below it the Hermiticity
-    test passes whatever the norm.  Without ``contraction`` the caller checks
-    the norm."""
-    mm = as_matrix(m)
-    defect = op_norm(mm - mm.conj().T) / 2
-    if defect > 1e-9 and defect > 1e-9 * op_norm(mm):
-        raise ValueError(f"{name} must be Hermitian")
-    h = (mm + mm.conj().T) / 2
-    if contraction:
-        _require_contraction_cholesky(h, name)
-    if defects is not None:
-        defects[name] = defect
-    return h
-
-
 def _unmoved(a: np.ndarray, b: np.ndarray, residual: float) -> CommuteReport:
     """An exactly commuting pair, returned as it came: no cut, no interval."""
     log = {"delta": residual, "n_cut": 0, "eps2_max": 0.0, "intervals": [],
@@ -176,18 +145,12 @@ def _cluster_step(ea, delta: float, floor: float
 
 
 def _first_empty_subinterval(sub_ids: np.ndarray, n_sub: int) -> int | None:
-    """Smallest subinterval index with no eigenvalue, or None if all occupied."""
+    """Smallest subinterval index with no eigenvalue, or None if all occupied:
+    the first i with present[i] != i among the sorted ids present."""
     present = np.unique(sub_ids)
-    if present.size == 0:
-        return 0
-    if present[0] > 0:
-        return 0
-    jumps = np.where(np.diff(present) > 1)[0]
-    if jumps.size:
-        return int(present[jumps[0]]) + 1
-    if present[-1] < n_sub - 1:
-        return int(present[-1]) + 1
-    return None
+    missing = np.flatnonzero(present != np.arange(present.size))
+    first = int(missing[0]) if missing.size else present.size
+    return first if first < n_sub else None
 
 
 def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
@@ -206,8 +169,6 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
     """
     d = j_block.shape[0]
     log: dict = {"dim": d, "L": n_sub}
-    if d == 0:
-        return 0, None, log
     if n_sub < 2:
         # no room for a V_1 <= W perp V_L sandwich: keep the whole block
         log["degenerate"] = True
@@ -367,22 +328,20 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
     the engine its block sizes select; regrouped spaces W_i^perp + W_{i+1}
     carry constant B-values (left interval endpoints) and the pinching of H.
     """
-    defects: dict = {}
-    am = _require_hermitian_contraction(a, "A", defects)
-    bm = _require_hermitian_contraction(b, "B", defects, contraction=False)
+    am, defect_a = require_hermitian(a, "A")
+    require_contraction(am, "A")
+    bm, defect_b = require_hermitian(b, "B")
     delta = op_norm(hermitian_commutator(am, bm))
     if delta == 0.0:
-        _require_contraction_cholesky(bm, "B")
+        require_contraction(bm, "B")
         return _unmoved(am, bm, delta)
     g0, g1, gamma = choose_exponents(float(gamma2), True)
     big_delta = max(delta, DELTA_FLOOR) ** g0
     n_cut = int(math.ceil(1.0 / big_delta ** g1))
     width = 2.0 / n_cut
 
-    # bm was validated above: decomposed once, with no norm taken; B's
-    # contraction is read off its eigenvalues
-    eb = eig_hermitian_part(bm)
-    _require_contraction(np.abs(eb.eigenvalues).max(initial=0.0), "B")
+    # bm was validated above: decomposed once, B's contraction read off its eigenvalues
+    eb = require_contraction(eig_hermitian_part(bm), "B")
     fr = finite_range(am, eb, big_delta, comm=delta)
     checks = list(fr.checks)
     a_prime, b_prime, dist_b, pinch_log, pinch_checks = _cut_and_pinch(
@@ -403,7 +362,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
         "gamma1": g1,
         "gamma": gamma,
         "profile": fr.profile_name,
-        "symmetrization_defects": defects,
+        "symmetrization_defects": {"A": defect_a, "B": defect_b},
         **pinch_log,
     }
     return CommuteReport(a_prime, b_prime, dist_a, dist_b, res, log, checks)
@@ -416,7 +375,7 @@ def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
     With m distinct eigenvalues (under the clustering tolerance) both
     distances are at most (m / sqrt(2)) ||[A,B]||^(1/2).
     """
-    am = _require_hermitian_contraction(a, "A")
+    am = require_contraction(require_hermitian(a, "A")[0], "A")
     bm = as_matrix(b)
     ea = eig_hermitian_part(am)
     delta = op_norm(commutator(am, bm))
@@ -450,9 +409,8 @@ def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
 def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
     """Triple repair: cluster A's spectrum, pinch B and C onto the blocks,
     then repair (B, C) inside each block with the pair pipeline."""
-    am = _require_hermitian_contraction(a, "A")
-    bm = _require_hermitian_contraction(b, "B")
-    cm = _require_hermitian_contraction(c, "C")
+    am, bm, cm = (require_contraction(require_hermitian(m, name)[0], name)
+                  for m, name in ((a, "A"), (b, "B"), (c, "C")))
     delta_ab = op_norm(hermitian_commutator(am, bm))
     delta_ac = op_norm(hermitian_commutator(am, cm))
     delta_a = max(delta_ab, delta_ac)
@@ -498,13 +456,6 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
                          c_prime=c_prime, dist_c=op_norm(cm - c_prime))
 
 
-def _require_unitary(m, name: str) -> np.ndarray:
-    mm = as_matrix(m)
-    if op_norm_exceeds(mm.conj().T @ mm - np.eye(mm.shape[0]), 1e-9):
-        raise ValueError(f"{name} must be unitary")
-    return mm
-
-
 def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
     """Commuting (A', U') near an almost-commuting Hermitian/unitary pair.
 
@@ -512,8 +463,8 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
     the normal variant of the averaging (range sqrt(2) Delta in the plane) and
     the last regrouped space wraps around to the first.
     """
-    am = _require_hermitian_contraction(a, "A")
-    um = _require_unitary(u, "U")
+    am = require_contraction(require_hermitian(a, "A")[0], "A")
+    um = require_unitary(u, "U")
     delta = gram_norm(commutator(am, um))
     if delta == 0.0:
         return _unmoved(am, um, delta)
@@ -560,8 +511,8 @@ def unitary_pair_gap(u, v, theta: float | None = None, *,
     V is rotated so the largest gap sits at 1, mapped to a Hermitian W by the
     Cayley transform, repaired against U, and mapped back.
     """
-    um = _require_unitary(u, "U")
-    vm = _require_unitary(v, "V")
+    um = require_unitary(u, "U")
+    vm = require_unitary(v, "V")
     # V's eigenvalues only locate the gap: the Rayleigh quotients of
     # normal_eig's uncorrected basis are accurate to second order
     _, basis, _ = _normal_basis(vm)
@@ -633,8 +584,8 @@ def delta_sweep(a0, b0, perturbation, deltas: Sequence[float],
     A0, B0 must commute; the scaling t is chosen so the measured ||[A,B]||
     matches each requested delta.
     """
-    a0 = _require_hermitian_contraction(a0, "A0")
-    b0 = _require_hermitian_contraction(b0, "B0")
+    a0 = require_contraction(require_hermitian(a0, "A0")[0], "A0")
+    b0 = require_contraction(require_hermitian(b0, "B0")[0], "B0")
     g = as_matrix(perturbation)
     g = (g + g.conj().T) / 2
     gn = op_norm(g)

@@ -32,6 +32,7 @@ from .matcore import (
     gram_norm,
     hermitian_norm_within,
     op_norm,
+    require_normal,
 )
 
 __all__ = [
@@ -322,12 +323,10 @@ def partition_of_unity(n_win: int) -> list[Profile]:
 # Normal matrices
 # ---------------------------------------------------------------------------
 
-def _normal_basis(n_mat: np.ndarray, tol: float = 1e-10
-                  ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(N, V, scale): N checked finite, square and normal (||[N,N*]|| <= tol
-    * max(1, ||N||)^2), and a unitary basis V of eigenvectors of its
-    commuting parts Re N = (N + N*)/2 and Im N = (N - N*)/2i, the first
-    stage of ``normal_eig``.
+def _normal_basis(n_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(N, V, scale): N checked finite, square and normal (``require_normal``),
+    and a unitary basis V of eigenvectors of its commuting parts Re N =
+    (N + N*)/2 and Im N = (N - N*)/2i, the first stage of ``normal_eig``.
 
     Re N is decomposed once.  Each run of two or more of its eigenvalues with
     gaps at most tau = 1e-8 * scale, scale = max(1, ||Re N||, ||Im N||)
@@ -339,13 +338,7 @@ def _normal_basis(n_mat: np.ndarray, tol: float = 1e-10
     N's eigenvectors by about eps ||Im N|| over the gap of Re N, so its
     Rayleigh quotients are off N's eigenvalues by about the square of that.
     """
-    m = as_matrix(n_mat)
-    c = commutator(m, m.conj().T)
-    # ||X||_2 <= ||X||_F screens the operator norms; a NaN fails the screen
-    if not np.linalg.norm(c) <= tol:
-        defect = op_norm(c)
-        if defect > tol * max(op_norm(m), 1.0) ** 2:
-            raise ValueError(f"matrix is not normal: ||[N,N*]|| = {defect:.3e}")
+    m = require_normal(n_mat)
     im = (m - m.conj().T) / 2j
     er = eig_hermitian_part(m)
     v, lam_re = er.vectors, er.eigenvalues
@@ -359,9 +352,9 @@ def _normal_basis(n_mat: np.ndarray, tol: float = 1e-10
     return m, v, scale
 
 
-def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
-    """Eigendecomposition of a normal N (||[N,N*]|| <= tol * max(1, ||N||)^2):
-    the basis V of ``_normal_basis``, corrected.
+def normal_eig(n_mat: np.ndarray) -> NormalEig:
+    """Eigendecomposition of a normal N (``require_normal``): the basis V of
+    ``_normal_basis``, corrected.
 
     One first-order step in N's own eigenvalues corrects V: with T = V*NV
     and mu = diag(T), C_ij = T_ij / (mu_j - mu_i) where |mu_j - mu_i| > tau
@@ -374,7 +367,7 @@ def normal_eig(n_mat: np.ndarray, *, tol: float = 1e-10) -> NormalEig:
     basis kept, and ``exact`` records whether it reproduces N to roundoff,
     ||NX - X diag(mu)||_F <= 1e-12 scale.
     """
-    m, v, scale = _normal_basis(n_mat, tol)
+    m, v, scale = _normal_basis(n_mat)
     tau = 1e-8 * scale
     t = v.conj().T @ (m @ v)
     mu = np.diagonal(t)

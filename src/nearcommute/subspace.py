@@ -26,6 +26,8 @@ from .matcore import (
     op_norm_exceeds,
     orthonormal_columns,
     orthonormal_complement,
+    require_contraction,
+    require_hermitian,
 )
 from .projgeom import jordan_basis, nest_projection_core
 from .smoothing import (
@@ -140,12 +142,12 @@ def verify_tridiagonal(j, blocks: Sequence[np.ndarray], *, tol: float = 1e-8
                        ) -> TridiagonalSystem:
     """Check the block-tridiagonal invariants and package the system.
 
-    ``blocks`` are coordinate sets: 1-D integer index arrays that are
-    disjoint and together cover range(n).  Raises ValueError when they do
-    not, and with the offending block pair when an off-tridiagonal coupling
-    exceeds ``tol``.  The couplings are checked pair by pair only when
-    ``max_offtridiag``, the norm of J outside its tridiagonal band, exceeds
-    ``tol``.
+    J must pass matcore's Hermitian and contraction gates.  ``blocks`` are
+    coordinate sets: 1-D integer index arrays that are disjoint and together
+    cover range(n).  Raises ValueError when they do not, and with the
+    offending block pair when an off-tridiagonal coupling exceeds ``tol``.
+    The couplings are checked pair by pair only when ``max_offtridiag``, the
+    norm of J outside its tridiagonal band, exceeds ``tol``.
     """
     jm = as_matrix(j)
     n = jm.shape[0]
@@ -163,11 +165,7 @@ def verify_tridiagonal(j, blocks: Sequence[np.ndarray], *, tol: float = 1e-8
                          "more than one block")
     if np.any(counts == 0):
         raise ValueError("blocks do not jointly span the space")
-    nrm = op_norm(jm)
-    if op_norm_exceeds(jm - jm.conj().T, 1e-9 * max(1.0, nrm)):
-        raise ValueError("J must be Hermitian")
-    if nrm > 1.0 + 1e-9:
-        raise ValueError("J must be a contraction")
+    require_contraction(require_hermitian(jm, "J")[0], "J")
     labels = np.empty(n, dtype=np.intp)
     for i, b in enumerate(bl):
         labels[b] = i
@@ -501,11 +499,11 @@ def lin_oracle_projection(a, b) -> LinProjection:
     P is built from the commuting pair (A', B') of jacobi_commuting_pair; the
     returned check measures ||[P,B]|| <= 20||A-A'|| + 2||B-B'||.  For
     Hermitian B and Q an orthonormal basis of Ran P, ||[P,B]|| equals
-    ||(1 - QQ*) B Q||, which is the form measured.
+    ||(1 - QQ*) B Q||, which is the form measured.  A and B must pass
+    matcore's Hermitian and contraction gates; their Hermitian parts are used.
     """
-    am, bm = as_matrix(a), as_matrix(b)
-    if op_norm(am) > 1 + 1e-9 or op_norm(bm) > 1 + 1e-9:
-        raise ValueError("need contractions")
+    am, bm = (require_contraction(require_hermitian(m, name)[0], name)
+              for m, name in ((a, "A"), (b, "B")))
     ap, bp = jacobi_commuting_pair(am, bm)
     dist_a = op_norm(am - ap)
     dist_b = op_norm(bm - bp)

@@ -42,6 +42,12 @@ class TestMatrixIO:
         with pytest.raises(matio.MatrixFileError):
             matio.load_matrix(path)
 
+    def test_empty_tagged_matrix_round_trips(self, tmp_path):
+        # the tag gates take a square array, so an empty file loads as 0 x 0
+        path = tmp_path / "m.json"
+        matio.save_matrix(path, np.zeros((0, 0)), hermitian=True, unitary=True)
+        assert matio.load_matrix(path).shape == (0, 0)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nearcommute import bounds as bd
 from nearcommute import matcore as mc
+from nearcommute import matio
+from nearcommute import pipeline as pl
+from nearcommute import projgeom as pg
+from nearcommute import smoothing as sm
+from nearcommute import subspace as sb
 from nearcommute.gallery import tn_lift
 
 
@@ -562,3 +568,105 @@ class TestEnergyBounds:
             lhs = float(np.linalg.norm(total)) ** 2
             rhs = (1 - 2 * c) * sum(float(np.linalg.norm(v)) ** 2 for v in vecs)
             assert lhs >= rhs - 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Input gates at their tolerances, through every entry point that gates
+# ---------------------------------------------------------------------------
+
+def _skewed(h, e):
+    """h with e added to its (0, 1) entry: Hermiticity defect e/2, and
+    ||[m, m*]|| = e^2 for h = cI."""
+    m = np.array(h, dtype=complex)
+    m[0, 1] += e
+    return m
+
+
+def _tagged(m, tag, tmp_path):
+    path = tmp_path / "m.json"
+    matio.save_matrix(path, m, **{tag: True})
+    return matio.load_matrix(path)
+
+
+def _lieb_robinson(checker, last, s1=lambda x: x <= 3, s2=lambda x: x >= 7):
+    """A Lieb-Robinson checker on H = s diag(-1..1), diagonal in B =
+    diag(0..11)'s eigenbasis, so of finite range 1 and norm s."""
+    return lambda s, _: checker(s * np.diag(np.linspace(-1.0, 1.0, 12)),
+                                np.diag(np.arange(12.0)), 1.0, s1, s2, last)
+
+
+def _gate_cases():
+    h = np.diag([0.5, -0.5, 0.2])          # a Hermitian contraction
+    c = 0.3 * np.eye(3)                    # commutes with every matrix
+    unit = np.diag([1.0, -0.5, 0.2])       # norm 1: s * unit has norm s
+    a2 = np.array([[0.2, 0.1], [0.1, -0.2]])
+    singles = [np.array([i]) for i in range(3)]
+    phases = np.diag(np.exp(1j * np.array([0.0, 0.1, 0.2])))
+    m_tri = np.array([[0.75, 0.2], [0.2, 0.75]])  # norm 0.95
+    cd = np.full(2, 0.6)
+    profile = sm.smooth_profile(0.0, 1.0)
+    # Hermitian: defect e/2 against 1e-9 (||m|| <= 1)
+    herm = (1.8e-9, 2.2e-9, "must be Hermitian")
+    # contraction: ||s * unit|| = s against 1 + 1e-9
+    contr = (1.0 + 0.9e-9, 1.0 + 1.1e-9, "must be a contraction")
+    # unitary: ||U*U - I|| = 2x + x^2 for U = diag(1, 1 + x, ...) against 1e-9
+    unit_x = (0.45e-9, 0.55e-9, "must be unitary")
+    stretch = lambda x, u: u @ np.diag([1.0, 1.0 + x, 1.0])  # noqa: E731
+    return {
+        "pair A Hermitian": (lambda e, _: pl.commute_hermitian_pair(_skewed(h, e), c), *herm),
+        "pair B Hermitian": (lambda e, _: pl.commute_hermitian_pair(c, _skewed(h, e)), *herm),
+        "pair A contraction": (lambda s, _: pl.commute_hermitian_pair(s * unit, c), *contr),
+        "pair B contraction, commuting": (
+            lambda s, _: pl.commute_hermitian_pair(c, s * unit), *contr),
+        "pair B contraction, on eigenvalues": (
+            lambda s, _: pl.commute_hermitian_pair(a2, s * np.diag([1.0, -0.5])), *contr),
+        "cheap A Hermitian": (lambda e, _: pl.cheap_commute(_skewed(h, e), c), *herm),
+        "three C Hermitian": (lambda e, _: pl.three_hermitian(c, c, _skewed(h, e)), *herm),
+        "three B contraction": (lambda s, _: pl.three_hermitian(c, s * unit, c), *contr),
+        "sweep B0 contraction": (
+            lambda s, _: pl.delta_sweep(c, s * unit, np.ones((3, 3)), [1e-3]), *contr),
+        "circle A Hermitian": (
+            lambda e, _: pl.commute_hermitian_unitary(_skewed(h, e), np.eye(3)), *herm),
+        "circle U unitary": (
+            lambda x, _: pl.commute_hermitian_unitary(c, stretch(x, phases)), *unit_x),
+        "gap U unitary": (lambda x, _: pl.unitary_pair_gap(stretch(x, np.eye(3)), phases),
+                          *unit_x),
+        "gap V unitary": (lambda x, _: pl.unitary_pair_gap(np.eye(3), stretch(x, phases)),
+                          *unit_x),
+        "verify_tridiagonal Hermitian": (
+            lambda e, _: sb.verify_tridiagonal(_skewed(h, e), singles), *herm),
+        "verify_tridiagonal contraction": (
+            lambda s, _: sb.verify_tridiagonal(s * unit, singles), *contr),
+        "tridiag_positive_test Hermitian": (
+            lambda e, _: pg.tridiag_positive_test(_skewed(m_tri, e), cd, cd), *herm),
+        "lin_oracle_projection A contraction": (
+            lambda s, _: sb.lin_oracle_projection(s * unit, h), *contr),
+        "lin_oracle_projection B contraction": (
+            lambda s, _: sb.lin_oracle_projection(h, s * unit), *contr),
+        "load_matrix hermitian tag": (
+            lambda e, tmp: _tagged(_skewed(h, e), "hermitian", tmp), *herm),
+        "load_matrix unitary tag": (
+            lambda x, tmp: _tagged(stretch(x, phases), "unitary", tmp), *unit_x),
+        "lieb_robinson_decay contraction": (_lieb_robinson(bd.lieb_robinson_decay, 0.1), *contr),
+        "lieb_robinson_function contraction": (
+            _lieb_robinson(bd.lieb_robinson_function, profile), *contr),
+        "lieb_robinson_nested contraction": (
+            _lieb_robinson(bd.lieb_robinson_nested, profile,
+                           lambda x: 5 <= x <= 8, lambda x: 4 <= x <= 9), *contr),
+        # normal: ||[N, N*]|| = e^2 against 1e-10 (||N|| <= 1)
+        "normal_eig": (lambda e, _: sm.normal_eig(_skewed(0.5 * np.eye(3), e)),
+                       0.9e-10 ** 0.5, 1.1e-10 ** 0.5, "matrix is not normal"),
+    }
+
+
+GATE_CASES = _gate_cases()
+
+
+@pytest.mark.parametrize("entry", sorted(GATE_CASES))
+def test_gate_boundary(entry, tmp_path):
+    """Each gated entry point accepts an input just inside its gate's stated
+    tolerance and rejects one just outside it with the gate's message."""
+    call, inside, outside, message = GATE_CASES[entry]
+    call(inside, tmp_path)
+    with pytest.raises(ValueError, match=message):
+        call(outside, tmp_path)

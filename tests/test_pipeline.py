@@ -493,7 +493,7 @@ class TestRequireUnitary:
             raise AssertionError("op_norm reached")
 
         monkeypatch.setattr(mc, "op_norm", refuse)
-        assert np.array_equal(pl._require_unitary(u, "U"), u)
+        assert np.array_equal(mc.require_unitary(u, "U"), u)
 
     @pytest.mark.parametrize("m, match", [
         (np.diag([1.0, 1.0 + 1e-6]), "U must be unitary"),
@@ -503,7 +503,7 @@ class TestRequireUnitary:
     def test_non_unitary_rejected(self, m, match):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match=match):
-            pl._require_unitary(m, "U")
+            mc.require_unitary(m, "U")
 
 
 class TestUnitaryPairGap:
@@ -956,27 +956,39 @@ class TestUnitaryCovariance:
         self.assert_covariant(rep, inputs, True)
 
 
+@pytest.mark.parametrize("ids, n_sub, first", [
+    ([1, 2], 3, 0), ([0, 0, 2, 3], 4, 1), ([0, 1], 3, 2), ([0, 1, 1, 2], 3, None)],
+    ids=["leading", "inner", "trailing", "none"])
+def test_first_empty_subinterval(ids, n_sub, first):
+    assert pl._first_empty_subinterval(np.array(ids), n_sub) == first
+
+
 class TestContractionGate:
-    """The ||A|| <= 1 gate by two Cholesky factorizations of the Hermitian
-    part, (1 + 1e-9)I -+ A."""
+    """The drivers' entry gates for a Hermitian contraction A, matcore's
+    ``require_hermitian`` then ``require_contraction``: ||A|| <= 1 by two
+    Cholesky factorizations of the Hermitian part, (1 + 1e-9)I -+ A."""
+
+    @staticmethod
+    def gate(m, name="A"):
+        return mc.require_contraction(mc.require_hermitian(m, name)[0], name)
 
     @pytest.mark.parametrize("m", [np.eye(5), np.zeros((0, 0)), np.array([[1.0]]),
                                    np.array([[-1.0]]), -np.eye(3)],
                              ids=["I", "n=0", "1x1", "-1x1", "-I"])
     def test_accepts(self, m):
-        assert np.array_equal(pl._require_hermitian_contraction(m, "A"), m)
+        assert np.array_equal(self.gate(m, "A"), m)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_rejects_past_the_tolerance(self, sign):
         with pytest.raises(ValueError, match="A must be a contraction"):
-            pl._require_hermitian_contraction(sign * (1.0 + 2e-9) * np.eye(4), "A")
+            self.gate(sign * (1.0 + 2e-9) * np.eye(4), "A")
 
     def test_rotated_contraction_accepted_and_rejected(self):
         rng = np.random.default_rng(41)
         h = mc.random_hermitian(rng, 40, norm=1.0)
-        assert np.array_equal(pl._require_hermitian_contraction(h, "A"), h)
+        assert np.array_equal(self.gate(h, "A"), h)
         with pytest.raises(ValueError, match="A must be a contraction"):
-            pl._require_hermitian_contraction(1.001 * h, "A")
+            self.gate(1.001 * h, "A")
 
     def test_gate_is_the_shared_cholesky_test(self, monkeypatch):
         # the gate is matcore's one Cholesky test of ||h|| <= c, at
@@ -987,13 +999,13 @@ class TestContractionGate:
             seen.append(c)
             return real(h, c)
 
-        monkeypatch.setattr(pl, "hermitian_norm_within", recording)
-        pl._require_hermitian_contraction(np.eye(5), "A")
+        monkeypatch.setattr(mc, "hermitian_norm_within", recording)
+        self.gate(np.eye(5), "A")
         with pytest.raises(ValueError, match="A must be a contraction"):
-            pl._require_hermitian_contraction(-(1.0 + 2e-9) * np.eye(4), "A")
+            self.gate(-(1.0 + 2e-9) * np.eye(4), "A")
         assert seen == [1.0 + 1e-9] * 2
 
     def test_non_hermitian_reported_as_such(self):
         m = np.array([[0.0, 0.5], [0.0, 0.0]])
         with pytest.raises(ValueError, match="A must be Hermitian"):
-            pl._require_hermitian_contraction(m, "A")
+            self.gate(m, "A")
