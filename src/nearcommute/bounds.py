@@ -56,10 +56,12 @@ __all__ = [
     "DAVIS_KAHAN_GENERAL_C",
 ]
 
-# The general-geometry Davis-Kahan constant is not pinned anywhere; this
-# default is configuration, not an asserted value.  All acceptance tests use the
+# The general-geometry Davis-Kahan constant is not pinned anywhere; it is
+# configuration, not an asserted value.  All acceptance tests use the
 # sandwich form, whose constant is 1/delta.
 DAVIS_KAHAN_GENERAL_C = math.pi / 2
+SPECTRAL_GAP_MOLLIFIER = mollifier_profile  # check_spectral_gap's rho, built on first call
+FINITE_RANGE_TOL = 1e-10  # verify_finite_range: largest far coupling of H
 
 def _mask(eig: HermitianEig, s) -> np.ndarray:
     """Boolean selection over the eigenvalues of ``eig``, from a predicate on
@@ -93,14 +95,13 @@ def _set_distance(vals1: np.ndarray, vals2: np.ndarray) -> float:
     return float(np.min(np.abs(vals1[:, None] - vals2[None, :])))
 
 
-def check_davis_kahan(a, b, s1, s2, delta_gap: float | None = None,
-                      general_c: float = DAVIS_KAHAN_GENERAL_C, *,
+def check_davis_kahan(a, b, s1, s2, delta_gap: float | None = None, *,
                       diff: float | None = None) -> BoundCheck:
     """||E_{S1}(A) E_{S2}(B)|| against the Davis-Kahan sin-theta bound.
 
     With ``delta_gap`` the interval-sandwich form is used (S1 inside an
     interval, S2 outside its delta_gap-enlargement): rhs = ||A-B|| / delta_gap.
-    Otherwise the general form with the configured constant applies.
+    Otherwise the general form with DAVIS_KAHAN_GENERAL_C applies.
     ``diff`` is ||A-B||, required when A or B comes as an eigensystem.
     """
     _require_norm(diff, "diff = ||A-B||", a, b)
@@ -122,7 +123,7 @@ def check_davis_kahan(a, b, s1, s2, delta_gap: float | None = None,
             if np.any((v2 > alpha - delta_gap) & (v2 < beta + delta_gap)):
                 raise ValueError("sandwich hypothesis fails: S2 intrudes within delta_gap of [alpha, beta]")
         return BoundCheck(lhs, diff / delta_gap, "davis-kahan sandwich")
-    return BoundCheck(lhs, general_c * diff / dist, "davis-kahan general (configured c)")
+    return BoundCheck(lhs, DAVIS_KAHAN_GENERAL_C * diff / dist, "davis-kahan general (configured c)")
 
 
 def check_comm_proj(c, d, s1, s2, *, comm: float | None = None) -> BoundCheck:
@@ -159,13 +160,12 @@ def schur_divide(t, a: Sequence[float], b: Sequence[float], d: float) -> BoundCh
     return BoundCheck(lhs, rhs, "schur-divide")
 
 
-def check_spectral_gap(a, b, gap_lo: float, gap_hi: float,
-                       mollifier: Profile | None = None) -> BoundCheck:
+def check_spectral_gap(a, b, gap_lo: float, gap_hi: float) -> BoundCheck:
     """||[E_{(-inf, gap_lo]}(A), B]|| <= c2 ||[A,B]|| / (gap_hi - gap_lo) for A
     with no spectrum inside (gap_lo, gap_hi).
 
-    c2 = 4 ||rho^||_1 for the configured mollifier: the spectral projection is
-    a mollified indicator f = chi * rho_eps, whose Fourier transform is
+    c2 = 4 ||rho^||_1 for rho = SPECTRAL_GAP_MOLLIFIER(): the spectral
+    projection is a mollified indicator f = chi * rho_eps, whose transform is
     2pi chi^ rho_eps^ under the (1/2pi) e^{-ikx} convention, so
     C_f <= 2pi (1/pi) ||rho^||_1 / eps with eps = (gap width)/2.  (A smaller
     constant that drops the 2pi convolution factor is measurably violated on
@@ -176,8 +176,7 @@ def check_spectral_gap(a, b, gap_lo: float, gap_hi: float,
     inside = (ea.eigenvalues > gap_lo) & (ea.eigenvalues < gap_hi)
     if np.any(inside):
         raise ValueError("spectrum intrudes into the declared gap")
-    rho = mollifier if mollifier is not None else mollifier_profile()
-    c2 = 4.0 * rho.c1
+    c2 = 4.0 * SPECTRAL_GAP_MOLLIFIER().c1
     # [P, B] = P B (1-P) - (1-P) B P has the norm of its larger corner
     low = ea.eigenvalues <= gap_lo
     v_in, v_out = ea.vectors[:, low], ea.vectors[:, ~low]
@@ -202,12 +201,11 @@ def fourier_commutator_bound(profile: Profile, a, b, *,
     return BoundCheck(lhs, rhs, f"fourier-commutator (C_f={profile.c0:.6f})")
 
 
-def verify_finite_range(h, eig_b: HermitianEig, delta: float,
-                        tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def verify_finite_range(h, eig_b: HermitianEig, delta: float) -> tuple[np.ndarray, float]:
     """(V* H V, worst) for the eigenvectors V of B, where worst is the largest
     |entry| of V* H V between eigenvectors at eigenvalue distance >= Delta;
-    raises if it exceeds tol (finite-range hypothesis is verified, not
-    assumed).  H is a matrix or its eigensystem (then V* H V is
+    raises if it exceeds FINITE_RANGE_TOL (finite-range hypothesis is
+    verified, not assumed).  H is a matrix or its eigensystem (then V* H V is
     X diag(lam_H) X* for X = V* V_H)."""
     v = eig_b.vectors
     if isinstance(h, HermitianEig):
@@ -218,7 +216,7 @@ def verify_finite_range(h, eig_b: HermitianEig, delta: float,
     lam = eig_b.eigenvalues
     far = np.abs(lam[:, None] - lam[None, :]) >= delta
     worst = float(np.max(np.abs(ht[far]))) if np.any(far) else 0.0
-    if worst > tol:
+    if worst > FINITE_RANGE_TOL:
         raise ValueError(f"finite-range hypothesis fails: coupling {worst:.3e} at distance >= {delta}")
     return ht, worst
 

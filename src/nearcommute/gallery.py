@@ -13,7 +13,7 @@ import numpy as np
 from .matcore import (
     as_matrix,
     commutator,
-    eig_hermitian,
+    eig_hermitian_part,
     gram_norm,
     op_norm,
 )
@@ -27,7 +27,7 @@ __all__ = [
     "tn_identities",
 ]
 
-DIMENSION_BUDGET = 4096
+DIMENSION_BUDGET = 4096  # tn_lift, tn_identities: largest n^N built
 
 
 def voiculescu(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,27 +120,27 @@ def quarter_tridiag(n: int) -> tuple[np.ndarray, np.ndarray]:
         j[i, i + 1] = 0.25
         j[i + 1, i] = 0.25
     j[n - 1, n - 1] = 0.5
-    eig = eig_hermitian(j)
+    eig = eig_hermitian_part(j.astype(np.complex128))
     window = (eig.eigenvalues >= 5 / 8 - 0.01) & (eig.eigenvalues <= 5 / 8 + 0.01)
     cols = eig.vectors[:, window]
     leak = cols @ (cols.conj().T @ np.eye(n)[:, 0])
     return j, np.real(leak)
 
 
-def tn_lift(a, big_n: int, *, budget: int = DIMENSION_BUDGET) -> np.ndarray:
+def tn_lift(a, big_n: int) -> np.ndarray:
     """Macroscopic observable: the normalized sum of A acting on each tensor
     factor of an N-fold product.
 
     The k-th term I_p (x) A (x) I_q (p = n^(N-1-k), q = n^k) is added in
     place: A goes on the diagonal of both identity factors of the
     (p, n, q, p, n, q) view of the output, one term after the other, so no
-    Kronecker product is formed."""
+    Kronecker product is formed.  n^N may not exceed DIMENSION_BUDGET."""
     am = as_matrix(a)
     n = am.shape[0]
     if big_n < 1:
         raise ValueError("N must be >= 1")
-    if n ** big_n > budget:
-        raise ValueError(f"dimension {n}^{big_n} exceeds the budget {budget}")
+    if n ** big_n > DIMENSION_BUDGET:
+        raise ValueError(f"dimension {n}^{big_n} exceeds the budget {DIMENSION_BUDGET}")
     dim = n ** big_n
     out = np.zeros((dim, dim), dtype=np.complex128)
     for k in range(big_n):
@@ -158,7 +158,7 @@ def _transposition(n: int, big_n: int, k: int) -> np.ndarray:
     return digits.swapaxes(big_n - 1 - k, big_n - 2 - k).reshape(-1)
 
 
-def tn_identities(a, b, big_n: int, *, budget: int = DIMENSION_BUDGET) -> dict:
+def tn_identities(a, b, big_n: int) -> dict:
     """Residuals of the exact tensor-lift identities.
 
     commutator: [T_N(A), T_N(B)] = (1/N) T_N([A,B]); recursion: T_{N+1} from
@@ -170,11 +170,11 @@ def tn_identities(a, b, big_n: int, *, budget: int = DIMENSION_BUDGET) -> dict:
     """
     am, bm = as_matrix(a), as_matrix(b)
     n = am.shape[0]
-    ta = tn_lift(am, big_n, budget=budget)
-    tb = tn_lift(bm, big_n, budget=budget)
-    comm_res = gram_norm(commutator(ta, tb) - tn_lift(commutator(am, bm), big_n, budget=budget) / big_n)
+    ta = tn_lift(am, big_n)
+    tb = tn_lift(bm, big_n)
+    comm_res = gram_norm(commutator(ta, tb) - tn_lift(commutator(am, bm), big_n) / big_n)
     rec_res = None
-    if n ** (big_n + 1) <= budget:
+    if n ** (big_n + 1) <= DIMENSION_BUDGET:
         # exact append-site recursion carrying the N/(N+1) prefactor:
         # T_{N+1}(A) = N/(N+1) T_N(A) (x) I_n + I_{n^N} (x) A/(N+1), each
         # term added on the (writeable) diagonal view of its identity factor
@@ -182,7 +182,7 @@ def tn_identities(a, b, big_n: int, *, budget: int = DIMENSION_BUDGET) -> dict:
         rhs = np.zeros((d, n, d, n), dtype=np.complex128)
         np.einsum("iaja->aij", rhs)[...] += (big_n / (big_n + 1)) * ta
         np.einsum("iaib->iab", rhs)[...] += am / (big_n + 1)
-        rec_res = op_norm(tn_lift(am, big_n + 1, budget=budget) - rhs.reshape(d * n, d * n))
+        rec_res = op_norm(tn_lift(am, big_n + 1) - rhs.reshape(d * n, d * n))
     rng = np.random.default_rng(721)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
@@ -192,7 +192,7 @@ def tn_identities(a, b, big_n: int, *, budget: int = DIMENSION_BUDGET) -> dict:
     conj = ta.reshape((n,) * (2 * big_n))
     for factor in [u_small.T] * big_n + [u_small.conj().T] * big_n:
         conj = np.tensordot(conj, factor, axes=(0, 0))
-    cov_res = gram_norm(tn_lift(u_small @ am @ u_small.conj().T, big_n, budget=budget)
+    cov_res = gram_norm(tn_lift(u_small @ am @ u_small.conj().T, big_n)
                         - conj.reshape(ta.shape))
     norm_a = op_norm(am)
     norm_ta = op_norm(ta)

@@ -26,9 +26,6 @@ __all__ = [
     "random_unitary",
 ]
 
-# eig_hermitian's relative tolerance on a caller's Hermiticity defect.
-HERMITICITY_RTOL = 1e-10
-
 
 class MatrixShapeError(ValueError):
     """Raised when an input is not a finite square complex matrix."""
@@ -172,6 +169,7 @@ HERMITIAN_TOL = 1e-9    # ||m - m*||/2 <= HERMITIAN_TOL * max(1, ||m||)
 CONTRACTION_TOL = 1e-9  # ||h|| <= 1 + CONTRACTION_TOL
 UNITARY_TOL = 1e-9      # ||U*U - I|| <= UNITARY_TOL
 NORMAL_TOL = 1e-10      # ||[N, N*]|| <= NORMAL_TOL * max(1, ||N||)^2
+HERMITICITY_RTOL = 1e-10  # eig_hermitian, on caller input: ||A - A*||/2 <= HERMITICITY_RTOL * ||A||
 
 
 def require_hermitian(m, name: str) -> tuple[np.ndarray, float]:
@@ -295,22 +293,22 @@ def cluster_bounds(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], edges)), np.concatenate((edges, [w.size]))
 
 
-def eig_hermitian(a, *, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
+def eig_hermitian(a) -> HermitianEig:
     """Eigendecomposition of a (numerically) Hermitian matrix given by a
     caller: the checked entry to ``eig_hermitian_part``.
 
     ``a`` must be a finite square matrix (``as_matrix``) whose Hermiticity
-    defect ||A - A*||/2 is at most ``rtol * ||A||``; the decomposition is
-    that of the Hermitian part (A + A*)/2.  Library code whose matrix is
-    Hermitian by construction, or was validated where it entered, calls
-    ``eig_hermitian_part`` and pays for neither norm.
+    defect ||A - A*||/2 is at most ``HERMITICITY_RTOL * ||A||``; the
+    decomposition is that of the Hermitian part (A + A*)/2.  Library code
+    calls it only on caller input: a matrix the library built or validated
+    goes to ``eig_hermitian_part``, which pays for neither norm.
     """
     m = as_matrix(a)
-    scale = max(op_norm(m), np.finfo(float).tiny)
+    bound = HERMITICITY_RTOL * max(op_norm(m), np.finfo(float).tiny)
     defect = op_norm(m - m.conj().T) / 2.0
-    if defect > rtol * scale:
+    if defect > bound:
         raise NotHermitianError(
-            f"Hermiticity defect {defect:.3e} exceeds {rtol:.1e} * ||A|| = {rtol * scale:.3e}"
+            f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.1e} * ||A|| = {bound:.3e}"
         )
     return eig_hermitian_part(m)
 

@@ -21,7 +21,6 @@ from .matcore import (
     as_matrix,
     cluster_bounds,
     commutator,
-    eig_hermitian,
     eig_hermitian_part,
     gram_norm,
     hermitian_commutator,
@@ -53,6 +52,7 @@ __all__ = [
 
 DELTA_FLOOR = 1e-16
 SZAREK_BLOCK_THRESHOLD = 4
+CHEAP_CLUSTER_RTOL = 1e-8  # cheap_commute: eigenvalues of A within it * max(1, ||A||) merge
 
 
 @dataclass
@@ -368,11 +368,11 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
     return CommuteReport(a_prime, b_prime, dist_a, dist_b, res, log, checks)
 
 
-def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
+def cheap_commute(a, b) -> CommuteReport:
     """Few-eigenvalue construction: merge near-collisions of A's spectrum,
     project B onto the merged blocks.
 
-    With m distinct eigenvalues (under the clustering tolerance) both
+    With m distinct eigenvalues (under CHEAP_CLUSTER_RTOL) both
     distances are at most (m / sqrt(2)) ||[A,B]||^(1/2).
     """
     am = require_contraction(require_hermitian(a, "A")[0], "A")
@@ -382,8 +382,8 @@ def cheap_commute(a, b, *, cluster_rtol: float = 1e-8) -> CommuteReport:
     lam = ea.eigenvalues
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     # distinct eigenvalues under the clustering tolerance
-    m_count = max(1, len(cluster_bounds(lam, cluster_rtol * scale)[0]))
-    thresh, groups, a_prime = _cluster_step(ea, delta, cluster_rtol * scale)
+    m_count = max(1, len(cluster_bounds(lam, CHEAP_CLUSTER_RTOL * scale)[0]))
+    thresh, groups, a_prime = _cluster_step(ea, delta, CHEAP_CLUSTER_RTOL * scale)
     b_prime = np.zeros_like(a_prime)
     for cols in groups:
         b_prime += cols @ (cols.conj().T @ bm @ cols) @ cols.conj().T
@@ -540,26 +540,26 @@ def unitary_pair_gap(u, v, theta: float | None = None, *,
     comm_check = BoundCheck(op_norm(commutator(um, w)),
                             delta_uv / (1.0 - math.cos(theta)) + 1e-12,
                             "||[U,W]|| <= ||[U,V]||/(1-cos theta)")
-    scale = max(1.0, op_norm(w))
+    w_norm = op_norm(w)
+    scale = max(1.0, w_norm)
     rep = commute_hermitian_unitary(w / scale, um, gamma2)
     w_prime = scale * rep.a_prime
     u_prime = rep.b_prime
     v_prime = cayley_matrix_to_circle(w_prime) / rot
     dist_w = op_norm(w - w_prime)
-    v_check = BoundCheck(op_norm(vm - v_prime), 2.0 * dist_w + 1e-12,
-                         "||V-V'|| <= 2||W-W'||")
+    dist_v = op_norm(vm - v_prime)
+    v_check = BoundCheck(dist_v, 2.0 * dist_w + 1e-12, "||V-V'|| <= 2||W-W'||")
     res = op_norm(commutator(u_prime, v_prime))
     log = {
         "theta_detected": theta_detected,
         "theta": theta,
         "gap_center": gap_center,
-        "w_norm": op_norm(w),
+        "w_norm": w_norm,
         "w_rescale": scale,
         "dist_w": dist_w,
         "inner": rep.stage_log,
     }
-    return CommuteReport(u_prime, v_prime, op_norm(um - u_prime),
-                         op_norm(vm - v_prime), res, log,
+    return CommuteReport(u_prime, v_prime, op_norm(um - u_prime), dist_v, res, log,
                          [comm_check, v_check] + rep.checks)
 
 
@@ -571,8 +571,8 @@ def cayley_matrix_to_line(v: np.ndarray) -> np.ndarray:
 
 
 def cayley_matrix_to_circle(w: np.ndarray) -> np.ndarray:
-    """V = f(W) = (W - i)(W + i)^{-1} for Hermitian W (via eigendecomposition)."""
-    ew = eig_hermitian(w, rtol=1e-8)
+    """V = f(W) = (W - i)(W + i)^{-1} for a built complex Hermitian W (eig_hermitian_part)."""
+    ew = eig_hermitian_part(w)
     return ew.matrix_function(lambda x: (x - 1j) / (x + 1j))
 
 

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 PROJ_TOL = 1e-8
+JORDAN_TOL = 1e-10  # jordan_blocks: cos^2 within 10 JORDAN_TOL of 0 or 1 makes 1-dim blocks
+NEST_MAX_EPS = 0.1  # nest_projection: eps must be below it
 
 
 def _require_projection(p, name: str) -> np.ndarray:
@@ -82,14 +84,14 @@ class JordanDecomposition:
         return p, q
 
 
-def jordan_blocks(p, q, *, tol: float = 1e-10) -> JordanDecomposition:
+def jordan_blocks(p, q) -> JordanDecomposition:
     """Orthogonal decomposition into blocks of dimension <= 2, each invariant
     under both projections.
 
     The generic part comes from the eigenvectors of Q compressed to Ran(P);
-    an eigenvalue cos^2(theta) strictly inside (0,1) pairs its eigenvector
-    with its Q-image into a 2-dim block.  Everything else splits into
-    1-dim blocks.
+    an eigenvalue cos^2(theta) farther than 10 JORDAN_TOL from 0 and 1 pairs
+    its eigenvector with its Q-image into a 2-dim block.  Everything else
+    splits into 1-dim blocks.
     """
     pm = _require_projection(p, "P")
     qm = _require_projection(q, "Q")
@@ -106,7 +108,7 @@ def jordan_blocks(p, q, *, tol: float = 1e-10) -> JordanDecomposition:
         for idx in range(ec.dim):
             lam = float(ec.eigenvalues[idx])
             pvec = up @ ec.vectors[:, idx]
-            if lam <= tol * 10 or lam >= 1 - tol * 10:
+            if lam <= JORDAN_TOL * 10 or lam >= 1 - JORDAN_TOL * 10:
                 basis = pvec[:, None]
                 used.append(pvec)
                 blocks.append(JordanBlock(
@@ -172,22 +174,21 @@ def nest_projection_core(e_basis, mid_basis, f_basis) -> np.ndarray:
     return np.column_stack([e_basis, mid_basis @ ec.vectors[:, ec.eigenvalues > 0.5]])
 
 
-def nest_projection(e, g, f_prime, *, max_eps: float = 0.1
-                    ) -> tuple[np.ndarray, BoundCheck]:
+def nest_projection(e, g, f_prime) -> tuple[np.ndarray, BoundCheck]:
     """Repair F' into F with E <= F <= G exactly, keeping ||F - F'|| <= 5 eps
     where eps = max(||E F'perp||, ||F' Gperp||).
 
     Returns an orthonormal basis of F.  The sandwich holds by construction;
-    the 5-eps distance is returned as a BoundCheck.  Requires eps < max_eps
-    (the bound is vacuous otherwise).
+    the 5-eps distance is returned as a BoundCheck.  Requires eps <
+    NEST_MAX_EPS (the bound is vacuous otherwise).
     """
     em = _require_projection(e, "E")
     gm = _require_projection(g, "G")
     fm = _require_projection(f_prime, "F'")
     n = em.shape[0]
     eps = max(op_norm(em @ (np.eye(n) - fm)), op_norm(fm @ (np.eye(n) - gm)))
-    if eps >= max_eps:
-        raise ValueError(f"eps = {eps:.3e} too large for nest_projection (>= {max_eps})")
+    if eps >= NEST_MAX_EPS:
+        raise ValueError(f"eps = {eps:.3e} too large for nest_projection (>= {NEST_MAX_EPS})")
     if op_norm_exceeds(em - gm @ em, PROJ_TOL):
         raise ValueError("E <= G fails")
     basis = nest_projection_core(*(orthonormal_columns(m, tol=0.5)

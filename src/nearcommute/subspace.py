@@ -20,7 +20,6 @@ import numpy as np
 from .checks import BoundCheck
 from .matcore import (
     as_matrix,
-    eig_hermitian,
     eig_hermitian_part,
     op_norm,
     op_norm_exceeds,
@@ -71,6 +70,11 @@ RANK_TOL = 1e-10
 JACOBI_SWEEPS = 60
 JACOBI_TOL = 1e-12
 
+OFF_TRIDIAGONAL_TOL = 1e-8  # verify_tridiagonal: largest off-tridiagonal coupling
+TRIVIAL_COUPLING_TOL = 1e-12  # trivial_reducing_basis: a coupling norm this small vanishes
+RANDOM_TRIDIAGONAL_NORM = 1.0  # random_block_tridiagonal: ||J||
+DECAY_SAMPLES_PER_BLOCK = 2  # decay_check_U: random y_i per block
+
 
 class DegenerateSystemError(ValueError):
     """The system is too small for a V_1 <= W perp V_L sandwich."""
@@ -98,7 +102,7 @@ class TridiagonalSystem:
     either block is empty).  max_offtridiag is the norm of J outside its
     tridiagonal band, which bounds every coupling J[V_i, V_k] with |i-k| >= 2.
     It is a bound, not the largest of those couplings: a system whose every
-    coupling is within tol can still report max_offtridiag > tol.
+    coupling is within OFF_TRIDIAGONAL_TOL can still report more.
     """
 
     j: np.ndarray
@@ -138,16 +142,15 @@ def _identity_columns(n: int, blocks: Sequence[np.ndarray]) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)[:, _coordinates(blocks)]
 
 
-def verify_tridiagonal(j, blocks: Sequence[np.ndarray], *, tol: float = 1e-8
-                       ) -> TridiagonalSystem:
+def verify_tridiagonal(j, blocks: Sequence[np.ndarray]) -> TridiagonalSystem:
     """Check the block-tridiagonal invariants and package the system.
 
     J must pass matcore's Hermitian and contraction gates.  ``blocks`` are
     coordinate sets: 1-D integer index arrays that are disjoint and together
     cover range(n).  Raises ValueError when they do not, and with the
-    offending block pair when an off-tridiagonal coupling exceeds ``tol``.
-    The couplings are checked pair by pair only when ``max_offtridiag``, the
-    norm of J outside its tridiagonal band, exceeds ``tol``.
+    offending block pair when an off-tridiagonal coupling exceeds
+    OFF_TRIDIAGONAL_TOL.  The couplings are checked pair by pair only when
+    ``max_offtridiag``, the norm of J outside its tridiagonal band, exceeds it.
     """
     jm = as_matrix(j)
     n = jm.shape[0]
@@ -171,13 +174,13 @@ def verify_tridiagonal(j, blocks: Sequence[np.ndarray], *, tol: float = 1e-8
         labels[b] = i
     off_band = np.abs(labels[:, None] - labels[None, :]) >= 2
     worst = op_norm(np.where(off_band, jm, 0.0))
-    if worst > tol:
+    if worst > OFF_TRIDIAGONAL_TOL:
         # The off-band norm only bounds the pair norms: find the pair.
         for i in range(len(bl)):
             for k in range(len(bl)):
                 if abs(i - k) >= 2 and bl[i].size and bl[k].size:
                     c = op_norm(jm[np.ix_(bl[i], bl[k])])
-                    if c > tol:
+                    if c > OFF_TRIDIAGONAL_TOL:
                         raise ValueError(
                             f"off-tridiagonal coupling {c:.3e} between blocks {i} and {k}")
     svals = [np.linalg.svd(jm[np.ix_(bl[i + 1], bl[i])], compute_uv=False)
@@ -186,10 +189,9 @@ def verify_tridiagonal(j, blocks: Sequence[np.ndarray], *, tol: float = 1e-8
     return TridiagonalSystem(jm, bl, worst, svals)
 
 
-def random_block_tridiagonal(rng: np.random.Generator, dims: Sequence[int],
-                             *, scale: float = 1.0) -> TridiagonalSystem:
-    """Random Hermitian contraction, block tridiagonal w.r.t. consecutive
-    coordinate blocks of the given dimensions."""
+def random_block_tridiagonal(rng: np.random.Generator, dims: Sequence[int]) -> TridiagonalSystem:
+    """Random Hermitian contraction of norm RANDOM_TRIDIAGONAL_NORM, block
+    tridiagonal w.r.t. consecutive coordinate blocks of the given dimensions."""
     n = int(sum(dims))
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (g + g.conj().T) / 2
@@ -197,7 +199,7 @@ def random_block_tridiagonal(rng: np.random.Generator, dims: Sequence[int],
     h = h * (np.abs(labels[:, None] - labels[None, :]) <= 1)
     nrm = op_norm(h)
     if nrm > 0:
-        h *= scale / nrm
+        h *= RANDOM_TRIDIAGONAL_NORM / nrm
     return verify_tridiagonal(h, [np.flatnonzero(labels == i)
                                   for i in range(len(dims))])
 
@@ -261,17 +263,17 @@ def certify_W(sys: TridiagonalSystem, w_basis: np.ndarray) -> WCertificate:
 # Trivial reductions and the Krylov chain
 # ---------------------------------------------------------------------------
 
-def trivial_reducing_basis(sys: TridiagonalSystem, *, tol: float = 1e-12
-                           ) -> np.ndarray | None:
+def trivial_reducing_basis(sys: TridiagonalSystem) -> np.ndarray | None:
     """Exact reducing subspace W with V_1 <= W perp V_L when some interior
-    block is empty or some consecutive coupling vanishes; None otherwise."""
+    block is empty or some consecutive coupling vanishes (norm at most
+    TRIVIAL_COUPLING_TOL); None otherwise."""
     dims = sys.dims
     for k in range(sys.L):
         if dims[k] == 0:
             return _identity_columns(sys.dim, sys.blocks[:k])
     norms = sys.coupling_norms
     for k in range(sys.L - 1):
-        if norms[k] <= tol:
+        if norms[k] <= TRIVIAL_COUPLING_TOL:
             return _identity_columns(sys.dim, sys.blocks[:k + 1])
     return None
 
@@ -389,8 +391,6 @@ def select_intervals(positions, masses, kappa: float, eta: float
     for (a, b) in intervals:
         if float(np.sum(mas[(pos >= a) & (pos <= b)])) > 0.0 or total == 0.0:
             kept.append((a, b))
-    if not kept:
-        kept = [intervals[0]]
     covered = np.zeros_like(mas, dtype=bool)
     for (a, b) in kept:
         covered |= (pos >= a) & (pos <= b)
@@ -486,7 +486,7 @@ def _sandwich_bases(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvectors of A for its spectrum in [-1, -1/2], (-1/2, 1/2) and
     [1/2, 1]: bases of Ran E, Ran(G - E) and Ran(1 - G) for the sandwich
     E = E_{[-1,-1/2]}(A) <= P <= G = 1 - E_{[1/2,1]}(A)."""
-    ea = eig_hermitian(a)
+    ea = eig_hermitian_part(a)
     lam = ea.eigenvalues
     return (ea.vectors[:, lam <= -0.5], ea.vectors[:, (lam > -0.5) & (lam < 0.5)],
             ea.vectors[:, lam >= 0.5])
@@ -508,7 +508,7 @@ def lin_oracle_projection(a, b) -> LinProjection:
     dist_a = op_norm(am - ap)
     dist_b = op_norm(bm - bp)
     low, mid, high = _sandwich_bases(am)
-    eap = eig_hermitian(ap)
+    eap = eig_hermitian_part(ap)
     basis = nest_projection_core(low, mid, eap.vectors[:, eap.eigenvalues < 0])
     if op_norm_exceeds(low - basis @ (basis.conj().T @ low), EXACT_TOL) or \
        op_norm_exceeds(high.conj().T @ basis, EXACT_TOL):
@@ -820,7 +820,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
         rho_i = rho[np.ix_(idx, idx)]
         ramp = (2.0 / (cfg.l_b / 2 + 1)) * (labels[idx] - (i + 0.25) * cfg.l_b) + 1.0
         b_hat = np.diag(np.clip(ramp, -1.0, 1.0))
-        er = eig_hermitian(rho_i, rtol=1e-8)
+        er = eig_hermitian_part(rho_i)
         f_rho = er.matrix_function(
             lambda x: 1.0 - 2.0 * np.asarray(f_prof(x), dtype=np.complex128))
         res = lin_oracle_projection(f_rho, b_hat)
@@ -1004,13 +1004,12 @@ def proof_matrix_M(diagn: HastingsDiagnostics) -> tuple[np.ndarray, np.ndarray, 
     return m, np.array(cs), np.array(ds), x
 
 
-def decay_check_U(diagn: HastingsDiagnostics, *, samples_per_block: int = 2,
-                  rng: np.random.Generator | None = None) -> dict:
+def decay_check_U(diagn: HastingsDiagnostics, *, rng: np.random.Generator | None = None) -> dict:
     """Fit the geometric decay of the N-family coefficients of U^perp y_i.
 
-    For sampled unit y_i in Y_i, solve U^perp y_i = sum_j n_j^i over the
-    (linearly independent) even N / odd N' bases and fit
-    |n_j^i| <= C1 alpha^{|i-j|}; also tabulate ||Y_j U Y_i||.
+    For DECAY_SAMPLES_PER_BLOCK sampled unit y_i in each Y_i, solve
+    U^perp y_i = sum_j n_j^i over the (linearly independent) even N / odd N'
+    bases and fit |n_j^i| <= C1 alpha^{|i-j|}; also tabulate ||Y_j U Y_i||.
     Raises StageError when the fitted alpha >= 1.
     """
     cfg = diagn.config
@@ -1037,7 +1036,7 @@ def decay_check_U(diagn: HastingsDiagnostics, *, samples_per_block: int = 2,
         idx = _coords(diagn.r_blocks, diagn.y_sets["Y"][i])
         if idx.size == 0:
             continue
-        for _ in range(samples_per_block):
+        for _ in range(DECAY_SAMPLES_PER_BLOCK):
             raw = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
             # U^perp y for the unit y supported on Y_i
             target = u_perp @ (u_perp[idx].conj().T @ (raw / np.linalg.norm(raw)))

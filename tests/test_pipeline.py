@@ -542,6 +542,35 @@ class TestUnitaryPairGap:
         vp = rep.b_prime
         assert mc.op_norm(vp.conj().T @ vp - np.eye(n)) <= 1e-9
 
+    def test_each_norm_taken_once(self, monkeypatch):
+        # ||W|| serves both the rescale and the log, ||V-V'|| both the
+        # ||V-V'|| <= 2||W-W'|| check and dist_b, and W' is decomposed
+        # unchecked: no nonempty matrix is measured twice
+        rng = np.random.default_rng(12)
+        n = 16
+        q = mc.random_unitary(rng, n)
+        v = q @ np.diag(np.exp(1j * np.sort(rng.uniform(0.8, 2 * math.pi - 0.8, n)))) @ q.conj().T
+        u0 = q @ np.diag(np.exp(1j * np.sort(rng.uniform(0, 2 * math.pi, n)))) @ q.conj().T
+        u = u0 @ mc.eig_hermitian(mc.random_hermitian(rng, n, norm=0.01)).matrix_function(
+            lambda x: np.exp(1j * x))
+        real, calls = mc.op_norm, {}
+
+        def counting(a):
+            m = np.asarray(a, dtype=np.complex128)
+            if m.size:
+                key = (m.shape, m.tobytes())
+                calls[key] = calls.get(key, 0) + 1
+            return real(a)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("nearcommute") and getattr(mod, "op_norm", None) is real:
+                monkeypatch.setattr(mod, "op_norm", counting)
+        rep = pl.unitary_pair_gap(u, v)
+        assert all(c.passed for c in rep.checks)
+        assert rep.stage_log["w_norm"] > 1.0
+        assert rep.checks[1].lhs == rep.dist_b
+        assert calls and max(calls.values()) == 1
+
     def test_no_gap_detected(self):
         n = 64
         v = np.diag(np.exp(2j * math.pi * np.arange(n) / n))

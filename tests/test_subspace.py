@@ -46,7 +46,7 @@ class TestVerifyTridiagonal:
         dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         far = dist >= 2
         j = 0.3 * (dist == 1) + 0.9 * tol * far
-        sys = sb.verify_tridiagonal(j, [np.array([i]) for i in range(n)], tol=tol)
+        sys = sb.verify_tridiagonal(j, [np.array([i]) for i in range(n)])
         assert sys.max_offtridiag == pytest.approx(mc.op_norm(j * far), rel=1e-12)
         assert sys.max_offtridiag > tol
         assert sys.L == n
@@ -292,6 +292,44 @@ class TestSelectIntervals:
             res = sb.select_intervals(pos, mas, kappa, eta)  # self-verifying
             assert res.r >= 1
 
+    @staticmethod
+    def first_cut_windows(kappa, eta):
+        """Midpoints of the candidate windows [t, t + eta) of the first cut."""
+        lo, hi = kappa / 2.0, kappa - eta
+        return lo + eta * (np.arange(int(np.floor((hi - lo) / eta)) + 1) + 0.5)
+
+    def test_every_kept_interval_carries_mass(self):
+        # A cut is the lightest of at least four disjoint windows, so a cut
+        # with mass leaves mass outside every cut: with total mass the
+        # selection is never empty, and it keeps only intervals with mass.
+        # Atoms on every candidate window of the first cut, or spaced below
+        # eta over [0, 1], give every window mass.
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            kappa = float(rng.uniform(0.05, 0.99))
+            eta = float(rng.uniform(kappa / 200, kappa / 8.0000001))
+            kind = trial % 4
+            if kind == 0:
+                pos = self.first_cut_windows(kappa, eta)
+            elif kind == 1:
+                pos = np.arange(0.0, 1.0, eta * rng.uniform(0.2, 0.99))
+            elif kind == 2:
+                pos = np.concatenate([self.first_cut_windows(kappa, eta),
+                                      rng.uniform(0, 1, int(rng.integers(0, 5)))])
+            else:
+                pos = rng.uniform(0, 1, int(rng.integers(1, 30)))
+            mas = rng.uniform(0, 1, pos.size) * (rng.uniform(0, 1, pos.size) < 0.8)
+            if mas.sum() == 0.0:
+                mas[0] = 1.0
+            res = sb.select_intervals(pos, mas, kappa, eta)
+            assert res.r >= 1, (trial, kappa, eta)
+            for a, b in res.intervals:
+                assert mas[(pos >= a) & (pos <= b)].sum() > 0.0, (trial, a, b)
+
+    def test_zero_measure_keeps_every_interval(self):
+        res = sb.select_intervals([0.1, 0.7], [0.0, 0.0], 0.2, 0.01)
+        assert res.r >= 2 and res.excluded_mass == 0.0
+
 
 class TestJacobiOracle:
     def test_commuting_pair_joint_diagonalized(self):
@@ -440,6 +478,45 @@ class TestSzarek:
         # the exact reducing subspace of the blocks before the empty one
         assert mc.op_norm(cert.w_basis @ cert.w_basis.conj().T
                           - sum(block_proj(sys.dim, b) for b in sys.blocks[:3])) <= 1e-12
+
+    @staticmethod
+    def coupled(dims, diag, pairs, c=0.4):
+        """J with the given diagonal and c at each coupled coordinate pair."""
+        j = np.diag(np.asarray(diag, dtype=np.complex128))
+        for p, q in pairs:
+            j[p, q] = j[q, p] = c
+        labels = np.repeat(np.arange(len(dims)), dims)
+        return sb.verify_tridiagonal(j, [np.flatnonzero(labels == k) for k in range(len(dims))])
+
+    def test_krylov_chain_closing_early_is_exact(self):
+        # V1 = {0,1}, V2 = {2,3}, V3 = {4,5}; J[V2,V1] couples only 0 <-> 2
+        # and J[V3,V2] only 3 <-> 5.  No coupling is zero, but the chain from
+        # V1 closes after e2, so W = span(e0, e1, e2)
+        sys = self.coupled([2, 2, 2], [0.1, -0.2, 0.3, 0.05, -0.1, 0.2], [(2, 0), (5, 3)])
+        assert sb.trivial_reducing_basis(sys) is None
+        red = sb.krylov_reduce(sys, 1)
+        assert not red.reversed and red.trivial_w is not None
+        cert = sb.szarek_W(sys)
+        assert cert.eps4 <= sb.EXACT_TOL
+        assert cert.contains_V1 and cert.perp_VL
+        assert mc.op_norm(cert.w_basis @ cert.w_basis.conj().T
+                          - block_proj(6, [0, 1, 2])) <= 1e-12
+
+    def test_reversed_krylov_chain_takes_the_complement(self):
+        # V1 = {0,1,2}, V2 = {3,4,5}, V3 = {6,7}, V4 = {8}; the rank-1
+        # coupling V3-V4 is the smallest and lies past the midpoint, so the
+        # chain runs from V4: e8 -> e6 -> e3, and e3 has no coupling into V1.
+        # W is the complement of the chain's span.
+        pairs = [(4, 0), (5, 1), (6, 3), (7, 4), (8, 6)]
+        sys = self.coupled([3, 3, 2, 1], 0.1 * np.arange(-4, 5), pairs)
+        assert sb.trivial_reducing_basis(sys) is None
+        red = sb.krylov_reduce(sys, 3)
+        assert red.reversed and red.trivial_w is not None
+        cert = sb.szarek_W(sys)
+        assert cert.eps4 <= sb.EXACT_TOL
+        assert cert.contains_V1 and cert.perp_VL
+        assert mc.op_norm(cert.w_basis @ cert.w_basis.conj().T
+                          - block_proj(9, [0, 1, 2, 4, 5, 7])) <= 1e-12
 
     def test_forty_singletons_produces_certificate(self):
         rng = np.random.default_rng(15)
