@@ -9,7 +9,7 @@ never mutated and outputs are freshly allocated arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -50,14 +50,21 @@ def as_matrix(a) -> np.ndarray:
 BLOCK_SCAN_MIN = 64
 
 
-def _hermitian_norm(h: np.ndarray) -> float:
-    """Largest eigenvalue modulus of an exactly Hermitian h.
+def hermitian_norm(h: np.ndarray) -> float:
+    """Operator norm of a square complex128 h that the caller built Hermitian
+    entry for entry, with no check: op_norm's Hermitian kernel, as
+    ``eig_hermitian_part`` is ``eig_hermitian``'s.  For an exactly
+    anti-Hermitian X, pass 1j * X, as op_norm does.  An empty or all-zero h
+    gives 0.0 without a decomposition.
 
-    When n >= BLOCK_SCAN_MIN, the corner entry h[n-1, 0] is 0 and the first
-    superdiagonal has a zero (each is necessary for a split), the contiguous
-    diagonal blocks of h's nonzero pattern are found by one scan, and the
-    norm is the largest block norm: |h_ii| for a 1x1 block, ``eigvalsh`` of
-    the block otherwise.  Any other h takes one ``eigvalsh``."""
+    The norm is h's largest eigenvalue modulus.  When n >= BLOCK_SCAN_MIN,
+    the corner entry h[n-1, 0] is 0 and the first superdiagonal has a zero
+    (each is necessary for a split), the contiguous diagonal blocks of h's
+    nonzero pattern are found by one scan, and the norm is the largest block
+    norm: |h_ii| for a 1x1 block, ``eigvalsh`` of the block otherwise.  Any
+    other h takes one ``eigvalsh``."""
+    if not h.any():
+        return 0.0
     n = h.shape[0]
     if n >= BLOCK_SCAN_MIN and h.item(n - 1, 0) == 0 and not np.diagonal(h, 1).all():
         # reach[i]: the last column of row i's pattern, the diagonal counted;
@@ -81,7 +88,7 @@ def op_norm(a) -> float:
     conjugate transpose, or to minus it, entry for entry, gives the largest
     eigenvalue modulus of m (of ``1j*m`` in the second case), split over the
     diagonal blocks of its nonzero pattern when it is large and may have
-    several (``_hermitian_norm``).  Everything else, rectangular blocks
+    several (``hermitian_norm``).  Everything else, rectangular blocks
     included, takes the first (largest) singular value from
     ``np.linalg.svd`` of the whole matrix.  The structure test has no
     tolerance: a matrix that is Hermitian only up to roundoff has a different
@@ -97,15 +104,15 @@ def op_norm(a) -> float:
         return 0.0
     if not np.isfinite(m).all():
         raise MatrixShapeError("matrix has non-finite entries")
-    if not m.any():
-        return 0.0
     n = m.shape[0]
     if n == m.shape[1]:
         corner, mirror = m.item(n - 1, 0), m.item(0, n - 1).conjugate()
         if corner == mirror and (m == m.conj().T).all():
-            return _hermitian_norm(m)
+            return hermitian_norm(m)
         if corner == -mirror and (m == -m.conj().T).all():
-            return _hermitian_norm(1j * m)
+            return hermitian_norm(1j * m)
+    if not m.any():
+        return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
@@ -115,7 +122,7 @@ def gram_norm(x) -> float:
 
     The scaling keeps every entry of Y at most 1 and its largest at 1, so
     no scale of X overflows or underflows G.  lambda_max is G's largest
-    eigenvalue modulus by op_norm's Hermitian path (``_hermitian_norm``).  A
+    eigenvalue modulus by op_norm's Hermitian path (``hermitian_norm``).  A
     zero or empty matrix gives 0.0; a non-finite one raises
     MatrixShapeError, as op_norm does.
 
@@ -140,7 +147,7 @@ def gram_norm(x) -> float:
         return 0.0
     y = m / s
     g = y.conj().T @ y
-    return s * math.sqrt(_hermitian_norm((g + g.conj().T) / 2))
+    return s * math.sqrt(hermitian_norm((g + g.conj().T) / 2))
 
 
 def op_norm_exceeds(x, tol: float) -> bool:
@@ -174,11 +181,14 @@ HERMITICITY_RTOL = 1e-10  # eig_hermitian, on caller input: ||A - A*||/2 <= HERM
 
 def require_hermitian(m, name: str) -> tuple[np.ndarray, float]:
     """(h, defect) = ((m + m*)/2, ||m - m*||/2) for a finite square m within
-    HERMITIAN_TOL, else NotHermitianError "{name} must be Hermitian".  As in
+    HERMITIAN_TOL, else NotHermitianError "{name} must be Hermitian".  An m
+    equal to m* entry for entry gives a copy of m and 0.0.  As in
     ``op_norm_exceeds``, ||m - m*||_F/2 screens the norm: within the tolerance
     it is the defect reported, and ||m|| is taken only for a defect above it."""
     mm = as_matrix(m)
     skew = mm - mm.conj().T
+    if not skew.any():
+        return mm.copy(), 0.0
     defect = float(np.linalg.norm(skew)) / 2
     if defect > HERMITIAN_TOL:
         defect = op_norm(skew) / 2
@@ -357,11 +367,14 @@ def eig_hermitian_part(m: np.ndarray) -> HermitianEig:
 class NormalEig:
     """Joint spectral data of a normal matrix: complex eigenvalues + unitary
     basis.  ``exact`` says whether V diag(eigenvalues) V* reproduces the
-    matrix to roundoff, so that norms of it may be taken in V's coordinates."""
+    matrix to roundoff, so that norms of it may be taken in V's coordinates;
+    where it does not, they are taken against ``matrix``, the N decomposed
+    (the array given, not a copy)."""
 
     eigenvalues: np.ndarray  # complex
     vectors: np.ndarray
     exact: bool
+    matrix: np.ndarray = field(repr=False)
 
 
 def random_hermitian(rng: np.random.Generator, n: int, *, norm: float | None = None) -> np.ndarray:
@@ -370,7 +383,7 @@ def random_hermitian(rng: np.random.Generator, n: int, *, norm: float | None = N
     h = (g + g.conj().T) / 2.0
     if norm is not None and n:
         # h is Hermitian entry for entry: op_norm's structure test is not needed
-        cur = _hermitian_norm(h)
+        cur = hermitian_norm(h)
         if cur > 0:
             h *= norm / cur
     return h

@@ -24,6 +24,7 @@ from .matcore import (
     eig_hermitian_part,
     gram_norm,
     hermitian_commutator,
+    hermitian_norm,
     op_norm,
     orthonormal_complement,
     require_contraction,
@@ -31,7 +32,7 @@ from .matcore import (
     require_unitary,
 )
 from .matio import encode_entries
-from .smoothing import _normal_basis, finite_range, finite_range_normal
+from .smoothing import _normal_basis, finite_range, finite_range_normal, unitary_eig
 from .subspace import (
     HastingsConfig,
     hastings_W,
@@ -145,12 +146,12 @@ def _cluster_step(ea, delta: float, floor: float
 
 
 def _first_empty_subinterval(sub_ids: np.ndarray, n_sub: int) -> int | None:
-    """Smallest subinterval index with no eigenvalue, or None if all occupied:
-    the first i with present[i] != i among the sorted ids present."""
-    present = np.unique(sub_ids)
-    missing = np.flatnonzero(present != np.arange(present.size))
-    first = int(missing[0]) if missing.size else present.size
-    return first if first < n_sub else None
+    """Smallest subinterval index in [0, n_sub) with no eigenvalue, or None
+    if all are occupied, read off a mask of the ids present."""
+    present = np.zeros(n_sub, dtype=bool)
+    present[sub_ids] = True
+    empty = np.flatnonzero(~present)
+    return int(empty[0]) if empty.size else None
 
 
 def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
@@ -243,7 +244,7 @@ def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, spectrum: np.ndarray | None
     B is diag(spectrum) in V's coordinates, so B - B' is block diagonal
     over the cells and ||B - B'|| is the largest cell norm
     (``_cell_b_distance``).  On the circle that holds only where
-    ``normal_eig`` reproduces B to roundoff; ``spectrum`` is None otherwise,
+    ``unitary_eig`` reproduces B to roundoff; ``spectrum`` is None otherwise,
     and ||B - B'|| is left to the caller (None here).
 
     Returns (A', B' before any symmetrisation, ||B-B'||, the pinching log,
@@ -294,20 +295,25 @@ def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, spectrum: np.ndarray | None
     # per regrouped space: its share of (VT)(Y o [label_l = label_m]); its
     # block of Y is then zeroed, which leaves the part of H that H' drops.
     # When Y is this function's own copy that is done in place: the label
-    # blocks are disjoint, and each is read before it is zeroed.
+    # blocks are disjoint, and each is read before it is zeroed.  Labels
+    # do not decrease along the index, so each space is one run, a slice,
+    # except on the circle, where cell 0's W (label n_cut) leads: the run
+    # labelled n_cut at the end joins it, in index order.
     dropped = y if turned else y.copy()
-    order = np.argsort(labels, kind="stable")
+    edges = (np.flatnonzero(np.diff(labels)) + 1).tolist()
+    spaces = [slice(s, e) for s, e in zip([0, *edges], [*edges, n])]
+    if len(spaces) > 1 and labels[0] == labels[-1]:
+        spaces = spaces[1:-1] + [np.r_[spaces[0], spaces[-1]]]
     vty = np.empty_like(vt)
-    for s, e in zip(*cluster_bounds(labels[order], 0.5)):
-        idx = order[s:e]
-        block = np.ix_(idx, idx)
+    for idx in spaces:
+        block = (idx, idx) if isinstance(idx, slice) else np.ix_(idx, idx)
         vty[:, idx] = vt[:, idx] @ y[block]
         dropped[block] = 0.0
     a_prime = vty @ vt.conj().T
     a_prime = (a_prime + a_prime.conj().T) / 2
     b_prime = (vt * values[labels]) @ vt.conj().T
 
-    h_h_prime = op_norm(dropped)
+    h_h_prime = hermitian_norm(dropped)
     checks = [] if any_degenerate else [
         BoundCheck(h_h_prime, 2.0 * eps2_max + 1e-10, "||H-H'|| <= 2 max eps2")]
     log = {
@@ -331,7 +337,9 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
     am, defect_a = require_hermitian(a, "A")
     require_contraction(am, "A")
     bm, defect_b = require_hermitian(b, "B")
-    delta = op_norm(hermitian_commutator(am, bm))
+    # A, B and everything built from them below are exactly Hermitian (their
+    # commutators anti-Hermitian), so their norms take op_norm's kernel
+    delta = hermitian_norm(1j * hermitian_commutator(am, bm))
     if delta == 0.0:
         require_contraction(bm, "B")
         return _unmoved(am, bm, delta)
@@ -350,8 +358,8 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
         cyclic=False)
     b_prime = (b_prime + b_prime.conj().T) / 2
 
-    dist_a = op_norm(am - a_prime)
-    res = op_norm(hermitian_commutator(a_prime, b_prime))
+    dist_a = hermitian_norm(am - a_prime)
+    res = hermitian_norm(1j * hermitian_commutator(a_prime, b_prime))
     checks.append(BoundCheck(dist_b, 2.0 / n_cut + 1e-10, "||B-B'|| <= 2/n_cut"))
     checks += pinch_checks
     log = {
@@ -467,13 +475,14 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
     um = require_unitary(u, "U")
     delta = gram_norm(commutator(am, um))
     if delta == 0.0:
-        return _unmoved(am, um, delta)
+        return _unmoved(am, um.copy(), delta)
     g0, g1, _ = choose_exponents(float(gamma2), True)
     big_delta = max(delta, DELTA_FLOOR) ** g0
     n_cut = max(3, int(math.ceil(1.0 / big_delta ** g1)))
     arc = 2.0 * math.pi / n_cut
 
-    fr = finite_range_normal(am, um, big_delta, comm=delta)
+    # U is checked once, by the unitary gate, which also bounds ||[U, U*]||
+    fr = finite_range_normal(am, unitary_eig(um), big_delta, comm=delta)
     checks = list(fr.checks)
     eu = fr.eig
     phases = np.mod(np.angle(eu.eigenvalues), 2.0 * math.pi)
@@ -489,7 +498,7 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
         # V diag(mu) V* misses U by more than roundoff: measure against U
         dist_u = gram_norm(um - u_prime)
 
-    dist_a = op_norm(am - a_prime)
+    dist_a = hermitian_norm(am - a_prime)
     res = gram_norm(commutator(a_prime, u_prime))
     checks.append(BoundCheck(dist_u, 2.0 * math.sin(min(arc / 2.0, math.pi / 2)) + 1e-10,
                              "||U-U'|| <= chord of one arc width"))
@@ -514,8 +523,8 @@ def unitary_pair_gap(u, v, theta: float | None = None, *,
     um = require_unitary(u, "U")
     vm = require_unitary(v, "V")
     # V's eigenvalues only locate the gap: the Rayleigh quotients of
-    # normal_eig's uncorrected basis are accurate to second order
-    _, basis, _ = _normal_basis(vm)
+    # unitary_eig's uncorrected basis are accurate to second order
+    basis, _ = _normal_basis(vm, unitary=True)
     spectrum = np.einsum("ij,ij->j", basis.conj(), vm @ basis)
     phases = np.sort(np.mod(np.angle(spectrum), 2.0 * math.pi))
     gaps = np.diff(np.concatenate([phases, [phases[0] + 2.0 * math.pi]]))

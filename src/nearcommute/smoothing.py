@@ -30,6 +30,7 @@ from .matcore import (
     eig_hermitian,
     eig_hermitian_part,
     gram_norm,
+    hermitian_norm,
     hermitian_norm_within,
     op_norm,
     require_normal,
@@ -47,6 +48,7 @@ __all__ = [
     "finite_range",
     "finite_range_normal",
     "normal_eig",
+    "unitary_eig",
     "TailTable",
     "tail_tables",
     "default_G",
@@ -323,33 +325,34 @@ def partition_of_unity(n_win: int) -> list[Profile]:
 # Normal matrices
 # ---------------------------------------------------------------------------
 
-def _normal_basis(n_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(N, V, scale): N checked finite, square and normal (``require_normal``),
-    and a unitary basis V of eigenvectors of its commuting parts Re N =
-    (N + N*)/2 and Im N = (N - N*)/2i, the first stage of ``normal_eig``.
+def _normal_basis(m: np.ndarray, unitary: bool) -> tuple[np.ndarray, float]:
+    """(V, scale) for a normal N its caller checked: a unitary basis V of
+    eigenvectors of its commuting parts Re N = (N + N*)/2 and Im N =
+    (N - N*)/2i, the first stage of ``normal_eig``.
 
     Re N is decomposed once.  Each run of two or more of its eigenvalues with
     gaps at most tau = 1e-8 * scale, scale = max(1, ||Re N||, ||Im N||)
     (``cluster_bounds``), is rediagonalised by the compression of Im N.  Re
     N, Im N and their compressions are Hermitian by construction and go to
-    ``eig_hermitian_part`` unchecked.  ||Re N|| is read off its eigenvalues,
-    and ||Im N|| is taken only when a Cholesky test (``hermitian_norm_within``)
-    does not place it at most 1, where it cannot raise the scale.  V is off
-    N's eigenvectors by about eps ||Im N|| over the gap of Re N, so its
-    Rayleigh quotients are off N's eigenvalues by about the square of that.
+    ``eig_hermitian_part`` unchecked.  ||Re N|| is read off its eigenvalues.
+    ||Im N|| raises the scale only above 1: it is taken only when a Cholesky
+    test (``hermitian_norm_within``) does not place it at most 1, and not
+    at all for a validated ``unitary`` N, where ||Im N|| <= ||N|| <= 1 +
+    UNITARY_TOL/2.  V is off N's eigenvectors by about eps ||Im N|| over the
+    gap of Re N, so its Rayleigh quotients are off N's eigenvalues by about
+    the square of that.
     """
-    m = require_normal(n_mat)
     im = (m - m.conj().T) / 2j
     er = eig_hermitian_part(m)
     v, lam_re = er.vectors, er.eigenvalues
-    im_norm = 0.0 if hermitian_norm_within(im, 1.0) else op_norm(im)
+    im_norm = 0.0 if unitary or hermitian_norm_within(im, 1.0) else op_norm(im)
     scale = max(1.0, float(np.abs(lam_re).max(initial=0.0)), im_norm)
     starts, stops = cluster_bounds(lam_re, 1e-8 * scale)
     multiple = stops - starts > 1
     for i, j in zip(starts[multiple].tolist(), stops[multiple].tolist()):
         ei = eig_hermitian_part(v[:, i:j].conj().T @ im @ v[:, i:j])
         v[:, i:j] = v[:, i:j] @ ei.vectors
-    return m, v, scale
+    return v, scale
 
 
 def normal_eig(n_mat: np.ndarray) -> NormalEig:
@@ -367,7 +370,21 @@ def normal_eig(n_mat: np.ndarray) -> NormalEig:
     basis kept, and ``exact`` records whether it reproduces N to roundoff,
     ||NX - X diag(mu)||_F <= 1e-12 scale.
     """
-    m, v, scale = _normal_basis(n_mat)
+    m = require_normal(n_mat)
+    return _corrected_eig(m, *_normal_basis(m, unitary=False))
+
+
+def unitary_eig(u: np.ndarray) -> NormalEig:
+    """``normal_eig`` of a square complex128 U that its caller validated as
+    unitary (``require_unitary``), with no check.  ||U*U - I|| <=
+    UNITARY_TOL makes ||UU* - I|| just as small, so ||[U, U*]|| <= 2
+    UNITARY_TOL; ||Im U|| <= ||U|| is not tested, and the scale is
+    max(1, ||Re U||)."""
+    return _corrected_eig(u, *_normal_basis(u, unitary=True))
+
+
+def _corrected_eig(m: np.ndarray, v: np.ndarray, scale: float) -> NormalEig:
+    """``normal_eig``'s correction of the basis V of N = m, for a checked m."""
     tau = 1e-8 * scale
     t = v.conj().T @ (m @ v)
     mu = np.diagonal(t)
@@ -385,7 +402,7 @@ def normal_eig(n_mat: np.ndarray) -> NormalEig:
     nv = m @ v
     mu = np.einsum("ij,ij->j", v.conj(), nv)
     nv -= v * mu
-    return NormalEig(mu, v, bool(np.linalg.norm(nv) <= 1e-12 * scale))
+    return NormalEig(mu, v, bool(np.linalg.norm(nv) <= 1e-12 * scale), m)
 
 
 def finite_range_multi(*args, **kwargs):
@@ -434,25 +451,28 @@ def _require_averaging(delta: float, profile: Profile | None) -> Profile:
 
 
 def _average(a: np.ndarray, v: np.ndarray, lams: Sequence[np.ndarray],
-             delta: float, p: Profile) -> tuple[np.ndarray, np.ndarray]:
-    """(V*AV - H~, H~) in the eigen-coordinates V, where H~ = A~ o
-    prod_j f((lam_jl - lam_jm)/Delta), symmetrised, for A~ = V*AV
-    symmetrised.  For an exactly Hermitian A, V*AV is taken as A~, so the
-    difference, whose norm is ||A - H||, is Hermitian too."""
+             delta: float, p: Profile) -> tuple[float, np.ndarray]:
+    """(||A - H||, H~) in the eigen-coordinates V, where H~ = A~ o
+    prod_j f((lam_jl - lam_jm)/Delta), for A~ = V*AV symmetrised.  H~ is
+    symmetrised again only when the multiplier is not exactly symmetric.
+    For an exactly Hermitian A, V*AV is taken as A~, so the difference is
+    Hermitian too and its norm takes op_norm's Hermitian kernel directly."""
     at = v.conj().T @ a @ v
     sym = (at + at.conj().T) / 2
-    mult = np.ones_like(at, dtype=float)
-    for lam in lams:
-        mult = mult * p((lam[:, None] - lam[None, :]) / delta)
+    mult = functools.reduce(np.multiply, [p((lam[:, None] - lam[None, :]) / delta)
+                                          for lam in lams])
     ht = sym * mult
-    ht = (ht + ht.conj().T) / 2
-    return (sym if np.array_equal(a, a.conj().T) else at) - ht, ht
+    if not np.array_equal(mult, mult.T):
+        ht = (ht + ht.conj().T) / 2
+    if np.array_equal(a, a.conj().T):
+        return hermitian_norm(sym - ht), ht
+    return op_norm(at - ht), ht
 
 
 def _commutator_norm(ht: np.ndarray, lam: np.ndarray) -> float:
     """||[H, B]|| for H~ = V*HV and B = V diag(lam) V*: the norm of
     H~_lm (lam_m - lam_l), which is anti-Hermitian for real lam."""
-    return op_norm(ht * (lam[None, :] - lam[:, None]))
+    return hermitian_norm(1j * (ht * (lam[None, :] - lam[:, None])))
 
 
 def finite_range(a, b, delta: float, profile: Profile | None = None, *,
@@ -482,9 +502,9 @@ def finite_range(a, b, delta: float, profile: Profile | None = None, *,
         eb = eig_hermitian(b)
         if comm is None:
             comm = op_norm(commutator(a, as_matrix(b)))
-    a_minus_h, ht = _average(a, eb.vectors, [eb.eigenvalues], delta, p)
+    a_h, ht = _average(a, eb.vectors, [eb.eigenvalues], delta, p)
     checks = [
-        BoundCheck(op_norm(a_minus_h), (p.c0 / delta) * comm, "finite_range ||A-H|| <= (c0/Delta)||[A,B]||"),
+        BoundCheck(a_h, (p.c0 / delta) * comm, "finite_range ||A-H|| <= (c0/Delta)||[A,B]||"),
         BoundCheck(_commutator_norm(ht, eb.eigenvalues), p.c1 * comm,
                    "finite_range ||[H,B]|| <= c1||[A,B]||"),
     ]
@@ -496,25 +516,27 @@ def finite_range_normal(a, n_mat, delta: float,
                         comm: float) -> FiniteRangeResult:
     """Finite-range construction of a Hermitian A against a normal matrix N,
     averaging in the joint eigenbasis of its commuting real/imaginary parts.
-    The spectral cut-off in the complex plane is sqrt(2) * Delta.  Both
-    left-hand sides are measured in N's eigen-coordinates V.  Where
-    ``normal_eig`` reproduces N there as diag(mu) to roundoff (``exact``),
-    ||[H,N]|| is the norm of H~_lm (mu_m - mu_l) (``gram_norm``, as the
-    product is not Hermitian for complex mu); otherwise it is ||[H~, V*NV]||.
-    ``comm`` is the caller's measured ||[A,N]||, the right-hand side of
-    both."""
+    The spectral cut-off in the complex plane is sqrt(2) * Delta.
+
+    ``n_mat`` is either N itself, which ``normal_eig`` checks and
+    decomposes, or the ``NormalEig`` of an N its caller has validated and
+    decomposed (``unitary_eig``).  Both left-hand sides are measured in N's
+    eigen-coordinates V.  Where the eigensystem reproduces N there as
+    diag(mu) to roundoff (``exact``), ||[H,N]|| is the norm of
+    H~_lm (mu_m - mu_l) (``gram_norm``, as the product is not Hermitian for
+    complex mu); otherwise it is ||[H~, V*NV]||.  ``comm`` is the caller's
+    measured ||[A,N]||, the right-hand side of both."""
     p = _require_averaging(delta, profile)
     a = as_matrix(a)
-    m = as_matrix(n_mat)
-    en = normal_eig(m)
+    en = n_mat if isinstance(n_mat, NormalEig) else normal_eig(n_mat)
     v, mu = en.vectors, en.eigenvalues
-    a_minus_h, ht = _average(a, v, [mu.real, mu.imag], delta, p)
+    a_h, ht = _average(a, v, [mu.real, mu.imag], delta, p)
     if en.exact:
         comm_hn = gram_norm(ht * (mu[None, :] - mu[:, None]))
     else:
-        comm_hn = gram_norm(commutator(ht, v.conj().T @ m @ v))
+        comm_hn = gram_norm(commutator(ht, v.conj().T @ en.matrix @ v))
     checks = [
-        BoundCheck(op_norm(a_minus_h), (2 * p.c0 * p.c1 / delta) * comm,
+        BoundCheck(a_h, (2 * p.c0 * p.c1 / delta) * comm,
                    "finite_range_normal ||A-H||"),
         BoundCheck(comm_hn, 2 * p.c1 ** 2 * comm, "finite_range_normal ||[H,N]||"),
     ]

@@ -343,7 +343,8 @@ def select_intervals(positions, masses, kappa: float, eta: float
 
     Guarantees (verified before returning): at most 2/kappa intervals, each of
     diameter <= kappa, pairwise at distance >= eta, and excluded mass at most
-    (4 eta / kappa) times the total.  Requires kappa > 8 eta > 0.
+    (4 eta / kappa) times the total.  Requires kappa > 8 eta > 0, masses
+    finite and nonnegative, and positions in [0,1] (a NaN is in neither).
     """
     pos = np.asarray(positions, dtype=float)
     mas = np.asarray(masses, dtype=float)
@@ -351,8 +352,10 @@ def select_intervals(positions, masses, kappa: float, eta: float
         raise ValueError("positions and masses must align")
     if not (kappa > 8 * eta > 0):
         raise ValueError("need kappa > 8 eta > 0")
-    if np.any(pos < -1e-12) or np.any(pos > 1 + 1e-12):
+    if not np.all((pos >= -1e-12) & (pos <= 1 + 1e-12)):
         raise ValueError("measure must be supported on [0,1]")
+    if not np.all((mas >= 0) & np.isfinite(mas)):
+        raise ValueError("masses must be finite and nonnegative")
     pos = np.clip(pos, 0.0, 1.0)
     total = float(np.sum(mas))
 

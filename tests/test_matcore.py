@@ -409,6 +409,43 @@ class TestHermitianNormWithin:
         assert mc.hermitian_norm_within(h, ratio) is (ratio > 1.0)
 
 
+class TestRequireHermitian:
+    @pytest.mark.parametrize("m", [
+        mc.random_hermitian(np.random.default_rng(3), 6),
+        # (m + m*)/2 would overflow here: the copy is m itself
+        np.array([[1e308, 1e308j], [-1e308j, -1e308]]),
+    ], ids=["random", "huge"])
+    def test_bitwise_hermitian_input_is_copied(self, m):
+        h, defect = mc.require_hermitian(m, "A")
+        assert np.array_equal(h, m) and defect == 0.0
+        assert not np.shares_memory(h, m)
+
+    def test_roundoff_hermitian_input_gives_its_hermitian_part(self):
+        m = mc.random_hermitian(np.random.default_rng(4), 6)
+        m[1, 4] += 1e-13
+        h, defect = mc.require_hermitian(m, "A")
+        assert h.tobytes() == ((m + m.conj().T) / 2).tobytes()
+        assert 0.0 < defect <= mc.HERMITIAN_TOL
+
+
+class TestHermitianNorm:
+    @pytest.mark.parametrize("n", [0, 1, 5, 70])
+    def test_equals_op_norm_on_exact_structure(self, n):
+        rng = np.random.default_rng(n)
+        h = mc.random_hermitian(rng, n)
+        k = h @ mc.random_hermitian(rng, n)
+        x = k - k.conj().T
+        assert mc.hermitian_norm(h) == mc.op_norm(h)
+        assert mc.hermitian_norm(1j * x) == mc.op_norm(x)
+
+    def test_zero_takes_no_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh reached")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert mc.hermitian_norm(np.zeros((3, 3), dtype=complex)) == 0.0
+
+
 class TestCommutator:
     def test_self_commutator_vanishes(self):
         rng = np.random.default_rng(0)

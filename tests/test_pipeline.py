@@ -480,9 +480,58 @@ class TestHermitianUnitary:
 
     def test_u_decomposed_once(self, monkeypatch):
         a, u = self.near_commuting_pair()
-        calls = count_calls(monkeypatch, sm, "normal_eig")
+        calls = count_calls(monkeypatch, sm, "unitary_eig")
         pl.commute_hermitian_unitary(a, u, 1.0)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("driver", ["circle", "gap"])
+def test_u_checked_once_by_the_unitary_gate(driver, monkeypatch):
+    # each unitary input passes require_unitary once, which also bounds
+    # ||[U, U*]||; no normality gate runs after it
+    rng = np.random.default_rng(23)
+    a, u = planted_pair(rng, 32, 1e-3, unitary=True)
+    q = mc.random_unitary(rng, 24)
+    v = (q * np.exp(1j * np.sort(rng.uniform(0.8, 2 * math.pi - 0.8, 24)))) @ q.conj().T
+    unitary = count_calls(monkeypatch, mc, "require_unitary")
+    normal = count_calls(monkeypatch, mc, "require_normal")
+    if driver == "circle":
+        pl.commute_hermitian_unitary(a, u)
+        want = 1
+    else:
+        # U and V at entry, then U again by the inner circle
+        pl.unitary_pair_gap(mc.random_unitary(rng, 24), v)
+        want = 3
+    assert (len(unitary), len(normal)) == (want, 0)
+
+
+def test_planted_drivers_take_no_full_size_op_norm(monkeypatch):
+    # every n x n norm the drivers report is of a matrix they built exactly
+    # Hermitian or anti-Hermitian, and goes straight to hermitian_norm
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench import workloads
+
+    calls = count_calls(monkeypatch, mc, "op_norm", square_of=128)
+    instances = [inst for inst in workloads.planted(1) if " n=128 " in inst.label]
+    assert len(instances) == 4
+    for inst in instances:
+        inst.call()
+        assert calls == [], inst.label
+
+
+@pytest.mark.parametrize("unitary", [False, True])
+def test_unmoved_report_owns_its_arrays(unitary):
+    # an exactly commuting pair comes back equal to the input, in new arrays
+    a = np.diag([0.5, -0.25, 0.1]).astype(complex)
+    b = (np.diag(np.exp(1j * np.array([0.3, 2.0, -1.0]))) if unitary
+         else np.diag([0.3, 0.2, -0.9]).astype(complex))
+    rep = DRIVERS[unitary](a, b)
+    assert rep.stage_log["delta"] == 0.0
+    for got, given in ((rep.a_prime, a), (rep.b_prime, b)):
+        assert np.array_equal(got, given)
+        assert not np.shares_memory(got, given)
 
 
 class TestRequireUnitary:
@@ -623,20 +672,20 @@ class TestCoordinateMeasures:
     def test_circle_measured_against_u(self, monkeypatch):
         # Re U has two eigenvalues 7.4e-6 apart, where its eigenvectors
         # alone reproduce U only to about 3e-11; ||U-U'|| and ||[H,U]||,
-        # measured in normal_eig's coordinates, must agree with U itself.
+        # measured in unitary_eig's coordinates, must agree with U itself.
         n = 16
         u = mc.random_unitary(np.random.default_rng(14), n)
         rng = np.random.default_rng(15)
         a = 0.9 * (u + u.conj().T) / 2 + 1e-3 * mc.random_hermitian(rng, n, norm=1.0)
         a = (a + a.conj().T) / 2
-        decompose, results = sm.normal_eig, []
+        decompose, results = pl.unitary_eig, []
 
         def recording(m):
             en = decompose(m)
             results.append(en)
             return en
 
-        monkeypatch.setattr(sm, "normal_eig", recording)
+        monkeypatch.setattr(pl, "unitary_eig", recording)
         averaging, frs = pl.finite_range_normal, []
         monkeypatch.setattr(pl, "finite_range_normal",
                             lambda *args, **kw: frs.append(averaging(*args, **kw)) or frs[-1])
@@ -671,6 +720,38 @@ class TestCoordinateMeasures:
         rep = pl.commute_hermitian_unitary(a, u)
         assert abs(rep.dist_b - mc.op_norm(u - rep.b_prime)) <= tol
         assert mc.op_norm(rep.b_prime.conj().T @ rep.b_prime - np.eye(n)) <= tol
+
+
+def test_circle_pinches_h_by_the_spectral_projections_of_u_prime(monkeypatch):
+    # A' = sum_j P_j H P_j over the spectral projections P_j of U'.  U's
+    # phases cluster on both sides of 0, so the space of U'-value 1 wraps
+    # around the circle: cell 0's W joins the last cell's W^perp, and the
+    # entries of H between them stay in A'
+    averaging, frs = pl.finite_range_normal, []
+    monkeypatch.setattr(pl, "finite_range_normal",
+                        lambda *args, **kw: frs.append(averaging(*args, **kw)) or frs[-1])
+    rng = np.random.default_rng(31)
+    phases = np.array([0.02, 0.05, 1.0, 1.3, 2.2, 2.5, 3.3, 3.6, 4.4, 4.7, 6.2, 6.25])
+    n = phases.size
+    q = mc.random_unitary(rng, n)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    a = (q * np.cos(phases)) @ q.conj().T + 0.02 * mc.random_hermitian(rng, n, norm=1.0)
+    a = (a + a.conj().T) / 2.04
+    rep = pl.commute_hermitian_unitary(a, u)
+    (fr,) = frs
+    log = rep.stage_log
+    values = np.exp(1j * log["arc_width"] * np.arange(1, log["n_cut"] + 1))
+    h, up, eye = fr.matrix, rep.b_prime, np.eye(n)
+    want = np.zeros_like(h)
+    for j, val in enumerate(values):
+        proj = eye.astype(complex)
+        for k, other in enumerate(values):
+            if k != j:
+                proj = proj @ (up - other * eye) / (val - other)
+        want += proj @ h @ proj
+    wrapped = [iv for iv in log["intervals"] if iv["interval"] in (0, log["n_cut"] - 1)]
+    assert [iv.get("trivial_gap") for iv in wrapped] == [1, 0]
+    assert mc.op_norm(rep.a_prime - want) <= 1e-12
 
 
 # Quality columns of the benchmark's planted workload at seed 1: label,
@@ -719,11 +800,12 @@ def test_planted_quality_columns_pinned():
 # dist_a, and two general norms, delta and the residual, by eigvalsh of a
 # Gram matrix, so no SVD; in U's eigen-coordinates ||U-U'|| is taken per
 # arc and the Gram matrix of [H,N], finite range there, splits into diagonal
-# blocks); contraction gates by Cholesky (A's, and on the circle the
-# ||Im U|| <= 1 test).
+# blocks); A's contraction gate by Cholesky.  The circle takes U's
+# normality from its unitary gate, which bounds ||Im U|| too, so it runs no
+# Cholesky test of its own.
 DECOMPOSITION_BUDGET = {
     False: {"eigh": 1, "eigvalsh": 4, "svd": 0, "cholesky": 2},
-    True: {"eigh": 1, "eigvalsh": 4, "svd": 0, "cholesky": 4},
+    True: {"eigh": 1, "eigvalsh": 4, "svd": 0, "cholesky": 2},
 }
 
 

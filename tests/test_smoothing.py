@@ -298,6 +298,24 @@ class TestFiniteRangeNormal:
         rebuilt = (eig.vectors * eig.eigenvalues) @ eig.vectors.conj().T
         assert mc.op_norm(rebuilt - u) <= 1e-12
 
+    def test_takes_a_validated_unitarys_eigensystem(self, monkeypatch):
+        # the NormalEig of a U checked by require_unitary stands in for U:
+        # the same averaging, with no normality gate
+        rng = np.random.default_rng(12)
+        u = mc.random_unitary(rng, 10)
+        a = mc.random_hermitian(rng, 10, norm=1.0)
+        comm = mc.op_norm(mc.commutator(a, u))
+        want = sm.finite_range_normal(a, u, 0.3, comm=comm)
+
+        def refuse(m):
+            raise AssertionError("require_normal reached")
+
+        monkeypatch.setattr(sm, "require_normal", refuse)
+        got = sm.finite_range_normal(a, sm.unitary_eig(mc.require_unitary(u, "U")), 0.3,
+                                     comm=comm)
+        assert np.array_equal(got.coords, want.coords)
+        assert [(c.lhs, c.rhs) for c in got.checks] == [(c.lhs, c.rhs) for c in want.checks]
+
     def test_near_normal_n_measured_against_n(self):
         # the normality test accepts N, but its eigenvectors lie 63 degrees
         # apart: no orthonormal basis reproduces it as diag(mu)

@@ -330,6 +330,16 @@ class TestSelectIntervals:
         res = sb.select_intervals([0.1, 0.7], [0.0, 0.0], 0.2, 0.01)
         assert res.r >= 2 and res.excluded_mass == 0.0
 
+    @pytest.mark.parametrize("masses", [[np.nan, 1.0], [-1.0, 1.0], [np.inf, 1.0]],
+                             ids=["nan", "negative", "inf"])
+    def test_masses_must_form_a_measure(self, masses):
+        with pytest.raises(ValueError, match="masses must be finite and nonnegative"):
+            sb.select_intervals([0.2, 0.6], masses, 0.2, 0.01)
+
+    def test_nan_position_rejected(self):
+        with pytest.raises(ValueError, match=r"supported on \[0,1\]"):
+            sb.select_intervals([np.nan, 0.6], [1.0, 1.0], 0.2, 0.01)
+
 
 class TestJacobiOracle:
     def test_commuting_pair_joint_diagonalized(self):
