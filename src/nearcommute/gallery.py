@@ -151,9 +151,8 @@ def tn_lift(a, big_n: int) -> np.ndarray:
 
 
 def _transposition(n: int, big_n: int, k: int) -> np.ndarray:
-    """Basis permutation of (C^n)^{x N} swapping tensor factors k and k+1."""
-    if not (0 <= k < big_n - 1):
-        raise ValueError("need 0 <= k < N-1")
+    """Basis permutation of (C^n)^{x N} swapping tensor factors k and k+1,
+    for 0 <= k < N - 1."""
     digits = np.arange(n ** big_n).reshape((n,) * big_n)
     return digits.swapaxes(big_n - 1 - k, big_n - 2 - k).reshape(-1)
 

@@ -89,16 +89,12 @@ class CommuteReport:
 
 
 def _jsonable(obj):
+    """A stage log with string keys and lists for tuples; its leaves are
+    already Python numbers, strings and booleans."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, BoundCheck):
-        return obj.as_dict()
     return obj
 
 
@@ -419,8 +415,10 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
     then repair (B, C) inside each block with the pair pipeline."""
     am, bm, cm = (require_contraction(require_hermitian(m, name)[0], name)
                   for m, name in ((a, "A"), (b, "B"), (c, "C")))
-    delta_ab = op_norm(hermitian_commutator(am, bm))
-    delta_ac = op_norm(hermitian_commutator(am, cm))
+    # A, B, C and everything built from them below are exactly Hermitian
+    # (their commutators anti-Hermitian), so their norms take op_norm's kernel
+    delta_ab = hermitian_norm(1j * hermitian_commutator(am, bm))
+    delta_ac = hermitian_norm(1j * hermitian_commutator(am, cm))
     delta_a = max(delta_ab, delta_ac)
     _, groups, a_prime = _cluster_step(eig_hermitian_part(am), delta_a, 1e-8)
     b_prime = np.zeros_like(a_prime)
@@ -432,7 +430,7 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
         c_blk = cols.conj().T @ cm @ cols
         b_blk = (b_blk + b_blk.conj().T) / 2
         c_blk = (c_blk + c_blk.conj().T) / 2
-        blk_residual = op_norm(hermitian_commutator(b_blk, c_blk))
+        blk_residual = hermitian_norm(1j * hermitian_commutator(b_blk, c_blk))
         if blk_residual <= 1e-13 * size:
             # the compressed pair already commutes: keep it unchanged
             blk_b, blk_c = b_blk, c_blk
@@ -445,23 +443,21 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
                                "dist_c": rep.dist_b, "residual": rep.comm_residual})
         b_prime += cols @ blk_b @ cols.conj().T
         c_prime += cols @ blk_c @ cols.conj().T
-    # exactly Hermitian outputs: the residuals and distances below then take
-    # op_norm's Hermitian path
     a_prime, b_prime, c_prime = ((m + m.conj().T) / 2
                                  for m in (a_prime, b_prime, c_prime))
-    res = max(op_norm(hermitian_commutator(a_prime, b_prime)),
-              op_norm(hermitian_commutator(a_prime, c_prime)),
-              op_norm(hermitian_commutator(b_prime, c_prime)))
+    res = max(hermitian_norm(1j * hermitian_commutator(a_prime, b_prime)),
+              hermitian_norm(1j * hermitian_commutator(a_prime, c_prime)),
+              hermitian_norm(1j * hermitian_commutator(b_prime, c_prime)))
     log = {
         "delta_ab": delta_ab,
         "delta_ac": delta_ac,
-        "delta_bc": op_norm(hermitian_commutator(bm, cm)),
+        "delta_bc": hermitian_norm(1j * hermitian_commutator(bm, cm)),
         "clusters": len(groups),
         "blocks": block_logs,
     }
-    return CommuteReport(a_prime, b_prime, op_norm(am - a_prime),
-                         op_norm(bm - b_prime), res, log, [],
-                         c_prime=c_prime, dist_c=op_norm(cm - c_prime))
+    return CommuteReport(a_prime, b_prime, hermitian_norm(am - a_prime),
+                         hermitian_norm(bm - b_prime), res, log, [],
+                         c_prime=c_prime, dist_c=hermitian_norm(cm - c_prime))
 
 
 def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
@@ -597,12 +593,13 @@ def delta_sweep(a0, b0, perturbation, deltas: Sequence[float],
     b0 = require_contraction(require_hermitian(b0, "B0")[0], "B0")
     g = as_matrix(perturbation)
     g = (g + g.conj().T) / 2
-    gn = op_norm(g)
+    # A0, B0 and G are exactly Hermitian: their norms take op_norm's kernel
+    gn = hermitian_norm(g)
     if gn > 0:
         g = g / gn
-    if op_norm(hermitian_commutator(a0, b0)) > 1e-10:
+    if hermitian_norm(1j * hermitian_commutator(a0, b0)) > 1e-10:
         raise ValueError("base pair must commute")
-    base = op_norm(hermitian_commutator(g, b0))
+    base = hermitian_norm(1j * hermitian_commutator(g, b0))
     if base <= 0:
         raise ValueError("perturbation commutes with B0; sweep is empty")
     rows = []

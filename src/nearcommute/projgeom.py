@@ -219,6 +219,11 @@ def tridiag_positive_test(m, c, d) -> TridiagPositivity:
     e_nn = D) whose off-diagonal matches M and whose diagonal is dominated by
     M's; then M >= D >= 0.  Raises when the hypotheses fail - that is
     "test not applicable", not "not positive".
+
+    The hypotheses themselves give M >= D >= 0 (up to their 1e-12
+    tolerances), so ``positive``, min eig(M) >= -1e-10 max(1, ||M||), is the
+    lemma's conclusion measured, and no input meeting them is expected to
+    return False; a falsy record is built directly where one is needed.
     """
     mm = as_matrix(m)
     n = mm.shape[0]

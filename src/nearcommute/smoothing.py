@@ -440,12 +440,15 @@ class FiniteRangeResult:
 
 
 def _require_averaging(delta: float, profile: Profile | None) -> Profile:
+    """The averaging profile (``poly_bump_profile`` by default): whatever its
+    centre, it must vanish outside [-1, 1] (|omega0| + support_radius <= 1)
+    and have f(0) = 1, both to 1e-12."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     p = profile if profile is not None else poly_bump_profile()
-    if p.support_radius > 1.0 + 1e-12:
+    if abs(p.omega0) + p.support_radius > 1.0 + 1e-12:
         raise ValueError("averaging profile must be supported in [-1, 1]")
-    if abs(float(p(p.omega0)) - 1.0) > 1e-12:
+    if abs(float(p(0.0)) - 1.0) > 1e-12:
         raise ValueError("averaging profile must satisfy f(0) = 1")
     return p
 

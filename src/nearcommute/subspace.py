@@ -382,13 +382,6 @@ def select_intervals(positions, masses, kappa: float, eta: float
         intervals.append((start, a))
         start = b
     intervals.append((start, 1.0))
-    # merge a short tail into its neighbor when the merged piece stays small
-    if len(intervals) >= 2:
-        a_last, b_last = intervals[-1]
-        a_prev, b_prev = intervals[-2]
-        if (b_last - a_last) < kappa / 2 and (b_last - a_prev) <= kappa:
-            intervals = intervals[:-2] + [(a_prev, b_last)]
-            cuts = cuts[:-1]
     # keep only intervals that carry mass
     kept = []
     for (a, b) in intervals:
@@ -589,21 +582,21 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
         gram = a_j.conj().T @ a_j
         w_g, v_g = np.linalg.eigh((gram + gram.conj().T) / 2)
         sig = np.sqrt(np.maximum(w_g, 0.0))
-        sing_max = max(sing_max, float(sig[-1]) if sig.size else 0.0)
+        sing_max = max(sing_max, float(sig[-1]))
         pieces.append((a_j, sig, v_g))
     if sing_max > 0 and a_cut >= sing_max:
         a_cut = 0.5 * sing_max
 
+    # V_1 is not empty, so the phi^2 mass is |V_1| > 0: a kept interval
+    # carries mass, its top singular value is positive, and the largest one
+    # passes a_cut < sing_max; W' has at least one column
     kept_cols = []
     for a_j, sig, v_g in pieces:
         keep = sig > a_cut
         if np.any(keep):
             cols = a_j @ v_g[:, keep]
             kept_cols.append(orthonormal_columns(cols))
-    w_raw = (np.column_stack(kept_cols) if kept_cols
-             else np.zeros((sys.dim, 0), dtype=np.complex128))
-    w_raw = orthonormal_columns(w_raw) if w_raw.shape[1] else w_raw
-    return _certify_repaired(sys, w_raw)
+    return _certify_repaired(sys, orthonormal_columns(np.column_stack(kept_cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +758,6 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
 
     # ---- stage (a): X_i = range of tau_i with small singular values cut ----
     x_bases: list[np.ndarray] = []
-    min_kept = math.inf
     for prof in windows:
         wvals = np.asarray(prof(ej.eigenvalues), dtype=float)
         tau = (ej.vectors * wvals) @ ej.vectors[v1, :].conj().T
@@ -774,13 +766,10 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
         keep = w_g > cfg.lambda_min
         if np.any(keep):
             basis = tau @ (v_g[:, keep] / np.sqrt(w_g[keep]))
-            min_kept = min(min_kept, float(np.min(w_g[keep])))
         else:
             basis = np.zeros((n, 0), dtype=np.complex128)
         x_bases.append(basis)
     r_dims = [b.shape[1] for b in x_bases]
-    if min_kept < cfg.lambda_min:
-        raise StageError("a", "kept singular values fell below lambda_min")
 
     # ---- stage (b): representation map A and rho = A*A ----
     a_map = (np.column_stack([b for b in x_bases if b.shape[1]])

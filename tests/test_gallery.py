@@ -31,6 +31,15 @@ class TestVoiculescu:
         assert mc.op_norm(mc.commutator(u, v)) == pytest.approx(target, abs=1e-10)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: gl.voiculescu(0), "n must be >= 1"),
+    (lambda: gl.quarter_tridiag(1), "n must be >= 2"),
+])
+def test_size_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestWinding:
     def test_commuting_to_itself_is_zero(self):
         n = 6
@@ -57,6 +66,15 @@ class TestWinding:
         r2 = gl.winding_number(u, v, t1, t2, steps=256)
         assert r1.stable and r2.stable
         assert r1.winding == r2.winding
+
+    def test_singular_loop_is_unstable_zero(self):
+        # U = sigma_x, V = sigma_z: (1-r)UV + rVU = (2r-1) UV vanishes at
+        # r = 1/2, a grid point, so the loop winds nowhere and is flagged
+        u = np.array([[0, 1], [1, 0]], dtype=complex)
+        v = np.diag([1, -1]).astype(complex)
+        eye = np.eye(2, dtype=complex)
+        res = gl.winding_number(u, v, eye, eye, steps=64)
+        assert (res.winding, res.min_abs, res.stable) == (0, 0.0, False)
 
     def test_rejects_noncommuting_target(self):
         u, v = gl.voiculescu(4)

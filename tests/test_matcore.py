@@ -389,6 +389,28 @@ class TestOpNorm:
         assert abs(mc.op_norm(m) - expected) <= 1e-12 * max(1.0, expected)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: mc.as_matrix(np.zeros((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+    (lambda: mc.as_matrix([[1.0, np.inf], [0.0, 1.0]]), "non-finite entries"),
+    (lambda: mc.op_norm(np.zeros((2, 2, 2))), r"expected a matrix, got shape \(2, 2, 2\)"),
+])
+def test_shape_rejected(call, message):
+    with pytest.raises(mc.MatrixShapeError, match=message):
+        call()
+
+
+class TestOrthonormalColumns:
+    def test_vector_is_one_column(self):
+        v = np.array([3.0, 4.0j, 0.0])
+        q = mc.orthonormal_columns(v)
+        assert q.shape == (3, 1)
+        assert abs(np.vdot(q[:, 0], v / 5.0)) == pytest.approx(1.0, abs=1e-15)
+
+    def test_no_columns(self):
+        q = mc.orthonormal_columns(np.zeros((5, 0)))
+        assert q.shape == (5, 0) and q.dtype == np.complex128
+
+
 class TestHermitianNormWithin:
     @pytest.mark.parametrize("m, c, want", [
         (np.zeros((0, 0)), 1.0, True),

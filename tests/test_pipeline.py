@@ -365,6 +365,52 @@ class TestThreeHermitian:
         assert rep.comm_residual <= 1e-12 * n
 
 
+    def test_report_json_carries_c(self):
+        import json
+        rng = np.random.default_rng(7)
+        a = np.diag([-0.5] * 4 + [0.5] * 4).astype(complex)
+        b, c = (mc.random_hermitian(rng, 8, norm=0.5) for _ in range(2))
+        rep = pl.three_hermitian(a, b, c)
+        doc = json.loads(json.dumps(rep.to_json_dict(include_matrices=True)))
+        assert doc["dist_c"] == rep.dist_c
+        assert doc["c_prime"] == matio.encode_entries(rep.c_prime)
+        assert "c_prime" not in rep.to_json_dict()
+        assert "dist_c" not in pl.cheap_commute(a, b).to_json_dict()
+
+
+def test_sweep_needs_a_perturbation_off_b0():
+    # diagonal A0, B0 and G: [G, B0] = 0 exactly
+    a0, b0, g = (np.diag(np.random.default_rng(k).uniform(-0.9, 0.9, 6)) for k in range(3))
+    with pytest.raises(ValueError, match="perturbation commutes with B0"):
+        pl.delta_sweep(a0, b0, g, [1e-2])
+
+
+def test_built_hermitian_norms_skip_the_structure_test(monkeypatch):
+    # three_hermitian and delta_sweep build every matrix they measure
+    # exactly Hermitian or anti-Hermitian: no norm of theirs goes through
+    # op_norm's structure test, and the values are op_norm's, bit for bit
+    real = pl.op_norm
+
+    def refusing(x):
+        if sys._getframe(1).f_code.co_name in ("three_hermitian", "delta_sweep"):
+            raise AssertionError("op_norm reached")
+        return real(x)
+
+    monkeypatch.setattr(pl, "op_norm", refusing)
+    rng = np.random.default_rng(7)
+    a = np.diag([-0.5] * 4 + [0.5] * 4).astype(complex)
+    b, c = (mc.random_hermitian(rng, 8, norm=0.5) for _ in range(2))
+    rep = pl.three_hermitian(a, b, c)
+    assert rep.dist_c == mc.op_norm(c - rep.c_prime)
+    assert rep.stage_log["delta_bc"] == mc.op_norm(mc.commutator(b, c))
+    a0, b0 = commuting_pair(rng, 12)
+    g = mc.random_hermitian(rng, 12, norm=1.0)
+    rows = pl.delta_sweep(a0, b0, g, [1e-2])
+    # (A0 + tG)/(1 + t) with t = delta/||[G, B0]|| measures delta/(1 + t)
+    assert rows[0]["delta"] == pytest.approx(1e-2, rel=0.05)
+    assert rows[0]["comm_residual"] <= 1e-12 * 12
+
+
 class TestEmptyInput:
     @pytest.mark.parametrize("driver", [pl.commute_hermitian_pair,
                                         pl.commute_hermitian_unitary])

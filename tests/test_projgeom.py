@@ -100,6 +100,11 @@ class TestJordanBlocks:
             assert mc.op_norm(fb @ fb.conj().T - np.eye(n)) <= 1e-10
 
 
+def test_jordan_blocks_need_one_space():
+    with pytest.raises(ValueError, match="same space"):
+        pg.jordan_blocks(np.eye(2), np.eye(3))
+
+
 class TestJordanBasis:
     def test_contained_projection(self):
         rng = np.random.default_rng(3)
@@ -132,6 +137,11 @@ class TestJordanBasis:
             img = q @ q.conj().T @ basis
             gram = img.conj().T @ img
             assert mc.op_norm(gram - np.diag(np.diag(gram))) <= 1e-10
+
+    def test_empty_p_gives_empty_basis(self):
+        q = mc.random_unitary(np.random.default_rng(5), 4)[:, :2]
+        basis = pg.jordan_basis(np.zeros((4, 0), dtype=complex), q)
+        assert basis.shape == (4, 0)
 
     def test_rejects_non_orthonormal_bases(self):
         q = mc.random_unitary(np.random.default_rng(16), 6)
@@ -257,6 +267,18 @@ class TestNestProjection:
 
 
 class TestTridiagPositive:
+    @pytest.mark.parametrize("m, c, d, message", [
+        (np.eye(3), np.ones(2), np.ones(3), "one entry per row"),
+        (np.eye(3), np.array([0.5, -0.5, 0.5]), np.full(3, 0.5), "nonnegative"),
+        (np.eye(3) + 0.1 * np.eye(3, k=2) + 0.1 * np.eye(3, k=-2), np.full(3, 0.5),
+         np.full(3, 0.5), "M must be tridiagonal"),
+        (np.eye(3) + 0.3 * np.eye(3, k=1) + 0.3 * np.eye(3, k=-1), np.full(3, 0.5),
+         np.full(3, 0.5), r"\|M_\{i,i\+1\}\| <= d_i c_\{i\+1\} violated"),
+    ])
+    def test_hypotheses_rejected(self, m, c, d, message):
+        with pytest.raises(ValueError, match=message):
+            pg.tridiag_positive_test(m, c, d)
+
     def test_identity_with_half_weights(self):
         c = np.full(4, 1 / math.sqrt(2))
         res = pg.tridiag_positive_test(np.eye(4), c, c)
@@ -266,7 +288,8 @@ class TestTridiagPositive:
         c = np.full(4, 1 / math.sqrt(2))
         res = pg.tridiag_positive_test(np.eye(4), c, c)
         assert bool(res) is res.positive is True
-        # a certificate that reports a negative eigenvalue is falsy
+        # a certificate that reports a negative eigenvalue is falsy; it is
+        # built directly, since inputs meeting the hypotheses give M >= D >= 0
         neg = pg.TridiagPositivity(False, res.witness, res.witness_factor, -0.5)
         assert bool(neg) is neg.positive is False
 

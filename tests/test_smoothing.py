@@ -149,6 +149,12 @@ class TestPartitionOfUnity:
             sm.partition_of_unity(1)
 
 
+@pytest.mark.parametrize("r, w", [(0.5, 0.0), (-0.1, 0.5)])
+def test_smooth_profile_shape_rejected(r, w):
+    with pytest.raises(ValueError, match="need w > 0 and r >= 0"):
+        sm.smooth_profile(r, w)
+
+
 class TestFiniteRange:
     def test_scalar_b_returns_a(self):
         rng = np.random.default_rng(1)
@@ -244,6 +250,42 @@ class TestFiniteRange:
             res = sm.finite_range(a, b, delta, prof)
             comm = mc.op_norm(mc.commutator(a, b))
             assert mc.op_norm(a - res.matrix) <= (prof.c0 / delta) * comm + 1e-15
+
+
+    @pytest.mark.parametrize("profile, message", [
+        # support [0.2, 1.2]: f(0.7) = 1, but f(0) = 0 and the window leaves [-1, 1]
+        (sm.smooth_profile(0.0, 0.5, omega0=0.7), r"supported in \[-1, 1\]"),
+        # support [0.2, 0.8] inside [-1, 1], but f(0) = 0
+        (sm.smooth_profile(0.1, 0.2, omega0=0.5), r"f\(0\) = 1"),
+    ])
+    def test_off_centre_profile_rule(self, profile, message):
+        rng = np.random.default_rng(13)
+        a, b = (mc.random_hermitian(rng, 12, norm=1.0) for _ in range(2))
+        comm = mc.op_norm(mc.commutator(a, b))
+        with pytest.raises(ValueError, match=message):
+            sm.finite_range(a, mc.eig_hermitian_part(b), 0.5, profile, comm=comm)
+        with pytest.raises(ValueError, match=message):
+            sm.finite_range_normal(a, b, 0.5, profile, comm=comm)
+
+    def test_off_centre_profile_averages_with_its_even_part(self):
+        # f = F[0.5, 0.2] centred at 0.1: f(0) = 1 and support [-0.6, 0.8].
+        # The multiplier is not symmetric, so H~ takes its Hermitian part,
+        # which is A~ times (f(x) + f(-x))/2: exactly Hermitian, finite range
+        prof = sm.smooth_profile(0.5, 0.2, omega0=0.1)
+        rng = np.random.default_rng(14)
+        a, b = (mc.random_hermitian(rng, 12, norm=1.0) for _ in range(2))
+        eb = mc.eig_hermitian_part(b)
+        delta = 0.5
+        res = sm.finite_range(a, eb, delta, prof, comm=mc.op_norm(mc.commutator(a, b)))
+        ht = res.coords
+        assert np.array_equal(ht, ht.conj().T)
+        x = (eb.eigenvalues[:, None] - eb.eigenvalues[None, :]) / delta
+        at = eb.vectors.conj().T @ a @ eb.vectors
+        even = (prof(x) + prof(-x)) / 2
+        assert not np.array_equal(prof(x), prof(-x))
+        assert np.abs(ht - (at + at.conj().T) / 2 * even).max() <= 1e-15
+        assert np.all(ht[np.abs(x) >= 1.0] == 0.0)
+        res.require()
 
 
 class TestFiniteRangeNormal:

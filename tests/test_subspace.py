@@ -1,6 +1,7 @@
 """Subspace engines: tridiagonal systems, certificates, interval selection,
 the commuting-pair oracle, and the two W constructions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -153,6 +154,14 @@ class TestCertifyW:
         assert mc.op_norm(wb.conj().T @ wb - np.eye(3)) <= 1e-12
         assert mc.op_norm(wb @ wb.conj().T - w @ w.conj().T / 4.0) <= 1e-12
 
+    def test_vector_is_a_one_column_basis(self):
+        rng = np.random.default_rng(4)
+        sys = sb.random_block_tridiagonal(rng, [2, 3, 2, 1])
+        w = mc.random_unitary(rng, 8)[:, 0]
+        cert = sb.certify_W(sys, w)
+        assert cert.w_basis.shape == (8, 1)
+        assert cert.summary() == sb.certify_W(sys, w[:, None]).summary()
+
     def test_primal_dual_agreement_random(self):
         rng = np.random.default_rng(3)
         sys = sb.random_block_tridiagonal(rng, [2, 3, 2, 1])
@@ -213,6 +222,23 @@ class TestKrylovReduce:
         assert red.trivial_w is not None
         pw = red.trivial_w @ red.trivial_w.conj().T
         assert mc.op_norm((np.eye(5) - pw) @ sys2.j @ pw) <= 1e-10
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_coupling_index_range(self, i):
+        sys = sb.random_block_tridiagonal(np.random.default_rng(1), [1, 1, 1])
+        with pytest.raises(ValueError, match="need 1 <= i < L"):
+            sb.krylov_reduce(sys, i)
+
+    @pytest.mark.parametrize("dims, i, reversed_", [([0, 2, 2], 1, False),
+                                                    ([2, 2, 2, 0], 3, True)])
+    def test_empty_start_closes_at_once(self, dims, i, reversed_):
+        # an empty V_1 (V_L when reversed) starts an empty chain: the empty
+        # space reduces J exactly
+        sys = sb.random_block_tridiagonal(np.random.default_rng(3), dims)
+        red = sb.krylov_reduce(sys, i)
+        assert red.reversed == reversed_
+        assert red.chain == []
+        assert red.trivial_w.shape == (sys.dim, 0)
 
     def test_rank_one_coupling_chain_dims(self):
         rng = np.random.default_rng(5)
@@ -335,6 +361,10 @@ class TestSelectIntervals:
     def test_masses_must_form_a_measure(self, masses):
         with pytest.raises(ValueError, match="masses must be finite and nonnegative"):
             sb.select_intervals([0.2, 0.6], masses, 0.2, 0.01)
+
+    def test_misaligned_masses_rejected(self):
+        with pytest.raises(ValueError, match="must align"):
+            sb.select_intervals([0.2, 0.6], [1.0], 0.2, 0.01)
 
     def test_nan_position_rejected(self):
         with pytest.raises(ValueError, match=r"supported on \[0,1\]"):
@@ -558,6 +588,9 @@ class TestHastings:
         assert cfg.kappa == pytest.approx(2 / cfg.n_win)
         with pytest.raises(ValueError):
             sb.HastingsConfig(n_win=24, l_b=6, lambda_min=1e-4)
+        # (n_win + 1) // l_b - 1 = 0 superblocks
+        with pytest.raises(ValueError, match="n_win too small"):
+            sb.HastingsConfig(n_win=6, l_b=4, lambda_min=1e-4)
 
     def test_empty_block_short_circuits(self):
         rng = np.random.default_rng(17)
@@ -664,6 +697,137 @@ class TestHastings:
         monkeypatch.setattr(sb, "lin_oracle_projection", oracle)
         with pytest.raises(sb.StageError, match=message):
             sb.hastings_W(self.desk_system(), self.desk_config())
+
+    def test_all_windows_cut_gives_v1(self):
+        # lambda_min above every window's Gram eigenvalue (each is at most 1)
+        # leaves no representation space: W is V_1 and the record is empty
+        sys = self.desk_system(seed=21, L=40)
+        cfg = sb.HastingsConfig(n_win=16, l_b=4, lambda_min=2.0)
+        cert, diag = sb.hastings_W(sys, cfg)
+        assert diag.r_dims == [0] * (cfg.n_win + 1)
+        assert np.array_equal(cert.w_basis, np.eye(sys.dim)[:, sys.blocks[0]])
+        assert cert.contains_V1 and cert.perp_VL
+        assert all(b.shape[1] == 0 for b in diag.n_bases.values())
+        assert diag.stage_checks == []
+        assert sb.decay_check_U(diag)["alpha"] == 0.0
+
+    def test_spectrum_in_few_windows(self):
+        # J = 0.8 + 0.15 J_0 has its spectrum in [0.65, 0.95]: the windows
+        # below it carry no X_i, so Y'_1..Y'_4 hold no coordinate and
+        # N_1..N_4 are empty, and only N_5 enters the semi-orthogonality
+        base = sb.random_block_tridiagonal(np.random.default_rng(0), [2] * 30)
+        sys = sb.verify_tridiagonal(0.8 * np.eye(base.dim) + 0.15 * base.j, base.blocks)
+        cfg = self.desk_config()
+        cert, diag = sb.hastings_W(sys, cfg)
+        assert cfg.n_b == 5
+        assert diag.r_dims[:20] == [0] * 20 and sum(diag.r_dims) > 0
+        assert [diag.n_bases[i].shape[1] for i in range(1, 5)] == [0, 0, 0, 0]
+        assert diag.n_bases[5].shape[1] > 0
+        assert list(diag.stage_values["commutators"]) == [5]
+        assert diag.stage_values["semi_orthogonality"] == 0.0
+        assert cert.contains_V1 and cert.perp_VL
+        assert all(chk.passed for chk in diag.stage_checks)
+        # Y_1..Y_4 are empty too; the one offset (0) leaves alpha at 0
+        fit = sb.decay_check_U(diag, rng=np.random.default_rng(0))
+        assert list(fit["offsets"]) == [0]
+        assert fit["alpha"] == 0.0
+        assert fit["C1"] == max(fit["offsets"][0], 1.0)
+        assert list(fit["u_table"]) == [(5, 5)]
+
+    def test_stage_b_rejects_roundoff_directions(self):
+        # lambda_min below the roundoff floor keeps Gram eigenvalues that are
+        # noise, whose normalised images are not orthonormal
+        with pytest.raises(sb.StageError, match=r"\[b\] rho diagonal blocks deviate") as err:
+            sb.hastings_W(self.desk_system(), sb.HastingsConfig(n_win=24, l_b=4,
+                                                                lambda_min=1e-30))
+        assert err.value.stage == "b"
+
+    def test_stage_b_rejects_overlapping_windows(self, monkeypatch):
+        # windows that all cover the spectrum give equal X_i, so rho couples
+        # blocks two and more apart
+        monkeypatch.setattr(sb, "partition_of_unity",
+                            lambda n: [sm.smooth_profile(1.0, 1.0)] * (n + 1))
+        with pytest.raises(sb.StageError, match=r"\[b\] rho has off-tridiagonal") as err:
+            sb.hastings_W(self.desk_system(), self.desk_config())
+        assert err.value.stage == "b"
+
+    def test_stage_c_rejects_large_commutator(self, monkeypatch):
+        real = sb.lin_oracle_projection
+        monkeypatch.setattr(sb, "lin_oracle_projection", lambda a, b: dataclasses.replace(
+            real(a, b), commutator_norm=1.0 - sb.HASTINGS_CHI + 1e-6))
+        with pytest.raises(sb.StageError, match=r"\[c\] \|\|\[N_1, B\^_1\]\|\|") as err:
+            sb.hastings_W(self.desk_system(), self.desk_config())
+        assert err.value.stage == "c"
+
+    def test_stage_d_rejects_semi_orthogonality(self, monkeypatch):
+        # one superblock (n_b = 1) whose edge sentinels Y'_0 and Y'_2 are
+        # Y'_1 itself: ||Y'_2 N_1 Y'_0|| = ||N_1|| = 1
+        real = sb._block_ranges
+
+        def sentinels_on_y1(cfg):
+            sets = real(cfg)
+            sets["Yp"][0] = sets["Yp"][cfg.n_b + 1] = sets["Yp"][1]
+            return sets
+
+        cfg = sb.HastingsConfig(n_win=8, l_b=4, lambda_min=1e-4)
+        assert cfg.n_b == 1
+        _, diag = sb.hastings_W(self.desk_system(), cfg)
+        assert diag.stage_values["semi_orthogonality"] <= 0.5 - sb.HASTINGS_CHI / 2
+        monkeypatch.setattr(sb, "_block_ranges", sentinels_on_y1)
+        with pytest.raises(sb.StageError, match=r"\[d\] semi-orthogonality 1\.0000") as err:
+            sb.hastings_W(self.desk_system(), cfg)
+        assert err.value.stage == "d"
+
+    def test_stage_d_rejects_overlapping_even_family(self, monkeypatch):
+        # the even N_i sit on disjoint Y'_i; a stack that repeats them is no
+        # projection
+        real = sb._even_basis
+        monkeypatch.setattr(sb, "_even_basis", lambda *args: np.column_stack([real(*args)] * 2))
+        with pytest.raises(sb.StageError, match=r"\[d\] even N_i do not sum") as err:
+            sb.hastings_W(self.desk_system(), self.desk_config())
+        assert err.value.stage == "d"
+
+    @staticmethod
+    def decay_record(columns):
+        """A Hastings record on 16 one-coordinate R-blocks (n_win = 15,
+        n_b = 3: Y_1 = blocks 0..7, Y_2 = 4..11, Y_3 = 8..15) whose N-family
+        is ``columns`` {owner: (blocks, weight)}: one column per owner, the
+        unit vector spread evenly over the blocks, times the weight; even
+        owners as N_i, odd ones as N'_i.  U^perp is the span of the unit
+        vectors, so a weight w scales that column's coefficients by 1/w."""
+        cfg = sb.HastingsConfig(n_win=15, l_b=4, lambda_min=1e-4)
+        total = cfg.n_win + 1
+        diag = sb.HastingsDiagnostics.empty(cfg, np.zeros((0, total)), [1] * total)
+        diag.r_blocks = [np.array([k]) for k in range(total)]
+        vecs = []
+        for owner, (blocks, weight) in columns.items():
+            unit = np.zeros((total, 1), dtype=complex)
+            unit[list(blocks)] = 1.0 / math.sqrt(len(blocks))
+            (diag.n_bases if owner % 2 == 0 else diag.n_prime_bases)[owner] = weight * unit
+            vecs.append(unit)
+        diag.u_perp_basis = np.column_stack(vecs)
+        return diag
+
+    def test_decay_rejects_growing_coefficients(self):
+        # y in Y_1 has coefficient |y_5| on N_2 (one superblock away) and
+        # 100 |y_2| on N'_3 (two away): the fit grows with distance
+        diag = self.decay_record({1: ((0,), 1.0), 2: ((5,), 1.0), 3: ((2,), 0.01)})
+        with pytest.raises(sb.StageError, match=r"\[decay\] fitted alpha = \d+\.\d+ >= 1") as err:
+            sb.decay_check_U(diag, rng=np.random.default_rng(0))
+        assert err.value.stage == "decay"
+
+    def test_decay_table_violation_recorded(self):
+        # heavy columns keep the coefficients small and decaying (alpha < 1),
+        # but U^perp's vector on blocks 2 and 12 links the disjoint Y_1 and
+        # Y_3: ||Y_3 U Y_1|| = 1/2 exceeds C2 alpha^2
+        diag = self.decay_record({2: ((2, 12), 10.0), 3: ((3,), 100.0)})
+        fit = sb.decay_check_U(diag, rng=np.random.default_rng(0))
+        assert 0.0 < fit["alpha"] < 1.0
+        assert fit["C2"] * fit["alpha"] ** 2 < 0.5
+        assert [(i, j) for i, j, _ in fit["table_violations"]] == [(1, 3), (3, 1)]
+        assert all(val == pytest.approx(0.5) for *_, val in fit["table_violations"])
+        assert fit["u_table"][(1, 3)] == fit["table_violations"][0][2]
+        assert diag.decay_fit["table_violations"] == 2
 
     def test_one_tail_table_build(self, monkeypatch):
         sys = self.desk_system()
