@@ -2,8 +2,9 @@
 generation, and delta sweeps.
 
 Exit codes: 0 success, 1 I/O failure, 2 engine failure, 64 usage error.
-Every command is deterministic given its inputs, flags, and --seed
-(overridable through the AC_SEED environment variable).
+Every command is deterministic given its inputs, flags, and --seed, whose
+default is the AC_SEED environment variable (0 when it is unset; a value
+that is not an integer is a usage error).
 """
 
 from __future__ import annotations
@@ -46,16 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("AC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -74,8 +65,6 @@ def _build_parser() -> _Parser:
     pc.add_argument("matrix_a")
     pc.add_argument("matrix_b")
     pc.add_argument("--gamma2", type=float, default=1.0)
-    pc.add_argument("--rescale", action="store_true",
-                    help="rescale inputs to contractions instead of rejecting")
     pc.add_argument("--out", default="report.json")
 
     pv = sub.add_parser("verify", help="run a named property suite")
@@ -104,17 +93,9 @@ def cmd_commute(args) -> int:
         a = load_matrix(args.matrix_a)
         b = load_matrix(args.matrix_b)
         hashes = {"a": _sha256(args.matrix_a), "b": _sha256(args.matrix_b)}
-    except MatrixFileError as exc:
+    except (MatrixFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if args.rescale:
-        a = (a + a.conj().T) / 2
-        b = (b + b.conj().T) / 2
-        a = a / max(1.0, op_norm(a))
-        b = b / max(1.0, op_norm(b))
     try:
         rep = commute_hermitian_pair(a, b, args.gamma2)
     except (StageError,) as exc:
@@ -125,7 +106,7 @@ def cmd_commute(args) -> int:
         return EXIT_ENGINE
     doc = rep.to_json_dict(include_matrices=True)
     doc["inputs"] = hashes
-    doc["config"] = {"gamma2": args.gamma2, "rescale": bool(args.rescale)}
+    doc["config"] = {"gamma2": args.gamma2}
     atomic_write_text(args.out, json.dumps(doc))
     print(json.dumps({"dist_a": rep.dist_a, "dist_b": rep.dist_b,
                       "comm_residual": rep.comm_residual, "out": args.out}))
@@ -137,9 +118,8 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
               file=sys.stderr)
         return EXIT_USAGE
-    seed = args.seed if args.seed is not None else _default_seed()
-    out = run_suite(args.suite, seed, args.trials)
-    out["seed"] = seed
+    out = run_suite(args.suite, args.seed, args.trials)
+    out["seed"] = args.seed
     print(json.dumps(out))
     return EXIT_OK if out["violations"] == 0 else EXIT_ENGINE
 
@@ -187,19 +167,18 @@ def cmd_gallery(args) -> int:
             result["reference_match"] = ok
         print(json.dumps(result))
         return EXIT_OK
-    if args.object == "winding":
-        if n < 2 or n > 512:
-            print("error: n out of budget", file=sys.stderr)
-            return EXIT_USAGE
-        u, v = voiculescu(n)
-        eye = np.eye(n, dtype=complex)
-        res = winding_number(u, v, eye, eye)
-        doc = {"n": n, "winding": res.winding, "stable": res.stable,
-               "min_abs_det": res.min_abs, "steps": res.steps}
-        atomic_write_text(outdir / f"winding_{n}.json", json.dumps(doc))
-        print(json.dumps(doc))
-        return EXIT_OK
-    return EXIT_USAGE
+    # "winding", the last of the parser's choices
+    if n < 2 or n > 512:
+        print("error: n out of budget", file=sys.stderr)
+        return EXIT_USAGE
+    u, v = voiculescu(n)
+    eye = np.eye(n, dtype=complex)
+    res = winding_number(u, v, eye, eye)
+    doc = {"n": n, "winding": res.winding, "stable": res.stable,
+           "min_abs_det": res.min_abs, "steps": res.steps}
+    atomic_write_text(outdir / f"winding_{n}.json", json.dumps(doc))
+    print(json.dumps(doc))
+    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -218,8 +197,7 @@ def cmd_sweep(args) -> int:
     except (MatrixFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     g = random_hermitian(rng, a.shape[0], norm=1.0)
     try:
         rows = delta_sweep(a, b, g, sorted(values, reverse=True), args.gamma2)
@@ -246,6 +224,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    if args.command in ("verify", "sweep") and args.seed is None:
+        env = os.environ.get("AC_SEED", "0")
+        try:
+            args.seed = int(env)
+        except ValueError:
+            print(f"error: AC_SEED must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_USAGE
     handlers = {
         "commute": cmd_commute,
         "verify": cmd_verify,

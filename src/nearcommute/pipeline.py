@@ -75,7 +75,7 @@ class CommuteReport:
             "dist_a": self.dist_a,
             "dist_b": self.dist_b,
             "comm_residual": self.comm_residual,
-            "stage_log": _jsonable(self.stage_log),
+            "stage_log": self.stage_log,
             "checks": [c.as_dict() for c in self.checks],
         }
         if self.dist_c is not None:
@@ -86,16 +86,6 @@ class CommuteReport:
             if self.c_prime is not None:
                 out["c_prime"] = encode_entries(self.c_prime)
         return out
-
-
-def _jsonable(obj):
-    """A stage log with string keys and lists for tuples; its leaves are
-    already Python numbers, strings and booleans."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def choose_exponents(gamma2, finite_range_needed: bool = True):

@@ -33,6 +33,7 @@ from .matcore import (
     hermitian_norm,
     hermitian_norm_within,
     op_norm,
+    require_hermitian,
     require_normal,
 )
 
@@ -423,7 +424,6 @@ class FiniteRangeResult:
 
     coords: np.ndarray
     checks: list[BoundCheck]
-    delta: float
     profile_name: str
     eig: HermitianEig | NormalEig
 
@@ -439,37 +439,26 @@ class FiniteRangeResult:
         return self
 
 
-def _require_averaging(delta: float, profile: Profile | None) -> Profile:
-    """The averaging profile (``poly_bump_profile`` by default): whatever its
-    centre, it must vanish outside [-1, 1] (|omega0| + support_radius <= 1)
-    and have f(0) = 1, both to 1e-12."""
+def _require_averaging(delta: float) -> Profile:
+    """The averaging profile, ``poly_bump_profile()``, for a range Delta > 0."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    p = profile if profile is not None else poly_bump_profile()
-    if abs(p.omega0) + p.support_radius > 1.0 + 1e-12:
-        raise ValueError("averaging profile must be supported in [-1, 1]")
-    if abs(float(p(0.0)) - 1.0) > 1e-12:
-        raise ValueError("averaging profile must satisfy f(0) = 1")
-    return p
+    return poly_bump_profile()
 
 
 def _average(a: np.ndarray, v: np.ndarray, lams: Sequence[np.ndarray],
              delta: float, p: Profile) -> tuple[float, np.ndarray]:
     """(||A - H||, H~) in the eigen-coordinates V, where H~ = A~ o
-    prod_j f((lam_jl - lam_jm)/Delta), for A~ = V*AV symmetrised.  H~ is
-    symmetrised again only when the multiplier is not exactly symmetric.
-    For an exactly Hermitian A, V*AV is taken as A~, so the difference is
-    Hermitian too and its norm takes op_norm's Hermitian kernel directly."""
+    prod_j f((lam_jl - lam_jm)/Delta) for A~ = V*AV symmetrised.  A is
+    exactly Hermitian and f is even, so the multiplier is exactly
+    symmetric, H~ and A~ - H~ are Hermitian, and the norm takes op_norm's
+    Hermitian kernel directly."""
     at = v.conj().T @ a @ v
     sym = (at + at.conj().T) / 2
     mult = functools.reduce(np.multiply, [p((lam[:, None] - lam[None, :]) / delta)
                                           for lam in lams])
     ht = sym * mult
-    if not np.array_equal(mult, mult.T):
-        ht = (ht + ht.conj().T) / 2
-    if np.array_equal(a, a.conj().T):
-        return hermitian_norm(sym - ht), ht
-    return op_norm(at - ht), ht
+    return hermitian_norm(sym - ht), ht
 
 
 def _commutator_norm(ht: np.ndarray, lam: np.ndarray) -> float:
@@ -478,10 +467,9 @@ def _commutator_norm(ht: np.ndarray, lam: np.ndarray) -> float:
     return hermitian_norm(1j * (ht * (lam[None, :] - lam[:, None])))
 
 
-def finite_range(a, b, delta: float, profile: Profile | None = None, *,
-                 comm: float | None = None) -> FiniteRangeResult:
+def finite_range(a, b, delta: float, *, comm: float | None = None) -> FiniteRangeResult:
     """Replace a Hermitian A by an H that is finite range Delta with respect
-    to B (H averages the Hermitian part of any other A).
+    to B, averaging with f = ``poly_bump_profile()``, (1 - x^2)^3 on [-1, 1].
 
     In B's eigenbasis H has entries A_{lm} * f((l - m)/Delta); consequently
     E_{S1}(B) H E_{S2}(B) = 0 exactly whenever dist(S1, S2) >= Delta, and
@@ -489,14 +477,16 @@ def finite_range(a, b, delta: float, profile: Profile | None = None, *,
     left-hand sides are measured in B's eigen-coordinates, where [H,B] is an
     entrywise product.
 
-    ``b`` is either B itself, which ``eig_hermitian`` checks and decomposes,
-    or the ``HermitianEig`` of a B its caller has validated and decomposed
+    A goes through ``require_hermitian``: a defect within HERMITIAN_TOL is
+    symmetrised away, and a larger one raises NotHermitianError.  ``b`` is
+    either B itself, which ``eig_hermitian`` checks and decomposes, or the
+    ``HermitianEig`` of a B its caller has validated and decomposed
     (``eig_hermitian_part``).  ``comm`` is ||[A,B]|| when the caller has
     already measured it; it is measured here from B otherwise, so it is
     required with an eigensystem.
     """
-    p = _require_averaging(delta, profile)
-    a = as_matrix(a)
+    p = _require_averaging(delta)
+    a = require_hermitian(a, "A")[0]
     if isinstance(b, HermitianEig):
         if comm is None:
             raise ValueError("finite_range on B's eigensystem needs comm = ||[A,B]||")
@@ -511,16 +501,16 @@ def finite_range(a, b, delta: float, profile: Profile | None = None, *,
         BoundCheck(_commutator_norm(ht, eb.eigenvalues), p.c1 * comm,
                    "finite_range ||[H,B]|| <= c1||[A,B]||"),
     ]
-    return FiniteRangeResult(ht, checks, delta, p.name, eb)
+    return FiniteRangeResult(ht, checks, p.name, eb)
 
 
-def finite_range_normal(a, n_mat, delta: float,
-                        profile: Profile | None = None, *,
-                        comm: float) -> FiniteRangeResult:
+def finite_range_normal(a, n_mat, delta: float, *, comm: float) -> FiniteRangeResult:
     """Finite-range construction of a Hermitian A against a normal matrix N,
-    averaging in the joint eigenbasis of its commuting real/imaginary parts.
-    The spectral cut-off in the complex plane is sqrt(2) * Delta.
+    averaging with ``poly_bump_profile()`` in the joint eigenbasis of its
+    commuting real/imaginary parts.  The spectral cut-off in the complex
+    plane is sqrt(2) * Delta.
 
+    A goes through ``require_hermitian``, as in ``finite_range``.
     ``n_mat`` is either N itself, which ``normal_eig`` checks and
     decomposes, or the ``NormalEig`` of an N its caller has validated and
     decomposed (``unitary_eig``).  Both left-hand sides are measured in N's
@@ -529,8 +519,8 @@ def finite_range_normal(a, n_mat, delta: float,
     H~_lm (mu_m - mu_l) (``gram_norm``, as the product is not Hermitian for
     complex mu); otherwise it is ||[H~, V*NV]||.  ``comm`` is the caller's
     measured ||[A,N]||, the right-hand side of both."""
-    p = _require_averaging(delta, profile)
-    a = as_matrix(a)
+    p = _require_averaging(delta)
+    a = require_hermitian(a, "A")[0]
     en = n_mat if isinstance(n_mat, NormalEig) else normal_eig(n_mat)
     v, mu = en.vectors, en.eigenvalues
     a_h, ht = _average(a, v, [mu.real, mu.imag], delta, p)
@@ -543,7 +533,7 @@ def finite_range_normal(a, n_mat, delta: float,
                    "finite_range_normal ||A-H||"),
         BoundCheck(comm_hn, 2 * p.c1 ** 2 * comm, "finite_range_normal ||[H,N]||"),
     ]
-    return FiniteRangeResult(ht, checks, delta, p.name, en)
+    return FiniteRangeResult(ht, checks, p.name, en)
 
 
 # ---------------------------------------------------------------------------

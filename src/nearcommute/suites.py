@@ -22,7 +22,6 @@ from .projgeom import jordan_blocks, nest_projection
 from .smoothing import (
     finite_range,
     partition_of_unity,
-    poly_bump_profile,
     scaling_identity_residual,
     smooth_profile,
 )
@@ -170,14 +169,13 @@ def suite_smoothing(seed: int, trials: int) -> dict:
     for j, w in ((0.0, 1.0), (1.0, 0.5), (2.0, 0.25)):
         if scaling_identity_residual(j if j else 0.0, w, 0.8) > 0.01:
             tally.failures.append(f"scaling identity fails at j={j}, w={w}")
-    prof = poly_bump_profile()
     for t in range(trials):
         n = int(rng.integers(4, 17))
         a = random_hermitian(rng, n, norm=1.0)
         b = random_hermitian(rng, n, norm=1.0)
         delta = float(rng.uniform(0.2, 1.0))
         eb = eig_hermitian_part(b)
-        res = finite_range(a, eb, delta, prof, comm=op_norm(hermitian_commutator(a, b)))
+        res = finite_range(a, eb, delta, comm=op_norm(hermitian_commutator(a, b)))
         for chk in res.checks:
             tally.record(chk)
         if op_norm_exceeds(res.matrix - res.matrix.conj().T, 1e-12 * n):

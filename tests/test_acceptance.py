@@ -59,7 +59,7 @@ def test_finite_range_exactness():
         a = mc.random_hermitian(rng, n, norm=1.0)
         b = mc.random_hermitian(rng, n, norm=1.0)
         delta = float(rng.uniform(0.15, 1.0))
-        res = sm.finite_range(a, b, delta, prof)
+        res = sm.finite_range(a, b, delta)
         eb = mc.eig_hermitian(b)
         lam = eb.eigenvalues
         for cut in np.linspace(lam[0], lam[-1] - delta, 4):

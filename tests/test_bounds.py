@@ -422,6 +422,35 @@ class TestMask:
             bd._mask(e, np.array([True, False]))
 
 
+_A01, _B = np.diag([0.0, 1.0]), np.diag([0.3, 2.0])
+_H, _B3 = 0.5 * np.eye(3), np.diag([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bd.check_davis_kahan(_A01, _B, lambda x: x < 0.5, lambda x: x > 0.2,
+                                  delta_gap=0.0), "delta_gap must be positive"),
+    # S2 = {0.3, 2} is 0.3 from S1 = {0}, inside delta_gap = 0.5 of [0, 0]
+    (lambda: bd.check_davis_kahan(_A01, _B, lambda x: x < 0.5, lambda x: x > 0.2,
+                                  delta_gap=0.5), "S2 intrudes within delta_gap"),
+    (lambda: bd.schur_divide(np.ones(2), [1.0], [0.0, 0.0], 1.0), "T must be a matrix"),
+    (lambda: bd.schur_divide(np.ones((2, 2)), [1.0], [0.0, 0.0], 1.0),
+     "a, b lengths must match T's shape"),
+    (lambda: bd.check_spectral_gap(_A01, _B, 0.5, 0.5), "need gap_hi > gap_lo"),
+    (lambda: bd.lieb_robinson_decay(_H, _B3, 0.5, [True] * 3, [True] * 3, 0.0),
+     "S1, S2 must be separated"),
+    (lambda: bd.lieb_robinson_nested(_H, _B3, 0.5, [False, False, True],
+                                     [True, True, False], sm.poly_bump_profile()),
+     "S'' must be contained in S'"),
+    # B's eigenvalue 0 lies both in S' (first copy) and in its complement
+    (lambda: bd.lieb_robinson_nested(_H, _B3, 0.5, [True, False, False],
+                                     [True, False, False], sm.poly_bump_profile()),
+     "S'' must be separated from the complement of S'"),
+])
+def test_input_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def _eigs(*mats):
     return [mc.eig_hermitian_part(mc.as_matrix(m)) for m in mats]
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from nearcommute import matcore as mc
-from nearcommute import matio
+from nearcommute import cli, matio
 from nearcommute.cli import main
+from nearcommute.subspace import StageError
 
 
 @pytest.fixture
@@ -54,6 +55,18 @@ class TestMatrixIO:
         with pytest.raises(matio.MatrixFileError):
             matio.load_matrix(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim": 2}', "missing dim/entries"),
+        ('{"dim": 2, "entries": [[[1, 0], [0, 0]]]}', "do not form a 2x2 matrix"),
+        ('{"dim": 1, "entries": [[[1]]]}', "bad entry encoding"),
+        ('{"dim": 1, "entries": [[[NaN, 0]]]}', "non-finite entries"),
+    ])
+    def test_malformed_content(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(matio.MatrixFileError, match=message):
+            matio.load_matrix(path)
+
 
 class TestCommuteCommand:
     def test_commuting_inputs_succeed(self, commuting_files, tmp_path, capsys):
@@ -92,6 +105,26 @@ class TestCommuteCommand:
         code = main(["commute", str(tmp_path / "none.json"), str(tmp_path / "none.json")])
         assert code == 1
 
+    def test_unreadable_input_is_io_error(self, commuting_files, tmp_path, monkeypatch):
+        pa, pb, _, _ = commuting_files
+
+        def refuse(path):
+            raise PermissionError(f"cannot read {path}")
+
+        monkeypatch.setattr(cli, "_sha256", refuse)
+        assert main(["commute", str(pa), str(pb), "--out", str(tmp_path / "r.json")]) == 1
+
+    def test_stage_error_is_engine_failure(self, commuting_files, tmp_path, monkeypatch,
+                                           capsys):
+        pa, pb, _, _ = commuting_files
+
+        def fail(*args):
+            raise StageError("c", "oracle commutator too large")
+
+        monkeypatch.setattr(cli, "commute_hermitian_pair", fail)
+        assert main(["commute", str(pa), str(pb), "--out", str(tmp_path / "r.json")]) == 2
+        assert "engine failure: [c] oracle commutator too large" in capsys.readouterr().err
+
     def test_hastings_route_end_to_end(self, tensor_lift_pair, tmp_path):
         a, b = tensor_lift_pair
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
@@ -104,7 +137,7 @@ class TestCommuteCommand:
         assert doc["comm_residual"] <= 1e-10 * 64
         engines = [e.get("engine") for e in doc["stage_log"]["intervals"]]
         assert engines.count("hastings") >= 1
-        assert doc["config"] == {"gamma2": 1.0, "rescale": False}
+        assert doc["config"] == {"gamma2": 1.0}
 
 
 class TestVerifyCommand:
@@ -127,6 +160,11 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out.strip())
         assert doc["seed"] == 99
+
+    def test_env_seed_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("AC_SEED", "seven")
+        assert main(["verify", "tn", "--trials", "2"]) == 64
+        assert "AC_SEED must be an integer, got 'seven'" in capsys.readouterr().err
 
 
 class TestGalleryCommand:
@@ -158,6 +196,16 @@ class TestGalleryCommand:
         assert main(["gallery", "voiculescu", "--n", "100000",
                      "--out", str(tmp_path)]) == 64
 
+    @pytest.mark.parametrize("obj", ["quarter-tridiag", "winding"])
+    def test_budget_guard_small_n(self, tmp_path, capsys, obj):
+        assert main(["gallery", obj, "--n", "1", "--out", str(tmp_path)]) == 64
+        assert "n out of budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_is_io_error(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        assert main(["gallery", "winding", "--out", str(tmp_path / "file" / "dir")]) == 1
+
 
 class TestSweepCommand:
     def test_five_point_sweep(self, commuting_files, tmp_path, capsys):
@@ -183,6 +231,25 @@ class TestSweepCommand:
     def test_empty_delta_list_usage_error(self, commuting_files, tmp_path):
         pa, pb, _, _ = commuting_files
         assert main(["sweep", str(pa), str(pb), "--deltas", ","]) == 64
+
+    def test_bad_delta_list_usage_error(self, commuting_files, capsys):
+        pa, pb, _, _ = commuting_files
+        assert main(["sweep", str(pa), str(pb), "--deltas", "1e-2,tiny"]) == 64
+        assert "bad delta list '1e-2,tiny'" in capsys.readouterr().err
+
+    def test_missing_file_is_io_error(self, commuting_files, tmp_path):
+        pa, _, _, _ = commuting_files
+        assert main(["sweep", str(pa), str(tmp_path / "none.json"), "--deltas", "1e-2",
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_env_seed_not_an_integer(self, commuting_files, tmp_path, monkeypatch, capsys):
+        pa, pb, _, _ = commuting_files
+        monkeypatch.setenv("AC_SEED", "1.5")
+        assert main(["sweep", str(pa), str(pb), "--deltas", "1e-2",
+                     "--out", str(tmp_path / "s.csv")]) == 64
+        assert "AC_SEED must be an integer, got '1.5'" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_noncommuting_base_engine_error(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -640,8 +640,11 @@ class TestHastings:
         assert cert.eps3 <= refs["eps3_ref"]
         assert cert.eps4 <= refs["eps4_ref"]
         assert cert.eps5 <= refs["eps5_ref"]
+        # the references are comparison data in stage_values, not checks
+        assert not any("reference" in chk.context for chk in diag.stage_checks)
+        assert diag.stage_values["eps4_ref"] == refs["eps4_ref"]
         for chk in diag.stage_checks:
-            if "reference" in chk.context or "|Au|" in chk.context:
+            if "|Au|" in chk.context:
                 assert chk.passed, chk.context
 
     def test_energy_decomposition_bound(self):
@@ -828,6 +831,17 @@ class TestHastings:
         assert all(val == pytest.approx(0.5) for *_, val in fit["table_violations"])
         assert fit["u_table"][(1, 3)] == fit["table_violations"][0][2]
         assert diag.decay_fit["table_violations"] == 2
+
+    def test_decay_table_compares_far_pairs_only(self):
+        # one N_2 column on block 5: the fit sees offsets 0 and 1 only and
+        # sets alpha = 0, yet the overlapping Y_i, Y_{i+1} have
+        # ||Y_j U Y_i|| = 1 and are no violation
+        diag = self.decay_record({2: ((5,), 1.0)})
+        fit = sb.decay_check_U(diag, rng=np.random.default_rng(0))
+        assert sorted(fit["offsets"]) == [0, 1] and fit["alpha"] == 0.0
+        assert fit["u_table"][(1, 2)] == pytest.approx(1.0)
+        assert fit["table_violations"] == []
+        assert diag.decay_fit["table_violations"] == 0
 
     def test_one_tail_table_build(self, monkeypatch):
         sys = self.desk_system()
