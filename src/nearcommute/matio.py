@@ -69,15 +69,21 @@ def load_matrix(path) -> np.ndarray:
         raise MatrixFileError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict) or "entries" not in doc or "dim" not in doc:
         raise MatrixFileError(f"{path}: missing dim/entries")
-    n = int(doc["dim"])
-    rows = doc["entries"]
+    n, rows = doc["dim"], doc["entries"]
+    if type(n) is not int:  # not a float, string or bool, even one equal to an integer
+        raise MatrixFileError(f"{path}: dim is not an integer")
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise MatrixFileError(f"{path}: entries is not a list of rows")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise MatrixFileError(f"{path}: entries do not form a {n}x{n} matrix")
+    if not all(type(c) is list and len(c) == 2 and all(type(x) in (int, float) for x in c)
+               for row in rows for c in row):
+        raise MatrixFileError(f"{path}: bad entry encoding")
     try:
-        m = np.array([[complex(c[0], c[1]) for c in row] for row in rows],
+        m = np.array([[complex(*c) for c in row] for row in rows],
                      dtype=np.complex128).reshape(n, n)
-    except (TypeError, IndexError) as exc:
-        raise MatrixFileError(f"{path}: bad entry encoding") from exc
+    except OverflowError as exc:  # an integer beyond binary64
+        raise MatrixFileError(f"{path}: non-finite entries") from exc
     if not np.all(np.isfinite(m)):
         raise MatrixFileError(f"{path}: non-finite entries")
     for tag, gate in (("hermitian", require_hermitian), ("unitary", require_unitary)):

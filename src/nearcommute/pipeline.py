@@ -180,6 +180,9 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
         log["engine"] = "hastings"
         cert, _ = hastings_W(sys, HastingsConfig.from_system_size(sys.L))
     log["eps2"] = cert.eps4 * scale
+    # ||J_21||, rescaled: the eps2 that W = V_1 would give, to roundoff and
+    # the off-band norm
+    log["first_cell_eps2"] = float(sys.coupling_norms[0]) * scale
     log["certificate"] = cert.summary()
     w = cert.w_basis
     t = np.column_stack([w, orthonormal_complement(w)])

@@ -24,10 +24,8 @@ from .checks import BoundCheck
 from .matcore import (
     HermitianEig,
     NormalEig,
-    as_matrix,
     cluster_bounds,
     commutator,
-    eig_hermitian,
     eig_hermitian_part,
     gram_norm,
     hermitian_norm,
@@ -467,7 +465,7 @@ def _commutator_norm(ht: np.ndarray, lam: np.ndarray) -> float:
     return hermitian_norm(1j * (ht * (lam[None, :] - lam[:, None])))
 
 
-def finite_range(a, b, delta: float, *, comm: float | None = None) -> FiniteRangeResult:
+def finite_range(a, eb: HermitianEig, delta: float, *, comm: float) -> FiniteRangeResult:
     """Replace a Hermitian A by an H that is finite range Delta with respect
     to B, averaging with f = ``poly_bump_profile()``, (1 - x^2)^3 on [-1, 1].
 
@@ -478,23 +476,13 @@ def finite_range(a, b, delta: float, *, comm: float | None = None) -> FiniteRang
     entrywise product.
 
     A goes through ``require_hermitian``: a defect within HERMITIAN_TOL is
-    symmetrised away, and a larger one raises NotHermitianError.  ``b`` is
-    either B itself, which ``eig_hermitian`` checks and decomposes, or the
-    ``HermitianEig`` of a B its caller has validated and decomposed
-    (``eig_hermitian_part``).  ``comm`` is ||[A,B]|| when the caller has
-    already measured it; it is measured here from B otherwise, so it is
-    required with an eigensystem.
+    symmetrised away, and a larger one raises NotHermitianError.  ``eb`` is
+    B's ``HermitianEig``, from the checked ``eig_hermitian`` for outside
+    input or ``eig_hermitian_part`` for a B its caller validated, and
+    ``comm`` is the caller's measured ||[A,B]||.
     """
     p = _require_averaging(delta)
     a = require_hermitian(a, "A")[0]
-    if isinstance(b, HermitianEig):
-        if comm is None:
-            raise ValueError("finite_range on B's eigensystem needs comm = ||[A,B]||")
-        eb = b
-    else:
-        eb = eig_hermitian(b)
-        if comm is None:
-            comm = op_norm(commutator(a, as_matrix(b)))
     a_h, ht = _average(a, eb.vectors, [eb.eigenvalues], delta, p)
     checks = [
         BoundCheck(a_h, (p.c0 / delta) * comm, "finite_range ||A-H|| <= (c0/Delta)||[A,B]||"),
@@ -504,24 +492,22 @@ def finite_range(a, b, delta: float, *, comm: float | None = None) -> FiniteRang
     return FiniteRangeResult(ht, checks, p.name, eb)
 
 
-def finite_range_normal(a, n_mat, delta: float, *, comm: float) -> FiniteRangeResult:
+def finite_range_normal(a, en: NormalEig, delta: float, *, comm: float) -> FiniteRangeResult:
     """Finite-range construction of a Hermitian A against a normal matrix N,
     averaging with ``poly_bump_profile()`` in the joint eigenbasis of its
     commuting real/imaginary parts.  The spectral cut-off in the complex
     plane is sqrt(2) * Delta.
 
-    A goes through ``require_hermitian``, as in ``finite_range``.
-    ``n_mat`` is either N itself, which ``normal_eig`` checks and
-    decomposes, or the ``NormalEig`` of an N its caller has validated and
-    decomposed (``unitary_eig``).  Both left-hand sides are measured in N's
-    eigen-coordinates V.  Where the eigensystem reproduces N there as
-    diag(mu) to roundoff (``exact``), ||[H,N]|| is the norm of
+    A goes through ``require_hermitian``, as in ``finite_range``.  ``en`` is
+    N's ``NormalEig``, from the checked ``normal_eig`` for outside input or
+    ``unitary_eig`` for a U its caller validated.  Both left-hand sides are
+    measured in N's eigen-coordinates V.  Where the eigensystem reproduces N
+    there as diag(mu) to roundoff (``exact``), ||[H,N]|| is the norm of
     H~_lm (mu_m - mu_l) (``gram_norm``, as the product is not Hermitian for
     complex mu); otherwise it is ||[H~, V*NV]||.  ``comm`` is the caller's
     measured ||[A,N]||, the right-hand side of both."""
     p = _require_averaging(delta)
     a = require_hermitian(a, "A")[0]
-    en = n_mat if isinstance(n_mat, NormalEig) else normal_eig(n_mat)
     v, mu = en.vectors, en.eigenvalues
     a_h, ht = _average(a, v, [mu.real, mu.imag], delta, p)
     if en.exact:

@@ -59,13 +59,13 @@ def test_finite_range_exactness():
         a = mc.random_hermitian(rng, n, norm=1.0)
         b = mc.random_hermitian(rng, n, norm=1.0)
         delta = float(rng.uniform(0.15, 1.0))
-        res = sm.finite_range(a, b, delta)
         eb = mc.eig_hermitian(b)
+        comm = mc.op_norm(mc.commutator(a, b))
+        res = sm.finite_range(a, eb, delta, comm=comm)
         lam = eb.eigenvalues
         for cut in np.linspace(lam[0], lam[-1] - delta, 4):
             v1, v2 = eb.vectors[:, lam <= cut], eb.vectors[:, lam >= cut + delta]
             worst_coupling = max(worst_coupling, mc.op_norm(v1.conj().T @ res.matrix @ v2))
-        comm = mc.op_norm(mc.commutator(a, b))
         slack = (prof.c0 / delta) * comm - mc.op_norm(a - res.matrix)
         worst_slack = min(worst_slack, slack)
     elapsed = time.monotonic() - t0
@@ -89,9 +89,10 @@ def test_inequality_suites():
         lo, hi = np.sort(rng.uniform(-1, 1, 2))
         gap = float(rng.uniform(0.05, 0.5))
         try:
-            chk = bd.check_davis_kahan(a, b, lambda x: lo <= x <= hi,
+            chk = bd.check_davis_kahan(mc.eig_hermitian(a), mc.eig_hermitian(b),
+                                       lambda x: lo <= x <= hi,
                                        lambda x: x < lo - gap or x > hi + gap,
-                                       delta_gap=gap)
+                                       delta_gap=gap, diff=mc.op_norm(a - b))
             bad += 0 if chk.passed else 1
         except ValueError:
             pass
@@ -106,8 +107,9 @@ def test_inequality_suites():
         med = float(np.median(np.linalg.eigvalsh(d)))
         sep = float(rng.uniform(0.05, 0.4))
         try:
-            chk = bd.check_comm_proj(c, d, lambda x: x <= med,
-                                     lambda x: x > med + sep)
+            chk = bd.check_comm_proj(c, mc.eig_hermitian(d), lambda x: x <= med,
+                                     lambda x: x > med + sep,
+                                     comm=mc.op_norm(mc.commutator(c, d)))
             bad += 0 if chk.passed else 1
         except ValueError:
             pass
@@ -131,7 +133,9 @@ def test_inequality_suites():
         n = int(rng.integers(4, 13))
         a = mc.random_hermitian(rng, n, norm=1.0)
         b = mc.random_hermitian(rng, n, norm=1.0)
-        bad += 0 if bd.fourier_commutator_bound(prof, a, b).passed else 1
+        chk = bd.fourier_commutator_bound(prof, mc.eig_hermitian(a), b,
+                                          comm=mc.op_norm(mc.commutator(a, b)))
+        bad += 0 if chk.passed else 1
     violations["fourier"] = bad
 
     rng = np.random.default_rng(15)
@@ -149,7 +153,8 @@ def test_inequality_suites():
         sep = int(rng.integers(int(delta) + 1, int(delta) + 4))
         tval = float(rng.uniform(0, sep / (math.e ** 2 * delta)))
         try:
-            chk = bd.lieb_robinson_decay(h, b, delta, lambda x: x <= cut,
+            chk = bd.lieb_robinson_decay(mc.eig_hermitian(h), mc.eig_hermitian(b), delta,
+                                         lambda x: x <= cut,
                                          lambda x: x >= cut + sep, tval)
             bad += 0 if chk.passed else 1
         except ValueError:
@@ -160,7 +165,8 @@ def test_inequality_suites():
     # the commutator bound exactly
     d = np.diag([0.15, 0.85]).astype(complex)
     c = 0.31 * np.array([[0, 1], [1, 0]], dtype=complex)
-    sharp = bd.check_comm_proj(c, d, lambda x: x < 0.5, lambda x: x > 0.5)
+    sharp = bd.check_comm_proj(c, mc.eig_hermitian(d), lambda x: x < 0.5, lambda x: x > 0.5,
+                               comm=mc.op_norm(mc.commutator(c, d)))
     sharp_ok = abs(sharp.lhs - sharp.rhs) <= 1e-12
 
     elapsed = time.monotonic() - t0

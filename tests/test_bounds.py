@@ -13,13 +13,25 @@ from nearcommute import smoothing as sm
 from nearcommute.suites import run_suite
 
 
+def _eigs(*mats):
+    """Each matrix's eigensystem from the checked entry ``eig_hermitian``."""
+    return [mc.eig_hermitian(m) for m in mats]
+
+
+def _parts(*mats):
+    """Each matrix's eigensystem from ``eig_hermitian_part``, unchecked, as
+    the suites decompose the matrices they build."""
+    return [mc.eig_hermitian_part(mc.as_matrix(m)) for m in mats]
+
+
 class TestDavisKahan:
     def test_same_matrix_disjoint_sets(self):
         rng = np.random.default_rng(0)
         a = mc.random_hermitian(rng, 6, norm=1.0)
         med = float(np.median(np.linalg.eigvalsh(a)))
-        chk = bd.check_davis_kahan(a, a, lambda x: x <= med, lambda x: x > med + 0.05,
-                                   delta_gap=0.05)
+        ea, = _eigs(a)
+        chk = bd.check_davis_kahan(ea, ea, lambda x: x <= med, lambda x: x > med + 0.05,
+                                   delta_gap=0.05, diff=mc.op_norm(a - a))
         assert chk.lhs <= 1e-12
 
     def test_two_by_two_rotation(self):
@@ -31,15 +43,15 @@ class TestDavisKahan:
         # exact eigenvectors of a2: angle t with tan(2t) = eps
         t = 0.5 * math.atan(eps)
         expected = abs(math.sin(t))
-        chk = bd.check_davis_kahan(a, a2, lambda x: x > 0.5, lambda x: x < 0.5,
-                                   delta_gap=0.4)
+        chk = bd.check_davis_kahan(*_eigs(a, a2), lambda x: x > 0.5, lambda x: x < 0.5,
+                                   delta_gap=0.4, diff=mc.op_norm(a - a2))
         assert chk.lhs == pytest.approx(expected, abs=1e-12)
         assert chk.passed
 
     def test_rejects_overlapping_sets(self):
         a = np.diag([0.0, 1.0])
         with pytest.raises(ValueError):
-            bd.check_davis_kahan(a, a, lambda x: True, lambda x: True)
+            bd.check_davis_kahan(*_eigs(a, a), lambda x: True, lambda x: True, diff=0.0)
 
     def test_sampling_suite(self):
         out = run_suite("bounds", seed=123, trials=60)
@@ -51,20 +63,22 @@ class TestCommProj:
         eps = 0.37
         d = np.diag([0.2, 0.9]).astype(complex)
         c = eps * np.array([[0, 1], [1, 0]], dtype=complex)
-        chk = bd.check_comm_proj(c, d, lambda x: x < 0.5, lambda x: x > 0.5)
+        chk = bd.check_comm_proj(c, *_eigs(d), lambda x: x < 0.5, lambda x: x > 0.5,
+                                 comm=mc.op_norm(mc.commutator(c, d)))
         assert abs(chk.lhs - chk.rhs) <= 1e-12
         assert chk.lhs == pytest.approx(eps, abs=1e-12)
 
     def test_commuting_pair_gives_zero(self):
         d = np.diag([0.0, 1.0, 2.0]).astype(complex)
         c = np.diag([5.0, 6.0, 7.0]).astype(complex)
-        chk = bd.check_comm_proj(c, d, lambda x: x < 0.5, lambda x: x > 1.5)
+        chk = bd.check_comm_proj(c, *_eigs(d), lambda x: x < 0.5, lambda x: x > 1.5,
+                                 comm=mc.op_norm(mc.commutator(c, d)))
         assert chk.lhs <= 1e-14
 
     def test_zero_distance_rejected(self):
         d = np.diag([0.0, 1.0])
         with pytest.raises(ValueError):
-            bd.check_comm_proj(d, d, lambda x: x < 2, lambda x: x > -1)
+            bd.check_comm_proj(d, *_eigs(d), lambda x: x < 2, lambda x: x > -1, comm=0.0)
 
     def test_random_sampling(self):
         rng = np.random.default_rng(77)
@@ -73,7 +87,8 @@ class TestCommProj:
             c = mc.random_hermitian(rng, n, norm=1.0)
             d = mc.random_hermitian(rng, n, norm=1.0)
             med = float(np.median(np.linalg.eigvalsh(d)))
-            chk = bd.check_comm_proj(c, d, lambda x: x <= med, lambda x: x > med + 0.2)
+            chk = bd.check_comm_proj(c, *_eigs(d), lambda x: x <= med, lambda x: x > med + 0.2,
+                                     comm=mc.op_norm(mc.commutator(c, d)))
             assert chk.passed
 
 
@@ -150,7 +165,8 @@ class TestFourierCommutator:
         a = mc.random_hermitian(rng, 6, norm=0.4)
         b = mc.random_hermitian(rng, 6)
         prof = sm.smooth_profile(1.0, 1.0)  # == 1 on the whole spectrum of a
-        chk = bd.fourier_commutator_bound(prof, a, b)
+        chk = bd.fourier_commutator_bound(prof, *_eigs(a), b,
+                                          comm=mc.op_norm(mc.commutator(a, b)))
         assert chk.lhs <= 1e-12
 
     def test_exponential_phase_lipschitz(self):
@@ -170,7 +186,8 @@ class TestFourierCommutator:
         for _ in range(40):
             a = mc.random_hermitian(rng, 8, norm=1.0)
             b = mc.random_hermitian(rng, 8, norm=1.0)
-            assert bd.fourier_commutator_bound(prof, a, b).passed
+            assert bd.fourier_commutator_bound(prof, *_eigs(a), b,
+                                               comm=mc.op_norm(mc.commutator(a, b))).passed
 
 
 def _banded_system(rng, n, band):
@@ -181,11 +198,18 @@ def _banded_system(rng, n, band):
     return h / max(1.0, mc.op_norm(h)), b, float(band + 1)
 
 
+def _banded_eigs(rng, n, band):
+    """``_banded_system`` as the Lieb-Robinson checkers take it: (eig(H),
+    eig(B), Delta)."""
+    h, b, delta = _banded_system(rng, n, band)
+    return *_eigs(h, b), delta
+
+
 class TestLiebRobinson:
     def test_time_zero_disjoint(self):
         rng = np.random.default_rng(43)
-        h, b, delta = _banded_system(rng, 12, 1)
-        chk = bd.lieb_robinson_decay(h, b, delta, lambda x: x <= 3,
+        eh, eb, delta = _banded_eigs(rng, 12, 1)
+        chk = bd.lieb_robinson_decay(eh, eb, delta, lambda x: x <= 3,
                                      lambda x: x >= 3 + delta + 1, 0.0)
         assert chk.lhs <= 1e-12
 
@@ -193,64 +217,77 @@ class TestLiebRobinson:
         n = 10
         b = np.diag(np.arange(1.0, n + 1.0))
         h = np.diag(np.linspace(-1, 1, n))
-        chk = bd.lieb_robinson_decay(h, b, 2.0, lambda x: x <= 4,
+        chk = bd.lieb_robinson_decay(*_eigs(h, b), 2.0, lambda x: x <= 4,
                                      lambda x: x >= 7, 0.15)
         assert chk.lhs <= 1e-12
 
     def test_banded_forty_sites_time_grid(self):
         rng = np.random.default_rng(47)
-        h, b, delta = _banded_system(rng, 40, 1)
+        eh, eb, delta = _banded_eigs(rng, 40, 1)
         cut, sep = 12, 9
         tmax = sep / (math.e ** 2 * delta)
         for t in np.linspace(0, tmax, 7):
-            chk = bd.lieb_robinson_decay(h, b, delta, lambda x: x <= cut,
+            chk = bd.lieb_robinson_decay(eh, eb, delta, lambda x: x <= cut,
                                          lambda x: x >= cut + sep, float(t))
             assert chk.passed, (t, chk.lhs, chk.rhs)
 
     def test_monotone_decay_in_distance(self):
         rng = np.random.default_rng(53)
-        h, b, delta = _banded_system(rng, 30, 1)
+        eh, eb, delta = _banded_eigs(rng, 30, 1)
         t = 0.1
         vals = []
         for sep in (4, 7, 10, 13):
-            chk = bd.lieb_robinson_decay(h, b, delta, lambda x: x <= 8,
+            chk = bd.lieb_robinson_decay(eh, eb, delta, lambda x: x <= 8,
                                          lambda x, s=sep: x >= 8 + s, t)
             vals.append(chk.lhs)
         assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
 
     def test_too_large_time_rejected(self):
         rng = np.random.default_rng(59)
-        h, b, delta = _banded_system(rng, 12, 1)
+        eh, eb, delta = _banded_eigs(rng, 12, 1)
         with pytest.raises(ValueError):
-            bd.lieb_robinson_decay(h, b, delta, lambda x: x <= 3,
+            bd.lieb_robinson_decay(eh, eb, delta, lambda x: x <= 3,
                                    lambda x: x >= 8, 100.0)
 
     def test_function_form_indicator_consistency(self):
         # an indicator realized exactly by a gapped spectrum reproduces the
         # spectral projection, whose cross terms vanish
         rng = np.random.default_rng(61)
-        h, b, delta = _banded_system(rng, 16, 1)
+        eh, eb, delta = _banded_eigs(rng, 16, 1)
         prof = sm.smooth_profile(0.0, 1.0)
-        chk = bd.lieb_robinson_function(h, b, delta, lambda x: x <= 5,
+        chk = bd.lieb_robinson_function(eh, eb, delta, lambda x: x <= 5,
                                         lambda x: x >= 5 + delta + 2, prof)
         assert chk.passed
 
     def test_nested_whole_space_vanishes(self):
         rng = np.random.default_rng(67)
-        h, b, delta = _banded_system(rng, 14, 1)
+        eh, eb, delta = _banded_eigs(rng, 14, 1)
         prof = sm.smooth_profile(0.0, 1.0)
-        chk = bd.lieb_robinson_nested(h, b, delta, lambda x: 5 <= x <= 9,
+        chk = bd.lieb_robinson_nested(eh, eb, delta, lambda x: 5 <= x <= 9,
                                       lambda x: True, prof)
         assert chk.lhs <= 1e-10
 
+    def test_nested_whole_space_bound_is_zero(self, monkeypatch):
+        # with S' the whole spectrum H' = H, so the bound is 0 whatever lhs
+        # reads: a corrupted eigensystem of H's coordinates T must fail it
+        eh, eb, delta = _banded_eigs(np.random.default_rng(67), 14, 1)
+        prof = sm.smooth_profile(0.0, 1.0)
+        real = bd.eig_hermitian_part
+        monkeypatch.setattr(bd, "eig_hermitian_part",
+                            lambda t: real(t + 0.5 * np.eye(t.shape[0])))
+        chk = bd.lieb_robinson_nested(eh, eb, delta, lambda x: 5 <= x <= 9,
+                                      lambda x: True, prof)
+        assert chk.rhs == 0.0 and chk.lhs > 1e-3
+        assert not chk.passed
+
     def test_banded_sixty_sites_smooth_step(self):
         rng = np.random.default_rng(71)
-        h, b, delta = _banded_system(rng, 60, 1)
+        eh, eb, delta = _banded_eigs(rng, 60, 1)
         prof = sm.smooth_profile(0.0, 1.0)
-        chk = bd.lieb_robinson_function(h, b, delta, lambda x: x <= 20,
+        chk = bd.lieb_robinson_function(eh, eb, delta, lambda x: x <= 20,
                                         lambda x: x >= 32, prof)
         assert chk.passed
-        chk2 = bd.lieb_robinson_nested(h, b, delta, lambda x: 25 <= x <= 30,
+        chk2 = bd.lieb_robinson_nested(eh, eb, delta, lambda x: 25 <= x <= 30,
                                        lambda x: 18 <= x <= 37, prof)
         assert chk2.passed
 
@@ -259,22 +296,23 @@ class TestLiebRobinson:
         assert out["violations"] == 0, out["failures"]
 
 
-# Each Lieb-Robinson checker on B = diag(1..12) and a band-1 H (Delta = 2),
-# with sets that satisfy its hypotheses.
+# Each Lieb-Robinson checker on the eigensystems of B = diag(1..12) and a
+# band-1 H (Delta = 2), with sets that satisfy its hypotheses.
 LIEB_ROBINSON_CHECKERS = {
-    "decay": lambda h, b, delta: bd.lieb_robinson_decay(
-        h, b, delta, lambda x: x <= 3, lambda x: x >= 7, 0.1),
-    "function": lambda h, b, delta: bd.lieb_robinson_function(
-        h, b, delta, lambda x: x <= 3, lambda x: x >= 7, sm.smooth_profile(0.0, 1.0)),
-    "nested": lambda h, b, delta: bd.lieb_robinson_nested(
-        h, b, delta, lambda x: 5 <= x <= 8, lambda x: 4 <= x <= 9,
+    "decay": lambda eh, eb, delta: bd.lieb_robinson_decay(
+        eh, eb, delta, lambda x: x <= 3, lambda x: x >= 7, 0.1),
+    "function": lambda eh, eb, delta: bd.lieb_robinson_function(
+        eh, eb, delta, lambda x: x <= 3, lambda x: x >= 7, sm.smooth_profile(0.0, 1.0)),
+    "nested": lambda eh, eb, delta: bd.lieb_robinson_nested(
+        eh, eb, delta, lambda x: 5 <= x <= 8, lambda x: 4 <= x <= 9,
         sm.smooth_profile(0.0, 1.0)),
 }
 
-# Decompositions of one checker call: H and B each by one eigh, their norms
-# inside eig_hermitian by one eigvalsh each (H's ||H|| <= 1 test reads H's
-# eigenvalues, so no third), one SVD for the rectangular lhs block; nested
-# also decomposes the H' it builds by one eigh and takes no norm of it.
+# Decompositions of one checker call, H and B decomposed by eig_hermitian:
+# each by one eigh, their norms inside eig_hermitian by one eigvalsh each
+# (H's ||H|| <= 1 test reads H's eigenvalues, so no third), one SVD for the
+# rectangular lhs block; nested also decomposes the H' it builds by one eigh
+# and takes no norm of it.
 LIEB_ROBINSON_BUDGET = {
     "decay": {"eigh": 2, "eigvalsh": 2, "svd": 1},
     "function": {"eigh": 2, "eigvalsh": 2, "svd": 1},
@@ -293,13 +331,13 @@ class TestLiebRobinsonGate:
     @pytest.mark.parametrize("kind", sorted(LIEB_ROBINSON_CHECKERS))
     def test_unit_norm_accepted(self, kind):
         h, b, delta = _unit_band_system()
-        assert LIEB_ROBINSON_CHECKERS[kind](h, b, delta).passed
+        assert LIEB_ROBINSON_CHECKERS[kind](*_eigs(h, b), delta).passed
 
     @pytest.mark.parametrize("kind", sorted(LIEB_ROBINSON_CHECKERS))
     def test_norm_above_one_rejected(self, kind):
         h, b, delta = _unit_band_system()
         with pytest.raises(ValueError, match="H must be a contraction"):
-            LIEB_ROBINSON_CHECKERS[kind]((1.0 + 1e-6) * h, b, delta)
+            LIEB_ROBINSON_CHECKERS[kind](*_eigs((1.0 + 1e-6) * h, b), delta)
 
     @pytest.mark.parametrize("kind", sorted(LIEB_ROBINSON_CHECKERS))
     def test_norm_above_one_rejected_on_eigensystems(self, kind):
@@ -330,7 +368,7 @@ class TestLiebRobinsonGate:
                 return _real(x, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        LIEB_ROBINSON_CHECKERS[kind](h, b, delta)
+        LIEB_ROBINSON_CHECKERS[kind](*_eigs(h, b), delta)
         assert counts == LIEB_ROBINSON_BUDGET[kind]
 
 
@@ -351,13 +389,15 @@ class TestDenseProjectionReference:
         b = a + mc.random_hermitian(rng, n, norm=0.1)
         ea, eb = mc.eig_hermitian(a), mc.eig_hermitian(b)
         cut = float(np.median(ea.eigenvalues))
-        chk = bd.check_davis_kahan(a, b, lambda x: x <= cut, lambda x: x > cut + 0.2)
+        chk = bd.check_davis_kahan(ea, eb, lambda x: x <= cut, lambda x: x > cut + 0.2,
+                                   diff=mc.op_norm(a - b))
         ref = mc.op_norm(_dense_projection(ea, ea.eigenvalues <= cut)
                          @ _dense_projection(eb, eb.eigenvalues > cut + 0.2))
         assert abs(chk.lhs - ref) <= 1e-12
 
         c = mc.random_hermitian(rng, n, norm=1.0)
-        chk = bd.check_comm_proj(c, a, lambda x: x <= cut, lambda x: x > cut + 0.1)
+        chk = bd.check_comm_proj(c, ea, lambda x: x <= cut, lambda x: x > cut + 0.1,
+                                 comm=mc.op_norm(mc.commutator(c, a)))
         ref = mc.op_norm(_dense_projection(ea, ea.eigenvalues <= cut) @ c
                          @ _dense_projection(ea, ea.eigenvalues > cut + 0.1))
         assert abs(chk.lhs - ref) <= 1e-12
@@ -383,18 +423,18 @@ class TestDenseProjectionReference:
         p1 = _dense_projection(eb, eb.eigenvalues <= cut)
         p2 = _dense_projection(eb, eb.eigenvalues >= cut + sep)
         t = sep / (math.e ** 2 * delta)
-        chk = bd.lieb_robinson_decay(h, b, delta, s1, s2, t)
+        chk = bd.lieb_robinson_decay(eh, eb, delta, s1, s2, t)
         u_t = eh.matrix_function(lambda x: np.exp(1j * t * x))
         assert abs(chk.lhs - mc.op_norm(p1 @ u_t @ p2)) <= 1e-12
 
         f = lambda x: np.asarray(prof(x), dtype=np.complex128)
         fh = eh.matrix_function(f)
-        chk = bd.lieb_robinson_function(h, b, delta, s1, s2, prof)
+        chk = bd.lieb_robinson_function(eh, eb, delta, s1, s2, prof)
         assert abs(chk.lhs - mc.op_norm(p1 @ fh @ p2)) <= 1e-12
 
         inner = lambda x: cut + 2 <= x <= cut + 2 * sep - 2
         outer = lambda x: cut <= x <= cut + 2 * sep
-        chk = bd.lieb_robinson_nested(h, b, delta, inner, outer, prof)
+        chk = bd.lieb_robinson_nested(eh, eb, delta, inner, outer, prof)
         p_in = _dense_projection(eb, np.array([inner(x) for x in eb.eigenvalues]))
         p_out = _dense_projection(eb, np.array([outer(x) for x in eb.eigenvalues]))
         fhp = mc.eig_hermitian(p_out @ h @ p_out).matrix_function(f)
@@ -402,7 +442,7 @@ class TestDenseProjectionReference:
 
 
 class TestMask:
-    """The one selection helper: predicates and masks over the eigenvalues."""
+    """The one selection helper: predicates over the eigenvalues."""
 
     def test_predicate_selects_eigenvalues(self):
         e = mc.eig_hermitian(np.diag([2.0, 5.0]))
@@ -415,44 +455,44 @@ class TestMask:
         e = mc.eig_hermitian(np.zeros((0, 0)))
         assert bd._mask(e, lambda x: True).dtype == bool
 
-    def test_mask_length_must_match_eigenvalue_count(self):
-        e = mc.eig_hermitian(np.diag([1.0, 2.0, 3.0]))
-        assert bd._mask(e, np.array([True, False, True])).tolist() == [True, False, True]
-        with pytest.raises(ValueError, match="mask length"):
-            bd._mask(e, np.array([True, False]))
+
+def _first_zero():
+    """A set predicate true only at its first call on 0: of a repeated
+    eigenvalue 0 it selects the first copy alone, as no function of the value
+    can."""
+    first = iter([True])
+    return lambda x: x == 0.0 and next(first, False)
 
 
 _A01, _B = np.diag([0.0, 1.0]), np.diag([0.3, 2.0])
-_H, _B3 = 0.5 * np.eye(3), np.diag([0.0, 0.0, 1.0])
+_EA01, _EB = _eigs(_A01, _B)
+_EH, _EB3 = _eigs(0.5 * np.eye(3), np.diag([0.0, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: bd.check_davis_kahan(_A01, _B, lambda x: x < 0.5, lambda x: x > 0.2,
-                                  delta_gap=0.0), "delta_gap must be positive"),
+    (lambda: bd.check_davis_kahan(_EA01, _EB, lambda x: x < 0.5, lambda x: x > 0.2,
+                                  delta_gap=0.0, diff=0.3), "delta_gap must be positive"),
     # S2 = {0.3, 2} is 0.3 from S1 = {0}, inside delta_gap = 0.5 of [0, 0]
-    (lambda: bd.check_davis_kahan(_A01, _B, lambda x: x < 0.5, lambda x: x > 0.2,
-                                  delta_gap=0.5), "S2 intrudes within delta_gap"),
+    (lambda: bd.check_davis_kahan(_EA01, _EB, lambda x: x < 0.5, lambda x: x > 0.2,
+                                  delta_gap=0.5, diff=0.3), "S2 intrudes within delta_gap"),
     (lambda: bd.schur_divide(np.ones(2), [1.0], [0.0, 0.0], 1.0), "T must be a matrix"),
     (lambda: bd.schur_divide(np.ones((2, 2)), [1.0], [0.0, 0.0], 1.0),
      "a, b lengths must match T's shape"),
     (lambda: bd.check_spectral_gap(_A01, _B, 0.5, 0.5), "need gap_hi > gap_lo"),
-    (lambda: bd.lieb_robinson_decay(_H, _B3, 0.5, [True] * 3, [True] * 3, 0.0),
+    (lambda: bd.lieb_robinson_decay(_EH, _EB3, 0.5, lambda x: True, lambda x: True, 0.0),
      "S1, S2 must be separated"),
-    (lambda: bd.lieb_robinson_nested(_H, _B3, 0.5, [False, False, True],
-                                     [True, True, False], sm.poly_bump_profile()),
+    (lambda: bd.lieb_robinson_nested(_EH, _EB3, 0.5, lambda x: x > 0.5,
+                                     lambda x: x < 0.5, sm.poly_bump_profile()),
      "S'' must be contained in S'"),
-    # B's eigenvalue 0 lies both in S' (first copy) and in its complement
-    (lambda: bd.lieb_robinson_nested(_H, _B3, 0.5, [True, False, False],
-                                     [True, False, False], sm.poly_bump_profile()),
+    # B's eigenvalue 0 is in S'' while an equal eigenvalue lies outside S'
+    (lambda: bd.lieb_robinson_nested(_EH, _EB3, 0.5, _first_zero(), _first_zero(),
+                                     sm.poly_bump_profile()),
      "S'' must be separated from the complement of S'"),
 ])
 def test_input_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
-
-def _eigs(*mats):
-    return [mc.eig_hermitian_part(mc.as_matrix(m)) for m in mats]
 
 
 def _same_check(got, want):
@@ -462,9 +502,11 @@ def _same_check(got, want):
 
 
 class TestEigensystemForm:
-    """Each checker given eigensystems and the norm keyword the matrices
-    would have given matches its matrix form; without the keyword it
-    raises."""
+    """Each checker given the suites' inputs (``eig_hermitian_part`` and the
+    norms measured on Hermitian commutators) matches it given a caller's (the
+    checked ``eig_hermitian`` and the norms of the matrices themselves); H's
+    coordinates from its eigensystem match V*HV.  Without its norm keyword a
+    checker cannot be called."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_matrix_form(self, seed):
@@ -473,118 +515,110 @@ class TestEigensystemForm:
         a = mc.random_hermitian(rng, n, norm=1.0)
         b = a + mc.random_hermitian(rng, n, norm=0.1)
         c = mc.random_hermitian(rng, n, norm=1.0)
-        ea, eb = _eigs(a, b)
+        ea, eb = _parts(a, b)
+        ra, rb = _eigs(a, b)
         cut = float(np.median(ea.eigenvalues))
         s1, s2 = (lambda x: x <= cut), (lambda x: x > cut + 0.2)
         comm_ab = mc.op_norm(mc.hermitian_commutator(a, b))
-        _same_check(bd.check_davis_kahan(ea, eb, s1, s2, diff=mc.op_norm(a - b)),
-                    bd.check_davis_kahan(a, b, s1, s2))
-        _same_check(bd.check_davis_kahan(ea, b, s1, s2, delta_gap=0.01, diff=mc.op_norm(a - b)),
-                    bd.check_davis_kahan(a, b, s1, s2, delta_gap=0.01))
+        diff = mc.op_norm(a - b)
+        _same_check(bd.check_davis_kahan(ea, eb, s1, s2, diff=diff),
+                    bd.check_davis_kahan(ra, rb, s1, s2, diff=diff))
+        _same_check(bd.check_davis_kahan(ea, eb, s1, s2, delta_gap=0.01, diff=diff),
+                    bd.check_davis_kahan(ra, rb, s1, s2, delta_gap=0.01, diff=diff))
         _same_check(bd.check_comm_proj(c, ea, s1, s2, comm=mc.op_norm(mc.hermitian_commutator(c, a))),
-                    bd.check_comm_proj(c, a, s1, s2))
+                    bd.check_comm_proj(c, ra, s1, s2, comm=mc.op_norm(mc.commutator(c, a))))
         prof = sm.smooth_profile(0.0, 1.0)
         _same_check(bd.fourier_commutator_bound(prof, ea, b, comm=comm_ab),
-                    bd.fourier_commutator_bound(prof, a, b))
+                    bd.fourier_commutator_bound(prof, ra, b, comm=mc.op_norm(mc.commutator(a, b))))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lieb_robinson_matches_matrix_form(self, seed):
         rng = np.random.default_rng(300 + seed)
         h, b, delta = _banded_system(rng, int(rng.integers(12, 25)), int(rng.integers(1, 3)))
-        eh, eb = _eigs(h, b)
+        eh, eb = _parts(h, b)
+        rh, rb = _eigs(h, b)
         cut, sep = 5, int(delta) + 2
         s1, s2 = (lambda x: x <= cut), (lambda x: x >= cut + sep)
         inner = lambda x: cut + 2 <= x <= cut + 2 * sep - 2
         outer = lambda x: cut <= x <= cut + 2 * sep
         prof = sm.smooth_profile(0.0, 1.0)
         t = sep / (math.e ** 2 * delta)
-        for hh, bb in ((eh, eb), (h, eb), (eh, b)):
-            _same_check(bd.lieb_robinson_decay(hh, bb, delta, s1, s2, t),
-                        bd.lieb_robinson_decay(h, b, delta, s1, s2, t))
-            _same_check(bd.lieb_robinson_function(hh, bb, delta, s1, s2, prof),
-                        bd.lieb_robinson_function(h, b, delta, s1, s2, prof))
-            _same_check(bd.lieb_robinson_nested(hh, bb, delta, inner, outer, prof),
-                        bd.lieb_robinson_nested(h, b, delta, inner, outer, prof))
+        _same_check(bd.lieb_robinson_decay(eh, eb, delta, s1, s2, t),
+                    bd.lieb_robinson_decay(rh, rb, delta, s1, s2, t))
+        _same_check(bd.lieb_robinson_function(eh, eb, delta, s1, s2, prof),
+                    bd.lieb_robinson_function(rh, rb, delta, s1, s2, prof))
+        _same_check(bd.lieb_robinson_nested(eh, eb, delta, inner, outer, prof),
+                    bd.lieb_robinson_nested(rh, rb, delta, inner, outer, prof))
         ht, worst = bd.verify_finite_range(eh, eb, delta)
-        ht_matrix, worst_matrix = bd.verify_finite_range(h, eb, delta)
+        ht_matrix = eb.vectors.conj().T @ mc.as_matrix(h) @ eb.vectors
+        far = np.abs(np.subtract.outer(eb.eigenvalues, eb.eigenvalues)) >= delta
+        worst_matrix = float(np.max(np.abs(ht_matrix[far])))
         assert np.abs(ht - ht_matrix).max() <= 1e-14 and worst <= 1e-14 and worst_matrix == 0.0
 
     def test_missing_norm_keyword_raises(self):
         rng = np.random.default_rng(7)
         a = mc.random_hermitian(rng, 6, norm=1.0)
         b = mc.random_hermitian(rng, 6, norm=1.0)
-        ea, eb = _eigs(a, b)
+        ea, eb = _parts(a, b)
         s1, s2 = (lambda x: x <= -0.5), (lambda x: x > 0.5)
         prof = sm.smooth_profile(0.0, 1.0)
         calls = {
-            "diff = ||A-B||": [lambda: bd.check_davis_kahan(ea, eb, s1, s2),
-                               lambda: bd.check_davis_kahan(a, eb, s1, s2),
-                               lambda: bd.check_davis_kahan(ea, b, s1, s2, delta_gap=0.1)],
-            "comm = ||[C,D]||": [lambda: bd.check_comm_proj(a, eb, s1, s2)],
-            "comm = ||[A,B]||": [lambda: bd.fourier_commutator_bound(prof, ea, b)],
+            "diff": [lambda: bd.check_davis_kahan(ea, eb, s1, s2),
+                     lambda: bd.check_davis_kahan(ea, eb, s1, s2, delta_gap=0.1)],
+            "comm": [lambda: bd.check_comm_proj(a, eb, s1, s2),
+                     lambda: bd.fourier_commutator_bound(prof, ea, b)],
         }
         for name, fns in calls.items():
             for fn in fns:
-                with pytest.raises(ValueError, match=re.escape(f"needs {name}")):
+                with pytest.raises(TypeError, match=f"keyword-only argument: '{name}'"):
                     fn()
 
 
-# Each checker's answer at n = 0 and n = 1, for the matrix and the
-# eigensystem form.  At n = 0 every set is empty: lhs and rhs are 0.  At n = 1
-# Davis-Kahan's sandwich is sharp (A = 0, B = 1: both projections are the
-# identity, ||A-B|| = 1 = delta_gap) and every other lhs vanishes, since two
-# separated sets cannot both hold the one eigenvalue and 1x1 matrices commute;
-# the Lieb-Robinson function bound needs both sets nonempty, so it raises.
+# Each checker's answer at n = 0 and n = 1, on the eigensystems of the checked
+# entry and of the unchecked one.  At n = 0 every set is empty: lhs and rhs
+# are 0.  At n = 1 Davis-Kahan's sandwich is sharp (A = 0, B = 1: both
+# projections are the identity, ||A-B|| = 1 = delta_gap) and every other lhs
+# vanishes, since two separated sets cannot both hold the one eigenvalue and
+# 1x1 matrices commute; the Lieb-Robinson function bound needs both sets
+# nonempty, so it raises.  Each entry takes (A, B, eig(A), eig(B)); the
+# comm-proj entry takes C = B and D = A.
 PROF = sm.smooth_profile(0.0, 1.0)
 EDGE_CHECKERS = {
-    "davis-kahan": (lambda a, b: bd.check_davis_kahan(
-        a, b, lambda x: x < 0.5, lambda x: x > 0.5, delta_gap=1.0, **_given("diff", a, b))),
-    "comm-proj": (lambda a, b: bd.check_comm_proj(
-        _mat(b), a, lambda x: x < 1.5, lambda x: x > 1.5, **_given("comm", b, a))),
-    "fourier": (lambda a, b: bd.fourier_commutator_bound(PROF, a, _mat(b), **_given("comm", a, b))),
-    "lieb-robinson decay": (lambda h, b: bd.lieb_robinson_decay(
-        h, b, 1.0, lambda x: x <= 1, lambda x: x >= 3, 0.1)),
-    "lieb-robinson function": (lambda h, b: bd.lieb_robinson_function(
-        h, b, 1.0, lambda x: x <= 1, lambda x: x >= 3, PROF)),
-    "lieb-robinson nested": (lambda h, b: bd.lieb_robinson_nested(
-        h, b, 1.0, lambda x: x <= 1, lambda x: True, PROF)),
+    "davis-kahan": (lambda a, b, ea, eb: bd.check_davis_kahan(
+        ea, eb, lambda x: x < 0.5, lambda x: x > 0.5, delta_gap=1.0, diff=mc.op_norm(a - b))),
+    "comm-proj": (lambda a, b, ea, eb: bd.check_comm_proj(
+        b, ea, lambda x: x < 1.5, lambda x: x > 1.5, comm=mc.op_norm(mc.commutator(b, a)))),
+    "fourier": (lambda a, b, ea, eb: bd.fourier_commutator_bound(
+        PROF, ea, b, comm=mc.op_norm(mc.commutator(a, b)))),
+    "lieb-robinson decay": (lambda h, b, eh, eb: bd.lieb_robinson_decay(
+        eh, eb, 1.0, lambda x: x <= 1, lambda x: x >= 3, 0.1)),
+    "lieb-robinson function": (lambda h, b, eh, eb: bd.lieb_robinson_function(
+        eh, eb, 1.0, lambda x: x <= 1, lambda x: x >= 3, PROF)),
+    "lieb-robinson nested": (lambda h, b, eh, eb: bd.lieb_robinson_nested(
+        eh, eb, 1.0, lambda x: x <= 1, lambda x: True, PROF)),
 }
 EDGE_ANSWERS = {(kind, n): (0.0, 0.0) for kind in EDGE_CHECKERS for n in (0, 1)}
 EDGE_ANSWERS["davis-kahan", 1] = (1.0, 1.0)
 EDGE_ANSWERS["lieb-robinson function", 1] = "separated and nonempty"
 
 
-def _mat(x):
-    return x.reconstruct() if isinstance(x, mc.HermitianEig) else x
-
-
-def _given(name, x, y):
-    """The norm keyword a caller passes with eigensystems: ||X-Y|| for
-    ``diff``, ||[X,Y]|| for ``comm``; nothing for matrices."""
-    if not any(isinstance(z, mc.HermitianEig) for z in (x, y)):
-        return {}
-    xm, ym = _mat(x), _mat(y)
-    return {name: mc.op_norm(xm - ym if name == "diff" else mc.commutator(xm, ym))}
-
-
 class TestEdgeSizes:
     """n = 0 and n = 1: every checker answers 0 <= 0 on an empty spectrum."""
 
-    @pytest.mark.parametrize("eigensystems", [False, True])
+    @pytest.mark.parametrize("unchecked", [False, True])
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("kind", sorted(EDGE_CHECKERS))
-    def test_answer(self, kind, n, eigensystems):
+    def test_answer(self, kind, n, unchecked):
         # A (or H) = 0, B = 1 at n = 1; both empty at n = 0
         a = np.zeros((n, n), dtype=complex)
         b = np.eye(n, dtype=complex)
-        if eigensystems:
-            a, b = _eigs(a, b)
+        eigs = _parts(a, b) if unchecked else _eigs(a, b)
         want = EDGE_ANSWERS[kind, n]
         if isinstance(want, str):
             with pytest.raises(ValueError, match=want):
-                EDGE_CHECKERS[kind](a, b)
+                EDGE_CHECKERS[kind](a, b, *eigs)
             return
-        chk = EDGE_CHECKERS[kind](a, b)
+        chk = EDGE_CHECKERS[kind](a, b, *eigs)
         assert (chk.lhs, chk.rhs) == want
         assert chk.passed
 
@@ -594,8 +628,7 @@ class TestEdgeSizes:
         assert (chk.lhs, chk.rhs) == ((1.0, 1.0) if n else (0.0, 0.0))
         chk = bd.check_spectral_gap(np.zeros((n, n)), np.eye(n), 0.1, 0.2)
         assert (chk.lhs, chk.rhs) == (0.0, 0.0)
-        eb, = _eigs(np.eye(n))
-        ht, worst = bd.verify_finite_range(np.zeros((n, n)), eb, 1.0)
+        ht, worst = bd.verify_finite_range(*_eigs(np.zeros((n, n)), np.eye(n)), 1.0)
         assert ht.shape == (n, n) and worst == 0.0
 
 

@@ -59,7 +59,18 @@ class TestMatrixIO:
         ('{"dim": 2}', "missing dim/entries"),
         ('{"dim": 2, "entries": [[[1, 0], [0, 0]]]}', "do not form a 2x2 matrix"),
         ('{"dim": 1, "entries": [[[1]]]}', "bad entry encoding"),
+        ('{"dim": 1, "entries": [[{"re": 1}]]}', "bad entry encoding"),
+        ('{"dim": 1, "entries": [[[true, false]]]}', "bad entry encoding"),
+        ('{"dim": 1, "entries": [[[1, 2, 3]]]}', "bad entry encoding"),
+        ('{"dim": 1, "entries": [[["1", 0]]]}', "bad entry encoding"),
+        ('{"dim": 1, "entries": [[[1' + '0' * 400 + ', 0]]]}', "non-finite entries"),
         ('{"dim": 1, "entries": [[[NaN, 0]]]}', "non-finite entries"),
+        ('{"dim": "two", "entries": []}', "dim is not an integer"),
+        ('{"dim": 1.5, "entries": [[[1, 0]]]}', "dim is not an integer"),
+        ('{"dim": true, "entries": [[[1, 0]]]}', "dim is not an integer"),
+        ('{"dim": "1", "entries": [[[1, 0]]]}', "dim is not an integer"),
+        ('{"dim": 1, "entries": 5}', "entries is not a list of rows"),
+        ('{"dim": 1, "entries": [5]}', "entries is not a list of rows"),
     ])
     def test_malformed_content(self, tmp_path, text, message):
         path = tmp_path / "bad.json"
@@ -104,6 +115,14 @@ class TestCommuteCommand:
     def test_missing_file_is_io_error(self, tmp_path):
         code = main(["commute", str(tmp_path / "none.json"), str(tmp_path / "none.json")])
         assert code == 1
+
+    def test_malformed_dim_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": "two", "entries": []}')
+        code = main(["commute", str(bad), str(bad), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "dim is not an integer" in err[0]
 
     def test_unreadable_input_is_io_error(self, commuting_files, tmp_path, monkeypatch):
         pa, pb, _, _ = commuting_files

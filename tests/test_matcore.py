@@ -649,9 +649,10 @@ def _tagged(m, tag, tmp_path):
 
 def _lieb_robinson(checker, last, s1=lambda x: x <= 3, s2=lambda x: x >= 7):
     """A Lieb-Robinson checker on H = s diag(-1..1), diagonal in B =
-    diag(0..11)'s eigenbasis, so of finite range 1 and norm s."""
-    return lambda s, _: checker(s * np.diag(np.linspace(-1.0, 1.0, 12)),
-                                np.diag(np.arange(12.0)), 1.0, s1, s2, last)
+    diag(0..11)'s eigenbasis, so of finite range 1 and norm s; both come
+    through the checked ``eig_hermitian``."""
+    return lambda s, _: checker(mc.eig_hermitian(s * np.diag(np.linspace(-1.0, 1.0, 12))),
+                                mc.eig_hermitian(np.diag(np.arange(12.0))), 1.0, s1, s2, last)
 
 
 def _gate_cases():

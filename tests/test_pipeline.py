@@ -1004,6 +1004,7 @@ class TestCircleEngineRoutes:
         # arc 2 is the wrap-around arc: its regrouped space joins W_1
         assert [(e["interval"], e.get("engine")) for e in log["intervals"]] == \
             list(enumerate(routes))
+        assert all(e["first_cell_eps2"] >= 0.0 for e in log["intervals"])
         assert rep.checks and all(c.passed for c in rep.checks)
         assert rep.comm_residual <= 1e-12 * n
         (pinch,) = [c for c in rep.checks if c.context == "||H-H'|| <= 2 max eps2"]
@@ -1111,6 +1112,22 @@ class TestUnitaryCovariance:
         assert [iv.get("engine") for iv in rep.stage_log["intervals"]] == ["szarek"] * 3
         assert self.covered(rep, u, True)
         self.assert_covariant(rep, inputs, True)
+
+
+@pytest.mark.parametrize("dims", [[2, 3, 2, 1], [5, 6, 5]], ids=["szarek", "hastings"])
+def test_engine_log_carries_first_cell_eps2(dims):
+    # a block J of norm 3 cut into L >= 3 subintervals: the log's
+    # first_cell_eps2 is eps4 of W = V_1, rescaled, up to the off-band norm
+    sys = sb.random_block_tridiagonal(np.random.default_rng(len(dims)), dims)
+    sub_ids = np.repeat(np.arange(len(dims)), dims)
+    k, _, log = pl._interval_subspace_engine(3.0 * sys.j, sub_ids, len(dims))
+    scale = log["rescale"]
+    js = sb.verify_tridiagonal(3.0 * sys.j / scale, sys.blocks)
+    v1 = np.eye(sys.dim, dtype=complex)[:, js.blocks[0]]
+    want = sb.certify_W(js, v1).eps4 * scale
+    assert log["engine"] == ("szarek" if min(dims) <= pl.SZAREK_BLOCK_THRESHOLD else "hastings")
+    assert scale > 1.0
+    assert abs(log["first_cell_eps2"] - want) <= js.max_offtridiag * scale + 1e-12
 
 
 @pytest.mark.parametrize("ids, n_sub, first", [

@@ -43,6 +43,7 @@ EXHIBITS = {
     "proof_matrix_M": "the Gram matrix M of the decay argument",
     "decay_check_U": "the measured decay fit of U's N-family coefficients",
     "random_block_tridiagonal": "input generator for the W-engines",
+    "normal_eig": "the checked eigensystem of a general normal N, for finite_range_normal",
 }
 
 

@@ -155,11 +155,17 @@ def test_smooth_profile_shape_rejected(r, w):
         sm.smooth_profile(r, w)
 
 
+def _averaged(a, b, delta):
+    """``finite_range`` of a caller's A and B: B decomposed by the checked
+    ``eig_hermitian`` and ||[A,B]|| measured."""
+    return sm.finite_range(a, mc.eig_hermitian(b), delta, comm=mc.op_norm(mc.commutator(a, b)))
+
+
 class TestFiniteRange:
     def test_scalar_b_returns_a(self):
         rng = np.random.default_rng(1)
         a = mc.random_hermitian(rng, 6, norm=1.0)
-        res = sm.finite_range(a, 0.3 * np.eye(6), 0.5)
+        res = _averaged(a, 0.3 * np.eye(6), 0.5)
         assert mc.op_norm(res.matrix - a) <= 1e-12
 
     def test_two_by_two_multiplier_value(self):
@@ -170,7 +176,7 @@ class TestFiniteRange:
         delta = 1.0
         a_mat = eps * np.array([[0, 1], [1, 0]], dtype=complex)
         b_mat = np.diag([gap / 2, -gap / 2]).astype(complex)
-        res = sm.finite_range(a_mat, b_mat, delta)
+        res = _averaged(a_mat, b_mat, delta)
         expected = eps * float(prof(gap / delta))
         assert abs(res.matrix[0, 1]) == pytest.approx(expected, abs=1e-12)
 
@@ -179,7 +185,7 @@ class TestFiniteRange:
         a = mc.random_hermitian(rng, 16, norm=1.0)
         b = mc.random_hermitian(rng, 16, norm=1.0)
         delta = 0.4
-        res = sm.finite_range(a, b, delta)
+        res = _averaged(a, b, delta)
         eb = mc.eig_hermitian(b)
         lam = eb.eigenvalues
         for cut in np.linspace(lam[2], lam[-3], 5):
@@ -191,7 +197,7 @@ class TestFiniteRange:
         for _ in range(20):
             a = mc.random_hermitian(rng, 10, norm=1.0)
             b = mc.random_hermitian(rng, 10, norm=1.0)
-            res = sm.finite_range(a, b, float(rng.uniform(0.2, 1.0)))
+            res = _averaged(a, b, float(rng.uniform(0.2, 1.0)))
             res.require()
 
     def test_distance_check_measured_from_a(self):
@@ -204,9 +210,9 @@ class TestFiniteRange:
         a = b + 0.5j * np.eye(6)
         comm = mc.op_norm(mc.commutator(a, b))
         with pytest.raises(mc.NotHermitianError, match="A must be Hermitian"):
-            sm.finite_range(a, b, 0.5)
+            sm.finite_range(a, mc.eig_hermitian(b), 0.5, comm=comm)
         with pytest.raises(mc.NotHermitianError, match="A must be Hermitian"):
-            sm.finite_range_normal(a, b, 0.5, comm=comm)
+            sm.finite_range_normal(a, sm.normal_eig(b), 0.5, comm=comm)
         # a defect within HERMITIAN_TOL is symmetrised away: the same bits
         # as averaging (A + A*)/2
         h = mc.random_hermitian(rng, 10, norm=1.0)
@@ -215,40 +221,42 @@ class TestFiniteRange:
         sym = (a + a.conj().T) / 2
         assert not np.array_equal(a, a.conj().T)
         comm = mc.op_norm(mc.commutator(sym, n_mat))
-        for average in (lambda m: sm.finite_range(m, n_mat, 0.5, comm=comm),
-                        lambda m: sm.finite_range_normal(m, n_mat, 0.5, comm=comm)):
+        eb, en = mc.eig_hermitian(n_mat), sm.normal_eig(n_mat)
+        for average in (lambda m: sm.finite_range(m, eb, 0.5, comm=comm),
+                        lambda m: sm.finite_range_normal(m, en, 0.5, comm=comm)):
             got, want = average(a), average(sym)
             assert np.array_equal(got.coords, want.coords)
             assert [c.lhs for c in got.checks] == [c.lhs for c in want.checks]
 
     def test_eigensystem_in_place_of_b(self):
         # a caller that validated and decomposed B hands over its eigensystem
-        # and ||[A,B]||: same bits as passing B, and no decomposition of B
+        # and ||[A,B]||: the same bits as from the checked eig_hermitian, the
+        # eigensystem itself kept, and no call without ||[A,B]||
         rng = np.random.default_rng(7)
         a = mc.random_hermitian(rng, 12, norm=1.0)
         b = mc.random_hermitian(rng, 12, norm=1.0)
         comm = mc.op_norm(mc.commutator(a, b))
         eb = mc.eig_hermitian_part(b)
-        from_b = sm.finite_range(a, b, 0.5, comm=comm)
+        from_b = sm.finite_range(a, mc.eig_hermitian(b), 0.5, comm=comm)
         from_eig = sm.finite_range(a, eb, 0.5, comm=comm)
         assert from_eig.eig is eb
         assert np.array_equal(from_eig.coords, from_b.coords)
         assert [c.lhs for c in from_eig.checks] == [c.lhs for c in from_b.checks]
-        with pytest.raises(ValueError, match="needs comm"):
+        with pytest.raises(TypeError, match="keyword-only argument: 'comm'"):
             sm.finite_range(a, eb, 0.5)
 
     def test_eig_reconstructs_b(self):
         rng = np.random.default_rng(6)
         a = mc.random_hermitian(rng, 12, norm=1.0)
         b = mc.random_hermitian(rng, 12, norm=1.0)
-        eig = sm.finite_range(a, b, 0.5).eig
+        eig = _averaged(a, b, 0.5).eig
         assert mc.op_norm(eig.reconstruct() - b) <= 1e-12
 
     def test_output_hermitian(self):
         rng = np.random.default_rng(4)
         a = mc.random_hermitian(rng, 12, norm=1.0)
         b = mc.random_hermitian(rng, 12, norm=1.0)
-        res = sm.finite_range(a, b, 0.5)
+        res = _averaged(a, b, 0.5)
         assert mc.op_norm(res.matrix - res.matrix.conj().T) <= 1e-12
 
     def test_vanishing_commutator_scaling(self):
@@ -262,7 +270,7 @@ class TestFiniteRange:
         delta = 0.5
         for t in (1e-2, 1e-4, 1e-6):
             a = (a0 + t * pert) / (1 + t)
-            res = sm.finite_range(a, b, delta)
+            res = _averaged(a, b, delta)
             comm = mc.op_norm(mc.commutator(a, b))
             assert mc.op_norm(a - res.matrix) <= (prof.c0 / delta) * comm + 1e-15
 
@@ -272,8 +280,8 @@ class TestFiniteRangeNormal:
         rng = np.random.default_rng(8)
         a = mc.random_hermitian(rng, 8, norm=1.0)
         n_mat = mc.random_hermitian(rng, 8, norm=1.0)
-        res = sm.finite_range_normal(a, n_mat, 0.4,
-                                       comm=mc.op_norm(mc.commutator(a, n_mat)))
+        res = sm.finite_range_normal(a, sm.normal_eig(n_mat), 0.4,
+                                     comm=mc.op_norm(mc.commutator(a, n_mat)))
         res.require()
 
     def test_unitary_diagonal_arc_projections(self):
@@ -283,8 +291,8 @@ class TestFiniteRangeNormal:
         u = np.diag(np.exp(1j * phases))
         a = mc.random_hermitian(rng, n, norm=1.0)
         delta = 0.3
-        res = sm.finite_range_normal(a, u, delta,
-                                       comm=mc.op_norm(mc.commutator(a, u)))
+        res = sm.finite_range_normal(a, sm.normal_eig(u), delta,
+                                     comm=mc.op_norm(mc.commutator(a, u)))
         # eigenvectors are the standard basis; complex distance >= sqrt(2)*Delta
         # must kill the coupling
         vals = np.exp(1j * phases)
@@ -297,24 +305,24 @@ class TestFiniteRangeNormal:
         phases = np.linspace(0, 2 * math.pi, 6, endpoint=False)
         u = np.diag(np.exp(1j * phases))
         a = np.diag(np.linspace(-1, 1, 6)).astype(complex)
-        res = sm.finite_range_normal(a, u, 0.2,
-                                       comm=mc.op_norm(mc.commutator(a, u)))
+        res = sm.finite_range_normal(a, sm.normal_eig(u), 0.2,
+                                     comm=mc.op_norm(mc.commutator(a, u)))
         assert mc.op_norm(res.matrix - a) <= 1e-12
 
     def test_rejects_nonnormal(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            sm.finite_range_normal(np.eye(2), m, 0.5,
+            sm.finite_range_normal(np.eye(2), sm.normal_eig(m), 0.5,
                                    comm=mc.op_norm(mc.commutator(np.eye(2), m)))
         with pytest.raises(ValueError, match="delta"):
-            sm.finite_range_normal(np.eye(2), np.eye(2), 0.0, comm=0.0)
+            sm.finite_range_normal(np.eye(2), sm.normal_eig(np.eye(2)), 0.0, comm=0.0)
 
     def test_eig_reconstructs_n(self):
         rng = np.random.default_rng(11)
         q = mc.random_unitary(rng, 10)
         u = q @ np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, 10))) @ q.conj().T
         a = mc.random_hermitian(rng, 10, norm=1.0)
-        eig = sm.finite_range_normal(a, u, 0.3,
+        eig = sm.finite_range_normal(a, sm.normal_eig(u), 0.3,
                                      comm=mc.op_norm(mc.commutator(a, u))).eig
         rebuilt = (eig.vectors * eig.eigenvalues) @ eig.vectors.conj().T
         assert mc.op_norm(rebuilt - u) <= 1e-12
@@ -326,7 +334,7 @@ class TestFiniteRangeNormal:
         u = mc.random_unitary(rng, 10)
         a = mc.random_hermitian(rng, 10, norm=1.0)
         comm = mc.op_norm(mc.commutator(a, u))
-        want = sm.finite_range_normal(a, u, 0.3, comm=comm)
+        want = sm.finite_range_normal(a, sm.normal_eig(u), 0.3, comm=comm)
 
         def refuse(m):
             raise AssertionError("require_normal reached")
@@ -342,7 +350,7 @@ class TestFiniteRangeNormal:
         # apart: no orthonormal basis reproduces it as diag(mu)
         n_mat = np.array([[0.0, 5e-6], [0.0, 1e-5]])
         a = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.5]])
-        res = sm.finite_range_normal(a, n_mat, 0.3,
+        res = sm.finite_range_normal(a, sm.normal_eig(n_mat), 0.3,
                                      comm=mc.op_norm(mc.commutator(a, n_mat)))
         v = res.eig.vectors
         assert not res.eig.exact
@@ -708,14 +716,14 @@ class TestJointEig:
 class TestSmoothingSuite:
     def test_b_decomposed_once_per_trial(self, monkeypatch):
         # the suite decomposes B once, unchecked, and hands the eigensystem to
-        # finite_range and to the zero-pattern check
+        # finite_range (which takes no matrix B) and to the zero-pattern check
         calls = []
-        for mod, name in ((sm, "eig_hermitian"), (suites, "eig_hermitian_part")):
-            def counting(*args, _real=getattr(mod, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
 
-            monkeypatch.setattr(mod, name, counting)
+        def counting(*args, _real=suites.eig_hermitian_part, **kwargs):
+            calls.append("eig_hermitian_part")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "eig_hermitian_part", counting)
         tally = suites.run_suite("smoothing", 1, 3)
         assert tally["violations"] == 0
         assert calls == ["eig_hermitian_part"] * 3

@@ -571,6 +571,23 @@ class TestSzarek:
         with pytest.raises(sb.DegenerateSystemError):
             sb.szarek_W(sys)
 
+    # Szarek's W against the first cell W = V_1, whose eps4 is ||J_21|| on
+    # these systems (no coupling beyond the band): it beats the first cell
+    # on 2 x 60 at seed 2 and loses to it on 2 x 40 at seed 0.
+    @pytest.mark.parametrize("blocks, seed, eps4, first_cell", [
+        (60, 2, 0.2085, 0.3255),
+        (40, 0, 0.5395, 0.3985),
+    ])
+    def test_pinned_against_the_first_cell(self, blocks, seed, eps4, first_cell):
+        sys = sb.random_block_tridiagonal(np.random.default_rng(seed), [2] * blocks)
+        cert = sb.szarek_W(sys)
+        assert cert.w_basis.shape[1] == 3
+        assert cert.contains_V1 and cert.perp_VL
+        assert cert.eps4 == pytest.approx(eps4, abs=1e-4)
+        assert sys.coupling_norms[0] == pytest.approx(first_cell, abs=1e-4)
+        v1 = np.eye(sys.dim, dtype=complex)[:, sys.blocks[0]]
+        assert sb.certify_W(sys, v1).eps4 == pytest.approx(first_cell, abs=1e-4)
+
 
 class TestHastings:
     @staticmethod
