@@ -118,6 +118,9 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.trials < 1:
+        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return EXIT_USAGE
     out = run_suite(args.suite, args.seed, args.trials)
     out["seed"] = args.seed
     print(json.dumps(out))
@@ -188,8 +191,11 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     try:
         values = [float(s) for s in deltas]
+        if not all(0.0 <= v < np.inf for v in values):
+            raise ValueError
     except ValueError:
-        print(f"error: bad delta list {args.deltas!r}", file=sys.stderr)
+        print(f"error: bad delta list {args.deltas!r}: deltas must be finite and >= 0",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         a = load_matrix(args.matrix_a)

@@ -404,8 +404,12 @@ def orthonormal_columns(cols: np.ndarray, *, tol: float = 1e-10) -> np.ndarray:
     if c.shape[1] == 0:
         return c.reshape(c.shape[0], 0)
     u, s, _ = np.linalg.svd(c, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
-    return u[:, :rank]
+    return u[:, :svd_rank(s, tol)]
+
+
+def svd_rank(s: np.ndarray, tol: float = 1e-10) -> int:
+    """Rank from descending singular values: the count above tol * max(1, s[0])."""
+    return int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
 
 
 def orthonormal_complement(basis: np.ndarray) -> np.ndarray:

@@ -93,10 +93,11 @@ def choose_exponents(gamma2, finite_range_needed: bool = True):
 
     With the finite-range averaging step the three error exponents balance at
     gamma = gamma2/(1 + 2 gamma2); without it (A already finite range) at
-    gamma = gamma2/(1 + gamma2).  Exact over Fraction inputs.
+    gamma = gamma2/(1 + gamma2).  Exact over Fraction inputs.  The one check
+    of gamma2: a value that is not finite and positive raises ValueError.
     """
-    if gamma2 <= 0:
-        raise ValueError("gamma2 must be positive")
+    if not 0 < gamma2 < math.inf:
+        raise ValueError(f"gamma2 must be finite and positive, got {gamma2}")
     one = gamma2 * 0 + 1  # preserves Fraction/float type
     gamma1 = gamma2 / (one + gamma2)
     if finite_range_needed:
@@ -178,7 +179,9 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
         cert = szarek_W(sys)
     else:
         log["engine"] = "hastings"
-        cert, _ = hastings_W(sys, HastingsConfig.from_system_size(sys.L))
+        cfg = HastingsConfig.from_system_size(sys.L)
+        cert, _ = hastings_W(sys, cfg)
+        log["config"] = cfg.to_json_dict()
     log["eps2"] = cert.eps4 * scale
     # ||J_21||, rescaled: the eps2 that W = V_1 would give, to roundoff and
     # the off-band norm
@@ -326,13 +329,13 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
     am, defect_a = require_hermitian(a, "A")
     require_contraction(am, "A")
     bm, defect_b = require_hermitian(b, "B")
+    g0, g1, gamma = choose_exponents(float(gamma2), True)
     # A, B and everything built from them below are exactly Hermitian (their
     # commutators anti-Hermitian), so their norms take op_norm's kernel
     delta = hermitian_norm(1j * hermitian_commutator(am, bm))
     if delta == 0.0:
         require_contraction(bm, "B")
         return _unmoved(am, bm, delta)
-    g0, g1, gamma = choose_exponents(float(gamma2), True)
     big_delta = max(delta, DELTA_FLOOR) ** g0
     n_cut = int(math.ceil(1.0 / big_delta ** g1))
     width = 2.0 / n_cut
@@ -408,6 +411,7 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
     then repair (B, C) inside each block with the pair pipeline."""
     am, bm, cm = (require_contraction(require_hermitian(m, name)[0], name)
                   for m, name in ((a, "A"), (b, "B"), (c, "C")))
+    choose_exponents(float(gamma2))  # checks gamma2 even when every block commutes
     # A, B, C and everything built from them below are exactly Hermitian
     # (their commutators anti-Hermitian), so their norms take op_norm's kernel
     delta_ab = hermitian_norm(1j * hermitian_commutator(am, bm))
@@ -462,10 +466,10 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
     """
     am = require_contraction(require_hermitian(a, "A")[0], "A")
     um = require_unitary(u, "U")
+    g0, g1, _ = choose_exponents(float(gamma2), True)
     delta = gram_norm(commutator(am, um))
     if delta == 0.0:
         return _unmoved(am, um.copy(), delta)
-    g0, g1, _ = choose_exponents(float(gamma2), True)
     big_delta = max(delta, DELTA_FLOOR) ** g0
     n_cut = max(3, int(math.ceil(1.0 / big_delta ** g1)))
     arc = 2.0 * math.pi / n_cut
@@ -516,14 +520,14 @@ def unitary_pair_gap(u, v, theta: float | None = None, *,
     basis, _ = _normal_basis(vm, unitary=True)
     spectrum = np.einsum("ij,ij->j", basis.conj(), vm @ basis)
     phases = np.sort(np.mod(np.angle(spectrum), 2.0 * math.pi))
-    gaps = np.diff(np.concatenate([phases, [phases[0] + 2.0 * math.pi]]))
-    k = int(np.argmax(gaps))
-    gap_width = float(gaps[k])
+    gaps = np.diff(np.concatenate([phases, phases[:1] + 2.0 * math.pi]))
+    gap_width = float(gaps.max(initial=0.0))  # an empty V has no gap
     theta_detected = gap_width / 2.0
     # a usable gap must stand out from the typical spacing, not just exist
     typical = float(np.median(gaps)) if gaps.size > 1 else 0.0
     if theta_detected < 1e-6 or gap_width < 3.0 * typical:
         raise ValueError("no detectable spectral gap on the circle")
+    k = int(np.argmax(gaps))
     if theta is None:
         theta = theta_detected
     elif theta > theta_detected + 1e-12:
@@ -580,8 +584,11 @@ def delta_sweep(a0, b0, perturbation, deltas: Sequence[float],
     one row per requested commutator size.
 
     A0, B0 must commute; the scaling t is chosen so the measured ||[A,B]||
-    matches each requested delta.
+    matches each requested delta, which must be finite and nonnegative.
     """
+    choose_exponents(float(gamma2))
+    if not all(0.0 <= want < math.inf for want in deltas):
+        raise ValueError(f"each delta must be finite and nonnegative, got {list(deltas)}")
     a0 = require_contraction(require_hermitian(a0, "A0")[0], "A0")
     b0 = require_contraction(require_hermitian(b0, "B0")[0], "B0")
     g = as_matrix(perturbation)

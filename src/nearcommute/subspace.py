@@ -19,6 +19,7 @@ import numpy as np
 
 from .checks import BoundCheck
 from .matcore import (
+    HermitianEig,
     as_matrix,
     eig_hermitian_part,
     op_norm,
@@ -27,6 +28,7 @@ from .matcore import (
     orthonormal_complement,
     require_contraction,
     require_hermitian,
+    svd_rank,
 )
 from .projgeom import jordan_basis, nest_projection_core
 from .smoothing import (
@@ -48,7 +50,6 @@ __all__ = [
     "krylov_reduce",
     "trivial_reducing_basis",
     "select_intervals",
-    "jacobi_commuting_pair",
     "LinProjection",
     "lin_oracle_projection",
     "joint_jacobi",
@@ -128,8 +129,7 @@ class TridiagonalSystem:
 
     def coupling_rank(self, k: int) -> int:
         """Rank of J[V_{k+1}, V_k]: singular values above RANK_TOL * max(1, norm)."""
-        s = self.coupling_svals[k]
-        return int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
+        return svd_rank(self.coupling_svals[k], RANK_TOL)
 
 
 def _coordinates(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -145,7 +145,8 @@ def _identity_columns(n: int, blocks: Sequence[np.ndarray]) -> np.ndarray:
 def verify_tridiagonal(j, blocks: Sequence[np.ndarray]) -> TridiagonalSystem:
     """Check the block-tridiagonal invariants and package the system.
 
-    J must pass matcore's Hermitian and contraction gates.  ``blocks`` are
+    J must pass matcore's Hermitian and contraction gates; the system holds
+    the gate's Hermitian part (J + J*)/2.  ``blocks`` are
     coordinate sets: 1-D integer index arrays that are disjoint and together
     cover range(n).  Raises ValueError when they do not, and with the
     offending block pair when an off-tridiagonal coupling exceeds
@@ -168,7 +169,7 @@ def verify_tridiagonal(j, blocks: Sequence[np.ndarray]) -> TridiagonalSystem:
                          "more than one block")
     if np.any(counts == 0):
         raise ValueError("blocks do not jointly span the space")
-    require_contraction(require_hermitian(jm, "J")[0], "J")
+    jm = require_contraction(require_hermitian(jm, "J")[0], "J")
     labels = np.empty(n, dtype=np.intp)
     for i, b in enumerate(bl):
         labels[b] = i
@@ -458,15 +459,6 @@ def joint_jacobi(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
     return u, ms
 
 
-def jacobi_commuting_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Commuting pair near (A, B): Jacobi joint diagonalization, then the
-    diagonal parts conjugated back."""
-    u, rot = joint_jacobi([a, b])
-    ap = u @ np.diag(np.real(np.diag(rot[0]))) @ u.conj().T
-    bp = u @ np.diag(np.real(np.diag(rot[1]))) @ u.conj().T
-    return ap, bp
-
-
 @dataclass
 class LinProjection:
     """A projection sandwiched between spectral projections of A and nearly
@@ -477,34 +469,28 @@ class LinProjection:
     check: BoundCheck
 
 
-def _sandwich_bases(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvectors of A for its spectrum in [-1, -1/2], (-1/2, 1/2) and
-    [1/2, 1]: bases of Ran E, Ran(G - E) and Ran(1 - G) for the sandwich
-    E = E_{[-1,-1/2]}(A) <= P <= G = 1 - E_{[1/2,1]}(A)."""
-    ea = eig_hermitian_part(a)
-    lam = ea.eigenvalues
-    return (ea.vectors[:, lam <= -0.5], ea.vectors[:, (lam > -0.5) & (lam < 0.5)],
-            ea.vectors[:, lam >= 0.5])
-
-
-def lin_oracle_projection(a, b) -> LinProjection:
+def lin_oracle_projection(ea: HermitianEig, b) -> LinProjection:
     """Projection P with E_{[-1,-1/2]}(A) <= P <= 1 - E_{[1/2,1]}(A) and small
-    ||[P, B]||.
-
-    P is built from the commuting pair (A', B') of jacobi_commuting_pair; the
-    returned check measures ||[P,B]|| <= 20||A-A'|| + 2||B-B'||.  For
-    Hermitian B and Q an orthonormal basis of Ran P, ||[P,B]|| equals
-    ||(1 - QQ*) B Q||, which is the form measured.  A and B must pass
-    matcore's Hermitian and contraction gates; their Hermitian parts are used.
+    ||[P, B]||, for A given in one form, its eigensystem ``ea``: the sandwich
+    bases are its columns, and its eigenvalues must pass matcore's
+    contraction gate.  B must pass the Hermitian and contraction gates; its
+    Hermitian part is used.  With U joint_jacobi's unitary for (A, B), Ran F'
+    is spanned by the columns of U whose diagonal entry of U*AU is negative,
+    and the returned check measures ||[P,B]|| = ||(1 - QQ*) B Q|| (Q a basis
+    of Ran P) <= 20||A-A'|| + 2||B-B'|| for A', B' = U diag(U*AU, U*BU) U*.
     """
-    am, bm = (require_contraction(require_hermitian(m, name)[0], name)
-              for m, name in ((a, "A"), (b, "B")))
-    ap, bp = jacobi_commuting_pair(am, bm)
-    dist_a = op_norm(am - ap)
-    dist_b = op_norm(bm - bp)
-    low, mid, high = _sandwich_bases(am)
-    eap = eig_hermitian_part(ap)
-    basis = nest_projection_core(low, mid, eap.vectors[:, eap.eigenvalues < 0])
+    require_contraction(ea, "A")
+    bm = require_contraction(require_hermitian(b, "B")[0], "B")
+    am = ea.reconstruct()
+    am = (am + am.conj().T) / 2
+    u, (ra, rb) = joint_jacobi([am, bm])
+    da, db = np.real(np.diag(ra)), np.real(np.diag(rb))
+    dist_a = op_norm(am - (u * da) @ u.conj().T)
+    dist_b = op_norm(bm - (u * db) @ u.conj().T)
+    lam = ea.eigenvalues
+    low, mid, high = (ea.vectors[:, sel] for sel in
+                      (lam <= -0.5, (lam > -0.5) & (lam < 0.5), lam >= 0.5))
+    basis = nest_projection_core(low, mid, u[:, da < 0])
     if op_norm_exceeds(low - basis @ (basis.conj().T @ low), EXACT_TOL) or \
        op_norm_exceeds(high.conj().T @ basis, EXACT_TOL):
         raise AssertionError("sandwich E <= P <= G failed structurally")
@@ -592,9 +578,7 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
     kept_cols = []
     for a_j, sig, v_g in pieces:
         keep = sig > a_cut
-        if np.any(keep):
-            cols = a_j @ v_g[:, keep]
-            kept_cols.append(orthonormal_columns(cols))
+        kept_cols.append(a_j @ (v_g[:, keep] / sig[keep]))
     return _certify_repaired(sys, orthonormal_columns(np.column_stack(kept_cols)))
 
 
@@ -650,6 +634,10 @@ class HastingsConfig:
         lam = 1.0 / (L ** HASTINGS_BETA2 * (n_win + 1))
         return cls(n_win=n_win, l_b=l_b, lambda_min=lam)
 
+    def to_json_dict(self) -> dict:
+        return {"n_win": self.n_win, "l_b": self.l_b, "n_b": self.n_b,
+                "lambda_min": self.lambda_min, "chi": HASTINGS_CHI, "eta": HASTINGS_ETA}
+
 
 @dataclass
 class HastingsDiagnostics:
@@ -685,14 +673,7 @@ class HastingsDiagnostics:
             "stage_values": {k: v for k, v in self.stage_values.items()},
             "checks": [c.as_dict() for c in self.stage_checks],
             "decay_fit": self.decay_fit,
-            "config": {
-                "n_win": self.config.n_win,
-                "l_b": self.config.l_b,
-                "n_b": self.config.n_b,
-                "lambda_min": self.config.lambda_min,
-                "chi": HASTINGS_CHI,
-                "eta": HASTINGS_ETA,
-            },
+            "config": self.config.to_json_dict(),
         }
 
 
@@ -808,9 +789,9 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
         ramp = (2.0 / (cfg.l_b / 2 + 1)) * (labels[idx] - (i + 0.25) * cfg.l_b) + 1.0
         b_hat = np.diag(np.clip(ramp, -1.0, 1.0))
         er = eig_hermitian_part(rho_i)
-        f_rho = er.matrix_function(
-            lambda x: 1.0 - 2.0 * np.asarray(f_prof(x), dtype=np.complex128))
-        res = lin_oracle_projection(f_rho, b_hat)
+        # A = 1 - 2f(rho_i), ascending with rho_i >= 0 since f falls on [0, inf)
+        res = lin_oracle_projection(
+            HermitianEig(1.0 - 2.0 * f_prof(er.eigenvalues), er.vectors), b_hat)
         comm_vals[i] = res.commutator_norm
         checks.append(res.check)
         if res.commutator_norm > 1.0 - HASTINGS_CHI + 1e-9:
@@ -859,20 +840,20 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
         n_prime_bases[i] = basis[:, weight <= 0.5 + HASTINGS_ETA]
 
     # ---- stage (e): U = complement of the span; W = A(U) ----
-    span_cols = [b for b in [n_even] + [n_prime_bases[i] for i in range(1, nb + 1, 2)]
-                 if b.shape[1]]
-    u_perp = (orthonormal_columns(np.column_stack(span_cols))
-              if span_cols else np.zeros((total, 0), dtype=np.complex128))
-    u_basis = orthonormal_complement(u_perp)
+    # one full SVD of the span: U^perp its leading left singular vectors, U the rest
+    left, s_span, _ = np.linalg.svd(np.column_stack(
+        [n_even] + [n_prime_bases[i] for i in range(1, nb + 1, 2)]))
+    u_perp, u_basis = np.split(left, [svd_rank(s_span)], axis=1)
 
     c3 = _c3_constant(HASTINGS_ETA)
     if u_basis.shape[1]:
-        au = a_map @ u_basis
-        sigma_min = float(np.linalg.svd(au, compute_uv=False)[-1])
+        # one SVD of A U gives sigma_min(AU) and an orthonormal basis of W'
+        w_left, s_au, _ = np.linalg.svd(a_map @ u_basis, full_matrices=False)
+        sigma_min = float(s_au[-1])
         lower_ref = math.sqrt(1.0 / (c3 * cfg.l_b))
         checks.append(BoundCheck(lower_ref, sigma_min,
                                  "|Au| >= sqrt(1/(C3 l_b)) |u| (measured)"))
-        w_raw = orthonormal_columns(au)
+        w_raw = w_left[:, :svd_rank(s_au)]
     else:
         sigma_min = 0.0
         w_raw = np.zeros((n, 0), dtype=np.complex128)

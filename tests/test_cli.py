@@ -144,6 +144,15 @@ class TestCommuteCommand:
         assert main(["commute", str(pa), str(pb), "--out", str(tmp_path / "r.json")]) == 2
         assert "engine failure: [c] oracle commutator too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma2", ["nan", "inf", "-1", "0"])
+    def test_bad_gamma2_writes_nothing(self, commuting_files, tmp_path, capsys, gamma2):
+        pa, pb, _, _ = commuting_files
+        out = tmp_path / "r.json"
+        assert main(["commute", str(pa), str(pb), "--gamma2", gamma2, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: gamma2 must be finite and positive")
+        assert not out.exists()
+
     def test_hastings_route_end_to_end(self, tensor_lift_pair, tmp_path):
         a, b = tensor_lift_pair
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
@@ -172,6 +181,13 @@ class TestVerifyCommand:
 
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "nonsense"]) == 64
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_usage_error(self, capsys, trials):
+        assert main(["verify", "bounds", "--trials", trials]) == 64
+        out = capsys.readouterr()
+        assert out.err.splitlines() == [f"error: --trials must be at least 1, got {trials}"]
+        assert out.out == ""
 
     def test_env_seed_override(self, monkeypatch, capsys):
         monkeypatch.setenv("AC_SEED", "99")
@@ -255,6 +271,16 @@ class TestSweepCommand:
         pa, pb, _, _ = commuting_files
         assert main(["sweep", str(pa), str(pb), "--deltas", "1e-2,tiny"]) == 64
         assert "bad delta list '1e-2,tiny'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("deltas", ["-0.1", "nan", "inf", "1e-2,-1e-3"])
+    def test_bad_delta_value_usage_error(self, commuting_files, tmp_path, capsys, deltas):
+        pa, pb, _, _ = commuting_files
+        out = tmp_path / "s.csv"
+        assert main(["sweep", str(pa), str(pb), "--deltas", deltas, "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: bad delta list {deltas!r}: deltas must be finite and >= 0"]
+        assert captured.out == "" and not out.exists()
 
     def test_missing_file_is_io_error(self, commuting_files, tmp_path):
         pa, _, _, _ = commuting_files

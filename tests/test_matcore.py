@@ -700,9 +700,9 @@ def _gate_cases():
         "tridiag_positive_test Hermitian": (
             lambda e, _: pg.tridiag_positive_test(_skewed(m_tri, e), cd, cd), *herm),
         "lin_oracle_projection A contraction": (
-            lambda s, _: sb.lin_oracle_projection(s * unit, h), *contr),
+            lambda s, _: sb.lin_oracle_projection(mc.eig_hermitian(s * unit), h), *contr),
         "lin_oracle_projection B contraction": (
-            lambda s, _: sb.lin_oracle_projection(h, s * unit), *contr),
+            lambda s, _: sb.lin_oracle_projection(mc.eig_hermitian(h), s * unit), *contr),
         "load_matrix hermitian tag": (
             lambda e, tmp: _tagged(_skewed(h, e), "hermitian", tmp), *herm),
         "load_matrix unitary tag": (

@@ -451,6 +451,44 @@ class TestExactlyCommutingInput:
             pl.commute_hermitian_pair(d, 2 * d)
 
 
+@pytest.mark.parametrize("gamma2", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("driver", ["pair", "pair moving", "circle", "three", "gap", "sweep"])
+def test_gamma2_checked_before_any_short_cut(driver, gamma2):
+    # every driver that takes gamma2 rejects a bad one, on inputs that
+    # already commute as well
+    d = np.diag(np.linspace(-0.9, 0.9, 4)).astype(complex)
+    gapped = np.diag(np.exp(1j * np.linspace(0.0, 1.0, 4)))
+    calls = {
+        "pair": lambda: pl.commute_hermitian_pair(d, d, gamma2),
+        "pair moving": lambda: pl.commute_hermitian_pair(d, np.full((4, 4), 0.2), gamma2),
+        "circle": lambda: pl.commute_hermitian_unitary(d, np.eye(4), gamma2),
+        "three": lambda: pl.three_hermitian(d, d, d, gamma2=gamma2),
+        "gap": lambda: pl.unitary_pair_gap(np.eye(4), gapped, gamma2=gamma2),
+        "sweep": lambda: pl.delta_sweep(d, d, np.ones((4, 4)), [], gamma2),
+    }
+    with pytest.raises(ValueError, match="gamma2 must be finite and positive"):
+        calls[driver]()
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+def test_sweep_rejects_a_bad_delta(bad):
+    d = np.diag(np.linspace(-0.9, 0.9, 4)).astype(complex)
+    with pytest.raises(ValueError, match="each delta must be finite and nonnegative"):
+        pl.delta_sweep(d, d, np.ones((4, 4)), [1e-2, bad])
+
+
+def test_hastings_log_carries_its_config(tensor_lift_pair):
+    # tensor-lift's Hastings intervals have L = 2, where the configuration
+    # from_system_size chooses has a single superblock
+    rep = pl.commute_hermitian_pair(*tensor_lift_pair)
+    logs = [iv for iv in rep.stage_log["intervals"] if iv.get("engine") == "hastings"]
+    assert logs
+    for iv in logs:
+        assert iv["L"] == 2
+        assert iv["config"] == sb.HastingsConfig.from_system_size(2).to_json_dict()
+        assert iv["config"]["n_b"] == 1
+
+
 class TestEngineErrorsPropagate:
     """An engine error is not turned into a kept block: an oracle that raises
     inside a Hastings interval (selected by the block sizes) fails the call."""
@@ -458,11 +496,11 @@ class TestEngineErrorsPropagate:
     def test_oracle_error_fails_the_call(self, monkeypatch, tmp_path, tensor_lift_pair):
         calls = []
 
-        def failing(a, b):
-            calls.append(a.shape)
+        def failing(mats):
+            calls.append(mats[0].shape)
             raise ValueError("oracle failure")
 
-        monkeypatch.setattr(sb, "jacobi_commuting_pair", failing)
+        monkeypatch.setattr(sb, "joint_jacobi", failing)
         a, b = tensor_lift_pair
         with pytest.raises(ValueError, match="oracle failure"):
             pl.commute_hermitian_pair(a, b, 1.0)
@@ -671,6 +709,20 @@ class TestUnitaryPairGap:
         v = np.diag(np.exp(2j * math.pi * np.arange(n) / n))
         with pytest.raises(ValueError, match="gap"):
             pl.unitary_pair_gap(np.eye(n), v)
+
+    def test_empty_v_has_no_gap(self):
+        empty = np.zeros((0, 0), dtype=complex)
+        with pytest.raises(ValueError, match="no detectable spectral gap on the circle"):
+            pl.unitary_pair_gap(empty, empty)
+
+    def test_one_dimensional_pair(self):
+        # one phase leaves the whole circle as the gap: the pair commutes
+        v = np.array([[np.exp(0.3j)]])
+        rep = pl.unitary_pair_gap(np.eye(1, dtype=complex), v)
+        assert rep.stage_log["theta_detected"] == pytest.approx(math.pi)
+        assert rep.a_prime.shape == rep.b_prime.shape == (1, 1)
+        assert rep.comm_residual == 0.0 and rep.dist_a == 0.0 and rep.dist_b <= 1e-15
+        assert all(c.passed for c in rep.checks)
 
     def test_requested_theta_within_detected_gap(self):
         # V's phases avoid (-0.9, 0.9), so the detected radius is at least 0.9:

@@ -2,6 +2,7 @@
 the commuting-pair oracle, and the two W constructions."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -70,6 +71,15 @@ class TestVerifyTridiagonal:
 
         monkeypatch.setattr(mc, "op_norm", refuse)
         assert sb.verify_tridiagonal(j, blocks).L == 3
+
+    def test_holds_the_hermitian_part(self):
+        # a Hermiticity defect within the gate is not kept in sys.j, which
+        # the engines decompose and certify_W measures eps4 against
+        j, blocks = self.hermitian_to_roundoff()
+        j[0, 1] += 1e-11
+        held = sb.verify_tridiagonal(j, blocks).j
+        assert np.array_equal(held, (j + j.conj().T) / 2)
+        assert np.array_equal(held, held.conj().T)
 
     def test_non_hermitian_rejected(self):
         j, blocks = self.hermitian_to_roundoff()
@@ -426,7 +436,8 @@ class TestJacobiOracle:
         rng = np.random.default_rng(9)
         a = mc.random_hermitian(rng, 6, norm=1.0)
         b = mc.random_hermitian(rng, 6, norm=1.0)
-        ap, bp = sb.jacobi_commuting_pair(a, b)
+        u, rot = sb.joint_jacobi([a, b])
+        ap, bp = ((u * np.real(np.diag(m))) @ u.conj().T for m in rot)
         assert mc.op_norm(mc.commutator(ap, bp)) <= 1e-10
 
 
@@ -439,7 +450,7 @@ class TestLinOracleProjection:
         a = (a + a.conj().T) / 2
         b = q @ np.diag(np.sin(3 * lam)) @ q.conj().T
         b = (b + b.conj().T) / 2
-        res = sb.lin_oracle_projection(a, b)
+        res = sb.lin_oracle_projection(mc.eig_hermitian(a), b)
         assert res.commutator_norm <= 1e-10
         assert res.check.passed
 
@@ -452,11 +463,13 @@ class TestLinOracleProjection:
         pert = mc.random_hermitian(rng, 12, norm=0.05)
         a = ((a0 + pert) / 1.05 + (a0 + pert).conj().T / 1.05) / 2
         b = (b0 + b0.conj().T) / 2
-        res = sb.lin_oracle_projection(a, b)
+        ea = mc.eig_hermitian(a)
+        res = sb.lin_oracle_projection(ea, b)
         assert res.check.passed
         # exact sandwich enforced structurally
         p = res.basis @ res.basis.conj().T
-        low, _, high = sb._sandwich_bases(a)
+        low = ea.vectors[:, ea.eigenvalues <= -0.5]
+        high = ea.vectors[:, ea.eigenvalues >= 0.5]
         e = low @ low.conj().T
         g = np.eye(12) - high @ high.conj().T
         assert mc.op_norm(e @ (np.eye(12) - p)) <= 1e-10
@@ -467,7 +480,7 @@ class TestLinOracleProjection:
         rng = np.random.default_rng(19)
         a = mc.random_hermitian(rng, n, norm=1.0)
         b = mc.random_hermitian(rng, n, norm=1.0)
-        res = sb.lin_oracle_projection(a, b)
+        res = sb.lin_oracle_projection(mc.eig_hermitian(a), b)
         basis = res.basis
         assert basis.shape[0] == n
         assert mc.op_norm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-10
@@ -481,13 +494,23 @@ class TestLinOracleProjection:
         rng = np.random.default_rng(20)
         q = mc.random_unitary(rng, 8)
         a = (q * np.array([-0.9, -0.7, -0.6, -0.2, 0.1, 0.3, 0.6, 0.95])) @ q.conj().T
-        return (a + a.conj().T) / 2, mc.random_hermitian(rng, 8, norm=1.0)
+        return mc.eig_hermitian(a), mc.random_hermitian(rng, 8, norm=1.0)
 
     def test_sandwich_gate_screened(self, screened_gates):
         a, b = self.spread_pair()
         res = sb.lin_oracle_projection(a, b)
         assert res.check.passed
         assert screened_gates == ["_require_orthonormal"] * 2 + ["lin_oracle_projection"] * 2
+
+    def test_a_not_decomposed_again(self, monkeypatch):
+        # the sandwich bases are ea's columns and Ran F' is read off
+        # joint_jacobi's U: the oracle decomposes neither A nor A'
+        ea, b = self.spread_pair()
+        real, calls = sb.eig_hermitian_part, []
+        monkeypatch.setattr(sb, "eig_hermitian_part",
+                            lambda m: calls.append(m.shape) or real(m))
+        assert sb.lin_oracle_projection(ea, b).check.passed
+        assert calls == []
 
     def test_broken_sandwich_rejected(self, monkeypatch):
         a, b = self.spread_pair()
@@ -570,6 +593,21 @@ class TestSzarek:
         sys = sb.random_block_tridiagonal(rng, [2])
         with pytest.raises(sb.DegenerateSystemError):
             sb.szarek_W(sys)
+
+    def test_one_orthonormalisation_past_the_shortcuts(self, monkeypatch):
+        # each kept piece a_j v / sigma has orthonormal columns already, so
+        # the stacked pieces are orthonormalised once (Krylov's own calls
+        # come from krylov_reduce)
+        real, callers = sb.orthonormal_columns, []
+
+        def counting(*args, **kwargs):
+            callers.append(inspect.currentframe().f_back.f_code.co_name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sb, "orthonormal_columns", counting)
+        sys = sb.random_block_tridiagonal(np.random.default_rng(2), [2] * 60)
+        assert sb.szarek_W(sys).w_basis.shape[1] == 3
+        assert callers.count("szarek_W") == 1
 
     # Szarek's W against the first cell W = V_1, whose eps4 is ||J_21|| on
     # these systems (no coupling beyond the band): it beats the first cell
@@ -696,6 +734,25 @@ class TestHastings:
         for i, basis in diag.n_bases.items():
             assert mc.op_norm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-10
 
+    def test_stage_e_one_svd_per_matrix(self, monkeypatch):
+        # U^perp and U come from one full SVD of the span, and sigma_min(AU)
+        # and W' from one SVD of A U
+        real, seen = np.linalg.svd, []
+
+        def recording(m, *args, **kwargs):
+            seen.append(np.array(m))
+            return real(m, *args, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("orthonormal_complement reached")
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        monkeypatch.setattr(sb, "orthonormal_complement", refuse)
+        _, diag = sb.hastings_W(self.desk_system(), self.desk_config())
+        au = diag.a_map @ diag.u_basis
+        assert au.shape[1] > 0
+        assert sum(m.shape == au.shape and np.array_equal(m, au) for m in seen) == 1
+
     def test_stage_c_gates_screened(self, screened_gates):
         sys = self.desk_system()
         cert, diag = sb.hastings_W(sys, self.desk_config())
@@ -710,7 +767,7 @@ class TestHastings:
     def test_stage_c_sandwich_rejected(self, monkeypatch, full, message):
         # an oracle answering 0 (or 1) breaks the lower (or upper) sandwich
         def oracle(a, b):
-            k = a.shape[0]
+            k = a.dim
             basis = np.eye(k, dtype=complex)[:, :k if full else 0]
             return sb.LinProjection(basis, 0.0, BoundCheck(0.0, 0.0, "fake oracle"))
 
@@ -903,3 +960,4 @@ class TestHastings:
         sb.decay_check_U(diag, rng=np.random.default_rng(0))
         text = json.dumps(diag.to_json_dict(), default=float)
         assert "stage_values" in text
+        assert diag.to_json_dict()["config"] == cfg.to_json_dict()
