@@ -1,10 +1,13 @@
 """Command-line surface: pair repair, verification suites, gallery
 generation, and delta sweeps.
 
-Exit codes: 0 success, 1 I/O failure, 2 engine failure, 64 usage error.
-Every command is deterministic given its inputs, flags, and --seed, whose
-default is the AC_SEED environment variable (0 when it is unset; a value
-that is not an integer is a usage error).
+Exit codes: 0 success; 1 a file could not be read or written; 2 an engine
+failure or a suite violation; 64 the command line or an input was rejected.
+The library rejects a bad input with ValueError; the handlers repeat none of
+its checks, and ``main`` alone turns an exception into an exit code.  Every
+command is deterministic given its inputs, flags, and --seed, whose default
+is the AC_SEED environment variable (0 when it is unset; a value that is not
+an integer is a usage error).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .matcore import commutator, op_norm, random_hermitian
 from .matio import MatrixFileError, atomic_write_text, load_matrix, save_matrix
 from .pipeline import commute_hermitian_pair, delta_sweep
 from .subspace import StageError
-from .suites import SUITES, run_suite
+from .suites import run_suite
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -40,11 +43,15 @@ QUARTER_N10_TABLE = [0.0016, 0.0040, 0.0084, 0.0171, 0.0343, 0.0686,
                      0.1373, 0.2747, 0.5493, 1.0987]
 
 
+# --n budget of each gallery object: (smallest, largest)
+GALLERY_N = {"voiculescu": (1, 4096), "quarter-tridiag": (2, 4096), "winding": (2, 512)}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        """A rejected command line: the usage here, the message by ``main``."""
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(message)
 
 
 def _sha256(path) -> str:
@@ -73,7 +80,7 @@ def _build_parser() -> _Parser:
     pv.add_argument("--trials", type=int, default=100)
 
     pg = sub.add_parser("gallery", help="generate gallery objects")
-    pg.add_argument("object", choices=["voiculescu", "quarter-tridiag", "winding"])
+    pg.add_argument("object", choices=list(GALLERY_N))
     pg.add_argument("--n", type=int, default=8)
     pg.add_argument("--out", default=".")
 
@@ -89,21 +96,9 @@ def _build_parser() -> _Parser:
 
 
 def cmd_commute(args) -> int:
-    try:
-        a = load_matrix(args.matrix_a)
-        b = load_matrix(args.matrix_b)
-        hashes = {"a": _sha256(args.matrix_a), "b": _sha256(args.matrix_b)}
-    except (MatrixFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        rep = commute_hermitian_pair(a, b, args.gamma2)
-    except (StageError,) as exc:
-        print(f"engine failure: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
+    a, b = load_matrix(args.matrix_a), load_matrix(args.matrix_b)
+    hashes = {"a": _sha256(args.matrix_a), "b": _sha256(args.matrix_b)}
+    rep = commute_hermitian_pair(a, b, args.gamma2)
     doc = rep.to_json_dict(include_matrices=True)
     doc["inputs"] = hashes
     doc["config"] = {"gamma2": args.gamma2}
@@ -114,102 +109,68 @@ def cmd_commute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"error: unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.trials < 1:
-        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return EXIT_USAGE
     out = run_suite(args.suite, args.seed, args.trials)
     out["seed"] = args.seed
     print(json.dumps(out))
-    return EXIT_OK if out["violations"] == 0 else EXIT_ENGINE
+    if out["violations"]:
+        print(f"suite violation: {out['violations']} of {out['checks']} checks failed",
+              file=sys.stderr)
+        return EXIT_ENGINE
+    return EXIT_OK
 
 
 def cmd_gallery(args) -> int:
+    n, (lo, hi) = args.n, GALLERY_N[args.object]
+    if not lo <= n <= hi:
+        raise ValueError(f"n out of budget: {args.object} takes {lo} <= n <= {hi}, got {n}")
     outdir = Path(args.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    n = args.n
     if args.object == "voiculescu":
-        if n < 1 or n > 4096:
-            print("error: n out of budget", file=sys.stderr)
-            return EXIT_USAGE
         u, v = voiculescu(n)
+        outdir.mkdir(parents=True, exist_ok=True)
         save_matrix(outdir / f"voiculescu_u_{n}.json", u, unitary=True)
         save_matrix(outdir / f"voiculescu_v_{n}.json", v, unitary=True)
         print(json.dumps({"written": [f"voiculescu_u_{n}.json", f"voiculescu_v_{n}.json"],
                           "commutator": op_norm(commutator(u, v))}))
         return EXIT_OK
     if args.object == "quarter-tridiag":
-        if n < 2 or n > 4096:
-            print("error: n out of budget", file=sys.stderr)
-            return EXIT_USAGE
-        j, leak = quarter_tridiag(n)
+        _, leak = quarter_tridiag(n)
         path = outdir / f"quarter_tridiag_{n}.csv"
         buf = io.StringIO()
         wr = csv.writer(buf)
         wr.writerow(["index", "leakage"])
         for i, val in enumerate(leak):
             wr.writerow([i + 1, repr(float(val))])
+        outdir.mkdir(parents=True, exist_ok=True)
         atomic_write_text(path, buf.getvalue())
         result = {"written": [path.name]}
         if n == 10:
-            comparison = []
-            ok = True
-            for i, (got, want) in enumerate(zip(leak * 1e3, QUARTER_N10_TABLE)):
-                match = bool(abs(got - want) <= 1.05e-4)
-                ok = ok and match
-                comparison.append({"index": i + 1, "computed_x1e3": float(got),
-                                   "printed_x1e3": want, "match": match})
+            comparison = [{"index": i + 1, "computed_x1e3": float(got), "printed_x1e3": want,
+                           "match": bool(abs(got - want) <= 1.05e-4)}
+                          for i, (got, want) in enumerate(zip(leak * 1e3, QUARTER_N10_TABLE))]
             result["reference_comparison"] = comparison
-            result["reference_match"] = ok
+            result["reference_match"] = all(c["match"] for c in comparison)
         print(json.dumps(result))
         return EXIT_OK
-    # "winding", the last of the parser's choices
-    if n < 2 or n > 512:
-        print("error: n out of budget", file=sys.stderr)
-        return EXIT_USAGE
+    # "winding", the last of GALLERY_N's objects
     u, v = voiculescu(n)
     eye = np.eye(n, dtype=complex)
     res = winding_number(u, v, eye, eye)
     doc = {"n": n, "winding": res.winding, "stable": res.stable,
            "min_abs_det": res.min_abs, "steps": res.steps}
+    outdir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(outdir / f"winding_{n}.json", json.dumps(doc))
     print(json.dumps(doc))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    deltas = [s for s in args.deltas.split(",") if s.strip()]
-    if not deltas:
-        print("error: empty delta list", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        values = [float(s) for s in deltas]
-        if not all(0.0 <= v < np.inf for v in values):
-            raise ValueError
-    except ValueError:
-        print(f"error: bad delta list {args.deltas!r}: deltas must be finite and >= 0",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        a = load_matrix(args.matrix_a)
-        b = load_matrix(args.matrix_b)
-    except (MatrixFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    rng = np.random.default_rng(args.seed)
-    g = random_hermitian(rng, a.shape[0], norm=1.0)
-    try:
-        rows = delta_sweep(a, b, g, sorted(values, reverse=True), args.gamma2)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
+    # the parse of --deltas; their range is delta_sweep's to check
+    values = [float(s) for s in args.deltas.split(",") if s.strip()]
+    if not values:
+        raise ValueError(f"empty delta list {args.deltas!r}")
+    a, b = load_matrix(args.matrix_a), load_matrix(args.matrix_b)
+    g = random_hermitian(np.random.default_rng(args.seed), a.shape[0], norm=1.0)
+    rows = delta_sweep(a, b, g, sorted(values, reverse=True), args.gamma2)
     buf = io.StringIO()
     wr = csv.writer(buf)
     wr.writerow(["delta", "dist_a", "dist_b", "eps2_max"])
@@ -224,26 +185,35 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _env_seed() -> int:
+    """AC_SEED (0 when unset), checked before int() so that its error names it."""
+    env = os.environ.get("AC_SEED", "0")
+    if not env.strip().lstrip("+-").replace("_", "").isdecimal():
+        raise ValueError(f"AC_SEED must be an integer, got {env!r}")
+    return int(env)
+
+
+HANDLERS = {"commute": cmd_commute, "verify": cmd_verify, "gallery": cmd_gallery,
+            "sweep": cmd_sweep}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command.  The only place where an exception becomes an exit
+    code; LinAlgError is a ValueError, so the engine clause comes first."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    if args.command in ("verify", "sweep") and args.seed is None:
-        env = os.environ.get("AC_SEED", "0")
-        try:
-            args.seed = int(env)
-        except ValueError:
-            print(f"error: AC_SEED must be an integer, got {env!r}", file=sys.stderr)
-            return EXIT_USAGE
-    handlers = {
-        "commute": cmd_commute,
-        "verify": cmd_verify,
-        "gallery": cmd_gallery,
-        "sweep": cmd_sweep,
-    }
-    return handlers[args.command](args)
+        args = _build_parser().parse_args(argv)
+        if args.command in ("verify", "sweep") and args.seed is None:
+            args.seed = _env_seed()
+        return HANDLERS[args.command](args)
+    except (MatrixFileError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (StageError, np.linalg.LinAlgError) as exc:
+        print(f"engine failure: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

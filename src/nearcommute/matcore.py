@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "HermitianEig",
+    "adjoint",
     "as_matrix",
     "eig_hermitian",
     "op_norm",
@@ -43,6 +44,28 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.isfinite(m).all():
         raise MatrixShapeError("matrix has non-finite entries")
     return m
+
+
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """m*, the conjugate transpose, as a fresh C-ordered array: a transposing
+    copy conjugated in place.  Never a view of m, whatever m's layout."""
+    out = m.T.copy()
+    np.conjugate(out, out=out)
+    return out
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m*)/2, built in place on ``adjoint(m)``."""
+    h = adjoint(m)
+    h += m
+    h /= 2
+    return h
+
+
+def skew(m: np.ndarray) -> np.ndarray:
+    """m - m*, built in place on ``adjoint(m)``."""
+    k = adjoint(m)
+    return np.subtract(m, k, out=k)
 
 
 # Smallest Hermitian matrix whose nonzero pattern is scanned for diagonal
@@ -107,9 +130,9 @@ def op_norm(a) -> float:
     n = m.shape[0]
     if n == m.shape[1]:
         corner, mirror = m.item(n - 1, 0), m.item(0, n - 1).conjugate()
-        if corner == mirror and (m == m.conj().T).all():
+        if corner == mirror and (m == adjoint(m)).all():
             return hermitian_norm(m)
-        if corner == -mirror and (m == -m.conj().T).all():
+        if corner == -mirror and (m == -adjoint(m)).all():
             return hermitian_norm(1j * m)
     if not m.any():
         return 0.0
@@ -147,7 +170,7 @@ def gram_norm(x) -> float:
         return 0.0
     y = m / s
     g = y.conj().T @ y
-    return s * math.sqrt(hermitian_norm((g + g.conj().T) / 2))
+    return s * math.sqrt(hermitian_norm(hermitian_part(g)))
 
 
 def op_norm_exceeds(x, tol: float) -> bool:
@@ -186,15 +209,15 @@ def require_hermitian(m, name: str) -> tuple[np.ndarray, float]:
     ``op_norm_exceeds``, ||m - m*||_F/2 screens the norm: within the tolerance
     it is the defect reported, and ||m|| is taken only for a defect above it."""
     mm = as_matrix(m)
-    skew = mm - mm.conj().T
-    if not skew.any():
+    k = skew(mm)
+    if not k.any():
         return mm.copy(), 0.0
-    defect = float(np.linalg.norm(skew)) / 2
+    defect = float(np.linalg.norm(k)) / 2
     if defect > HERMITIAN_TOL:
-        defect = op_norm(skew) / 2
+        defect = op_norm(k) / 2
         if defect > HERMITIAN_TOL and defect > HERMITIAN_TOL * op_norm(mm):
             raise NotHermitianError(f"{name} must be Hermitian")
-    return (mm + mm.conj().T) / 2, defect
+    return hermitian_part(mm), defect
 
 
 def require_contraction(h, name: str) -> np.ndarray | HermitianEig:
@@ -244,8 +267,7 @@ def hermitian_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[A, B] for exactly Hermitian A and B that the caller validated or
     built: K - K* with K = AB, since BA = (AB)*.  One product instead of two,
     and the result is anti-Hermitian entry for entry."""
-    k = a @ b
-    return k - k.conj().T
+    return skew(a @ b)
 
 
 @dataclass(frozen=True)
@@ -315,7 +337,7 @@ def eig_hermitian(a) -> HermitianEig:
     """
     m = as_matrix(a)
     bound = HERMITICITY_RTOL * max(op_norm(m), np.finfo(float).tiny)
-    defect = op_norm(m - m.conj().T) / 2.0
+    defect = op_norm(skew(m)) / 2.0
     if defect > bound:
         raise NotHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.1e} * ||A|| = {bound:.3e}"
@@ -346,7 +368,7 @@ def eig_hermitian_part(m: np.ndarray) -> HermitianEig:
     n = m.shape[0]
     if n == 0:
         return HermitianEig(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w, v = np.linalg.eigh(hermitian_part(m))
 
     # Degenerate-cluster canonicalization.
     tol = 1e-12 * n * max(abs(w.item(0)), abs(w.item(-1)), 1.0)
@@ -380,7 +402,7 @@ class NormalEig:
 def random_hermitian(rng: np.random.Generator, n: int, *, norm: float | None = None) -> np.ndarray:
     """Random Hermitian matrix; if ``norm`` is given, rescaled to that operator norm."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (g + g.conj().T) / 2.0
+    h = hermitian_part(g)
     if norm is not None and n:
         # h is Hermitian entry for entry: op_norm's structure test is not needed
         cur = hermitian_norm(h)

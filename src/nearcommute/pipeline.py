@@ -18,6 +18,7 @@ import numpy as np
 
 from .checks import BoundCheck
 from .matcore import (
+    adjoint,
     as_matrix,
     cluster_bounds,
     commutator,
@@ -25,6 +26,7 @@ from .matcore import (
     gram_norm,
     hermitian_commutator,
     hermitian_norm,
+    hermitian_part,
     op_norm,
     orthonormal_complement,
     require_contraction,
@@ -282,7 +284,7 @@ def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, spectrum: np.ndarray | None
             y[:, s:e] = y[:, s:e] @ t
             y[s:e, :] = t.conj().T @ y[s:e, :]
             vt[:, s:e] = vecs[:, s:e] @ t
-        y += y.conj().T
+        y += adjoint(y)
         y *= 0.5
     # per regrouped space: its share of (VT)(Y o [label_l = label_m]); its
     # block of Y is then zeroed, which leaves the part of H that H' drops.
@@ -302,7 +304,7 @@ def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, spectrum: np.ndarray | None
         vty[:, idx] = vt[:, idx] @ y[block]
         dropped[block] = 0.0
     a_prime = vty @ vt.conj().T
-    a_prime = (a_prime + a_prime.conj().T) / 2
+    a_prime = hermitian_part(a_prime)
     b_prime = (vt * values[labels]) @ vt.conj().T
 
     h_h_prime = hermitian_norm(dropped)
@@ -348,7 +350,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
         fr.coords, eb.vectors, eb.eigenvalues, eb.eigenvalues, -1.0, n_cut,
         width, big_delta, lambda j: 1.0 if j >= n_cut else -1.0 + j * width,
         cyclic=False)
-    b_prime = (b_prime + b_prime.conj().T) / 2
+    b_prime = hermitian_part(b_prime)
 
     dist_a = hermitian_norm(am - a_prime)
     res = hermitian_norm(1j * hermitian_commutator(a_prime, b_prime))
@@ -423,10 +425,8 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
     block_logs = []
     for cols in groups:
         size = cols.shape[1]
-        b_blk = cols.conj().T @ bm @ cols
-        c_blk = cols.conj().T @ cm @ cols
-        b_blk = (b_blk + b_blk.conj().T) / 2
-        c_blk = (c_blk + c_blk.conj().T) / 2
+        b_blk = hermitian_part(cols.conj().T @ bm @ cols)
+        c_blk = hermitian_part(cols.conj().T @ cm @ cols)
         blk_residual = hermitian_norm(1j * hermitian_commutator(b_blk, c_blk))
         if blk_residual <= 1e-13 * size:
             # the compressed pair already commutes: keep it unchanged
@@ -440,8 +440,7 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
                                "dist_c": rep.dist_b, "residual": rep.comm_residual})
         b_prime += cols @ blk_b @ cols.conj().T
         c_prime += cols @ blk_c @ cols.conj().T
-    a_prime, b_prime, c_prime = ((m + m.conj().T) / 2
-                                 for m in (a_prime, b_prime, c_prime))
+    a_prime, b_prime, c_prime = map(hermitian_part, (a_prime, b_prime, c_prime))
     res = max(hermitian_norm(1j * hermitian_commutator(a_prime, b_prime)),
               hermitian_norm(1j * hermitian_commutator(a_prime, c_prime)),
               hermitian_norm(1j * hermitian_commutator(b_prime, c_prime)))
@@ -569,7 +568,7 @@ def cayley_matrix_to_line(v: np.ndarray) -> np.ndarray:
     """W = i (1 + V)(1 - V)^{-1} for unitary V without spectrum at 1."""
     n = v.shape[0]
     w = 1j * (np.eye(n) + v) @ np.linalg.inv(np.eye(n) - v)
-    return (w + w.conj().T) / 2
+    return hermitian_part(w)
 
 
 def cayley_matrix_to_circle(w: np.ndarray) -> np.ndarray:
@@ -591,8 +590,7 @@ def delta_sweep(a0, b0, perturbation, deltas: Sequence[float],
         raise ValueError(f"each delta must be finite and nonnegative, got {list(deltas)}")
     a0 = require_contraction(require_hermitian(a0, "A0")[0], "A0")
     b0 = require_contraction(require_hermitian(b0, "B0")[0], "B0")
-    g = as_matrix(perturbation)
-    g = (g + g.conj().T) / 2
+    g = hermitian_part(as_matrix(perturbation))
     # A0, B0 and G are exactly Hermitian: their norms take op_norm's kernel
     gn = hermitian_norm(g)
     if gn > 0:

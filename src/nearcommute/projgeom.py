@@ -17,6 +17,7 @@ from .matcore import (
     orthonormal_columns,
     orthonormal_complement,
     require_hermitian,
+    skew,
 )
 
 __all__ = [
@@ -36,7 +37,7 @@ NEST_MAX_EPS = 0.1  # nest_projection: eps must be below it
 
 def _require_projection(p, name: str) -> np.ndarray:
     m = as_matrix(p)
-    if op_norm_exceeds(m @ m - m, PROJ_TOL) or op_norm_exceeds(m - m.conj().T, PROJ_TOL):
+    if op_norm_exceeds(m @ m - m, PROJ_TOL) or op_norm_exceeds(skew(m), PROJ_TOL):
         raise ValueError(f"{name} is not an orthogonal projection to tolerance")
     return m
 

@@ -30,9 +30,11 @@ from .matcore import (
     gram_norm,
     hermitian_norm,
     hermitian_norm_within,
+    hermitian_part,
     op_norm,
     require_hermitian,
     require_normal,
+    skew,
 )
 
 __all__ = [
@@ -114,13 +116,22 @@ class _FourierData:
         return float(np.interp(c, self.tail_k, self.tail_cum)) + self.tail_beyond_grid
 
 
+def _on_support(fn: Callable, t: np.ndarray, radius: float) -> np.ndarray:
+    """fn(t) where ~(|t| >= radius), 0.0 elsewhere: fn is evaluated only at
+    those points (a NaN t is among them, so it propagates)."""
+    out = np.zeros_like(t)
+    inside = ~(np.abs(t) >= radius)
+    out[inside] = fn(t[inside])
+    return out
+
+
 def _dft_abs(fn: Callable, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """|f^| on the symmetric k-grid from an n-point discrete transform."""
+    """|f^| on the symmetric k-grid from an n-point discrete transform of f
+    sampled on its support.  The grid starts at -span/2, which multiplies
+    f^ by (-1)^j; the modulus drops that sign."""
     span = SPAN_FACTOR * radius
     dx = span / n
-    x = -span / 2.0 + dx * np.arange(n)
-    fhat = np.fft.fft(np.asarray(fn(x), dtype=float))
-    fhat[1::2] *= -1.0  # (-1)^j: the grid starts at -span/2
+    fhat = np.fft.fft(_on_support(fn, -span / 2.0 + dx * np.arange(n), radius))
     fhat *= dx / (2.0 * math.pi)
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     return np.fft.fftshift(k), np.abs(np.fft.fftshift(fhat))
@@ -196,16 +207,11 @@ class Profile:
         return self.r + self.w
 
     def __call__(self, x) -> np.ndarray | float:
-        """f at the points x: 0.0 where |x - omega0| >= support_radius, the
-        window function elsewhere, which is evaluated only at those points
-        (a NaN argument is among them, so it propagates)."""
+        """f at the points x: the window function on the support
+        (``_on_support`` about omega0), 0.0 elsewhere."""
         t = np.asarray(x, dtype=float) - self.omega0
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.zeros_like(t)
-        inside = ~(np.abs(t) >= self.support_radius)
-        out[inside] = self._fn(t[inside])
-        return float(out[0]) if scalar else out
+        out = _on_support(self._fn, np.atleast_1d(t), self.support_radius)
+        return float(out[0]) if t.ndim == 0 else out
 
     def shifted(self, omega0: float) -> "Profile":
         p = Profile(self._fn, self.r, self.w, omega0, name=f"{self.name}@{omega0:g}")
@@ -341,7 +347,7 @@ def _normal_basis(m: np.ndarray, unitary: bool) -> tuple[np.ndarray, float]:
     gap of Re N, so its Rayleigh quotients are off N's eigenvalues by about
     the square of that.
     """
-    im = (m - m.conj().T) / 2j
+    im = skew(m) / 2j
     er = eig_hermitian_part(m)
     v, lam_re = er.vectors, er.eigenvalues
     im_norm = 0.0 if unitary or hermitian_norm_within(im, 1.0) else op_norm(im)
@@ -428,8 +434,7 @@ class FiniteRangeResult:
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         v = self.eig.vectors
-        h = v @ self.coords @ v.conj().T
-        return (h + h.conj().T) / 2
+        return hermitian_part(v @ self.coords @ v.conj().T)
 
     def require(self) -> "FiniteRangeResult":
         for c in self.checks:
@@ -451,8 +456,7 @@ def _average(a: np.ndarray, v: np.ndarray, lams: Sequence[np.ndarray],
     exactly Hermitian and f is even, so the multiplier is exactly
     symmetric, H~ and A~ - H~ are Hermitian, and the norm takes op_norm's
     Hermitian kernel directly."""
-    at = v.conj().T @ a @ v
-    sym = (at + at.conj().T) / 2
+    sym = hermitian_part(v.conj().T @ a @ v)
     mult = functools.reduce(np.multiply, [p((lam[:, None] - lam[None, :]) / delta)
                                           for lam in lams])
     ht = sym * mult

@@ -22,6 +22,7 @@ from .matcore import (
     HermitianEig,
     as_matrix,
     eig_hermitian_part,
+    hermitian_part,
     op_norm,
     op_norm_exceeds,
     orthonormal_columns,
@@ -195,7 +196,7 @@ def random_block_tridiagonal(rng: np.random.Generator, dims: Sequence[int]) -> T
     tridiagonal w.r.t. consecutive coordinate blocks of the given dimensions."""
     n = int(sum(dims))
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (g + g.conj().T) / 2
+    h = hermitian_part(g)
     labels = np.repeat(np.arange(len(dims)), dims)
     h = h * (np.abs(labels[:, None] - labels[None, :]) <= 1)
     nrm = op_norm(h)
@@ -481,8 +482,7 @@ def lin_oracle_projection(ea: HermitianEig, b) -> LinProjection:
     """
     require_contraction(ea, "A")
     bm = require_contraction(require_hermitian(b, "B")[0], "B")
-    am = ea.reconstruct()
-    am = (am + am.conj().T) / 2
+    am = hermitian_part(ea.reconstruct())
     u, (ra, rb) = joint_jacobi([am, bm])
     da, db = np.real(np.diag(ra)), np.real(np.diag(rb))
     dist_a = op_norm(am - (u * da) @ u.conj().T)
@@ -565,7 +565,7 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
         chi_cols = ej.vectors[:, mask]
         a_j = chi_cols @ chi_cols[v1, :].conj().T
         gram = a_j.conj().T @ a_j
-        w_g, v_g = np.linalg.eigh((gram + gram.conj().T) / 2)
+        w_g, v_g = np.linalg.eigh(hermitian_part(gram))
         sig = np.sqrt(np.maximum(w_g, 0.0))
         sing_max = max(sing_max, float(sig[-1]))
         pieces.append((a_j, sig, v_g))
@@ -740,7 +740,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
         wvals = np.asarray(prof(ej.eigenvalues), dtype=float)
         tau = (ej.vectors * wvals) @ ej.vectors[v1, :].conj().T
         gram = tau.conj().T @ tau
-        w_g, v_g = np.linalg.eigh((gram + gram.conj().T) / 2)
+        w_g, v_g = np.linalg.eigh(hermitian_part(gram))
         keep = w_g > cfg.lambda_min
         if np.any(keep):
             basis = tau @ (v_g[:, keep] / np.sqrt(w_g[keep]))

@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds as bd
 from .checks import BoundCheck
 from .matcore import (HermitianEig, eig_hermitian_part, gram_norm, hermitian_commutator,
-                      op_norm, op_norm_exceeds, random_hermitian, random_unitary)
+                      op_norm, op_norm_exceeds, random_hermitian, random_unitary, skew)
 from .projgeom import jordan_blocks, nest_projection
 from .smoothing import (
     finite_range,
@@ -178,7 +178,7 @@ def suite_smoothing(seed: int, trials: int) -> dict:
         res = finite_range(a, eb, delta, comm=op_norm(hermitian_commutator(a, b)))
         for chk in res.checks:
             tally.record(chk)
-        if op_norm_exceeds(res.matrix - res.matrix.conj().T, 1e-12 * n):
+        if op_norm_exceeds(skew(res.matrix), 1e-12 * n):
             tally.failures.append(f"finite-range output not Hermitian at trial {t}")
         lam = eb.eigenvalues
         mid = float(np.median(lam))
@@ -224,6 +224,10 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int, trials: int) -> dict:
+    """The tally of the suite ``name`` over ``trials`` seeded trials; ValueError
+    for an unknown name or fewer than one trial, which would check nothing."""
     if name not in SUITES:
-        raise KeyError(name)
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return SUITES[name](seed, trials)

@@ -675,3 +675,13 @@ def test_suite_checks_at_seed_one(name, trials, checks):
     # every trial evaluates its checks: none is dropped by a swallowed error
     out = run_suite(name, seed=1, trials=trials)
     assert (out["trials"], out["checks"], out["violations"]) == (trials, checks, 0)
+
+
+@pytest.mark.parametrize("name, trials, message", [
+    ("bounds", 0, "trials must be at least 1, got 0"),
+    ("tn", -3, "trials must be at least 1, got -3"),
+    ("nonsense", 5, "unknown suite 'nonsense'"),
+])
+def test_run_suite_rejects_a_run_that_checks_nothing(name, trials, message):
+    with pytest.raises(ValueError, match=message):
+        run_suite(name, seed=1, trials=trials)

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nearcommute import matcore as mc
-from nearcommute import cli, matio
+from nearcommute import cli, matio, suites
 from nearcommute.cli import main
+from nearcommute.gallery import tn_identities
 from nearcommute.subspace import StageError
 
 
@@ -148,7 +153,7 @@ class TestCommuteCommand:
     def test_bad_gamma2_writes_nothing(self, commuting_files, tmp_path, capsys, gamma2):
         pa, pb, _, _ = commuting_files
         out = tmp_path / "r.json"
-        assert main(["commute", str(pa), str(pb), "--gamma2", gamma2, "--out", str(out)]) == 2
+        assert main(["commute", str(pa), str(pb), "--gamma2", gamma2, "--out", str(out)]) == 64
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: gamma2 must be finite and positive")
         assert not out.exists()
@@ -186,7 +191,7 @@ class TestVerifyCommand:
     def test_trials_below_one_usage_error(self, capsys, trials):
         assert main(["verify", "bounds", "--trials", trials]) == 64
         out = capsys.readouterr()
-        assert out.err.splitlines() == [f"error: --trials must be at least 1, got {trials}"]
+        assert out.err.splitlines() == [f"error: trials must be at least 1, got {trials}"]
         assert out.out == ""
 
     def test_env_seed_override(self, monkeypatch, capsys):
@@ -270,7 +275,8 @@ class TestSweepCommand:
     def test_bad_delta_list_usage_error(self, commuting_files, capsys):
         pa, pb, _, _ = commuting_files
         assert main(["sweep", str(pa), str(pb), "--deltas", "1e-2,tiny"]) == 64
-        assert "bad delta list '1e-2,tiny'" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: could not convert string to float: 'tiny'"]
 
     @pytest.mark.parametrize("deltas", ["-0.1", "nan", "inf", "1e-2,-1e-3"])
     def test_bad_delta_value_usage_error(self, commuting_files, tmp_path, capsys, deltas):
@@ -278,8 +284,10 @@ class TestSweepCommand:
         out = tmp_path / "s.csv"
         assert main(["sweep", str(pa), str(pb), "--deltas", deltas, "--out", str(out)]) == 64
         captured = capsys.readouterr()
+        # delta_sweep's message, over the deltas in the descending order it is given
+        got = sorted(map(float, deltas.split(",")), reverse=True)
         assert captured.err.splitlines() == [
-            f"error: bad delta list {deltas!r}: deltas must be finite and >= 0"]
+            f"error: each delta must be finite and nonnegative, got {got}"]
         assert captured.out == "" and not out.exists()
 
     def test_missing_file_is_io_error(self, commuting_files, tmp_path):
@@ -296,14 +304,15 @@ class TestSweepCommand:
         assert "AC_SEED must be an integer, got '1.5'" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
-    def test_noncommuting_base_engine_error(self, tmp_path):
+    def test_noncommuting_base_is_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(9)
         a = mc.random_hermitian(rng, 6, norm=1.0)
         b = mc.random_hermitian(rng, 6, norm=1.0)
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         matio.save_matrix(pa, a)
         matio.save_matrix(pb, b)
-        assert main(["sweep", str(pa), str(pb), "--deltas", "1e-2"]) == 2
+        assert main(["sweep", str(pa), str(pb), "--deltas", "1e-2"]) == 64
+        assert capsys.readouterr().err.splitlines() == ["error: base pair must commute"]
 
 
 class TestParser:
@@ -322,3 +331,95 @@ class TestParser:
     def test_engine_flag_usage_error(self, commuting_files, engine):
         pa, pb, _, _ = commuting_files
         assert main(["commute", str(pa), str(pb), "--engine", engine]) == 64
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def _broken_tn_identities(a, b, big_n):
+    out = tn_identities(a, b, big_n)
+    return {**out, "commutator_residual": 1.0}
+
+
+STAGE = _raising(StageError("c", "oracle commutator too large"))
+LINALG = _raising(np.linalg.LinAlgError("eigh did not converge"))
+COMMUTE = ["commute", "{a}", "{b}", "--out", "{out}"]
+VERIFY = ["verify", "tn", "--seed", "1", "--trials", "1"]
+GALLERY = ["gallery", "voiculescu", "--n", "4", "--out", "{out}"]
+SWEEP = ["sweep", "{a}", "{b}", "--deltas", "1e-2", "--out", "{out}"]
+
+
+class TestExitPaths:
+    """Every exit path of every command: its code, exactly one stderr line,
+    and no file written.  ``main`` alone maps exceptions to codes."""
+
+    @pytest.mark.parametrize("argv, patch, code, line", [
+        pytest.param(["commute", "{none}", "{b}", "--out", "{out}"], None, 1,
+                     "error: cannot parse", id="commute-read"),
+        pytest.param(["commute", "{a}", "{b}", "--out", "{missing}"], None, 1,
+                     "error: [Errno 2]", id="commute-write"),
+        pytest.param(COMMUTE, (cli, "commute_hermitian_pair", STAGE), 2,
+                     "engine failure: [c] oracle commutator too large", id="commute-stage"),
+        pytest.param(COMMUTE, (cli, "commute_hermitian_pair", LINALG), 2,
+                     "engine failure: eigh did not converge", id="commute-linalg"),
+        pytest.param(["commute", "{a}", "{a2}", "--out", "{out}"], None, 64,
+                     "error: B must be a contraction", id="commute-input"),
+        pytest.param(VERIFY, (cli, "run_suite", STAGE), 2,
+                     "engine failure: [c]", id="verify-stage"),
+        pytest.param(VERIFY, (cli, "run_suite", LINALG), 2,
+                     "engine failure: eigh", id="verify-linalg"),
+        pytest.param(["verify", "tn", "--trials", "0"], None, 64,
+                     "error: trials must be at least 1, got 0", id="verify-input"),
+        pytest.param(["verify", "nonsense"], None, 64,
+                     "error: unknown suite 'nonsense'", id="verify-unknown"),
+        pytest.param(VERIFY, (suites, "tn_identities", _broken_tn_identities), 2,
+                     "suite violation: 1 of 8 checks failed", id="verify-violation"),
+        pytest.param(["gallery", "voiculescu", "--out", "{a}"], None, 1,
+                     "error: [Errno 17]", id="gallery-write"),
+        pytest.param(GALLERY, (cli, "voiculescu", STAGE), 2,
+                     "engine failure: [c]", id="gallery-stage"),
+        pytest.param(GALLERY, (cli, "voiculescu", LINALG), 2,
+                     "engine failure: eigh", id="gallery-linalg"),
+        pytest.param(["gallery", "winding", "--n", "513", "--out", "{out}"], None, 64,
+                     "error: n out of budget: winding takes 2 <= n <= 512, got 513",
+                     id="gallery-input"),
+        pytest.param(["sweep", "{a}", "{none}", "--deltas", "1e-2", "--out", "{out}"], None, 1,
+                     "error: cannot parse", id="sweep-read"),
+        pytest.param(["sweep", "{a}", "{b}", "--deltas", "1e-2", "--out", "{missing}"], None, 1,
+                     "error: [Errno 2]", id="sweep-write"),
+        pytest.param(SWEEP, (cli, "delta_sweep", STAGE), 2,
+                     "engine failure: [c]", id="sweep-stage"),
+        pytest.param(SWEEP, (cli, "delta_sweep", LINALG), 2,
+                     "engine failure: eigh", id="sweep-linalg"),
+        pytest.param(SWEEP[:-2] + ["--gamma2", "nan", "--out", "{out}"], None, 64,
+                     "error: gamma2 must be finite and positive", id="sweep-input"),
+    ])
+    def test_exit_path(self, commuting_files, tmp_path, monkeypatch, capsys,
+                       argv, patch, code, line):
+        pa, pb, a, _ = commuting_files
+        matio.save_matrix(tmp_path / "a2.json", 2 * a)
+        names = {"a": pa, "b": pb, "a2": tmp_path / "a2.json", "none": tmp_path / "none.json",
+                 "out": tmp_path / "out", "missing": tmp_path / "missing" / "r.json"}
+        if patch:
+            monkeypatch.setattr(*patch)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([arg.format(**names) for arg in argv]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(line), err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_unwritable_out_from_the_command_line(self, commuting_files, tmp_path):
+        pa, pb, _, _ = commuting_files
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nearcommute.cli", "commute", str(pa), str(pb),
+             "--out", str(tmp_path / "missing" / "r.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: [Errno 2]")

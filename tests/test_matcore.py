@@ -558,6 +558,41 @@ class TestGramNorm:
             mc.gram_norm(np.ones((2, 3)))
 
 
+class TestAdjoint:
+    """adjoint, hermitian_part, skew and hermitian_commutator equal, bit for
+    bit, the elementwise expressions they replace, and never return a view
+    of their input or change it."""
+
+    @staticmethod
+    def layouts(n):
+        rng = np.random.default_rng(n)
+        big = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+        m = big[:n, :n].copy()
+        # signed zeros and subnormals, on and off the diagonal
+        specials = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                    complex(5e-324, -1e-310), complex(-2.5e-320, 3e-308)]
+        if n:
+            m.flat[[7 * i % m.size for i in range(len(specials))]] = specials
+        big[::2, ::2] = m
+        return {"C": m, "F": np.asfortranarray(m), "strided": big[::2, ::2]}
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17])
+    def test_bitwise_equal_and_fresh(self, n, layout):
+        m = self.layouts(n)[layout]
+        keep = m.copy()
+        k = m @ m.conj().T
+        for got, want in ((mc.adjoint(m), m.conj().T),
+                          (mc.hermitian_part(m), (m + m.conj().T) / 2),
+                          (mc.skew(m), m - m.conj().T),
+                          (mc.hermitian_commutator(m, m.conj().T), k - k.conj().T)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert not np.shares_memory(got, m)
+        assert m.tobytes() == keep.tobytes()
+
+
 class TestHermitianCommutator:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 40), st.integers(0, 10 ** 6))

@@ -496,9 +496,9 @@ class TestEngineErrorsPropagate:
     def test_oracle_error_fails_the_call(self, monkeypatch, tmp_path, tensor_lift_pair):
         calls = []
 
-        def failing(mats):
+        def failing(mats):  # fails as the Jacobi sweeps' eigh can
             calls.append(mats[0].shape)
-            raise ValueError("oracle failure")
+            raise np.linalg.LinAlgError("oracle failure")
 
         monkeypatch.setattr(sb, "joint_jacobi", failing)
         a, b = tensor_lift_pair

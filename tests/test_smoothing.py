@@ -114,6 +114,31 @@ class TestProfileConstants:
         assert np.all((np.abs(args) < p.support_radius) | np.isnan(args))
         assert np.isnan(args).any()  # a NaN argument reaches the window
 
+    def test_fourier_samples_only_the_support(self):
+        # a window that refuses any point off its support still gets its
+        # transform, equal bit for bit to the full-grid one
+        base = sm.poly_bump_profile()
+
+        def strict(t):
+            if np.any(np.abs(t) >= base.support_radius):
+                raise AssertionError("sampled off the support")
+            return base._fn(t)
+
+        rad = base.support_radius
+        for n in (sm.FOURIER_GRID, sm.FOURIER_GRID // 2):
+            span = sm.SPAN_FACTOR * rad
+            dx = span / n
+            fhat = np.fft.fft(base._fn(-span / 2.0 + dx * np.arange(n)))
+            fhat[1::2] *= -1.0
+            fhat *= dx / (2.0 * math.pi)
+            k, got = sm._dft_abs(strict, rad, n)
+            assert got.tobytes() == np.abs(np.fft.fftshift(fhat)).tobytes()
+            assert k.tobytes() == np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(n, d=dx)).tobytes()
+        f, want = sm.Profile(strict, base.r, base.w).fourier, base.fourier
+        for field in dataclasses.fields(f):
+            assert np.asarray(getattr(f, field.name)).tobytes() == \
+                np.asarray(getattr(want, field.name)).tobytes(), field.name
+
     def test_tail_monotone_and_tail_zero_is_l1(self):
         p = sm.smooth_profile(1.0, 1.0)
         assert p.tail(0.0) == pytest.approx(p.c1, rel=1e-9)
