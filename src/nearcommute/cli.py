@@ -54,6 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def delta_list(text: str) -> list[float]:
+    """--deltas: one or more comma-separated numbers (their range is delta_sweep's)."""
+    values = [float(s) for s in text.split(",") if s.strip()]
+    if not values:
+        raise ValueError(text)
+    return values
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -87,7 +95,7 @@ def _build_parser() -> _Parser:
     ps = sub.add_parser("sweep", help="delta sweep over a perturbed commuting pair")
     ps.add_argument("matrix_a")
     ps.add_argument("matrix_b")
-    ps.add_argument("--deltas", required=True,
+    ps.add_argument("--deltas", required=True, type=delta_list,
                     help="comma-separated commutator sizes, e.g. 1e-1,1e-2")
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--gamma2", type=float, default=1.0)
@@ -164,13 +172,9 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # the parse of --deltas; their range is delta_sweep's to check
-    values = [float(s) for s in args.deltas.split(",") if s.strip()]
-    if not values:
-        raise ValueError(f"empty delta list {args.deltas!r}")
     a, b = load_matrix(args.matrix_a), load_matrix(args.matrix_b)
     g = random_hermitian(np.random.default_rng(args.seed), a.shape[0], norm=1.0)
-    rows = delta_sweep(a, b, g, sorted(values, reverse=True), args.gamma2)
+    rows = delta_sweep(a, b, g, sorted(args.deltas, reverse=True), args.gamma2)
     buf = io.StringIO()
     wr = csv.writer(buf)
     wr.writerow(["delta", "dist_a", "dist_b", "eps2_max"])

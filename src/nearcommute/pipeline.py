@@ -134,39 +134,30 @@ def _cluster_step(ea, delta: float, floor: float
     return thresh, blocks, a_prime
 
 
-def _first_empty_subinterval(sub_ids: np.ndarray, n_sub: int) -> int | None:
-    """Smallest subinterval index in [0, n_sub) with no eigenvalue, or None
-    if all are occupied, read off a mask of the ids present."""
-    present = np.zeros(n_sub, dtype=bool)
-    present[sub_ids] = True
-    empty = np.flatnonzero(~present)
-    return int(empty[0]) if empty.size else None
-
-
-def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
-                              n_sub: int) -> tuple[int, np.ndarray | None, dict]:
+def _interval_subspace_engine(j_block: np.ndarray, dims: np.ndarray
+                              ) -> tuple[int, np.ndarray | None, dict]:
     """Run the W-engine on one interval's compressed block.
 
-    j_block acts on the eigenvectors of B inside the interval, grouped by
-    Delta-subinterval ids (ascending); returns (dim W, T, log entry).  T is
-    None when W is a coordinate set, the first dim W coordinates: below the
-    first empty subinterval, which is the exact reducing subspace and needs
-    no block list, or the whole block when there is no room for a sandwich.
+    j_block acts on the eigenvectors of B inside the interval, ascending, so
+    Delta-subinterval k is a run of dims[k] coordinates; returns (dim W, T,
+    log entry).  T is None when W is a coordinate set, the first dim W
+    coordinates: below the first empty subinterval, which is the exact
+    reducing subspace, or the whole block when there is no room for a sandwich.
     Otherwise the engine is Szarek's when some subinterval holds at most
     SZAREK_BLOCK_THRESHOLD eigenvalues, Hastings' when every one holds more,
     and T = [W | W^perp] is the unitary that turns the block's coordinates
     into a basis of W followed by one of its complement.
     """
-    d = j_block.shape[0]
+    d, n_sub = j_block.shape[0], len(dims)
     log: dict = {"dim": d, "L": n_sub}
     if n_sub < 2:
         # no room for a V_1 <= W perp V_L sandwich: keep the whole block
         log["degenerate"] = True
         log["eps2"] = 0.0
         return d, None, log
-    gap = _first_empty_subinterval(sub_ids, n_sub)
-    if gap is not None:
-        k = int(np.count_nonzero(sub_ids < gap))
+    gap = int(np.argmin(dims))  # the first empty subinterval, if any
+    if dims[gap] == 0:
+        k = int(sum(dims[:gap]))
         log["trivial_gap"] = gap
         # ||(1 - P_W) J P_W|| for W the coordinates below the gap
         log["eps2"] = op_norm(j_block[k:, :k])
@@ -175,7 +166,7 @@ def _interval_subspace_engine(j_block: np.ndarray, sub_ids: np.ndarray,
     scale = max(1.0, op_norm(j_block))
     js = j_block / scale
     log["rescale"] = scale
-    sys = verify_tridiagonal(js, [np.flatnonzero(sub_ids == k) for k in range(n_sub)])
+    sys = verify_tridiagonal(js, dims)
     if min(sys.dims) <= SZAREK_BLOCK_THRESHOLD:
         log["engine"] = "szarek"
         cert = szarek_W(sys)
@@ -260,7 +251,7 @@ def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, spectrum: np.ndarray | None
         i = int(ids[s])
         sub = np.floor((coords[s:e] - (origin + i * cell)) / sub_width).astype(int)
         sub = np.maximum(np.minimum(sub, n_sub - 1), 0)
-        k, t, log = _interval_subspace_engine(ht[s:e, s:e], sub, n_sub)
+        k, t, log = _interval_subspace_engine(ht[s:e, s:e], np.bincount(sub, minlength=n_sub))
         log["interval"] = i
         interval_log.append(log)
         if log.get("degenerate"):

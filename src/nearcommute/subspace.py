@@ -98,17 +98,16 @@ class StageError(RuntimeError):
 class TridiagonalSystem:
     """A Hermitian contraction with a verified block-tridiagonal structure.
 
-    Each block V_k is a set of coordinates: a 1-D integer index array.  The
-    blocks are disjoint and together cover range(dim).  coupling_svals[k]
-    holds the singular values of the coupling J[V_{k+1}, V_k] (empty when
-    either block is empty).  max_offtridiag is the norm of J outside its
-    tridiagonal band, which bounds every coupling J[V_i, V_k] with |i-k| >= 2.
-    It is a bound, not the largest of those couplings: a system whose every
-    coupling is within OFF_TRIDIAGONAL_TOL can still report more.
+    Block V_k is a slice, the run of coordinates after V_{k-1}.
+    coupling_svals[k] holds the singular values of J[V_{k+1}, V_k] (empty
+    when either block is empty).  max_offtridiag is the norm of J outside
+    its tridiagonal band, which bounds every coupling J[V_i, V_k] with
+    |i-k| >= 2: a bound, not the largest of those couplings, so a system
+    whose every coupling is within OFF_TRIDIAGONAL_TOL can report more.
     """
 
     j: np.ndarray
-    blocks: list[np.ndarray]
+    blocks: list[slice]
     max_offtridiag: float
     coupling_svals: list[np.ndarray]
 
@@ -122,7 +121,7 @@ class TridiagonalSystem:
 
     @property
     def dims(self) -> list[int]:
-        return [b.size for b in self.blocks]
+        return [b.stop - b.start for b in self.blocks]
 
     @property
     def coupling_norms(self) -> np.ndarray:
@@ -133,60 +132,45 @@ class TridiagonalSystem:
         return svd_rank(self.coupling_svals[k], RANK_TOL)
 
 
-def _coordinates(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The coordinates of the given blocks, concatenated in block order."""
-    return np.concatenate([np.zeros(0, dtype=np.intp), *blocks])
+def _identity_columns(n: int, lo: int, hi: int) -> np.ndarray:
+    """The identity columns lo..hi-1 of C^n, a basis of those coordinates
+    (column-major, the layout that the products with it are pinned to)."""
+    return np.eye(n, hi - lo, -lo, dtype=np.complex128, order="F")
 
 
-def _identity_columns(n: int, blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Identity columns spanning the given coordinate blocks, in order."""
-    return np.eye(n, dtype=np.complex128)[:, _coordinates(blocks)]
-
-
-def verify_tridiagonal(j, blocks: Sequence[np.ndarray]) -> TridiagonalSystem:
+def verify_tridiagonal(j, dims: Sequence[int]) -> TridiagonalSystem:
     """Check the block-tridiagonal invariants and package the system.
 
     J must pass matcore's Hermitian and contraction gates; the system holds
-    the gate's Hermitian part (J + J*)/2.  ``blocks`` are
-    coordinate sets: 1-D integer index arrays that are disjoint and together
-    cover range(n).  Raises ValueError when they do not, and with the
-    offending block pair when an off-tridiagonal coupling exceeds
-    OFF_TRIDIAGONAL_TOL.  The couplings are checked pair by pair only when
-    ``max_offtridiag``, the norm of J outside its tridiagonal band, exceeds it.
+    the gate's Hermitian part (J + J*)/2.  Block k is the run of dims[k]
+    coordinates after block k-1.  Raises ValueError when the sizes are not
+    nonnegative integers that sum to n, and with the offending block pair
+    when an off-tridiagonal coupling exceeds OFF_TRIDIAGONAL_TOL.  The
+    couplings are checked pair by pair only when ``max_offtridiag``, the
+    norm of J outside its tridiagonal band, exceeds it.
     """
     jm = as_matrix(j)
     n = jm.shape[0]
-    bl = []
-    for i, b in enumerate(blocks):
-        b = np.asarray(b)
-        if b.ndim != 1 or not np.issubdtype(b.dtype, np.integer):
-            raise ValueError(f"block {i} is not a 1-D integer index array")
-        if b.size and (b.min() < 0 or b.max() >= n):
-            raise ValueError(f"block {i} has an index outside range({n})")
-        bl.append(b)
-    counts = np.bincount(_coordinates(bl), minlength=n)
-    if np.any(counts > 1):
-        raise ValueError(f"coordinate {int(np.argmax(counts > 1))} lies in "
-                         "more than one block")
-    if np.any(counts == 0):
-        raise ValueError("blocks do not jointly span the space")
+    d = np.asarray(dims)
+    if d.ndim != 1 or (d.size and d.dtype.kind not in "iu") or np.any(d < 0) or d.sum() != n:
+        raise ValueError(f"dims must be nonnegative integers that sum to {n}, got {dims!r}")
     jm = require_contraction(require_hermitian(jm, "J")[0], "J")
-    labels = np.empty(n, dtype=np.intp)
-    for i, b in enumerate(bl):
-        labels[b] = i
+    ends = np.cumsum(d, dtype=np.intp).tolist()
+    bl = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+    labels = np.repeat(np.arange(len(bl)), d.astype(np.intp))
     off_band = np.abs(labels[:, None] - labels[None, :]) >= 2
     worst = op_norm(np.where(off_band, jm, 0.0))
     if worst > OFF_TRIDIAGONAL_TOL:
         # The off-band norm only bounds the pair norms: find the pair.
         for i in range(len(bl)):
             for k in range(len(bl)):
-                if abs(i - k) >= 2 and bl[i].size and bl[k].size:
-                    c = op_norm(jm[np.ix_(bl[i], bl[k])])
+                if abs(i - k) >= 2 and d[i] and d[k]:
+                    c = op_norm(jm[bl[i], bl[k]])
                     if c > OFF_TRIDIAGONAL_TOL:
                         raise ValueError(
                             f"off-tridiagonal coupling {c:.3e} between blocks {i} and {k}")
-    svals = [np.linalg.svd(jm[np.ix_(bl[i + 1], bl[i])], compute_uv=False)
-             if bl[i].size and bl[i + 1].size else np.zeros(0)
+    svals = [np.linalg.svd(jm[bl[i + 1], bl[i]], compute_uv=False)
+             if d[i] and d[i + 1] else np.zeros(0)
              for i in range(len(bl) - 1)]
     return TridiagonalSystem(jm, bl, worst, svals)
 
@@ -202,8 +186,7 @@ def random_block_tridiagonal(rng: np.random.Generator, dims: Sequence[int]) -> T
     nrm = op_norm(h)
     if nrm > 0:
         h *= RANDOM_TRIDIAGONAL_NORM / nrm
-    return verify_tridiagonal(h, [np.flatnonzero(labels == i)
-                                  for i in range(len(dims))])
+    return verify_tridiagonal(h, dims)
 
 
 @dataclass
@@ -252,7 +235,7 @@ def certify_W(sys: TridiagonalSystem, w_basis: np.ndarray) -> WCertificate:
     if w.shape[1] and op_norm_exceeds(w.conj().T @ w - np.eye(w.shape[1]), 1e-9):
         w = orthonormal_columns(w)
     v1, vl = sys.blocks[0], sys.blocks[-1]
-    eps3 = op_norm(_identity_columns(sys.dim, [v1]) - w @ w[v1].conj().T)
+    eps3 = op_norm(_identity_columns(sys.dim, v1.start, v1.stop) - w @ w[v1].conj().T)
     jw = sys.j @ w
     eps4 = op_norm(jw - w @ (w.conj().T @ jw))
     eps5 = op_norm(w[vl])
@@ -269,14 +252,12 @@ def trivial_reducing_basis(sys: TridiagonalSystem) -> np.ndarray | None:
     """Exact reducing subspace W with V_1 <= W perp V_L when some interior
     block is empty or some consecutive coupling vanishes (norm at most
     TRIVIAL_COUPLING_TOL); None otherwise."""
-    dims = sys.dims
-    for k in range(sys.L):
-        if dims[k] == 0:
-            return _identity_columns(sys.dim, sys.blocks[:k])
-    norms = sys.coupling_norms
-    for k in range(sys.L - 1):
-        if norms[k] <= TRIVIAL_COUPLING_TOL:
-            return _identity_columns(sys.dim, sys.blocks[:k + 1])
+    for b in sys.blocks:
+        if b.stop == b.start:
+            return _identity_columns(sys.dim, 0, b.start)
+    for b, norm in zip(sys.blocks, sys.coupling_norms):
+        if norm <= TRIVIAL_COUPLING_TOL:
+            return _identity_columns(sys.dim, 0, b.stop)
     return None
 
 
@@ -297,15 +278,16 @@ def krylov_reduce(sys: TridiagonalSystem, i: int) -> KrylovReduction:
     orthogonal increments H_k.  If the chain stops before reaching the last
     block, the accumulated space reduces J exactly and is returned as
     ``trivial_w``.  For i past the midpoint the same construction runs on the
-    reversed block order.
+    reversed block order, from M_0 = V_{i+1} + .. + V_L.
     """
     if not (1 <= i < sys.L):
         raise ValueError("need 1 <= i < L")
     rev = i > math.ceil(sys.L / 2)
-    blocks = list(reversed(sys.blocks)) if rev else sys.blocks
     oi = sys.L - i if rev else i
+    cut = sys.blocks[i].start
+    lo, hi = (cut, sys.dim) if rev else (0, cut)
 
-    accumulated = current = _identity_columns(sys.dim, blocks[:oi])
+    accumulated = current = _identity_columns(sys.dim, lo, hi)
     chain: list[np.ndarray] = []
     while True:
         if current.shape[1] == 0:
@@ -514,13 +496,21 @@ SZAREK_A_EXP = 1.5
 def _certify_repaired(sys: TridiagonalSystem, w_raw: np.ndarray) -> WCertificate:
     """Repair a raw subspace against (V_1, V_L) and certify it: E = P_V1,
     G = 1 - P_VL, and F' the span of the orthonormal columns ``w_raw``."""
-    n = sys.dim
-    basis = nest_projection_core(_identity_columns(n, sys.blocks[:1]),
-                                 _identity_columns(n, sys.blocks[1:-1]), w_raw)
+    n, v1_end, vl_start = sys.dim, sys.blocks[0].stop, sys.blocks[-1].start
+    basis = nest_projection_core(_identity_columns(n, 0, v1_end),
+                                 _identity_columns(n, v1_end, vl_start), w_raw)
     cert = certify_W(sys, basis)
     if not (cert.contains_V1 and cert.perp_VL):
         raise AssertionError("projection repair failed to enforce the exact sandwich")
     return cert
+
+
+def _v1_image(cols: np.ndarray, v1_rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """tau = (window of J) P_{V_1} = cols @ v1_rows* for a window's weighted
+    eigenvector columns and their V_1 rows, and the eigensystem of tau* tau."""
+    tau = cols @ v1_rows.conj().T
+    w_g, v_g = np.linalg.eigh(hermitian_part(tau.conj().T @ tau))
+    return tau, w_g, v_g
 
 
 def szarek_W(sys: TridiagonalSystem) -> WCertificate:
@@ -561,11 +551,8 @@ def szarek_W(sys: TridiagonalSystem) -> WCertificate:
     sing_max = 0.0
     pieces = []
     for (lo, hi) in sel.intervals:
-        mask = (lam_pos >= lo) & (lam_pos <= hi)
-        chi_cols = ej.vectors[:, mask]
-        a_j = chi_cols @ chi_cols[v1, :].conj().T
-        gram = a_j.conj().T @ a_j
-        w_g, v_g = np.linalg.eigh(hermitian_part(gram))
+        chi = ej.vectors[:, (lam_pos >= lo) & (lam_pos <= hi)]
+        a_j, w_g, v_g = _v1_image(chi, chi[v1])
         sig = np.sqrt(np.maximum(w_g, 0.0))
         sing_max = max(sing_max, float(sig[-1]))
         pieces.append((a_j, sig, v_g))
@@ -647,7 +634,7 @@ class HastingsDiagnostics:
     r_dims: list[int]
     a_map: np.ndarray
     rho: np.ndarray
-    r_blocks: list[np.ndarray]
+    r_offsets: np.ndarray  # R-block k is the run r_offsets[k]:r_offsets[k+1]
     y_sets: dict
     n_bases: dict
     n_prime_bases: dict
@@ -659,11 +646,11 @@ class HastingsDiagnostics:
 
     @classmethod
     def empty(cls, cfg: HastingsConfig, a_map: np.ndarray,
-              r_dims: list[int] | None = None) -> "HastingsDiagnostics":
+              r_dims: list[int]) -> "HastingsDiagnostics":
         """Record of a run that short-circuited before the oracle stages:
         every N_i and odd N'_i has a zero-width basis."""
         zero = np.zeros((0, 0), dtype=np.complex128)
-        return cls(cfg, r_dims or [], a_map, zero, [], _block_ranges(cfg),
+        return cls(cfg, r_dims, a_map, zero, np.cumsum([0, *r_dims]), _block_ranges(cfg),
                    {i: zero for i in range(1, cfg.n_b + 1)},
                    {i: zero for i in range(1, cfg.n_b + 1, 2)}, zero, zero)
 
@@ -700,9 +687,11 @@ def _block_ranges(cfg: HastingsConfig) -> dict:
     return {"Y": y, "Yp": yp}
 
 
-def _coords(r_blocks: Sequence[np.ndarray], block_range) -> np.ndarray:
-    """Coordinates of the representation space covered by a range of R-blocks."""
-    return _coordinates([r_blocks[jb] for jb in block_range])
+def _coords(r_offsets: np.ndarray, block_range: range) -> slice:
+    """The run of representation-space coordinates covered by a range of
+    R-blocks (empty for an empty range)."""
+    lo, hi = block_range.start, max(block_range.start, block_range.stop)
+    return slice(int(r_offsets[lo]), int(r_offsets[hi]))
 
 
 def _even_basis(n_bases: dict, n_b: int, total: int) -> np.ndarray:
@@ -724,13 +713,14 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
     (f) repair + certification.  Raises StageError naming the stage and the
     violated condition.
     """
+    if sys.L < 2:
+        raise DegenerateSystemError("need at least two blocks for V_1 <= W perp V_L")
     triv = trivial_reducing_basis(sys)
     if triv is not None:
         return _certify_repaired(sys, triv), HastingsDiagnostics.empty(
-            cfg, np.zeros((sys.dim, 0)))
+            cfg, np.zeros((sys.dim, 0)), [])
 
     n = sys.dim
-    v1 = sys.blocks[0]
     ej = eig_hermitian_part(sys.j)  # checked by verify_tridiagonal
     windows = partition_of_unity(cfg.n_win)
 
@@ -738,9 +728,7 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
     x_bases: list[np.ndarray] = []
     for prof in windows:
         wvals = np.asarray(prof(ej.eigenvalues), dtype=float)
-        tau = (ej.vectors * wvals) @ ej.vectors[v1, :].conj().T
-        gram = tau.conj().T @ tau
-        w_g, v_g = np.linalg.eigh(hermitian_part(gram))
+        tau, w_g, v_g = _v1_image(ej.vectors * wvals, ej.vectors[sys.blocks[0]])
         keep = w_g > cfg.lambda_min
         if np.any(keep):
             basis = tau @ (v_g[:, keep] / np.sqrt(w_g[keep]))
@@ -758,10 +746,10 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
         return cert, HastingsDiagnostics.empty(cfg, a_map, r_dims)
     rho = a_map.conj().T @ a_map
     labels = np.repeat(np.arange(len(r_dims)), r_dims)
-    r_blocks = np.split(np.arange(total), np.cumsum(r_dims)[:-1])
+    r_offsets = np.cumsum([0, *r_dims])
     checks: list[BoundCheck] = []
-    diag_defect = max(op_norm(rho[np.ix_(b, b)] - np.eye(b.size))
-                      for b in r_blocks if b.size)
+    diag_defect = max(op_norm(rho[lo:hi, lo:hi] - np.eye(hi - lo))
+                      for lo, hi in zip(r_offsets, r_offsets[1:]) if hi > lo)
     if diag_defect > EXACT_TOL:
         raise StageError("b", f"rho diagonal blocks deviate from identity by {diag_defect:.3e}")
     checks.append(BoundCheck(diag_defect, EXACT_TOL, "rho diagonal blocks = identity"))
@@ -781,11 +769,11 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
     n_bases: dict[int, np.ndarray] = {}
     comm_vals = {}
     for i in range(1, nb + 1):
-        idx = _coords(r_blocks, yp_sets[i])
-        if idx.size == 0:
+        idx = _coords(r_offsets, yp_sets[i])
+        if idx.stop == idx.start:
             n_bases[i] = np.zeros((total, 0), dtype=np.complex128)
             continue
-        rho_i = rho[np.ix_(idx, idx)]
+        rho_i = rho[idx, idx]
         ramp = (2.0 / (cfg.l_b / 2 + 1)) * (labels[idx] - (i + 0.25) * cfg.l_b) + 1.0
         b_hat = np.diag(np.clip(ramp, -1.0, 1.0))
         er = eig_hermitian_part(rho_i)
@@ -816,11 +804,8 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
     semi = 0.0
     for i in range(1, nb + 1):
         bN = n_bases[i]
-        if bN.shape[1] == 0:
-            continue
-        left = _coords(r_blocks, yp_sets.get(i - 1, []))
-        right = _coords(r_blocks, yp_sets.get(i + 1, []))
-        if left.size and right.size:
+        left, right = _coords(r_offsets, yp_sets[i - 1]), _coords(r_offsets, yp_sets[i + 1])
+        if bN.shape[1] and left.stop > left.start and right.stop > right.start:
             semi = max(semi, op_norm(bN[right] @ bN[left].conj().T))
     if semi > 0.5 - HASTINGS_CHI / 2 + 1e-9:
         raise StageError("d", f"semi-orthogonality {semi:.4f} exceeds 1/2 - chi/2")
@@ -843,7 +828,8 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
     # one full SVD of the span: U^perp its leading left singular vectors, U the rest
     left, s_span, _ = np.linalg.svd(np.column_stack(
         [n_even] + [n_prime_bases[i] for i in range(1, nb + 1, 2)]))
-    u_perp, u_basis = np.split(left, [svd_rank(s_span)], axis=1)
+    rank = svd_rank(s_span)
+    u_perp, u_basis = left[:, :rank], left[:, rank:]
 
     c3 = _c3_constant(HASTINGS_ETA)
     if u_basis.shape[1]:
@@ -865,12 +851,10 @@ def hastings_W(sys: TridiagonalSystem, cfg: HastingsConfig
         "commutators": comm_vals,
         "semi_orthogonality": semi,
         "sigma_min_AU": sigma_min,
-        "T(l_b)": refs["T(l_b)"],
         "G(l_b)": float(default_G(cfg.l_b)),
-        "r_dims": r_dims,
+        **refs,
     }
-    stage_values.update(refs)
-    diagn = HastingsDiagnostics(cfg, r_dims, a_map, rho, r_blocks, sets,
+    diagn = HastingsDiagnostics(cfg, r_dims, a_map, rho, r_offsets, sets,
                                 n_bases, n_prime_bases, u_basis, u_perp,
                                 checks, stage_values)
     return cert, diagn
@@ -952,10 +936,9 @@ def proof_matrix_M(diagn: HastingsDiagnostics) -> tuple[np.ndarray, np.ndarray, 
         vec = b[:, 0]
         reps.append(vec)
         labels.append(i)
-        left = _coords(diagn.r_blocks, yp.get(i - 1, []))
-        right = _coords(diagn.r_blocks, yp.get(i + 1, []))
-        cs.append(float(np.linalg.norm(vec[left])) if left.size else 0.0)
-        ds.append(float(np.linalg.norm(vec[right])) if right.size else 0.0)
+        # an empty run gives norm 0
+        cs.append(float(np.linalg.norm(vec[_coords(diagn.r_offsets, yp[i - 1])])))
+        ds.append(float(np.linalg.norm(vec[_coords(diagn.r_offsets, yp[i + 1])])))
     if not reps:
         return np.zeros((0, 0)), np.zeros(0), np.zeros(0), x
     k = len(reps)
@@ -998,13 +981,13 @@ def decay_check_U(diagn: HastingsDiagnostics, *, rng: np.random.Generator | None
 
     offsets: dict[int, float] = {}
     for i in range(1, cfg.n_b + 1):
-        idx = _coords(diagn.r_blocks, diagn.y_sets["Y"][i])
-        if idx.size == 0:
+        rows = u_perp[_coords(diagn.r_offsets, diagn.y_sets["Y"][i])]
+        if len(rows) == 0:
             continue
         for _ in range(DECAY_SAMPLES_PER_BLOCK):
-            raw = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+            raw = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
             # U^perp y for the unit y supported on Y_i
-            target = u_perp @ (u_perp[idx].conj().T @ (raw / np.linalg.norm(raw)))
+            target = u_perp @ (rows.conj().T @ (raw / np.linalg.norm(raw)))
             coef, *_ = np.linalg.lstsq(phi, target, rcond=None)
             for j in range(1, cfg.n_b + 1):
                 sel = owners == j
@@ -1034,10 +1017,11 @@ def decay_check_U(diagn: HastingsDiagnostics, *, rng: np.random.Generator | None
     table_violations = []
     for i in range(1, cfg.n_b + 1):
         for j in range(1, cfg.n_b + 1):
-            a_idx = _coords(diagn.r_blocks, diagn.y_sets["Y"][i])
-            b_idx = _coords(diagn.r_blocks, diagn.y_sets["Y"][j])
-            if a_idx.size and b_idx.size:
-                val = op_norm(np.equal.outer(b_idx, a_idx)
+            a_idx = _coords(diagn.r_offsets, diagn.y_sets["Y"][i])
+            b_idx = _coords(diagn.r_offsets, diagn.y_sets["Y"][j])
+            rows, cols = b_idx.stop - b_idx.start, a_idx.stop - a_idx.start
+            if rows and cols:
+                val = op_norm(np.eye(rows, cols, b_idx.start - a_idx.start)
                               - u_perp[b_idx] @ u_perp[a_idx].conj().T)
                 u_table[(i, j)] = val
                 if abs(i - j) >= 2 and val > c2 * alpha ** abs(i - j) + 1e-9:

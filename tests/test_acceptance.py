@@ -232,7 +232,7 @@ def test_szarek_engine():
     sys = sb.random_block_tridiagonal(rng, [1] * 40)
     j = sys.j.copy()
     j[20, 19] = j[19, 20] = 0.0
-    sys2 = sb.verify_tridiagonal(j / max(1.0, mc.op_norm(j)), sys.blocks)
+    sys2 = sb.verify_tridiagonal(j / max(1.0, mc.op_norm(j)), sys.dims)
     cert2 = sb.szarek_W(sys2)
     decoupled_ok = cert2.eps4 <= 1e-10
     _report("szarek-engine", all_ok and decoupled_ok,

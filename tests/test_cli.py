@@ -268,15 +268,29 @@ class TestSweepCommand:
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2
 
-    def test_empty_delta_list_usage_error(self, commuting_files, tmp_path):
+    @staticmethod
+    def rejected(argv, capsys):
+        """stderr of a sweep command line that exits 64, and that of one
+        with an unknown flag: the usage, then the error."""
+        assert main(argv) == 64
+        err = capsys.readouterr().err.splitlines()
+        assert main(argv[:3] + ["--bogus"]) == 64
+        return err, capsys.readouterr().err.splitlines()[:-1]
+
+    def test_empty_delta_list_usage_error(self, commuting_files, capsys):
         pa, pb, _, _ = commuting_files
-        assert main(["sweep", str(pa), str(pb), "--deltas", ","]) == 64
+        for deltas in (",", ""):
+            err, usage = self.rejected(["sweep", str(pa), str(pb), "--deltas", deltas], capsys)
+            assert err == usage + [
+                f"error: argument --deltas: invalid delta_list value: {deltas!r}"]
 
     def test_bad_delta_list_usage_error(self, commuting_files, capsys):
+        # the option is named, after the usage as for any rejected command line
         pa, pb, _, _ = commuting_files
-        assert main(["sweep", str(pa), str(pb), "--deltas", "1e-2,tiny"]) == 64
-        assert capsys.readouterr().err.splitlines() == [
-            "error: could not convert string to float: 'tiny'"]
+        err, usage = self.rejected(["sweep", str(pa), str(pb), "--deltas", "1e-2,tiny"], capsys)
+        assert usage[0].startswith("usage: nearcommute sweep")
+        assert err == usage + [
+            "error: argument --deltas: invalid delta_list value: '1e-2,tiny'"]
 
     @pytest.mark.parametrize("deltas", ["-0.1", "nan", "inf", "1e-2,-1e-3"])
     def test_bad_delta_value_usage_error(self, commuting_files, tmp_path, capsys, deltas):

@@ -695,7 +695,7 @@ def _gate_cases():
     c = 0.3 * np.eye(3)                    # commutes with every matrix
     unit = np.diag([1.0, -0.5, 0.2])       # norm 1: s * unit has norm s
     a2 = np.array([[0.2, 0.1], [0.1, -0.2]])
-    singles = [np.array([i]) for i in range(3)]
+    singles = [1, 1, 1]
     phases = np.diag(np.exp(1j * np.array([0.0, 0.1, 0.2])))
     m_tri = np.array([[0.75, 0.2], [0.2, 0.75]])  # norm 0.95
     cd = np.full(2, 0.6)

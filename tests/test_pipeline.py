@@ -1171,10 +1171,9 @@ def test_engine_log_carries_first_cell_eps2(dims):
     # a block J of norm 3 cut into L >= 3 subintervals: the log's
     # first_cell_eps2 is eps4 of W = V_1, rescaled, up to the off-band norm
     sys = sb.random_block_tridiagonal(np.random.default_rng(len(dims)), dims)
-    sub_ids = np.repeat(np.arange(len(dims)), dims)
-    k, _, log = pl._interval_subspace_engine(3.0 * sys.j, sub_ids, len(dims))
+    k, _, log = pl._interval_subspace_engine(3.0 * sys.j, np.array(dims))
     scale = log["rescale"]
-    js = sb.verify_tridiagonal(3.0 * sys.j / scale, sys.blocks)
+    js = sb.verify_tridiagonal(3.0 * sys.j / scale, dims)
     v1 = np.eye(sys.dim, dtype=complex)[:, js.blocks[0]]
     want = sb.certify_W(js, v1).eps4 * scale
     assert log["engine"] == ("szarek" if min(dims) <= pl.SZAREK_BLOCK_THRESHOLD else "hastings")
@@ -1182,11 +1181,19 @@ def test_engine_log_carries_first_cell_eps2(dims):
     assert abs(log["first_cell_eps2"] - want) <= js.max_offtridiag * scale + 1e-12
 
 
-@pytest.mark.parametrize("ids, n_sub, first", [
-    ([1, 2], 3, 0), ([0, 0, 2, 3], 4, 1), ([0, 1], 3, 2), ([0, 1, 1, 2], 3, None)],
+@pytest.mark.parametrize("dims, first", [
+    ([0, 1, 1], 0), ([2, 0, 1, 1], 1), ([1, 1, 0], 2), ([1, 2, 1], None)],
     ids=["leading", "inner", "trailing", "none"])
-def test_first_empty_subinterval(ids, n_sub, first):
-    assert pl._first_empty_subinterval(np.array(ids), n_sub) == first
+def test_first_empty_subinterval(dims, first):
+    # the trivial gap is the first zero size, and W the coordinates before it
+    j = sb.random_block_tridiagonal(np.random.default_rng(3), dims).j
+    k, t, log = pl._interval_subspace_engine(j, np.array(dims))
+    assert log.get("trivial_gap") == first
+    if first is None:
+        assert log["engine"] == "szarek" and t.shape == (4, 4)
+    else:
+        assert (k, t) == (sum(dims[:first]), None)
+        assert log["eps2"] == mc.op_norm(j[k:, :k])
 
 
 class TestContractionGate:

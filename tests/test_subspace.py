@@ -17,7 +17,7 @@ from nearcommute.checks import BoundCheck
 
 
 def block_proj(n, block):
-    """Projection onto the coordinates of one block."""
+    """Projection onto the coordinates of one block (a slice or index list)."""
     cols = np.eye(n)[:, block]
     return cols @ cols.T
 
@@ -25,21 +25,20 @@ def block_proj(n, block):
 class TestVerifyTridiagonal:
     def test_block_diagonal_passes(self):
         j = np.diag([0.1, 0.2, 0.3, 0.4])
-        sys = sb.verify_tridiagonal(j, [np.arange(2), np.arange(2, 4)])
+        sys = sb.verify_tridiagonal(j, [2, 2])
         assert sys.max_offtridiag == 0.0
 
     def test_banded_scalar_singletons(self):
         n = 8
         j = (np.diag(np.full(n - 1, 0.3), 1) + np.diag(np.full(n - 1, 0.3), -1))
-        sys = sb.verify_tridiagonal(j, [np.array([i]) for i in range(n)])
+        sys = sb.verify_tridiagonal(j, [1] * n)
         assert sys.L == n
 
     def test_dense_rejected_with_location(self):
         rng = np.random.default_rng(0)
         j = mc.random_hermitian(rng, 6, norm=1.0)
-        blocks = [np.arange(i, i + 2) for i in (0, 2, 4)]
         with pytest.raises(ValueError, match="blocks 0 and 2"):
-            sb.verify_tridiagonal(j, blocks)
+            sb.verify_tridiagonal(j, [2, 2, 2])
 
     def test_small_pairs_with_large_off_band_norm_pass(self):
         # Every off-tridiagonal pair is a scalar 0.9*tol, but together they
@@ -48,7 +47,7 @@ class TestVerifyTridiagonal:
         dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         far = dist >= 2
         j = 0.3 * (dist == 1) + 0.9 * tol * far
-        sys = sb.verify_tridiagonal(j, [np.array([i]) for i in range(n)])
+        sys = sb.verify_tridiagonal(j, [1] * n)
         assert sys.max_offtridiag == pytest.approx(mc.op_norm(j * far), rel=1e-12)
         assert sys.max_offtridiag > tol
         assert sys.L == n
@@ -59,49 +58,47 @@ class TestVerifyTridiagonal:
         j = sys.j.copy()
         j[0, 1] += 1e-17j
         assert not np.array_equal(j, j.conj().T)
-        return j, sys.blocks
+        return j, sys.dims
 
     def test_hermiticity_gate_screened(self, monkeypatch):
         # matcore's Hermitian gate passes on its Frobenius screen: matcore
         # takes no operator norm (the off-band norm is subspace's own binding)
-        j, blocks = self.hermitian_to_roundoff()
+        j, dims = self.hermitian_to_roundoff()
 
         def refuse(x):
             raise AssertionError("op_norm reached from a matcore gate")
 
         monkeypatch.setattr(mc, "op_norm", refuse)
-        assert sb.verify_tridiagonal(j, blocks).L == 3
+        assert sb.verify_tridiagonal(j, dims).L == 3
 
     def test_holds_the_hermitian_part(self):
         # a Hermiticity defect within the gate is not kept in sys.j, which
         # the engines decompose and certify_W measures eps4 against
-        j, blocks = self.hermitian_to_roundoff()
+        j, dims = self.hermitian_to_roundoff()
         j[0, 1] += 1e-11
-        held = sb.verify_tridiagonal(j, blocks).j
+        held = sb.verify_tridiagonal(j, dims).j
         assert np.array_equal(held, (j + j.conj().T) / 2)
         assert np.array_equal(held, held.conj().T)
 
     def test_non_hermitian_rejected(self):
-        j, blocks = self.hermitian_to_roundoff()
+        j, dims = self.hermitian_to_roundoff()
         j[0, 1] += 1e-6
         with pytest.raises(ValueError, match="J must be Hermitian"):
-            sb.verify_tridiagonal(j, blocks)
+            sb.verify_tridiagonal(j, dims)
+
+    # every bad list of sizes gets the one message
+    BAD_DIMS = "dims must be nonnegative integers that sum to 3"
 
     def test_non_spanning_rejected(self):
-        with pytest.raises(ValueError, match="span"):
-            sb.verify_tridiagonal(np.eye(3) * 0.1, [np.arange(2)])
+        with pytest.raises(ValueError, match=self.BAD_DIMS):
+            sb.verify_tridiagonal(np.eye(3) * 0.1, [2])
 
-    @pytest.mark.parametrize("blocks, message", [
-        ([np.array([0, 1]), np.array([1, 2])], "more than one block"),
-        ([np.array([0, 1]), np.array([2, 3])], "outside range"),
-        ([np.array([0, 1]), np.array([-1])], "outside range"),
-        ([np.array([0.0, 1.0]), np.array([2.0])], "integer"),
-        ([np.array([True, True, False]), np.array([2])], "integer"),
-        ([np.eye(3)[:, :2], np.eye(3)[:, 2:]], "1-D"),
+    @pytest.mark.parametrize("dims", [
+        [2, 2], [4], [4, -1], [1.0, 2.0], [True, True, True], np.eye(3, dtype=int),
     ], ids=["overlap", "too-large", "negative", "float", "bool", "basis-matrix"])
-    def test_bad_partition_rejected(self, blocks, message):
-        with pytest.raises(ValueError, match=message):
-            sb.verify_tridiagonal(np.eye(3) * 0.1, blocks)
+    def test_bad_partition_rejected(self, dims):
+        with pytest.raises(ValueError, match=self.BAD_DIMS):
+            sb.verify_tridiagonal(np.eye(3) * 0.1, dims)
 
     @settings(max_examples=30, deadline=None)
     @given(dims=st.lists(st.integers(0, 3), min_size=1, max_size=7),
@@ -109,16 +106,21 @@ class TestVerifyTridiagonal:
     def test_coordinate_blocks_property(self, dims, seed):
         sys = sb.random_block_tridiagonal(np.random.default_rng(seed), dims)
         n = sys.dim
+        # the blocks are consecutive runs of the given sizes covering range(n)
+        assert [(b.start, b.stop) for b in sys.blocks] == [
+            (sum(dims[:k]), sum(dims[:k + 1])) for k in range(len(dims))]
+        assert sys.dims == dims
         total = sum(block_proj(n, b) for b in sys.blocks)
         assert np.array_equal(total, np.eye(n))
         for k in range(sys.L - 1):
-            c = sys.j[np.ix_(sys.blocks[k + 1], sys.blocks[k])]
+            c = sys.j[sys.blocks[k + 1], sys.blocks[k]]
             nrm = mc.op_norm(c)
             assert sys.coupling_norms[k] == pytest.approx(nrm, abs=1e-14)
             rank = (np.linalg.matrix_rank(c, tol=1e-10 * max(1.0, nrm))
                     if c.size else 0)
             assert sys.coupling_rank(k) == rank
-        rev = sb.verify_tridiagonal(sys.j, list(reversed(sys.blocks)))
+        # reversing the coordinates and the sizes reverses the couplings
+        rev = sb.verify_tridiagonal(sys.j[::-1, ::-1], dims[::-1])
         assert rev.max_offtridiag == sys.max_offtridiag
         assert np.allclose(rev.coupling_norms[::-1], sys.coupling_norms,
                            rtol=0, atol=1e-14)
@@ -137,7 +139,7 @@ class TestCertifyW:
         sys = sb.random_block_tridiagonal(rng, [1, 1, 1, 1])
         j = sys.j.copy()
         j[2, 1] = j[1, 2] = 0.0  # decouple after block 2
-        sys2 = sb.verify_tridiagonal(j, sys.blocks)
+        sys2 = sb.verify_tridiagonal(j, sys.dims)
         w = np.eye(4)[:, :2]
         cert = sb.certify_W(sys2, w)
         assert cert.eps3 <= 1e-12 and cert.eps4 <= 1e-12 and cert.eps5 <= 1e-12
@@ -189,10 +191,10 @@ class TestCertifyW:
         if data.draw(st.booleans(), label="leading blocks"):
             # a rotated basis of the first m blocks: the exact flags can hold
             m = data.draw(st.integers(0, sys.L), label="m")
-            coords = np.concatenate([np.zeros(0, dtype=int), *sys.blocks[:m]])
-            w = np.eye(n)[:, coords]
-            if coords.size:
-                w = w @ mc.random_unitary(rng, coords.size)
+            k = sum(dims[:m])
+            w = np.eye(n)[:, :k]
+            if k:
+                w = w @ mc.random_unitary(rng, k)
         else:
             k = data.draw(st.integers(0, n), label="rank")
             w = mc.random_unitary(rng, n)[:, :k] if n else np.zeros((0, 0))
@@ -227,7 +229,7 @@ class TestKrylovReduce:
         sys = sb.random_block_tridiagonal(rng, [1, 1, 1, 1, 1])
         j = sys.j.copy()
         j[3, 2] = j[2, 3] = 0.0
-        sys2 = sb.verify_tridiagonal(j, sys.blocks)
+        sys2 = sb.verify_tridiagonal(j, sys.dims)
         red = sb.krylov_reduce(sys2, 2)
         assert red.trivial_w is not None
         pw = red.trivial_w @ red.trivial_w.conj().T
@@ -262,17 +264,15 @@ class TestKrylovReduce:
         j[2:4, 0:2] = u @ np.diag(s) @ vh
         j[0:2, 2:4] = j[2:4, 0:2].conj().T
         j = j / max(1.0, mc.op_norm(j))
-        sys2 = sb.verify_tridiagonal(j, sys.blocks)
+        sys2 = sb.verify_tridiagonal(j, dims)
         red = sb.krylov_reduce(sys2, 1)
         assert sys2.coupling_rank(0) == 1
         assert all(c.shape[1] <= 1 for c in red.chain)
         # J compressed to the stacked chain is block tridiagonal over its links
         emb = np.column_stack(red.chain)
         j_red = emb.conj().T @ sys2.j @ emb
-        reduced = sb.verify_tridiagonal(
-            (j_red + j_red.conj().T) / 2,
-            np.split(np.arange(emb.shape[1]),
-                     np.cumsum([c.shape[1] for c in red.chain])[:-1]))
+        reduced = sb.verify_tridiagonal((j_red + j_red.conj().T) / 2,
+                                        [c.shape[1] for c in red.chain])
         assert reduced.L == len(red.chain)
 
     def test_reversal_matches_forward_on_reversed_system(self):
@@ -282,15 +282,16 @@ class TestKrylovReduce:
         i = 5  # past the midpoint: triggers the reversed orientation
         red = sb.krylov_reduce(sys, i)
         assert red.reversed
-        # forward run on the explicitly reversed system
-        sys_r = sb.verify_tridiagonal(sys.j, list(reversed(sys.blocks)))
+        # forward run on the explicitly reversed system: coordinates and
+        # sizes reversed, its chain read back in the original coordinates
+        sys_r = sb.verify_tridiagonal(sys.j[::-1, ::-1], dims[::-1])
         red_f = sb.krylov_reduce(sys_r, sys.L - i)
         assert not red_f.reversed
         assert sys.coupling_rank(i - 1) == sys_r.coupling_rank(sys.L - i - 1)
         assert len(red.chain) == len(red_f.chain)
         for c1, c2 in zip(red.chain, red_f.chain):
             p1 = c1 @ c1.conj().T
-            p2 = c2 @ c2.conj().T
+            p2 = c2[::-1] @ c2[::-1].conj().T
             assert mc.op_norm(p1 - p2) <= 1e-9
 
 
@@ -527,7 +528,7 @@ class TestSzarek:
         sys = sb.random_block_tridiagonal(rng, [1] * 12)
         j = sys.j.copy()
         j[6, 5] = j[5, 6] = 0.0
-        sys2 = sb.verify_tridiagonal(j / max(1.0, mc.op_norm(j)), sys.blocks)
+        sys2 = sb.verify_tridiagonal(j / max(1.0, mc.op_norm(j)), sys.dims)
         cert = sb.szarek_W(sys2)
         assert cert.eps4 <= 1e-10
         assert cert.contains_V1 and cert.perp_VL
@@ -548,8 +549,7 @@ class TestSzarek:
         j = np.diag(np.asarray(diag, dtype=np.complex128))
         for p, q in pairs:
             j[p, q] = j[q, p] = c
-        labels = np.repeat(np.arange(len(dims)), dims)
-        return sb.verify_tridiagonal(j, [np.flatnonzero(labels == k) for k in range(len(dims))])
+        return sb.verify_tridiagonal(j, dims)
 
     def test_krylov_chain_closing_early_is_exact(self):
         # V1 = {0,1}, V2 = {2,3}, V3 = {4,5}; J[V2,V1] couples only 0 <-> 2
@@ -678,9 +678,9 @@ class TestHastings:
         pu = np.eye(u_perp.shape[0]) - u_perp @ u_perp.conj().T
         assert fit["u_table"]
         for (i, j), val in fit["u_table"].items():
-            a_idx = sb._coords(diag.r_blocks, diag.y_sets["Y"][i])
-            b_idx = sb._coords(diag.r_blocks, diag.y_sets["Y"][j])
-            assert val == pytest.approx(mc.op_norm(pu[np.ix_(b_idx, a_idx)]), abs=1e-12)
+            a_idx = sb._coords(diag.r_offsets, diag.y_sets["Y"][i])
+            b_idx = sb._coords(diag.r_offsets, diag.y_sets["Y"][j])
+            assert val == pytest.approx(mc.op_norm(pu[b_idx, a_idx]), abs=1e-12)
         m, cs, ds, x = sb.proof_matrix_M(diag)
         assert x == pytest.approx(chi / (2 - 2 * chi))
         if m.shape[0]:
@@ -793,7 +793,7 @@ class TestHastings:
         # below it carry no X_i, so Y'_1..Y'_4 hold no coordinate and
         # N_1..N_4 are empty, and only N_5 enters the semi-orthogonality
         base = sb.random_block_tridiagonal(np.random.default_rng(0), [2] * 30)
-        sys = sb.verify_tridiagonal(0.8 * np.eye(base.dim) + 0.15 * base.j, base.blocks)
+        sys = sb.verify_tridiagonal(0.8 * np.eye(base.dim) + 0.15 * base.j, base.dims)
         cfg = self.desk_config()
         cert, diag = sb.hastings_W(sys, cfg)
         assert cfg.n_b == 5
@@ -875,7 +875,6 @@ class TestHastings:
         cfg = sb.HastingsConfig(n_win=15, l_b=4, lambda_min=1e-4)
         total = cfg.n_win + 1
         diag = sb.HastingsDiagnostics.empty(cfg, np.zeros((0, total)), [1] * total)
-        diag.r_blocks = [np.array([k]) for k in range(total)]
         vecs = []
         for owner, (blocks, weight) in columns.items():
             unit = np.zeros((total, 1), dtype=complex)
@@ -961,3 +960,18 @@ class TestHastings:
         text = json.dumps(diag.to_json_dict(), default=float)
         assert "stage_values" in text
         assert diag.to_json_dict()["config"] == cfg.to_json_dict()
+        # each stage value once: r_dims is a field of its own, T(l_b) a reference
+        refs = sb.hastings_reference_bounds(cfg, sys.L)
+        assert list(diag.stage_values) == ["commutators", "semi_orthogonality",
+                                           "sigma_min_AU", "G(l_b)", *refs]
+
+
+@pytest.mark.parametrize("engine", ["szarek", "hastings"])
+@pytest.mark.parametrize("dims", [[], [0], [3]], ids=["no-block", "empty-block", "one-block"])
+def test_fewer_than_two_blocks_rejected(dims, engine):
+    # no V_1 <= W perp V_L sandwich without two blocks: both engines say so
+    sys = sb.random_block_tridiagonal(np.random.default_rng(0), dims)
+    run = {"szarek": sb.szarek_W,
+           "hastings": lambda s: sb.hastings_W(s, TestHastings.desk_config())}[engine]
+    with pytest.raises(sb.DegenerateSystemError, match="need at least two blocks"):
+        run(sys)
