@@ -14,10 +14,8 @@ from .matcore import (
     eig_hermitian_part,
     op_norm,
     op_norm_exceeds,
-    orthonormal_columns,
     orthonormal_complement,
     require_hermitian,
-    skew,
 )
 
 __all__ = [
@@ -30,16 +28,9 @@ __all__ = [
     "tridiag_positive_test",
 ]
 
-PROJ_TOL = 1e-8
+PROJ_TOL = 1e-8  # _require_orthonormal: largest Gram-matrix defect of a basis
 JORDAN_TOL = 1e-10  # jordan_blocks: cos^2 within 10 JORDAN_TOL of 0 or 1 makes 1-dim blocks
 NEST_MAX_EPS = 0.1  # nest_projection: eps must be below it
-
-
-def _require_projection(p, name: str) -> np.ndarray:
-    m = as_matrix(p)
-    if op_norm_exceeds(m @ m - m, PROJ_TOL) or op_norm_exceeds(skew(m), PROJ_TOL):
-        raise ValueError(f"{name} is not an orthogonal projection to tolerance")
-    return m
 
 
 def _require_orthonormal(basis: np.ndarray, name: str) -> None:
@@ -85,63 +76,48 @@ class JordanDecomposition:
         return p, q
 
 
-def jordan_blocks(p, q) -> JordanDecomposition:
+def jordan_blocks(p_basis: np.ndarray, q_basis: np.ndarray) -> JordanDecomposition:
     """Orthogonal decomposition into blocks of dimension <= 2, each invariant
-    under both projections.
+    under both projections, from orthonormal bases of Ran(P) and Ran(Q).
 
-    The generic part comes from the eigenvectors of Q compressed to Ran(P);
-    an eigenvalue cos^2(theta) farther than 10 JORDAN_TOL from 0 and 1 pairs
-    its eigenvector with its Q-image into a 2-dim block.  Everything else
-    splits into 1-dim blocks.
+    The generic part comes from ``jordan_basis``: its column p_i has
+    cos^2(theta_i) = ||q* p_i||^2, and a value farther than 10 JORDAN_TOL
+    from 0 and 1 pairs p_i with its Q-image q (q* p_i) into a 2-dim block.
+    Everything else splits into 1-dim blocks.  Raises ValueError when either
+    basis is not orthonormal to PROJ_TOL.
     """
-    pm = _require_projection(p, "P")
-    qm = _require_projection(q, "Q")
-    if pm.shape != qm.shape:
+    if p_basis.shape[0] != q_basis.shape[0]:
         raise ValueError("P and Q must act on the same space")
-    n = pm.shape[0]
+    pvecs = jordan_basis(p_basis, q_basis)
     blocks: list[JordanBlock] = []
-    used: list[np.ndarray] = []
-
-    up = orthonormal_columns(pm, tol=0.5)
-    if up.shape[1]:
-        comp = up.conj().T @ qm @ up
-        ec = eig_hermitian_part(comp)
-        for idx in range(ec.dim):
-            lam = float(ec.eigenvalues[idx])
-            pvec = up @ ec.vectors[:, idx]
-            if lam <= JORDAN_TOL * 10 or lam >= 1 - JORDAN_TOL * 10:
-                basis = pvec[:, None]
-                used.append(pvec)
-                blocks.append(JordanBlock(
-                    basis,
-                    np.array([[1.0 + 0j]]),
-                    np.array([[complex(lam >= 0.5)]]),
-                ))
-            else:
-                qv = qm @ pvec
-                w = qv - (pvec.conj() @ qv) * pvec
-                w = w / np.linalg.norm(w)
-                basis = np.column_stack([pvec, w])
-                used.extend([pvec, w])
-                blocks.append(JordanBlock(
-                    basis,
-                    basis.conj().T @ pm @ basis,
-                    basis.conj().T @ qm @ basis,
-                ))
+    used = [pvecs]
+    for pvec, qc in zip(pvecs.T, (q_basis.conj().T @ pvecs).T):
+        lam = float(np.vdot(qc, qc).real)
+        if lam <= JORDAN_TOL * 10 or lam >= 1 - JORDAN_TOL * 10:
+            blocks.append(JordanBlock(pvec[:, None], np.array([[1.0 + 0j]]),
+                                      np.array([[complex(lam >= 0.5)]])))
+        else:
+            qv = q_basis @ qc
+            w = qv - np.vdot(pvec, qv) * pvec
+            basis = np.column_stack([pvec, w / np.linalg.norm(w)])
+            used.append(basis[:, 1:])
+            blocks.append(JordanBlock(basis, _compression(p_basis, basis),
+                                      _compression(q_basis, basis)))
     # Remainder lives in ker(P); Q restricts to it.
-    rem = orthonormal_complement(np.column_stack(used) if used else np.zeros((n, 0)))
+    rem = orthonormal_complement(np.column_stack(used))
     if rem.shape[1]:
-        comp = rem.conj().T @ qm @ rem
-        ec = eig_hermitian_part(comp)
-        for idx in range(ec.dim):
-            lam = float(ec.eigenvalues[idx])
-            vec = rem @ ec.vectors[:, idx]
-            blocks.append(JordanBlock(
-                vec[:, None],
-                np.array([[0.0 + 0j]]),
-                np.array([[complex(lam >= 0.5)]]),
-            ))
+        ec = eig_hermitian_part(_compression(q_basis, rem))
+        for lam, vec in zip(ec.eigenvalues, ec.vectors.T):
+            blocks.append(JordanBlock((rem @ vec)[:, None], np.array([[0.0 + 0j]]),
+                                      np.array([[complex(lam >= 0.5)]])))
     return JordanDecomposition(blocks)
+
+
+def _compression(basis: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """cols* P cols for P the projection onto the span of the orthonormal
+    columns ``basis``."""
+    c = basis.conj().T @ cols
+    return c.conj().T @ c
 
 
 def jordan_basis(p_basis: np.ndarray, q_basis: np.ndarray) -> np.ndarray:
@@ -175,26 +151,22 @@ def nest_projection_core(e_basis, mid_basis, f_basis) -> np.ndarray:
     return np.column_stack([e_basis, mid_basis @ ec.vectors[:, ec.eigenvalues > 0.5]])
 
 
-def nest_projection(e, g, f_prime) -> tuple[np.ndarray, BoundCheck]:
+def nest_projection(e_basis, mid_basis, f_basis) -> tuple[np.ndarray, BoundCheck]:
     """Repair F' into F with E <= F <= G exactly, keeping ||F - F'|| <= 5 eps
-    where eps = max(||E F'perp||, ||F' Gperp||).
+    where eps = max(||(1 - F') E||, ||(1 - G) F'||), from orthonormal bases
+    of Ran E, Ran(G - E) and Ran F'.
 
-    Returns an orthonormal basis of F.  The sandwich holds by construction;
-    the 5-eps distance is returned as a BoundCheck.  Requires eps <
-    NEST_MAX_EPS (the bound is vacuous otherwise).
+    Returns ``nest_projection_core``'s orthonormal basis of F.  The sandwich
+    holds by construction; the 5-eps distance is returned as a BoundCheck.
+    Requires eps < NEST_MAX_EPS (the bound is vacuous otherwise).
     """
-    em = _require_projection(e, "E")
-    gm = _require_projection(g, "G")
-    fm = _require_projection(f_prime, "F'")
-    n = em.shape[0]
-    eps = max(op_norm(em @ (np.eye(n) - fm)), op_norm(fm @ (np.eye(n) - gm)))
+    basis = nest_projection_core(e_basis, mid_basis, f_basis)
+    g = np.column_stack([e_basis, mid_basis])
+    eps = max(op_norm(e_basis - f_basis @ (f_basis.conj().T @ e_basis)),
+              op_norm(f_basis - g @ (g.conj().T @ f_basis)))
     if eps >= NEST_MAX_EPS:
         raise ValueError(f"eps = {eps:.3e} too large for nest_projection (>= {NEST_MAX_EPS})")
-    if op_norm_exceeds(em - gm @ em, PROJ_TOL):
-        raise ValueError("E <= G fails")
-    basis = nest_projection_core(*(orthonormal_columns(m, tol=0.5)
-                                   for m in (em, gm - em, fm)))
-    check = BoundCheck(op_norm(basis @ basis.conj().T - fm), 5.0 * eps,
+    check = BoundCheck(op_norm(basis @ basis.conj().T - f_basis @ f_basis.conj().T), 5.0 * eps,
                        "nest_projection ||F-F'|| <= 5eps")
     return basis, check
 

@@ -229,6 +229,8 @@ def certify_W(sys: TridiagonalSystem, w_basis: np.ndarray) -> WCertificate:
     V_L statement, ||P_W P_VL|| = ||W W[V_L]*||, must agree with eps5 to
     1e-10.
     """
+    if sys.L == 0:
+        raise DegenerateSystemError("certify_W needs a V_1 and a V_L: the system has no block")
     w = np.asarray(w_basis, dtype=np.complex128)
     if w.ndim == 1:
         w = w[:, None]
@@ -266,7 +268,7 @@ class KrylovReduction:
     """Result of the block-Krylov reduction at a chosen coupling index."""
 
     reversed: bool
-    chain: list[np.ndarray]         # H_1..H_{n+}, each of dim <= the coupling's rank
+    chain: list[np.ndarray]         # H_1..H_k, k <= L - i (i oriented), each of dim <= rank
     trivial_w: np.ndarray | None    # exact reducing subspace (oriented) if found
 
 
@@ -275,10 +277,12 @@ def krylov_reduce(sys: TridiagonalSystem, i: int) -> KrylovReduction:
     m = rank P_{V_{i+1}} J P_{V_i}.
 
     Starting from M_0 = V_1 + .. + V_i, repeatedly apply J and peel off the
-    orthogonal increments H_k.  If the chain stops before reaching the last
-    block, the accumulated space reduces J exactly and is returned as
-    ``trivial_w``.  For i past the midpoint the same construction runs on the
-    reversed block order, from M_0 = V_{i+1} + .. + V_L.
+    orthogonal increments H_k, at most L - i of them: M_{L-i} reaches V_L,
+    and later increments cannot decide ``trivial_w``.  If the chain stops
+    before reaching the last block, the accumulated space reduces J exactly
+    and is returned as ``trivial_w``.  For i past the midpoint the same
+    construction runs on the reversed block order, from M_0 = V_{i+1} + .. +
+    V_L, with at most i increments.
     """
     if not (1 <= i < sys.L):
         raise ValueError("need 1 <= i < L")
@@ -289,9 +293,7 @@ def krylov_reduce(sys: TridiagonalSystem, i: int) -> KrylovReduction:
 
     accumulated = current = _identity_columns(sys.dim, lo, hi)
     chain: list[np.ndarray] = []
-    while True:
-        if current.shape[1] == 0:
-            break
+    while len(chain) < sys.L - oi and current.shape[1]:
         img = sys.j @ current
         for _ in range(2):  # twice for numerical orthogonality
             if accumulated.shape[1]:

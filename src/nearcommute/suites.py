@@ -132,28 +132,25 @@ def suite_projections(seed: int, trials: int) -> dict:
         q1 = random_unitary(rng, n)
         q2 = random_unitary(rng, n)
         r1, r2 = int(rng.integers(1, n)), int(rng.integers(1, n))
-        p = q1[:, :r1] @ q1[:, :r1].conj().T
-        q = q2[:, :r2] @ q2[:, :r2].conj().T
-        dec = jordan_blocks(p, q)
+        pb, qb = q1[:, :r1], q2[:, :r2]
+        dec = jordan_blocks(pb, qb)
         pr, qr = dec.reconstruct()
-        if op_norm_exceeds(pr - p, 1e-10) or op_norm_exceeds(qr - q, 1e-10):
+        if (op_norm_exceeds(pr - pb @ pb.conj().T, 1e-10)
+                or op_norm_exceeds(qr - qb @ qb.conj().T, 1e-10)):
             tally.failures.append(f"jordan reconstruction failed at trial {t}")
         if any(d not in (1, 2) for d in dec.dims):
             tally.failures.append(f"jordan block of bad dimension at trial {t}")
-        # nested-projection repair on an admissible triple
-        qq = random_unitary(rng, 12)
-        ge = qq[:, :8]
-        g = ge @ ge.conj().T
-        e = ge[:, :3] @ ge[:, :3].conj().T
-        mid = ge[:, :5] @ ge[:, :5].conj().T
+        # nested-projection repair on an admissible triple: F' is the spectral
+        # projection above 1/2 of the projection onto ge[:, :5], perturbed
+        ge = random_unitary(rng, 12)[:, :8]
+        e = ge[:, :3]
         h = random_hermitian(rng, 12, norm=float(rng.uniform(0.005, 0.04)))
-        w, v = np.linalg.eigh(mid + h)
-        fp = v[:, w > 0.5] @ v[:, w > 0.5].conj().T
-        f, chk = nest_projection(e, g, fp)
+        w, v = np.linalg.eigh(ge[:, :5] @ ge[:, :5].conj().T + h)
+        f, chk = nest_projection(e, ge[:, 3:], v[:, w > 0.5])
         tally.record(chk)
-        # E <= F <= G: E (1 - FF*) = 0 and F* (1 - G) = 0
-        fh = f.conj().T
-        if op_norm_exceeds(e - (e @ f) @ fh, 1e-10) or op_norm_exceeds(fh - fh @ g, 1e-10):
+        # E <= F <= G: (1 - F) E = 0 and (1 - G) F = 0
+        if (op_norm_exceeds(e - f @ (f.conj().T @ e), 1e-10)
+                or op_norm_exceeds(f - ge @ (ge.conj().T @ f), 1e-10)):
             tally.failures.append(f"nest sandwich failed at trial {t}")
     return tally.result("projections", trials)
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearcommute import matcore as mc
 from nearcommute import projgeom as pg
@@ -14,29 +15,28 @@ def rand_basis(rng, n, r):
     return mc.random_unitary(rng, n)[:, :r]
 
 
-def rand_proj(rng, n, r):
-    q = rand_basis(rng, n, r)
-    return q @ q.conj().T
+def proj(basis):
+    """The projection onto the span of orthonormal columns (test oracle)."""
+    return basis @ basis.conj().T
 
 
-class TestRequireProjection:
-    def test_valid_projection_takes_no_operator_norm(self, refuse_svd, monkeypatch):
+class TestRequireOrthonormal:
+    def test_valid_basis_takes_no_operator_norm(self, refuse_svd, monkeypatch):
         q = mc.random_unitary(np.random.default_rng(12), 12)[:, :5]
-        p = q @ np.ascontiguousarray(q.conj().T)  # general product: not bitwise Hermitian
 
         def refuse(x):
             raise AssertionError("op_norm reached")
 
         monkeypatch.setattr(mc, "op_norm", refuse)
-        assert np.array_equal(pg._require_projection(p, "P"), p)
+        assert pg._require_orthonormal(q, "P") is None
 
     def test_frobenius_over_tol_takes_exact_path(self, monkeypatch):
-        # m = diag(1 + ie, ..., ie, ...): ||m^2 - m||_2 ~ e and ||m - m*||_2 = 2e
-        # stay <= tol, while both Frobenius norms exceed it
-        n, e = 16, 0.4 * pg.PROJ_TOL
-        m = np.diag(np.r_[np.ones(n // 2), np.zeros(n // 2)] + 1j * e)
-        for x in (m @ m - m, m - m.conj().T):
-            assert np.linalg.norm(x) > pg.PROJ_TOL >= mc.op_norm(x)
+        # columns of length sqrt(1 + e): the Gram defect e I_k has operator
+        # norm e <= tol, while its Frobenius norm e sqrt(k) exceeds it
+        k, e = 16, 0.4 * pg.PROJ_TOL
+        basis = math.sqrt(1 + e) * np.eye(20, k, dtype=complex)
+        x = basis.conj().T @ basis - np.eye(k)
+        assert np.linalg.norm(x) > pg.PROJ_TOL >= mc.op_norm(x)
         calls = []
         real = mc.op_norm
 
@@ -45,43 +45,45 @@ class TestRequireProjection:
             return real(x)
 
         monkeypatch.setattr(mc, "op_norm", counting)
-        assert np.array_equal(pg._require_projection(m, "P"), m)
-        assert len(calls) == 2
+        assert pg._require_orthonormal(basis, "P") is None
+        assert len(calls) == 1
 
-    @pytest.mark.parametrize("m", [0.5 * np.eye(3),                       # not idempotent
-                                   np.array([[1.0, 1.0], [0.0, 0.0]])])  # not Hermitian
-    def test_non_projection_rejected(self, m):
-        with pytest.raises(ValueError, match="P is not an orthogonal projection to tolerance"):
-            pg._require_projection(m, "P")
+    @pytest.mark.parametrize("m", [0.5 * np.eye(3),                       # columns of length 1/2
+                                   np.array([[1.0, 1.0], [0.0, 0.0]])])  # two equal columns
+    def test_non_orthonormal_rejected(self, m):
+        with pytest.raises(ValueError, match="the P columns are not orthonormal"):
+            pg._require_orthonormal(m, "P")
 
 
 class TestJordanBlocks:
     def test_equal_projections_all_one_dimensional(self):
+        # two bases of one subspace
         rng = np.random.default_rng(0)
-        p = rand_proj(rng, 5, 2)
-        dec = pg.jordan_blocks(p, p)
+        pb = rand_basis(rng, 5, 2)
+        dec = pg.jordan_blocks(pb, pb @ mc.random_unitary(rng, 2))
         assert all(d == 1 for d in dec.dims)
 
     def test_two_lines_at_angle(self):
         theta = 0.7
-        e1 = np.array([1.0, 0.0], dtype=complex)
-        v = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-        p = np.outer(e1, e1)
-        q = np.outer(v, v)
-        dec = pg.jordan_blocks(p, q)
+        e1 = np.array([[1.0], [0.0]], dtype=complex)
+        v = np.array([[math.cos(theta)], [math.sin(theta)]], dtype=complex)
+        dec = pg.jordan_blocks(e1, v)
         assert dec.dims == [2]
-        assert mc.op_norm(p @ q) == pytest.approx(math.cos(theta), abs=1e-12)
+        assert mc.op_norm(e1.conj().T @ v) == pytest.approx(math.cos(theta), abs=1e-12)
+        # the block's Q-restriction carries cos^2(theta) at the P-side vector
+        assert dec.blocks[0].q_restricted[0, 0] == pytest.approx(math.cos(theta) ** 2,
+                                                                 abs=1e-12)
 
     def test_block_structure_matches_reflection_product(self):
         # oracle: eigenvalues of the unitary RS = (2P-1)(2Q-1); conjugate
         # non-real pairs correspond to 2-dim blocks, eigenvalues +-1 to 1-dim
         rng = np.random.default_rng(1)
-        p = rand_proj(rng, 6, 3)
-        q = rand_proj(rng, 6, 2)
-        rs = (2 * p - np.eye(6)) @ (2 * q - np.eye(6))
+        pb = rand_basis(rng, 6, 3)
+        qb = rand_basis(rng, 6, 2)
+        rs = (2 * proj(pb) - np.eye(6)) @ (2 * proj(qb) - np.eye(6))
         w = np.linalg.eigvals(rs)
         n_complex = int(np.sum(np.abs(w.imag) > 1e-8))
-        dec = pg.jordan_blocks(p, q)
+        dec = pg.jordan_blocks(pb, qb)
         dims = sorted(dec.dims)
         assert sum(dec.dims) == 6
         assert 2 * dims.count(2) == n_complex
@@ -90,19 +92,51 @@ class TestJordanBlocks:
         rng = np.random.default_rng(2)
         for _ in range(25):
             n = int(rng.integers(2, 14))
-            p = rand_proj(rng, n, int(rng.integers(1, n)))
-            q = rand_proj(rng, n, int(rng.integers(1, n)))
-            dec = pg.jordan_blocks(p, q)
+            pb = rand_basis(rng, n, int(rng.integers(1, n)))
+            qb = rand_basis(rng, n, int(rng.integers(1, n)))
+            dec = pg.jordan_blocks(pb, qb)
             pr, qr = dec.reconstruct()
-            assert mc.op_norm(pr - p) <= 1e-10
-            assert mc.op_norm(qr - q) <= 1e-10
+            assert mc.op_norm(pr - proj(pb)) <= 1e-10
+            assert mc.op_norm(qr - proj(qb)) <= 1e-10
             fb = dec.full_basis()
             assert mc.op_norm(fb @ fb.conj().T - np.eye(n)) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_basis_form_property(self, n, seed, data):
+        # random bases of any ranks, 0 and n included; when aligned, P and Q
+        # are spanned by overlapping runs of one unitary's columns, so every
+        # angle is 0 or pi/2 and every block is 1-dim
+        rng = np.random.default_rng(seed)
+        r1 = data.draw(st.integers(0, n), label="rank P")
+        r2 = data.draw(st.integers(0, n), label="rank Q")
+        u = mc.random_unitary(rng, n)
+        if data.draw(st.booleans(), label="aligned"):
+            off = data.draw(st.integers(0, n - r2), label="offset")
+            pb = u[:, :r1] @ mc.random_unitary(rng, r1)
+            qb = u[:, off:off + r2]
+        else:
+            pb, qb = u[:, :r1], rand_basis(rng, n, r2)
+        dec = pg.jordan_blocks(pb, qb)
+        pr, qr = dec.reconstruct()
+        assert mc.op_norm(pr - proj(pb)) <= 1e-10
+        assert mc.op_norm(qr - proj(qb)) <= 1e-10
+        assert all(d in (1, 2) for d in dec.dims)
+        fb = dec.full_basis()
+        assert fb.shape == (n, n)
+        assert mc.op_norm(fb.conj().T @ fb - np.eye(n)) <= 1e-10
+
+    def test_rejects_non_orthonormal_bases(self):
+        q = mc.random_unitary(np.random.default_rng(17), 6)
+        with pytest.raises(ValueError, match="the P columns are not orthonormal"):
+            pg.jordan_blocks(proj(q[:, :2]), q[:, 2:5])
+        with pytest.raises(ValueError, match="the Q columns are not orthonormal"):
+            pg.jordan_blocks(q[:, :2], 1.001 * q[:, 2:5])
 
 
 def test_jordan_blocks_need_one_space():
     with pytest.raises(ValueError, match="same space"):
-        pg.jordan_blocks(np.eye(2), np.eye(3))
+        pg.jordan_blocks(np.eye(2)[:, :1], np.eye(3)[:, :2])
 
 
 class TestJordanBasis:
@@ -151,73 +185,79 @@ class TestJordanBasis:
             pg.jordan_basis(q[:, :2], np.column_stack([q[:, 2:4], q[:, 2]]))
 
 
+def projection_eps(e, g, fp):
+    """eps = max(||E (1 - F')||, ||F' (1 - G)||) from the three projections,
+    the dense definition nest_projection measures on bases."""
+    eye = np.eye(e.shape[0])
+    return max(mc.op_norm(e @ (eye - fp)), mc.op_norm(fp @ (eye - g)))
+
+
 class TestNestProjection:
     def _sandwich(self, rng, n=12, re=3, rg=8):
-        q = mc.random_unitary(rng, n)
-        cols = q[:, :rg]
-        g = cols @ cols.conj().T
-        e = cols[:, :re] @ cols[:, :re].conj().T
-        return e, g, cols
+        """Bases of E and G - E: the first re and the next rg - re columns of
+        one unitary."""
+        cols = mc.random_unitary(rng, n)[:, :rg]
+        return cols[:, :re], cols[:, re:]
+
+    def _perturbed(self, rng, cols):
+        """A basis of the spectral projection above 1/2 of proj(cols) + h,
+        for a random Hermitian h of norm 0.005..0.04."""
+        h = mc.random_hermitian(rng, cols.shape[0], norm=float(rng.uniform(0.005, 0.04)))
+        w, v = np.linalg.eigh(proj(cols) + h)
+        return v[:, w > 0.5]
 
     def test_f_prime_equal_e(self):
         rng = np.random.default_rng(5)
-        e, g, _ = self._sandwich(rng)
-        f, chk = pg.nest_projection(e, g, e)
-        assert mc.op_norm(f @ f.conj().T - e) <= 1e-10
+        e, mid = self._sandwich(rng)
+        f, chk = pg.nest_projection(e, mid, e)
+        assert mc.op_norm(f @ f.conj().T - proj(e)) <= 1e-10
         assert chk.passed
 
     def test_g_identity_bound(self):
+        # G = 1: eps is ||E (1 - F')|| alone; F' is spanned by a basis near
+        # five columns whose first three span E
         rng = np.random.default_rng(6)
         n = 10
-        e = rand_proj(rng, n, 3)
-        fp = rand_proj(rng, n, 5)
-        eps = mc.op_norm(e @ (np.eye(n) - fp))
-        if eps < 0.1:
-            f, chk = pg.nest_projection(e, np.eye(n), fp)
-            assert chk.rhs == pytest.approx(5 * eps, abs=1e-12)
-            assert chk.passed
+        u = mc.random_unitary(rng, n)
+        e, mid = u[:, :3], u[:, 3:]
+        fp = mc.orthonormal_columns(u[:, :5] + 0.01 * rand_basis(rng, n, 5))
+        eps = mc.op_norm(proj(e) @ (np.eye(n) - proj(fp)))
+        assert 0 < eps < 0.1
+        f, chk = pg.nest_projection(e, mid, fp)
+        assert chk.rhs == pytest.approx(5 * eps, abs=1e-12)
+        assert chk.passed
 
     def test_random_admissible_triples(self):
         rng = np.random.default_rng(7)
-        done = 0
-        while done < 60:
-            e, g, cols = self._sandwich(rng)
-            mid = cols[:, :5] @ cols[:, :5].conj().T
-            h = mc.random_hermitian(rng, 12, norm=float(rng.uniform(0.005, 0.04)))
-            w, v = np.linalg.eigh(mid + h)
-            fp = v[:, w > 0.5] @ v[:, w > 0.5].conj().T
-            try:
-                f, chk = pg.nest_projection(e, g, fp)
-            except ValueError:
-                continue
-            done += 1
+        for _ in range(60):
+            e, mid = self._sandwich(rng)
+            g = np.column_stack([e, mid])
+            f, chk = pg.nest_projection(e, mid, self._perturbed(rng, g[:, :5]))
             assert chk.passed
             pf = f @ f.conj().T
             assert mc.op_norm(pf @ pf - pf) <= 1e-10 and mc.op_norm(pf - pf.conj().T) <= 1e-10
-            assert mc.op_norm(e @ (np.eye(12) - pf)) <= 1e-10
-            assert mc.op_norm(pf @ (np.eye(12) - g)) <= 1e-10
+            assert mc.op_norm(proj(e) @ (np.eye(12) - pf)) <= 1e-10
+            assert mc.op_norm(pf @ (np.eye(12) - proj(g))) <= 1e-10
 
     def test_basis_core_matches_projection_form(self):
+        # nest_projection returns the core's basis bit for bit, and its eps
+        # and distance, measured on bases, are the projection-form values
         rng = np.random.default_rng(13)
         eye = np.eye(12)
-        done = 0
-        while done < 30:
-            e, g, cols = self._sandwich(rng)
-            mid = cols[:, :5] @ cols[:, :5].conj().T
-            h = mc.random_hermitian(rng, 12, norm=float(rng.uniform(0.005, 0.04)))
-            w, v = np.linalg.eigh(mid + h)
-            f_basis = v[:, w > 0.5]
-            try:
-                f, _ = pg.nest_projection(e, g, f_basis @ f_basis.conj().T)
-            except ValueError:
-                continue
-            done += 1
-            basis = pg.nest_projection_core(cols[:, :3], cols[:, 3:8], f_basis)
+        for _ in range(30):
+            e, mid = self._sandwich(rng)
+            g = np.column_stack([e, mid])
+            f_basis = self._perturbed(rng, g[:, :5])
+            f, chk = pg.nest_projection(e, mid, f_basis)
+            basis = pg.nest_projection_core(e, mid, f_basis)
+            assert np.array_equal(f, basis)
             assert mc.op_norm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-10
             pf = basis @ basis.conj().T
-            assert mc.op_norm(e @ (eye - pf)) <= 1e-10
-            assert mc.op_norm(pf @ (eye - g)) <= 1e-10
-            assert mc.op_norm(pf - f @ f.conj().T) <= 1e-10
+            assert mc.op_norm(proj(e) @ (eye - pf)) <= 1e-10
+            assert mc.op_norm(pf @ (eye - proj(g))) <= 1e-10
+            eps = projection_eps(proj(e), proj(g), proj(f_basis))
+            assert chk.rhs / 5 == pytest.approx(eps, rel=0, abs=1e-12)
+            assert chk.lhs == pytest.approx(mc.op_norm(pf - proj(f_basis)), rel=0, abs=1e-12)
 
     def test_basis_core_rejects_overlapping_bases(self):
         rng = np.random.default_rng(14)
@@ -228,42 +268,33 @@ class TestNestProjection:
             pg.nest_projection_core(q[:, :2], q[:, 2:4], 2 * q[:, :3])
 
     def test_gates_screened(self, screened_gates):
-        # valid bases and projections: no gate takes an operator norm
+        # valid bases: no gate takes an operator norm
         rng = np.random.default_rng(15)
-        e, g, cols = self._sandwich(rng)
+        e, mid = self._sandwich(rng)
         f_basis = mc.random_unitary(rng, 12)[:, :4]
-        basis = pg.nest_projection_core(cols[:, :3], cols[:, 3:8], f_basis)
+        basis = pg.nest_projection_core(e, mid, f_basis)
         assert screened_gates == ["_require_orthonormal"] * 2 and basis.shape[1] >= 3
-        mid = cols[:, 3:5] @ cols[:, 3:5].conj().T
-        f, chk = pg.nest_projection(e, g, e + mid)
-        assert chk.passed and mc.op_norm(f @ f.conj().T - e - mid) <= 1e-10
-        # three input projections (2 gates each), E <= G, and the core's 2
-        assert screened_gates[2:] == (["_require_projection"] * 6 + ["nest_projection"]
-                                      + ["_require_orthonormal"] * 2)
-
-    def test_rejects_e_not_below_g(self):
-        # E tilted 1e-6 out of Ran G: eps stays small, E <= G fails
-        e_vec = np.array([1.0, 0.0, 1e-6, 0.0]) / math.hypot(1.0, 1e-6)
-        e = np.outer(e_vec, e_vec)
-        g = np.diag([1.0, 1.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="E <= G fails"):
-            pg.nest_projection(e, g, np.diag([1.0, 0.0, 0.0, 0.0]))
+        f, chk = pg.nest_projection(e, mid, np.column_stack([e, mid[:, :2]]))
+        assert chk.passed and mc.op_norm(f @ f.conj().T - proj(e) - proj(mid[:, :2])) <= 1e-10
+        # nest_projection's only gates are the core's two
+        assert screened_gates[2:] == ["_require_orthonormal"] * 2
 
     def test_rejects_bad_sandwich(self):
+        # G - E must be orthogonal to E: independent random bases overlap
         rng = np.random.default_rng(8)
-        e = rand_proj(rng, 6, 3)
-        g = rand_proj(rng, 6, 2)
-        with pytest.raises(ValueError):
-            pg.nest_projection(e, g, e)
+        e = rand_basis(rng, 6, 3)
+        mid = rand_basis(rng, 6, 2)
+        with pytest.raises(ValueError, match=r"the \[E \| G - E\] columns are not orthonormal"):
+            pg.nest_projection(e, mid, e)
 
     def test_rejects_large_eps(self):
         rng = np.random.default_rng(9)
-        e, g, _ = self._sandwich(rng)
-        far = rand_proj(rng, 12, 6)
-        eps = max(mc.op_norm(e @ (np.eye(12) - far)), mc.op_norm(far @ (np.eye(12) - g)))
-        if eps >= 0.1:
-            with pytest.raises(ValueError):
-                pg.nest_projection(e, g, far)
+        e, mid = self._sandwich(rng)
+        far = rand_basis(rng, 12, 6)
+        eps = projection_eps(proj(e), proj(np.column_stack([e, mid])), proj(far))
+        assert eps >= pg.NEST_MAX_EPS
+        with pytest.raises(ValueError, match="too large for nest_projection"):
+            pg.nest_projection(e, mid, far)
 
 
 class TestTridiagPositive:

@@ -733,9 +733,11 @@ class TestJointEig:
         assert mc.op_norm(rebuilt - u) <= 1e-12
 
     def test_nan_commutator_reaches_operator_norm(self):
-        # N N* overflows to inf - inf = NaN, which must not pass the screen
+        # N N* overflows to inf - inf = NaN, which must not pass the screen;
+        # numpy warns of the overflow and the invalid subtraction on the way
         with pytest.raises(mc.MatrixShapeError, match="non-finite"):
-            sm.normal_eig(np.array([[1e200, 1e200], [1e200, -1e200]]))
+            with pytest.warns(RuntimeWarning):
+                sm.normal_eig(np.array([[1e200, 1e200], [1e200, -1e200]]))
 
 
 class TestSmoothingSuite:

@@ -127,6 +127,11 @@ class TestVerifyTridiagonal:
 
 
 class TestCertifyW:
+    def test_no_block_rejected(self):
+        sys = sb.random_block_tridiagonal(np.random.default_rng(0), [])
+        with pytest.raises(sb.DegenerateSystemError, match="the system has no block"):
+            sb.certify_W(sys, np.zeros((0, 0)))
+
     def test_whole_space(self):
         rng = np.random.default_rng(1)
         sys = sb.random_block_tridiagonal(rng, [2, 2, 2])
@@ -252,11 +257,12 @@ class TestKrylovReduce:
         assert red.chain == []
         assert red.trivial_w.shape == (sys.dim, 0)
 
-    def test_rank_one_coupling_chain_dims(self):
+    @staticmethod
+    def rank_one_system():
+        """Six 2-blocks whose coupling 1->2 is rank one."""
         rng = np.random.default_rng(5)
         dims = [2, 2, 2, 2, 2, 2]
         sys = sb.random_block_tridiagonal(rng, dims)
-        # force coupling 1->2 to be rank one
         j = sys.j.copy()
         blk = j[2:4, 0:2]
         u, s, vh = np.linalg.svd(blk)
@@ -264,7 +270,10 @@ class TestKrylovReduce:
         j[2:4, 0:2] = u @ np.diag(s) @ vh
         j[0:2, 2:4] = j[2:4, 0:2].conj().T
         j = j / max(1.0, mc.op_norm(j))
-        sys2 = sb.verify_tridiagonal(j, dims)
+        return sb.verify_tridiagonal(j, dims)
+
+    def test_rank_one_coupling_chain_dims(self):
+        sys2 = self.rank_one_system()
         red = sb.krylov_reduce(sys2, 1)
         assert sys2.coupling_rank(0) == 1
         assert all(c.shape[1] <= 1 for c in red.chain)
@@ -274,6 +283,18 @@ class TestKrylovReduce:
         reduced = sb.verify_tridiagonal((j_red + j_red.conj().T) / 2,
                                         [c.shape[1] for c in red.chain])
         assert reduced.L == len(red.chain)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_chain_stops_at_the_last_block(self, reverse):
+        # rank-one increments never fill the space before V_L: the chain
+        # stops after L - i of them (i oriented), where it reaches V_L
+        sys = self.rank_one_system()
+        if reverse:
+            sys = sb.verify_tridiagonal(sys.j[::-1, ::-1], sys.dims)
+        red = sb.krylov_reduce(sys, sys.L - 1 if reverse else 1)
+        assert red.reversed == reverse
+        assert [c.shape[1] for c in red.chain] == [1] * (sys.L - 1)
+        assert red.trivial_w is None
 
     def test_reversal_matches_forward_on_reversed_system(self):
         rng = np.random.default_rng(6)
