@@ -63,11 +63,12 @@ class JordanDecomposition:
         return [b.dim for b in self.blocks]
 
     def full_basis(self) -> np.ndarray:
-        return np.column_stack([b.basis for b in self.blocks])
+        """The blocks' columns side by side; 0 x 0 on C^0, which has no block."""
+        return np.column_stack([b.basis for b in self.blocks] or [np.zeros((0, 0), complex)])
 
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         """(P, Q) rebuilt from the block restrictions."""
-        n = self.blocks[0].basis.shape[0]
+        n = sum(self.dims)  # the blocks split the whole space
         p = np.zeros((n, n), dtype=np.complex128)
         q = np.zeros((n, n), dtype=np.complex128)
         for blk in self.blocks:
@@ -206,6 +207,8 @@ def tridiag_positive_test(m, c, d) -> TridiagPositivity:
         raise ValueError("c, d must have one entry per row")
     if np.any(cv < 0) or np.any(dv < 0):
         raise ValueError("c, d must be nonnegative")
+    if n == 0:  # the vacuous certificate: the 0 x 0 M is positive
+        return TridiagPositivity(True, np.zeros((0, 0), complex), np.zeros((0, 0), complex), np.inf)
     h, _ = require_hermitian(mm, "M")
     scale = max(1.0, op_norm(mm))
     band_max = float(np.max(np.triu(np.abs(mm), 2))) if n > 2 else 0.0

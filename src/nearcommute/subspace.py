@@ -408,6 +408,8 @@ def joint_jacobi(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
     included) is left unrotated.
     """
     ms = [as_matrix(m).copy() for m in mats]
+    if not ms:
+        raise ValueError("joint_jacobi needs at least one matrix: the family is empty")
     n = ms[0].shape[0]
     tols = [JACOBI_TOL * max(1.0, float(np.abs(m).max(initial=0.0))) for m in ms]
     u = np.eye(n, dtype=np.complex128)

@@ -1,11 +1,11 @@
 """Seeded property suites behind `nearcommute verify` and the test harness.
 
-Every suite draws hypothesis-satisfying random instances, evaluates the
-corresponding checkers, and counts slack violations; the inequalities are
-theorems, so any violation is a bug.  The suites build their matrices
-Hermitian, so each matrix is decomposed once (``eig_hermitian_part``) and its
-eigensystem is handed to every checker that needs it, together with the
-norms of the matrices themselves, which the suite measures.
+Every suite draws hypothesis-satisfying random instances and counts each
+verdict as a BoundCheck in its tally; the inequalities are theorems, so any
+violation is a bug.  The suites build their matrices Hermitian, so each
+matrix is decomposed once (``eig_hermitian_part``) and its eigensystem is
+handed to every checker that needs it, together with the norms of the
+matrices themselves, which the suite measures.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds as bd
 from .checks import BoundCheck
 from .matcore import (HermitianEig, eig_hermitian_part, gram_norm, hermitian_commutator,
-                      op_norm, op_norm_exceeds, random_hermitian, random_unitary, skew)
+                      op_norm, random_hermitian, random_unitary)
 from .projgeom import jordan_blocks, nest_projection
 from .smoothing import (
     finite_range,
@@ -129,17 +129,14 @@ def suite_projections(seed: int, trials: int) -> dict:
     tally = _Tally()
     for t in range(trials):
         n = int(rng.integers(4, 17))
-        q1 = random_unitary(rng, n)
-        q2 = random_unitary(rng, n)
+        q1, q2 = random_unitary(rng, n), random_unitary(rng, n)
         r1, r2 = int(rng.integers(1, n)), int(rng.integers(1, n))
         pb, qb = q1[:, :r1], q2[:, :r2]
         dec = jordan_blocks(pb, qb)
-        pr, qr = dec.reconstruct()
-        if (op_norm_exceeds(pr - pb @ pb.conj().T, 1e-10)
-                or op_norm_exceeds(qr - qb @ qb.conj().T, 1e-10)):
-            tally.failures.append(f"jordan reconstruction failed at trial {t}")
-        if any(d not in (1, 2) for d in dec.dims):
-            tally.failures.append(f"jordan block of bad dimension at trial {t}")
+        # Frobenius norms: at least the operator norm, and no decomposition
+        for name, rebuilt, basis in zip("PQ", dec.reconstruct(), (pb, qb)):
+            tally.record(BoundCheck(np.linalg.norm(rebuilt - basis @ basis.conj().T), 1e-10,
+                                    f"jordan {name} rebuilt (trial {t})"), exact=True)
         # nested-projection repair on an admissible triple: F' is the spectral
         # projection above 1/2 of the projection onto ge[:, :5], perturbed
         ge = random_unitary(rng, 12)[:, :8]
@@ -149,23 +146,22 @@ def suite_projections(seed: int, trials: int) -> dict:
         f, chk = nest_projection(e, ge[:, 3:], v[:, w > 0.5])
         tally.record(chk)
         # E <= F <= G: (1 - F) E = 0 and (1 - G) F = 0
-        if (op_norm_exceeds(e - f @ (f.conj().T @ e), 1e-10)
-                or op_norm_exceeds(f - ge @ (ge.conj().T @ f), 1e-10)):
-            tally.failures.append(f"nest sandwich failed at trial {t}")
+        for name, sub, sup in (("E <= F", e, f), ("F <= G", f, ge)):
+            tally.record(BoundCheck(np.linalg.norm(sub - sup @ (sup.conj().T @ sub)), 1e-10,
+                                    f"nest {name} (trial {t})"), exact=True)
     return tally.result("projections", trials)
 
 
 def suite_smoothing(seed: int, trials: int) -> dict:
     rng = np.random.default_rng(seed)
     tally = _Tally()
-    parts = partition_of_unity(8)
     x = np.linspace(-1, 1, 4001)
-    s = sum(np.asarray(p(x)) for p in parts)
-    if float(np.max(np.abs(s - 1))) > 1e-10:
-        tally.failures.append("partition of unity sum deviates")
+    s = sum(np.asarray(p(x)) for p in partition_of_unity(8))
+    tally.record(BoundCheck(float(np.max(np.abs(s - 1))), 1e-10,
+                            "partition of unity sums to 1"), exact=True)
     for j, w in ((0.0, 1.0), (1.0, 0.5), (2.0, 0.25)):
-        if scaling_identity_residual(j if j else 0.0, w, 0.8) > 0.01:
-            tally.failures.append(f"scaling identity fails at j={j}, w={w}")
+        tally.record(BoundCheck(scaling_identity_residual(j, w, 0.8), 0.01,
+                                f"scaling identity at j={j}, w={w}"), exact=True)
     for t in range(trials):
         n = int(rng.integers(4, 17))
         a = random_hermitian(rng, n, norm=1.0)
@@ -175,13 +171,11 @@ def suite_smoothing(seed: int, trials: int) -> dict:
         res = finite_range(a, eb, delta, comm=op_norm(hermitian_commutator(a, b)))
         for chk in res.checks:
             tally.record(chk)
-        if op_norm_exceeds(skew(res.matrix), 1e-12 * n):
-            tally.failures.append(f"finite-range output not Hermitian at trial {t}")
         lam = eb.eigenvalues
         mid = float(np.median(lam))
         v1, v2 = eb.vectors[:, lam <= mid], eb.vectors[:, lam >= mid + delta]
-        if op_norm_exceeds(v1.conj().T @ res.matrix @ v2, 1e-10):
-            tally.failures.append(f"finite-range zero pattern fails at trial {t}")
+        tally.record(BoundCheck(np.linalg.norm(v1.conj().T @ res.matrix @ v2), 1e-10,
+                                f"finite-range zero pattern (trial {t})"), exact=True)
     return tally.result("smoothing", trials)
 
 

@@ -3,6 +3,7 @@ seeded sampling runs."""
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from nearcommute import bounds as bd
 from nearcommute import matcore as mc
 from nearcommute import smoothing as sm
+from nearcommute import suites
+from nearcommute.projgeom import jordan_blocks
 from nearcommute.suites import run_suite
 
 
@@ -667,14 +670,29 @@ def test_suite_decomposition_budget(name, trials, monkeypatch):
 @pytest.mark.parametrize("name, trials, checks", [
     ("bounds", 100, 385),
     ("lieb-robinson", 50, 150),
-    ("projections", 100, 100),
-    ("smoothing", 100, 200),
+    ("projections", 100, 500),
+    ("smoothing", 100, 304),
     ("tn", 50, 400),
 ])
 def test_suite_checks_at_seed_one(name, trials, checks):
     # every trial evaluates its checks: none is dropped by a swallowed error
     out = run_suite(name, seed=1, trials=trials)
     assert (out["trials"], out["checks"], out["violations"]) == (trials, checks, 0)
+
+
+def test_broken_verdict_is_named_and_counted(monkeypatch):
+    # a Jordan decomposition whose rebuilt P is off by 1e-6 I fails the
+    # projections suite's P check on every trial, and only that check
+    def broken(p_basis, q_basis):
+        dec = jordan_blocks(p_basis, q_basis)
+        p, q = dec.reconstruct()
+        return SimpleNamespace(reconstruct=lambda: (p + 1e-6 * np.eye(len(p)), q))
+
+    monkeypatch.setattr(suites, "jordan_blocks", broken)
+    out = run_suite("projections", seed=1, trials=3)
+    assert (out["checks"], out["violations"]) == (15, 3)
+    assert all(f.startswith(f"jordan P rebuilt (trial {t}): ")
+               for t, f in enumerate(out["failures"]))
 
 
 @pytest.mark.parametrize("name, trials, message", [

@@ -134,6 +134,14 @@ class TestJordanBlocks:
             pg.jordan_blocks(q[:, :2], 1.001 * q[:, 2:5])
 
 
+    def test_pair_on_c0(self):
+        # C^0 has no block: the rebuilt projections and the basis are 0 x 0
+        dec = pg.jordan_blocks(np.zeros((0, 0)), np.zeros((0, 0)))
+        assert dec.blocks == [] and dec.dims == []
+        assert [m.shape for m in dec.reconstruct()] == [(0, 0), (0, 0)]
+        assert dec.full_basis().shape == (0, 0)
+
+
 def test_jordan_blocks_need_one_space():
     with pytest.raises(ValueError, match="same space"):
         pg.jordan_blocks(np.eye(2)[:, :1], np.eye(3)[:, :2])
@@ -309,6 +317,11 @@ class TestTridiagPositive:
     def test_hypotheses_rejected(self, m, c, d, message):
         with pytest.raises(ValueError, match=message):
             pg.tridiag_positive_test(m, c, d)
+
+    def test_empty_matrix_vacuously_positive(self):
+        res = pg.tridiag_positive_test(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+        assert res.positive and res.min_eigenvalue == math.inf
+        assert res.witness.shape == res.witness_factor.shape == (0, 0)
 
     def test_identity_with_half_weights(self):
         c = np.full(4, 1 / math.sqrt(2))

@@ -454,6 +454,10 @@ class TestJacobiOracle:
             assert mc.op_norm(m - np.diag(np.diag(m))) <= 1e-12
         assert mc.op_norm(u.conj().T @ u - np.eye(3)) <= 1e-14
 
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="the family is empty"):
+            sb.joint_jacobi([])
+
     def test_heuristic_oracle_produces_commuting_pair(self):
         rng = np.random.default_rng(9)
         a = mc.random_hermitian(rng, 6, norm=1.0)
