@@ -6,8 +6,8 @@ failure or a suite violation; 64 the command line or an input was rejected.
 The library rejects a bad input with ValueError; the handlers repeat none of
 its checks, and ``main`` alone turns an exception into an exit code.  Every
 command is deterministic given its inputs, flags, and --seed, whose default
-is the AC_SEED environment variable (0 when it is unset; a value that is not
-an integer is a usage error).
+is the AC_SEED environment variable (0 when it is unset).  A seed, from
+either, that is not a nonnegative integer is a usage error.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ def delta_list(text: str) -> list[float]:
     return values
 
 
+def seed_value(text: str) -> int:
+    """--seed: a nonnegative integer, the seeds numpy's default_rng takes."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -79,12 +87,11 @@ def _build_parser() -> _Parser:
     pc = sub.add_parser("commute", help="repair an almost-commuting Hermitian pair")
     pc.add_argument("matrix_a")
     pc.add_argument("matrix_b")
-    pc.add_argument("--gamma2", type=float, default=1.0)
     pc.add_argument("--out", default="report.json")
 
     pv = sub.add_parser("verify", help="run a named property suite")
     pv.add_argument("suite")
-    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--seed", type=seed_value, default=None)
     pv.add_argument("--trials", type=int, default=100)
 
     pg = sub.add_parser("gallery", help="generate gallery objects")
@@ -97,8 +104,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("matrix_b")
     ps.add_argument("--deltas", required=True, type=delta_list,
                     help="comma-separated commutator sizes, e.g. 1e-1,1e-2")
-    ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--gamma2", type=float, default=1.0)
+    ps.add_argument("--seed", type=seed_value, default=None)
     ps.add_argument("--out", default="sweep.csv")
     return p
 
@@ -106,10 +112,9 @@ def _build_parser() -> _Parser:
 def cmd_commute(args) -> int:
     a, b = load_matrix(args.matrix_a), load_matrix(args.matrix_b)
     hashes = {"a": _sha256(args.matrix_a), "b": _sha256(args.matrix_b)}
-    rep = commute_hermitian_pair(a, b, args.gamma2)
+    rep = commute_hermitian_pair(a, b)
     doc = rep.to_json_dict(include_matrices=True)
     doc["inputs"] = hashes
-    doc["config"] = {"gamma2": args.gamma2}
     atomic_write_text(args.out, json.dumps(doc))
     print(json.dumps({"dist_a": rep.dist_a, "dist_b": rep.dist_b,
                       "comm_residual": rep.comm_residual, "out": args.out}))
@@ -174,7 +179,7 @@ def cmd_gallery(args) -> int:
 def cmd_sweep(args) -> int:
     a, b = load_matrix(args.matrix_a), load_matrix(args.matrix_b)
     g = random_hermitian(np.random.default_rng(args.seed), a.shape[0], norm=1.0)
-    rows = delta_sweep(a, b, g, sorted(args.deltas, reverse=True), args.gamma2)
+    rows = delta_sweep(a, b, g, sorted(args.deltas, reverse=True))
     buf = io.StringIO()
     wr = csv.writer(buf)
     wr.writerow(["delta", "dist_a", "dist_b", "eps2_max"])
@@ -190,10 +195,13 @@ def cmd_sweep(args) -> int:
 
 
 def _env_seed() -> int:
-    """AC_SEED (0 when unset), checked before int() so that its error names it."""
+    """AC_SEED (0 when unset), checked before int() and default_rng so that
+    its errors name it."""
     env = os.environ.get("AC_SEED", "0")
     if not env.strip().lstrip("+-").replace("_", "").isdecimal():
         raise ValueError(f"AC_SEED must be an integer, got {env!r}")
+    if int(env) < 0:
+        raise ValueError(f"AC_SEED must be nonnegative, got {env!r}")
     return int(env)
 
 

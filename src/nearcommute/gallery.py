@@ -16,6 +16,7 @@ from .matcore import (
     eig_hermitian_part,
     gram_norm,
     op_norm,
+    require_same_shape,
 )
 
 __all__ = [
@@ -95,9 +96,10 @@ def winding_number(u, v, u2, v2, steps: int = 256) -> WindingResult:
     pairs whose determinant loop avoids zero.  Loops passing within 1e-12 of
     zero clear the stability flag instead of guessing a branch.
     """
+    u, v, u2, v2 = (as_matrix(m) for m in (u, v, u2, v2))
+    require_same_shape(u, v, u2, v2)
     if op_norm(commutator(u2, v2)) > 1e-10 * max(1.0, op_norm(u2) * op_norm(v2)):
         raise ValueError("(U2, V2) must commute")
-    u, v, u2, v2 = (as_matrix(m) for m in (u, v, u2, v2))
     w1, m1 = _square_winding(u, v, u2, v2, steps)
     w2, m2 = _square_winding(u, v, u2, v2, 2 * steps)
     min_abs = min(m1, m2)

@@ -46,6 +46,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def require_same_shape(*mats: np.ndarray) -> None:
+    """Raise MatrixShapeError at the first matrix whose shape is not the first's."""
+    for m in mats[1:]:
+        if m.shape != mats[0].shape:
+            raise MatrixShapeError(f"dimension mismatch: {mats[0].shape} vs {m.shape}")
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
     """m*, the conjugate transpose, as a fresh C-ordered array: a transposing
     copy conjugated in place.  Never a view of m, whatever m's layout."""
@@ -258,8 +265,7 @@ def commutator(a, b) -> np.ndarray:
     """[A, B] = AB - BA."""
     a = as_matrix(a)
     b = as_matrix(b)
-    if a.shape != b.shape:
-        raise MatrixShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    require_same_shape(a, b)
     return a @ b - b @ a
 
 
@@ -267,6 +273,7 @@ def hermitian_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[A, B] for exactly Hermitian A and B that the caller validated or
     built: K - K* with K = AB, since BA = (AB)*.  One product instead of two,
     and the result is anti-Hermitian entry for entry."""
+    require_same_shape(a, b)
     return skew(a @ b)
 
 

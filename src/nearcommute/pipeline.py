@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 DELTA_FLOOR = 1e-16
+GAMMA2 = 1.0  # the W-engines' error exponent: Delta = delta^(2/3), n_cut = ceil(delta^(-1/3))
 SZAREK_BLOCK_THRESHOLD = 4
 CHEAP_CLUSTER_RTOL = 1e-8  # cheap_commute: eigenvalues of A within it * max(1, ||A||) merge
 
@@ -310,7 +311,7 @@ def _cut_and_pinch(ht: np.ndarray, vecs: np.ndarray, spectrum: np.ndarray | None
     return a_prime, b_prime, dist_b, log, checks
 
 
-def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
+def commute_hermitian_pair(a, b) -> CommuteReport:
     """Construct commuting Hermitian (A', B') near almost-commuting (A, B).
 
     Steps: finite-range averaging of A against B at range Delta = delta^g0;
@@ -322,7 +323,7 @@ def commute_hermitian_pair(a, b, gamma2: float = 1.0) -> CommuteReport:
     am, defect_a = require_hermitian(a, "A")
     require_contraction(am, "A")
     bm, defect_b = require_hermitian(b, "B")
-    g0, g1, gamma = choose_exponents(float(gamma2), True)
+    g0, g1, gamma = choose_exponents(GAMMA2, True)
     # A, B and everything built from them below are exactly Hermitian (their
     # commutators anti-Hermitian), so their norms take op_norm's kernel
     delta = hermitian_norm(1j * hermitian_commutator(am, bm))
@@ -399,12 +400,11 @@ def cheap_commute(a, b) -> CommuteReport:
     return CommuteReport(a_prime, b_prime, dist_a, dist_b, res, log, checks)
 
 
-def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
+def three_hermitian(a, b, c) -> CommuteReport:
     """Triple repair: cluster A's spectrum, pinch B and C onto the blocks,
     then repair (B, C) inside each block with the pair pipeline."""
     am, bm, cm = (require_contraction(require_hermitian(m, name)[0], name)
                   for m, name in ((a, "A"), (b, "B"), (c, "C")))
-    choose_exponents(float(gamma2))  # checks gamma2 even when every block commutes
     # A, B, C and everything built from them below are exactly Hermitian
     # (their commutators anti-Hermitian), so their norms take op_norm's kernel
     delta_ab = hermitian_norm(1j * hermitian_commutator(am, bm))
@@ -425,7 +425,7 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
             block_logs.append({"size": size, "dist_b": 0.0, "dist_c": 0.0,
                                "residual": blk_residual})
         else:
-            rep = commute_hermitian_pair(b_blk, c_blk, gamma2)
+            rep = commute_hermitian_pair(b_blk, c_blk)
             blk_b, blk_c = rep.a_prime, rep.b_prime
             block_logs.append({"size": size, "dist_b": rep.dist_a,
                                "dist_c": rep.dist_b, "residual": rep.comm_residual})
@@ -447,7 +447,7 @@ def three_hermitian(a, b, c, *, gamma2: float = 1.0) -> CommuteReport:
                          c_prime=c_prime, dist_c=hermitian_norm(cm - c_prime))
 
 
-def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
+def commute_hermitian_unitary(a, u) -> CommuteReport:
     """Commuting (A', U') near an almost-commuting Hermitian/unitary pair.
 
     The circle is cut into arcs indexed cyclically; the finite-range step uses
@@ -456,7 +456,7 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
     """
     am = require_contraction(require_hermitian(a, "A")[0], "A")
     um = require_unitary(u, "U")
-    g0, g1, _ = choose_exponents(float(gamma2), True)
+    g0, g1, _ = choose_exponents(GAMMA2, True)
     delta = gram_norm(commutator(am, um))
     if delta == 0.0:
         return _unmoved(am, um.copy(), delta)
@@ -496,8 +496,7 @@ def commute_hermitian_unitary(a, u, gamma2: float = 1.0) -> CommuteReport:
     return CommuteReport(a_prime, u_prime, dist_a, dist_u, res, log, checks)
 
 
-def unitary_pair_gap(u, v, theta: float | None = None, *,
-                     gamma2: float = 1.0) -> CommuteReport:
+def unitary_pair_gap(u, v) -> CommuteReport:
     """Commuting unitaries near (U, V) when V has a spectral arc gap.
 
     V is rotated so the largest gap sits at 1, mapped to a Hermitian W by the
@@ -518,10 +517,6 @@ def unitary_pair_gap(u, v, theta: float | None = None, *,
     if theta_detected < 1e-6 or gap_width < 3.0 * typical:
         raise ValueError("no detectable spectral gap on the circle")
     k = int(np.argmax(gaps))
-    if theta is None:
-        theta = theta_detected
-    elif theta > theta_detected + 1e-12:
-        raise ValueError(f"requested gap radius {theta} exceeds detected {theta_detected}")
     gap_center = float(phases[k] + gap_width / 2.0)
     # rotate so the gap midpoint lands at phase 0 (the point 1 on the circle)
     rot = complex(np.exp(-1j * gap_center))
@@ -530,11 +525,11 @@ def unitary_pair_gap(u, v, theta: float | None = None, *,
     w = cayley_matrix_to_line(v_rot)
     delta_uv = op_norm(commutator(um, vm))
     comm_check = BoundCheck(op_norm(commutator(um, w)),
-                            delta_uv / (1.0 - math.cos(theta)) + 1e-12,
+                            delta_uv / (1.0 - math.cos(theta_detected)) + 1e-12,
                             "||[U,W]|| <= ||[U,V]||/(1-cos theta)")
     w_norm = op_norm(w)
     scale = max(1.0, w_norm)
-    rep = commute_hermitian_unitary(w / scale, um, gamma2)
+    rep = commute_hermitian_unitary(w / scale, um)
     w_prime = scale * rep.a_prime
     u_prime = rep.b_prime
     v_prime = cayley_matrix_to_circle(w_prime) / rot
@@ -544,7 +539,6 @@ def unitary_pair_gap(u, v, theta: float | None = None, *,
     res = op_norm(commutator(u_prime, v_prime))
     log = {
         "theta_detected": theta_detected,
-        "theta": theta,
         "gap_center": gap_center,
         "w_norm": w_norm,
         "w_rescale": scale,
@@ -568,15 +562,13 @@ def cayley_matrix_to_circle(w: np.ndarray) -> np.ndarray:
     return ew.matrix_function(lambda x: (x - 1j) / (x + 1j))
 
 
-def delta_sweep(a0, b0, perturbation, deltas: Sequence[float],
-                gamma2: float = 1.0) -> list[dict]:
+def delta_sweep(a0, b0, perturbation, deltas: Sequence[float]) -> list[dict]:
     """Run the pair pipeline on (A0 + t G)/(1+t) for a scaled perturbation G,
     one row per requested commutator size.
 
     A0, B0 must commute; the scaling t is chosen so the measured ||[A,B]||
     matches each requested delta, which must be finite and nonnegative.
     """
-    choose_exponents(float(gamma2))
     if not all(0.0 <= want < math.inf for want in deltas):
         raise ValueError(f"each delta must be finite and nonnegative, got {list(deltas)}")
     a0 = require_contraction(require_hermitian(a0, "A0")[0], "A0")
@@ -595,7 +587,7 @@ def delta_sweep(a0, b0, perturbation, deltas: Sequence[float],
     for want in deltas:
         t = want / base
         a = (a0 + t * g) / (1.0 + t)
-        rep = commute_hermitian_pair(a, b0, gamma2)
+        rep = commute_hermitian_pair(a, b0)
         rows.append({
             "delta": rep.stage_log["delta"],
             "requested_delta": want,

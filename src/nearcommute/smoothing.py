@@ -34,6 +34,7 @@ from .matcore import (
     op_norm,
     require_hermitian,
     require_normal,
+    require_same_shape,
     skew,
 )
 
@@ -456,6 +457,7 @@ def _average(a: np.ndarray, v: np.ndarray, lams: Sequence[np.ndarray],
     exactly Hermitian and f is even, so the multiplier is exactly
     symmetric, H~ and A~ - H~ are Hermitian, and the norm takes op_norm's
     Hermitian kernel directly."""
+    require_same_shape(a, v)
     sym = hermitian_part(v.conj().T @ a @ v)
     mult = functools.reduce(np.multiply, [p((lam[:, None] - lam[None, :]) / delta)
                                           for lam in lams])

@@ -262,7 +262,7 @@ def test_end_to_end_pipeline():
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     a = gl.tn_lift(x, 6)
     b = gl.tn_lift(z, 6)
-    rep = pl.commute_hermitian_pair(a, b, 1.0)
+    rep = pl.commute_hermitian_pair(a, b)
     tensor_ok = (rep.comm_residual <= 1e-10
                  and rep.dist_b <= 2.0 / rep.stage_log["n_cut"] + 1e-10)
 

@@ -93,7 +93,7 @@ class TestCommuteCommand:
         doc = json.loads(out.read_text())
         assert doc["comm_residual"] <= 1e-10 * 12
         assert doc["dist_a"] <= 1e-9
-        assert "inputs" in doc and "config" in doc
+        assert "inputs" in doc and "config" not in doc
         # matrices embedded and parseable
         a_prime = np.array([[complex(c[0], c[1]) for c in row] for row in doc["a_prime"]])
         assert a_prime.shape == (12, 12)
@@ -149,14 +149,18 @@ class TestCommuteCommand:
         assert main(["commute", str(pa), str(pb), "--out", str(tmp_path / "r.json")]) == 2
         assert "engine failure: [c] oracle commutator too large" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("gamma2", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("gamma2", ["nan", "inf", "-1", "0", "1.0"])
     def test_bad_gamma2_writes_nothing(self, commuting_files, tmp_path, capsys, gamma2):
+        # the schedule is fixed (pipeline.GAMMA2): --gamma2 is no flag, whatever its value
         pa, pb, _, _ = commuting_files
-        out = tmp_path / "r.json"
-        assert main(["commute", str(pa), str(pb), "--gamma2", gamma2, "--out", str(out)]) == 64
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: gamma2 must be finite and positive")
-        assert not out.exists()
+        out = tmp_path / "out"
+        for argv in (["commute", str(pa), str(pb)],
+                     ["sweep", str(pa), str(pb), "--deltas", "1e-2"]):
+            assert main([*argv, "--gamma2", gamma2, "--out", str(out)]) == 64
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith("usage: nearcommute")
+            assert err[-1] == f"error: unrecognized arguments: --gamma2 {gamma2}"
+            assert not out.exists()
 
     def test_hastings_route_end_to_end(self, tensor_lift_pair, tmp_path):
         a, b = tensor_lift_pair
@@ -170,7 +174,7 @@ class TestCommuteCommand:
         assert doc["comm_residual"] <= 1e-10 * 64
         engines = [e.get("engine") for e in doc["stage_log"]["intervals"]]
         assert engines.count("hastings") >= 1
-        assert doc["config"] == {"gamma2": 1.0}
+        assert "config" not in doc
 
 
 class TestVerifyCommand:
@@ -205,6 +209,21 @@ class TestVerifyCommand:
         monkeypatch.setenv("AC_SEED", "seven")
         assert main(["verify", "tn", "--trials", "2"]) == 64
         assert "AC_SEED must be an integer, got 'seven'" in capsys.readouterr().err
+
+    def test_negative_env_seed_is_named(self, monkeypatch, capsys):
+        monkeypatch.setenv("AC_SEED", "-3")
+        assert main(["verify", "tn", "--trials", "2"]) == 64
+        out = capsys.readouterr()
+        assert out.err.splitlines() == ["error: AC_SEED must be nonnegative, got '-3'"]
+        assert out.out == ""
+
+    def test_negative_seed_flag_is_named(self, capsys):
+        assert main(["verify", "tn", "--seed", "-1", "--trials", "2"]) == 64
+        out = capsys.readouterr()
+        err = out.err.splitlines()
+        assert err[0].startswith("usage: nearcommute verify")
+        assert err[-1] == "error: argument --seed: invalid seed_value value: '-1'"
+        assert out.out == ""
 
 
 class TestGalleryCommand:
@@ -318,6 +337,16 @@ class TestSweepCommand:
         assert "AC_SEED must be an integer, got '1.5'" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_negative_seed_flag_writes_nothing(self, commuting_files, tmp_path, capsys):
+        pa, pb, _, _ = commuting_files
+        out = tmp_path / "s.csv"
+        assert main(["sweep", str(pa), str(pb), "--deltas", "1e-2", "--seed", "-2",
+                     "--out", str(out)]) == 64
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: nearcommute sweep")
+        assert err[-1] == "error: argument --seed: invalid seed_value value: '-2'"
+        assert not out.exists()
+
     def test_noncommuting_base_is_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(9)
         a = mc.random_hermitian(rng, 6, norm=1.0)
@@ -381,6 +410,8 @@ class TestExitPaths:
                      "engine failure: eigh did not converge", id="commute-linalg"),
         pytest.param(["commute", "{a}", "{a2}", "--out", "{out}"], None, 64,
                      "error: B must be a contraction", id="commute-input"),
+        pytest.param(["commute", "{s3}", "{s4}", "--out", "{out}"], None, 64,
+                     "error: dimension mismatch: (3, 3) vs (4, 4)", id="commute-sizes"),
         pytest.param(VERIFY, (cli, "run_suite", STAGE), 2,
                      "engine failure: [c]", id="verify-stage"),
         pytest.param(VERIFY, (cli, "run_suite", LINALG), 2,
@@ -408,14 +439,19 @@ class TestExitPaths:
                      "engine failure: [c]", id="sweep-stage"),
         pytest.param(SWEEP, (cli, "delta_sweep", LINALG), 2,
                      "engine failure: eigh", id="sweep-linalg"),
-        pytest.param(SWEEP[:-2] + ["--gamma2", "nan", "--out", "{out}"], None, 64,
-                     "error: gamma2 must be finite and positive", id="sweep-input"),
+        pytest.param(["sweep", "{a}", "{b}", "--deltas", "-0.1", "--out", "{out}"], None, 64,
+                     "error: each delta must be finite and nonnegative", id="sweep-input"),
+        pytest.param(["sweep", "{s3}", "{s4}", "--deltas", "1e-2", "--out", "{out}"], None, 64,
+                     "error: dimension mismatch: (3, 3) vs (4, 4)", id="sweep-sizes"),
     ])
     def test_exit_path(self, commuting_files, tmp_path, monkeypatch, capsys,
                        argv, patch, code, line):
         pa, pb, a, _ = commuting_files
         matio.save_matrix(tmp_path / "a2.json", 2 * a)
-        names = {"a": pa, "b": pb, "a2": tmp_path / "a2.json", "none": tmp_path / "none.json",
+        matio.save_matrix(tmp_path / "s3.json", 0.5 * np.eye(3))
+        matio.save_matrix(tmp_path / "s4.json", 0.5 * np.eye(4))
+        names = {"a": pa, "b": pb, "a2": tmp_path / "a2.json", "s3": tmp_path / "s3.json",
+                 "s4": tmp_path / "s4.json", "none": tmp_path / "none.json",
                  "out": tmp_path / "out", "missing": tmp_path / "missing" / "r.json"}
         if patch:
             monkeypatch.setattr(*patch)

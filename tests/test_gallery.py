@@ -41,6 +41,11 @@ def test_size_rejected(call, message):
 
 
 class TestWinding:
+    def test_dim_mismatch(self):
+        eye2 = np.eye(2, dtype=complex)
+        with pytest.raises(mc.MatrixShapeError, match=r"dimension mismatch: \(2, 2\) vs \(3, 3\)"):
+            gl.winding_number(eye2, np.eye(3, dtype=complex), eye2, eye2)
+
     def test_commuting_to_itself_is_zero(self):
         n = 6
         eye = np.eye(n, dtype=complex)

@@ -604,6 +604,10 @@ class TestHermitianCommutator:
         assert np.array_equal(k, -k.conj().T)
         assert mc.op_norm(k - (a @ b - b @ a)) <= 1e-15 * n
 
+    def test_dim_mismatch(self):
+        with pytest.raises(mc.MatrixShapeError, match=r"dimension mismatch: \(3, 3\) vs \(4, 4\)"):
+            mc.hermitian_commutator(0.5 * np.eye(3), 0.5 * np.eye(4))
+
 
 class TestApplyFunction:
     def test_identity_function(self):

@@ -97,7 +97,7 @@ class TestCommuteHermitianPair:
     def test_commuting_inputs_fixed(self):
         rng = np.random.default_rng(0)
         a, b = commuting_pair(rng, 16)
-        rep = pl.commute_hermitian_pair(a, b, 1.0)
+        rep = pl.commute_hermitian_pair(a, b)
         assert rep.comm_residual <= 1e-10 * 16
         assert rep.dist_a <= 1e-10
         assert rep.dist_b <= 2.0 / rep.stage_log["n_cut"] + 1e-10
@@ -107,7 +107,7 @@ class TestCommuteHermitianPair:
         z = np.array([[1, 0], [0, -1]], dtype=complex)
         a = gl.tn_lift(x, 6)
         b = gl.tn_lift(z, 6)
-        rep = pl.commute_hermitian_pair(a, b, 1.0)
+        rep = pl.commute_hermitian_pair(a, b)
         assert rep.comm_residual <= 1e-10 * 64
         assert rep.dist_b <= 2.0 / rep.stage_log["n_cut"] + 1e-10
         # outputs Hermitian
@@ -122,7 +122,7 @@ class TestCommuteHermitianPair:
         a0, b0 = commuting_pair(rng, 16)
         g = mc.random_hermitian(rng, 16, norm=1.0)
         t = 1e-6 / mc.op_norm(mc.commutator(g, b0))
-        rep = pl.commute_hermitian_pair((a0 + t * g) / (1 + t), b0, 1.0)
+        rep = pl.commute_hermitian_pair((a0 + t * g) / (1 + t), b0)
         assert rep.stage_log["n_cut"] > 16
         assert not rep.stage_log["degenerate_intervals"]
         pinch = [c for c in rep.checks if c.context == "||H-H'|| <= 2 max eps2"]
@@ -149,8 +149,8 @@ class TestCommuteHermitianPair:
         a0, b0 = commuting_pair(rng, 12)
         pert = mc.random_hermitian(rng, 12, norm=0.01)
         a = (a0 + pert) / 1.01
-        rep1 = pl.commute_hermitian_pair(a, b0, 1.0)
-        rep2 = pl.commute_hermitian_pair(b0, a, 1.0)
+        rep1 = pl.commute_hermitian_pair(a, b0)
+        rep2 = pl.commute_hermitian_pair(b0, a)
         assert rep1.comm_residual <= 1e-10 * 12
         assert rep2.comm_residual <= 1e-10 * 12
 
@@ -165,8 +165,8 @@ class TestCommuteHermitianPair:
         a0, b0 = (a0 + a0.conj().T) / 2, (b0 + b0.conj().T) / 2
         pert = mc.random_hermitian(rng, 16, norm=0.02)
         a = (a0 + pert) / 1.02
-        rep1 = pl.commute_hermitian_pair(a, b0, 1.0)
-        rep2 = pl.commute_hermitian_pair(b0, a, 1.0)
+        rep1 = pl.commute_hermitian_pair(a, b0)
+        rep2 = pl.commute_hermitian_pair(b0, a)
         d1 = max(rep1.dist_a, rep1.dist_b)
         d2 = max(rep2.dist_a, rep2.dist_b)
         assert d1 <= 2 * d2 + 1e-12
@@ -177,7 +177,7 @@ class TestCommuteHermitianPair:
         a, b = commuting_pair(rng, 16)
         a = (a + mc.random_hermitian(rng, 16, norm=0.01)) / 1.01
         calls = count_calls(monkeypatch, mc, "eig_hermitian_part", square_of=16)
-        pl.commute_hermitian_pair(a, b, 1.0)
+        pl.commute_hermitian_pair(a, b)
         assert len(calls) == 1
 
     def test_rejects_noncontraction(self):
@@ -451,23 +451,17 @@ class TestExactlyCommutingInput:
             pl.commute_hermitian_pair(d, 2 * d)
 
 
-@pytest.mark.parametrize("gamma2", [math.nan, math.inf, -1.0, 0.0])
-@pytest.mark.parametrize("driver", ["pair", "pair moving", "circle", "three", "gap", "sweep"])
-def test_gamma2_checked_before_any_short_cut(driver, gamma2):
-    # every driver that takes gamma2 rejects a bad one, on inputs that
-    # already commute as well
-    d = np.diag(np.linspace(-0.9, 0.9, 4)).astype(complex)
-    gapped = np.diag(np.exp(1j * np.linspace(0.0, 1.0, 4)))
-    calls = {
-        "pair": lambda: pl.commute_hermitian_pair(d, d, gamma2),
-        "pair moving": lambda: pl.commute_hermitian_pair(d, np.full((4, 4), 0.2), gamma2),
-        "circle": lambda: pl.commute_hermitian_unitary(d, np.eye(4), gamma2),
-        "three": lambda: pl.three_hermitian(d, d, d, gamma2=gamma2),
-        "gap": lambda: pl.unitary_pair_gap(np.eye(4), gapped, gamma2=gamma2),
-        "sweep": lambda: pl.delta_sweep(d, d, np.ones((4, 4)), [], gamma2),
-    }
-    with pytest.raises(ValueError, match="gamma2 must be finite and positive"):
-        calls[driver]()
+@pytest.mark.parametrize("call, shapes", [
+    pytest.param(lambda s3, s4: pl.commute_hermitian_pair(s3, s4), "(3, 3) vs (4, 4)", id="pair"),
+    pytest.param(lambda s3, s4: pl.three_hermitian(s3, s4, s3), "(3, 3) vs (4, 4)", id="three"),
+    pytest.param(lambda s3, s4: pl.delta_sweep(s3, s3, s4, [1e-2]), "(4, 4) vs (3, 3)",
+                 id="sweep"),
+])
+def test_pair_of_different_sizes_is_named(call, shapes):
+    # the first product of the two matrices compares their shapes
+    with pytest.raises(mc.MatrixShapeError) as exc:
+        call(0.5 * np.eye(3), 0.5 * np.eye(4))
+    assert str(exc.value) == f"dimension mismatch: {shapes}"
 
 
 @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
@@ -503,7 +497,7 @@ class TestEngineErrorsPropagate:
         monkeypatch.setattr(sb, "joint_jacobi", failing)
         a, b = tensor_lift_pair
         with pytest.raises(ValueError, match="oracle failure"):
-            pl.commute_hermitian_pair(a, b, 1.0)
+            pl.commute_hermitian_pair(a, b)
         assert len(calls) == 1
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         matio.save_matrix(pa, a)
@@ -518,7 +512,7 @@ class TestHermitianUnitary:
         rng = np.random.default_rng(8)
         a = mc.random_hermitian(rng, 6, norm=1.0)
         u = np.exp(1j * 0.7) * np.eye(6)
-        rep = pl.commute_hermitian_unitary(a, u, 1.0)
+        rep = pl.commute_hermitian_unitary(a, u)
         assert rep.comm_residual <= 1e-10 * 6
         assert rep.dist_a <= 1e-9
 
@@ -529,7 +523,7 @@ class TestHermitianUnitary:
         u = q @ np.diag(np.exp(1j * phases)) @ q.conj().T
         a = q @ np.diag(np.cos(phases)) @ q.conj().T
         a = (a + a.conj().T) / 2
-        rep = pl.commute_hermitian_unitary(a, u, 1.0)
+        rep = pl.commute_hermitian_unitary(a, u)
         assert rep.comm_residual <= 1e-10 * 16
         arc = rep.stage_log["arc_width"]
         assert rep.dist_b <= 2 * math.sin(min(arc / 2, math.pi / 2)) + 1e-9
@@ -549,14 +543,14 @@ class TestHermitianUnitary:
     def test_random_near_commuting(self):
         a, u = self.near_commuting_pair()
         n = a.shape[0]
-        rep = pl.commute_hermitian_unitary(a, u, 1.0)
+        rep = pl.commute_hermitian_unitary(a, u)
         assert rep.comm_residual <= 1e-10 * n
         up = rep.b_prime
         assert mc.op_norm(up.conj().T @ up - np.eye(n)) <= 1e-10
 
     def test_pinching_check_recorded(self):
         a, u = self.near_commuting_pair()
-        rep = pl.commute_hermitian_unitary(a, u, 1.0)
+        rep = pl.commute_hermitian_unitary(a, u)
         assert not rep.stage_log["degenerate_intervals"]
         pinch = [c for c in rep.checks if c.context == "||H-H'|| <= 2 max eps2"]
         assert len(pinch) == 1 and pinch[0].passed
@@ -565,7 +559,7 @@ class TestHermitianUnitary:
     def test_u_decomposed_once(self, monkeypatch):
         a, u = self.near_commuting_pair()
         calls = count_calls(monkeypatch, sm, "unitary_eig")
-        pl.commute_hermitian_unitary(a, u, 1.0)
+        pl.commute_hermitian_unitary(a, u)
         assert len(calls) == 1
 
 
@@ -725,17 +719,20 @@ class TestUnitaryPairGap:
         assert all(c.passed for c in rep.checks)
 
     def test_requested_theta_within_detected_gap(self):
-        # V's phases avoid (-0.9, 0.9), so the detected radius is at least 0.9:
-        # a smaller requested radius is used, a larger one is rejected
+        # V's phases avoid (-0.9, 0.9), so the detected radius is at least 0.9,
+        # and the commutator check divides by 1 - cos of that radius
         rng = np.random.default_rng(11)
         n = 16
         q = mc.random_unitary(rng, n)
         v = q @ np.diag(np.exp(1j * np.sort(rng.uniform(0.9, 2 * math.pi - 0.9, n)))) @ q.conj().T
         u = q @ np.diag(np.exp(1j * np.sort(rng.uniform(0, 2 * math.pi, n)))) @ q.conj().T
-        rep = pl.unitary_pair_gap(u, v, theta=0.5)
+        rep = pl.unitary_pair_gap(u, v)
         assert all(c.passed for c in rep.checks)
-        with pytest.raises(ValueError, match="requested gap radius 3.0 exceeds detected"):
-            pl.unitary_pair_gap(u, v, theta=3.0)
+        theta = rep.stage_log["theta_detected"]
+        assert theta >= 0.9 and "theta" not in rep.stage_log
+        comm = rep.checks[0]
+        assert comm.context == "||[U,W]|| <= ||[U,V]||/(1-cos theta)"
+        assert comm.rhs == mc.op_norm(mc.commutator(u, v)) / (1.0 - math.cos(theta)) + 1e-12
 
 
 DRIVERS = {False: pl.commute_hermitian_pair, True: pl.commute_hermitian_unitary}

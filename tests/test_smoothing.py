@@ -186,6 +186,15 @@ def _averaged(a, b, delta):
     return sm.finite_range(a, mc.eig_hermitian(b), delta, comm=mc.op_norm(mc.commutator(a, b)))
 
 
+@pytest.mark.parametrize("driver", [
+    lambda a, b: sm.finite_range(a, mc.eig_hermitian(b), 0.5, comm=0.0),
+    lambda a, b: sm.finite_range_normal(a, sm.normal_eig(b), 0.5, comm=0.0),
+], ids=["finite_range", "finite_range_normal"])
+def test_eigensystem_of_another_size_is_named(driver):
+    with pytest.raises(mc.MatrixShapeError, match=r"dimension mismatch: \(3, 3\) vs \(4, 4\)"):
+        driver(0.5 * np.eye(3), np.diag(np.linspace(-0.5, 0.5, 4)))
+
+
 class TestFiniteRange:
     def test_scalar_b_returns_a(self):
         rng = np.random.default_rng(1)
