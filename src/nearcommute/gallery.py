@@ -14,7 +14,6 @@ from .matcore import (
     as_matrix,
     commutator,
     eig_hermitian_part,
-    gram_norm,
     op_norm,
     require_same_shape,
 )
@@ -165,15 +164,17 @@ def tn_identities(a, b, big_n: int) -> dict:
     commutator: [T_N(A), T_N(B)] = (1/N) T_N([A,B]); recursion: T_{N+1} from
     T_N; covariance: T_N(UAU*) = U^{xN} T_N(A) (U*)^{xN}; the norm sandwich
     ||A||/2 <= ||T_N(A)|| <= ||A||; and commutation with the symmetric-group
-    representation (adjacent transpositions generate it).  The commutator
-    and covariance residuals are general matrices, so their norms are taken
-    by ``gram_norm``, with no SVD.
+    representation (adjacent transpositions generate it).  Each identity
+    holds exactly, so its residual is roundoff, and the four residuals are
+    Frobenius norms: upper bounds on the operator norms that need no
+    decomposition.  The two norms of the sandwich are operator norms.
     """
     am, bm = as_matrix(a), as_matrix(b)
     n = am.shape[0]
     ta = tn_lift(am, big_n)
     tb = tn_lift(bm, big_n)
-    comm_res = gram_norm(commutator(ta, tb) - tn_lift(commutator(am, bm), big_n) / big_n)
+    comm_res = float(np.linalg.norm(commutator(ta, tb)
+                                    - tn_lift(commutator(am, bm), big_n) / big_n))
     rec_res = None
     if n ** (big_n + 1) <= DIMENSION_BUDGET:
         # exact append-site recursion carrying the N/(N+1) prefactor:
@@ -183,7 +184,7 @@ def tn_identities(a, b, big_n: int) -> dict:
         rhs = np.zeros((d, n, d, n), dtype=np.complex128)
         np.einsum("iaja->aij", rhs)[...] += (big_n / (big_n + 1)) * ta
         np.einsum("iaib->iab", rhs)[...] += am / (big_n + 1)
-        rec_res = op_norm(tn_lift(am, big_n + 1) - rhs.reshape(d * n, d * n))
+        rec_res = float(np.linalg.norm(tn_lift(am, big_n + 1) - rhs.reshape(d * n, d * n)))
     rng = np.random.default_rng(721)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
@@ -193,15 +194,15 @@ def tn_identities(a, b, big_n: int) -> dict:
     conj = ta.reshape((n,) * (2 * big_n))
     for factor in [u_small.T] * big_n + [u_small.conj().T] * big_n:
         conj = np.tensordot(conj, factor, axes=(0, 0))
-    cov_res = gram_norm(tn_lift(u_small @ am @ u_small.conj().T, big_n)
-                        - conj.reshape(ta.shape))
+    cov_res = float(np.linalg.norm(tn_lift(u_small @ am @ u_small.conj().T, big_n)
+                                   - conj.reshape(ta.shape)))
     norm_a = op_norm(am)
     norm_ta = op_norm(ta)
     perm_res = 0.0
     for k in range(big_n - 1):
         # [T_N(A), P] = T_N(A)[:, sigma] - T_N(A)[sigma, :]: sigma is an involution
         sigma = _transposition(n, big_n, k)
-        perm_res = max(perm_res, op_norm(ta[:, sigma] - ta[sigma, :]))
+        perm_res = max(perm_res, float(np.linalg.norm(ta[:, sigma] - ta[sigma, :])))
     return {
         "dim": n ** big_n,
         "commutator_residual": comm_res,

@@ -21,6 +21,7 @@ __all__ = [
     "eig_hermitian",
     "op_norm",
     "gram_norm",
+    "screened_norm",
     "commutator",
     "hermitian_commutator",
     "random_hermitian",
@@ -180,11 +181,22 @@ def gram_norm(x) -> float:
     return s * math.sqrt(hermitian_norm(hermitian_part(g)))
 
 
+def screened_norm(x, bound: float, norm: Callable[[np.ndarray], float]) -> float:
+    """||x||_F when that is at most ``bound``, else norm(x), for ``norm`` an
+    operator-norm kernel (op_norm, hermitian_norm, gram_norm).  The value is
+    an upper bound on ||x||, since ||x|| <= ||x||_F, and it is within
+    ``bound`` exactly when norm(x) is: a check ``lhs <= bound`` has the
+    verdict it would have on norm(x), and pays for norm(x) only when the
+    Frobenius norm, which needs no decomposition, exceeds the bound.  A NaN
+    fails the screen and reaches ``norm``."""
+    frob = float(np.linalg.norm(x))
+    return frob if frob <= bound else norm(x)
+
+
 def op_norm_exceeds(x, tol: float) -> bool:
-    """op_norm(x) > tol, for a pass/fail gate that reports no value: op_norm
-    is taken only when ||x||_F, an upper bound, exceeds tol.  A NaN fails
-    that screen and reaches op_norm, which rejects it."""
-    return not np.linalg.norm(x) <= tol and op_norm(x) > tol
+    """op_norm(x) > tol, for a pass/fail gate that reports no value
+    (``screened_norm``); op_norm rejects a NaN."""
+    return screened_norm(x, tol, op_norm) > tol
 
 
 def hermitian_norm_within(h: np.ndarray, c: float) -> bool:
@@ -212,18 +224,16 @@ HERMITICITY_RTOL = 1e-10  # eig_hermitian, on caller input: ||A - A*||/2 <= HERM
 def require_hermitian(m, name: str) -> tuple[np.ndarray, float]:
     """(h, defect) = ((m + m*)/2, ||m - m*||/2) for a finite square m within
     HERMITIAN_TOL, else NotHermitianError "{name} must be Hermitian".  An m
-    equal to m* entry for entry gives a copy of m and 0.0.  As in
-    ``op_norm_exceeds``, ||m - m*||_F/2 screens the norm: within the tolerance
-    it is the defect reported, and ||m|| is taken only for a defect above it."""
+    equal to m* entry for entry gives a copy of m and 0.0.  ||m - m*||_F/2
+    screens the norm (``screened_norm``): within the tolerance it is the
+    defect reported, and ||m|| is taken only for a defect above it."""
     mm = as_matrix(m)
     k = skew(mm)
     if not k.any():
         return mm.copy(), 0.0
-    defect = float(np.linalg.norm(k)) / 2
-    if defect > HERMITIAN_TOL:
-        defect = op_norm(k) / 2
-        if defect > HERMITIAN_TOL and defect > HERMITIAN_TOL * op_norm(mm):
-            raise NotHermitianError(f"{name} must be Hermitian")
+    defect = screened_norm(k, 2 * HERMITIAN_TOL, op_norm) / 2
+    if defect > HERMITIAN_TOL and defect > HERMITIAN_TOL * op_norm(mm):
+        raise NotHermitianError(f"{name} must be Hermitian")
     return hermitian_part(mm), defect
 
 
@@ -250,14 +260,12 @@ def require_unitary(m, name: str) -> np.ndarray:
 
 def require_normal(m) -> np.ndarray:
     """A finite square m within NORMAL_TOL, else ValueError with the measured
-    ||[m, m*]||.  ||[m, m*]||_F screens both norms; a NaN fails the screen and
-    reaches op_norm, which rejects it."""
+    ||[m, m*]||.  ||[m, m*]||_F screens both norms (``screened_norm``); op_norm
+    rejects a NaN."""
     mm = as_matrix(m)
-    c = commutator(mm, mm.conj().T)
-    if not np.linalg.norm(c) <= NORMAL_TOL:
-        defect = op_norm(c)
-        if defect > NORMAL_TOL * max(op_norm(mm), 1.0) ** 2:
-            raise ValueError(f"matrix is not normal: ||[N,N*]|| = {defect:.3e}")
+    defect = screened_norm(commutator(mm, mm.conj().T), NORMAL_TOL, op_norm)
+    if defect > NORMAL_TOL and defect > NORMAL_TOL * max(op_norm(mm), 1.0) ** 2:
+        raise ValueError(f"matrix is not normal: ||[N,N*]|| = {defect:.3e}")
     return mm
 
 

@@ -35,6 +35,7 @@ from .matcore import (
     require_hermitian,
     require_normal,
     require_same_shape,
+    screened_norm,
     skew,
 )
 
@@ -443,32 +444,30 @@ class FiniteRangeResult:
         return self
 
 
-def _require_averaging(delta: float) -> Profile:
-    """The averaging profile, ``poly_bump_profile()``, for a range Delta > 0."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+def _require_averaging(delta: float, comm: float) -> Profile:
+    """The averaging profile, ``poly_bump_profile()``, for a finite range
+    Delta > 0 and a finite measured ||[A,B]|| >= 0; ValueError naming the
+    argument otherwise."""
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
+    if not 0 <= comm < math.inf:
+        raise ValueError(f"comm must be finite and nonnegative, got {comm}")
     return poly_bump_profile()
 
 
 def _average(a: np.ndarray, v: np.ndarray, lams: Sequence[np.ndarray],
-             delta: float, p: Profile) -> tuple[float, np.ndarray]:
-    """(||A - H||, H~) in the eigen-coordinates V, where H~ = A~ o
+             delta: float, p: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """(A~ - H~, H~) in the eigen-coordinates V, where H~ = A~ o
     prod_j f((lam_jl - lam_jm)/Delta) for A~ = V*AV symmetrised.  A is
     exactly Hermitian and f is even, so the multiplier is exactly
-    symmetric, H~ and A~ - H~ are Hermitian, and the norm takes op_norm's
-    Hermitian kernel directly."""
+    symmetric, H~ and A~ - H~ are Hermitian, and the norm of A~ - H~ may
+    take op_norm's Hermitian kernel directly."""
     require_same_shape(a, v)
     sym = hermitian_part(v.conj().T @ a @ v)
     mult = functools.reduce(np.multiply, [p((lam[:, None] - lam[None, :]) / delta)
                                           for lam in lams])
     ht = sym * mult
-    return hermitian_norm(sym - ht), ht
-
-
-def _commutator_norm(ht: np.ndarray, lam: np.ndarray) -> float:
-    """||[H, B]|| for H~ = V*HV and B = V diag(lam) V*: the norm of
-    H~_lm (lam_m - lam_l), which is anti-Hermitian for real lam."""
-    return hermitian_norm(1j * (ht * (lam[None, :] - lam[:, None])))
+    return sym - ht, ht
 
 
 def finite_range(a, eb: HermitianEig, delta: float, *, comm: float) -> FiniteRangeResult:
@@ -479,20 +478,30 @@ def finite_range(a, eb: HermitianEig, delta: float, *, comm: float) -> FiniteRan
     E_{S1}(B) H E_{S2}(B) = 0 exactly whenever dist(S1, S2) >= Delta, and
     ||A - H|| <= (c0/Delta) ||[A,B]||, ||[H,B]|| <= c1 ||[A,B]||.  Both
     left-hand sides are measured in B's eigen-coordinates, where [H,B] is an
-    entrywise product.
+    entrywise product, and each is screened against its right-hand side
+    (``screened_norm``): it is the Frobenius norm when that is within the
+    rhs, and the operator norm otherwise.  Either way it bounds the operator
+    norm from above, and each check has the verdict it would have on the
+    operator norm.
 
     A goes through ``require_hermitian``: a defect within HERMITIAN_TOL is
     symmetrised away, and a larger one raises NotHermitianError.  ``eb`` is
     B's ``HermitianEig``, from the checked ``eig_hermitian`` for outside
     input or ``eig_hermitian_part`` for a B its caller validated, and
-    ``comm`` is the caller's measured ||[A,B]||.
+    ``comm`` is the caller's measured ||[A,B]||.  Delta must be finite and
+    positive, and ``comm`` finite and nonnegative (ValueError).
     """
-    p = _require_averaging(delta)
+    p = _require_averaging(delta, comm)
     a = require_hermitian(a, "A")[0]
-    a_h, ht = _average(a, eb.vectors, [eb.eigenvalues], delta, p)
+    lam = eb.eigenvalues
+    a_minus_h, ht = _average(a, eb.vectors, [lam], delta, p)
+    # i[H,B] there: i H~_lm (lam_m - lam_l), Hermitian for real lam
+    comm_hb = 1j * (ht * (lam[None, :] - lam[:, None]))
+    rhs_a, rhs_comm = (p.c0 / delta) * comm, p.c1 * comm
     checks = [
-        BoundCheck(a_h, (p.c0 / delta) * comm, "finite_range ||A-H|| <= (c0/Delta)||[A,B]||"),
-        BoundCheck(_commutator_norm(ht, eb.eigenvalues), p.c1 * comm,
+        BoundCheck(screened_norm(a_minus_h, rhs_a, hermitian_norm), rhs_a,
+                   "finite_range ||A-H|| <= (c0/Delta)||[A,B]||"),
+        BoundCheck(screened_norm(comm_hb, rhs_comm, hermitian_norm), rhs_comm,
                    "finite_range ||[H,B]|| <= c1||[A,B]||"),
     ]
     return FiniteRangeResult(ht, checks, p.name, eb)
@@ -507,23 +516,28 @@ def finite_range_normal(a, en: NormalEig, delta: float, *, comm: float) -> Finit
     A goes through ``require_hermitian``, as in ``finite_range``.  ``en`` is
     N's ``NormalEig``, from the checked ``normal_eig`` for outside input or
     ``unitary_eig`` for a U its caller validated.  Both left-hand sides are
-    measured in N's eigen-coordinates V.  Where the eigensystem reproduces N
-    there as diag(mu) to roundoff (``exact``), ||[H,N]|| is the norm of
-    H~_lm (mu_m - mu_l) (``gram_norm``, as the product is not Hermitian for
-    complex mu); otherwise it is ||[H~, V*NV]||.  ``comm`` is the caller's
-    measured ||[A,N]||, the right-hand side of both."""
-    p = _require_averaging(delta)
+    measured in N's eigen-coordinates V and screened against their
+    right-hand sides, as in ``finite_range``.  Where the eigensystem
+    reproduces N there as diag(mu) to roundoff (``exact``), [H,N] is
+    H~_lm (mu_m - mu_l); otherwise it is [H~, V*NV].  Its operator norm,
+    where the screen needs it, is ``gram_norm``'s, as the product is not
+    Hermitian for complex mu.  ``comm`` is the caller's measured ||[A,N]||,
+    the right-hand side of both; Delta and ``comm`` are checked as in
+    ``finite_range``."""
+    p = _require_averaging(delta, comm)
     a = require_hermitian(a, "A")[0]
     v, mu = en.vectors, en.eigenvalues
-    a_h, ht = _average(a, v, [mu.real, mu.imag], delta, p)
+    a_minus_h, ht = _average(a, v, [mu.real, mu.imag], delta, p)
     if en.exact:
-        comm_hn = gram_norm(ht * (mu[None, :] - mu[:, None]))
+        comm_hn = ht * (mu[None, :] - mu[:, None])
     else:
-        comm_hn = gram_norm(commutator(ht, v.conj().T @ en.matrix @ v))
+        comm_hn = commutator(ht, v.conj().T @ en.matrix @ v)
+    rhs_a, rhs_comm = (2 * p.c0 * p.c1 / delta) * comm, 2 * p.c1 ** 2 * comm
     checks = [
-        BoundCheck(a_h, (2 * p.c0 * p.c1 / delta) * comm,
+        BoundCheck(screened_norm(a_minus_h, rhs_a, hermitian_norm), rhs_a,
                    "finite_range_normal ||A-H||"),
-        BoundCheck(comm_hn, 2 * p.c1 ** 2 * comm, "finite_range_normal ||[H,N]||"),
+        BoundCheck(screened_norm(comm_hn, rhs_comm, gram_norm), rhs_comm,
+                   "finite_range_normal ||[H,N]||"),
     ]
     return FiniteRangeResult(ht, checks, p.name, en)
 

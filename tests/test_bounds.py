@@ -645,12 +645,12 @@ class TestEdgeSizes:
 #   ||H|| <= 1 by its eigh eigenvalues (no eigvalsh); an SVD for each lhs but
 #   one exact zero (14);
 # - smoothing, 10 trials: eigh of B (10); eigvalsh for the two
-#   random_hermitian norms, ||[A,B]|| and the two finite-range lhs per
-#   trial, one of them an exact zero (49); no SVD.
+#   random_hermitian norms and ||[A,B]|| per trial (30); the two
+#   finite-range lhs are Frobenius norms, which pass their screens; no SVD.
 SUITE_BUDGET = {
     ("bounds", 10): {"eigh": 26, "eigvalsh": 66, "svd": 26},
     ("lieb-robinson", 5): {"eigh": 15, "eigvalsh": 0, "svd": 14},
-    ("smoothing", 10): {"eigh": 10, "eigvalsh": 49, "svd": 0},
+    ("smoothing", 10): {"eigh": 10, "eigvalsh": 30, "svd": 0},
 }
 
 

@@ -558,6 +558,35 @@ class TestGramNorm:
             mc.gram_norm(np.ones((2, 3)))
 
 
+class TestScreenedNorm:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(STRUCTURES), st.integers(1, 12), st.integers(1, 12),
+           st.floats(0.0, 2.0), st.integers(0, 10 ** 6))
+    def test_upper_bound_with_the_operator_norms_verdict(self, kind, n, cols, ratio, seed):
+        # bounds from 0 to twice ||X|| cover all three regimes: below ||X||,
+        # between ||X|| and ||X||_F (the fallback), and above ||X||_F
+        x = _structured(np.random.default_rng(seed), kind, n, cols)
+        norm = float(np.linalg.norm(x, 2))
+        bound = ratio * norm
+        got = mc.screened_norm(x, bound, mc.op_norm)
+        assert got >= norm - 1e-13 * norm
+        if abs(bound - norm) > 1e-12 * norm:
+            assert (got <= bound) == (mc.op_norm(x) <= bound)
+
+    def test_within_the_bound_takes_no_decomposition(self, refuse_svd):
+        x = np.array([[0.0, 3.0], [4.0, 0.0]])
+        assert mc.screened_norm(x, 5.0, mc.op_norm) == 5.0
+
+    def test_past_the_bound_takes_the_norm(self):
+        x = np.array([[0.0, 3.0], [4.0, 0.0]])
+        assert mc.screened_norm(x, 4.5, mc.op_norm) == 4.0
+
+    def test_nan_reaches_the_norm(self):
+        x = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(mc.MatrixShapeError, match="non-finite"):
+            mc.screened_norm(x, 1.0, mc.op_norm)
+
+
 class TestAdjoint:
     """adjoint, hermitian_part, skew and hermitian_commutator equal, bit for
     bit, the elementwise expressions they replace, and never return a view

@@ -738,9 +738,19 @@ class TestUnitaryPairGap:
 DRIVERS = {False: pl.commute_hermitian_pair, True: pl.commute_hermitian_unitary}
 
 
+def assert_screened_lhs(chk, x, tol):
+    """A finite-range check's lhs equals its screened definition computed
+    densely, ||X||_F when that is within the check's rhs and ||X|| otherwise,
+    and so is at least ||X||."""
+    frob, norm = float(np.linalg.norm(x)), mc.op_norm(x)
+    assert abs(chk.lhs - (frob if frob <= chk.rhs else norm)) <= tol, chk.context
+    assert chk.lhs >= norm - tol, chk.context
+
+
 class TestCoordinateMeasures:
     """The drivers measure ||B-B'||, the finite-range checks and ||H-H'|| in
-    B's eigen-coordinates; each equals its n x n definition."""
+    B's eigen-coordinates; each equals its n x n definition (the screened
+    one for the finite-range checks)."""
 
     @pytest.mark.parametrize("unitary", [False, True])
     @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
@@ -760,8 +770,8 @@ class TestCoordinateMeasures:
         h = fr.matrix
         tol = 1e-13 * n
         assert abs(rep.dist_b - mc.op_norm(b - rep.b_prime)) <= tol
-        assert abs(fr.checks[0].lhs - mc.op_norm(a - h)) <= tol
-        assert abs(fr.checks[1].lhs - mc.op_norm(mc.commutator(h, b))) <= tol
+        assert_screened_lhs(fr.checks[0], a - h, tol)
+        assert_screened_lhs(fr.checks[1], mc.commutator(h, b), tol)
         assert abs(rep.stage_log["h_to_pinched"] - mc.op_norm(h - rep.a_prime)) <= tol
 
     def test_circle_measured_against_u(self, monkeypatch):
@@ -789,9 +799,24 @@ class TestCoordinateMeasures:
         assert fr.eig is en
         tol = 1e-13 * n
         assert abs(rep.dist_b - mc.op_norm(u - rep.b_prime)) <= tol
-        assert abs(fr.checks[1].lhs - mc.op_norm(mc.commutator(fr.matrix, u))) <= tol
-        assert abs(fr.checks[0].lhs - mc.op_norm(a - fr.matrix)) <= tol
+        assert_screened_lhs(fr.checks[1], mc.commutator(fr.matrix, u), tol)
+        assert_screened_lhs(fr.checks[0], a - fr.matrix, tol)
         assert abs(rep.stage_log["h_to_pinched"] - mc.op_norm(fr.matrix - rep.a_prime)) <= tol
+
+    def test_tensor_lift_distance_check_falls_back_to_the_operator_norm(self, monkeypatch):
+        # T_4(X) against T_4(Z): ||A-H||_F = 1.90 exceeds the rhs 1.84, so
+        # the lhs is ||A-H|| = 0.949 itself, and the check passes
+        averaging, frs = pl.finite_range, []
+        monkeypatch.setattr(pl, "finite_range",
+                            lambda *args, **kw: frs.append(averaging(*args, **kw)) or frs[-1])
+        a = gl.tn_lift(np.array([[0.0, 1.0], [1.0, 0.0]]), 4)
+        b = gl.tn_lift(np.diag([1.0, -1.0]), 4)
+        pl.commute_hermitian_pair(a, b)
+        (fr,) = frs
+        chk, x = fr.checks[0], a - fr.matrix
+        assert chk.context.startswith("finite_range ||A-H||") and chk.passed
+        assert np.linalg.norm(x) > chk.rhs
+        assert abs(chk.lhs - mc.op_norm(x)) <= 1e-13 * 16
 
     def test_circle_near_normal_u_measured_against_u(self):
         # U = Q(D + 5e-10 E_12)Q* passes the unitarity gate, but its
@@ -850,24 +875,24 @@ def test_circle_pinches_h_by_the_spectral_projections_of_u_prime(monkeypatch):
 
 
 # Quality columns of the benchmark's planted workload at seed 1: label,
-# n_cut, routes, dist_a, dist_b, comm_residual.
+# n_cut, routes, dist_a, dist_b, comm_residual (a Frobenius norm).
 PLANTED_SEED_1 = [
     ('herm n=128 delta=0.01', 5, {'gap': 2, 'szarek': 3},
-     0.012920031304839326, 0.33599860239857965, 1.625968235552042e-15),
+     0.012920031304839326, 0.33599860239857965, 7.170138011875376e-15),
     ('herm n=128 delta=0.0001', 22, {'gap': 20},
-     0.0001234838112990769, 0.0881192791974935, 1.903049764730336e-15),
+     0.0001234838112990769, 0.0881192791974935, 8.391322061627205e-15),
     ('herm n=128 delta=1e-06', 101, {'gap': 69},
-     1.239180847436548e-06, 0.01966045862674652, 1.8358038028890714e-15),
+     1.239180847436548e-06, 0.01966045862674652, 8.028891539423673e-15),
     ('herm n=256 delta=0.01', 5, {'gap': 2, 'szarek': 3},
-     0.01166258158278138, 0.34294882526762227, 2.2354794847782448e-15),
+     0.01166258158278138, 0.34294882526762227, 1.318677174433456e-14),
     ('herm n=256 delta=0.0001', 22, {'gap': 20},
-     0.00011943410947017878, 0.08856125883544279, 2.681784768003333e-15),
+     0.00011943410947017878, 0.08856125883544279, 1.489931967834355e-14),
     ('herm n=256 delta=1e-06', 100, {'gap': 85},
-     1.1504423005061087e-06, 0.019873192914912557, 2.587290816476243e-15),
+     1.1504423005061087e-06, 0.019873192914912557, 1.491083030239427e-14),
     ('unitary n=128 delta=0.001', 10, {'gap': 10},
-     0.00069365083701229, 0.598956400184721, 3.049571365849372e-15),
+     0.00069365083701229, 0.598956400184721, 6.777083010669491e-15),
     ('unitary n=256 delta=0.001', 11, {'gap': 11},
-     0.0007151214336973401, 0.5466902676423047, 4.135254768412541e-15),
+     0.0007151214336973401, 0.5466902676423047, 9.654631810797762e-15),
 ]
 
 
@@ -890,17 +915,17 @@ def test_planted_quality_columns_pinned():
 
 
 # Full-size decompositions of one driver call on the planted workload's
-# n = 128 instances: B (U) once by eigh; Hermitian norms by eigvalsh (delta,
-# ||A-H||, dist_a and the residual on the line; on the circle ||A-H|| and
-# dist_a, and two general norms, delta and the residual, by eigvalsh of a
-# Gram matrix, so no SVD; in U's eigen-coordinates ||U-U'|| is taken per
-# arc and the Gram matrix of [H,N], finite range there, splits into diagonal
-# blocks); A's contraction gate by Cholesky.  The circle takes U's
-# normality from its unitary gate, which bounds ||Im U|| too, so it runs no
-# Cholesky test of its own.
+# n = 128 instances: B (U) once by eigh; two norms by eigvalsh (delta and
+# dist_a on the line; on the circle dist_a, and delta, a general norm, by
+# eigvalsh of a Gram matrix, so no SVD; in U's eigen-coordinates ||U-U'|| is
+# taken per arc); A's contraction gate by Cholesky.  The residual is a
+# Frobenius norm, and so are the finite-range lhs, whose Frobenius norms
+# pass their screens on these instances.  The circle takes U's normality
+# from its unitary gate, which bounds ||Im U|| too, so it runs no Cholesky
+# test of its own.
 DECOMPOSITION_BUDGET = {
-    False: {"eigh": 1, "eigvalsh": 4, "svd": 0, "cholesky": 2},
-    True: {"eigh": 1, "eigvalsh": 4, "svd": 0, "cholesky": 2},
+    False: {"eigh": 1, "eigvalsh": 2, "svd": 0, "cholesky": 2},
+    True: {"eigh": 1, "eigvalsh": 2, "svd": 0, "cholesky": 2},
 }
 
 

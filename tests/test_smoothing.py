@@ -195,6 +195,27 @@ def test_eigensystem_of_another_size_is_named(driver):
         driver(0.5 * np.eye(3), np.diag(np.linspace(-0.5, 0.5, 4)))
 
 
+# A NaN Delta would reach eigvalsh as "Eigenvalues did not converge", an
+# infinite one gives ||A-H|| = 0 <= 0 beside a failing ||[H,B]|| check, and
+# a negative ||[A,B]|| two failing checks: each is refused by name.
+@pytest.mark.parametrize("delta, comm, message", [
+    (math.nan, 0.1, "delta must be finite and positive, got nan"),
+    (math.inf, 0.1, "delta must be finite and positive, got inf"),
+    (0.5, -0.1, "comm must be finite and nonnegative, got -0.1"),
+    (0.5, math.nan, "comm must be finite and nonnegative, got nan"),
+    (0.5, math.inf, "comm must be finite and nonnegative, got inf"),
+], ids=["delta-nan", "delta-inf", "comm-negative", "comm-nan", "comm-inf"])
+@pytest.mark.parametrize("driver", [
+    lambda a, b, delta, comm: sm.finite_range(a, mc.eig_hermitian(b), delta, comm=comm),
+    lambda a, b, delta, comm: sm.finite_range_normal(a, sm.normal_eig(b), delta, comm=comm),
+], ids=["finite_range", "finite_range_normal"])
+def test_bad_range_or_commutator_is_named(driver, delta, comm, message):
+    rng = np.random.default_rng(6)
+    a, b = (mc.random_hermitian(rng, 6, norm=0.9) for _ in range(2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        driver(a, b, delta, comm)
+
+
 class TestFiniteRange:
     def test_scalar_b_returns_a(self):
         rng = np.random.default_rng(1)
@@ -390,9 +411,12 @@ class TestFiniteRangeNormal:
         assert not res.eig.exact
         assert mc.op_norm(v.conj().T @ v - np.eye(2)) <= 1e-15
         tol = 2e-13
-        assert abs(res.checks[0].lhs - mc.op_norm(a - res.matrix)) <= tol
-        assert abs(res.checks[1].lhs
-                   - mc.op_norm(mc.commutator(res.matrix, n_mat))) <= tol
+        # each lhs is its screened definition: ||X||_F within the rhs, else ||X||
+        for chk, x in ((res.checks[0], a - res.matrix),
+                       (res.checks[1], mc.commutator(res.matrix, n_mat))):
+            frob, norm = float(np.linalg.norm(x)), mc.op_norm(x)
+            assert abs(chk.lhs - (frob if frob <= chk.rhs else norm)) <= tol
+            assert chk.lhs >= norm - tol
 
 
 class TestTailTables:
